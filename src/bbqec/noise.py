@@ -1,9 +1,23 @@
 """Circuit-level Pauli noise: frame sampling, Monte Carlo, fault models.
 
-The simulator is differential: it tracks only deviations from the ideal
-circuit. That is enough because every reported quantity (detection
+Everything here is differential: it tracks only deviations from the
+ideal circuit. That is enough because every reported quantity (detection
 events, final-readout comparisons, logical flips) is a fixed linear
 functional of the injected Paulis that vanishes in the noiseless run.
+
+Two engines share the circuit preprocessing in ``_Program``:
+
+- The sampler (``_execute``) pushes a batch of Pauli frames forward
+  through the layers and draws every slot's fault as it goes.
+- The fault-effect table (``_fault_table``) gives the signature of
+  every single-fault variant without simulating any of them. One walk
+  over the layers, last to first, carries for each qubit the outputs
+  that an X or a Z injected there would flip (the reverse pass of
+  Stim's error analyser, Gidney 2021, Quantum 5, 497). A variant's row
+  is the XOR of at most four lookups at its slot's layer. Building the
+  table costs O(layers x qubits x outputs / 64) word operations plus
+  one lookup per variant. ``build_dem``, ``expected_detection_series``
+  and ``sample_shot(forced_fault=...)`` read it.
 
 Noise channels and their fault slots:
 
@@ -19,6 +33,10 @@ Noise channels and their fault slots:
 - Check measurement and final data readout flip the recorded outcome
   without touching the state.
 
+``_channel_patterns`` states each channel's faults and rates once; the
+variant enumeration and the table both expand it. (The sampler's draw
+still encodes them separately.)
+
 Randomness is counter-based: every shot has a 64-bit key derived from
 the master seed, every fault slot has a fixed counter, and the draw for
 (shot, slot) mixes the two. Results are therefore independent of batch
@@ -29,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -299,6 +318,7 @@ class FaultVariant:
 
 
 _XZ_OF_PAULI = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)}  # I X Y Z
+_SLOT_KINDS = ("h", "idle", "cz", "dd", "measure", "readout")
 
 
 @dataclass(frozen=True)
@@ -461,64 +481,95 @@ class _Program:
     def detector_count(self) -> int:
         return (self.t + 1) * len(self.aligned_cols)
 
+    # Raw outputs are the deviations the sampler records: dm[c, j] is bit
+    # c * checks + j, rd[q] is bit t * checks + q.
 
-def _slot_variants(slot: FaultSlot, noise: NoiseModel) -> list[FaultVariant]:
-    out: list[FaultVariant] = []
-    if slot.kind in ("h", "idle"):
-        p = noise.effective(noise.p_h if slot.kind == "h" else noise.p_i)
-        if p > 0:
-            q = slot.qubits
-            out.append(FaultVariant(slot.counter, slot.layer, slot.kind, p / 3, q, ()))
-            out.append(FaultVariant(slot.counter, slot.layer, slot.kind, p / 3, q, q))
-            out.append(FaultVariant(slot.counter, slot.layer, slot.kind, p / 3, (), q))
-    elif slot.kind == "cz":
+    @property
+    def raw_bits(self) -> int:
+        return self.t * self.check_count + self.n
+
+    def dm_bit(self, cycle, col):
+        return cycle * self.check_count + col
+
+    def rd_bit(self, q):
+        return self.t * self.check_count + q
+
+    def outcome_bit(self, slot: FaultSlot) -> int:
+        """The raw output that a measurement or readout slot records."""
+        if slot.kind == "measure":
+            return self.dm_bit(slot.cycle, slot.check)
+        return self.rd_bit(slot.qubits[0])
+
+    def split_raw(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of raw-output bits -> (dm (B, t, checks), rd (B, n))."""
+        tc = self.t * self.check_count
+        return bits[:, :tc].reshape(-1, self.t, self.check_count), bits[:, tc:]
+
+
+class _Pattern(NamedTuple):
+    """One fault of a slot kind. Legs index the slot's qubits; ``flip``
+    flips the outcome that the slot records."""
+
+    probability: float
+    x_legs: tuple[int, ...] = ()
+    z_legs: tuple[int, ...] = ()
+    flip: bool = False
+
+
+def _channel_patterns(kind: str, noise: NoiseModel) -> list[_Pattern]:
+    """The nonzero-probability faults of one slot kind, in variant order."""
+    if kind in ("h", "idle"):
+        p = noise.effective(noise.p_h if kind == "h" else noise.p_i)
+        pats = [
+            _Pattern(p / 3, (0,)),
+            _Pattern(p / 3, (0,), (0,)),
+            _Pattern(p / 3, (), (0,)),
+        ]
+    elif kind == "cz":
         p = noise.effective(noise.p_cz)
-        if p > 0:
-            a, b = slot.qubits
-            for idx in range(1, 16):
-                pa, pb = divmod(idx, 4)
-                xa, za = _XZ_OF_PAULI[pa]
-                xb, zb = _XZ_OF_PAULI[pb]
-                out.append(
-                    FaultVariant(
-                        slot.counter,
-                        slot.layer,
-                        "cz",
-                        p / 15,
-                        tuple(q for q, f in ((a, xa), (b, xb)) if f),
-                        tuple(q for q, f in ((a, za), (b, zb)) if f),
-                    )
-                )
-    elif slot.kind == "dd":
+        pats = []
+        for idx in range(1, 16):
+            pa, pb = divmod(idx, 4)
+            (xa, za), (xb, zb) = _XZ_OF_PAULI[pa], _XZ_OF_PAULI[pb]
+            pats.append(_Pattern(
+                p / 15,
+                tuple(leg for leg, f in ((0, xa), (1, xb)) if f),
+                tuple(leg for leg, f in ((0, za), (1, zb)) if f),
+            ))
+    elif kind == "dd":
         px = noise.effective(noise.p_dd_x)
         pz = noise.effective(noise.p_dd_z)
-        q = slot.qubits
-        for prob, xq, zq in (
-            (px * (1 - pz), q, ()),
-            ((1 - px) * pz, (), q),
-            (px * pz, q, q),
-        ):
-            if prob > 0:
-                out.append(FaultVariant(slot.counter, slot.layer, "dd", prob, xq, zq))
-    elif slot.kind == "measure":
-        p = noise.effective(noise.p_m)
-        if p > 0:
-            out.append(
-                FaultVariant(
-                    slot.counter, slot.layer, "measure", p,
-                    measurement_flip=(slot.cycle, slot.check),
-                )
-            )
-    elif slot.kind == "readout":
-        p = noise.effective(noise.p_f)
-        if p > 0:
-            out.append(
-                FaultVariant(
-                    slot.counter, slot.layer, "readout", p,
-                    readout_flip=slot.qubits[0],
-                )
-            )
-    return out
+        pats = [
+            _Pattern(px * (1 - pz), (0,)),
+            _Pattern((1 - px) * pz, (), (0,)),
+            _Pattern(px * pz, (0,), (0,)),
+        ]
+    elif kind == "measure":
+        pats = [_Pattern(noise.effective(noise.p_m), flip=True)]
+    elif kind == "readout":
+        pats = [_Pattern(noise.effective(noise.p_f), flip=True)]
+    else:  # pragma: no cover - slot kinds are closed
+        raise AssertionError(kind)
+    return [pat for pat in pats if pat.probability > 0]
+
+
+def _slot_variants(slot: FaultSlot, patterns: list[_Pattern]) -> list[FaultVariant]:
+    q = slot.qubits
+    measured = (slot.cycle, slot.check) if slot.kind == "measure" else None
+    read = q[0] if slot.kind == "readout" else None
+    return [
+        FaultVariant(
+            slot.counter,
+            slot.layer,
+            slot.kind,
+            pat.probability,
+            tuple([q[leg] for leg in pat.x_legs]),
+            tuple([q[leg] for leg in pat.z_legs]),
+            measured if pat.flip else None,
+            read if pat.flip else None,
+        )
+        for pat in patterns
+    ]
 
 
 def enumerate_fault_variants(
@@ -526,52 +577,195 @@ def enumerate_fault_variants(
 ) -> tuple[FaultVariant, ...]:
     """Every nonzero-probability single-fault realization, in slot order."""
     prog = _Program(code, circuit, idle_policy=noise.idle_policy)
+    patterns = {kind: _channel_patterns(kind, noise) for kind in _SLOT_KINDS}
     out: list[FaultVariant] = []
     for slot in prog.slots:
-        out.extend(_slot_variants(slot, noise))
+        out.extend(_slot_variants(slot, patterns[slot.kind]))
     return tuple(out)
 
 
 # ---------------------------------------------------------------------------
-# execution engine
+# fault-effect table
+
+# Packed output rows: bit i of a row is bit i % 64 of little-endian word i // 64.
+_WORD = np.dtype("<u8")
 
 
-def _execute(prog: _Program, noise: NoiseModel | None, keys=None, variants=None):
-    """Run the layer walk for a batch of shots or of injected faults.
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Rows of 0/1 bytes -> rows of packed words."""
+    words = -(-bits.shape[1] // 64)
+    out = np.zeros((bits.shape[0], 8 * words), dtype=np.uint8)
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    out[:, : packed.shape[1]] = packed
+    return out.view(_WORD)
 
-    Exactly one of ``keys`` (stochastic sampling, one uint64 key per
-    shot) and ``variants`` (one forced FaultVariant per row, no other
-    noise) must be given. Returns (dm, rd): measurement deviations of
-    shape (B, t, checks) and recorded-readout deviations (B, n).
+
+def _unpack(rows: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` bits of packed rows, as rows of 0/1 bytes."""
+    raw = np.ascontiguousarray(rows, dtype=_WORD).view(np.uint8)
+    return np.unpackbits(raw, axis=1, count=count, bitorder="little")
+
+
+def _raw_map(prog: _Program) -> np.ndarray:
+    """Row r: raw output r alone, packed. Tables built on it hold raw outputs."""
+    return _pack(np.eye(prog.raw_bits, dtype=np.uint8))
+
+
+def _signature_map(prog: _Program) -> np.ndarray:
+    """Row r: what ``_assemble`` makes of raw output r alone, packed as the
+    memory-basis detectors (the DEM's order) followed by the logicals.
+
+    ``_assemble`` is linear over GF(2), so a fault's signature is the XOR
+    of the rows of the raw outputs it flips.
     """
-    if (keys is None) == (variants is None):
-        raise ValueError("pass exactly one of keys and variants")
-    B = len(keys) if keys is not None else len(variants)
+    eye = np.eye(prog.raw_bits, dtype=np.uint8)
+    det, zf, logical = _assemble(prog, *prog.split_raw(eye))
+    body = det[:, :, prog.aligned_cols].reshape(len(eye), -1)
+    return _pack(np.concatenate([body, zf, logical], axis=1))
+
+
+def _walk_back(prog: _Program, out_map: np.ndarray):
+    """Walk the layers from last to first, carrying the fault effects.
+
+    Yields (layer, sx, sz) for every layer: row q of sx (sz) holds the
+    outputs flipped by an X (a Z) on qubit q injected right after that
+    layer's gate, as the XOR of the ``out_map`` rows of the raw outputs
+    it flips. The two arrays are updated in place after each yield.
+    """
+    sx = np.zeros((prog.circuit.qubit_count, out_map.shape[1]), dtype=out_map.dtype)
+    sz = np.zeros_like(sx)
+    for li in range(len(prog.layer_ops) - 1, -1, -1):
+        yield li, sx, sz
+        op = prog.layer_ops[li]
+        kind = op[0]
+        if kind == SINGLE_QUBIT:
+            qs = op[1]
+            sx[qs], sz[qs] = sz[qs], sx[qs]
+        elif kind == CZ:
+            # X_a before the gate is X_a Z_b after it; Z passes through
+            a, b = op[1], op[2]
+            sx[a] ^= sz[b]
+            sx[b] ^= sz[a]
+        elif kind == MEASURE_CHECKS:
+            # the outcome reads X on the ancilla, which persists; Z is erased
+            anc, cols, cyc = op[1], op[2], op[3]
+            sx[anc] ^= out_map[prog.dm_bit(cyc, cols)]
+            sz[anc] = 0
+        elif kind == READOUT_DATA:
+            qs = op[1]
+            sx[qs] ^= out_map[prog.rd_bit(qs)]
+        # DD_IDLE applies no gate
+
+
+def _fault_table(prog: _Program, noise: NoiseModel, out_map: np.ndarray):
+    """Outputs flipped by every nonzero single-fault variant, in variant order.
+
+    Returns (rows, slot, probability): row v packs the outputs (in the
+    basis of ``out_map``) that variant v flips on its own, slot[v] is
+    its slot counter and probability[v] its prior. The variants are
+    those of enumerate_fault_variants, in the same order.
+    """
+    patterns = {kind: _channel_patterns(kind, noise) for kind in _SLOT_KINDS}
+    by_kind: dict[str, list[FaultSlot]] = {}
+    for s in prog.slots:
+        by_kind.setdefault(s.kind, []).append(s)
+    count = np.array([len(patterns[s.kind]) for s in prog.slots], dtype=np.intp)
+    first = np.cumsum(count) - count
+    rows = np.zeros((int(count.sum()), out_map.shape[1]), dtype=out_map.dtype)
+    prob = np.zeros(len(rows))
+
+    lookups = []  # (layer bounds, first variant, qubit legs, patterns) per kind
+    for kind, slots in by_kind.items():
+        pats = patterns[kind]
+        if not pats:
+            continue
+        base = first[[s.counter for s in slots]]
+        prob[base[:, None] + np.arange(len(pats))] = [pat.probability for pat in pats]
+        for j, pat in enumerate(pats):
+            if pat.flip:
+                rows[base + j] ^= out_map[[prog.outcome_bit(s) for s in slots]]
+        if any(pat.x_legs or pat.z_legs for pat in pats):
+            layers = np.array([s.layer for s in slots])
+            bounds = np.searchsorted(layers, np.arange(len(prog.layer_ops) + 1))
+            legs = np.array([s.qubits for s in slots], dtype=np.intp)
+            lookups.append((bounds, base, legs, pats))
+
+    for li, sx, sz in _walk_back(prog, out_map):
+        for bounds, base, legs, pats in lookups:
+            lo, hi = bounds[li], bounds[li + 1]
+            if lo == hi:
+                continue
+            lx, lz = sx[legs[lo:hi]], sz[legs[lo:hi]]  # (slots, legs, words)
+            for j, pat in enumerate(pats):
+                acc = np.zeros((hi - lo, rows.shape[1]), dtype=rows.dtype)
+                for k in pat.x_legs:
+                    acc ^= lx[:, k]
+                for k in pat.z_legs:
+                    acc ^= lz[:, k]
+                rows[base[lo:hi] + j] ^= acc
+    return rows, np.repeat(np.arange(len(prog.slots)), count), prob
+
+
+def _fault_row(prog: _Program, fault: FaultVariant) -> np.ndarray:
+    """Packed raw outputs flipped by one fault, read from the table."""
+    if not 0 <= fault.layer < len(prog.layer_ops):
+        raise ValueError(
+            f"fault layer {fault.layer} outside the circuit's "
+            f"{len(prog.layer_ops)} layers"
+        )
+    qubits = fault.x_qubits + fault.z_qubits
+    if not all(0 <= q < prog.circuit.qubit_count for q in qubits):
+        raise ValueError(f"fault qubits {qubits} outside the circuit")
+    if fault.measurement_flip is not None:
+        cyc, col = fault.measurement_flip
+        if not (0 <= cyc < prog.t and 0 <= col < prog.check_count):
+            raise ValueError(
+                f"measurement flip {fault.measurement_flip} outside the circuit"
+            )
+    if fault.readout_flip is not None and not 0 <= fault.readout_flip < prog.n:
+        raise ValueError(f"readout flip {fault.readout_flip} outside the data qubits")
+    out_map = _raw_map(prog)
+    row = np.zeros(out_map.shape[1], dtype=out_map.dtype)
+    if fault.measurement_flip is not None:
+        row ^= out_map[prog.dm_bit(*fault.measurement_flip)]
+    if fault.readout_flip is not None:
+        row ^= out_map[prog.rd_bit(fault.readout_flip)]
+    for li, sx, sz in _walk_back(prog, out_map):
+        if li == fault.layer:
+            for q in fault.x_qubits:
+                row ^= sx[q]
+            for q in fault.z_qubits:
+                row ^= sz[q]
+            break
+    return row
+
+
+# ---------------------------------------------------------------------------
+# sampler
+
+
+def _execute(prog: _Program, noise: NoiseModel, keys: np.ndarray):
+    """Sample a batch of shots, one uint64 key per shot.
+
+    This is the sampler only: it pushes Pauli frames forward and draws
+    every slot's fault on the way. Single-fault signatures come from the
+    fault-effect table instead. Returns (dm, rd): measurement deviations
+    of shape (B, t, checks) and recorded-readout deviations (B, n).
+    """
+    B = len(keys)
     Q = prog.circuit.qubit_count
     x = np.zeros((B, Q), dtype=np.uint8)
     z = np.zeros((B, Q), dtype=np.uint8)
     dm = np.zeros((B, prog.t, prog.check_count), dtype=np.uint8)
     rd = np.zeros((B, prog.n), dtype=np.uint8)
 
-    inj_by_layer: dict[int, tuple[list, list, list, list]] = {}
-    if variants is not None:
-        for row, v in enumerate(variants):
-            rx, cx, rz, cz_q = inj_by_layer.setdefault(v.layer, ([], [], [], []))
-            for q in v.x_qubits:
-                rx.append(row)
-                cx.append(q)
-            for q in v.z_qubits:
-                rz.append(row)
-                cz_q.append(q)
-
-    if noise is not None:
-        p_h = noise.effective(noise.p_h)
-        p_i = noise.effective(noise.p_i)
-        p_cz = noise.effective(noise.p_cz)
-        p_m = noise.effective(noise.p_m)
-        p_f = noise.effective(noise.p_f)
-        tx = np.uint64(int(noise.effective(noise.p_dd_x) * 2**32))
-        tz = np.uint64(int(noise.effective(noise.p_dd_z) * 2**32))
+    p_h = noise.effective(noise.p_h)
+    p_i = noise.effective(noise.p_i)
+    p_cz = noise.effective(noise.p_cz)
+    p_m = noise.effective(noise.p_m)
+    p_f = noise.effective(noise.p_f)
+    tx = np.uint64(int(noise.effective(noise.p_dd_x) * 2**32))
+    tz = np.uint64(int(noise.effective(noise.p_dd_z) * 2**32))
 
     for li, layer_op in enumerate(prog.layer_ops):
         kind = layer_op[0]
@@ -595,58 +789,43 @@ def _execute(prog: _Program, noise: NoiseModel | None, keys=None, variants=None)
             rd[:, qs] = x[:, qs]
         # DD_IDLE applies no gate
 
-        if keys is not None:
-            for g in prog.layer_groups[li]:
-                S = len(g.q1)
-                if S == 0:
-                    continue
-                ctr = np.arange(g.base, g.base + S, dtype=np.uint64)
-                if g.kind == "dd":
-                    raw = _mix64(keys[:, None] ^ ((ctr + np.uint64(1)) * _STREAM))
-                    fx = ((raw & np.uint64(0xFFFFFFFF)) < tx).astype(np.uint8)
-                    fz = ((raw >> np.uint64(32)) < tz).astype(np.uint8)
-                    x[:, g.q1] ^= fx
-                    z[:, g.q1] ^= fz
-                    continue
-                u = _uniforms(keys, ctr)
-                if g.kind == "p1":
-                    p = np.where(g.idle_mask, p_i, p_h)
-                    hit = u < p
-                    scale = np.divide(3.0, p, out=np.zeros_like(p), where=p > 0)
-                    which = np.minimum(
-                        np.where(hit, u * scale, 0.0).astype(np.int64), 2
-                    )
-                    x[:, g.q1] ^= (hit & (which != 2)).astype(np.uint8)
-                    z[:, g.q1] ^= (hit & (which != 0)).astype(np.uint8)
-                elif g.kind == "cz":
-                    hit = u < p_cz
-                    if p_cz > 0:
-                        pidx = np.minimum(
-                            np.where(hit, u * (15.0 / p_cz), 0.0).astype(np.int64), 14
-                        ) + 1
-                        pa, pb = pidx // 4, pidx % 4
-                        x[:, g.q1] ^= (hit & ((pa == 1) | (pa == 2))).astype(np.uint8)
-                        z[:, g.q1] ^= (hit & (pa >= 2)).astype(np.uint8)
-                        x[:, g.q2] ^= (hit & ((pb == 1) | (pb == 2))).astype(np.uint8)
-                        z[:, g.q2] ^= (hit & (pb >= 2)).astype(np.uint8)
-                elif g.kind == "mf":
-                    dm[:, g.cycle, g.cols] ^= (u < p_m).astype(np.uint8)
-                elif g.kind == "rf":
-                    rd[:, g.q1] ^= (u < p_f).astype(np.uint8)
-        elif li in inj_by_layer:
-            rx, cx, rz, cz_cols = inj_by_layer[li]
-            if rx:
-                x[np.array(rx), np.array(cx)] ^= 1
-            if rz:
-                z[np.array(rz), np.array(cz_cols)] ^= 1
-
-    if variants is not None:
-        for row, v in enumerate(variants):
-            if v.measurement_flip is not None:
-                cyc, col = v.measurement_flip
-                dm[row, cyc, col] ^= 1
-            if v.readout_flip is not None:
-                rd[row, v.readout_flip] ^= 1
+        for g in prog.layer_groups[li]:
+            S = len(g.q1)
+            if S == 0:
+                continue
+            ctr = np.arange(g.base, g.base + S, dtype=np.uint64)
+            if g.kind == "dd":
+                raw = _mix64(keys[:, None] ^ ((ctr + np.uint64(1)) * _STREAM))
+                fx = ((raw & np.uint64(0xFFFFFFFF)) < tx).astype(np.uint8)
+                fz = ((raw >> np.uint64(32)) < tz).astype(np.uint8)
+                x[:, g.q1] ^= fx
+                z[:, g.q1] ^= fz
+                continue
+            u = _uniforms(keys, ctr)
+            if g.kind == "p1":
+                p = np.where(g.idle_mask, p_i, p_h)
+                hit = u < p
+                scale = np.divide(3.0, p, out=np.zeros_like(p), where=p > 0)
+                which = np.minimum(
+                    np.where(hit, u * scale, 0.0).astype(np.int64), 2
+                )
+                x[:, g.q1] ^= (hit & (which != 2)).astype(np.uint8)
+                z[:, g.q1] ^= (hit & (which != 0)).astype(np.uint8)
+            elif g.kind == "cz":
+                hit = u < p_cz
+                if p_cz > 0:
+                    pidx = np.minimum(
+                        np.where(hit, u * (15.0 / p_cz), 0.0).astype(np.int64), 14
+                    ) + 1
+                    pa, pb = pidx // 4, pidx % 4
+                    x[:, g.q1] ^= (hit & ((pa == 1) | (pa == 2))).astype(np.uint8)
+                    z[:, g.q1] ^= (hit & (pa >= 2)).astype(np.uint8)
+                    x[:, g.q2] ^= (hit & ((pb == 1) | (pb == 2))).astype(np.uint8)
+                    z[:, g.q2] ^= (hit & (pb >= 2)).astype(np.uint8)
+            elif g.kind == "mf":
+                dm[:, g.cycle, g.cols] ^= (u < p_m).astype(np.uint8)
+            elif g.kind == "rf":
+                rd[:, g.q1] ^= (u < p_f).astype(np.uint8)
     return dm, rd
 
 
@@ -782,13 +961,20 @@ def sample_shot(
     logicals: LogicalOperatorSet | None = None,
     forced_fault: FaultVariant | None = None,
 ) -> ShotRecord:
-    """Sample one shot, or replay exactly one fault with no other noise."""
+    """Sample one shot, or replay exactly one fault with no other noise.
+
+    A forced fault is not simulated: its raw outputs are read from the
+    fault-effect table at the fault's layer (one backward walk down to
+    that layer) and converted by the same ``_assemble`` as sampled
+    shots. ``rng_seed`` is then unused.
+    """
     prog = _Program(code, circuit, basis, logicals, noise.idle_policy)
     if forced_fault is not None:
-        dm, rd = _execute(prog, None, variants=[forced_fault])
+        row = _fault_row(prog, forced_fault)
+        dm, rd = prog.split_raw(_unpack(row[None], prog.raw_bits))
     else:
         keys = np.array([np.uint64(rng_seed % 2**64)])
-        dm, rd = _execute(prog, noise, keys=keys)
+        dm, rd = _execute(prog, noise, keys)
     det, zf, logical = _assemble(prog, dm, rd)
     return ShotRecord(basis, det[0], zf[0], logical[0])
 
@@ -820,7 +1006,7 @@ def run_monte_carlo(
     for start in range(0, shots, batch_size):
         count = min(batch_size, shots - start)
         keys = _derive_keys(master_seed, start, count)
-        dm, rd = _execute(prog, noise, keys=keys)
+        dm, rd = _execute(prog, noise, keys)
         det, zf, logical = _assemble(prog, dm, rd)
         det_parts.append(det)
         zf_parts.append(zf)
@@ -849,6 +1035,15 @@ class DemColumn:
     logicals: tuple[int, ...]
 
 
+def _check_indices(what: str, indices: tuple[int, ...], count: int) -> None:
+    if indices and not (
+        0 <= indices[0] and indices[-1] < count and sorted(set(indices)) == list(indices)
+    ):
+        raise ValueError(
+            f"{what} indices {indices} must be strictly increasing and lie in [0, {count})"
+        )
+
+
 @dataclass(frozen=True)
 class DetectorErrorModel:
     """Merged single-fault signatures for one memory basis.
@@ -863,14 +1058,14 @@ class DetectorErrorModel:
     columns: tuple[DemColumn, ...]
 
     def __post_init__(self):
+        if self.detector_count < 0 or self.logical_count < 0:
+            raise ValueError("detector and logical counts must be >= 0")
         seen = set()
         for col in self.columns:
             if not 0.0 < col.probability < 1.0:
                 raise ValueError(f"column probability {col.probability} outside (0,1)")
-            if col.detectors and col.detectors[-1] >= self.detector_count:
-                raise ValueError("detector index out of range")
-            if col.logicals and col.logicals[-1] >= self.logical_count:
-                raise ValueError("logical index out of range")
+            _check_indices("detector", col.detectors, self.detector_count)
+            _check_indices("logical", col.logicals, self.logical_count)
             key = (col.detectors, col.logicals)
             if key in seen:
                 raise ValueError(f"duplicate column signature {key}")
@@ -913,45 +1108,41 @@ def build_dem(
     code: CssCode,
     logicals: LogicalOperatorSet | None = None,
 ) -> DetectorErrorModel:
-    """Exhaustive single-fault simulation, merged by signature.
+    """Single-fault signatures from the fault-effect table, merged.
 
-    Every variant from enumerate_fault_variants is propagated alone
-    through the noiseless circuit; variants with identical
-    (detector, logical) signatures merge by summing their priors, and
-    zero-signature variants are dropped.
+    The table gives every variant of enumerate_fault_variants its
+    (detector, logical) signature without simulating it. Variants with
+    identical signatures merge by summing their priors in variant order;
+    columns keep the order in which their signature first occurs, and
+    zero-signature variants are dropped. Cost: one backward walk,
+    O(layers x qubits x outputs / 64) word operations, one lookup per
+    variant and one sort of the packed signatures.
     """
     prog = _Program(code, circuit, basis, logicals, noise.idle_policy)
-    variants = enumerate_fault_variants(circuit, noise, code=code)
-    if not variants:
-        return DetectorErrorModel((prog.t + 1) * len(prog.aligned_cols),
-                                  prog.logical_mat.shape[0], ())
-    dm, rd = _execute(prog, None, variants=list(variants))
-    det, zf, logical = _assemble(prog, dm, rd)
-    cols = list(prog.aligned_cols)
-    detector_bits = np.concatenate(
-        [det[:, :, cols].reshape(len(variants), -1), zf], axis=1
+    D, K = prog.detector_count, prog.logical_mat.shape[0]
+    rows, _, prob = _fault_table(prog, noise, _signature_map(prog))
+    seen = rows.any(axis=1)
+    rows, prob = rows[seen], prob[seen]
+    if not len(rows):
+        return DetectorErrorModel(D, K, ())
+    sigs, first, inverse = np.unique(
+        rows, axis=0, return_index=True, return_inverse=True
     )
-    order: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    merged: dict[tuple[tuple[int, ...], tuple[int, ...]], float] = {}
-    for i, v in enumerate(variants):
-        sig = (
-            tuple(int(j) for j in np.flatnonzero(detector_bits[i])),
-            tuple(int(j) for j in np.flatnonzero(logical[i])),
-        )
-        if sig == ((), ()):
-            continue
-        if sig not in merged:
-            order.append(sig)
-            merged[sig] = 0.0
-        merged[sig] += v.probability
+    total = np.bincount(inverse.reshape(-1), weights=prob, minlength=len(sigs))
+    order = np.argsort(first)
     columns = tuple(
-        DemColumn(merged[sig], sig[0], sig[1]) for sig in order
+        DemColumn(
+            float(total[u]),
+            tuple(np.flatnonzero(bits[:D]).tolist()),
+            tuple(np.flatnonzero(bits[D:]).tolist()),
+        )
+        for u, bits in zip(order.tolist(), _unpack(sigs[order], D + K))
     )
-    return DetectorErrorModel(
-        detector_count=detector_bits.shape[1],
-        logical_count=logical.shape[1],
-        columns=columns,
-    )
+    return DetectorErrorModel(D, K, columns)
+
+
+# Variants unpacked at a time by the series reduction.
+_SERIES_BLOCK = 4096
 
 
 def expected_detection_series(
@@ -969,24 +1160,34 @@ def expected_detection_series(
     are mutually exclusive draws and distinct slots are independent, so
     a detector covered with probability q_s by slot s fires with
     probability (1 - prod_s (1 - 2 q_s)) / 2, with no sampling error.
-    Matches ShotBatch.cycle_series(basis) in the many-shot limit.
+    The q_s are summed per (slot, detector) over the fault-effect
+    table's rows (the same walk as build_dem), touching only the pairs
+    that flip. Matches ShotBatch.cycle_series(basis) in the many-shot
+    limit.
     """
     prog = _Program(code, circuit, basis, logicals, noise.idle_policy)
-    t, A = prog.t, len(prog.aligned_cols)
-    variants = enumerate_fault_variants(circuit, noise, code=code)
-    if not variants:
+    t, A, D = prog.t, len(prog.aligned_cols), prog.detector_count
+    rows, slot, prob = _fault_table(prog, noise, _signature_map(prog))
+    if not len(rows):
         return np.zeros(t + 1)
-    dm, rd = _execute(prog, None, variants=list(variants))
-    det, zf, _ = _assemble(prog, dm, rd)
-    cols = list(prog.aligned_cols)
-    bits = np.concatenate(
-        [det[:, :, cols].reshape(len(variants), -1), zf], axis=1
-    ).astype(np.float64)
-    probs = np.array([v.probability for v in variants])
-    slot_ids = np.array([v.slot for v in variants])
-    starts = np.flatnonzero(np.diff(slot_ids, prepend=slot_ids[0] - 1))
-    per_slot = np.add.reduceat(bits * probs[:, None], starts, axis=0)
-    p_odd = 0.5 * (1.0 - np.prod(1.0 - 2.0 * per_slot, axis=0))
+    # (variant, detector) pairs that flip, in variant order
+    v_parts, d_parts = [], []
+    for lo in range(0, len(rows), _SERIES_BLOCK):
+        v, d = np.nonzero(_unpack(rows[lo : lo + _SERIES_BLOCK], D))
+        v_parts.append(v + lo)
+        d_parts.append(d)
+    v, d = np.concatenate(v_parts), np.concatenate(d_parts)
+    # q_s per (slot, detector): bincount adds the priors in variant order
+    keys, inverse = np.unique(slot[v] * D + d, return_inverse=True)
+    q = np.bincount(inverse.reshape(-1), weights=prob[v], minlength=len(keys))
+    # keys run slot-major, so a stable sort by detector keeps slot order
+    order = np.argsort(keys % D, kind="stable")
+    kd = keys[order] % D
+    starts = np.flatnonzero(np.diff(kd, prepend=-1))
+    # prod_s (1 - 2 q_s) per detector; multiply.reduceat runs in slot order
+    survive = np.ones(D)
+    survive[kd[starts]] = np.multiply.reduceat(1.0 - 2.0 * q[order], starts)
+    p_odd = 0.5 * (1.0 - survive)
     body = p_odd[: t * A].reshape(t, A).mean(axis=1)
     return np.concatenate([body, [p_odd[t * A :].mean()]])
 
