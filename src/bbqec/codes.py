@@ -675,17 +675,33 @@ def export_code(code: CssCode, logicals: LogicalOperatorSet | None = None) -> st
     return "\n".join(lines) + "\n"
 
 
+def _ints(tokens: Sequence[str], what: str, bound: int) -> tuple[int, ...]:
+    """Integer tokens, each in [0, bound)."""
+    try:
+        values = tuple(int(t) for t in tokens)
+    except ValueError:
+        raise ValueError(f"{what}: expected integers, got {' '.join(tokens)!r}") from None
+    if any(not 0 <= v < bound for v in values):
+        raise ValueError(f"{what} {values} outside [0, {bound})")
+    return values
+
+
 def parse_code(text: str) -> tuple[CssCode, LogicalOperatorSet | None]:
     """Inverse of export_code. Raises ValueError on malformed input."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty code file")
     head = lines[0].split()
-    if len(head) != 3:
+    if (
+        len(head) != 3
+        or head[0] == "?"
+        or not all(t.isdigit() or t == "?" for t in head)
+    ):
         raise ValueError(f"bad header {lines[0]!r}")
     n = int(head[0])
     k = None if head[1] == "?" else int(head[1])
     d = None if head[2] == "?" else int(head[2])
+    lines.append("")  # end marker: every section test below fails on it
     name = ""
     idx = 1
     if lines[idx].startswith("NAME "):
@@ -694,41 +710,50 @@ def parse_code(text: str) -> tuple[CssCode, LogicalOperatorSet | None]:
     if lines[idx] != "HX":
         raise ValueError("expected HX section")
     idx += 1
-    hx_rows = []
-    while idx < len(lines) and lines[idx] != "HZ":
-        hx_rows.append([int(c) for c in lines[idx]])
-        idx += 1
-    if idx == len(lines):
-        raise ValueError("expected HZ section")
+
+    def matrix(stop: str) -> np.ndarray:
+        nonlocal idx
+        rows = []
+        while lines[idx] and not lines[idx].startswith(stop):
+            if set(lines[idx]) - {"0", "1"}:
+                raise ValueError(
+                    f"expected {stop} or a row of 0 and 1, got {lines[idx]!r}"
+                )
+            if len(lines[idx]) != n:
+                raise ValueError(
+                    f"check row {lines[idx]!r} has {len(lines[idx])} columns, n = {n}"
+                )
+            rows.append([int(c) for c in lines[idx]])
+            idx += 1
+        if not lines[idx]:
+            raise ValueError(f"expected {stop} line")
+        return np.array(rows, dtype=np.uint8).reshape(-1, n)
+
+    hx = matrix("HZ")
     idx += 1
-    hz_rows = []
-    while idx < len(lines) and not lines[idx].startswith("RETAINED_X"):
-        hz_rows.append([int(c) for c in lines[idx]])
-        idx += 1
-    if idx == len(lines):
-        raise ValueError("expected RETAINED_X line")
-    retained_x = tuple(int(t) for t in lines[idx].split()[1:])
+    hz = matrix("RETAINED_X")
+    retained_x = _ints(lines[idx].split()[1:], "RETAINED_X", len(hx))
     idx += 1
     if not lines[idx].startswith("RETAINED_Z"):
         raise ValueError("expected RETAINED_Z line")
-    retained_z = tuple(int(t) for t in lines[idx].split()[1:])
+    retained_z = _ints(lines[idx].split()[1:], "RETAINED_Z", len(hz))
     idx += 1
     x_logs: list[tuple[int, ...]] = []
     z_logs: list[tuple[int, ...]] = []
-    while idx < len(lines):
+    while lines[idx]:
         parts = lines[idx].split()
         if parts[0] == "LOGICAL_X":
-            x_logs.append(tuple(int(t) for t in parts[2:]))
+            x_logs.append(_ints(parts[2:], "LOGICAL_X support", n))
         elif parts[0] == "LOGICAL_Z":
-            z_logs.append(tuple(int(t) for t in parts[2:]))
+            z_logs.append(_ints(parts[2:], "LOGICAL_Z support", n))
         else:
             raise ValueError(f"unexpected line {lines[idx]!r}")
         idx += 1
     code = CssCode(
         name=name,
         n=n,
-        h_x=gf2.from_rows(hx_rows),
-        h_z=gf2.from_rows(hz_rows),
+        h_x=BinaryMatrix(hx),
+        h_z=BinaryMatrix(hz),
         retained_x=retained_x,
         retained_z=retained_z,
         k=k,

@@ -1,23 +1,21 @@
-"""Circuit-level Pauli noise: frame sampling, Monte Carlo, fault models.
+"""Circuit-level Pauli noise: fault models, Monte Carlo, detector error models.
 
 Everything here is differential: it tracks only deviations from the
 ideal circuit. That is enough because every reported quantity (detection
 events, final-readout comparisons, logical flips) is a fixed linear
 functional of the injected Paulis that vanishes in the noiseless run.
 
-Two engines share the circuit preprocessing in ``_Program``:
-
-- The sampler (``_execute``) pushes a batch of Pauli frames forward
-  through the layers and draws every slot's fault as it goes.
-- The fault-effect table (``_fault_table``) gives the signature of
-  every single-fault variant without simulating any of them. One walk
-  over the layers, last to first, carries for each qubit the outputs
-  that an X or a Z injected there would flip (the reverse pass of
-  Stim's error analyser, Gidney 2021, Quantum 5, 497). A variant's row
-  is the XOR of at most four lookups at its slot's layer. Building the
-  table costs O(layers x qubits x outputs / 64) word operations plus
-  one lookup per variant. ``build_dem``, ``expected_detection_series``
-  and ``sample_shot(forced_fault=...)`` read it.
+One fault-effect table (``_fault_table``) gives the signature of every
+single-fault variant without simulating any of them. One walk over the
+layers of ``_Program``, last to first, carries for each qubit the
+outputs that an X or a Z injected there would flip (the reverse pass of
+Stim's error analyser, Gidney 2021, Quantum 5, 497). A variant's row is
+the XOR of at most four lookups at its slot's layer. Building the table
+costs O(layers x qubits x outputs / 64) word operations plus one lookup
+per variant. ``build_dem``, ``expected_detection_series`` and
+``sample_shot(forced_fault=...)`` read it, and the sampler replays it:
+the outputs are linear in the injected Paulis, so a shot is the XOR of
+the rows of the variants that its draws pick.
 
 Noise channels and their fault slots:
 
@@ -33,9 +31,9 @@ Noise channels and their fault slots:
 - Check measurement and final data readout flip the recorded outcome
   without touching the state.
 
-``_channel_patterns`` states each channel's faults and rates once; the
-variant enumeration and the table both expand it. (The sampler's draw
-still encodes them separately.)
+``_channel`` states each channel once: its faults with their rates, and
+the rule by which a shot's draw picks one. The variant enumeration, the
+table and the sampler all expand it.
 
 Randomness is counter-based: every shot has a 64-bit key derived from
 the master seed, every fault slot has a fixed counter, and the draw for
@@ -45,8 +43,8 @@ size and execution order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -87,10 +85,14 @@ def _derive_keys(master_seed: int, start: int, count: int) -> np.ndarray:
     return _mix64(np.uint64(master_seed % 2**64) + idx * _GOLDEN)
 
 
+def _draws(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """The raw uint64 draw of every (shot, slot), shape (len(keys), len(counters))."""
+    return _mix64(keys[:, None] ^ ((counters + np.uint64(1)) * _STREAM)[None, :])
+
+
 def _uniforms(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     """Array of float64 in [0, 1), shape (len(keys), len(counters))."""
-    raw = _mix64(keys[:, None] ^ ((counters + np.uint64(1)) * _STREAM)[None, :])
-    return (raw >> np.uint64(11)).astype(np.float64) * _U53
+    return (_draws(keys, counters) >> np.uint64(11)).astype(np.float64) * _U53
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +155,14 @@ class NoiseModel:
     def device_rates(
         cls, suppression: float = 1.0, idle_policy: str = "frames"
     ) -> "NoiseModel":
-        """Component error probabilities of the simulated device."""
+        """Component error probabilities of the simulated device.
+
+        The DD rates are (1 - exp(-tau/T)) / 2 for the tau = 920 ns wait
+        through check measurement, with T1 = 41.8 us for X and
+        T2 = 28.47 us for Z; p_m and p_f collapse three-outcome readout
+        confusion matrices with leakage. All are rounded to three
+        significant figures, and the rounded values are the model.
+        """
         return cls(
             p_h=8.0e-4,
             p_i=3.5e-3,
@@ -165,121 +174,6 @@ class NoiseModel:
             suppression=suppression,
             idle_policy=idle_policy,
         )
-
-
-# Timing of the check-measurement window that the data qubits wait out
-# under dynamical decoupling, and the coherence times the DD flip rates
-# derive from.
-DD_INTERVAL = 920e-9
-RELAXATION_TIME = 41.8e-6
-DEPHASING_TIME = 28.47e-6
-
-
-def dd_error_rates(tau: float, t1: float, t2: float) -> tuple[float, float]:
-    """X and Z flip probabilities for a wait of ``tau``.
-
-    Each rate is (1 - exp(-tau/T)) / 2: the qubit relaxes toward the
-    fully mixed state with time constant t1 for bit flips and t2 for
-    phase flips.
-    """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    if t1 <= 0 or t2 <= 0:
-        raise ValueError("coherence times must be > 0")
-    return 0.5 - 0.5 * math.exp(-tau / t1), 0.5 - 0.5 * math.exp(-tau / t2)
-
-
-# Three-outcome readout confusion matrices (rows: prepared 0/1/leaked,
-# columns: read 0/1/leaked). Synthetic stand-ins for a device
-# calibration; their collapsed two-state rates land on the shipped p_m
-# and p_f values.
-CHECK_READOUT_CONFUSION = np.array(
-    [
-        [0.9597, 0.0353, 0.0050],
-        [0.0353, 0.9597, 0.0050],
-        [0.1000, 0.1000, 0.8000],
-    ]
-)
-DATA_READOUT_CONFUSION = np.array(
-    [
-        [0.96718, 0.02782, 0.00500],
-        [0.02782, 0.96718, 0.00500],
-        [0.10000, 0.10000, 0.80000],
-    ]
-)
-LEAKAGE_PROBABILITY = 0.05
-COMPUTATIONAL_PROBABILITY = 0.475
-
-
-def collapse_confusion(q, eta: float, beta: float) -> float:
-    """Fold a three-outcome confusion matrix into a binary flip rate.
-
-    ``eta`` is the probability of the qubit having leaked; ``2 * beta``
-    the probability of it being in the computational subspace, split
-    evenly between the two basis states (so ``2 * beta + eta = 1``).
-    Outcomes read as leaked are rejected; the rest renormalize to a
-    2x2 confusion matrix q' and the flip rate is (q'01 + q'10) / 2.
-    """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (3, 3):
-        raise ValueError("confusion matrix must be 3x3")
-    if np.any(q < 0) or not np.allclose(q.sum(axis=1), 1.0, atol=1e-9):
-        raise ValueError("confusion matrix rows must be probability simplices")
-    if abs(2 * beta + eta - 1.0) > 1e-12:
-        raise ValueError("2*beta + eta must equal 1")
-    leak0 = eta * q[2, 0] / 2
-    leak1 = eta * q[2, 1] / 2
-    n00, n01 = beta * q[0, 0] + leak0, beta * q[0, 1] + leak1
-    n10, n11 = beta * q[1, 0] + leak0, beta * q[1, 1] + leak1
-    q01 = n01 / (n00 + n01)
-    q10 = n10 / (n10 + n11)
-    return (q01 + q10) / 2
-
-
-# ---------------------------------------------------------------------------
-# Pauli frame
-
-
-@dataclass
-class PauliFrame:
-    """Accumulated Pauli deviation from the ideal circuit, one qubit set.
-
-    ``x_mask[q]`` means the actual state differs from the reference by an
-    X on qubit q (which flips a Z-basis readout of q); ``z_mask[q]`` by a
-    Z. A Y contributes to both masks.
-    """
-
-    x_mask: np.ndarray
-    z_mask: np.ndarray
-
-    @classmethod
-    def zeros(cls, qubit_count: int) -> "PauliFrame":
-        return cls(
-            np.zeros(qubit_count, dtype=np.uint8),
-            np.zeros(qubit_count, dtype=np.uint8),
-        )
-
-    def inject(self, x_qubits=(), z_qubits=()):
-        for q in x_qubits:
-            self.x_mask[q] ^= 1
-        for q in z_qubits:
-            self.z_mask[q] ^= 1
-
-    def hadamard(self, q: int):
-        self.x_mask[q], self.z_mask[q] = self.z_mask[q], self.x_mask[q]
-
-    def cz(self, a: int, b: int):
-        # X on one leg grows a Z on the other; Z components pass through
-        self.z_mask[b] ^= self.x_mask[a]
-        self.z_mask[a] ^= self.x_mask[b]
-
-    def measurement_flip(self, q: int) -> int:
-        """Whether a Z-basis readout of q differs from the reference."""
-        return int(self.x_mask[q])
-
-    def collapse(self, q: int):
-        """Measurement keeps the bit-flip deviation, erases the phase."""
-        self.z_mask[q] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +190,6 @@ class FaultSlot:
     qubits: tuple[int, ...]
     cycle: int = -1
     check: int = -1  # check column, for measurement slots
-
-    def variant_count(self) -> int:
-        return {"h": 3, "idle": 3, "cz": 15, "dd": 3, "measure": 1, "readout": 1}[
-            self.kind
-        ]
 
 
 @dataclass(frozen=True)
@@ -319,17 +208,6 @@ class FaultVariant:
 
 _XZ_OF_PAULI = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)}  # I X Y Z
 _SLOT_KINDS = ("h", "idle", "cz", "dd", "measure", "readout")
-
-
-@dataclass(frozen=True)
-class _NoiseGroup:
-    kind: str  # "p1" | "cz" | "dd" | "mf" | "rf"
-    base: int  # counter of the group's first slot
-    q1: np.ndarray
-    q2: np.ndarray | None = None
-    idle_mask: np.ndarray | None = None  # p1 only: True -> idle rate
-    cols: np.ndarray | None = None  # mf only: check columns
-    cycle: int = -1
 
 
 class _Program:
@@ -374,20 +252,13 @@ class _Program:
         self.support = (
             code.retained_h_z() if basis == "Z" else code.retained_h_x()
         ).bits.astype(np.uint8)
-        if logicals is None:
-            logicals = logical_operator_set_for(code)
-        self.logicals = logicals
-        self.logical_mat = (
-            logicals.z_matrix() if basis == "Z" else logicals.x_matrix()
-        ).bits.astype(np.uint8)
+        self._logicals = logicals
 
         all_qubits = frozenset(range(circuit.qubit_count))
         slots: list[FaultSlot] = []
         self.layer_ops: list[tuple] = []
-        self.layer_groups: list[list[_NoiseGroup]] = []
         cycle_of_measure = 0
         for li, layer in enumerate(circuit.layers):
-            groups: list[_NoiseGroup] = []
             if layer.kind == SINGLE_QUBIT:
                 h_qs = [qs[0] for name, qs in layer.gates if name == "H"]
                 if idle_policy == "dense":
@@ -399,42 +270,18 @@ class _Program:
                 else:
                     idle_qs = []
                 self.layer_ops.append((SINGLE_QUBIT, np.array(h_qs, dtype=np.intp)))
-                qubits = h_qs + idle_qs
-                mask = np.array([False] * len(h_qs) + [True] * len(idle_qs))
-                groups.append(
-                    _NoiseGroup("p1", len(slots), np.array(qubits, dtype=np.intp),
-                                idle_mask=mask)
-                )
-                for q, idle in zip(qubits, mask):
-                    slots.append(
-                        FaultSlot(len(slots), "idle" if idle else "h", li, (int(q),))
-                    )
+                for kind, qs in (("h", h_qs), ("idle", idle_qs)):
+                    for q in qs:
+                        slots.append(FaultSlot(len(slots), kind, li, (int(q),)))
             elif layer.kind == CZ:
                 a = [qs[0] for _, qs in layer.gates]
                 b = [qs[1] for _, qs in layer.gates]
                 self.layer_ops.append(
                     (CZ, np.array(a, dtype=np.intp), np.array(b, dtype=np.intp))
                 )
-                groups.append(
-                    _NoiseGroup(
-                        "cz",
-                        len(slots),
-                        np.array(a, dtype=np.intp),
-                        q2=np.array(b, dtype=np.intp),
-                    )
-                )
                 for pa, pb in zip(a, b):
                     slots.append(FaultSlot(len(slots), "cz", li, (int(pa), int(pb))))
-                idle_qs = sorted(all_qubits - set(a) - set(b))
-                groups.append(
-                    _NoiseGroup(
-                        "p1",
-                        len(slots),
-                        np.array(idle_qs, dtype=np.intp),
-                        idle_mask=np.ones(len(idle_qs), dtype=bool),
-                    )
-                )
-                for q in idle_qs:
+                for q in sorted(all_qubits - set(a) - set(b)):
                     slots.append(FaultSlot(len(slots), "idle", li, (int(q),)))
             elif layer.kind == MEASURE_CHECKS:
                 anc = [qs[0] for _, qs in layer.gates]
@@ -444,38 +291,40 @@ class _Program:
                 self.layer_ops.append(
                     (MEASURE_CHECKS, np.array(anc, dtype=np.intp), cols, cyc)
                 )
-                groups.append(
-                    _NoiseGroup(
-                        "mf", len(slots), np.array(anc, dtype=np.intp),
-                        cols=cols, cycle=cyc,
-                    )
-                )
                 for q, col in zip(anc, cols):
                     slots.append(
                         FaultSlot(len(slots), "measure", li, (int(q),),
                                   cycle=cyc, check=int(col))
                     )
             elif layer.kind == DD_IDLE:
-                qs = [q[0] for _, q in layer.gates]
                 self.layer_ops.append((DD_IDLE,))
-                groups.append(_NoiseGroup("dd", len(slots), np.array(qs, dtype=np.intp)))
-                for q in qs:
+                for _, (q,) in layer.gates:
                     slots.append(FaultSlot(len(slots), "dd", li, (int(q),)))
             elif layer.kind == READOUT_DATA:
                 qs = [q[0] for _, q in layer.gates]
                 self.layer_ops.append((READOUT_DATA, np.array(qs, dtype=np.intp)))
-                groups.append(_NoiseGroup("rf", len(slots), np.array(qs, dtype=np.intp)))
                 for q in qs:
                     slots.append(FaultSlot(len(slots), "readout", li, (int(q),)))
             else:  # pragma: no cover - layer kinds are closed
                 raise AssertionError(layer.kind)
-            self.layer_groups.append(groups)
         if cycle_of_measure != self.t:
             raise ValueError(
                 f"circuit declares {self.t} cycles but has {cycle_of_measure} "
                 "measurement layers"
             )
         self.slots = tuple(slots)
+
+    @cached_property
+    def logical_mat(self) -> np.ndarray:
+        """Memory-basis logical operators, one row each. Resolved on first
+        use: enumerating faults needs none, and ``compute_logicals`` can
+        be costly when the code ships no default set."""
+        logicals = self._logicals
+        if logicals is None:
+            logicals = logical_operator_set_for(self.code)
+        return (
+            logicals.z_matrix() if self.basis == "Z" else logicals.x_matrix()
+        ).bits.astype(np.uint8)
 
     @property
     def detector_count(self) -> int:
@@ -516,27 +365,64 @@ class _Pattern(NamedTuple):
     flip: bool = False
 
 
-def _channel_patterns(kind: str, noise: NoiseModel) -> list[_Pattern]:
-    """The nonzero-probability faults of one slot kind, in variant order."""
+class _Channel(NamedTuple):
+    """One slot kind's noise: its faults, and how a shot's draw picks one.
+
+    ``patterns`` are the nonzero-probability faults in variant order.
+    With one rate p, the slot's uniform u fires a fault iff u < p and
+    then picks pattern min(int(u * (k / p)), k - 1) of the k patterns,
+    each of probability p / k. With two rates (px, pz), the low and high
+    32-bit halves of the slot's raw draw flip X and Z independently
+    (half < rate * 2**32), and pick the pattern with those legs.
+    """
+
+    rates: tuple[float, ...]
+    patterns: list[_Pattern]
+
+    def draw(self, keys: np.ndarray, counters: np.ndarray):
+        """(shot, slot, pattern) index arrays of the faults that fire
+        among ``keys`` x ``counters``, shot-major."""
+        if len(self.rates) == 1:
+            (p,) = self.rates
+            k = len(self.patterns)
+            u = _uniforms(keys, counters)
+            shot, slot = np.nonzero(u < p)
+            pick = (u[shot, slot] * (k / p)).astype(np.intp)
+            return shot, slot, np.minimum(pick, k - 1)
+        raw = _draws(keys, counters)
+        tx, tz = (np.uint64(int(r * 2**32)) for r in self.rates)
+        fx = ((raw & np.uint64(0xFFFFFFFF)) < tx).view(np.uint8)
+        fz = ((raw >> np.uint64(32)) < tz).view(np.uint8)
+        legs = fx + 2 * fz
+        shot, slot = np.nonzero(legs)
+        pick = np.zeros(4, dtype=np.intp)
+        for j, pat in enumerate(self.patterns):
+            pick[bool(pat.x_legs) + 2 * bool(pat.z_legs)] = j
+        return shot, slot, pick[legs[shot, slot]]
+
+
+def _uniform_channel(p: float, shapes) -> _Channel:
+    """Rate p split evenly over faults given as (x legs, z legs, flip)."""
+    k = len(shapes)
+    return _Channel((p,), [_Pattern(p / k, *shape) for shape in shapes if p / k > 0])
+
+
+def _channel(kind: str, noise: NoiseModel) -> _Channel:
+    """The noise channel of one slot kind."""
     if kind in ("h", "idle"):
         p = noise.effective(noise.p_h if kind == "h" else noise.p_i)
-        pats = [
-            _Pattern(p / 3, (0,)),
-            _Pattern(p / 3, (0,), (0,)),
-            _Pattern(p / 3, (), (0,)),
-        ]
-    elif kind == "cz":
-        p = noise.effective(noise.p_cz)
-        pats = []
+        return _uniform_channel(p, [((0,), ()), ((0,), (0,)), ((), (0,))])
+    if kind == "cz":
+        shapes = []
         for idx in range(1, 16):
             pa, pb = divmod(idx, 4)
             (xa, za), (xb, zb) = _XZ_OF_PAULI[pa], _XZ_OF_PAULI[pb]
-            pats.append(_Pattern(
-                p / 15,
+            shapes.append((
                 tuple(leg for leg, f in ((0, xa), (1, xb)) if f),
                 tuple(leg for leg, f in ((0, za), (1, zb)) if f),
             ))
-    elif kind == "dd":
+        return _uniform_channel(noise.effective(noise.p_cz), shapes)
+    if kind == "dd":
         px = noise.effective(noise.p_dd_x)
         pz = noise.effective(noise.p_dd_z)
         pats = [
@@ -544,13 +430,12 @@ def _channel_patterns(kind: str, noise: NoiseModel) -> list[_Pattern]:
             _Pattern((1 - px) * pz, (), (0,)),
             _Pattern(px * pz, (0,), (0,)),
         ]
-    elif kind == "measure":
-        pats = [_Pattern(noise.effective(noise.p_m), flip=True)]
-    elif kind == "readout":
-        pats = [_Pattern(noise.effective(noise.p_f), flip=True)]
-    else:  # pragma: no cover - slot kinds are closed
-        raise AssertionError(kind)
-    return [pat for pat in pats if pat.probability > 0]
+        return _Channel((px, pz), [pat for pat in pats if pat.probability > 0])
+    if kind == "measure":
+        return _uniform_channel(noise.effective(noise.p_m), [((), (), True)])
+    if kind == "readout":
+        return _uniform_channel(noise.effective(noise.p_f), [((), (), True)])
+    raise AssertionError(kind)  # pragma: no cover - slot kinds are closed
 
 
 def _slot_variants(slot: FaultSlot, patterns: list[_Pattern]) -> list[FaultVariant]:
@@ -577,7 +462,7 @@ def enumerate_fault_variants(
 ) -> tuple[FaultVariant, ...]:
     """Every nonzero-probability single-fault realization, in slot order."""
     prog = _Program(code, circuit, idle_policy=noise.idle_policy)
-    patterns = {kind: _channel_patterns(kind, noise) for kind in _SLOT_KINDS}
+    patterns = {kind: _channel(kind, noise).patterns for kind in _SLOT_KINDS}
     out: list[FaultVariant] = []
     for slot in prog.slots:
         out.extend(_slot_variants(slot, patterns[slot.kind]))
@@ -665,7 +550,7 @@ def _fault_table(prog: _Program, noise: NoiseModel, out_map: np.ndarray):
     its slot counter and probability[v] its prior. The variants are
     those of enumerate_fault_variants, in the same order.
     """
-    patterns = {kind: _channel_patterns(kind, noise) for kind in _SLOT_KINDS}
+    patterns = {kind: _channel(kind, noise).patterns for kind in _SLOT_KINDS}
     by_kind: dict[str, list[FaultSlot]] = {}
     for s in prog.slots:
         by_kind.setdefault(s.kind, []).append(s)
@@ -744,89 +629,42 @@ def _fault_row(prog: _Program, fault: FaultVariant) -> np.ndarray:
 # sampler
 
 
-def _execute(prog: _Program, noise: NoiseModel, keys: np.ndarray):
-    """Sample a batch of shots, one uint64 key per shot.
+# Slots drawn at a time: a block's draws form a (shots, block) array, so
+# the block size bounds the sampler's working memory.
+_DRAW_BLOCK = 32
 
-    This is the sampler only: it pushes Pauli frames forward and draws
-    every slot's fault on the way. Single-fault signatures come from the
-    fault-effect table instead. Returns (dm, rd): measurement deviations
-    of shape (B, t, checks) and recorded-readout deviations (B, n).
+
+def _sampler(prog: _Program, noise: NoiseModel):
+    """A function from shot keys (one uint64 each) to raw outputs (dm, rd).
+
+    It replays the fault-effect table: each slot's draw
+    (``_Channel.draw``) picks at most one of its variants, and a shot's
+    raw outputs are the XOR of the table rows of the variants it picked.
+    dm has shape (B, t, checks) and rd (B, n).
     """
-    B = len(keys)
-    Q = prog.circuit.qubit_count
-    x = np.zeros((B, Q), dtype=np.uint8)
-    z = np.zeros((B, Q), dtype=np.uint8)
-    dm = np.zeros((B, prog.t, prog.check_count), dtype=np.uint8)
-    rd = np.zeros((B, prog.n), dtype=np.uint8)
+    rows, slot, _ = _fault_table(prog, noise, _raw_map(prog))
+    first = np.searchsorted(slot, np.arange(len(prog.slots)))  # per slot
+    groups = []  # (channel, slot counters, first variant of each slot)
+    for kind in _SLOT_KINDS:
+        channel = _channel(kind, noise)
+        ctr = np.array([s.counter for s in prog.slots if s.kind == kind], dtype=np.intp)
+        if channel.patterns and len(ctr):
+            groups.append((channel, ctr.astype(np.uint64), first[ctr]))
 
-    p_h = noise.effective(noise.p_h)
-    p_i = noise.effective(noise.p_i)
-    p_cz = noise.effective(noise.p_cz)
-    p_m = noise.effective(noise.p_m)
-    p_f = noise.effective(noise.p_f)
-    tx = np.uint64(int(noise.effective(noise.p_dd_x) * 2**32))
-    tz = np.uint64(int(noise.effective(noise.p_dd_z) * 2**32))
+    def sample(keys: np.ndarray):
+        acc = np.zeros((len(keys), rows.shape[1]), dtype=rows.dtype)
+        for channel, ctr, base in groups:
+            for lo in range(0, len(ctr), _DRAW_BLOCK):
+                shot, col, pick = channel.draw(keys, ctr[lo : lo + _DRAW_BLOCK])
+                if len(shot):
+                    # shot-major: each shot's faults form one run
+                    starts = np.flatnonzero(np.diff(shot, prepend=-1))
+                    acc[shot[starts]] ^= np.bitwise_xor.reduceat(
+                        rows[base[lo + col] + pick], starts
+                    )
+        return prog.split_raw(_unpack(acc, prog.raw_bits))
 
-    for li, layer_op in enumerate(prog.layer_ops):
-        kind = layer_op[0]
-        if kind == SINGLE_QUBIT:
-            qs = layer_op[1]
-            if qs.size:
-                tmp = x[:, qs].copy()
-                x[:, qs] = z[:, qs]
-                z[:, qs] = tmp
-        elif kind == CZ:
-            a, b = layer_op[1], layer_op[2]
-            if a.size:
-                z[:, a] ^= x[:, b]
-                z[:, b] ^= x[:, a]
-        elif kind == MEASURE_CHECKS:
-            anc, cols, cyc = layer_op[1], layer_op[2], layer_op[3]
-            dm[:, cyc, cols] = x[:, anc]
-            z[:, anc] = 0
-        elif kind == READOUT_DATA:
-            qs = layer_op[1]
-            rd[:, qs] = x[:, qs]
-        # DD_IDLE applies no gate
-
-        for g in prog.layer_groups[li]:
-            S = len(g.q1)
-            if S == 0:
-                continue
-            ctr = np.arange(g.base, g.base + S, dtype=np.uint64)
-            if g.kind == "dd":
-                raw = _mix64(keys[:, None] ^ ((ctr + np.uint64(1)) * _STREAM))
-                fx = ((raw & np.uint64(0xFFFFFFFF)) < tx).astype(np.uint8)
-                fz = ((raw >> np.uint64(32)) < tz).astype(np.uint8)
-                x[:, g.q1] ^= fx
-                z[:, g.q1] ^= fz
-                continue
-            u = _uniforms(keys, ctr)
-            if g.kind == "p1":
-                p = np.where(g.idle_mask, p_i, p_h)
-                hit = u < p
-                scale = np.divide(3.0, p, out=np.zeros_like(p), where=p > 0)
-                which = np.minimum(
-                    np.where(hit, u * scale, 0.0).astype(np.int64), 2
-                )
-                x[:, g.q1] ^= (hit & (which != 2)).astype(np.uint8)
-                z[:, g.q1] ^= (hit & (which != 0)).astype(np.uint8)
-            elif g.kind == "cz":
-                hit = u < p_cz
-                if p_cz > 0:
-                    pidx = np.minimum(
-                        np.where(hit, u * (15.0 / p_cz), 0.0).astype(np.int64), 14
-                    ) + 1
-                    pa, pb = pidx // 4, pidx % 4
-                    x[:, g.q1] ^= (hit & ((pa == 1) | (pa == 2))).astype(np.uint8)
-                    z[:, g.q1] ^= (hit & (pa >= 2)).astype(np.uint8)
-                    x[:, g.q2] ^= (hit & ((pb == 1) | (pb == 2))).astype(np.uint8)
-                    z[:, g.q2] ^= (hit & (pb >= 2)).astype(np.uint8)
-            elif g.kind == "mf":
-                dm[:, g.cycle, g.cols] ^= (u < p_m).astype(np.uint8)
-            elif g.kind == "rf":
-                rd[:, g.q1] ^= (u < p_f).astype(np.uint8)
-    return dm, rd
+    return sample
 
 
 def _assemble(prog: _Program, dm: np.ndarray, rd: np.ndarray):
@@ -963,18 +801,19 @@ def sample_shot(
 ) -> ShotRecord:
     """Sample one shot, or replay exactly one fault with no other noise.
 
-    A forced fault is not simulated: its raw outputs are read from the
-    fault-effect table at the fault's layer (one backward walk down to
-    that layer) and converted by the same ``_assemble`` as sampled
-    shots. ``rng_seed`` is then unused.
+    A sampled shot with ``rng_seed`` derive_shot_seed(s, i) equals shot i
+    of run_monte_carlo with master seed s. A forced fault is not
+    simulated: its raw outputs are read from the fault-effect table at
+    the fault's layer (one backward walk down to that layer) and
+    converted by the same ``_assemble`` as sampled shots. ``rng_seed`` is
+    then unused.
     """
     prog = _Program(code, circuit, basis, logicals, noise.idle_policy)
     if forced_fault is not None:
         row = _fault_row(prog, forced_fault)
         dm, rd = prog.split_raw(_unpack(row[None], prog.raw_bits))
     else:
-        keys = np.array([np.uint64(rng_seed % 2**64)])
-        dm, rd = _execute(prog, noise, keys)
+        dm, rd = _sampler(prog, noise)(np.array([rng_seed % 2**64], dtype=np.uint64))
     det, zf, logical = _assemble(prog, dm, rd)
     return ShotRecord(basis, det[0], zf[0], logical[0])
 
@@ -984,30 +823,27 @@ def run_monte_carlo(
     noise: NoiseModel,
     shots: int,
     basis: str = "Z",
-    parallelism: int | None = None,
     *,
     code: CssCode,
     logicals: LogicalOperatorSet | None = None,
     master_seed: int = DEFAULT_MASTER_SEED,
     batch_size: int = 4096,
 ) -> ShotBatch:
-    """Sample many shots deterministically.
+    """Sample many shots deterministically, by replaying the fault-effect
+    table (built once per call).
 
     Shot i uses the key derive_shot_seed(master_seed, i), so the batch
-    partition (and the ``parallelism`` hint, which only resizes it)
-    cannot change any outcome.
+    partition cannot change any outcome.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    if parallelism is not None and parallelism >= 1:
-        batch_size = min(batch_size, -(-shots // parallelism))
+    if shots < 1 or batch_size < 1:
+        raise ValueError("shots and batch_size must be >= 1")
     prog = _Program(code, circuit, basis, logicals, noise.idle_policy)
+    sample = _sampler(prog, noise)
     det_parts, zf_parts, log_parts = [], [], []
     for start in range(0, shots, batch_size):
         count = min(batch_size, shots - start)
         keys = _derive_keys(master_seed, start, count)
-        dm, rd = _execute(prog, noise, keys)
-        det, zf, logical = _assemble(prog, dm, rd)
+        det, zf, logical = _assemble(prog, *sample(keys))
         det_parts.append(det)
         zf_parts.append(zf)
         log_parts.append(logical)

@@ -248,6 +248,69 @@ def test_export_parse_round_trip(pruned_18):
     assert codes.export_code(parsed, parsed_logicals) == text
 
 
+def _edit_code_file(edit):
+    """The exported pruned 18-4-4 code file (no logicals) after ``edit``
+    of its list of lines."""
+    code = codes.build_named_code("18-4-4-pruned")
+    lines = codes.export_code(code).splitlines()
+    return "\n".join(edit(lines)) + "\n"
+
+
+def _replace_first_hx_row(row):
+    return lambda lines: lines[:3] + [row] + lines[4:]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("18 4 4\n", "expected HX", id="header-only"),
+        pytest.param("18 4\n", "bad header", id="short-header"),
+        pytest.param("-18 4 4\nHX\n", "bad header", id="negative-n"),
+        pytest.param(
+            _edit_code_file(
+                lambda lines: [ln for ln in lines if not ln.startswith("RETAINED_Z")]
+            ),
+            "expected RETAINED_Z", id="no-retained-z",
+        ),
+        pytest.param(
+            _edit_code_file(lambda lines: [ln for ln in lines if ln != "HZ"]),
+            "expected HZ", id="no-hz",
+        ),
+        pytest.param(
+            _edit_code_file(_replace_first_hx_row("10110000011000010")),
+            "has 17 columns", id="ragged-row",
+        ),
+        pytest.param(
+            _edit_code_file(_replace_first_hx_row("201100000110000100")),
+            "row of 0 and 1", id="digit-2",
+        ),
+        pytest.param(
+            _edit_code_file(_replace_first_hx_row("1011 0000 0110 0001")),
+            "row of 0 and 1", id="spaces-in-row",
+        ),
+        pytest.param(
+            _edit_code_file(lambda lines: lines[:-1] + ["RETAINED_Z 0 1 99"]),
+            "outside", id="retained-out-of-range",
+        ),
+        pytest.param(
+            _edit_code_file(lambda lines: lines[:-1] + ["RETAINED_Z 0 one"]),
+            "expected integers", id="retained-not-int",
+        ),
+        pytest.param(
+            _edit_code_file(lambda lines: lines + ["LOGICAL_X 0 18", "LOGICAL_Z 0 1"]),
+            "outside", id="logical-out-of-range",
+        ),
+        pytest.param(
+            _edit_code_file(lambda lines: lines + ["WOBBLE 1"]),
+            "unexpected line", id="unknown-line",
+        ),
+    ],
+)
+def test_parse_code_rejects_malformed_files_with_value_error(text, message):
+    with pytest.raises(ValueError, match=message):
+        codes.parse_code(text)
+
+
 def test_spec_exponents_reduce_cyclically():
     spec = codes.BbCodeSpec(
         l=6,

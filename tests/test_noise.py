@@ -1,6 +1,7 @@
 """Noise engine: fault-effect table, sampler and detector error models."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -171,6 +172,66 @@ def test_sampled_series_within_four_sigma_of_exact():
     # [0, 1], so p(1 - p) bounds its variance
     sigma = np.sqrt(exact * (1 - exact) / shots)
     assert np.all(np.abs(sampled - exact) <= 4 * sigma), (sampled, exact)
+
+
+def test_sampling_follows_the_rng_contract():
+    """Shot i depends only on (master seed, i): not on the batch size, and
+    sample_shot with derive_shot_seed(seed, i) reproduces it."""
+    code = build_named_code("18-6-3")
+    circ = build_syndrome_circuit(code, 3, basis="X")
+    model = NoiseModel.device_rates(suppression=3.0)
+
+    def run(**kw):
+        return noise.run_monte_carlo(circ, model, 50, "X", code=code, master_seed=9, **kw)
+
+    batch = run()
+    assert batch.detections.sum() == 714
+    fields = ("detections", "final_syndrome", "logical_flips")
+    for size in (1, 7):
+        other = run(batch_size=size)
+        for f in fields:
+            assert np.array_equal(getattr(other, f), getattr(batch, f)), (size, f)
+    for i in (0, 17, 49):
+        shot = noise.sample_shot(
+            circ, model, noise.derive_shot_seed(9, i), code=code, basis="X"
+        )
+        expected = batch.record(i)
+        for f in fields:
+            assert np.array_equal(getattr(shot, f), getattr(expected, f)), (i, f)
+
+
+HEAVY = NoiseModel.device_rates(suppression=20.0)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [HEAVY, replace(HEAVY, p_dd_x=0.0), replace(HEAVY, p_dd_z=0.0)],
+    ids=["heavy", "no-dd-x", "no-dd-z"],
+)
+def test_channel_draws_pick_patterns_at_their_probabilities(model):
+    """Each channel's draw rule picks its patterns at the probabilities
+    the enumeration and the DEM use, also when DD patterns are dropped."""
+    keys = noise._derive_keys(5, 0, 4000)
+    counters = np.arange(25, dtype=np.uint64)
+    trials = len(keys) * len(counters)
+    for kind in noise._SLOT_KINDS:
+        channel = noise._channel(kind, model)
+        _, _, pick = channel.draw(keys, counters)
+        p = np.array([pat.probability for pat in channel.patterns])
+        assert pick.max() < len(p), kind
+        freq = np.bincount(pick, minlength=len(p)) / trials
+        sigma = np.sqrt(p * (1 - p) / trials)
+        assert np.all(np.abs(freq - p) <= 4 * sigma), (kind, freq, p)
+
+
+def test_fault_enumeration_resolves_no_logicals(monkeypatch):
+    def refuse(code):
+        raise AssertionError("logicals resolved")
+
+    monkeypatch.setattr(noise, "logical_operator_set_for", refuse)
+    code = build_named_code("18-4-4-pruned")
+    circ = build_syndrome_circuit(code, 2)
+    assert noise.enumerate_fault_variants(circ, NOISE, code=code)
 
 
 def test_empty_noise_model_gives_empty_dem_and_zero_series():
