@@ -588,16 +588,26 @@ def verify_circuit(
     as X gates before the circuit; in the X basis the built-in
     preparation Hadamards turn them into sign patterns, so the same
     parity bookkeeping applies to the X-type checks.
+
+    All preparations run in one tableau pass (they share its x/z part).
+    Draws from ``random.Random(seed)``: first the preparations, one bit
+    per data qubit, preparation after preparation; then, for each random
+    measurement in circuit order, one coin bit per preparation. Failures
+    are listed preparation by preparation, and the list stops after the
+    preparation that brings it to ``max_failures``.
     """
     if basis not in ("Z", "X"):
         raise ValueError("basis must be 'Z' or 'X'")
+    if preparations < 1:
+        raise ValueError("need at least one preparation")
     layout = qubit_layout(code)
     kinds_rows = [("X", r) for r in code.retained_x] + [
         ("Z", r) for r in code.retained_z
     ]
-    supports = [np.flatnonzero(code.h_x.bits[r]) for r in code.retained_x] + [
-        np.flatnonzero(code.h_z.bits[r]) for r in code.retained_z
-    ]
+    supports = np.vstack(
+        [code.h_x.bits[list(code.retained_x)], code.h_z.bits[list(code.retained_z)]]
+    ).astype(np.int64)
+    aligned = np.array([kind == basis for kind, _ in kinds_rows], dtype=bool)
     check_qubits = layout.check_qubits
     measure_layers = [
         i for i, L in enumerate(circuit.layers) if L.kind == MEASURE_CHECKS
@@ -607,58 +617,71 @@ def verify_circuit(
     ]
     t = len(measure_layers)
     rng = random.Random(seed)
+    prep = np.array(
+        [[rng.getrandbits(1) for _ in range(code.n)] for _ in range(preparations)],
+        dtype=np.uint8,
+    )
+    states = np.zeros((preparations, circuit.qubit_count), dtype=np.uint8)
+    states[:, : code.n] = prep
+    tab = StabilizerTableau(
+        circuit.qubit_count,
+        coin=lambda: [rng.getrandbits(1) for _ in range(preparations)],
+        states=states,
+    )
+    cycle_out: list[dict[int, np.ndarray]] = []
+    readout: dict[int, np.ndarray] = {}
+    for L in circuit.layers:
+        if L.kind == SINGLE_QUBIT:
+            for name, (q,) in L.gates:
+                if name == "H":
+                    tab.h(q)
+        elif L.kind == CZ:
+            for _, (a, b) in L.gates:
+                tab.cz(a, b)
+        elif L.kind == MEASURE_CHECKS:
+            cycle_out.append({q: tab.measure(q) for _, (q,) in L.gates})
+        elif L.kind == READOUT_DATA:
+            for _, (q,) in L.gates:
+                readout[q] = tab.measure(q)
+        # DD_IDLE acts as identity in the noiseless model.
+
+    # fail[p, check, slot]: slot 0 is contract (b), slot c in 1..t-1 is
+    # contract (a) between cycles c and c + 1, slot t is contract (c)
+    fail = np.zeros((preparations, len(check_qubits), t + 1), dtype=bool)
+    if t:
+        m = np.array([[out[q] for q in check_qubits] for out in cycle_out])
+        value = (m ^ np.concatenate([np.zeros_like(m[:1]), m[:-1]])).transpose(2, 1, 0)
+        expect = (prep.astype(np.int64) @ supports.T) % 2
+        fail[:, :, 0] = aligned & (value[:, :, 0] != expect)
+        fail[:, :, 1:t] = value[:, :, 1:] != value[:, :, :-1]
+    if readout:
+        rd = np.array([readout[d] for d in range(code.n)]).T.astype(np.int64)
+        r_par = (rd @ supports.T) % 2
+        # with no check measurement there is no final value to match
+        final = value[:, :, -1] if t else None
+        fail[:, :, t] = aligned & ((r_par != final) if t else True)
+
     failures: list[str] = []
-
+    by_prep = np.argwhere(fail)
     for p in range(preparations):
-        prep = [rng.getrandbits(1) for _ in range(code.n)]
-        tab = StabilizerTableau(circuit.qubit_count, coin=lambda: rng.getrandbits(1))
-        for d, bit in enumerate(prep):
-            if bit:
-                tab.pauli_x(d)
-        cycle_out: list[dict[int, int]] = []
-        readout: dict[int, int] = {}
-        for L in circuit.layers:
-            if L.kind == SINGLE_QUBIT:
-                for name, (q,) in L.gates:
-                    if name == "H":
-                        tab.h(q)
-            elif L.kind == CZ:
-                for _, (a, b) in L.gates:
-                    tab.cz(a, b)
-            elif L.kind == MEASURE_CHECKS:
-                cycle_out.append({q: tab.measure(q) for _, (q,) in L.gates})
-            elif L.kind == READOUT_DATA:
-                for _, (q,) in L.gates:
-                    readout[q] = tab.measure(q)
-            # DD_IDLE acts as identity in the noiseless model.
-
-        for ci, q in enumerate(check_qubits):
+        for _, ci, slot in by_prep[by_prep[:, 0] == p]:
             kind, row = kinds_rows[ci]
-            m_prev = 0
-            s_prev = None
-            for c in range(t):
-                m_cur = cycle_out[c][q]
-                s_cur = m_cur ^ m_prev
-                if c == 0 and kind == basis:
-                    expect = sum(prep[int(d)] for d in supports[ci]) % 2
-                    if s_cur != expect:
-                        failures.append(
-                            f"prep {p}: {kind}{row} first-cycle value {s_cur} != "
-                            f"prepared parity {expect} (layer {measure_layers[0]})"
-                        )
-                if c >= 1 and s_cur != s_prev:
-                    failures.append(
-                        f"prep {p}: {kind}{row} value changed between cycles "
-                        f"{c} and {c + 1} (layer {measure_layers[c]})"
-                    )
-                m_prev, s_prev = m_cur, s_cur
-            if kind == basis and readout:
-                r_par = sum(readout[int(d)] for d in supports[ci]) % 2
-                if r_par != s_prev:
-                    failures.append(
-                        f"prep {p}: {kind}{row} readout parity {r_par} != final "
-                        f"value {s_prev} (layer {readout_layers[0]})"
-                    )
+            if slot == t:
+                failures.append(
+                    f"prep {p}: {kind}{row} readout parity {r_par[p, ci]} != final "
+                    f"value {final if final is None else final[p, ci]} "
+                    f"(layer {readout_layers[0]})"
+                )
+            elif slot == 0:
+                failures.append(
+                    f"prep {p}: {kind}{row} first-cycle value {value[p, ci, 0]} != "
+                    f"prepared parity {expect[p, ci]} (layer {measure_layers[0]})"
+                )
+            else:
+                failures.append(
+                    f"prep {p}: {kind}{row} value changed between cycles "
+                    f"{slot} and {slot + 1} (layer {measure_layers[slot]})"
+                )
         if len(failures) >= max_failures:
             break
     return VerifyReport(

@@ -217,42 +217,56 @@ class DistanceResult:
         return f"not computed ({self.reason})"
 
 
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """0/1 rows packed into ceil(cols/64) uint64 words each; XORs of packed
+    rows unpack with np.unpackbits(x.view(np.uint8), bitorder="little")."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
+
+
+def _span(rows: np.ndarray) -> np.ndarray:
+    """All 2^len(rows) XOR combinations of packed rows; entry i combines the
+    rows whose index bits are set in i."""
+    out = np.zeros((1, rows.shape[1]), dtype=np.uint64)
+    for row in rows:
+        out = np.concatenate([out, out ^ row])
+    return out
+
+
 def _min_weight_outside_row_space(
     kernel_mat: np.ndarray, rref: np.ndarray, pivots: list[int]
 ) -> int:
     """Minimum Hamming weight over nonzero kernel vectors not in the row space.
 
-    Enumerates all 2^dim combinations in chunks, records every weight, then
-    tests candidates in increasing weight order until one fails membership.
+    Records the weight of every one of the 2^dim combinations of the kernel
+    rows, bit-parallel: the span of the low (at most 16) rows is tabulated
+    once as packed uint64 words, and each combination of the high rows is
+    XORed into that table and popcounted. Candidates are then tested in
+    increasing weight order until one fails membership.
     """
     dim, n = kernel_mat.shape
-    total = 1 << dim
-    chunk = 1 << 16
-    weights = np.empty(total, dtype=np.uint8)
-    shifts = np.arange(dim, dtype=np.uint64)
-    km = kernel_mat.astype(np.int64)
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        masks = np.arange(start, stop, dtype=np.uint64)
-        bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.int64)
-        vecs = (bits @ km) & 1
-        weights[start:stop] = vecs.sum(axis=1).astype(np.uint8)
+    packed = _pack_rows(kernel_mat)
+    low_dim = min(dim, 16)
+    low = _span(packed[:low_dim])
+    high = _span(packed[low_dim:])
+    weights = np.empty((len(high), len(low)), dtype=np.min_scalar_type(n))
+    for h, offset in enumerate(high):
+        np.bitwise_count(low ^ offset).sum(axis=1, out=weights[h])
+    weights = weights.reshape(-1)
 
-    def vectors_for(indices: np.ndarray) -> np.ndarray:
-        bits = ((indices[:, None].astype(np.uint64) >> shifts[None, :]) & 1).astype(
-            np.int64
+    for w in np.flatnonzero(np.bincount(weights))[1:]:
+        index = np.flatnonzero(weights == w)
+        vectors = low[index % len(low)] ^ high[index // len(low)]
+        candidates = np.unpackbits(
+            vectors.view(np.uint8), axis=1, count=n, bitorder="little"
         )
-        return ((bits @ km) & 1).astype(np.uint8)
-
-    for w in sorted(set(weights.tolist()) - {0}):
-        candidates = vectors_for(np.nonzero(weights == w)[0])
         residue = candidates.copy()
         for r_idx, pc in enumerate(pivots):
             hit = residue[:, pc] == 1
             residue[hit] ^= rref[r_idx]
         outside = residue.any(axis=1)
         if outside.any():
-            return w
+            return int(w)
     raise AssertionError("kernel contains no vector outside the row space")
 
 
@@ -262,26 +276,28 @@ def compute_distance(code: CssCode, max_kernel_dim: int = 24) -> DistanceResult:
     Walks ker(h_x) for weights of Z-type logicals and ker(h_z) for X-type
     logicals, each time excluding the opposite row space, and returns the
     smaller minimum. Kernels larger than max_kernel_dim (default 24, about
-    16.7M vectors) yield an honest "not computed" result instead of a bound.
+    16.7M vectors) yield an honest "not computed" result instead of a bound;
+    both kernels are sized before either is searched.
     """
-    sides = []
-    for kernel_of, space_of in (
-        (code.retained_h_x(), code.retained_h_z()),
-        (code.retained_h_z(), code.retained_h_x()),
-    ):
-        basis = gf2.kernel_basis(kernel_of)
+    sides = [
+        (gf2.kernel_basis(code.retained_h_x()), code.retained_h_z()),
+        (gf2.kernel_basis(code.retained_h_z()), code.retained_h_x()),
+    ]
+    for basis, _ in sides:
         if len(basis) > max_kernel_dim:
             return DistanceResult(
                 value=None,
                 computed=False,
                 reason=f"kernel dimension {len(basis)} exceeds limit {max_kernel_dim}",
             )
+    minima = []
+    for basis, space_of in sides:
         kernel_mat = np.vstack([v.bits[0] for v in basis]) if basis else np.zeros(
             (0, code.n), dtype=np.uint8
         )
         rref, pivots = gf2.row_echelon(space_of)
-        sides.append(_min_weight_outside_row_space(kernel_mat, rref, pivots))
-    return DistanceResult(value=min(sides), computed=True)
+        minima.append(_min_weight_outside_row_space(kernel_mat, rref, pivots))
+    return DistanceResult(value=min(minima), computed=True)
 
 
 def remove_redundant_checks(
@@ -611,16 +627,18 @@ def _invert_mod2(mat: np.ndarray) -> np.ndarray:
 def compute_logicals(code: CssCode) -> LogicalOperatorSet:
     """Derive one paired logical operator set from the check matrices.
 
-    X representatives come from the kernel of the Z check matrix modulo
-    the X stabilizer rows, Z representatives symmetrically; the Z side is
-    then re-mixed so each pair anticommutes and all cross pairs commute.
+    X representatives come from the kernel of the retained Z checks modulo
+    the retained X stabilizer rows, Z representatives symmetrically; the Z
+    side is then re-mixed so each pair anticommutes and all cross pairs
+    commute.
     No attempt is made to minimize weights.
     """
     k = code.k if code.k is not None else compute_k(code)
     if k == 0:
         return LogicalOperatorSet(n=code.n, x_supports=(), z_supports=())
-    x_reps = _coset_representatives(code.h_z, code.h_x, k)
-    z_reps = _coset_representatives(code.h_x, code.h_z, k)
+    h_x, h_z = code.retained_h_x(), code.retained_h_z()
+    x_reps = _coset_representatives(h_z, h_x, k)
+    z_reps = _coset_representatives(h_x, h_z, k)
     x_mat = gf2.vstack(*x_reps)
     z_mat = gf2.vstack(*z_reps)
     pairing = gf2.matmul_mod2(x_mat, gf2.transpose(z_mat))

@@ -807,6 +807,10 @@ def sample_shot(
     the fault's layer (one backward walk down to that layer) and
     converted by the same ``_assemble`` as sampled shots. ``rng_seed`` is
     then unused.
+
+    Each call without a forced fault builds the whole fault-effect table
+    for its one shot. Callers who need many shots should use
+    run_monte_carlo, which builds the table once per call.
     """
     prog = _Program(code, circuit, basis, logicals, noise.idle_policy)
     if forced_fault is not None:

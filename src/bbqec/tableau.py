@@ -2,12 +2,19 @@
 
 Standard destabilizer/stabilizer tableau with sign tracking: rows 0..n-1
 hold destabilizers, rows n..2n-1 stabilizers. Pauli rows are stored as
-(x bits, z bits, sign bit) and products are accumulated with the usual
-group-phase bookkeeping. This is deliberately the slow-but-transparent
-route: the fast Pauli-frame sampler in the noise module is checked against
-it on random circuits.
+(x bits, z bits, sign bits) and products are accumulated with the usual
+group-phase bookkeeping (Aaronson & Gottesman, PRA 70, 052328, 2004).
+This is deliberately the transparent route: it checks compiled circuits
+(``circuit.verify_circuit``) and the fault-effect table of the noise
+module (the forced-fault oracle in ``tests/test_noise.py``).
 
-Measurements take their coin flips from an injectable source so that runs
+One tableau runs B computational basis states at once. Clifford gates,
+Pauli gates and the choice of measurement pivot act on the x/z part
+independently of the signs, and every rowsum's power of i depends on x/z
+alone; only the signs differ between the states. So the x/z part is
+shared and the signs are a (2n, B) bit array, one column per state.
+Measurements return B outcome bits and are random for all states or for
+none. Their coin flips come from an injectable source so that runs
 replay deterministically.
 """
 
@@ -17,24 +24,65 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import gf2
+
 __all__ = ["StabilizerTableau"]
 
-CoinSource = Callable[[], int]
+# Returns the B outcome bits of one random measurement (a scalar serves
+# every state).
+CoinSource = Callable[[], "int | Sequence[int] | np.ndarray"]
+
+
+def _g_sum(x1, z1, x2, z2) -> np.ndarray:
+    """Exponent of i from multiplying Pauli rows (x1, z1) into (x2, z2),
+    summed over qubits (the last axis)."""
+    x1, z1, x2, z2 = (a.astype(np.int8) for a in (x1, z1, x2, z2))
+    g = (
+        x1 * z1 * (z2 - x2)
+        + x1 * (1 - z1) * z2 * (2 * x2 - 1)
+        + (1 - x1) * z1 * x2 * (1 - 2 * z2)
+    )
+    return g.sum(axis=-1, dtype=np.int64)
+
+
+def _sign_flips(g: np.ndarray) -> np.ndarray:
+    """Sign flip (0/1) of each rowsum from its exponent of i."""
+    if (g % 2).any():
+        raise AssertionError("non-Hermitian rowsum; tableau corrupted")
+    return ((g % 4) // 2).astype(np.uint8)
 
 
 class StabilizerTableau:
-    """n-qubit stabilizer state, initialized to the all-zeros state."""
+    """n-qubit stabilizer states sharing one x/z part.
 
-    def __init__(self, n: int, coin: CoinSource | None = None):
+    ``states`` is a (B, n) array of 0/1: state b starts in the
+    computational basis state with qubit q set iff states[b, q] is 1. By
+    default there is one state, all zeros. Outcomes are (B,) uint8 arrays.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        coin: CoinSource | None = None,
+        states: np.ndarray | Sequence[Sequence[int]] | None = None,
+    ):
         if n < 1:
             raise ValueError("need at least one qubit")
+        if states is None:
+            states = np.zeros((1, n), dtype=np.uint8)
+        states = np.asarray(states)
+        if states.ndim != 2 or states.shape[0] < 1 or states.shape[1] != n:
+            raise ValueError(f"states must have shape (B, {n}) with B >= 1")
+        if ((states != 0) & (states != 1)).any():
+            raise ValueError("states must hold 0 and 1 only")
         self.n = n
         self.x = np.zeros((2 * n, n), dtype=np.uint8)
         self.z = np.zeros((2 * n, n), dtype=np.uint8)
-        self.r = np.zeros(2 * n, dtype=np.uint8)
+        self.r = np.zeros((2 * n, states.shape[0]), dtype=np.uint8)
         for i in range(n):
             self.x[i, i] = 1          # destabilizer X_i
-            self.z[n + i, i] = 1      # stabilizer Z_i
+            self.z[n + i, i] = 1      # stabilizer (-1)^s Z_i
+        self.r[n:] = states.T
         self._coin = coin if coin is not None else (lambda: 0)
 
     def copy(self) -> "StabilizerTableau":
@@ -49,32 +97,34 @@ class StabilizerTableau:
     # ---- gates ----
 
     def h(self, q: int) -> None:
-        self.r ^= self.x[:, q] & self.z[:, q]
+        self.r ^= (self.x[:, q] & self.z[:, q])[:, None]
         self.x[:, q], self.z[:, q] = self.z[:, q].copy(), self.x[:, q].copy()
 
     def s(self, q: int) -> None:
-        self.r ^= self.x[:, q] & self.z[:, q]
+        self.r ^= (self.x[:, q] & self.z[:, q])[:, None]
         self.z[:, q] ^= self.x[:, q]
 
     def cnot(self, c: int, t: int) -> None:
-        self.r ^= self.x[:, c] & self.z[:, t] & (self.x[:, t] ^ self.z[:, c] ^ 1)
+        flip = self.x[:, c] & self.z[:, t] & (self.x[:, t] ^ self.z[:, c] ^ 1)
+        self.r ^= flip[:, None]
         self.x[:, t] ^= self.x[:, c]
         self.z[:, c] ^= self.z[:, t]
 
     def cz(self, a: int, b: int) -> None:
         # composition H(b) CNOT(a,b) H(b) reduced to a direct update
-        self.r ^= self.x[:, a] & self.x[:, b] & (self.z[:, a] ^ self.z[:, b])
+        flip = self.x[:, a] & self.x[:, b] & (self.z[:, a] ^ self.z[:, b])
+        self.r ^= flip[:, None]
         self.z[:, a] ^= self.x[:, b]
         self.z[:, b] ^= self.x[:, a]
 
     def pauli_x(self, q: int) -> None:
-        self.r ^= self.z[:, q]
+        self.r ^= self.z[:, q][:, None]
 
     def pauli_z(self, q: int) -> None:
-        self.r ^= self.x[:, q]
+        self.r ^= self.x[:, q][:, None]
 
     def pauli_y(self, q: int) -> None:
-        self.r ^= self.x[:, q] ^ self.z[:, q]
+        self.r ^= (self.x[:, q] ^ self.z[:, q])[:, None]
 
     def apply_gate(self, gate: str, qubits: Sequence[int]) -> None:
         table = {
@@ -90,84 +140,65 @@ class StabilizerTableau:
 
     # ---- phase bookkeeping ----
 
-    @staticmethod
-    def _g(x1, z1, x2, z2):
-        # exponent of i contributed by multiplying single-qubit Paulis
-        return (
-            x1 * z1 * (z2 - x2)
-            + x1 * (1 - z1) * z2 * (2 * x2 - 1)
-            + (1 - x1) * z1 * x2 * (1 - 2 * z2)
-        )
-
-    def _rowsum_into(self, xh, zh, rh, i: int) -> tuple[np.ndarray, np.ndarray, int]:
-        """Multiply row i into the explicit row (xh, zh, rh); returns the product."""
-        phase = 2 * rh + 2 * int(self.r[i]) + int(
-            self._g(
-                self.x[i].astype(np.int64),
-                self.z[i].astype(np.int64),
-                xh.astype(np.int64),
-                zh.astype(np.int64),
-            ).sum()
-        )
-        phase %= 4
-        if phase not in (0, 2):
-            raise AssertionError("non-Hermitian rowsum; tableau corrupted")
-        return xh ^ self.x[i], zh ^ self.z[i], phase // 2
-
-    def _rowsum(self, h: int, i: int) -> None:
-        xh, zh, rh = self._rowsum_into(self.x[h], self.z[h], int(self.r[h]), i)
-        self.x[h], self.z[h], self.r[h] = xh, zh, rh
+    def _product_signs(self, rows: np.ndarray) -> np.ndarray:
+        """Signs (B,) of the product of the given rows, multiplied in order."""
+        xs, zs = self.x[rows], self.z[rows]
+        # the running product each row is multiplied into
+        prev_x = np.bitwise_xor.accumulate(xs, axis=0)
+        prev_z = np.bitwise_xor.accumulate(zs, axis=0)
+        prev_x = np.vstack([np.zeros_like(xs[:1]), prev_x[:-1]])
+        prev_z = np.vstack([np.zeros_like(zs[:1]), prev_z[:-1]])
+        flip = np.bitwise_xor.reduce(_sign_flips(_g_sum(xs, zs, prev_x, prev_z)))
+        return np.bitwise_xor.reduce(self.r[rows], axis=0) ^ flip
 
     # ---- measurement ----
 
-    def measure(self, q: int) -> int:
-        """Z-basis measurement of qubit q; collapses the state."""
+    def measure(self, q: int) -> np.ndarray:
+        """Z-basis measurement of qubit q in every state; collapses them."""
         n = self.n
         stab_hits = np.nonzero(self.x[n:, q])[0]
         if stab_hits.size:
             p = n + int(stab_hits[0])
             # row p-n is about to be overwritten by row p; multiplying it
             # first would form an anti-Hermitian product, so skip it
-            for i in range(2 * n):
-                if i != p and i != p - n and self.x[i, q]:
-                    self._rowsum(i, p)
+            hit = self.x[:, q].astype(bool)
+            hit[[p, p - n]] = False
+            rows = np.flatnonzero(hit)
+            flip = _sign_flips(_g_sum(self.x[p], self.z[p], self.x[rows], self.z[rows]))
+            self.r[rows] ^= self.r[p] ^ flip[:, None]
+            self.x[rows] ^= self.x[p]
+            self.z[rows] ^= self.z[p]
             self.x[p - n] = self.x[p]
             self.z[p - n] = self.z[p]
             self.r[p - n] = self.r[p]
             self.x[p] = 0
             self.z[p] = 0
             self.z[p, q] = 1
-            outcome = int(self._coin()) & 1
-            self.r[p] = outcome
-            return outcome
-        # deterministic: accumulate the matching stabilizer product
-        xh = np.zeros(n, dtype=np.uint8)
-        zh = np.zeros(n, dtype=np.uint8)
-        rh = 0
-        for i in range(n):
-            if self.x[i, q]:
-                xh, zh, rh = self._rowsum_into(xh, zh, rh, i + n)
-        return rh
+            coin = np.asarray(self._coin(), dtype=np.uint8) & 1
+            self.r[p] = np.broadcast_to(coin, self.r.shape[1:])
+            return self.r[p].copy()
+        # deterministic: the matching stabilizer product
+        return self._product_signs(n + np.flatnonzero(self.x[:n, q]))
 
-    def measure_deterministic(self, q: int) -> int | None:
-        """Outcome of measuring Z_q if determined, else None. No collapse."""
+    def measure_deterministic(self, q: int) -> np.ndarray | None:
+        """Outcomes of measuring Z_q if determined, else None. No collapse."""
         if self.x[self.n :, q].any():
             return None
-        return self.copy().measure(q)
+        return self.measure(q)
 
-    def z_parity(self, support: Sequence[int]) -> int:
+    def z_parity(self, support: Sequence[int]) -> np.ndarray:
         """Sampled joint parity of Z over the support qubits.
 
         Measures a copy qubit-by-qubit; the XOR of individual outcomes is a
         valid sample of the product observable (all factors commute).
         """
         dup = self.copy()
-        out = 0
+        out = np.zeros(self.r.shape[1], dtype=np.uint8)
         for q in support:
             out ^= dup.measure(q)
         return out
 
-    def z_parity_deterministic(self, support: Sequence[int]) -> int | None:
+    def z_parity_deterministic(self, support: Sequence[int]) -> np.ndarray | None:
         """Joint Z parity when the product observable is fixed, else None.
 
         The Z product over the support is determined exactly when it lies in
@@ -179,39 +210,18 @@ class StabilizerTableau:
         target = np.zeros(2 * n, dtype=np.uint8)
         for q in support:
             target[n + q] ^= 1
-        # RREF the stabilizer rows [x | z] while tracking row combinations,
-        # then reduce the target against the pivots
-        work = np.hstack([self.x[n:], self.z[n:]]).astype(np.uint8)
-        combo = np.eye(n, dtype=np.uint8)
-        pivots: list[int] = []
-        r = 0
-        for col in range(2 * n):
-            if r == n:
-                break
-            hits = np.nonzero(work[r:, col])[0]
-            if hits.size == 0:
-                continue
-            p = r + int(hits[0])
-            if p != r:
-                work[[r, p]] = work[[p, r]]
-                combo[[r, p]] = combo[[p, r]]
-            for i in np.nonzero(work[:, col])[0]:
-                if i != r:
-                    work[i] ^= work[r]
-                    combo[i] ^= combo[r]
-            pivots.append(col)
-            r += 1
+        # RREF of [stabilizer x | z | identity]: the stabilizer rows are
+        # independent, so every pivot lies in the x|z part and the identity
+        # part of each reduced row records which stabilizers it combines
+        rref, pivots = gf2.row_echelon(
+            gf2.BinaryMatrix(np.hstack([self.x[n:], self.z[n:], np.eye(n, dtype=np.uint8)]))
+        )
         residue = target.copy()
         picked = np.zeros(n, dtype=np.uint8)
         for r_idx, col in enumerate(pivots):
             if residue[col]:
-                residue ^= work[r_idx]
-                picked ^= combo[r_idx]
+                residue ^= rref[r_idx, : 2 * n]
+                picked ^= rref[r_idx, 2 * n :]
         if residue.any():
             return None
-        xh = np.zeros(n, dtype=np.uint8)
-        zh = np.zeros(n, dtype=np.uint8)
-        rh = 0
-        for i in np.nonzero(picked)[0]:
-            xh, zh, rh = self._rowsum_into(xh, zh, rh, n + int(i))
-        return rh
+        return self._product_signs(n + np.flatnonzero(picked))

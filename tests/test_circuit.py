@@ -5,6 +5,7 @@ import pytest
 
 from bbqec import circuit, gf2
 from bbqec.codes import CssCode, build_named_code
+from bbqec.tableau import StabilizerTableau
 
 
 def _edge_set(code):
@@ -231,6 +232,72 @@ def test_verify_passes_on_generated_circuits(cid, basis, t):
     circ = circuit.build_syndrome_circuit(code, t, basis=basis)
     report = circuit.verify_circuit(circ, code, basis=basis, preparations=10)
     assert report.ok, str(report)
+
+
+def _run_outcomes(circ, tab):
+    """Every measurement and readout outcome of one noiseless run, in
+    circuit order, one row each."""
+    out = []
+    for layer in circ.layers:
+        for name, qubits in layer.gates:
+            if name == "H":
+                tab.h(*qubits)
+            elif name == "CZ":
+                tab.cz(*qubits)
+            elif name in ("M", "RD"):
+                out.append(tab.measure(*qubits))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("cid", ["18-4-4-pruned", "18-6-3"])
+@pytest.mark.parametrize("basis", ["Z", "X"])
+def test_batched_run_equals_single_state_runs(cid, basis):
+    code = build_named_code(cid)
+    circ = circuit.build_syndrome_circuit(code, 3, basis=basis)
+    rng = np.random.default_rng(3)
+    states = rng.integers(0, 2, size=(6, circ.qubit_count))
+    coins = rng.integers(0, 2, size=(len(circ.layers) * circ.qubit_count, 6))
+    drawn = iter(coins)
+    together = _run_outcomes(
+        circ, StabilizerTableau(circ.qubit_count, coin=lambda: next(drawn), states=states)
+    )
+    used = len(coins) - sum(1 for _ in drawn)
+    assert used > 0  # some outcomes are random
+    for b in range(len(states)):
+        alone_coins = iter(coins[:used, b])
+        alone = _run_outcomes(
+            circ,
+            StabilizerTableau(
+                circ.qubit_count, coin=lambda: next(alone_coins), states=states[b : b + 1]
+            ),
+        )
+        assert np.array_equal(alone[:, 0], together[:, b])
+        assert next(alone_coins, None) is None
+
+
+def test_verify_truncates_after_whole_preparations():
+    code = build_named_code("18-4-4-pruned")
+    circ = circuit.build_syndrome_circuit(code, 2)
+    lo, hi = circ.cycle_layer_range(0)
+    cz_at = [i for i in range(lo, hi) if circ.layers[i].kind == circuit.CZ]
+    layers = list(circ.layers)
+    layers[cz_at[1]], layers[cz_at[2]] = layers[cz_at[2]], layers[cz_at[1]]
+    mutated = circuit.Circuit(circ.qubit_count, tuple(layers), circ.cycle_boundaries)
+    full = circuit.verify_circuit(mutated, code, preparations=6, max_failures=10**6)
+    preps = [int(f.split(":")[0].split()[1]) for f in full.failures]
+    assert preps == sorted(preps) and len(set(preps)) > 2
+    short = circuit.verify_circuit(mutated, code, preparations=6, max_failures=3)
+    stop = preps[2]  # the preparation that brings the list to 3
+    assert short.failures == tuple(
+        f for f, p in zip(full.failures, preps) if p <= stop
+    )
+
+
+def test_verify_needs_a_preparation():
+    code = build_named_code("18-4-4-pruned")
+    circ = circuit.build_syndrome_circuit(code, 1)
+    with pytest.raises(ValueError):
+        circuit.verify_circuit(circ, code, preparations=0)
 
 
 def test_verify_catches_swapped_cz_layers():

@@ -189,6 +189,103 @@ def test_distance_refuses_large_kernels():
     assert "exceeds limit" in result.reason
 
 
+def _all_vectors(n: int) -> np.ndarray:
+    """Every length-n 0/1 vector, one per row."""
+    masks = np.arange(1 << n, dtype=np.uint32)
+    return ((masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.uint8)
+
+
+def _brute_force_distance(h_x: np.ndarray, h_z: np.ndarray) -> int:
+    """Minimum weight of a nontrivial logical, over all 2^n vectors.
+
+    A Z-type logical v has h_x v = 0 and lies outside rowspace(h_z),
+    which is ker(h_z)^perp: v pairs oddly with some vector of ker(h_z).
+    X-type logicals swap the roles. No elimination is involved.
+    """
+    vecs = _all_vectors(h_x.shape[1])
+
+    def kernel(h):
+        return vecs[~((vecs @ h.T) & 1).any(axis=1)]
+
+    best = h_x.shape[1] + 1
+    for kernel_of, dual_of in ((h_x, h_z), (h_z, h_x)):
+        cand = kernel(kernel_of)
+        outside = ((cand @ kernel(dual_of).T) & 1).any(axis=1)
+        best = min(best, int(cand[outside].sum(axis=1).min()))
+    return best
+
+
+RANDOM_CODE_SEEDS = (4, 6, 7, 9)
+
+
+def _random_commuting_code(seed: int) -> codes.CssCode:
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(12, 15))
+    h_x = rng.integers(0, 2, size=(int(rng.integers(4, 7)), n), dtype=np.uint8)
+    vecs = _all_vectors(n)
+    ker_x = vecs[~((vecs @ h_x.T) & 1).any(axis=1)]
+    h_z = ker_x[rng.choice(len(ker_x), size=int(rng.integers(4, 7)))]
+    code = codes.CssCode(
+        name=f"random-{seed}",
+        n=n,
+        h_x=gf2.BinaryMatrix(h_x),
+        h_z=gf2.BinaryMatrix(h_z),
+        retained_x=tuple(range(len(h_x))),
+        retained_z=tuple(range(len(h_z))),
+    )
+    assert codes.compute_k(code) > 0
+    return code
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: codes.build_named_code("18-4-4"),
+        lambda: codes.build_named_code("18-4-4-pruned"),
+        lambda: codes.build_named_code("18-6-3"),
+        # seeds whose codes have 2 <= k <= 4 and d = 2
+        *(lambda s=s: _random_commuting_code(s) for s in RANDOM_CODE_SEEDS),
+    ],
+    ids=["18-4-4", "18-4-4-pruned", "18-6-3", *(f"random-{s}" for s in RANDOM_CODE_SEEDS)],
+)
+def test_distance_matches_brute_force(make):
+    code = make()
+    expected = _brute_force_distance(
+        code.retained_h_x().bits, code.retained_h_z().bits
+    )
+    assert codes.compute_distance(code).value == expected
+
+
+def test_distance_search_packs_kernels_wider_than_one_word():
+    # 18 rows (past the 16-row table, so high rows are combined too) over
+    # 100 columns: an identity block keeps them independent, and the
+    # random part beyond column 64 carries most of each weight.
+    dim, n, in_span = 18, 100, 3
+    rng = np.random.default_rng(5)
+    kernel = np.zeros((dim, n), dtype=np.uint8)
+    kernel[:, :dim] = np.eye(dim, dtype=np.uint8)
+    kernel[:, 64:] = rng.integers(0, 2, size=(dim, n - 64), dtype=np.uint8)
+    rref, pivots = gf2.row_echelon(gf2.BinaryMatrix(kernel[:in_span]))
+    # the row space is the span of the first rows, so combination `mask`
+    # lies outside it iff it uses a later row
+    expected = n
+    for start in range(0, 1 << dim, 1 << 14):
+        masks = np.arange(start, start + (1 << 14))
+        bits = (masks[:, None] >> np.arange(dim)) & 1
+        weights = ((bits @ kernel) & 1).sum(axis=1)
+        expected = min(expected, int(weights[(masks >> in_span) != 0].min()))
+    assert expected > 1  # the second word decides the answer
+    got = codes._min_weight_outside_row_space(kernel, rref, pivots)
+    assert got == expected
+
+
+@pytest.mark.parametrize("cid", ["18-4-4-pruned", "18-6-3", "36-4-6"])
+def test_computed_logicals_verify(cid):
+    code = codes.build_named_code(cid)
+    report = codes.verify_logicals(code, codes.compute_logicals(code))
+    assert report.ok, report.failures
+
+
 def test_trusted_distance_injection():
     code = codes.build_named_code("90-8-10", trust_table_distance=True)
     assert code.d == 10

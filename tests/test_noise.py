@@ -41,10 +41,10 @@ def _tableau_run(circ, fault, coin_seed):
             for _, (a, b) in layer.gates:
                 tab.cz(a, b)
         elif layer.kind == MEASURE_CHECKS:
-            cycles.append({q: tab.measure(q) for _, (q,) in layer.gates})
+            cycles.append({q: tab.measure(q)[0] for _, (q,) in layer.gates})
         elif layer.kind == READOUT_DATA:
             for _, (q,) in layer.gates:
-                readout[q] = tab.measure(q)
+                readout[q] = tab.measure(q)[0]
         if fault is not None and li == fault.layer:
             for q in fault.x_qubits:
                 tab.pauli_x(q)

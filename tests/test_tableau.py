@@ -76,6 +76,13 @@ class Statevector:
         psi = np.moveaxis(psi, q, 0)
         return float(np.sum(np.abs(psi[0]) ** 2))
 
+    def z_product_expectation(self, support) -> float:
+        index = np.arange(2**self.n)
+        parity = np.zeros(2**self.n, dtype=int)
+        for q in support:
+            parity ^= (index >> (self.n - 1 - q)) & 1
+        return float(np.sum(np.abs(self.psi) ** 2 * (1 - 2 * parity)))
+
     def collapse(self, q: int, outcome: int):
         psi = self.psi.reshape([2] * self.n)
         psi = np.moveaxis(psi, q, 0).copy()
@@ -115,9 +122,9 @@ def run_both(n, ops):
     return tab, vec
 
 
-def assert_stabilizers_fix_state(tab: StabilizerTableau, vec: Statevector):
+def assert_stabilizers_fix_state(tab: StabilizerTableau, vec: Statevector, state: int = 0):
     for i in range(tab.n, 2 * tab.n):
-        op = vec.pauli_row_matrix(tab.x[i], tab.z[i], tab.r[i])
+        op = vec.pauli_row_matrix(tab.x[i], tab.z[i], tab.r[i, state])
         np.testing.assert_allclose(op @ vec.psi, vec.psi, atol=1e-9)
 
 
@@ -150,6 +157,54 @@ def test_measurement_agrees_with_statevector(circ):
             assert got == 0
             vec.collapse(q, got)
         assert_stabilizers_fix_state(tab, vec)
+
+
+@given(random_circuits(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_every_state_of_a_batch_follows_its_statevector(circ, seed):
+    n, ops = circ
+    rng = np.random.default_rng(seed)
+    states = rng.integers(0, 2, size=(3, n))
+    coins = iter(rng.integers(0, 2, size=(n, 3)))
+    tab = StabilizerTableau(n, coin=lambda: next(coins), states=states)
+    vecs = []
+    for bits in states:
+        vec = Statevector(n)
+        for q in np.flatnonzero(bits):
+            vec.apply("X", (q,))
+        vecs.append(vec)
+    for gate, qubits in ops:
+        tab.apply_gate(gate, qubits)
+        for vec in vecs:
+            vec.apply(gate, qubits)
+    for b, vec in enumerate(vecs):
+        assert_stabilizers_fix_state(tab, vec, b)
+    support = np.flatnonzero(rng.integers(0, 2, size=n))
+    parity = tab.z_parity_deterministic(support)
+    for b, vec in enumerate(vecs):
+        expectation = vec.z_product_expectation(support)
+        if parity is None:
+            assert abs(expectation) < 1e-9
+        else:
+            assert abs(expectation - (-1.0) ** parity[b]) < 1e-9
+    for q in range(n):
+        random_outcome = tab.measure_deterministic(q) is None
+        got = tab.measure(q)
+        assert got.shape == (3,)
+        for b, vec in enumerate(vecs):
+            p0 = vec.prob_zero(q)
+            if random_outcome:
+                assert abs(p0 - 0.5) < 1e-9
+            else:
+                assert abs(p0 - (1 - got[b])) < 1e-9
+            vec.collapse(q, int(got[b]))
+            assert_stabilizers_fix_state(tab, vec, b)
+
+
+def test_states_must_be_basis_states_of_n_qubits():
+    for bad in ([[0, 1]], [[0, 2, 1]], np.zeros((0, 3)), [0, 1, 1]):
+        with pytest.raises(ValueError):
+            StabilizerTableau(3, states=bad)
 
 
 @given(random_circuits())
