@@ -102,9 +102,17 @@ class GateLayer:
 
 @dataclass(frozen=True)
 class Circuit:
+    """Gate layers with their cycle boundaries.
+
+    ``basis`` is the memory basis ("Z" or "X") the circuit was built
+    for, or None when unknown (a hand-built circuit). Consumers that
+    take a basis reject a circuit recorded for the other one.
+    """
+
     qubit_count: int
     layers: tuple[GateLayer, ...]
     cycle_boundaries: tuple[int, ...]
+    basis: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
@@ -113,6 +121,8 @@ class Circuit:
         )
         if self.qubit_count < 0:
             raise ValueError("negative qubit count")
+        if self.basis not in (None, "Z", "X"):
+            raise ValueError(f"basis must be 'Z', 'X' or None, got {self.basis!r}")
         for layer in self.layers:
             high = max(layer.qubits(), default=-1)
             if high >= self.qubit_count:
@@ -532,6 +542,7 @@ def build_syndrome_circuit(
         qubit_count=layout.qubit_count,
         layers=tuple(layers),
         cycle_boundaries=tuple(boundaries),
+        basis=basis,
     )
 
     if count_hadamards_as_paper:
@@ -549,6 +560,14 @@ def build_syndrome_circuit(
                     f"the pinned inventory is {_PINNED_SINGLE_QUBIT_PER_CYCLE}"
                 )
     return circuit
+
+
+def check_basis(circuit: Circuit, basis: str) -> None:
+    """Raise ValueError if the circuit records a memory basis other than ``basis``."""
+    if circuit.basis is not None and circuit.basis != basis:
+        raise ValueError(
+            f"circuit was built for the {circuit.basis} basis, not {basis}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +617,7 @@ def verify_circuit(
     """
     if basis not in ("Z", "X"):
         raise ValueError("basis must be 'Z' or 'X'")
+    check_basis(circuit, basis)
     if preparations < 1:
         raise ValueError("need at least one preparation")
     layout = qubit_layout(code)
@@ -701,10 +721,13 @@ def serialize_circuit(circuit: Circuit) -> str:
 
     One gate per line, TICK terminating every layer, CYCLE immediately
     before each cycle's first layer, and a `# qubits N` header so that
-    trailing unused qubits survive the round trip. Layers with no gates
-    (possible only for CZ layers) serialize as a bare TICK.
+    trailing unused qubits survive the round trip. A `# basis Z` (or X)
+    header follows when the circuit records its memory basis. Layers
+    with no gates (possible only for CZ layers) serialize as a bare TICK.
     """
     lines = [f"# qubits {circuit.qubit_count}"]
+    if circuit.basis is not None:
+        lines.append(f"# basis {circuit.basis}")
     marks = set(circuit.cycle_boundaries)
     for i, layer in enumerate(circuit.layers):
         if i in marks:
@@ -718,6 +741,7 @@ def serialize_circuit(circuit: Circuit) -> str:
 def parse_circuit(text: str) -> Circuit:
     """Parse the text form; errors carry the offending line number."""
     qubit_count: int | None = None
+    basis: str | None = None
     layers: list[GateLayer] = []
     boundaries: list[int] = []
     buf: list[tuple[str, tuple[int, ...]]] = []
@@ -745,6 +769,12 @@ def parse_circuit(text: str) -> Circuit:
                 raise CircuitParseError(line_no, "bad qubit-count header") from None
             if qubit_count < 0:
                 raise CircuitParseError(line_no, "bad qubit-count header")
+            continue
+        if raw.startswith("# basis "):
+            tokens = raw.split()
+            if len(tokens) != 3 or tokens[2] not in ("Z", "X"):
+                raise CircuitParseError(line_no, "bad basis header")
+            basis = tokens[2]
             continue
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -798,4 +828,5 @@ def parse_circuit(text: str) -> Circuit:
         qubit_count=qubit_count,
         layers=tuple(layers),
         cycle_boundaries=tuple(boundaries),
+        basis=basis,
     )

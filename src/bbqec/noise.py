@@ -27,18 +27,28 @@ Noise channels and their fault slots:
   qubit in every single-qubit layer.
 - ``CZ`` gates draw one of the fifteen nontrivial two-qubit Paulis, each
   at ``p_cz / 15``.
-- ``DD`` slots draw an X flip and a Z flip independently.
+- ``DD`` slots flip X and Z independently: X alone, Z alone or both.
 - Check measurement and final data readout flip the recorded outcome
   without touching the state.
 
-``_channel`` states each channel once: its faults with their rates, and
-the rule by which a shot's draw picks one. The variant enumeration, the
-table and the sampler all expand it.
+``_channel`` states each channel once: its faults with their rates. The
+variant enumeration, the table and the sampler all expand it.
 
 Randomness is counter-based: every shot has a 64-bit key derived from
-the master seed, every fault slot has a fixed counter, and the draw for
-(shot, slot) mixes the two. Results are therefore independent of batch
-size and execution order.
+the master seed, and each draw mixes that key with a fixed stream
+number, so results are independent of batch size and execution order.
+The sampler does not draw once per (shot, slot): it skips to the next
+fault with geometric gaps (as Stim's frame simulator does), so the
+number of draws scales with the faults that fire. For the slot kind at
+index i of ``_SLOT_KINDS``, with P the sum of its fault probabilities
+and its m slots in counter order, each shot starts before the first
+slot and runs rounds r = 0, 1, ...: the draw of stream (i, 2r + 1) gives
+u in (0, 1], the shot skips the #{g in 1..m : (1 - P)^g >= u} slots
+that stay quiet and fires the next one, and once past the last slot it
+stops. A fired slot takes the draw of stream (i, 2r + 2) to pick its
+fault, each in proportion to its probability. The survival table
+(1 - P)^g is a sequential product (``np.cumprod``), not a logarithm, so
+the draws are the same bits on every platform.
 """
 
 from __future__ import annotations
@@ -56,12 +66,13 @@ from .circuit import (
     READOUT_DATA,
     SINGLE_QUBIT,
     Circuit,
+    check_basis,
     qubit_layout,
 )
 from .codes import CssCode, LogicalOperatorSet, logical_operator_set_for
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_STREAM = np.uint64(0xD1B54A32D192ED03)
+_STREAM = 0xD1B54A32D192ED03
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0**-53
@@ -85,14 +96,12 @@ def _derive_keys(master_seed: int, start: int, count: int) -> np.ndarray:
     return _mix64(np.uint64(master_seed % 2**64) + idx * _GOLDEN)
 
 
-def _draws(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """The raw uint64 draw of every (shot, slot), shape (len(keys), len(counters))."""
-    return _mix64(keys[:, None] ^ ((counters + np.uint64(1)) * _STREAM)[None, :])
-
-
-def _uniforms(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """Array of float64 in [0, 1), shape (len(keys), len(counters))."""
-    return (_draws(keys, counters) >> np.uint64(11)).astype(np.float64) * _U53
+def _uniform(keys: np.ndarray, stream: int, draw: int) -> np.ndarray:
+    """Float64 in (0, 1], one per key: draw ``draw`` of stream ``stream``."""
+    # Python ints, so the constant wraps mod 2**64 without a numpy
+    # scalar overflow
+    mix = np.uint64(((stream << 32) | draw) * _STREAM % 2**64)
+    return ((_mix64(keys ^ mix) >> np.uint64(11)) + np.uint64(1)) * _U53
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +232,7 @@ class _Program:
     ):
         if basis not in ("Z", "X"):
             raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
+        check_basis(circuit, basis)
         if idle_policy not in IDLE_POLICIES:
             raise ValueError(
                 f"idle_policy={idle_policy!r} not one of {IDLE_POLICIES}"
@@ -366,53 +376,59 @@ class _Pattern(NamedTuple):
 
 
 class _Channel(NamedTuple):
-    """One slot kind's noise: its faults, and how a shot's draw picks one.
+    """One slot kind's noise: its faults, and how a shot's draws pick them.
 
-    ``patterns`` are the nonzero-probability faults in variant order.
-    With one rate p, the slot's uniform u fires a fault iff u < p and
-    then picks pattern min(int(u * (k / p)), k - 1) of the k patterns,
-    each of probability p / k. With two rates (px, pz), the low and high
-    32-bit halves of the slot's raw draw flip X and Z independently
-    (half < rate * 2**32), and pick the pattern with those legs.
+    ``patterns`` are the nonzero-probability faults in variant order. A
+    slot fires with P = the sum of their probabilities and then picks
+    each in proportion to its probability, so every pattern occurs at
+    its own probability. ``stream`` numbers the kind's draws: it is the
+    index of the slot kind in ``_SLOT_KINDS``.
     """
 
-    rates: tuple[float, ...]
+    stream: int
     patterns: list[_Pattern]
 
-    def draw(self, keys: np.ndarray, counters: np.ndarray):
-        """(shot, slot, pattern) index arrays of the faults that fire
-        among ``keys`` x ``counters``, shot-major."""
-        if len(self.rates) == 1:
-            (p,) = self.rates
-            k = len(self.patterns)
-            u = _uniforms(keys, counters)
-            shot, slot = np.nonzero(u < p)
-            pick = (u[shot, slot] * (k / p)).astype(np.intp)
-            return shot, slot, np.minimum(pick, k - 1)
-        raw = _draws(keys, counters)
-        tx, tz = (np.uint64(int(r * 2**32)) for r in self.rates)
-        fx = ((raw & np.uint64(0xFFFFFFFF)) < tx).view(np.uint8)
-        fz = ((raw >> np.uint64(32)) < tz).view(np.uint8)
-        legs = fx + 2 * fz
-        shot, slot = np.nonzero(legs)
-        pick = np.zeros(4, dtype=np.intp)
-        for j, pat in enumerate(self.patterns):
-            pick[bool(pat.x_legs) + 2 * bool(pat.z_legs)] = j
-        return shot, slot, pick[legs[shot, slot]]
+    def fires(self, keys: np.ndarray, m: int):
+        """The faults that fire among ``m`` slots of this kind, for every
+        shot key, one round at a time (the contract in the module
+        docstring).
+
+        Yields (shot, slot, pattern) index arrays per round. A round fires
+        at most one slot per shot, so its shot indices are distinct.
+        """
+        cum = np.cumsum([pat.probability for pat in self.patterns])
+        # (1 - P)^g for g = m..1, ascending, so the gap #{g : S_g >= u}
+        # is m minus searchsorted(survive, u)
+        survive = np.cumprod(np.full(m, max(0.0, 1.0 - cum[-1])))[::-1]
+        cdf = cum / cum[-1]  # the last entry is exactly 1
+        shot = np.arange(len(keys))
+        pos = np.full(len(keys), -1, dtype=np.intp)
+        draw = 1
+        while len(shot):
+            u = _uniform(keys, self.stream, draw)
+            pos = pos + (m + 1 - np.searchsorted(survive, u))
+            live = pos < m
+            shot, pos, keys = shot[live], pos[live], keys[live]
+            if len(cdf) == 1:
+                pick = np.zeros(len(shot), dtype=np.intp)
+            else:
+                pick = np.searchsorted(cdf, _uniform(keys, self.stream, draw + 1))
+            yield shot, pos, pick
+            draw += 2
 
 
-def _uniform_channel(p: float, shapes) -> _Channel:
+def _uniform_patterns(p: float, shapes) -> list[_Pattern]:
     """Rate p split evenly over faults given as (x legs, z legs, flip)."""
     k = len(shapes)
-    return _Channel((p,), [_Pattern(p / k, *shape) for shape in shapes if p / k > 0])
+    return [_Pattern(p / k, *shape) for shape in shapes if p / k > 0]
 
 
 def _channel(kind: str, noise: NoiseModel) -> _Channel:
     """The noise channel of one slot kind."""
     if kind in ("h", "idle"):
         p = noise.effective(noise.p_h if kind == "h" else noise.p_i)
-        return _uniform_channel(p, [((0,), ()), ((0,), (0,)), ((), (0,))])
-    if kind == "cz":
+        pats = _uniform_patterns(p, [((0,), ()), ((0,), (0,)), ((), (0,))])
+    elif kind == "cz":
         shapes = []
         for idx in range(1, 16):
             pa, pb = divmod(idx, 4)
@@ -421,8 +437,8 @@ def _channel(kind: str, noise: NoiseModel) -> _Channel:
                 tuple(leg for leg, f in ((0, xa), (1, xb)) if f),
                 tuple(leg for leg, f in ((0, za), (1, zb)) if f),
             ))
-        return _uniform_channel(noise.effective(noise.p_cz), shapes)
-    if kind == "dd":
+        pats = _uniform_patterns(noise.effective(noise.p_cz), shapes)
+    elif kind == "dd":
         px = noise.effective(noise.p_dd_x)
         pz = noise.effective(noise.p_dd_z)
         pats = [
@@ -430,12 +446,14 @@ def _channel(kind: str, noise: NoiseModel) -> _Channel:
             _Pattern((1 - px) * pz, (), (0,)),
             _Pattern(px * pz, (0,), (0,)),
         ]
-        return _Channel((px, pz), [pat for pat in pats if pat.probability > 0])
-    if kind == "measure":
-        return _uniform_channel(noise.effective(noise.p_m), [((), (), True)])
-    if kind == "readout":
-        return _uniform_channel(noise.effective(noise.p_f), [((), (), True)])
-    raise AssertionError(kind)  # pragma: no cover - slot kinds are closed
+        pats = [pat for pat in pats if pat.probability > 0]
+    elif kind == "measure":
+        pats = _uniform_patterns(noise.effective(noise.p_m), [((), (), True)])
+    elif kind == "readout":
+        pats = _uniform_patterns(noise.effective(noise.p_f), [((), (), True)])
+    else:  # pragma: no cover - slot kinds are closed
+        raise AssertionError(kind)
+    return _Channel(_SLOT_KINDS.index(kind), pats)
 
 
 def _slot_variants(slot: FaultSlot, patterns: list[_Pattern]) -> list[FaultVariant]:
@@ -460,8 +478,9 @@ def _slot_variants(slot: FaultSlot, patterns: list[_Pattern]) -> list[FaultVaria
 def enumerate_fault_variants(
     circuit: Circuit, noise: NoiseModel, *, code: CssCode
 ) -> tuple[FaultVariant, ...]:
-    """Every nonzero-probability single-fault realization, in slot order."""
-    prog = _Program(code, circuit, idle_policy=noise.idle_policy)
+    """Every nonzero-probability single-fault realization, in slot order.
+    They do not depend on the memory basis."""
+    prog = _Program(code, circuit, circuit.basis or "Z", idle_policy=noise.idle_policy)
     patterns = {kind: _channel(kind, noise).patterns for kind in _SLOT_KINDS}
     out: list[FaultVariant] = []
     for slot in prog.slots:
@@ -629,39 +648,28 @@ def _fault_row(prog: _Program, fault: FaultVariant) -> np.ndarray:
 # sampler
 
 
-# Slots drawn at a time: a block's draws form a (shots, block) array, so
-# the block size bounds the sampler's working memory.
-_DRAW_BLOCK = 32
-
-
 def _sampler(prog: _Program, noise: NoiseModel):
     """A function from shot keys (one uint64 each) to raw outputs (dm, rd).
 
-    It replays the fault-effect table: each slot's draw
-    (``_Channel.draw``) picks at most one of its variants, and a shot's
-    raw outputs are the XOR of the table rows of the variants it picked.
-    dm has shape (B, t, checks) and rd (B, n).
+    It replays the fault-effect table: each slot kind's draws
+    (``_Channel.fires``) pick the variants that fire, and a shot's raw
+    outputs are the XOR of their table rows. dm has shape (B, t, checks)
+    and rd (B, n).
     """
     rows, slot, _ = _fault_table(prog, noise, _raw_map(prog))
     first = np.searchsorted(slot, np.arange(len(prog.slots)))  # per slot
-    groups = []  # (channel, slot counters, first variant of each slot)
+    kinds = []  # (channel, first variant of each slot in counter order)
     for kind in _SLOT_KINDS:
         channel = _channel(kind, noise)
-        ctr = np.array([s.counter for s in prog.slots if s.kind == kind], dtype=np.intp)
-        if channel.patterns and len(ctr):
-            groups.append((channel, ctr.astype(np.uint64), first[ctr]))
+        ctr = [s.counter for s in prog.slots if s.kind == kind]
+        if channel.patterns and ctr:
+            kinds.append((channel, first[ctr]))
 
     def sample(keys: np.ndarray):
         acc = np.zeros((len(keys), rows.shape[1]), dtype=rows.dtype)
-        for channel, ctr, base in groups:
-            for lo in range(0, len(ctr), _DRAW_BLOCK):
-                shot, col, pick = channel.draw(keys, ctr[lo : lo + _DRAW_BLOCK])
-                if len(shot):
-                    # shot-major: each shot's faults form one run
-                    starts = np.flatnonzero(np.diff(shot, prepend=-1))
-                    acc[shot[starts]] ^= np.bitwise_xor.reduceat(
-                        rows[base[lo + col] + pick], starts
-                    )
+        for channel, base in kinds:
+            for shot, pos, pick in channel.fires(keys, len(base)):
+                acc[shot] ^= rows[base[pos] + pick]
         return prog.split_raw(_unpack(acc, prog.raw_bits))
 
     return sample
@@ -801,8 +809,9 @@ def sample_shot(
 ) -> ShotRecord:
     """Sample one shot, or replay exactly one fault with no other noise.
 
-    A sampled shot with ``rng_seed`` derive_shot_seed(s, i) equals shot i
-    of run_monte_carlo with master seed s. A forced fault is not
+    A sampled shot draws by the geometric skip of the module docstring,
+    with ``rng_seed`` as its key, so ``rng_seed`` derive_shot_seed(s, i)
+    gives shot i of run_monte_carlo with master seed s. A forced fault is not
     simulated: its raw outputs are read from the fault-effect table at
     the fault's layer (one backward walk down to that layer) and
     converted by the same ``_assemble`` as sampled shots. ``rng_seed`` is
@@ -836,8 +845,11 @@ def run_monte_carlo(
     """Sample many shots deterministically, by replaying the fault-effect
     table (built once per call).
 
-    Shot i uses the key derive_shot_seed(master_seed, i), so the batch
-    partition cannot change any outcome.
+    Shot i uses the key derive_shot_seed(master_seed, i), and its draws
+    depend only on that key, so the batch partition cannot change any
+    outcome. Draws follow the geometric skip of the module docstring:
+    per slot kind, one pair per fault that fires plus one draw past the
+    last slot, not one per (shot, slot).
     """
     if shots < 1 or batch_size < 1:
         raise ValueError("shots and batch_size must be >= 1")

@@ -300,6 +300,13 @@ def test_verify_needs_a_preparation():
         circuit.verify_circuit(circ, code, preparations=0)
 
 
+def test_verify_rejects_a_circuit_of_the_other_basis():
+    code = build_named_code("18-4-4-pruned")
+    circ = circuit.build_syndrome_circuit(code, 3, basis="Z")
+    with pytest.raises(ValueError, match="built for the Z basis"):
+        circuit.verify_circuit(circ, code, basis="X")
+
+
 def test_verify_catches_swapped_cz_layers():
     code = build_named_code("18-4-4-pruned")
     circ = circuit.build_syndrome_circuit(code, 2)
@@ -346,9 +353,28 @@ def test_serialize_round_trip_with_empty_cz_layer():
     assert circuit.parse_circuit(circuit.serialize_circuit(circ)) == circ
 
 
+@pytest.mark.parametrize("basis", ["Z", "X"])
+def test_circuit_records_its_basis_in_the_text_form(basis):
+    code = build_named_code("18-4-4-pruned")
+    circ = circuit.build_syndrome_circuit(code, 2, basis=basis)
+    assert circ.basis == basis
+    text = circuit.serialize_circuit(circ)
+    assert text.splitlines()[:2] == [f"# qubits {circ.qubit_count}", f"# basis {basis}"]
+    assert circuit.parse_circuit(text).basis == basis
+    bare = circuit.Circuit(circ.qubit_count, circ.layers, circ.cycle_boundaries)
+    assert "# basis" not in circuit.serialize_circuit(bare)
+    assert circuit.parse_circuit(circuit.serialize_circuit(bare)) == bare
+
+
+def test_circuit_rejects_an_unknown_basis():
+    with pytest.raises(ValueError, match="basis"):
+        circuit.Circuit(0, (), (), basis="Y")
+
+
 def test_parse_single_gate_line():
     circ = circuit.parse_circuit("CZ 3 7")
     assert circ.qubit_count == 8
+    assert circ.basis is None
     assert circ.cycle_boundaries == ()
     assert circ.layers == (circuit.GateLayer(circuit.CZ, (("CZ", (3, 7)),)),)
 
@@ -364,6 +390,8 @@ def test_parse_single_gate_line():
         ("CYCLE", 1),
         ("H 0\nTICK extra", 2),
         ("CZ 1 one\nTICK", 1),
+        ("H 0\n# basis Y\nTICK", 2),
+        ("# basis Z X\nH 0\nTICK", 1),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):

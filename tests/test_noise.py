@@ -155,18 +155,21 @@ def test_forced_fault_outside_the_circuit_is_rejected(fields):
 # ---- sampler against the exact series ----
 
 
-def test_sampled_series_within_four_sigma_of_exact():
-    code = build_named_code("18-4-4-pruned")
+@pytest.mark.parametrize(
+    "cid,basis", [("18-4-4-pruned", "Z"), ("18-6-3", "X"), ("36-4-6", "Z")]
+)
+def test_sampled_series_within_four_sigma_of_exact(cid, basis):
+    code = build_named_code(cid)
     logicals = logical_operator_set_for(code)
-    circ = build_syndrome_circuit(code, 7, basis="Z")
+    circ = build_syndrome_circuit(code, 7, basis=basis)
     shots = 4096
     batch = noise.run_monte_carlo(
-        circ, NOISE, shots, "Z", code=code, logicals=logicals, master_seed=2025
+        circ, NOISE, shots, basis, code=code, logicals=logicals, master_seed=2025
     )
     exact = noise.expected_detection_series(
-        circ, NOISE, code=code, basis="Z", logicals=logicals
+        circ, NOISE, code=code, basis=basis, logicals=logicals
     )
-    sampled = batch.cycle_series("Z")
+    sampled = batch.cycle_series(basis)
     assert sampled.shape == exact.shape == (8,)
     # shots are the independent trials; a per-shot average lies in
     # [0, 1], so p(1 - p) bounds its variance
@@ -185,7 +188,7 @@ def test_sampling_follows_the_rng_contract():
         return noise.run_monte_carlo(circ, model, 50, "X", code=code, master_seed=9, **kw)
 
     batch = run()
-    assert batch.detections.sum() == 714
+    assert batch.detections.sum() == 726
     fields = ("detections", "final_syndrome", "logical_flips")
     for size in (1, 7):
         other = run(batch_size=size)
@@ -201,27 +204,81 @@ def test_sampling_follows_the_rng_contract():
 
 
 HEAVY = NoiseModel.device_rates(suppression=20.0)
-
-
-@pytest.mark.parametrize(
+HEAVY_MODELS = pytest.mark.parametrize(
     "model",
     [HEAVY, replace(HEAVY, p_dd_x=0.0), replace(HEAVY, p_dd_z=0.0)],
     ids=["heavy", "no-dd-x", "no-dd-z"],
 )
+
+
+def _fires(channel, shots, m):
+    """Every (shot, slot, pattern) that the channel fires among m slots
+    for the keys of shots 0..shots-1 at master seed 5."""
+    rounds = list(channel.fires(noise._derive_keys(5, 0, shots), m))
+    for shot, _, _ in rounds:
+        assert len(np.unique(shot)) == len(shot), "a round fired a shot twice"
+    return [np.concatenate(parts) for parts in zip(*rounds)]
+
+
+@HEAVY_MODELS
 def test_channel_draws_pick_patterns_at_their_probabilities(model):
-    """Each channel's draw rule picks its patterns at the probabilities
-    the enumeration and the DEM use, also when DD patterns are dropped."""
-    keys = noise._derive_keys(5, 0, 4000)
-    counters = np.arange(25, dtype=np.uint64)
-    trials = len(keys) * len(counters)
+    """Each channel's draws pick its patterns at the probabilities the
+    enumeration and the DEM use, also when DD patterns are dropped."""
+    shots, m = 4000, 25
+    trials = shots * m
     for kind in noise._SLOT_KINDS:
         channel = noise._channel(kind, model)
-        _, _, pick = channel.draw(keys, counters)
+        _, pos, pick = _fires(channel, shots, m)
+        assert pos.min() >= 0 and pos.max() < m, kind
         p = np.array([pat.probability for pat in channel.patterns])
         assert pick.max() < len(p), kind
         freq = np.bincount(pick, minlength=len(p)) / trials
         sigma = np.sqrt(p * (1 - p) / trials)
         assert np.all(np.abs(freq - p) <= 4 * sigma), (kind, freq, p)
+
+
+@HEAVY_MODELS
+def test_first_middle_and_last_slots_fire_at_the_channel_rate(model):
+    """The geometric skip lands on every position with probability P: an
+    off-by-one in the gap would starve or crowd the first or last slot."""
+    shots, m = 20000, 41
+    for kind in noise._SLOT_KINDS:
+        channel = noise._channel(kind, model)
+        rate = sum(pat.probability for pat in channel.patterns)
+        _, pos, _ = _fires(channel, shots, m)
+        freq = np.bincount(pos, minlength=m)[[0, m // 2, m - 1]] / shots
+        sigma = np.sqrt(rate * (1 - rate) / shots)
+        assert np.all(np.abs(freq - rate) <= 4 * sigma), (kind, freq, rate)
+
+
+def test_rate_one_flips_every_slot():
+    code = build_named_code("18-6-3")
+    circ = build_syndrome_circuit(code, 3)
+    prog = noise._Program(code, circ)
+    keys = noise._derive_keys(3, 0, 64)
+    dm, rd = noise._sampler(prog, NoiseModel(p_m=1.0))(keys)
+    assert dm.all() and not rd.any()
+    dm, rd = noise._sampler(prog, NoiseModel(p_m=1.0, p_f=1.0))(keys)
+    assert dm.all() and rd.all()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c, code: noise.run_monte_carlo(c, NOISE, 8, "X", code=code),
+        lambda c, code: noise.build_dem(c, NOISE, "X", code=code),
+        lambda c, code: noise.expected_detection_series(c, NOISE, code=code, basis="X"),
+        lambda c, code: noise.sample_shot(c, NOISE, 0, code=code, basis="X"),
+    ],
+    ids=["run_monte_carlo", "build_dem", "expected_detection_series", "sample_shot"],
+)
+def test_a_circuit_of_the_other_basis_is_rejected(call):
+    code = build_named_code("18-4-4-pruned")
+    circ = build_syndrome_circuit(code, 3, basis="Z")
+    with pytest.raises(ValueError, match="built for the Z basis"):
+        call(circ, code)
+    # a circuit that records no basis is taken at its word
+    call(replace(circ, basis=None), code)
 
 
 def test_fault_enumeration_resolves_no_logicals(monkeypatch):
