@@ -47,10 +47,12 @@ import numpy as np
 
 from bbqec import circuit as circ_mod
 from bbqec import noise
-from bbqec.circuit import _block_shift_map, _schedule_from_rounds, build_syndrome_circuit
+from bbqec.circuit import arrangement_commutes, build_syndrome_circuit, schedule_cz_layers
 from bbqec.codes import build_named_code
 
 FEASIBILITY_CODE = build_named_code("18-4-4")
+# Every arrangement scanned commutes on the full code, so it also commutes
+# on the pruned subset that the scores are computed for.
 PROBE = build_named_code("18-4-4-pruned")
 NM = noise.NoiseModel.device_rates()
 
@@ -85,43 +87,9 @@ def round_set_combos():
                         yield ra, rb, rbt, rat
 
 
-def make_commutes(code):
-    spec = code.spec
-    half = code.half
-    a_maps = [_block_shift_map(spec.l, spec.m, ax, e) for ax, e in spec.a_terms]
-    b_maps = [_block_shift_map(spec.l, spec.m, ax, e) for ax, e in spec.b_terms]
-    comp_ab = [[b_maps[g][a_maps[a]] for g in range(3)] for a in range(3)]
-    comp_ba = [[a_maps[d][b_maps[b]] for d in range(3)] for b in range(3)]
-    sel = np.ix_(np.asarray(code.retained_x), np.asarray(code.retained_z))
-    rows = np.arange(half)
-
-    def commutes(ra, rb, rbt, rat):
-        acc = np.zeros((half, half), dtype=np.uint8)
-        for a in range(3):
-            for g in range(3):
-                if ra[a] < rbt[g]:
-                    acc[rows, comp_ab[a][g]] ^= 1
-        for b in range(3):
-            for d in range(3):
-                if rb[b] < rat[d]:
-                    acc[rows, comp_ba[b][d]] ^= 1
-        return not acc[sel].any()
-
-    return commutes
-
-
-def schedule_for(code, rounds):
-    spec = code.spec
-    a_maps = [_block_shift_map(spec.l, spec.m, ax, e) for ax, e in spec.a_terms]
-    b_maps = [_block_shift_map(spec.l, spec.m, ax, e) for ax, e in spec.b_terms]
-    inv_a = [np.argsort(p) for p in a_maps]
-    inv_b = [np.argsort(p) for p in b_maps]
-    return _schedule_from_rounds(code, a_maps, b_maps, inv_a, inv_b, *rounds)
-
-
 def margins(rounds):
     """(worst, detail): min clause slack in MC standard-error units."""
-    sched = schedule_for(PROBE, rounds)
+    sched = schedule_cz_layers(PROBE, arrangement=rounds)
     worst = np.inf
     detail = []
     for basis in ("Z", "X"):
@@ -140,7 +108,7 @@ def margins(rounds):
 
 
 def collision_groups(rounds):
-    sched = schedule_for(PROBE, rounds)
+    sched = schedule_cz_layers(PROBE, arrangement=rounds)
     total = 0
     for t in CENSUS_T:
         for basis in ("Z", "X"):
@@ -151,7 +119,7 @@ def collision_groups(rounds):
 
 
 def hadamards_per_cycle(rounds):
-    sched = schedule_for(PROBE, rounds)
+    sched = schedule_cz_layers(PROBE, arrangement=rounds)
     c = build_syndrome_circuit(PROBE, 3, schedule=sched)
     lo, hi = c.cycle_layer_range(1)
     return sum(
@@ -164,7 +132,7 @@ def hadamards_per_cycle(rounds):
 
 
 def main():
-    commutes = make_commutes(FEASIBILITY_CODE)
+    commutes = arrangement_commutes(FEASIBILITY_CODE)
     t0 = time.time()
     seen = 0
     ranked = []

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -272,36 +273,32 @@ def _arrangements():
                     yield ra, rb, rbt, rat
 
 
-def schedule_cz_layers(
-    code: CssCode, *, arrangement: tuple | None = None
-) -> CzSchedule:
-    """Assign every retained check-data CZ to one of seven layers.
+def _term_maps(code: CssCode):
+    """The row -> column maps of the three A terms and the three B terms."""
+    spec = code.spec
+    a_maps = [_block_shift_map(spec.l, spec.m, ax, e) for ax, e in spec.a_terms]
+    b_maps = [_block_shift_map(spec.l, spec.m, ax, e) for ax, e in spec.b_terms]
+    return a_maps, b_maps
 
-    For codes with checks of only one type any collision-free coloring
-    works and a lowest-free-layer pass is used. With both types present
-    the layers must also extract commuting stabilizer values: for every
-    retained X/Z check pair, the number of shared data qubits whose
-    X-side CZ lands in an earlier layer than the Z-side CZ must be even,
-    otherwise the Z outcome inherits the X ancilla's undetermined
-    pre-cycle state. Per-code pinned assignments are tried first, then
-    the inventory arrangement, then a walk over assignments in a fixed
-    order, so the result is deterministic; ScheduleError is raised
-    rather than ever emitting an eighth layer. An explicit
-    `arrangement` (four round tuples, term order significant) bypasses
-    the pins and must itself extract commuting values.
+
+def arrangement_commutes(code: CssCode) -> Callable[..., bool]:
+    """The predicate ``commutes(ra, rb, rbt, rat)``: whether the CZ
+    arrangement with these term rounds extracts commuting stabilizer
+    values for ``code``.
+
+    For every retained X/Z check pair, the number of shared data qubits
+    whose X-side CZ lands in an earlier round than the Z-side CZ must be
+    even, otherwise the Z outcome inherits the X ancilla's undetermined
+    pre-cycle state. ``schedule_cz_layers`` accepts exactly the
+    arrangements this predicate accepts. Raises ScheduleError for a code
+    without the two-block cyclic construction.
     """
-    if not code.retained_x or not code.retained_z:
-        return _sequential_schedule(code)
     if code.spec is None:
         raise ScheduleError(
             "depth-7 scheduling needs the two-block cyclic construction"
         )
-    spec = code.spec
     half = code.half
-    a_maps = [_block_shift_map(spec.l, spec.m, ax, e) for ax, e in spec.a_terms]
-    b_maps = [_block_shift_map(spec.l, spec.m, ax, e) for ax, e in spec.b_terms]
-    inv_a = [np.argsort(p) for p in a_maps]
-    inv_b = [np.argsort(p) for p in b_maps]
+    a_maps, b_maps = _term_maps(code)
     # comp_ab[a][g][x] = the Z row reached from X row x through the left
     # block (term a then term g); comp_ba mirrors it through the right.
     comp_ab = [[b_maps[g][a_maps[a]] for g in range(3)] for a in range(3)]
@@ -321,21 +318,38 @@ def schedule_cz_layers(
                     acc[rows, comp_ba[b][d]] ^= 1
         return not acc[sel].any()
 
+    return commutes
+
+
+def schedule_cz_layers(
+    code: CssCode, *, arrangement: tuple | None = None
+) -> CzSchedule:
+    """Assign every retained check-data CZ to one of seven layers.
+
+    For codes with checks of only one type any collision-free coloring
+    works and a lowest-free-layer pass is used. With both types present
+    the layers must also extract commuting stabilizer values
+    (``arrangement_commutes``). Per-code pinned assignments are tried
+    first, then the inventory arrangement, then a walk over assignments
+    in a fixed order, so the result is deterministic; ScheduleError is
+    raised rather than ever emitting an eighth layer. An explicit
+    `arrangement` (four round tuples, term order significant) bypasses
+    the pins and must itself extract commuting values.
+    """
+    if not code.retained_x or not code.retained_z:
+        return _sequential_schedule(code)
+    commutes = arrangement_commutes(code)
     if arrangement is not None:
         if not commutes(*arrangement):
             raise ScheduleError(
                 "requested arrangement does not extract commuting "
                 f"stabilizer values for {code.name or 'code'}"
             )
-        return _schedule_from_rounds(
-            code, a_maps, b_maps, inv_a, inv_b, *arrangement
-        )
+        return _schedule_from_rounds(code, *arrangement)
     pinned = _PINNED_ASSIGNMENTS.get(code.name or "")
     for cand in (pinned, _INVENTORY_ASSIGNMENT):
         if cand is not None and commutes(*cand):
-            return _schedule_from_rounds(
-                code, a_maps, b_maps, inv_a, inv_b, *cand
-            )
+            return _schedule_from_rounds(code, *cand)
     tried = 0
     for ra_set, rb_set, rbt_set, rat_set in _arrangements():
         for ra in itertools.permutations(ra_set):
@@ -350,16 +364,17 @@ def schedule_cz_layers(
                                 f"{code.name or 'code'}"
                             )
                         if commutes(ra, rb, rbt, rat):
-                            return _schedule_from_rounds(
-                                code, a_maps, b_maps, inv_a, inv_b, ra, rb, rbt, rat
-                            )
+                            return _schedule_from_rounds(code, ra, rb, rbt, rat)
     raise ScheduleError(
         f"no commuting depth-7 CZ schedule exists for {code.name or 'code'}"
     )
 
 
-def _schedule_from_rounds(code, a_maps, b_maps, inv_a, inv_b, ra, rb, rbt, rat):
+def _schedule_from_rounds(code, ra, rb, rbt, rat):
     half = code.half
+    a_maps, b_maps = _term_maps(code)
+    inv_a = [np.argsort(p) for p in a_maps]
+    inv_b = [np.argsort(p) for p in b_maps]
     layers: list[list[tuple[str, int, int]]] = [[] for _ in range(7)]
     for k, r in enumerate(ra):
         for x in code.retained_x:

@@ -667,16 +667,17 @@ def _bits_line(row: np.ndarray) -> str:
 def export_code(code: CssCode, logicals: LogicalOperatorSet | None = None) -> str:
     """Plain-text code file.
 
-    Layout: header line "n k d" (d printed as "?" when unknown), an HX
-    section and an HZ section with one 0/1 string per full check row,
-    RETAINED_X / RETAINED_Z index lines, then optional LOGICAL_X i c1 c2...
-    and LOGICAL_Z lines. Newline-terminated; round-trips losslessly through
-    parse_code.
+    Layout: header line "n k d" (k and d printed as "?" when unknown), a
+    NAME line when the code has a name, an HX section and an HZ section
+    with one 0/1 string per full check row, RETAINED_X / RETAINED_Z index
+    lines, then optional LOGICAL_X i c1 c2... and LOGICAL_Z lines.
+    Newline-terminated; round-trips losslessly through parse_code.
     """
     lines = []
     d_text = "?" if code.d is None else str(code.d)
     lines.append(f"{code.n} {code.k if code.k is not None else '?'} {d_text}")
-    lines.append(f"NAME {code.name}")
+    if code.name:
+        lines.append(f"NAME {code.name}")
     lines.append("HX")
     for row in code.h_x.bits:
         lines.append(_bits_line(row))

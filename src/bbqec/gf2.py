@@ -66,9 +66,6 @@ class BinaryMatrix:
     def cols(self) -> int:
         return self._bits.shape[1]
 
-    def row_weight(self, i: int) -> int:
-        return int(self._bits[i].sum())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BinaryMatrix):
             return NotImplemented

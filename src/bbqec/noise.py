@@ -5,17 +5,21 @@ ideal circuit. That is enough because every reported quantity (detection
 events, final-readout comparisons, logical flips) is a fixed linear
 functional of the injected Paulis that vanishes in the noiseless run.
 
-One fault-effect table (``_fault_table``) gives the signature of every
-single-fault variant without simulating any of them. One walk over the
-layers of ``_Program``, last to first, carries for each qubit the
-outputs that an X or a Z injected there would flip (the reverse pass of
-Stim's error analyser, Gidney 2021, Quantum 5, 497). A variant's row is
-the XOR of at most four lookups at its slot's layer. Building the table
-costs O(layers x qubits x outputs / 64) word operations plus one lookup
-per variant. ``build_dem``, ``expected_detection_series`` and
-``sample_shot(forced_fault=...)`` read it, and the sampler replays it:
-the outputs are linear in the injected Paulis, so a shot is the XOR of
-the rows of the variants that its draws pick.
+Faults live in arrays: ``_Program`` holds one row per fault slot, and
+``_variants`` expands the slots by their channel's patterns into the
+variant table (slot, layer, two X and two Z qubits, flipped output,
+probability; a missing leg or flip points at an appended zero row).
+``_fault_table`` turns any set of variants into the outputs each flips,
+without simulating any of them. One walk over the layers, last to first,
+carries for each qubit the outputs that an X or a Z injected there would
+flip (the reverse pass of Stim's error analyser, Gidney 2021, Quantum 5,
+497), and at each layer one gather XORs the four qubit rows of that
+layer's variants into their flip rows: O(layers x qubits x outputs / 64)
+word operations plus four lookups per variant. ``build_dem`` and
+``expected_detection_series`` reduce the full table, the sampler replays
+it (the outputs are linear in the injected Paulis, so a shot is the XOR
+of the rows of the variants that its draws pick), and ``sample_shot``
+builds it for the variants of its one shot alone.
 
 Noise channels and their fault slots:
 
@@ -32,7 +36,7 @@ Noise channels and their fault slots:
   without touching the state.
 
 ``_channel`` states each channel once: its faults with their rates. The
-variant enumeration, the table and the sampler all expand it.
+variant table and the sampler's draws both expand it.
 
 Randomness is counter-based: every shot has a 64-bit key derived from
 the master seed, and each draw mixes that key with a fixed stream
@@ -190,18 +194,6 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
-class FaultSlot:
-    """One noisy operation or idle window, with its RNG counter."""
-
-    counter: int
-    kind: str  # "h" | "idle" | "cz" | "dd" | "measure" | "readout"
-    layer: int
-    qubits: tuple[int, ...]
-    cycle: int = -1
-    check: int = -1  # check column, for measurement slots
-
-
-@dataclass(frozen=True)
 class FaultVariant:
     """One concrete fault realization at one slot."""
 
@@ -220,7 +212,13 @@ _SLOT_KINDS = ("h", "idle", "cz", "dd", "measure", "readout")
 
 
 class _Program:
-    """Preprocessed circuit: layer ops, fault slots, detector layout."""
+    """Preprocessed circuit: layer ops, fault slots, detector layout.
+
+    Fault slots are int32 arrays in counter (and layer) order: kind (an
+    index into ``_SLOT_KINDS``), layer, legs (2 x slots; a one-qubit slot
+    pads with ``qubit_count``) and flip (the raw output a measurement or
+    readout slot flips, else ``raw_bits``).
+    """
 
     def __init__(
         self,
@@ -254,67 +252,68 @@ class _Program:
         checks = [("X", r) for r in code.retained_x] + [("Z", r) for r in code.retained_z]
         self.check_labels = tuple(f"{k}{r}" for k, r in checks)
         self.check_count = len(checks)
-        anc_to_col = {q: i for i, q in enumerate(layout.check_qubits)}
         x_cols = np.arange(len(code.retained_x))
         z_cols = np.arange(len(code.retained_x), self.check_count)
         self.aligned_cols = z_cols if basis == "Z" else x_cols
-        self.opposite_cols = x_cols if basis == "Z" else z_cols
         self.support = (
             code.retained_h_z() if basis == "Z" else code.retained_h_x()
         ).bits.astype(np.uint8)
         self._logicals = logicals
 
-        all_qubits = frozenset(range(circuit.qubit_count))
-        slots: list[FaultSlot] = []
+        nq = circuit.qubit_count
+        col_of = np.zeros(nq, dtype=np.intp)
+        col_of[list(layout.check_qubits)] = np.arange(len(layout.check_qubits))
+        groups = []  # (kind code, layer, first legs, second legs, flips)
+
+        def add(kind, li, a, b=None, flips=None):
+            m = len(a)
+            groups.append((
+                np.full(m, _SLOT_KINDS.index(kind)),
+                np.full(m, li),
+                a,
+                np.full(m, nq) if b is None else b,
+                np.full(m, self.raw_bits) if flips is None else flips,
+            ))
+
+        def qubits(layer, leg=0):
+            return np.array([qs[leg] for _, qs in layer.gates], dtype=np.intp)
+
         self.layer_ops: list[tuple] = []
         cycle_of_measure = 0
         for li, layer in enumerate(circuit.layers):
             if layer.kind == SINGLE_QUBIT:
-                h_qs = [qs[0] for name, qs in layer.gates if name == "H"]
+                h_qs = np.array(
+                    [qs[0] for name, qs in layer.gates if name == "H"], dtype=np.intp
+                )
                 if idle_policy == "dense":
-                    idle_qs = sorted(all_qubits - set(h_qs))
-                elif idle_policy == "frames" and any(q >= self.n for q in h_qs):
+                    idle_qs = np.setdiff1d(np.arange(nq), h_qs)
+                elif idle_policy == "frames" and (h_qs >= self.n).any():
                     # ancilla basis rotation is a global step: un-gated data
                     # qubits wait; interior data-only layers pack for free
-                    idle_qs = sorted(set(range(self.n)) - set(h_qs))
+                    idle_qs = np.setdiff1d(np.arange(self.n), h_qs)
                 else:
-                    idle_qs = []
-                self.layer_ops.append((SINGLE_QUBIT, np.array(h_qs, dtype=np.intp)))
-                for kind, qs in (("h", h_qs), ("idle", idle_qs)):
-                    for q in qs:
-                        slots.append(FaultSlot(len(slots), kind, li, (int(q),)))
+                    idle_qs = h_qs[:0]
+                self.layer_ops.append((SINGLE_QUBIT, h_qs))
+                add("h", li, h_qs)
+                add("idle", li, idle_qs)
             elif layer.kind == CZ:
-                a = [qs[0] for _, qs in layer.gates]
-                b = [qs[1] for _, qs in layer.gates]
-                self.layer_ops.append(
-                    (CZ, np.array(a, dtype=np.intp), np.array(b, dtype=np.intp))
-                )
-                for pa, pb in zip(a, b):
-                    slots.append(FaultSlot(len(slots), "cz", li, (int(pa), int(pb))))
-                for q in sorted(all_qubits - set(a) - set(b)):
-                    slots.append(FaultSlot(len(slots), "idle", li, (int(q),)))
+                a, b = qubits(layer), qubits(layer, 1)
+                self.layer_ops.append((CZ, a, b))
+                add("cz", li, a, b)
+                add("idle", li, np.setdiff1d(np.arange(nq), np.concatenate([a, b])))
             elif layer.kind == MEASURE_CHECKS:
-                anc = [qs[0] for _, qs in layer.gates]
-                cols = np.array([anc_to_col[q] for q in anc], dtype=np.intp)
-                cyc = cycle_of_measure
+                anc = qubits(layer)
+                cols, cyc = col_of[anc], cycle_of_measure
                 cycle_of_measure += 1
-                self.layer_ops.append(
-                    (MEASURE_CHECKS, np.array(anc, dtype=np.intp), cols, cyc)
-                )
-                for q, col in zip(anc, cols):
-                    slots.append(
-                        FaultSlot(len(slots), "measure", li, (int(q),),
-                                  cycle=cyc, check=int(col))
-                    )
+                self.layer_ops.append((MEASURE_CHECKS, anc, cols, cyc))
+                add("measure", li, anc, flips=self.dm_bit(cyc, cols))
             elif layer.kind == DD_IDLE:
                 self.layer_ops.append((DD_IDLE,))
-                for _, (q,) in layer.gates:
-                    slots.append(FaultSlot(len(slots), "dd", li, (int(q),)))
+                add("dd", li, qubits(layer))
             elif layer.kind == READOUT_DATA:
-                qs = [q[0] for _, q in layer.gates]
-                self.layer_ops.append((READOUT_DATA, np.array(qs, dtype=np.intp)))
-                for q in qs:
-                    slots.append(FaultSlot(len(slots), "readout", li, (int(q),)))
+                qs = qubits(layer)
+                self.layer_ops.append((READOUT_DATA, qs))
+                add("readout", li, qs, flips=self.rd_bit(qs))
             else:  # pragma: no cover - layer kinds are closed
                 raise AssertionError(layer.kind)
         if cycle_of_measure != self.t:
@@ -322,7 +321,11 @@ class _Program:
                 f"circuit declares {self.t} cycles but has {cycle_of_measure} "
                 "measurement layers"
             )
-        self.slots = tuple(slots)
+        kind, layer, a, b, flips = (
+            np.concatenate(c).astype(np.int32) for c in zip(*groups)
+        )
+        self.slot_kind, self.slot_layer, self.slot_flip = kind, layer, flips
+        self.slot_legs = np.stack([a, b])
 
     @cached_property
     def logical_mat(self) -> np.ndarray:
@@ -352,12 +355,6 @@ class _Program:
 
     def rd_bit(self, q):
         return self.t * self.check_count + q
-
-    def outcome_bit(self, slot: FaultSlot) -> int:
-        """The raw output that a measurement or readout slot records."""
-        if slot.kind == "measure":
-            return self.dm_bit(slot.cycle, slot.check)
-        return self.rd_bit(slot.qubits[0])
 
     def split_raw(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows of raw-output bits -> (dm (B, t, checks), rd (B, n))."""
@@ -456,23 +453,54 @@ def _channel(kind: str, noise: NoiseModel) -> _Channel:
     return _Channel(_SLOT_KINDS.index(kind), pats)
 
 
-def _slot_variants(slot: FaultSlot, patterns: list[_Pattern]) -> list[FaultVariant]:
-    q = slot.qubits
-    measured = (slot.cycle, slot.check) if slot.kind == "measure" else None
-    read = q[0] if slot.kind == "readout" else None
-    return [
-        FaultVariant(
-            slot.counter,
-            slot.layer,
-            slot.kind,
-            pat.probability,
-            tuple([q[leg] for leg in pat.x_legs]),
-            tuple([q[leg] for leg in pat.z_legs]),
-            measured if pat.flip else None,
-            read if pat.flip else None,
-        )
-        for pat in patterns
-    ]
+class _Variants(NamedTuple):
+    """Single-fault variants as parallel arrays, in layer order. Variant
+    v injects X on ``qubits[0:2, v]`` and Z on ``qubits[2:4, v]`` at the
+    end of ``layer[v]`` and flips raw output ``flip[v]``; an unused leg is
+    ``qubit_count`` and no flip is ``raw_bits``."""
+
+    slot: np.ndarray
+    layer: np.ndarray
+    qubits: np.ndarray  # (4, variants): X, X, Z, Z
+    flip: np.ndarray
+    probability: np.ndarray
+
+
+def _variants(prog: _Program, noise: NoiseModel) -> _Variants:
+    """Every nonzero-probability single-fault variant: the slots expanded
+    by their channel's patterns, in slot order and then pattern order."""
+    channels = [_channel(kind, noise).patterns for kind in _SLOT_KINDS]
+    npat = np.array([len(pats) for pats in channels])
+    width = npat.max()
+    # at kind * width + pattern: the prior, whether the pattern flips the
+    # slot's output, and its legs x0 x1 z0 z1 (leg 2 is the zero row)
+    prob = np.zeros(len(channels) * width)
+    flips = np.zeros(len(prob), dtype=bool)
+    legs = np.full((4, len(prob)), 2)
+    for k, pats in enumerate(channels):
+        for j, pat in enumerate(pats):
+            i = k * width + j
+            prob[i], flips[i] = pat.probability, pat.flip
+            legs[: len(pat.x_legs), i] = pat.x_legs
+            legs[2 : 2 + len(pat.z_legs), i] = pat.z_legs
+    count = npat[prog.slot_kind]
+    slot = np.repeat(np.arange(len(count), dtype=np.int32), count)
+    pattern = np.arange(len(slot)) - np.repeat(np.cumsum(count) - count, count)
+    kp = prog.slot_kind[slot] * width + pattern
+    zero = np.full(len(count), prog.circuit.qubit_count, dtype=np.int32)
+    padded = np.vstack([prog.slot_legs, zero]).ravel()  # leg l of slot s at l * S + s
+    return _Variants(
+        slot,
+        prog.slot_layer[slot],
+        padded[legs[:, kp] * len(count) + slot],
+        np.where(flips[kp], prog.slot_flip[slot], prog.raw_bits).astype(np.int32),
+        prob[kp],
+    )
+
+
+# Variants turned into Python objects, or unpacked, at a time: bounds the
+# temporary lists and bit arrays that a whole table would need at once.
+_VARIANT_BLOCK = 4096
 
 
 def enumerate_fault_variants(
@@ -481,11 +509,60 @@ def enumerate_fault_variants(
     """Every nonzero-probability single-fault realization, in slot order.
     They do not depend on the memory basis."""
     prog = _Program(code, circuit, circuit.basis or "Z", idle_policy=noise.idle_policy)
-    patterns = {kind: _channel(kind, noise).patterns for kind in _SLOT_KINDS}
+    var = _variants(prog, noise)
+    checks, tc = prog.check_count, prog.t * prog.check_count
+    slots = list(range(len(prog.slot_kind)))  # one int per slot, shared
     out: list[FaultVariant] = []
-    for slot in prog.slots:
-        out.extend(_slot_variants(slot, patterns[slot.kind]))
+    for lo in range(0, len(var.slot), _VARIANT_BLOCK):
+        b = slice(lo, lo + _VARIANT_BLOCK)
+        slot, qubits = var.slot[b], var.qubits[:, b]
+        # X and Z legs in use; unused legs come last
+        used = (qubits < circuit.qubit_count).reshape(2, 2, -1).sum(axis=1)
+        priors, prior_of = np.unique(var.probability[b], return_inverse=True)
+        priors = priors.tolist()  # one float per prior, shared
+        out.extend(
+            FaultVariant(
+                slots[s], li, _SLOT_KINDS[k], priors[p], tuple(xq[:mx]), tuple(zq[:mz]),
+                divmod(f, checks) if f < tc else None,
+                f - tc if tc <= f < prog.raw_bits else None,
+            )
+            for s, li, k, p, xq, zq, mx, mz, f in zip(
+                slot.tolist(), var.layer[b].tolist(), prog.slot_kind[slot].tolist(),
+                prior_of.tolist(), qubits[:2].T.tolist(), qubits[2:].T.tolist(),
+                *used.tolist(), var.flip[b].tolist(),
+            )
+        )
     return tuple(out)
+
+
+def _forced_variants(prog: _Program, fault: FaultVariant) -> _Variants:
+    """A fault given by hand, as unit variants at its layer: one per X
+    qubit, Z qubit and flipped output. The outputs are linear in the
+    injected Paulis, so their rows XOR to the fault's."""
+    layers, nq = len(prog.layer_ops), prog.circuit.qubit_count
+    if not 0 <= fault.layer < layers:
+        raise ValueError(f"fault layer {fault.layer} outside the circuit's {layers} layers")
+    qubits = fault.x_qubits + fault.z_qubits
+    if not all(0 <= q < nq for q in qubits):
+        raise ValueError(f"fault qubits {qubits} outside the circuit")
+    flips = []
+    if fault.measurement_flip is not None:
+        cyc, col = fault.measurement_flip
+        if not (0 <= cyc < prog.t and 0 <= col < prog.check_count):
+            raise ValueError(f"measurement flip {fault.measurement_flip} outside the circuit")
+        flips.append(prog.dm_bit(cyc, col))
+    if fault.readout_flip is not None:
+        if not 0 <= fault.readout_flip < prog.n:
+            raise ValueError(f"readout flip {fault.readout_flip} outside the data qubits")
+        flips.append(prog.rd_bit(fault.readout_flip))
+    nx, m = len(fault.x_qubits), len(qubits) + len(flips)
+    legs = np.full((4, m), nq, dtype=np.int32)
+    legs[0, :nx], legs[2, nx : len(qubits)] = fault.x_qubits, fault.z_qubits
+    flip = np.full(m, prog.raw_bits, dtype=np.int32)
+    flip[len(qubits) :] = flips
+    return _Variants(
+        np.full(m, fault.slot), np.full(m, fault.layer), legs, flip, np.zeros(m)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +588,9 @@ def _unpack(rows: np.ndarray, count: int) -> np.ndarray:
 
 
 def _raw_map(prog: _Program) -> np.ndarray:
-    """Row r: raw output r alone, packed. Tables built on it hold raw outputs."""
-    return _pack(np.eye(prog.raw_bits, dtype=np.uint8))
+    """Row r: raw output r alone, packed. Tables built on it hold raw outputs.
+    Both output maps end with a zero row, for variants that flip none."""
+    return _pack(np.eye(prog.raw_bits + 1, prog.raw_bits, dtype=np.uint8))
 
 
 def _signature_map(prog: _Program) -> np.ndarray:
@@ -522,7 +600,7 @@ def _signature_map(prog: _Program) -> np.ndarray:
     ``_assemble`` is linear over GF(2), so a fault's signature is the XOR
     of the rows of the raw outputs it flips.
     """
-    eye = np.eye(prog.raw_bits, dtype=np.uint8)
+    eye = np.eye(prog.raw_bits + 1, prog.raw_bits, dtype=np.uint8)
     det, zf, logical = _assemble(prog, *prog.split_raw(eye))
     body = det[:, :, prog.aligned_cols].reshape(len(eye), -1)
     return _pack(np.concatenate([body, zf, logical], axis=1))
@@ -534,9 +612,10 @@ def _walk_back(prog: _Program, out_map: np.ndarray):
     Yields (layer, sx, sz) for every layer: row q of sx (sz) holds the
     outputs flipped by an X (a Z) on qubit q injected right after that
     layer's gate, as the XOR of the ``out_map`` rows of the raw outputs
-    it flips. The two arrays are updated in place after each yield.
+    it flips. Row ``qubit_count`` stays zero. The two arrays are updated
+    in place after each yield.
     """
-    sx = np.zeros((prog.circuit.qubit_count, out_map.shape[1]), dtype=out_map.dtype)
+    sx = np.zeros((prog.circuit.qubit_count + 1, out_map.shape[1]), out_map.dtype)
     sz = np.zeros_like(sx)
     for li in range(len(prog.layer_ops) - 1, -1, -1):
         yield li, sx, sz
@@ -561,115 +640,52 @@ def _walk_back(prog: _Program, out_map: np.ndarray):
         # DD_IDLE applies no gate
 
 
-def _fault_table(prog: _Program, noise: NoiseModel, out_map: np.ndarray):
-    """Outputs flipped by every nonzero single-fault variant, in variant order.
-
-    Returns (rows, slot, probability): row v packs the outputs (in the
-    basis of ``out_map``) that variant v flips on its own, slot[v] is
-    its slot counter and probability[v] its prior. The variants are
-    those of enumerate_fault_variants, in the same order.
-    """
-    patterns = {kind: _channel(kind, noise).patterns for kind in _SLOT_KINDS}
-    by_kind: dict[str, list[FaultSlot]] = {}
-    for s in prog.slots:
-        by_kind.setdefault(s.kind, []).append(s)
-    count = np.array([len(patterns[s.kind]) for s in prog.slots], dtype=np.intp)
-    first = np.cumsum(count) - count
-    rows = np.zeros((int(count.sum()), out_map.shape[1]), dtype=out_map.dtype)
-    prob = np.zeros(len(rows))
-
-    lookups = []  # (layer bounds, first variant, qubit legs, patterns) per kind
-    for kind, slots in by_kind.items():
-        pats = patterns[kind]
-        if not pats:
-            continue
-        base = first[[s.counter for s in slots]]
-        prob[base[:, None] + np.arange(len(pats))] = [pat.probability for pat in pats]
-        for j, pat in enumerate(pats):
-            if pat.flip:
-                rows[base + j] ^= out_map[[prog.outcome_bit(s) for s in slots]]
-        if any(pat.x_legs or pat.z_legs for pat in pats):
-            layers = np.array([s.layer for s in slots])
-            bounds = np.searchsorted(layers, np.arange(len(prog.layer_ops) + 1))
-            legs = np.array([s.qubits for s in slots], dtype=np.intp)
-            lookups.append((bounds, base, legs, pats))
-
+def _fault_table(prog: _Program, var: _Variants, out_map: np.ndarray) -> np.ndarray:
+    """Row v packs the outputs (in the basis of ``out_map``) that variant
+    v of ``var`` flips on its own: its flip row XOR, at its layer of the
+    backward walk, the rows of its two X and two Z qubits. ``var`` runs
+    in layer order, so that is one gather per layer; the walk stops at
+    the lowest layer that holds a variant."""
+    rows = out_map[var.flip]
+    bounds = np.searchsorted(var.layer, np.arange(len(prog.layer_ops) + 1))
     for li, sx, sz in _walk_back(prog, out_map):
-        for bounds, base, legs, pats in lookups:
-            lo, hi = bounds[li], bounds[li + 1]
-            if lo == hi:
-                continue
-            lx, lz = sx[legs[lo:hi]], sz[legs[lo:hi]]  # (slots, legs, words)
-            for j, pat in enumerate(pats):
-                acc = np.zeros((hi - lo, rows.shape[1]), dtype=rows.dtype)
-                for k in pat.x_legs:
-                    acc ^= lx[:, k]
-                for k in pat.z_legs:
-                    acc ^= lz[:, k]
-                rows[base[lo:hi] + j] ^= acc
-    return rows, np.repeat(np.arange(len(prog.slots)), count), prob
-
-
-def _fault_row(prog: _Program, fault: FaultVariant) -> np.ndarray:
-    """Packed raw outputs flipped by one fault, read from the table."""
-    if not 0 <= fault.layer < len(prog.layer_ops):
-        raise ValueError(
-            f"fault layer {fault.layer} outside the circuit's "
-            f"{len(prog.layer_ops)} layers"
-        )
-    qubits = fault.x_qubits + fault.z_qubits
-    if not all(0 <= q < prog.circuit.qubit_count for q in qubits):
-        raise ValueError(f"fault qubits {qubits} outside the circuit")
-    if fault.measurement_flip is not None:
-        cyc, col = fault.measurement_flip
-        if not (0 <= cyc < prog.t and 0 <= col < prog.check_count):
-            raise ValueError(
-                f"measurement flip {fault.measurement_flip} outside the circuit"
-            )
-    if fault.readout_flip is not None and not 0 <= fault.readout_flip < prog.n:
-        raise ValueError(f"readout flip {fault.readout_flip} outside the data qubits")
-    out_map = _raw_map(prog)
-    row = np.zeros(out_map.shape[1], dtype=out_map.dtype)
-    if fault.measurement_flip is not None:
-        row ^= out_map[prog.dm_bit(*fault.measurement_flip)]
-    if fault.readout_flip is not None:
-        row ^= out_map[prog.rd_bit(fault.readout_flip)]
-    for li, sx, sz in _walk_back(prog, out_map):
-        if li == fault.layer:
-            for q in fault.x_qubits:
-                row ^= sx[q]
-            for q in fault.z_qubits:
-                row ^= sz[q]
+        lo, hi = bounds[li], bounds[li + 1]
+        if lo < hi:
+            x0, x1, z0, z1 = var.qubits[:, lo:hi]
+            rows[lo:hi] ^= sx[x0] ^ sx[x1] ^ sz[z0] ^ sz[z1]
+        if lo == 0:
             break
-    return row
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # sampler
 
 
-def _sampler(prog: _Program, noise: NoiseModel):
-    """A function from shot keys (one uint64 each) to raw outputs (dm, rd).
-
-    It replays the fault-effect table: each slot kind's draws
-    (``_Channel.fires``) pick the variants that fire, and a shot's raw
-    outputs are the XOR of their table rows. dm has shape (B, t, checks)
-    and rd (B, n).
-    """
-    rows, slot, _ = _fault_table(prog, noise, _raw_map(prog))
-    first = np.searchsorted(slot, np.arange(len(prog.slots)))  # per slot
-    kinds = []  # (channel, first variant of each slot in counter order)
-    for kind in _SLOT_KINDS:
+def _fired(prog: _Program, slot: np.ndarray, noise: NoiseModel, keys: np.ndarray):
+    """Yields (shot, variant) index arrays of the variants that the draws
+    of each slot kind (``_Channel.fires``) fire for the shot keys, one
+    pair per round; ``slot`` is the variant table's slot column."""
+    first = np.searchsorted(slot, np.arange(len(prog.slot_kind)))  # per slot
+    for i, kind in enumerate(_SLOT_KINDS):
         channel = _channel(kind, noise)
-        ctr = [s.counter for s in prog.slots if s.kind == kind]
-        if channel.patterns and ctr:
-            kinds.append((channel, first[ctr]))
+        base = first[prog.slot_kind == i]  # the kind's slots, counter order
+        if channel.patterns and len(base):
+            for shot, pos, pick in channel.fires(keys, len(base)):
+                yield shot, base[pos] + pick
+
+
+def _sampler(prog: _Program, noise: NoiseModel):
+    """A function from shot keys (one uint64 each) to raw outputs: dm
+    (B, t, checks) and rd (B, n), each shot the XOR of the table rows of
+    the variants that its draws fire."""
+    var = _variants(prog, noise)
+    rows, slot = _fault_table(prog, var, _raw_map(prog)), var.slot
 
     def sample(keys: np.ndarray):
         acc = np.zeros((len(keys), rows.shape[1]), dtype=rows.dtype)
-        for channel, base in kinds:
-            for shot, pos, pick in channel.fires(keys, len(base)):
-                acc[shot] ^= rows[base[pos] + pick]
+        for shot, v in _fired(prog, slot, noise, keys):
+            acc[shot] ^= rows[v]
         return prog.split_raw(_unpack(acc, prog.raw_bits))
 
     return sample
@@ -774,28 +790,6 @@ class ShotBatch:
             series.append(self.final_syndrome.mean())
         return np.array(series)
 
-    def mean_detection_probability(self, kind: str) -> float:
-        return float(self.cycle_series(kind).mean())
-
-    def to_csv(self) -> str:
-        header = (
-            [f"det_c{c + 1}_{lab}" for c in range(self.cycles) for lab in self.check_labels]
-            + [f"final_{self.check_labels[c]}" for c in self.aligned_columns]
-            + [f"logical_{i + 1}" for i in range(self.logical_flips.shape[1])]
-        )
-        rows = [",".join(header)]
-        flat = np.concatenate(
-            [
-                self.detections.reshape(self.shots, -1),
-                self.final_syndrome,
-                self.logical_flips,
-            ],
-            axis=1,
-        )
-        for r in flat:
-            rows.append(",".join("1" if b else "0" for b in r))
-        return "\n".join(rows) + "\n"
-
 
 def sample_shot(
     circuit: Circuit,
@@ -809,24 +803,25 @@ def sample_shot(
 ) -> ShotRecord:
     """Sample one shot, or replay exactly one fault with no other noise.
 
-    A sampled shot draws by the geometric skip of the module docstring,
-    with ``rng_seed`` as its key, so ``rng_seed`` derive_shot_seed(s, i)
-    gives shot i of run_monte_carlo with master seed s. A forced fault is not
-    simulated: its raw outputs are read from the fault-effect table at
-    the fault's layer (one backward walk down to that layer) and
-    converted by the same ``_assemble`` as sampled shots. ``rng_seed`` is
-    then unused.
-
-    Each call without a forced fault builds the whole fault-effect table
-    for its one shot. Callers who need many shots should use
-    run_monte_carlo, which builds the table once per call.
+    Either way the shot is a set of variants, and its raw outputs are the
+    XOR of their fault-effect table rows, built for them alone. The
+    draws of a sampled shot take ``rng_seed`` as its key, so
+    derive_shot_seed(s, i) gives shot i of run_monte_carlo with master
+    seed s. A forced fault is split into unit variants at its layer, and
+    ``rng_seed`` is unused.
     """
     prog = _Program(code, circuit, basis, logicals, noise.idle_policy)
     if forced_fault is not None:
-        row = _fault_row(prog, forced_fault)
-        dm, rd = prog.split_raw(_unpack(row[None], prog.raw_bits))
+        var = _forced_variants(prog, forced_fault)
     else:
-        dm, rd = _sampler(prog, noise)(np.array([rng_seed % 2**64], dtype=np.uint64))
+        var = _variants(prog, noise)
+        keys = np.array([rng_seed % 2**64], dtype=np.uint64)
+        hit = np.zeros(len(var.slot), dtype=bool)
+        for _, v in _fired(prog, var.slot, noise, keys):
+            hit[v] = True
+        var = _Variants(*(col[..., hit] for col in var))
+    row = np.bitwise_xor.reduce(_fault_table(prog, var, _raw_map(prog)), axis=0)
+    dm, rd = prog.split_raw(_unpack(row[None], prog.raw_bits))
     det, zf, logical = _assemble(prog, dm, rd)
     return ShotRecord(basis, det[0], zf[0], logical[0])
 
@@ -972,9 +967,10 @@ def build_dem(
     """
     prog = _Program(code, circuit, basis, logicals, noise.idle_policy)
     D, K = prog.detector_count, prog.logical_mat.shape[0]
-    rows, _, prob = _fault_table(prog, noise, _signature_map(prog))
+    var = _variants(prog, noise)
+    rows = _fault_table(prog, var, _signature_map(prog))
     seen = rows.any(axis=1)
-    rows, prob = rows[seen], prob[seen]
+    rows, prob = rows[seen], var.probability[seen]
     if not len(rows):
         return DetectorErrorModel(D, K, ())
     sigs, first, inverse = np.unique(
@@ -991,10 +987,6 @@ def build_dem(
         for u, bits in zip(order.tolist(), _unpack(sigs[order], D + K))
     )
     return DetectorErrorModel(D, K, columns)
-
-
-# Variants unpacked at a time by the series reduction.
-_SERIES_BLOCK = 4096
 
 
 def expected_detection_series(
@@ -1019,19 +1011,20 @@ def expected_detection_series(
     """
     prog = _Program(code, circuit, basis, logicals, noise.idle_policy)
     t, A, D = prog.t, len(prog.aligned_cols), prog.detector_count
-    rows, slot, prob = _fault_table(prog, noise, _signature_map(prog))
+    var = _variants(prog, noise)
+    rows = _fault_table(prog, var, _signature_map(prog))
     if not len(rows):
         return np.zeros(t + 1)
     # (variant, detector) pairs that flip, in variant order
     v_parts, d_parts = [], []
-    for lo in range(0, len(rows), _SERIES_BLOCK):
-        v, d = np.nonzero(_unpack(rows[lo : lo + _SERIES_BLOCK], D))
+    for lo in range(0, len(rows), _VARIANT_BLOCK):
+        v, d = np.nonzero(_unpack(rows[lo : lo + _VARIANT_BLOCK], D))
         v_parts.append(v + lo)
         d_parts.append(d)
     v, d = np.concatenate(v_parts), np.concatenate(d_parts)
     # q_s per (slot, detector): bincount adds the priors in variant order
-    keys, inverse = np.unique(slot[v] * D + d, return_inverse=True)
-    q = np.bincount(inverse.reshape(-1), weights=prob[v], minlength=len(keys))
+    keys, inverse = np.unique(var.slot[v].astype(np.intp) * D + d, return_inverse=True)
+    q = np.bincount(inverse.reshape(-1), weights=var.probability[v], minlength=len(keys))
     # keys run slot-major, so a stable sort by detector keeps slot order
     order = np.argsort(keys % D, kind="stable")
     kd = keys[order] % D

@@ -103,6 +103,28 @@ def test_explicit_arrangement_must_commute():
     )
 
 
+def test_arrangement_commutes_agrees_with_the_scheduler():
+    code = build_named_code("18-4-4-pruned")
+    commutes = circuit.arrangement_commutes(code)
+    pinned = ((5, 2, 1), (3, 6, 4), (4, 3, 6), (1, 5, 7))
+    bad = ((1, 2, 3), (4, 5, 6), (4, 5, 6), (1, 2, 3))
+    assert commutes(*pinned)
+    assert not commutes(*bad)
+    # the pinned round sets with the terms reordered within each group
+    rng = np.random.default_rng(3)
+    shuffled = [
+        tuple(tuple(rng.permutation(rounds).tolist()) for rounds in pinned)
+        for _ in range(12)
+    ]
+    for arrangement in [pinned, bad, *shuffled]:
+        try:
+            circuit.schedule_cz_layers(code, arrangement=arrangement)
+            scheduled = True
+        except circuit.ScheduleError:
+            scheduled = False
+        assert scheduled == commutes(*arrangement), arrangement
+
+
 def test_single_weight6_check_schedules_sequentially():
     one = CssCode(
         name="one-z-check",

@@ -118,19 +118,64 @@ def test_forced_faults_match_tableau_replay(cid, basis):
         assert np.array_equal(faulty[2] ^ clean[2], rec.logical_flips), v
 
 
+def _forward_raw_outputs(code, circ, variants):
+    """Raw outputs flipped by each variant alone, by forward Pauli-frame
+    propagation: one X and one Z frame row per variant, pushed through
+    the layers first to last, with each variant injected right after its
+    layer. Columns: measurement (cycle, check column) at cycle * checks +
+    column, then the data readouts."""
+    anc = list(qubit_layout(code).check_qubits)
+    checks, nv = len(anc), len(variants)
+    fx = np.zeros((nv, circ.qubit_count), dtype=np.uint8)
+    fz = np.zeros_like(fx)
+    raw = np.zeros((nv, circ.cycles * checks + code.n), dtype=np.uint8)
+    inject = {}  # layer -> [(variant, frame, qubit)]
+    for i, v in enumerate(variants):
+        if v.measurement_flip is not None:
+            cyc, col = v.measurement_flip
+            raw[i, cyc * checks + col] ^= 1
+        if v.readout_flip is not None:
+            raw[i, circ.cycles * checks + v.readout_flip] ^= 1
+        inject.setdefault(v.layer, []).extend(
+            [(i, fx, q) for q in v.x_qubits] + [(i, fz, q) for q in v.z_qubits]
+        )
+    cycle = 0
+    for li, layer in enumerate(circ.layers):
+        if layer.kind == SINGLE_QUBIT:
+            for name, (q,) in layer.gates:
+                if name == "H":  # swaps X and Z
+                    fx[:, q], fz[:, q] = fz[:, q].copy(), fx[:, q].copy()
+        elif layer.kind == CZ:
+            for _, (a, b) in layer.gates:  # X_a -> X_a Z_b, X_b -> Z_a X_b
+                fz[:, a] ^= fx[:, b]
+                fz[:, b] ^= fx[:, a]
+        elif layer.kind == MEASURE_CHECKS:
+            for _, (q,) in layer.gates:  # X flips the outcome and stays
+                raw[:, cycle * checks + anc.index(q)] ^= fx[:, q]
+                fz[:, q] = 0
+            cycle += 1
+        elif layer.kind == READOUT_DATA:
+            for _, (q,) in layer.gates:
+                raw[:, circ.cycles * checks + q] ^= fx[:, q]
+        for i, frame, q in inject.get(li, []):
+            frame[i, q] ^= 1
+    return raw
+
+
 @pytest.mark.parametrize("basis", ["Z", "X"])
-def test_table_rows_match_single_fault_lookups(basis):
+def test_table_rows_match_forward_frame_propagation(basis):
     code = build_named_code("18-4-4-pruned")
     circ = build_syndrome_circuit(code, 2, basis=basis)
     model = NoiseModel.device_rates(idle_policy="dense")
     prog = noise._Program(code, circ, basis, idle_policy=model.idle_policy)
-    rows, slot, prob = noise._fault_table(prog, model, noise._raw_map(prog))
+    var = noise._variants(prog, model)
+    rows = noise._fault_table(prog, var, noise._raw_map(prog))
     variants = noise.enumerate_fault_variants(circ, model, code=code)
     assert len(rows) == len(variants)
-    assert slot.tolist() == [v.slot for v in variants]
-    assert prob.tolist() == [v.probability for v in variants]
-    for row, v in zip(rows, variants):
-        assert np.array_equal(row, noise._fault_row(prog, v)), v
+    assert var.slot.tolist() == [v.slot for v in variants]
+    assert var.probability.tolist() == [v.probability for v in variants]
+    expected = _forward_raw_outputs(code, circ, variants)
+    assert np.array_equal(noise._unpack(rows, prog.raw_bits), expected)
 
 
 @pytest.mark.parametrize(
