@@ -71,6 +71,10 @@ class GateLayer:
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
+        if not self.gates and self.kind != CZ:
+            # the text form writes an empty layer as a bare TICK, which
+            # reads back as CZ
+            raise ValueError(f"a {self.kind} layer needs at least one gate")
         normalized = []
         seen: set[int] = set()
         for name, qubits in self.gates:
@@ -738,7 +742,8 @@ def serialize_circuit(circuit: Circuit) -> str:
     before each cycle's first layer, and a `# qubits N` header so that
     trailing unused qubits survive the round trip. A `# basis Z` (or X)
     header follows when the circuit records its memory basis. Layers
-    with no gates (possible only for CZ layers) serialize as a bare TICK.
+    with no gates serialize as a bare TICK and read back as CZ layers;
+    ``GateLayer`` lets no other kind be empty.
     """
     lines = [f"# qubits {circuit.qubit_count}"]
     if circuit.basis is not None:

@@ -671,8 +671,12 @@ def export_code(code: CssCode, logicals: LogicalOperatorSet | None = None) -> st
     NAME line when the code has a name, an HX section and an HZ section
     with one 0/1 string per full check row, RETAINED_X / RETAINED_Z index
     lines, then optional LOGICAL_X i c1 c2... and LOGICAL_Z lines.
-    Newline-terminated; round-trips losslessly through parse_code.
+    Newline-terminated; round-trips losslessly through parse_code, so a
+    name that the NAME line cannot carry (one that is blank, has leading
+    or trailing whitespace, or holds a line break) raises ValueError.
     """
+    if code.name and (code.name != code.name.strip() or len(code.name.splitlines()) != 1):
+        raise ValueError(f"code name {code.name!r} cannot be written on one NAME line")
     lines = []
     d_text = "?" if code.d is None else str(code.d)
     lines.append(f"{code.n} {code.k if code.k is not None else '?'} {d_text}")

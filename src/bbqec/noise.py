@@ -21,6 +21,12 @@ it (the outputs are linear in the injected Paulis, so a shot is the XOR
 of the rows of the variants that its draws pick), and ``sample_shot``
 builds it for the variants of its one shot alone.
 
+The public records, ``FaultVariant`` and ``DemColumn``, are named tuples
+made from whole columns of these arrays: ``enumerate_fault_variants``
+builds each field once over the variant table, and ``build_dem`` merges
+equal signatures with one stable sort of their packed words, then
+unpacks only the signatures it keeps.
+
 Noise channels and their fault slots:
 
 - ``H`` gates and idle slots draw one of X, Y, Z, each at a third of the
@@ -59,6 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -193,8 +200,7 @@ class NoiseModel:
 # fault slots and variants
 
 
-@dataclass(frozen=True)
-class FaultVariant:
+class FaultVariant(NamedTuple):
     """One concrete fault realization at one slot."""
 
     slot: int
@@ -498,41 +504,51 @@ def _variants(prog: _Program, noise: NoiseModel) -> _Variants:
     )
 
 
-# Variants turned into Python objects, or unpacked, at a time: bounds the
-# temporary lists and bit arrays that a whole table would need at once.
+# Variants unpacked at a time: bounds the temporary bit arrays that a
+# whole table would need at once.
 _VARIANT_BLOCK = 4096
+
+
+def _shared(values: np.ndarray, make) -> list:
+    """``make(v)`` for each entry v of ``values``, computed once per
+    distinct entry and shared by the entries that hold it."""
+    keys, inverse = np.unique(values, return_inverse=True)
+    return list(map([make(k) for k in keys.tolist()].__getitem__, inverse.tolist()))
 
 
 def enumerate_fault_variants(
     circuit: Circuit, noise: NoiseModel, *, code: CssCode
 ) -> tuple[FaultVariant, ...]:
     """Every nonzero-probability single-fault realization, in slot order.
-    They do not depend on the memory basis."""
+    They do not depend on the memory basis.
+
+    Each field is built as one column over the whole variant table, with
+    one object per distinct value (an int, a kind string, a prior, a
+    qubit tuple or a flipped output), and the records are zipped from
+    the columns.
+    """
     prog = _Program(code, circuit, circuit.basis or "Z", idle_policy=noise.idle_policy)
     var = _variants(prog, noise)
-    checks, tc = prog.check_count, prog.t * prog.check_count
-    slots = list(range(len(prog.slot_kind)))  # one int per slot, shared
-    out: list[FaultVariant] = []
-    for lo in range(0, len(var.slot), _VARIANT_BLOCK):
-        b = slice(lo, lo + _VARIANT_BLOCK)
-        slot, qubits = var.slot[b], var.qubits[:, b]
-        # X and Z legs in use; unused legs come last
-        used = (qubits < circuit.qubit_count).reshape(2, 2, -1).sum(axis=1)
-        priors, prior_of = np.unique(var.probability[b], return_inverse=True)
-        priors = priors.tolist()  # one float per prior, shared
-        out.extend(
-            FaultVariant(
-                slots[s], li, _SLOT_KINDS[k], priors[p], tuple(xq[:mx]), tuple(zq[:mz]),
-                divmod(f, checks) if f < tc else None,
-                f - tc if tc <= f < prog.raw_bits else None,
-            )
-            for s, li, k, p, xq, zq, mx, mz, f in zip(
-                slot.tolist(), var.layer[b].tolist(), prog.slot_kind[slot].tolist(),
-                prior_of.tolist(), qubits[:2].T.tolist(), qubits[2:].T.tolist(),
-                *used.tolist(), var.flip[b].tolist(),
-            )
-        )
-    return tuple(out)
+    checks, tc, raw = prog.check_count, prog.t * prog.check_count, prog.raw_bits
+    nq = circuit.qubit_count
+
+    def legs(k):  # the qubits of a pair key, unused legs (nq) dropped
+        return tuple(q for q in divmod(k, nq + 1) if q < nq)
+
+    pair = var.qubits.astype(np.int64)
+    columns = (
+        _shared(var.slot, int),
+        _shared(var.layer, int),
+        _shared(prog.slot_kind[var.slot], _SLOT_KINDS.__getitem__),
+        _shared(var.probability, float),
+        _shared(pair[0] * (nq + 1) + pair[1], legs),
+        _shared(pair[2] * (nq + 1) + pair[3], legs),
+        _shared(var.flip, lambda f: divmod(f, checks) if f < tc else None),
+        _shared(var.flip, lambda f: f - tc if tc <= f < raw else None),
+    )
+    # tuple.__new__ fills each record from its zipped row in C, without
+    # the Python frame of FaultVariant.__new__; a row has every field
+    return tuple(map(tuple.__new__, repeat(FaultVariant), zip(*columns)))
 
 
 def _forced_variants(prog: _Program, fault: FaultVariant) -> _Variants:
@@ -873,9 +889,9 @@ def run_monte_carlo(
 # detector error model
 
 
-@dataclass(frozen=True)
-class DemColumn:
-    """One merged fault mechanism: prior, detector and logical supports."""
+class DemColumn(NamedTuple):
+    """One merged fault mechanism: prior, detector and logical supports.
+    ``DetectorErrorModel`` validates its columns."""
 
     probability: float
     detectors: tuple[int, ...]
@@ -923,12 +939,14 @@ class DetectorErrorModel:
         n = len(self.columns)
         d = np.zeros((self.detector_count, n), dtype=np.uint8)
         l = np.zeros((self.logical_count, n), dtype=np.uint8)
-        p = np.zeros(n)
-        for j, col in enumerate(self.columns):
-            d[list(col.detectors), j] = 1
-            l[list(col.logicals), j] = 1
-            p[j] = col.probability
-        return d, l, p
+        if not n:
+            return d, l, np.zeros(0)
+        p, dets, logs = zip(*self.columns)
+        for mat, supports in ((d, dets), (l, logs)):
+            # one scatter: every column's indices, each beside its column
+            rows = np.fromiter(chain.from_iterable(supports), dtype=np.intp)
+            mat[rows, np.repeat(np.arange(n), [len(s) for s in supports])] = 1
+        return d, l, np.array(p, dtype=float)
 
     def collisions(self) -> list[tuple[int, ...]]:
         """Groups of columns sharing a detector signature with unequal
@@ -973,20 +991,30 @@ def build_dem(
     rows, prob = rows[seen], var.probability[seen]
     if not len(rows):
         return DetectorErrorModel(D, K, ())
-    sigs, first, inverse = np.unique(
-        rows, axis=0, return_index=True, return_inverse=True
-    )
-    total = np.bincount(inverse.reshape(-1), weights=prob, minlength=len(sigs))
-    order = np.argsort(first)
-    columns = tuple(
-        DemColumn(
-            float(total[u]),
-            tuple(np.flatnonzero(bits[:D]).tolist()),
-            tuple(np.flatnonzero(bits[D:]).tolist()),
+    # equal signatures sort together; lexsort is stable, so each group's
+    # first entry is its first variant
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    first = order[new]
+    # bincount adds each group's priors in variant order
+    total = np.bincount(inverse, weights=prob)
+    by_first = np.argsort(first)
+    # one nonzero over the kept signatures, cut per column at its start,
+    # its first logical bit and its end (bit D + j is logical j)
+    r, c = np.nonzero(_unpack(rows[first[by_first]], D + K))
+    edges = np.arange(len(first) + 1)[:, None] * (D + K) + [0, D]
+    cuts = np.searchsorted(r * (D + K) + c, edges.ravel()[:-1]).tolist()
+    bits = np.where(c < D, c, c - D).tolist()
+    return DetectorErrorModel(D, K, tuple(
+        DemColumn(p, tuple(bits[lo:mid]), tuple(bits[mid:hi]))
+        for p, lo, mid, hi in zip(
+            total[by_first].tolist(), cuts[::2], cuts[1::2], cuts[2::2]
         )
-        for u, bits in zip(order.tolist(), _unpack(sigs[order], D + K))
-    )
-    return DetectorErrorModel(D, K, columns)
+    ))
 
 
 def expected_detection_series(

@@ -442,6 +442,18 @@ def test_gate_layer_rejects_wrong_kind_and_reuse():
         circuit.GateLayer("MYSTERY", ())
 
 
+@pytest.mark.parametrize(
+    "kind",
+    [circuit.SINGLE_QUBIT, circuit.MEASURE_CHECKS, circuit.DD_IDLE, circuit.READOUT_DATA],
+)
+def test_only_a_cz_layer_may_be_empty(kind):
+    # an empty layer serializes as a bare TICK, which parses as CZ
+    with pytest.raises(ValueError, match="at least one gate"):
+        circuit.Circuit(2, (circuit.GateLayer(kind, ()),), ())
+    empty_cz = circuit.Circuit(2, (circuit.GateLayer(circuit.CZ, ()),), ())
+    assert circuit.parse_circuit(circuit.serialize_circuit(empty_cz)) == empty_cz
+
+
 def test_circuit_rejects_wrong_cz_layer_count_per_cycle():
     good = circuit.GateLayer(circuit.CZ, (("CZ", (0, 1)),))
     with pytest.raises(ValueError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -343,6 +345,14 @@ def test_export_parse_round_trip(pruned_18):
     assert parsed.k == pruned_18.k
     assert parsed_logicals == logicals
     assert codes.export_code(parsed, parsed_logicals) == text
+
+
+@pytest.mark.parametrize("name", [" padded ", "a\nb", "   "])
+def test_export_rejects_a_name_the_name_line_cannot_carry(pruned_18, name):
+    # parse_code strips the NAME line and splits the file into lines, so
+    # these names would read back changed or not at all
+    with pytest.raises(ValueError, match="code name"):
+        codes.export_code(replace(pruned_18, name=name))
 
 
 def _edit_code_file(edit):

@@ -197,6 +197,47 @@ def test_forced_fault_outside_the_circuit_is_rejected(fields):
         noise.sample_shot(circ, NOISE, 0, code=code, forced_fault=bad)
 
 
+def test_fault_records_are_immutable_named_tuples():
+    v = noise.FaultVariant(slot=3, layer=1, kind="idle", probability=0.1, x_qubits=(2,))
+    assert (v.z_qubits, v.measurement_flip, v.readout_flip) == ((), None, None)
+    assert repr(v) == (
+        "FaultVariant(slot=3, layer=1, kind='idle', probability=0.1, x_qubits=(2,), "
+        "z_qubits=(), measurement_flip=None, readout_flip=None)"
+    )
+    assert hash(v) == hash(noise.FaultVariant(3, 1, "idle", 0.1, (2,)))
+    col = DemColumn(probability=0.1, detectors=(0, 2), logicals=(1,))
+    assert repr(col) == "DemColumn(probability=0.1, detectors=(0, 2), logicals=(1,))"
+    assert hash(col) == hash(DemColumn(0.1, (0, 2), (1,)))
+    for record, field in ((v, "slot"), (col, "probability")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+
+
+def test_enumerated_variants_match_a_per_variant_reference():
+    code = build_named_code("18-6-3")
+    circ = build_syndrome_circuit(code, 1)
+    prog = noise._Program(code, circ, idle_policy=NOISE.idle_policy)
+    var = noise._variants(prog, NOISE)
+    nq, checks, tc = circ.qubit_count, prog.check_count, prog.t * prog.check_count
+    expected = []
+    for v in range(len(var.slot)):
+        f = int(var.flip[v])
+        expected.append(noise.FaultVariant(
+            slot=int(var.slot[v]),
+            layer=int(var.layer[v]),
+            kind=noise._SLOT_KINDS[prog.slot_kind[var.slot[v]]],
+            probability=float(var.probability[v]),
+            x_qubits=tuple(int(q) for q in var.qubits[:2, v] if q < nq),
+            z_qubits=tuple(int(q) for q in var.qubits[2:, v] if q < nq),
+            measurement_flip=divmod(f, checks) if f < tc else None,
+            readout_flip=f - tc if tc <= f < prog.raw_bits else None,
+        ))
+    variants = noise.enumerate_fault_variants(circ, NOISE, code=code)
+    assert variants == tuple(expected)
+    # the same Python types, not numpy scalars, so the reprs agree too
+    assert repr(variants) == repr(tuple(expected))
+
+
 # ---- sampler against the exact series ----
 
 
@@ -366,6 +407,55 @@ def test_dem_rejects_bad_logical_indices(logicals):
 def test_parse_dem_rejects_an_index_past_the_first():
     with pytest.raises(ValueError, match="detector indices"):
         noise.parse_dem("detectors 4 logicals 1\n0.1 99 0 | 0\n")
+
+
+SPARSE = replace(NOISE, p_h=0.0, p_dd_z=0.0)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [NoiseModel.device_rates(idle_policy=p) for p in noise.IDLE_POLICIES] + [SPARSE],
+    ids=list(noise.IDLE_POLICIES) + ["sparse"],
+)
+@pytest.mark.parametrize("basis", ["Z", "X"])
+def test_dem_columns_match_a_dict_merge_of_the_table(basis, model):
+    code = build_named_code("18-4-4-pruned")
+    logicals = logical_operator_set_for(code)
+    circ = build_syndrome_circuit(code, 2, basis=basis)
+    prog = noise._Program(code, circ, basis, logicals, model.idle_policy)
+    var = noise._variants(prog, model)
+    D, K = prog.detector_count, prog.logical_mat.shape[0]
+    bits = noise._unpack(noise._fault_table(prog, var, noise._signature_map(prog)), D + K)
+    # signature -> prior summed in variant order; dicts keep first occurrence
+    merged = {}
+    for row, p in zip(bits, var.probability.tolist()):
+        sig = tuple(np.flatnonzero(row).tolist())
+        if sig:
+            merged[sig] = merged.get(sig, 0.0) + p
+    expected = tuple(
+        DemColumn(p, tuple(i for i in sig if i < D), tuple(i - D for i in sig if i >= D))
+        for sig, p in merged.items()
+    )
+    dem = noise.build_dem(circ, model, basis, code=code, logicals=logicals)
+    assert dem.columns == expected
+    assert [c.probability for c in dem.columns] == [c.probability for c in expected]
+
+
+@pytest.mark.parametrize("basis", ["Z", "X"])
+def test_dense_matches_a_column_loop(basis):
+    code = build_named_code("36-4-6")
+    circ = build_syndrome_circuit(code, 2, basis=basis)
+    dem = noise.build_dem(circ, NOISE, basis, code=code)
+    n = len(dem.columns)
+    d = np.zeros((dem.detector_count, n), dtype=np.uint8)
+    l = np.zeros((dem.logical_count, n), dtype=np.uint8)
+    for j, col in enumerate(dem.columns):
+        d[list(col.detectors), j] = 1
+        l[list(col.logicals), j] = 1
+    got_d, got_l, got_p = dem.dense()
+    assert got_d.dtype == got_l.dtype == np.uint8
+    assert np.array_equal(got_d, d) and np.array_equal(got_l, l)
+    assert got_p.tolist() == [col.probability for col in dem.columns]
 
 
 def test_dem_text_round_trips():

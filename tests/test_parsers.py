@@ -190,8 +190,8 @@ def _layers(draw, kind):
         pairs = draw(st.integers(0, _QUBITS // 2))
         gates = [("CZ", (qubits[2 * i], qubits[2 * i + 1])) for i in range(pairs)]
     else:
-        # the text form has no kind marker, so a layer without gates
-        # reads back as a CZ layer; the writer emits empty CZ layers only
+        # only CZ layers may be empty: the text form has no kind marker,
+        # so a layer without gates reads back as CZ
         size = draw(st.integers(1, _QUBITS))
         gates = [(draw(st.sampled_from(_GATES[kind])), (q,)) for q in qubits[:size]]
     return circuit.GateLayer(kind, tuple(gates))
