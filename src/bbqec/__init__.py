@@ -6,9 +6,6 @@ Modules:
     tableau   stabilizer-tableau simulator (verification oracle)
     circuit   syndrome-extraction circuit generation and checking
     noise     circuit-level Pauli noise, sampling, detector error models
-    decoder   belief propagation with ordered-statistics post-processing
-    analysis  detection statistics, logical error fitting, projections
-    cli       command-line frontend
 """
 
 __version__ = "0.1.0"

@@ -5,7 +5,9 @@ ideal circuit. That is enough because every reported quantity (detection
 events, final-readout comparisons, logical flips) is a fixed linear
 functional of the injected Paulis that vanishes in the noiseless run.
 
-Faults live in arrays: ``_Program`` holds one row per fault slot, and
+Faults live in arrays: ``_Program`` compiles the circuit into one gate
+table (a row per gate) and an idle mask (layer x qubit), and from them
+holds one row per fault slot and the walk's per-layer ops.
 ``_variants`` expands the slots by their channel's patterns into the
 variant table (slot, layer, two X and two Z qubits, flipped output,
 probability; a missing leg or flip points at an appended zero row).
@@ -16,7 +18,8 @@ flip (the reverse pass of Stim's error analyser, Gidney 2021, Quantum 5,
 497), and at each layer one gather XORs the four qubit rows of that
 layer's variants into their flip rows: O(layers x qubits x outputs / 64)
 word operations plus four lookups per variant. ``build_dem`` and
-``expected_detection_series`` reduce the full table, the sampler replays
+``expected_detection_series`` reduce the full table, reading its set
+bits straight from the packed words (``_set_bits``), the sampler replays
 it (the outputs are linear in the injected Paulis, so a shot is the XOR
 of the rows of the variants that its draws pick), and ``sample_shot``
 builds it for the variants of its one shot alone.
@@ -25,7 +28,9 @@ The public records, ``FaultVariant`` and ``DemColumn``, are named tuples
 made from whole columns of these arrays: ``enumerate_fault_variants``
 builds each field once over the variant table, and ``build_dem`` merges
 equal signatures with one stable sort of their packed words, then
-unpacks only the signatures it keeps.
+reads the set bits of only the signatures it keeps.
+``DetectorErrorModel`` validates its columns as whole arrays, and walks
+them one by one only to name the first fault of an invalid model.
 
 Noise channels and their fault slots:
 
@@ -66,6 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -215,6 +221,9 @@ class FaultVariant(NamedTuple):
 
 _XZ_OF_PAULI = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)}  # I X Y Z
 _SLOT_KINDS = ("h", "idle", "cz", "dd", "measure", "readout")
+_H, _IDLE, _CZ, _DD, _MEASURE, _READOUT = range(len(_SLOT_KINDS))
+# gate name -> the slot kind it makes; "I" makes none
+_GATE_SLOT = {"H": _H, "I": -1, "CZ": _CZ, "DD": _DD, "M": _MEASURE, "RD": _READOUT}
 
 
 class _Program:
@@ -224,6 +233,15 @@ class _Program:
     index into ``_SLOT_KINDS``), layer, legs (2 x slots; a one-qubit slot
     pads with ``qubit_count``) and flip (the raw output a measurement or
     readout slot flips, else ``raw_bits``).
+
+    All of it comes from one gate table, built in one pass over the
+    layers: a row per gate (layer, slot kind, two legs), where ``I``
+    makes no row. Gate slots are its rows. Idle slots are the set cells
+    of a (layer x qubit) mask, candidates minus the qubits that an ``H``
+    or ``CZ`` leg makes busy, read row-major, so they run layer by layer
+    and by qubit within a layer. One stable sort puts each layer's gate
+    slots before its idle slots, and the walk's per-layer ops are slices
+    of the table.
     """
 
     def __init__(
@@ -266,72 +284,77 @@ class _Program:
         ).bits.astype(np.uint8)
         self._logicals = logicals
 
-        nq = circuit.qubit_count
-        col_of = np.zeros(nq, dtype=np.intp)
-        col_of[list(layout.check_qubits)] = np.arange(len(layout.check_qubits))
-        groups = []  # (kind code, layer, first legs, second legs, flips)
-
-        def add(kind, li, a, b=None, flips=None):
-            m = len(a)
-            groups.append((
-                np.full(m, _SLOT_KINDS.index(kind)),
-                np.full(m, li),
-                a,
-                np.full(m, nq) if b is None else b,
-                np.full(m, self.raw_bits) if flips is None else flips,
-            ))
-
-        def qubits(layer, leg=0):
-            return np.array([qs[leg] for _, qs in layer.gates], dtype=np.intp)
-
-        self.layer_ops: list[tuple] = []
-        cycle_of_measure = 0
-        for li, layer in enumerate(circuit.layers):
-            if layer.kind == SINGLE_QUBIT:
-                h_qs = np.array(
-                    [qs[0] for name, qs in layer.gates if name == "H"], dtype=np.intp
-                )
-                if idle_policy == "dense":
-                    idle_qs = np.setdiff1d(np.arange(nq), h_qs)
-                elif idle_policy == "frames" and (h_qs >= self.n).any():
-                    # ancilla basis rotation is a global step: un-gated data
-                    # qubits wait; interior data-only layers pack for free
-                    idle_qs = np.setdiff1d(np.arange(self.n), h_qs)
-                else:
-                    idle_qs = h_qs[:0]
-                self.layer_ops.append((SINGLE_QUBIT, h_qs))
-                add("h", li, h_qs)
-                add("idle", li, idle_qs)
-            elif layer.kind == CZ:
-                a, b = qubits(layer), qubits(layer, 1)
-                self.layer_ops.append((CZ, a, b))
-                add("cz", li, a, b)
-                add("idle", li, np.setdiff1d(np.arange(nq), np.concatenate([a, b])))
-            elif layer.kind == MEASURE_CHECKS:
-                anc = qubits(layer)
-                cols, cyc = col_of[anc], cycle_of_measure
-                cycle_of_measure += 1
-                self.layer_ops.append((MEASURE_CHECKS, anc, cols, cyc))
-                add("measure", li, anc, flips=self.dm_bit(cyc, cols))
-            elif layer.kind == DD_IDLE:
-                self.layer_ops.append((DD_IDLE,))
-                add("dd", li, qubits(layer))
-            elif layer.kind == READOUT_DATA:
-                qs = qubits(layer)
-                self.layer_ops.append((READOUT_DATA, qs))
-                add("readout", li, qs, flips=self.rd_bit(qs))
-            else:  # pragma: no cover - layer kinds are closed
-                raise AssertionError(layer.kind)
-        if cycle_of_measure != self.t:
+        layers, nq, n = circuit.layers, circuit.qubit_count, self.n
+        kinds = np.array([layer.kind for layer in layers])
+        measured = kinds == MEASURE_CHECKS
+        if measured.sum() != self.t:
             raise ValueError(
-                f"circuit declares {self.t} cycles but has {cycle_of_measure} "
+                f"circuit declares {self.t} cycles but has {measured.sum()} "
                 "measurement layers"
             )
-        kind, layer, a, b, flips = (
-            np.concatenate(c).astype(np.int32) for c in zip(*groups)
-        )
-        self.slot_kind, self.slot_layer, self.slot_flip = kind, layer, flips
-        self.slot_legs = np.stack([a, b])
+        # the gate table: one row per gate, in layer order; an "I" row is
+        # dropped, and a one-qubit gate's second leg is nq
+        names, legs = zip(*chain.from_iterable(layer.gates for layer in layers))
+        layer = np.repeat(np.arange(len(layers)), [len(layer.gates) for layer in layers])
+        kind = np.fromiter(map(_GATE_SLOT.__getitem__, names), np.intp, len(names))
+        a = np.fromiter(map(itemgetter(0), legs), np.intp, len(legs))
+        b = np.fromiter(map(itemgetter(-1), legs), np.intp, len(legs))
+        b[np.fromiter(map(len, legs), np.intp, len(legs)) == 1] = nq
+        keep = kind >= 0
+        layer, kind, a, b = layer[keep], kind[keep], a[keep], b[keep]
+        col_of = np.zeros(nq, dtype=np.intp)
+        col_of[list(layout.check_qubits)] = np.arange(len(layout.check_qubits))
+        cycle = np.cumsum(measured) - measured  # measurement layers before each
+        flip = np.full(len(kind), self.raw_bits)
+        m, r = kind == _MEASURE, kind == _READOUT
+        flip[m] = self.dm_bit(cycle[layer[m]], col_of[a[m]])
+        flip[r] = self.rd_bit(a[r])
+
+        # idle slots: candidates that no H or CZ leg makes busy; column nq
+        # takes the padded legs
+        idle = np.zeros((len(layers), nq + 1), dtype=bool)
+        idle[kinds == CZ, :nq] = True
+        single = kinds == SINGLE_QUBIT
+        h = kind == _H
+        if idle_policy == "dense":
+            idle[single, :nq] = True
+        elif idle_policy == "frames":
+            # ancilla basis rotation is a global step: un-gated data
+            # qubits wait; interior data-only layers pack for free
+            framed = np.zeros(len(layers), dtype=bool)
+            framed[layer[h & (a >= n)]] = True
+            idle[single & framed, :n] = True
+        gated = h | (kind == _CZ)
+        idle[layer[gated], a[gated]] = False
+        idle[layer[gated], b[gated]] = False
+        idle_layer, idle_q = np.nonzero(idle[:, :nq])
+
+        # slot rows (layer, kind, legs, flip): within each layer, the gate
+        # slots and then the idle slots
+        idles = len(idle_q)
+        rows = np.concatenate([
+            np.stack([layer, kind, a, b, flip]),
+            np.stack([idle_layer, np.full(idles, _IDLE), idle_q, np.full(idles, nq),
+                      np.full(idles, self.raw_bits)]),
+        ], axis=1)
+        is_idle = np.arange(rows.shape[1]) >= len(kind)
+        rows = rows[:, np.argsort(2 * rows[0] + is_idle, kind="stable")].astype(np.int32)
+        self.slot_layer, self.slot_kind, self.slot_flip = rows[0], rows[1], rows[4]
+        self.slot_legs = rows[2:4]
+
+        # the walk's ops, sliced per layer from the gate table
+        bounds = np.searchsorted(layer, np.arange(len(layers) + 1)).tolist()
+        cols, cycle = col_of[a], cycle.tolist()
+        self.layer_ops: list[tuple] = []
+        for li, (lk, lo, hi) in enumerate(zip(kinds.tolist(), bounds, bounds[1:])):
+            if lk == CZ:
+                self.layer_ops.append((CZ, a[lo:hi], b[lo:hi]))
+            elif lk == MEASURE_CHECKS:
+                self.layer_ops.append((MEASURE_CHECKS, a[lo:hi], cols[lo:hi], cycle[li]))
+            elif lk == DD_IDLE:
+                self.layer_ops.append((DD_IDLE,))
+            else:  # SINGLE_QUBIT (H only) and READOUT_DATA
+                self.layer_ops.append((lk, a[lo:hi]))
 
     @cached_property
     def logical_mat(self) -> np.ndarray:
@@ -504,11 +527,6 @@ def _variants(prog: _Program, noise: NoiseModel) -> _Variants:
     )
 
 
-# Variants unpacked at a time: bounds the temporary bit arrays that a
-# whole table would need at once.
-_VARIANT_BLOCK = 4096
-
-
 def _shared(values: np.ndarray, make) -> list:
     """``make(v)`` for each entry v of ``values``, computed once per
     distinct entry and shared by the entries that hold it."""
@@ -601,6 +619,26 @@ def _unpack(rows: np.ndarray, count: int) -> np.ndarray:
     """The first ``count`` bits of packed rows, as rows of 0/1 bytes."""
     raw = np.ascontiguousarray(rows, dtype=_WORD).view(np.uint8)
     return np.unpackbits(raw, axis=1, count=count, bitorder="little")
+
+
+# row v: the bits set in byte value v, as 0/1 flags in ascending order
+_BYTE_BITS = np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
+).astype(bool)
+
+
+def _set_bits(rows: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, bit) of every set bit below ``count`` in packed rows, in
+    row-major order: ``np.nonzero(_unpack(rows, count))`` without
+    expanding each bit to a byte. One nonzero finds the nonzero bytes,
+    and ``_BYTE_BITS`` gives the bits of each."""
+    raw = np.ascontiguousarray(rows, dtype=_WORD).view(np.uint8)[:, : -(-count // 8)]
+    r, byte = np.nonzero(raw)
+    value = raw[r, byte]
+    if count % 8:  # drop the bits at or past count in the last byte
+        value[byte == raw.shape[1] - 1] &= (1 << count % 8) - 1
+    i, j = np.nonzero(_BYTE_BITS[value])
+    return r[i], byte[i] * 8 + j
 
 
 def _raw_map(prog: _Program) -> np.ndarray:
@@ -923,6 +961,32 @@ class DetectorErrorModel:
     def __post_init__(self):
         if self.detector_count < 0 or self.logical_count < 0:
             raise ValueError("detector and logical counts must be >= 0")
+        if not self._columns_pass():
+            self._raise_first_fault()
+
+    def _columns_pass(self) -> bool:
+        """Whether every column passes the checks of ``_raise_first_fault``,
+        tested over whole columns at once."""
+        if not self.columns:
+            return True
+        p, dets, logs = zip(*self.columns)
+        prob = np.array(p)  # no dtype: a prior that is not a number fails
+        if prob.ndim != 1 or not ((0.0 < prob) & (prob < 1.0)).all():
+            return False
+        for supports, count in ((dets, self.detector_count), (logs, self.logical_count)):
+            ends = np.cumsum([len(s) for s in supports])
+            flat = np.array(list(chain.from_iterable(supports)))
+            if len(flat) and not (0 <= flat.min() and flat.max() < count):
+                return False
+            # strictly increasing, except where the next column starts
+            rises = np.diff(flat) > 0
+            rises[ends[(0 < ends) & (ends < len(flat))] - 1] = True
+            if not rises.all():
+                return False
+        return len(set(zip(dets, logs))) == len(self.columns)
+
+    def _raise_first_fault(self) -> None:
+        """Check the columns one at a time, and raise for the first fault."""
         seen = set()
         for col in self.columns:
             if not 0.0 < col.probability < 1.0:
@@ -1005,7 +1069,7 @@ def build_dem(
     by_first = np.argsort(first)
     # one nonzero over the kept signatures, cut per column at its start,
     # its first logical bit and its end (bit D + j is logical j)
-    r, c = np.nonzero(_unpack(rows[first[by_first]], D + K))
+    r, c = _set_bits(rows[first[by_first]], D + K)
     edges = np.arange(len(first) + 1)[:, None] * (D + K) + [0, D]
     cuts = np.searchsorted(r * (D + K) + c, edges.ravel()[:-1]).tolist()
     bits = np.where(c < D, c, c - D).tolist()
@@ -1044,12 +1108,7 @@ def expected_detection_series(
     if not len(rows):
         return np.zeros(t + 1)
     # (variant, detector) pairs that flip, in variant order
-    v_parts, d_parts = [], []
-    for lo in range(0, len(rows), _VARIANT_BLOCK):
-        v, d = np.nonzero(_unpack(rows[lo : lo + _VARIANT_BLOCK], D))
-        v_parts.append(v + lo)
-        d_parts.append(d)
-    v, d = np.concatenate(v_parts), np.concatenate(d_parts)
+    v, d = _set_bits(rows, D)
     # q_s per (slot, detector): bincount adds the priors in variant order
     keys, inverse = np.unique(var.slot[v].astype(np.intp) * D + d, return_inverse=True)
     q = np.bincount(inverse.reshape(-1), weights=var.probability[v], minlength=len(keys))

@@ -9,9 +9,11 @@ import pytest
 from bbqec import noise
 from bbqec.circuit import (
     CZ,
+    DD_IDLE,
     MEASURE_CHECKS,
     READOUT_DATA,
     SINGLE_QUBIT,
+    GateLayer,
     build_syndrome_circuit,
     qubit_layout,
 )
@@ -238,6 +240,164 @@ def test_enumerated_variants_match_a_per_variant_reference():
     assert repr(variants) == repr(tuple(expected))
 
 
+# ---- packed rows ----
+
+
+@pytest.mark.parametrize("count", [1, 7, 8, 63, 64, 65, 130])
+def test_set_bits_match_nonzero_of_the_unpacked_rows(count):
+    rng = np.random.default_rng(count)
+    words = -(-count // 64)
+    cases = [
+        rng.integers(0, 2**64, (50, words), dtype=np.uint64),
+        # sparse rows, so whole bytes are zero
+        rng.integers(0, 2**64, (50, words), dtype=np.uint64)
+        & rng.integers(0, 2**64, (50, words), dtype=np.uint64)
+        & rng.integers(0, 2**64, (50, words), dtype=np.uint64),
+        np.zeros((0, words), dtype=np.uint64),
+        np.zeros((5, words), dtype=np.uint64),
+        np.full((5, words), 2**64 - 1, dtype=np.uint64),
+    ]
+    for rows in cases:
+        got = noise._set_bits(rows, count)
+        want = np.nonzero(noise._unpack(rows, count))
+        # the same pairs in the same order, so reductions over them match
+        assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
+
+# ---- the compile against a per-layer reference ----
+
+
+def _reference_program(code, circ, idle_policy):
+    """Fault slots (kind, layer, legs, flip) and walk ops built one layer
+    at a time with set differences, as a check on ``_Program``."""
+    n, nq, t = code.n, circ.qubit_count, circ.cycles
+    layout = qubit_layout(code)
+    checks = len(code.retained_x) + len(code.retained_z)
+    raw = t * checks + n
+    col_of = np.zeros(nq, dtype=np.intp)
+    col_of[list(layout.check_qubits)] = np.arange(len(layout.check_qubits))
+    slots, ops, cycle = [], [], 0
+
+    def add(kind, li, a, b=None, flips=None):
+        for i, q in enumerate(a):
+            slots.append((
+                noise._SLOT_KINDS.index(kind),
+                li,
+                q,
+                nq if b is None else b[i],
+                raw if flips is None else flips[i],
+            ))
+
+    def qubits(layer, leg=0):
+        return np.array([qs[leg] for _, qs in layer.gates], dtype=np.intp)
+
+    for li, layer in enumerate(circ.layers):
+        if layer.kind == SINGLE_QUBIT:
+            h_qs = np.array([qs[0] for g, qs in layer.gates if g == "H"], dtype=np.intp)
+            if idle_policy == "dense":
+                idle_qs = np.setdiff1d(np.arange(nq), h_qs)
+            elif idle_policy == "frames" and (h_qs >= n).any():
+                idle_qs = np.setdiff1d(np.arange(n), h_qs)
+            else:
+                idle_qs = h_qs[:0]
+            ops.append((SINGLE_QUBIT, h_qs))
+            add("h", li, h_qs)
+            add("idle", li, idle_qs)
+        elif layer.kind == CZ:
+            a, b = qubits(layer), qubits(layer, 1)
+            ops.append((CZ, a, b))
+            add("cz", li, a, b)
+            add("idle", li, np.setdiff1d(np.arange(nq), np.concatenate([a, b])))
+        elif layer.kind == MEASURE_CHECKS:
+            anc = qubits(layer)
+            ops.append((MEASURE_CHECKS, anc, col_of[anc], cycle))
+            add("measure", li, anc, flips=cycle * checks + col_of[anc])
+            cycle += 1
+        elif layer.kind == DD_IDLE:
+            ops.append((DD_IDLE,))
+            add("dd", li, qubits(layer))
+        else:
+            qs = qubits(layer)
+            ops.append((READOUT_DATA, qs))
+            add("readout", li, qs, flips=t * checks + qs)
+    kind, layer, a, b, flip = np.array(slots).T
+    return kind, layer, np.stack([a, b]), flip, ops
+
+
+def _assert_compiles_like_the_reference(code, circ, basis, policy):
+    prog = noise._Program(code, circ, basis, idle_policy=policy)
+    kind, layer, legs, flip, ops = _reference_program(code, circ, policy)
+    for got, want in (
+        (prog.slot_kind, kind),
+        (prog.slot_layer, layer),
+        (prog.slot_legs, legs),
+        (prog.slot_flip, flip),
+    ):
+        assert got.dtype == np.int32 and np.array_equal(got, want)
+    assert len(prog.layer_ops) == len(ops)
+    for got, want in zip(prog.layer_ops, ops):
+        assert got[0] == want[0] and len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got[1:], want[1:]))
+
+
+@pytest.mark.parametrize("policy", noise.IDLE_POLICIES)
+@pytest.mark.parametrize("t", [1, 2, 7])
+@pytest.mark.parametrize("basis", ["Z", "X"])
+@pytest.mark.parametrize("cid", ["18-4-4-pruned", "18-6-3", "36-4-6"])
+def test_program_matches_a_per_layer_reference(cid, basis, t, policy):
+    code = build_named_code(cid)
+    circ = build_syndrome_circuit(code, t, basis=basis)
+    _assert_compiles_like_the_reference(code, circ, basis, policy)
+
+
+@pytest.mark.parametrize("policy", noise.IDLE_POLICIES)
+def test_program_matches_the_reference_with_an_h_edited_to_i(policy):
+    code = build_named_code("18-4-4-pruned")
+    circ = build_syndrome_circuit(code, 2)
+    # the first H on an ancilla: the layer keeps its frame under "frames"
+    # only through its other ancilla H gates, and the qubit idles
+    li, gi = next(
+        (li, gi)
+        for li, layer in enumerate(circ.layers)
+        for gi, (g, qs) in enumerate(layer.gates)
+        if g == "H" and qs[0] >= code.n
+    )
+    gates = list(circ.layers[li].gates)
+    gates[gi] = ("I", gates[gi][1])
+    layers = list(circ.layers)
+    layers[li] = GateLayer(SINGLE_QUBIT, tuple(gates))
+    edited = replace(circ, layers=tuple(layers))
+    _assert_compiles_like_the_reference(code, edited, "Z", policy)
+    prog = noise._Program(code, edited, "Z", idle_policy=policy)
+    assert len(prog.slot_kind) > 0
+
+
+def _drop_last_measurement(circ):
+    li = max(i for i, layer in enumerate(circ.layers) if layer.kind == MEASURE_CHECKS)
+    return replace(circ, layers=circ.layers[:li] + circ.layers[li + 1 :])
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda circ, code: (circ, build_named_code("36-4-6"), "Z"),
+         "circuit has 32 qubits, code layout needs 72"),
+        (lambda circ, code: (replace(circ, cycle_boundaries=()), code, "Z"),
+         "circuit declares no cycles"),
+        (lambda circ, code: (_drop_last_measurement(circ), code, "Z"),
+         "circuit declares 3 cycles but has 2 measurement layers"),
+        (lambda circ, code: (replace(circ, basis=None), code, "Y"),
+         "basis must be 'Z' or 'X'"),
+    ],
+    ids=["qubits", "no-cycles", "measurements", "basis"],
+)
+def test_compile_rejects_a_mismatched_circuit(edit, message):
+    code = build_named_code("18-4-4-pruned")
+    circ, code, basis = edit(build_syndrome_circuit(code, 3), code)
+    with pytest.raises(ValueError, match=message):
+        noise.build_dem(circ, NOISE, basis, code=code)
+
+
 # ---- sampler against the exact series ----
 
 
@@ -407,6 +567,77 @@ def test_dem_rejects_bad_logical_indices(logicals):
 def test_parse_dem_rejects_an_index_past_the_first():
     with pytest.raises(ValueError, match="detector indices"):
         noise.parse_dem("detectors 4 logicals 1\n0.1 99 0 | 0\n")
+
+
+def test_parse_dem_rejects_an_index_past_int64():
+    with pytest.raises(ValueError, match="detector indices"):
+        noise.parse_dem("detectors 4 logicals 1\n0.1 99999999999999999999999 | 0\n")
+
+
+@pytest.mark.parametrize("prior", [0.0, 1.0, -0.1, float("nan")])
+def test_dem_rejects_a_prior_outside_the_open_interval(prior):
+    with pytest.raises(ValueError, match=r"outside \(0,1\)"):
+        DetectorErrorModel(4, 1, (DemColumn(0.1, (0,), ()), DemColumn(prior, (1,), (0,))))
+
+
+def test_dem_rejects_a_repeated_signature():
+    cols = (DemColumn(0.1, (0, 2), (0,)), DemColumn(0.2, (1,), ()), DemColumn(0.3, (0, 2), (0,)))
+    with pytest.raises(ValueError, match=r"duplicate column signature \(\(0, 2\), \(0,\)\)"):
+        DetectorErrorModel(4, 1, cols)
+    # the same detectors with other logicals is another column
+    DetectorErrorModel(4, 1, cols[:2] + (DemColumn(0.3, (0, 2), ()),))
+
+
+@pytest.mark.parametrize("counts", [(-1, 1), (4, -1)])
+def test_dem_rejects_negative_counts(counts):
+    with pytest.raises(ValueError, match="counts must be >= 0"):
+        DetectorErrorModel(*counts, ())
+
+
+@pytest.mark.parametrize(
+    "columns,message",
+    [
+        # two bad columns: the first one raises
+        ((DemColumn(0.1, (3, 1), ()), DemColumn(2.0, (0,), ())), "detector indices"),
+        ((DemColumn(0.1, (0,), (0, 0)), DemColumn(0.2, (9,), ())), "logical indices"),
+        # one column failing two checks: the prior comes first, then the
+        # detectors, then the logicals
+        ((DemColumn(0.1, (0,), ()), DemColumn(1.5, (9,), (5,))), "probability"),
+        ((DemColumn(0.1, (0,), ()), DemColumn(0.2, (9,), (5,))), "detector indices"),
+        ((DemColumn(0.1, (0,), (0,)), DemColumn(0.2, (0,), (5,))), "logical indices"),
+    ],
+    ids=["first-of-two-detectors", "first-of-two-logicals", "prior-first",
+         "detectors-before-logicals", "logicals-before-duplicate"],
+)
+def test_dem_reports_the_first_fault(columns, message):
+    with pytest.raises(ValueError, match=message):
+        DetectorErrorModel(4, 1, columns)
+
+
+@pytest.mark.parametrize(
+    "column",
+    [DemColumn("0.5", (0,), ()), DemColumn(None, (0,), ()), DemColumn(0.5, ("3",), ()),
+     DemColumn((0.1, 0.2), (0,), ())],
+    ids=["string-prior", "none-prior", "string-index", "tuple-prior"],
+)
+def test_dem_does_not_accept_columns_of_non_numbers(column):
+    with pytest.raises((TypeError, ValueError)):
+        DetectorErrorModel(4, 1, (DemColumn(0.1, (1,), ()), column))
+    # priors of one shape throughout would make a 2-d array
+    with pytest.raises((TypeError, ValueError)):
+        DetectorErrorModel(4, 1, (column._replace(detectors=(1,)), column))
+
+
+def test_dem_accepts_valid_columns_without_the_column_loop(monkeypatch):
+    def refuse(self):
+        raise AssertionError("valid columns went through the column loop")
+
+    monkeypatch.setattr(DetectorErrorModel, "_raise_first_fault", refuse)
+    # supports fall only where a new column starts
+    cols = (DemColumn(0.1, (2, 3), ()), DemColumn(0.2, (), (0,)), DemColumn(0.3, (0, 1), (0,)))
+    assert DetectorErrorModel(4, 1, cols).columns == cols
+    code = build_named_code("18-6-3")
+    assert noise.build_dem(build_syndrome_circuit(code, 2), NOISE, code=code).columns
 
 
 SPARSE = replace(NOISE, p_h=0.0, p_dd_z=0.0)
