@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -589,6 +589,59 @@ def check_basis(circuit: Circuit, basis: str) -> None:
         )
 
 
+def check_measurements(
+    layout: QubitLayout,
+    layer_kinds: Sequence[str],
+    gate_layer: np.ndarray,
+    gate_qubit: np.ndarray,
+) -> None:
+    """Raise ValueError unless every ``M`` is on a check qubit of the
+    layout, every ``RD`` on a data qubit, each measurement layer measures
+    every check qubit and each readout layer reads every data qubit.
+
+    The circuit comes as a gate table: ``layer_kinds`` holds the kind of
+    each layer, and ``gate_layer`` and ``gate_qubit`` the layer and qubit
+    of each gate (only the gates of measurement and readout layers are
+    read). ``measurement_table`` gives this table for a ``Circuit``.
+    """
+    kinds = np.asarray(layer_kinds)
+    is_m = kinds[gate_layer] == MEASURE_CHECKS
+    is_rd = kinds[gate_layer] == READOUT_DATA
+    check = np.zeros(max(layout.qubit_count, gate_qubit.max(initial=0) + 1), bool)
+    check[list(layout.check_qubits)] = True
+    bad = (is_m & ~check[gate_qubit]) | (is_rd & (gate_qubit >= layout.data_count))
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        gate, home = ("M", "check") if is_m[i] else ("RD", "data")
+        raise ValueError(
+            f"{gate} on qubit {gate_qubit[i]} in layer {gate_layer[i]} is not on "
+            f"a {home} qubit of the code layout"
+        )
+    # no layer repeats a qubit, so a full count is a full cover
+    count = np.bincount(gate_layer[is_m | is_rd], minlength=len(kinds))
+    need = np.select(
+        [kinds == MEASURE_CHECKS, kinds == READOUT_DATA],
+        [len(layout.check_qubits), layout.data_count],
+        count,
+    )
+    short = np.flatnonzero(count != need)
+    if short.size:
+        li = short[0]
+        home = "check" if kinds[li] == MEASURE_CHECKS else "data"
+        raise ValueError(
+            f"layer {li} measures {count[li]} of the {need[li]} {home} qubits"
+        )
+
+
+def measurement_table(circuit: Circuit) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The input of ``check_measurements`` for ``circuit``: the kind of
+    each layer, and the layer and qubit of each ``M`` and ``RD`` gate."""
+    reads = [(i, qs[0]) for i, L in enumerate(circuit.layers)
+             if L.kind in (MEASURE_CHECKS, READOUT_DATA) for _, qs in L.gates]
+    gate_layer, gate_qubit = np.array(reads, dtype=np.intp).reshape(-1, 2).T
+    return [L.kind for L in circuit.layers], gate_layer, gate_qubit
+
+
 # ---------------------------------------------------------------------------
 # Functional verification
 
@@ -622,12 +675,19 @@ def verify_circuit(
     differences: (a) every check repeats its value from cycle 2 on,
     (b) first-cycle values of the basis-aligned checks equal the prepared
     parities, and (c) the final data readout reproduces the last cycle's
-    basis-aligned values. Preparations are uniform bit patterns applied
-    as X gates before the circuit; in the X basis the built-in
-    preparation Hadamards turn them into sign patterns, so the same
-    parity bookkeeping applies to the X-type checks.
+    basis-aligned values. Preparations are uniform bit patterns, each the
+    computational basis state the circuit starts from; in the X basis the
+    built-in preparation Hadamards turn them into sign patterns, so the
+    same parity bookkeeping applies to the X-type checks.
 
-    All preparations run in one tableau pass (they share its x/z part).
+    Every ``M`` must be on a check qubit and every ``RD`` on a data
+    qubit, each measurement layer must measure every check qubit and
+    each readout layer read every data qubit; otherwise ValueError.
+
+    All preparations run in one tableau pass (they share its x/z part),
+    with one tableau call per gate or measurement layer. Outcomes and
+    coin draws are those of a run gate by gate, since the gates of a
+    layer act on distinct qubits and a layer's measurements commute.
     Draws from ``random.Random(seed)``: first the preparations, one bit
     per data qubit, preparation after preparation; then, for each random
     measurement in circuit order, one coin bit per preparation. Failures
@@ -640,6 +700,7 @@ def verify_circuit(
     if preparations < 1:
         raise ValueError("need at least one preparation")
     layout = qubit_layout(code)
+    check_measurements(layout, *measurement_table(circuit))
     kinds_rows = [("X", r) for r in code.retained_x] + [
         ("Z", r) for r in code.retained_z
     ]
@@ -667,22 +728,7 @@ def verify_circuit(
         coin=lambda: [rng.getrandbits(1) for _ in range(preparations)],
         states=states,
     )
-    cycle_out: list[dict[int, np.ndarray]] = []
-    readout: dict[int, np.ndarray] = {}
-    for L in circuit.layers:
-        if L.kind == SINGLE_QUBIT:
-            for name, (q,) in L.gates:
-                if name == "H":
-                    tab.h(q)
-        elif L.kind == CZ:
-            for _, (a, b) in L.gates:
-                tab.cz(a, b)
-        elif L.kind == MEASURE_CHECKS:
-            cycle_out.append({q: tab.measure(q) for _, (q,) in L.gates})
-        elif L.kind == READOUT_DATA:
-            for _, (q,) in L.gates:
-                readout[q] = tab.measure(q)
-        # DD_IDLE acts as identity in the noiseless model.
+    cycle_out, readout = _run_layers(circuit, tab)
 
     # fail[p, check, slot]: slot 0 is contract (b), slot c in 1..t-1 is
     # contract (a) between cycles c and c + 1, slot t is contract (c)
@@ -729,6 +775,30 @@ def verify_circuit(
         preparations=preparations,
         basis=basis,
     )
+
+
+def _run_layers(
+    circuit: Circuit, tab: StabilizerTableau
+) -> tuple[list[dict[int, np.ndarray]], dict[int, np.ndarray]]:
+    """Run the circuit noiselessly on the tableau, one call per gate or
+    measurement layer. Returns each measurement layer's outcomes and the
+    readout outcomes, keyed by qubit."""
+    cycle_out: list[dict[int, np.ndarray]] = []
+    readout: dict[int, np.ndarray] = {}
+    for L in circuit.layers:
+        if L.kind == SINGLE_QUBIT:
+            tab.h([q for name, (q,) in L.gates if name == "H"])
+        elif L.kind == CZ:
+            tab.cz([a for _, (a, _) in L.gates], [b for _, (_, b) in L.gates])
+        elif L.kind in (MEASURE_CHECKS, READOUT_DATA):
+            qubits = [q for _, (q,) in L.gates]
+            out = dict(zip(qubits, tab.measure_many(qubits)))
+            if L.kind == MEASURE_CHECKS:
+                cycle_out.append(out)
+            else:
+                readout.update(out)
+        # DD_IDLE acts as identity in the noiseless model.
+    return cycle_out, readout
 
 
 # ---------------------------------------------------------------------------

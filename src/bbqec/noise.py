@@ -84,6 +84,7 @@ from .circuit import (
     SINGLE_QUBIT,
     Circuit,
     check_basis,
+    check_measurements,
     qubit_layout,
 )
 from .codes import CssCode, LogicalOperatorSet, logical_operator_set_for
@@ -302,11 +303,12 @@ class _Program:
         b[np.fromiter(map(len, legs), np.intp, len(legs)) == 1] = nq
         keep = kind >= 0
         layer, kind, a, b = layer[keep], kind[keep], a[keep], b[keep]
+        m, r = kind == _MEASURE, kind == _READOUT
+        check_measurements(layout, kinds, layer[m | r], a[m | r])
         col_of = np.zeros(nq, dtype=np.intp)
         col_of[list(layout.check_qubits)] = np.arange(len(layout.check_qubits))
         cycle = np.cumsum(measured) - measured  # measurement layers before each
         flip = np.full(len(kind), self.raw_bits)
-        m, r = kind == _MEASURE, kind == _READOUT
         flip[m] = self.dm_bit(cycle[layer[m]], col_of[a[m]])
         flip[r] = self.rd_bit(a[r])
 
@@ -936,12 +938,20 @@ class DemColumn(NamedTuple):
     logicals: tuple[int, ...]
 
 
+def _is_index_type(kind: type) -> bool:
+    """Whether values of this type are indices: ints, not bools."""
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+
+
 def _check_indices(what: str, indices: tuple[int, ...], count: int) -> None:
     if indices and not (
-        0 <= indices[0] and indices[-1] < count and sorted(set(indices)) == list(indices)
+        all(_is_index_type(type(i)) for i in indices)
+        and 0 <= indices[0] and indices[-1] < count
+        and sorted(set(indices)) == list(indices)
     ):
         raise ValueError(
-            f"{what} indices {indices} must be strictly increasing and lie in [0, {count})"
+            f"{what} indices {indices} must be ints, strictly increasing and lie "
+            f"in [0, {count})"
         )
 
 
@@ -975,7 +985,11 @@ class DetectorErrorModel:
             return False
         for supports, count in ((dets, self.detector_count), (logs, self.logical_count)):
             ends = np.cumsum([len(s) for s in supports])
-            flat = np.array(list(chain.from_iterable(supports)))
+            flat = list(chain.from_iterable(supports))
+            # one test per type: an array would read True as 1 and 1.5 as a number
+            if not all(map(_is_index_type, set(map(type, flat)))):
+                return False
+            flat = np.array(flat)
             if len(flat) and not (0 <= flat.min() and flat.max() < count):
                 return False
             # strictly increasing, except where the next column starts

@@ -4,9 +4,18 @@ Standard destabilizer/stabilizer tableau with sign tracking: rows 0..n-1
 hold destabilizers, rows n..2n-1 stabilizers. Pauli rows are stored as
 (x bits, z bits, sign bits) and products are accumulated with the usual
 group-phase bookkeeping (Aaronson & Gottesman, PRA 70, 052328, 2004).
-This is deliberately the transparent route: it checks compiled circuits
-(``circuit.verify_circuit``) and the fault-effect table of the noise
-module (the forced-fault oracle in ``tests/test_noise.py``).
+It checks compiled circuits (``circuit.verify_circuit``) and the
+fault-effect table of the noise module (the forced-fault oracle in
+``tests/test_noise.py``).
+
+The tableau is updated a layer at a time. ``h`` and ``cz`` take a whole
+layer of gates on distinct qubits: each gate then reads and writes only
+its own columns, so the gates commute and one numpy step over all their
+columns is exact. ``measure_many`` takes a layer of Z measurements. One
+that is deterministic when the layer starts keeps its outcome whatever
+the layer's other (commuting) Z measurements do, and it leaves the
+tableau as it is; so all of those outcomes come from one grouped sign
+product, and only the rest are measured one by one, in order.
 
 One tableau runs B computational basis states at once. Clifford gates,
 Pauli gates and the choice of measurement pivot act on the x/z part
@@ -50,6 +59,24 @@ def _sign_flips(g: np.ndarray) -> np.ndarray:
     if (g % 2).any():
         raise AssertionError("non-Hermitian rowsum; tableau corrupted")
     return ((g % 4) // 2).astype(np.uint8)
+
+
+def _xor_prefix(a: np.ndarray) -> np.ndarray:
+    """Exclusive XOR prefixes of the rows of a: row i of the result is the
+    XOR of rows 0..i-1, and one more row holds the XOR of them all."""
+    head = np.zeros((1, *a.shape[1:]), a.dtype)
+    return np.vstack([head, np.bitwise_xor.accumulate(a, axis=0)])
+
+
+def _layer(*legs) -> list[np.ndarray]:
+    """The legs of one gate, or of a layer of gates, as index arrays (one
+    per operand). Legs of unequal length, or a qubit used twice, raise
+    ValueError."""
+    legs = [np.asarray(q, dtype=np.intp).reshape(-1) for q in legs]
+    qubits = np.concatenate(legs).tolist()
+    if len({len(leg) for leg in legs}) != 1 or len(set(qubits)) != len(qubits):
+        raise ValueError(f"a layer acts on each qubit once, in whole gates: {legs}")
+    return legs
 
 
 class StabilizerTableau:
@@ -96,9 +123,12 @@ class StabilizerTableau:
 
     # ---- gates ----
 
-    def h(self, q: int) -> None:
-        self.r ^= (self.x[:, q] & self.z[:, q])[:, None]
-        self.x[:, q], self.z[:, q] = self.z[:, q].copy(), self.x[:, q].copy()
+    def h(self, qubits: int | Sequence[int]) -> None:
+        """Hadamard on one qubit, or on a layer of distinct qubits."""
+        (qs,) = _layer(qubits)
+        x, z = self.x[:, qs], self.z[:, qs]  # copies
+        self.r ^= np.bitwise_xor.reduce(x & z, axis=1)[:, None]
+        self.x[:, qs], self.z[:, qs] = z, x
 
     def s(self, q: int) -> None:
         self.r ^= (self.x[:, q] & self.z[:, q])[:, None]
@@ -110,12 +140,16 @@ class StabilizerTableau:
         self.x[:, t] ^= self.x[:, c]
         self.z[:, c] ^= self.z[:, t]
 
-    def cz(self, a: int, b: int) -> None:
+    def cz(self, a: int | Sequence[int], b: int | Sequence[int]) -> None:
+        """CZ on one pair, or on a layer of pairs (a[i], b[i]) whose qubits
+        are all distinct."""
+        a, b = _layer(a, b)
         # composition H(b) CNOT(a,b) H(b) reduced to a direct update
-        flip = self.x[:, a] & self.x[:, b] & (self.z[:, a] ^ self.z[:, b])
-        self.r ^= flip[:, None]
-        self.z[:, a] ^= self.x[:, b]
-        self.z[:, b] ^= self.x[:, a]
+        xa, xb = self.x[:, a], self.x[:, b]
+        flip = xa & xb & (self.z[:, a] ^ self.z[:, b])
+        self.r ^= np.bitwise_xor.reduce(flip, axis=1)[:, None]
+        self.z[:, a] ^= xb
+        self.z[:, b] ^= xa
 
     def pauli_x(self, q: int) -> None:
         self.r ^= self.z[:, q][:, None]
@@ -140,16 +174,17 @@ class StabilizerTableau:
 
     # ---- phase bookkeeping ----
 
-    def _product_signs(self, rows: np.ndarray) -> np.ndarray:
-        """Signs (B,) of the product of the given rows, multiplied in order."""
+    def _product_signs(self, rows: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """Signs (groups, B) of products of rows: group g multiplies
+        rows[bounds[g]:bounds[g + 1]] together in order. An empty group
+        is the identity, sign 0."""
         xs, zs = self.x[rows], self.z[rows]
-        # the running product each row is multiplied into
-        prev_x = np.bitwise_xor.accumulate(xs, axis=0)
-        prev_z = np.bitwise_xor.accumulate(zs, axis=0)
-        prev_x = np.vstack([np.zeros_like(xs[:1]), prev_x[:-1]])
-        prev_z = np.vstack([np.zeros_like(zs[:1]), prev_z[:-1]])
-        flip = np.bitwise_xor.reduce(_sign_flips(_g_sum(xs, zs, prev_x, prev_z)))
-        return np.bitwise_xor.reduce(self.r[rows], axis=0) ^ flip
+        start = np.repeat(bounds[:-1], np.diff(bounds))  # each row's group start
+        px, pz = _xor_prefix(xs), _xor_prefix(zs)
+        # the product so far in its group, which each row is multiplied into
+        flip = _sign_flips(_g_sum(xs, zs, px[:-1] ^ px[start], pz[:-1] ^ pz[start]))
+        signs = _xor_prefix(self.r[rows] ^ flip[:, None])
+        return signs[bounds[1:]] ^ signs[bounds[:-1]]
 
     # ---- measurement ----
 
@@ -178,7 +213,29 @@ class StabilizerTableau:
             self.r[p] = np.broadcast_to(coin, self.r.shape[1:])
             return self.r[p].copy()
         # deterministic: the matching stabilizer product
-        return self._product_signs(n + np.flatnonzero(self.x[:n, q]))
+        rows = n + np.flatnonzero(self.x[:n, q])
+        return self._product_signs(rows, np.array([0, len(rows)]))[0]
+
+    def measure_many(self, qubits: Sequence[int]) -> np.ndarray:
+        """Z-basis measurements of the qubits in order, as ``measure``
+        would make them one by one: outcomes (len(qubits), B), the same
+        coins drawn in the same order, and the same final tableau.
+
+        A measurement that is deterministic when the call starts stays
+        so, with the same outcome, and changes nothing; those come from
+        one grouped sign product. The rest are measured in order.
+        """
+        n = self.n
+        qs = np.asarray(qubits, dtype=np.intp).reshape(-1)
+        out = np.empty((len(qs), self.r.shape[1]), dtype=np.uint8)
+        fixed = ~self.x[n:, qs].any(axis=0)
+        # (measurement, destabilizer) pairs, grouped by measurement
+        group, rows = np.nonzero(self.x[:n, qs[fixed]].T)
+        bounds = np.searchsorted(group, np.arange(int(fixed.sum()) + 1))
+        out[fixed] = self._product_signs(n + rows, bounds)
+        for i in np.flatnonzero(~fixed).tolist():
+            out[i] = self.measure(int(qs[i]))
+        return out
 
     def measure_deterministic(self, q: int) -> np.ndarray | None:
         """Outcomes of measuring Z_q if determined, else None. No collapse."""
@@ -192,11 +249,7 @@ class StabilizerTableau:
         Measures a copy qubit-by-qubit; the XOR of individual outcomes is a
         valid sample of the product observable (all factors commute).
         """
-        dup = self.copy()
-        out = np.zeros(self.r.shape[1], dtype=np.uint8)
-        for q in support:
-            out ^= dup.measure(q)
-        return out
+        return np.bitwise_xor.reduce(self.copy().measure_many(support), axis=0)
 
     def z_parity_deterministic(self, support: Sequence[int]) -> np.ndarray | None:
         """Joint Z parity when the product observable is fixed, else None.
@@ -224,4 +277,5 @@ class StabilizerTableau:
                 picked ^= rref[r_idx, 2 * n :]
         if residue.any():
             return None
-        return self._product_signs(n + np.flatnonzero(picked))
+        rows = n + np.flatnonzero(picked)
+        return self._product_signs(rows, np.array([0, len(rows)]))[0]

@@ -1,5 +1,7 @@
 """Circuit generation: scheduling, compilation, verification, text form."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -256,19 +258,31 @@ def test_verify_passes_on_generated_circuits(cid, basis, t):
     assert report.ok, str(report)
 
 
+def _per_gate_run(circ, tab):
+    """Reference for ``circuit._run_layers``: the same run with one
+    tableau call per gate and per measurement."""
+    cycle_out, readout = [], {}
+    for L in circ.layers:
+        if L.kind == circuit.SINGLE_QUBIT:
+            for name, (q,) in L.gates:
+                if name == "H":
+                    tab.h(q)
+        elif L.kind == circuit.CZ:
+            for _, (a, b) in L.gates:
+                tab.cz(a, b)
+        elif L.kind == circuit.MEASURE_CHECKS:
+            cycle_out.append({q: tab.measure(q) for _, (q,) in L.gates})
+        elif L.kind == circuit.READOUT_DATA:
+            for _, (q,) in L.gates:
+                readout[q] = tab.measure(q)
+    return cycle_out, readout
+
+
 def _run_outcomes(circ, tab):
     """Every measurement and readout outcome of one noiseless run, in
-    circuit order, one row each."""
-    out = []
-    for layer in circ.layers:
-        for name, qubits in layer.gates:
-            if name == "H":
-                tab.h(*qubits)
-            elif name == "CZ":
-                tab.cz(*qubits)
-            elif name in ("M", "RD"):
-                out.append(tab.measure(*qubits))
-    return np.array(out)
+    circuit order (the readout comes last), one row each."""
+    cycle_out, readout = _per_gate_run(circ, tab)
+    return np.array([v for out in (*cycle_out, readout) for v in out.values()])
 
 
 @pytest.mark.parametrize("cid", ["18-4-4-pruned", "18-6-3"])
@@ -297,14 +311,57 @@ def test_batched_run_equals_single_state_runs(cid, basis):
         assert next(alone_coins, None) is None
 
 
-def test_verify_truncates_after_whole_preparations():
-    code = build_named_code("18-4-4-pruned")
-    circ = circuit.build_syndrome_circuit(code, 2)
+def _swap_cz_layers(circ):
     lo, hi = circ.cycle_layer_range(0)
     cz_at = [i for i in range(lo, hi) if circ.layers[i].kind == circuit.CZ]
     layers = list(circ.layers)
+    # on 18-4-4-pruned: a left-block X round with a left-block Z round
     layers[cz_at[1]], layers[cz_at[2]] = layers[cz_at[2]], layers[cz_at[1]]
-    mutated = circuit.Circuit(circ.qubit_count, tuple(layers), circ.cycle_boundaries)
+    return replace(circ, layers=tuple(layers))
+
+
+def _drop_one_h(circ):
+    layers = list(circ.layers)
+    i = next(i for i, L in enumerate(layers) if L.count("H") > 1)
+    gates = list(layers[i].gates)
+    gates.remove(next(g for g in gates if g[0] == "H"))
+    layers[i] = circuit.GateLayer(circuit.SINGLE_QUBIT, tuple(gates))
+    return replace(circ, layers=tuple(layers))
+
+
+@pytest.mark.parametrize("cid", ["18-4-4-pruned", "18-6-3", "36-4-6"])
+@pytest.mark.parametrize("basis", ["Z", "X"])
+@pytest.mark.parametrize(
+    "mutate", [lambda c: c, _swap_cz_layers, _drop_one_h], ids=["built", "swapped-cz", "no-h"]
+)
+def test_verify_by_layer_equals_the_per_gate_loop(cid, basis, mutate, monkeypatch):
+    code = build_named_code(cid)
+    circ = mutate(circuit.build_syndrome_circuit(code, 3, basis=basis))
+    runs = []
+
+    def recorded(run):
+        def record(circ, tab):
+            runs.append(run(circ, tab))
+            return runs[-1]
+
+        return record
+
+    reports = []
+    for run in (circuit._run_layers, _per_gate_run):
+        monkeypatch.setattr(circuit, "_run_layers", recorded(run))
+        reports.append(
+            circuit.verify_circuit(circ, code, basis=basis, max_failures=10**6)
+        )
+    assert reports[0] == reports[1]
+    (by_layer, by_layer_readout), (by_gate, by_gate_readout) = runs
+    for got, want in zip(by_layer + [by_layer_readout], by_gate + [by_gate_readout]):
+        assert got.keys() == want.keys()
+        assert all(np.array_equal(got[q], want[q]) for q in want)
+
+
+def test_verify_truncates_after_whole_preparations():
+    code = build_named_code("18-4-4-pruned")
+    mutated = _swap_cz_layers(circuit.build_syndrome_circuit(code, 2))
     full = circuit.verify_circuit(mutated, code, preparations=6, max_failures=10**6)
     preps = [int(f.split(":")[0].split()[1]) for f in full.failures]
     assert preps == sorted(preps) and len(set(preps)) > 2
@@ -331,13 +388,7 @@ def test_verify_rejects_a_circuit_of_the_other_basis():
 
 def test_verify_catches_swapped_cz_layers():
     code = build_named_code("18-4-4-pruned")
-    circ = circuit.build_syndrome_circuit(code, 2)
-    lo, hi = circ.cycle_layer_range(0)
-    cz_at = [i for i in range(lo, hi) if circ.layers[i].kind == circuit.CZ]
-    layers = list(circ.layers)
-    # swap a left-block X round with a left-block Z round
-    layers[cz_at[1]], layers[cz_at[2]] = layers[cz_at[2]], layers[cz_at[1]]
-    mutated = circuit.Circuit(circ.qubit_count, tuple(layers), circ.cycle_boundaries)
+    mutated = _swap_cz_layers(circuit.build_syndrome_circuit(code, 2))
     report = circuit.verify_circuit(mutated, code, preparations=5)
     assert not report.ok
     assert any("layer" in f for f in report.failures)

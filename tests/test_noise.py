@@ -16,6 +16,7 @@ from bbqec.circuit import (
     GateLayer,
     build_syndrome_circuit,
     qubit_layout,
+    verify_circuit,
 )
 from bbqec.codes import build_named_code, logical_operator_set_for
 from bbqec.noise import DemColumn, DetectorErrorModel, NoiseModel
@@ -545,6 +546,34 @@ def test_empty_noise_model_gives_empty_dem_and_zero_series():
     assert not noise.expected_detection_series(circ, NoiseModel(), code=code).any()
 
 
+def _move_first_gate(circ, kind, qubit):
+    """The circuit with the first gate of its first ``kind`` layer moved
+    onto ``qubit``, or dropped if ``qubit`` is None."""
+    i = next(i for i, layer in enumerate(circ.layers) if layer.kind == kind)
+    (name, _), *rest = circ.layers[i].gates
+    moved = () if qubit is None else ((name, (qubit,)),)
+    layers = list(circ.layers)
+    layers[i] = GateLayer(kind, (*moved, *rest))
+    return replace(circ, layers=tuple(layers))
+
+
+@pytest.mark.parametrize(
+    "kind,qubit,message",
+    [(READOUT_DATA, 19, "RD on qubit 19 .* not on a data qubit"),
+     (MEASURE_CHECKS, 0, "M on qubit 0 .* not on a check qubit"),
+     (READOUT_DATA, None, r"layer \d+ measures 17 of the 18 data qubits"),
+     (MEASURE_CHECKS, None, r"layer \d+ measures \d+ of the \d+ check qubits")],
+    ids=["readout-on-a-check", "measure-on-data", "readout-skips-one", "measure-skips-one"],
+)
+def test_a_miswired_measurement_is_rejected(kind, qubit, message):
+    code = build_named_code("18-4-4-pruned")
+    circ = _move_first_gate(build_syndrome_circuit(code, 1), kind, qubit)
+    with pytest.raises(ValueError, match=message):
+        noise.build_dem(circ, NOISE, code=code)
+    with pytest.raises(ValueError, match=message):
+        verify_circuit(circ, code)
+
+
 # ---- detector error model validation ----
 
 
@@ -572,6 +601,21 @@ def test_parse_dem_rejects_an_index_past_the_first():
 def test_parse_dem_rejects_an_index_past_int64():
     with pytest.raises(ValueError, match="detector indices"):
         noise.parse_dem("detectors 4 logicals 1\n0.1 99999999999999999999999 | 0\n")
+
+
+@pytest.mark.parametrize("index", [1.5, 1.0, True, "1", None])
+@pytest.mark.parametrize("where", ["detectors", "logicals"])
+def test_dem_rejects_indices_that_are_not_ints(index, where):
+    column = DemColumn(0.1, (0,), (0,))._replace(**{where: (index,)})
+    # the array pass sends the column to the loop, which names it
+    with pytest.raises(ValueError, match=f"{where[:-1]} indices .* must be ints"):
+        DetectorErrorModel(4, 2, (column,))
+    # a bad prior in the same column still comes first, and an earlier
+    # column's fault before both
+    with pytest.raises(ValueError, match="probability"):
+        DetectorErrorModel(4, 2, (column._replace(probability=2.0),))
+    with pytest.raises(ValueError, match="detector indices \\(3, 1\\)"):
+        DetectorErrorModel(4, 2, (DemColumn(0.1, (3, 1), ()), column))
 
 
 @pytest.mark.parametrize("prior", [0.0, 1.0, -0.1, float("nan")])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bbqec.tableau import StabilizerTableau
@@ -201,6 +201,145 @@ def test_every_state_of_a_batch_follows_its_statevector(circ, seed):
             assert_stabilizers_fix_state(tab, vec, b)
 
 
+@st.composite
+def layered_circuits(draw):
+    """A random circuit, then layers of H or CZ gates on distinct qubits."""
+    n, ops = draw(random_circuits())
+    layers = []
+    for _ in range(draw(st.integers(1, 8))):
+        order = draw(st.permutations(range(n)))
+        used = order[: draw(st.integers(0, n))]
+        if draw(st.booleans()):
+            layers.append(("H", [(q,) for q in used]))
+        else:
+            layers.append(("CZ", list(zip(used[0::2], used[1::2]))))
+    return n, ops, layers
+
+
+@given(layered_circuits(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_layer_calls_equal_gate_by_gate_calls(circ, seed):
+    n, ops, layers = circ
+    states = np.random.default_rng(seed).integers(0, 2, size=(3, n))
+    by_layer = StabilizerTableau(n, states=states)
+    by_gate = StabilizerTableau(n, states=states)
+    vecs = []
+    for bits in states:
+        vec = Statevector(n)
+        for q in np.flatnonzero(bits):
+            vec.apply("X", (q,))
+        vecs.append(vec)
+    for gate, qubits in ops:
+        by_layer.apply_gate(gate, qubits)
+        by_gate.apply_gate(gate, qubits)
+        for vec in vecs:
+            vec.apply(gate, qubits)
+    for gate, gates in layers:
+        if gate == "H":
+            by_layer.h([q for (q,) in gates])
+        else:
+            by_layer.cz([a for a, _ in gates], [b for _, b in gates])
+        for qubits in gates:
+            by_gate.apply_gate(gate, qubits)
+            for vec in vecs:
+                vec.apply(gate, qubits)
+    assert np.array_equal(by_layer.x, by_gate.x)
+    assert np.array_equal(by_layer.z, by_gate.z)
+    assert np.array_equal(by_layer.r, by_gate.r)
+    for b, vec in enumerate(vecs):
+        assert_stabilizers_fix_state(by_layer, vec, b)
+
+
+@given(
+    random_circuits(),
+    st.lists(st.lists(st.integers(0, 4), max_size=4), max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+@example(circ=(2, [("H", (0,)), ("CNOT", (0, 1))]), groups=[[0], [1]], seed=0)  # XX, ZZ
+@settings(max_examples=60, deadline=None)
+def test_grouped_sign_products_equal_one_product_per_group(circ, groups, seed):
+    n, ops = circ
+    states = np.random.default_rng(seed).integers(0, 2, size=(3, n))
+    tab = StabilizerTableau(n, states=states)
+    for gate, qubits in ops:
+        tab.apply_gate(gate, qubits)
+    # stabilizer rows commute, so every group's product is Hermitian
+    groups = [np.array(sorted({n + q % n for q in g}), dtype=np.intp) for g in groups]
+    rows = np.concatenate([np.zeros(0, dtype=np.intp), *groups])
+    bounds = np.cumsum([0] + [len(g) for g in groups])
+    want = [tab._product_signs(g, np.array([0, len(g)]))[0] for g in groups]
+    assert np.array_equal(tab._product_signs(rows, bounds), np.reshape(want, (-1, 3)))
+
+
+def _counting_coins(states: int, log: list):
+    """Coin source whose k-th call returns the bits of k + 1, one per
+    state, so calls made in another order give other outcomes."""
+
+    def coin():
+        log.append(len(log))
+        return (len(log) >> np.arange(states)) & 1
+
+    return coin
+
+
+def _prepared(n, ops, states, log):
+    tab = StabilizerTableau(n, coin=_counting_coins(len(states), log), states=states)
+    for gate, qubits in ops:
+        tab.apply_gate(gate, qubits)
+    return tab
+
+
+def _assert_measure_many_is_measure_in_order(n, ops, states, qubits):
+    many_log, one_log = [], []
+    many = _prepared(n, ops, states, many_log)
+    one = _prepared(n, ops, states, one_log)
+    got = many.measure_many(qubits)
+    want = np.array([one.measure(q) for q in qubits]).reshape(len(qubits), len(states))
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert many_log == one_log  # the same number of coins, drawn in order
+    assert np.array_equal(many.x, one.x)
+    assert np.array_equal(many.z, one.z)
+    assert np.array_equal(many.r, one.r)
+    return got, many_log
+
+
+@given(random_circuits(), st.lists(st.integers(0, 4), max_size=8), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_measure_many_equals_measure_in_order(circ, order, seed):
+    n, ops = circ
+    states = np.random.default_rng(seed).integers(0, 2, size=(5, n))
+    _assert_measure_many_is_measure_in_order(n, ops, states, [q % n for q in order])
+
+
+def test_measure_many_on_a_bell_pair_reads_the_partner_after_the_collapse():
+    ops = [("H", (0,)), ("CNOT", (0, 1))]
+    states = np.zeros((5, 2), dtype=np.uint8)
+    assert _prepared(2, ops, states, []).measure_deterministic(1) is None
+    got, log = _assert_measure_many_is_measure_in_order(2, ops, states, [0, 1])
+    # q1 is random when the layer starts, fixed by q0's outcome after it
+    assert len(log) == 1
+    assert np.array_equal(got[0], got[1]) and got[0].any()
+
+
+def test_measure_many_with_a_repeated_qubit():
+    ops = [("H", (0,)), ("X", (1,))]
+    states = np.zeros((5, 3), dtype=np.uint8)
+    got, log = _assert_measure_many_is_measure_in_order(3, ops, states, [0, 1, 0, 1, 2])
+    assert len(log) == 1  # only the first read of q0 is random
+    assert np.array_equal(got[0], got[2])
+    assert got[1].all() and got[3].all() and not got[4].any()
+
+
+def test_layer_calls_reject_a_repeated_qubit():
+    tab = StabilizerTableau(4)
+    for bad in (lambda: tab.h([0, 1, 0]), lambda: tab.cz([0, 1], [2, 1]),
+                lambda: tab.cz(2, 2), lambda: tab.cz([0], [1, 2])):
+        with pytest.raises(ValueError):
+            bad()
+    assert np.array_equal(tab.x, StabilizerTableau(4).x)
+
+
 def test_states_must_be_basis_states_of_n_qubits():
     for bad in ([[0, 1]], [[0, 2, 1]], np.zeros((0, 3)), [0, 1, 1]):
         with pytest.raises(ValueError):
@@ -259,6 +398,7 @@ def test_z_parity_with_sign():
     assert tab.z_parity_deterministic((0,)) == 1
     assert tab.z_parity_deterministic((0, 1)) == 1
     assert tab.z_parity_deterministic((1,)) == 0
+    assert tab.z_parity_deterministic(()) == 0  # the identity
 
 
 def test_cz_phase_convention():
