@@ -8,6 +8,10 @@ Carlo run at a fixed master seed. The grid is {18-4-4-pruned, 18-6-3,
 rates, plus, per code and basis, a model with some rates set to zero so
 that zero-probability variants are skipped.
 
+A second table pins the code layer: the supports of ``compute_logicals``
+on every named code and, where ``compute_distance`` searches the code
+(kernels of dimension at most 24), the distance it returns.
+
 A refactor leaves every digest unchanged. A change that alters an
 output on purpose regenerates the table with
 
@@ -24,7 +28,12 @@ import pytest
 
 from bbqec import noise
 from bbqec.circuit import build_syndrome_circuit
-from bbqec.codes import build_named_code, logical_operator_set_for
+from bbqec.codes import (
+    build_named_code,
+    compute_distance,
+    compute_logicals,
+    logical_operator_set_for,
+)
 from bbqec.noise import IDLE_POLICIES, NoiseModel
 
 SHOTS = 256
@@ -152,6 +161,34 @@ GOLDEN = {
 }
 
 
+CODE_IDS = (
+    "18-4-4", "18-4-4-pruned", "18-6-3", "36-4-6", "54-4-8", "90-8-10", "144-12-12",
+)
+
+
+def _code_outputs(cid):
+    code = build_named_code(cid)
+    logicals = compute_logicals(code)
+    out = {
+        "logicals": _digest(repr((logicals.x_supports, logicals.z_supports)).encode()),
+    }
+    distance = compute_distance(code)
+    if distance.computed:
+        out["distance"] = distance.value
+    return out
+
+
+CODE_GOLDEN = {
+    '18-4-4': {'logicals': 'ed54bc4608b3825b', 'distance': 4},
+    '18-4-4-pruned': {'logicals': 'ed54bc4608b3825b', 'distance': 4},
+    '18-6-3': {'logicals': 'af1919573166aab2', 'distance': 3},
+    '36-4-6': {'logicals': '598daa50d18a9047', 'distance': 6},
+    '54-4-8': {'logicals': 'fac7a0a4e8e47db8'},
+    '90-8-10': {'logicals': '6f49cdebfc6ebfbe'},
+    '144-12-12': {'logicals': '20b4291c39a619db'},
+}
+
+
 @pytest.mark.parametrize("case_id", sorted(CASES))
 def test_outputs_match_golden_digests(case_id):
     assert _outputs(case_id) == GOLDEN[case_id]
@@ -161,8 +198,21 @@ def test_golden_table_covers_the_grid():
     assert set(GOLDEN) == set(CASES)
 
 
+@pytest.mark.parametrize("cid", CODE_IDS)
+def test_logicals_and_distance_match_golden(cid):
+    assert _code_outputs(cid) == CODE_GOLDEN[cid]
+
+
+def test_code_golden_table_covers_every_named_code():
+    assert set(CODE_GOLDEN) == set(CODE_IDS)
+
+
 if __name__ == "__main__":
     print("GOLDEN = {")
     for case_id in sorted(CASES):
         print(f"    {case_id!r}: {_outputs(case_id)!r},")
+    print("}")
+    print("CODE_GOLDEN = {")
+    for cid in CODE_IDS:
+        print(f"    {cid!r}: {_code_outputs(cid)!r},")
     print("}")
