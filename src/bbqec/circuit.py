@@ -128,7 +128,8 @@ class Circuit:
             raise ValueError("negative qubit count")
         if self.basis not in (None, "Z", "X"):
             raise ValueError(f"basis must be 'Z', 'X' or None, got {self.basis!r}")
-        for layer in self.layers:
+        # a built circuit repeats its steady-state layer objects
+        for layer in {id(L): L for L in self.layers}.values():
             high = max(layer.qubits(), default=-1)
             if high >= self.qubit_count:
                 raise ValueError(
@@ -521,8 +522,13 @@ def build_syndrome_circuit(
             base_slots[opens].add(d)
             base_slots[e].add(d)
 
-    checks_sorted = sorted(layout.check_qubits)
+    checks_sorted = tuple(sorted(layout.check_qubits))
     all_data = set(range(n))
+    # each distinct layer is built once and shared by every cycle using it
+    single_layers: dict[tuple[int, ...], GateLayer] = {}
+    measure = GateLayer(MEASURE_CHECKS, tuple(("M", (q,)) for q in checks_sorted))
+    idle = GateLayer(DD_IDLE, tuple(("DD", (d,)) for d in range(n)))
+    readout = GateLayer(READOUT_DATA, tuple(("RD", (d,)) for d in range(n)))
 
     layers: list[GateLayer] = []
     boundaries: list[int] = []
@@ -535,27 +541,20 @@ def build_syndrome_circuit(
         boundaries.append(len(layers))
 
         def emit_single(slot_idx: int) -> None:
-            qs = sorted(slots[slot_idx])
+            qs = tuple(sorted(slots[slot_idx]))
             if slot_idx in (0, 7):
-                qs = qs + checks_sorted
+                qs += checks_sorted
+            if qs and qs not in single_layers:
+                single_layers[qs] = GateLayer(SINGLE_QUBIT, tuple(("H", (q,)) for q in qs))
             if qs:
-                layers.append(
-                    GateLayer(SINGLE_QUBIT, tuple(("H", (q,)) for q in qs))
-                )
+                layers.append(single_layers[qs])
 
         emit_single(0)
         for r in range(1, 8):
             layers.append(cz_layers[r - 1])
             emit_single(r)
-        layers.append(
-            GateLayer(MEASURE_CHECKS, tuple(("M", (q,)) for q in checks_sorted))
-        )
-        if c < cycles:
-            layers.append(GateLayer(DD_IDLE, tuple(("DD", (d,)) for d in range(n))))
-        else:
-            layers.append(
-                GateLayer(READOUT_DATA, tuple(("RD", (d,)) for d in range(n)))
-            )
+        layers.append(measure)
+        layers.append(idle if c < cycles else readout)
 
     circuit = Circuit(
         qubit_count=layout.qubit_count,

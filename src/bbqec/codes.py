@@ -217,13 +217,6 @@ class DistanceResult:
         return f"not computed ({self.reason})"
 
 
-def _pack_rows(bits: np.ndarray) -> np.ndarray:
-    """0/1 rows packed into ceil(cols/64) uint64 words each; XORs of packed
-    rows unpack with np.unpackbits(x.view(np.uint8), bitorder="little")."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
-
-
 def _span(rows: np.ndarray) -> np.ndarray:
     """All 2^len(rows) XOR combinations of packed rows; entry i combines the
     rows whose index bits are set in i."""
@@ -245,7 +238,7 @@ def _min_weight_outside_row_space(
     increasing weight order until one fails membership.
     """
     dim, n = kernel_mat.shape
-    packed = _pack_rows(kernel_mat)
+    packed = gf2.pack_rows(kernel_mat)
     low_dim = min(dim, 16)
     low = _span(packed[:low_dim])
     high = _span(packed[low_dim:])
@@ -257,9 +250,7 @@ def _min_weight_outside_row_space(
     for w in np.flatnonzero(np.bincount(weights))[1:]:
         index = np.flatnonzero(weights == w)
         vectors = low[index % len(low)] ^ high[index // len(low)]
-        candidates = np.unpackbits(
-            vectors.view(np.uint8), axis=1, count=n, bitorder="little"
-        )
+        candidates = gf2.unpack_rows(vectors, n)
         residue = candidates.copy()
         for r_idx, pc in enumerate(pivots):
             hit = residue[:, pc] == 1
@@ -592,36 +583,21 @@ def verify_logicals(code: CssCode, logicals: LogicalOperatorSet) -> LogicalsRepo
 def _coset_representatives(
     commute_with: BinaryMatrix, stabilizers: BinaryMatrix, count: int
 ) -> list[BinaryMatrix]:
-    """Kernel vectors of one check matrix, independent of the other's rows."""
-    reps: list[BinaryMatrix] = []
-    base = stabilizers
-    r = gf2.rank(base)
-    for v in gf2.kernel_basis(commute_with):
-        grown = gf2.vstack(base, v)
-        r2 = gf2.rank(grown)
-        if r2 > r:
-            reps.append(v)
-            base, r = grown, r2
-        if len(reps) == count:
-            break
-    if len(reps) != count:
+    """The first ``count`` kernel vectors of one check matrix, in kernel
+    basis order, that are independent of the other's rows and of the
+    kernel vectors before them.
+
+    One elimination of the transposed stack [stabilizers; kernel basis]:
+    column i of the transpose is a pivot exactly when row i of the stack
+    is independent of the rows above it.
+    """
+    kernel = gf2.kernel_basis(commute_with)
+    stack = gf2.vstack(stabilizers, *kernel)
+    _, pivots = gf2.row_echelon(gf2.transpose(stack))
+    reps = [kernel[p - stabilizers.rows] for p in pivots if p >= stabilizers.rows]
+    if len(reps) < count:
         raise ValueError(f"found {len(reps)} coset representatives, wanted {count}")
-    return reps
-
-
-def _invert_mod2(mat: np.ndarray) -> np.ndarray:
-    k = mat.shape[0]
-    aug = np.concatenate([mat.astype(np.uint8), np.eye(k, dtype=np.uint8)], axis=1)
-    for col in range(k):
-        pivots = [r for r in range(col, k) if aug[r, col]]
-        if not pivots:
-            raise ValueError("pairing matrix is singular")
-        if pivots[0] != col:
-            aug[[col, pivots[0]]] = aug[[pivots[0], col]]
-        for r in range(k):
-            if r != col and aug[r, col]:
-                aug[r] ^= aug[col]
-    return aug[:, k:]
+    return reps[:count]
 
 
 def compute_logicals(code: CssCode) -> LogicalOperatorSet:
@@ -642,8 +618,12 @@ def compute_logicals(code: CssCode) -> LogicalOperatorSet:
     x_mat = gf2.vstack(*x_reps)
     z_mat = gf2.vstack(*z_reps)
     pairing = gf2.matmul_mod2(x_mat, gf2.transpose(z_mat))
-    mix = _invert_mod2(pairing.bits).T
-    z_bits = (mix.astype(np.uint8) @ z_mat.bits) % 2
+    # [P | I] reduces to [I | P^-1] exactly when P is invertible
+    reduced, pivots = gf2.row_echelon(gf2.hstack(pairing, gf2.identity(k)))
+    if pivots[k - 1] != k - 1:
+        raise ValueError("pairing matrix is singular")
+    mix = reduced[:, k:].T
+    z_bits = (mix @ z_mat.bits) % 2
     to_support = lambda row: tuple(int(c) for c in np.flatnonzero(row))
     return LogicalOperatorSet(
         n=code.n,

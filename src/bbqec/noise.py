@@ -68,6 +68,7 @@ the draws are the same bits on every platform.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, repeat
@@ -76,6 +77,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import gf2
 from .circuit import (
     CZ,
     DD_IDLE,
@@ -602,26 +604,7 @@ def _forced_variants(prog: _Program, fault: FaultVariant) -> _Variants:
 
 
 # ---------------------------------------------------------------------------
-# fault-effect table
-
-# Packed output rows: bit i of a row is bit i % 64 of little-endian word i // 64.
-_WORD = np.dtype("<u8")
-
-
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """Rows of 0/1 bytes -> rows of packed words."""
-    words = -(-bits.shape[1] // 64)
-    out = np.zeros((bits.shape[0], 8 * words), dtype=np.uint8)
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    out[:, : packed.shape[1]] = packed
-    return out.view(_WORD)
-
-
-def _unpack(rows: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` bits of packed rows, as rows of 0/1 bytes."""
-    raw = np.ascontiguousarray(rows, dtype=_WORD).view(np.uint8)
-    return np.unpackbits(raw, axis=1, count=count, bitorder="little")
-
+# fault-effect table (rows packed by ``gf2.pack_rows``)
 
 # row v: the bits set in byte value v, as 0/1 flags in ascending order
 _BYTE_BITS = np.unpackbits(
@@ -631,10 +614,10 @@ _BYTE_BITS = np.unpackbits(
 
 def _set_bits(rows: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     """(row, bit) of every set bit below ``count`` in packed rows, in
-    row-major order: ``np.nonzero(_unpack(rows, count))`` without
+    row-major order: ``np.nonzero(gf2.unpack_rows(rows, count))`` without
     expanding each bit to a byte. One nonzero finds the nonzero bytes,
     and ``_BYTE_BITS`` gives the bits of each."""
-    raw = np.ascontiguousarray(rows, dtype=_WORD).view(np.uint8)[:, : -(-count // 8)]
+    raw = np.ascontiguousarray(rows, dtype=gf2.WORD).view(np.uint8)[:, : -(-count // 8)]
     r, byte = np.nonzero(raw)
     value = raw[r, byte]
     if count % 8:  # drop the bits at or past count in the last byte
@@ -646,7 +629,7 @@ def _set_bits(rows: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
 def _raw_map(prog: _Program) -> np.ndarray:
     """Row r: raw output r alone, packed. Tables built on it hold raw outputs.
     Both output maps end with a zero row, for variants that flip none."""
-    return _pack(np.eye(prog.raw_bits + 1, prog.raw_bits, dtype=np.uint8))
+    return gf2.pack_rows(np.eye(prog.raw_bits + 1, prog.raw_bits, dtype=np.uint8))
 
 
 def _signature_map(prog: _Program) -> np.ndarray:
@@ -659,7 +642,7 @@ def _signature_map(prog: _Program) -> np.ndarray:
     eye = np.eye(prog.raw_bits + 1, prog.raw_bits, dtype=np.uint8)
     det, zf, logical = _assemble(prog, *prog.split_raw(eye))
     body = det[:, :, prog.aligned_cols].reshape(len(eye), -1)
-    return _pack(np.concatenate([body, zf, logical], axis=1))
+    return gf2.pack_rows(np.concatenate([body, zf, logical], axis=1))
 
 
 def _walk_back(prog: _Program, out_map: np.ndarray):
@@ -742,7 +725,7 @@ def _sampler(prog: _Program, noise: NoiseModel):
         acc = np.zeros((len(keys), rows.shape[1]), dtype=rows.dtype)
         for shot, v in _fired(prog, slot, noise, keys):
             acc[shot] ^= rows[v]
-        return prog.split_raw(_unpack(acc, prog.raw_bits))
+        return prog.split_raw(gf2.unpack_rows(acc, prog.raw_bits))
 
     return sample
 
@@ -877,7 +860,7 @@ def sample_shot(
             hit[v] = True
         var = _Variants(*(col[..., hit] for col in var))
     row = np.bitwise_xor.reduce(_fault_table(prog, var, _raw_map(prog)), axis=0)
-    dm, rd = prog.split_raw(_unpack(row[None], prog.raw_bits))
+    dm, rd = prog.split_raw(gf2.unpack_rows(row[None], prog.raw_bits))
     det, zf, logical = _assemble(prog, dm, rd)
     return ShotRecord(basis, det[0], zf[0], logical[0])
 
@@ -980,8 +963,11 @@ class DetectorErrorModel:
         if not self.columns:
             return True
         p, dets, logs = zip(*self.columns)
-        prob = np.array(p)  # no dtype: a prior that is not a number fails
-        if prob.ndim != 1 or not ((0.0 < prob) & (prob < 1.0)).all():
+        # one test per type, as for the indices below
+        if not all(issubclass(kind, numbers.Real) for kind in set(map(type, p))):
+            return False
+        prob = np.array(p, dtype=float)
+        if not ((0.0 < prob) & (prob < 1.0)).all():
             return False
         for supports, count in ((dets, self.detector_count), (logs, self.logical_count)):
             ends = np.cumsum([len(s) for s in supports])
@@ -1003,6 +989,8 @@ class DetectorErrorModel:
         """Check the columns one at a time, and raise for the first fault."""
         seen = set()
         for col in self.columns:
+            if not isinstance(col.probability, numbers.Real):
+                raise ValueError(f"column probability {col.probability!r} is not a real number")
             if not 0.0 < col.probability < 1.0:
                 raise ValueError(f"column probability {col.probability} outside (0,1)")
             _check_indices("detector", col.detectors, self.detector_count)

@@ -245,6 +245,12 @@ def test_build_is_idempotent():
     assert a == b
 
 
+@pytest.mark.parametrize("basis", ["Z", "X"])
+def test_build_makes_each_distinct_layer_once(basis):
+    c = circuit.build_syndrome_circuit(build_named_code("36-4-6"), 7, basis=basis)
+    assert len({id(layer) for layer in c.layers}) == len(set(c.layers)) < len(c.layers)
+
+
 # ---- functional verification ----
 
 
@@ -516,3 +522,7 @@ def test_circuit_rejects_out_of_range_qubits():
     layer = circuit.GateLayer(circuit.SINGLE_QUBIT, (("H", (5,)),))
     with pytest.raises(ValueError):
         circuit.Circuit(5, (layer,), ())
+    # the range check runs once per distinct layer object, on every one
+    ok = circuit.GateLayer(circuit.SINGLE_QUBIT, (("H", (4,)),))
+    with pytest.raises(ValueError, match="touches qubit 5"):
+        circuit.Circuit(5, (ok, ok, layer, ok), ())

@@ -288,6 +288,50 @@ def test_computed_logicals_verify(cid):
     assert report.ok, report.failures
 
 
+def _greedy_coset_representatives(commute_with, stabilizers, count):
+    """Keep each kernel vector that raises the rank of the rows kept so far."""
+    reps, base = [], stabilizers
+    for v in gf2.kernel_basis(commute_with):
+        grown = gf2.vstack(base, v)
+        if gf2.rank(grown) > gf2.rank(base):
+            reps.append(v)
+            base = grown
+        if len(reps) == count:
+            break
+    return reps
+
+
+@pytest.mark.parametrize("cid", sorted(codes.CODE_TABLE) + ["18-4-4-pruned", "18-6-3"])
+def test_coset_representatives_match_the_greedy_rank_loop(cid):
+    code = codes.build_named_code(cid)
+    h_x, h_z = code.retained_h_x(), code.retained_h_z()
+    for commute_with, stabilizers in ((h_z, h_x), (h_x, h_z)):
+        got = codes._coset_representatives(commute_with, stabilizers, code.k)
+        assert got == _greedy_coset_representatives(commute_with, stabilizers, code.k)
+        assert len(got) == code.k
+
+
+def test_coset_representatives_reject_a_short_kernel(pruned_18):
+    with pytest.raises(ValueError, match="found 4 coset representatives, wanted 5"):
+        codes._coset_representatives(pruned_18.retained_h_z(), pruned_18.retained_h_x(), 5)
+
+
+def test_compute_logicals_rejects_a_singular_pairing():
+    # checks that anticommute: the one X representative commutes with the
+    # one Z representative, so no mixing pairs them up
+    code = codes.CssCode(
+        name="anticommuting",
+        n=4,
+        h_x=gf2.from_rows([[0, 1, 1, 1]]),
+        h_z=gf2.from_rows([[1, 1, 1, 0], [0, 1, 1, 1]]),
+        retained_x=(0,),
+        retained_z=(0, 1),
+    )
+    assert codes.compute_k(code) == 1
+    with pytest.raises(ValueError, match="pairing matrix is singular"):
+        codes.compute_logicals(code)
+
+
 def test_trusted_distance_injection():
     code = codes.build_named_code("90-8-10", trust_table_distance=True)
     assert code.d == 10

@@ -26,6 +26,62 @@ def random_matrix(draw, max_dim: int = 8):
 matrices = st.composite(random_matrix)()
 
 
+def _reference_row_echelon(m: gf2.BinaryMatrix) -> tuple[np.ndarray, list[int]]:
+    """Byte-per-bit Gauss-Jordan: scan columns left to right, take the
+    first remaining row with a 1 as the pivot, clear the column above and
+    below. The reduced form is unique, so ``gf2.row_echelon`` must agree."""
+    a = m.bits.copy()
+    n_rows, n_cols = a.shape
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        if p != r:
+            a[[r, p]] = a[[p, r]]
+        for i in np.nonzero(a[:, c])[0]:
+            if i != r:
+                a[i] ^= a[r]
+        pivot_cols.append(c)
+        r += 1
+    return a, pivot_cols
+
+
+def _reference_kernel_basis(m: gf2.BinaryMatrix) -> list[np.ndarray]:
+    """One vector per free column: a 1 there, pivot coordinates from it."""
+    rref, pivot_cols = _reference_row_echelon(m)
+    basis = []
+    for fc in sorted(set(range(m.cols)) - set(pivot_cols)):
+        v = np.zeros(m.cols, dtype=np.uint8)
+        v[fc] = 1
+        for r_idx, pc in enumerate(pivot_cols):
+            if rref[r_idx, fc]:
+                v[pc] = 1
+        basis.append(v)
+    return basis
+
+
+@st.composite
+def wide_matrices(draw):
+    """Up to 96 x 200, across packed byte and word boundaries: a product
+    of random factors (so the rank is often short of full), with some
+    rows zeroed. Rank 0 gives the all-zero matrix."""
+    rows = draw(st.integers(0, 96))
+    cols = draw(st.one_of(st.sampled_from([63, 64, 65, 128, 129]), st.integers(1, 200)))
+    inner = draw(st.integers(0, min(rows, cols) + 2))
+    density = draw(st.sampled_from([0.05, 0.3, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    left = rng.random((rows, inner)) < density
+    right = rng.random((inner, cols)) < 0.5
+    bits = (left.astype(np.int64) @ right.astype(np.int64)) & 1
+    bits[rng.random(rows) < draw(st.sampled_from([0.0, 0.2]))] = 0
+    return gf2.BinaryMatrix(bits.astype(np.uint8))
+
+
 def test_identity_small():
     assert gf2.identity(2).bits.tolist() == [[1, 0], [0, 1]]
     assert gf2.identity(1).bits.tolist() == [[1]]
@@ -179,3 +235,34 @@ def test_rref_pivots_are_clean(m):
         col = rref[:, pc]
         assert col[r_idx] == 1
         assert col.sum() == 1
+
+
+@given(st.one_of(matrices, wide_matrices()))
+@settings(max_examples=150, deadline=None)
+def test_row_echelon_and_kernel_match_the_byte_loop(m):
+    rref, pivots = gf2.row_echelon(m)
+    want_rref, want_pivots = _reference_row_echelon(m)
+    assert pivots == want_pivots
+    assert rref.dtype == np.uint8 and np.array_equal(rref, want_rref)
+    got = [v.bits[0] for v in gf2.kernel_basis(m)]
+    want = _reference_kernel_basis(m)
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (4, 0), (3, 64), (2, 129)])
+def test_row_echelon_of_empty_and_zero_matrices(shape):
+    m = gf2.zeros(*shape)
+    rref, pivots = gf2.row_echelon(m)
+    assert pivots == [] and rref.shape == shape and not rref.any()
+    assert len(gf2.kernel_basis(m)) == shape[1]
+
+
+@pytest.mark.parametrize("cols", [1, 8, 63, 64, 65, 128, 129, 200])
+def test_pack_rows_round_trips_with_bit_i_in_word_i_over_64(cols):
+    bits = np.random.default_rng(cols).integers(0, 2, size=(5, cols), dtype=np.uint8)
+    words = gf2.pack_rows(bits)
+    assert words.dtype == gf2.WORD and words.shape == (5, -(-cols // 64))
+    i = np.arange(cols)
+    assert np.array_equal((words[:, i // 64] >> (i % 64).astype(np.uint64)) & 1, bits)
+    assert np.array_equal(gf2.unpack_rows(words, cols), bits)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bbqec import noise
+from bbqec import gf2, noise
 from bbqec.circuit import (
     CZ,
     DD_IDLE,
@@ -178,7 +178,7 @@ def test_table_rows_match_forward_frame_propagation(basis):
     assert var.slot.tolist() == [v.slot for v in variants]
     assert var.probability.tolist() == [v.probability for v in variants]
     expected = _forward_raw_outputs(code, circ, variants)
-    assert np.array_equal(noise._unpack(rows, prog.raw_bits), expected)
+    assert np.array_equal(gf2.unpack_rows(rows, prog.raw_bits), expected)
 
 
 @pytest.mark.parametrize(
@@ -260,7 +260,7 @@ def test_set_bits_match_nonzero_of_the_unpacked_rows(count):
     ]
     for rows in cases:
         got = noise._set_bits(rows, count)
-        want = np.nonzero(noise._unpack(rows, count))
+        want = np.nonzero(gf2.unpack_rows(rows, count))
         # the same pairs in the same order, so reductions over them match
         assert [g.tolist() for g in got] == [w.tolist() for w in want]
 
@@ -661,14 +661,16 @@ def test_dem_reports_the_first_fault(columns, message):
 @pytest.mark.parametrize(
     "column",
     [DemColumn("0.5", (0,), ()), DemColumn(None, (0,), ()), DemColumn(0.5, ("3",), ()),
-     DemColumn((0.1, 0.2), (0,), ())],
-    ids=["string-prior", "none-prior", "string-index", "tuple-prior"],
+     DemColumn((0.1, 0.2), (0,), ()), DemColumn([0.1], (0,), ()),
+     DemColumn(1 + 0j, (0,), ()), DemColumn(0.5 + 0j, (0,), ())],
+    ids=["string-prior", "none-prior", "string-index", "tuple-prior", "list-prior",
+         "complex-prior", "complex-prior-in-range"],
 )
 def test_dem_does_not_accept_columns_of_non_numbers(column):
-    with pytest.raises((TypeError, ValueError)):
+    with pytest.raises(ValueError):
         DetectorErrorModel(4, 1, (DemColumn(0.1, (1,), ()), column))
     # priors of one shape throughout would make a 2-d array
-    with pytest.raises((TypeError, ValueError)):
+    with pytest.raises(ValueError):
         DetectorErrorModel(4, 1, (column._replace(detectors=(1,)), column))
 
 
@@ -700,7 +702,7 @@ def test_dem_columns_match_a_dict_merge_of_the_table(basis, model):
     prog = noise._Program(code, circ, basis, logicals, model.idle_policy)
     var = noise._variants(prog, model)
     D, K = prog.detector_count, prog.logical_mat.shape[0]
-    bits = noise._unpack(noise._fault_table(prog, var, noise._signature_map(prog)), D + K)
+    bits = gf2.unpack_rows(noise._fault_table(prog, var, noise._signature_map(prog)), D + K)
     # signature -> prior summed in variant order; dicts keep first occurrence
     merged = {}
     for row, p in zip(bits, var.probability.tolist()):
