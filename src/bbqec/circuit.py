@@ -544,9 +544,9 @@ def build_syndrome_circuit(
             qs = tuple(sorted(slots[slot_idx]))
             if slot_idx in (0, 7):
                 qs += checks_sorted
-            if qs and qs not in single_layers:
-                single_layers[qs] = GateLayer(SINGLE_QUBIT, tuple(("H", (q,)) for q in qs))
             if qs:
+                if qs not in single_layers:
+                    single_layers[qs] = GateLayer(SINGLE_QUBIT, tuple(("H", (q,)) for q in qs))
                 layers.append(single_layers[qs])
 
         emit_single(0)
