@@ -8,9 +8,10 @@ Carlo run at a fixed master seed. The grid is {18-4-4-pruned, 18-6-3,
 rates, plus, per code and basis, a model with some rates set to zero so
 that zero-probability variants are skipped.
 
-A second table pins the code layer: the supports of ``compute_logicals``
-on every named code and, where ``compute_distance`` searches the code
-(kernels of dimension at most 24), the distance it returns.
+A second table pins the code layer, on every named code: the check
+matrices ``h_x`` and ``h_z``, the supports of ``compute_logicals`` and,
+where ``compute_distance`` searches the code (kernels of dimension at
+most 24), the distance it returns.
 
 A refactor leaves every digest unchanged. A change that alters an
 output on purpose regenerates the table with
@@ -170,6 +171,9 @@ def _code_outputs(cid):
     code = build_named_code(cid)
     logicals = compute_logicals(code)
     out = {
+        "checks": _digest(
+            *(repr(m.bits.shape).encode() + m.bits.tobytes() for m in (code.h_x, code.h_z))
+        ),
         "logicals": _digest(repr((logicals.x_supports, logicals.z_supports)).encode()),
     }
     distance = compute_distance(code)
@@ -179,13 +183,13 @@ def _code_outputs(cid):
 
 
 CODE_GOLDEN = {
-    '18-4-4': {'logicals': 'ed54bc4608b3825b', 'distance': 4},
-    '18-4-4-pruned': {'logicals': 'ed54bc4608b3825b', 'distance': 4},
-    '18-6-3': {'logicals': 'af1919573166aab2', 'distance': 3},
-    '36-4-6': {'logicals': '598daa50d18a9047', 'distance': 6},
-    '54-4-8': {'logicals': 'fac7a0a4e8e47db8'},
-    '90-8-10': {'logicals': '6f49cdebfc6ebfbe'},
-    '144-12-12': {'logicals': '20b4291c39a619db'},
+    '18-4-4': {'checks': '64ebb4a00e4ae70f', 'logicals': 'ed54bc4608b3825b', 'distance': 4},
+    '18-4-4-pruned': {'checks': '64ebb4a00e4ae70f', 'logicals': 'ed54bc4608b3825b', 'distance': 4},
+    '18-6-3': {'checks': '64ebb4a00e4ae70f', 'logicals': 'af1919573166aab2', 'distance': 3},
+    '36-4-6': {'checks': '1d1e9adc781814b4', 'logicals': '598daa50d18a9047', 'distance': 6},
+    '54-4-8': {'checks': 'e877c531e233725f', 'logicals': 'fac7a0a4e8e47db8'},
+    '90-8-10': {'checks': '8af5bece682e65c4', 'logicals': '6f49cdebfc6ebfbe'},
+    '144-12-12': {'checks': '6fefbc53119ed47c', 'logicals': '20b4291c39a619db'},
 }
 
 
