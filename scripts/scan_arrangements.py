@@ -40,14 +40,17 @@ Takes a few minutes; prints the ranked survivors and the adopted pin.
 Run from the repository root: PYTHONPATH=src python3 scripts/scan_arrangements.py
 """
 
-import itertools
 import time
 
 import numpy as np
 
-from bbqec import circuit as circ_mod
 from bbqec import noise
-from bbqec.circuit import arrangement_commutes, build_syndrome_circuit, schedule_cz_layers
+from bbqec.circuit import (
+    arrangement_commutes,
+    arrangements,
+    build_syndrome_circuit,
+    schedule_cz_layers,
+)
 from bbqec.codes import build_named_code
 
 FEASIBILITY_CODE = build_named_code("18-4-4")
@@ -67,24 +70,11 @@ KEEP = 40
 
 
 def shape_ok(ra, rb, rbt, rat):
+    # depends on the round sets only, so filtering the scheduler's walk
+    # keeps its order
     left_covered = max(rbt) == 7 and max(rb) < max(rat)
     right_covered = max(rat) == 7 and max(ra) < max(rbt)
     return left_covered or right_covered
-
-
-def round_set_combos():
-    """Set-level walk in the scheduler's order, shape-filtered."""
-    rounds = tuple(range(1, 8))
-    for ra in itertools.combinations(rounds, 3):
-        outside_a = tuple(r for r in rounds if r not in ra)
-        for rb in itertools.combinations(outside_a, 3):
-            for rbt in itertools.combinations(outside_a, 3):
-                avail = tuple(r for r in rounds if r not in rb and r not in rbt)
-                if len(avail) < 3:
-                    continue
-                for rat in itertools.combinations(avail, 3):
-                    if shape_ok(ra, rb, rbt, rat):
-                        yield ra, rb, rbt, rat
 
 
 def margins(rounds):
@@ -120,15 +110,7 @@ def collision_groups(rounds):
 
 def hadamards_per_cycle(rounds):
     sched = schedule_cz_layers(PROBE, arrangement=rounds)
-    c = build_syndrome_circuit(PROBE, 3, schedule=sched)
-    lo, hi = c.cycle_layer_range(1)
-    return sum(
-        1
-        for L in c.layers[lo:hi]
-        if L.kind == circ_mod.SINGLE_QUBIT
-        for g in L.gates
-        if g[0] == "H"
-    )
+    return build_syndrome_circuit(PROBE, 3, schedule=sched).count_gates("H", cycle=1)
 
 
 def main():
@@ -136,25 +118,20 @@ def main():
     t0 = time.time()
     seen = 0
     ranked = []
-    for set_combo in round_set_combos():
-        for ra in itertools.permutations(set_combo[0]):
-            for rb in itertools.permutations(set_combo[1]):
-                for rbt in itertools.permutations(set_combo[2]):
-                    for rat in itertools.permutations(set_combo[3]):
-                        rounds = (ra, rb, rbt, rat)
-                        if not commutes(*rounds):
-                            continue
-                        seen += 1
-                        w, rep = margins(rounds)
-                        ranked.append((w, rounds, rep))
-                        if seen % 250 == 0:
-                            ranked.sort(key=lambda x: -x[0])
-                            del ranked[KEEP:]
-                            print(
-                                f"... {seen} commuting scored, "
-                                f"{time.time()-t0:.0f}s",
-                                flush=True,
-                            )
+    for rounds in arrangements():
+        if not shape_ok(*rounds) or not commutes(*rounds):
+            continue
+        seen += 1
+        w, rep = margins(rounds)
+        ranked.append((w, rounds, rep))
+        if seen % 250 == 0:
+            ranked.sort(key=lambda x: -x[0])
+            del ranked[KEEP:]
+            print(
+                f"... {seen} commuting scored, "
+                f"{time.time()-t0:.0f}s",
+                flush=True,
+            )
     ranked.sort(key=lambda x: -x[0])
     del ranked[KEEP:]
     print(f"\n{seen} commuting candidates ({time.time()-t0:.0f}s); "

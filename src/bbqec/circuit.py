@@ -84,18 +84,21 @@ class GateLayer:
             arity, home = rule
             if home != self.kind:
                 raise ValueError(f"gate {name} cannot appear in a {self.kind} layer")
-            qubits = tuple(int(q) for q in qubits)
+            qubits = tuple(qubits)
             if len(qubits) != arity:
                 raise ValueError(
                     f"gate {name} takes {arity} qubit operand(s), got {len(qubits)}"
                 )
             for q in qubits:
+                # int(q) would read 1.7, True or "2" as a qubit
+                if type(q) is not int and not isinstance(q, np.integer):
+                    raise ValueError(f"qubit {q!r} is not an integer")
                 if q < 0:
                     raise ValueError("negative qubit index")
                 if q in seen:
                     raise ValueError(f"qubit {q} used twice in one layer")
                 seen.add(q)
-            normalized.append((name, qubits))
+            normalized.append((name, tuple(map(int, qubits))))
         object.__setattr__(self, "gates", tuple(normalized))
 
     def qubits(self) -> frozenset[int]:
@@ -248,23 +251,16 @@ _PINNED_ASSIGNMENTS = {
 _SEARCH_CAP = 2_000_000
 
 
-def _block_shift_map(l: int, m: int, axis: str, power: int) -> np.ndarray:
-    """Row -> column map of the cyclic monomial acting on one block."""
-    idx = np.arange(l * m)
-    i, j = np.divmod(idx, m)
-    if axis == "x":
-        i = (i + power) % l
-    else:
-        j = (j + power) % m
-    return i * m + j
-
-
-def _arrangements():
-    """All ways to place the four term groups into rounds 1..7.
+def arrangements():
+    """Every placement of the four term groups into rounds 1..7, as round
+    tuples (ra, rb, rbt, rat) whose order says which term goes when.
 
     Constraints: the two X-side groups share the one X ancilla, the two
     Z-side groups share the one Z ancilla, and within a round each data
-    block belongs to at most one side.
+    block belongs to at most one side. Round sets come in
+    ``itertools.combinations`` order, and the term orders within each in
+    ``itertools.permutations`` order, A outermost; ``schedule_cz_layers``
+    walks them in this order.
     """
     rounds = tuple(range(1, 8))
     for ra in itertools.combinations(rounds, 3):
@@ -272,17 +268,17 @@ def _arrangements():
         for rb in itertools.combinations(outside_a, 3):
             for rbt in itertools.combinations(outside_a, 3):
                 avail = tuple(r for r in rounds if r not in rb and r not in rbt)
-                if len(avail) < 3:
-                    continue
                 for rat in itertools.combinations(avail, 3):
-                    yield ra, rb, rbt, rat
+                    yield from itertools.product(
+                        *map(itertools.permutations, (ra, rb, rbt, rat))
+                    )
 
 
 def _term_maps(code: CssCode):
     """The row -> column maps of the three A terms and the three B terms."""
     spec = code.spec
-    a_maps = [_block_shift_map(spec.l, spec.m, ax, e) for ax, e in spec.a_terms]
-    b_maps = [_block_shift_map(spec.l, spec.m, ax, e) for ax, e in spec.b_terms]
+    a_maps = [spec.term_map(t) for t in spec.a_terms]
+    b_maps = [spec.term_map(t) for t in spec.b_terms]
     return a_maps, b_maps
 
 
@@ -355,21 +351,15 @@ def schedule_cz_layers(
     for cand in (pinned, _INVENTORY_ASSIGNMENT):
         if cand is not None and commutes(*cand):
             return _schedule_from_rounds(code, *cand)
-    tried = 0
-    for ra_set, rb_set, rbt_set, rat_set in _arrangements():
-        for ra in itertools.permutations(ra_set):
-            for rb in itertools.permutations(rb_set):
-                for rbt in itertools.permutations(rbt_set):
-                    for rat in itertools.permutations(rat_set):
-                        tried += 1
-                        if tried > _SEARCH_CAP:
-                            raise ScheduleError(
-                                "no commuting depth-7 CZ schedule within "
-                                f"{_SEARCH_CAP} candidate assignments for "
-                                f"{code.name or 'code'}"
-                            )
-                        if commutes(ra, rb, rbt, rat):
-                            return _schedule_from_rounds(code, ra, rb, rbt, rat)
+    for tried, cand in enumerate(arrangements(), 1):
+        if tried > _SEARCH_CAP:
+            raise ScheduleError(
+                "no commuting depth-7 CZ schedule within "
+                f"{_SEARCH_CAP} candidate assignments for "
+                f"{code.name or 'code'}"
+            )
+        if commutes(*cand):
+            return _schedule_from_rounds(code, *cand)
     raise ScheduleError(
         f"no commuting depth-7 CZ schedule exists for {code.name or 'code'}"
     )

@@ -43,6 +43,11 @@ __all__ = [
 Monomial = tuple[str, int]
 
 
+def _is_int(value) -> bool:
+    """Whether a size or exponent is an integer: int or numpy integer, not bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class BbCodeSpec:
     """Two three-term polynomials in x and y over GF(2).
@@ -61,8 +66,10 @@ class BbCodeSpec:
     b_terms: tuple[Monomial, ...]
 
     def __post_init__(self):
-        if self.l < 1 or self.m < 1:
-            raise ValueError("l and m must be positive")
+        if not (_is_int(self.l) and _is_int(self.m)) or self.l < 1 or self.m < 1:
+            raise ValueError(
+                f"l and m must be positive integers, got {self.l!r} and {self.m!r}"
+            )
         for label, terms in (("a", self.a_terms), ("b", self.b_terms)):
             if len(terms) != 3:
                 raise ValueError(f"polynomial {label} needs exactly 3 terms")
@@ -70,6 +77,8 @@ class BbCodeSpec:
             for axis, exp in terms:
                 if axis not in ("x", "y"):
                     raise ValueError(f"unknown axis {axis!r}")
+                if not _is_int(exp):
+                    raise ValueError(f"exponent {exp!r} is not an integer")
                 if exp < 0:
                     raise ValueError("negative exponent")
                 period = self.l if axis == "x" else self.m
@@ -88,6 +97,18 @@ class BbCodeSpec:
             a_terms=(("x", a1), ("y", a2), ("y", a3)),
             b_terms=(("y", b1), ("x", b2), ("x", b3)),
         )
+
+    def term_map(self, term: Monomial) -> np.ndarray:
+        """Row -> column index map of one monomial, a permutation of the
+        l*m cells: cell (i, j) is row i*m + j, and x^e sends it to column
+        ((i + e) mod l)*m + j, y^e to column i*m + (j + e) mod m."""
+        axis, exp = term
+        i, j = np.divmod(np.arange(self.l * self.m), self.m)
+        if axis == "x":
+            i = (i + exp) % self.l
+        else:
+            j = (j + exp) % self.m
+        return i * self.m + j
 
 
 @dataclass(frozen=True)
@@ -134,18 +155,15 @@ class CssCode:
         ) == self.h_z.rows
 
 
-def _monomial_matrix(spec: BbCodeSpec, axis: str, exp: int) -> BinaryMatrix:
-    x = gf2.kron(gf2.cyclic_shift(spec.l), gf2.identity(spec.m))
-    y = gf2.kron(gf2.identity(spec.l), gf2.cyclic_shift(spec.m))
-    base = x if axis == "x" else y
-    return gf2.matpow_mod2(base, exp)
-
-
 def _polynomial(spec: BbCodeSpec, terms: Iterable[Monomial]) -> BinaryMatrix:
-    total = gf2.zeros(spec.l * spec.m, spec.l * spec.m)
-    for axis, exp in terms:
-        total = gf2.add_mod2(total, _monomial_matrix(spec, axis, exp))
-    return total
+    """Sum of the monomials: each adds a 1 at (row, its map of row), so a
+    repeated monomial cancels."""
+    size = spec.l * spec.m
+    total = np.zeros((size, size), dtype=np.uint8)
+    rows = np.arange(size)
+    for term in terms:
+        total[rows, spec.term_map(term)] ^= 1
+    return BinaryMatrix(total)
 
 
 def build_bb_code(spec: BbCodeSpec, name: str = "") -> CssCode:
@@ -251,12 +269,7 @@ def _min_weight_outside_row_space(
         index = np.flatnonzero(weights == w)
         vectors = low[index % len(low)] ^ high[index // len(low)]
         candidates = gf2.unpack_rows(vectors, n)
-        residue = candidates.copy()
-        for r_idx, pc in enumerate(pivots):
-            hit = residue[:, pc] == 1
-            residue[hit] ^= rref[r_idx]
-        outside = residue.any(axis=1)
-        if outside.any():
+        if gf2.reduce_rows(rref, pivots, candidates).any():
             return int(w)
     raise AssertionError("kernel contains no vector outside the row space")
 

@@ -6,6 +6,8 @@ bit, so construction, products and indexing are plain numpy. The one
 elimination, ``row_echelon``, runs on bit-packed rows (``pack_rows``:
 bit i in little-endian uint64 word i // 64), which is several times
 faster than a byte-per-bit loop over columns at every size used here.
+``reduce_rows`` reduces vectors against its output; a vector lies in
+the row space exactly when its residue is zero.
 
 Vectors are represented as 1 x n matrices; there is no separate vector type.
 """
@@ -21,12 +23,8 @@ __all__ = [
     "BinaryMatrix",
     "identity",
     "zeros",
-    "cyclic_shift",
     "from_rows",
-    "kron",
     "matmul_mod2",
-    "matpow_mod2",
-    "add_mod2",
     "transpose",
     "hstack",
     "vstack",
@@ -35,7 +33,7 @@ __all__ = [
     "row_echelon",
     "rank",
     "kernel_basis",
-    "row_space_contains",
+    "reduce_rows",
 ]
 
 
@@ -100,27 +98,9 @@ def zeros(rows: int, cols: int) -> BinaryMatrix:
     return _wrap(np.zeros((rows, cols), dtype=np.uint8))
 
 
-def cyclic_shift(l: int) -> BinaryMatrix:
-    """l x l cyclic shift permutation: row i has its 1 in column (i+1) mod l.
-
-    cyclic_shift(1) is the 1x1 identity; cyclic_shift(l)**l is identity(l).
-    """
-    if l < 1:
-        raise ValueError(f"invalid size {l}")
-    arr = np.zeros((l, l), dtype=np.uint8)
-    for i in range(l):
-        arr[i, (i + 1) % l] = 1
-    return _wrap(arr)
-
-
 def from_rows(rows: Iterable[Iterable[int]]) -> BinaryMatrix:
     """Build a matrix from an iterable of 0/1 row iterables."""
     return BinaryMatrix([list(r) for r in rows])
-
-
-def kron(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
-    """Kronecker product. Over GF(2) the entries stay in {0, 1}."""
-    return _wrap(np.kron(a.bits, b.bits))
 
 
 def matmul_mod2(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
@@ -128,28 +108,6 @@ def matmul_mod2(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
     prod = (a.bits.astype(np.int64) @ b.bits.astype(np.int64)) & 1
     return _wrap(prod.astype(np.uint8))
-
-
-def matpow_mod2(a: BinaryMatrix, e: int) -> BinaryMatrix:
-    """a**e by repeated squaring; a must be square, e >= 0."""
-    if a.rows != a.cols:
-        raise ValueError("matrix power needs a square matrix")
-    if e < 0:
-        raise ValueError("negative exponent")
-    result = identity(a.rows)
-    base = a
-    while e:
-        if e & 1:
-            result = matmul_mod2(result, base)
-        base = matmul_mod2(base, base)
-        e >>= 1
-    return result
-
-
-def add_mod2(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
-    if a.bits.shape != b.bits.shape:
-        raise ValueError(f"shape mismatch: {a.bits.shape} + {b.bits.shape}")
-    return _wrap(np.bitwise_xor(a.bits, b.bits))
 
 
 def transpose(a: BinaryMatrix) -> BinaryMatrix:
@@ -247,13 +205,14 @@ def kernel_basis(m: BinaryMatrix) -> list[BinaryMatrix]:
     return [_wrap(v[None, :]) for v in basis]
 
 
-def row_space_contains(m: BinaryMatrix, v: BinaryMatrix) -> bool:
-    """True iff the 1 x n vector v lies in the row space of m."""
-    if v.rows != 1 or v.cols != m.cols:
-        raise ValueError(f"expected a 1x{m.cols} vector, got {v.rows}x{v.cols}")
-    rref, pivot_cols = row_echelon(m)
-    residue = v.bits[0].copy()
-    for r_idx, pc in enumerate(pivot_cols):
-        if residue[pc]:
-            residue ^= rref[r_idx]
-    return not residue.any()
+def reduce_rows(rref: np.ndarray, pivots: Sequence[int], rows: np.ndarray) -> np.ndarray:
+    """Residues of 0/1 rows against the output of ``row_echelon``.
+
+    Each row gets the reduced row of every pivot column it has set added
+    to it, all in one product: every pivot column of a reduced form is
+    zero outside its own row, so no addition disturbs another pivot
+    column. A residue is zero exactly when its row lies in the row space.
+    The product may wrap in uint8, which keeps the parity of each sum.
+    """
+    pivots = list(pivots)
+    return rows ^ ((rows[:, pivots] @ rref[: len(pivots)]) & 1)

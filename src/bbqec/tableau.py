@@ -260,22 +260,18 @@ class StabilizerTableau:
         multiplying the selected stabilizer rows together.
         """
         n = self.n
-        target = np.zeros(2 * n, dtype=np.uint8)
+        # reduce [target | 0] against the RREF of [stabilizer x | z | I]:
+        # the stabilizer rows are independent, so every pivot lies in the
+        # x|z part, and the identity part of the residue records which
+        # stabilizers the reduction added
+        target = np.zeros((1, 3 * n), dtype=np.uint8)
         for q in support:
-            target[n + q] ^= 1
-        # RREF of [stabilizer x | z | identity]: the stabilizer rows are
-        # independent, so every pivot lies in the x|z part and the identity
-        # part of each reduced row records which stabilizers it combines
+            target[0, n + q] ^= 1
         rref, pivots = gf2.row_echelon(
             gf2.BinaryMatrix(np.hstack([self.x[n:], self.z[n:], np.eye(n, dtype=np.uint8)]))
         )
-        residue = target.copy()
-        picked = np.zeros(n, dtype=np.uint8)
-        for r_idx, col in enumerate(pivots):
-            if residue[col]:
-                residue ^= rref[r_idx, : 2 * n]
-                picked ^= rref[r_idx, 2 * n :]
-        if residue.any():
+        residue = gf2.reduce_rows(rref, pivots, target)[0]
+        if residue[: 2 * n].any():
             return None
-        rows = n + np.flatnonzero(picked)
+        rows = n + np.flatnonzero(residue[2 * n :])
         return self._product_signs(rows, np.array([0, len(rows)]))[0]

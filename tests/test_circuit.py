@@ -497,6 +497,15 @@ def test_gate_layer_rejects_wrong_kind_and_reuse():
         circuit.GateLayer(circuit.CZ, (("CZ", (1, 1)),))
     with pytest.raises(ValueError):
         circuit.GateLayer("MYSTERY", ())
+    # int() would read each of these as a qubit
+    for bad in (1.7, 1.0, True, "2", None):
+        with pytest.raises(ValueError, match="not an integer"):
+            circuit.GateLayer(circuit.SINGLE_QUBIT, (("H", (bad,)),))
+        with pytest.raises(ValueError, match="not an integer"):
+            circuit.GateLayer(circuit.CZ, (("CZ", (0, bad)),))
+    layer = circuit.GateLayer(circuit.CZ, (("CZ", (np.int64(0), np.int32(1))),))
+    assert layer.gates == (("CZ", (0, 1)),)
+    assert all(type(q) is int for q in layer.gates[0][1])
 
 
 @pytest.mark.parametrize(

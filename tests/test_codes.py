@@ -15,8 +15,8 @@ from bbqec import codes, gf2
 def oracle_18_matrices() -> tuple[np.ndarray, np.ndarray]:
     """Hand-rolled 9x18 check matrices for the l=m=3 code, by index chasing.
 
-    Built with plain loops, independently of the package's kron/matpow
-    route: cell (i, j) maps to row 3*i+j; the first polynomial hits
+    Built with plain loops, independently of the package's monomial maps
+    (``BbCodeSpec.term_map``): cell (i, j) maps to row 3*i+j; the first polynomial hits
     (i+1, j), (i, j), (i, j+2) and the second hits (i, j+1), (i, j), (i+2, j),
     all indices mod 3.
     """
@@ -470,6 +470,51 @@ def test_spec_exponents_reduce_cyclically():
         b_terms=(("x", 2), ("y", 2), ("y", 3)),
     )
     assert ("y", 0) in spec.b_terms
+
+
+_GOOD_TERMS = (("x", 1), ("y", 0), ("y", 2))
+
+
+@pytest.mark.parametrize(
+    "l, m, a_terms",
+    [
+        pytest.param(3, 3, (("x", 1.5), ("y", 0), ("y", 2)), id="float-exponent"),
+        pytest.param(3, 3, (("x", 1), ("y", 2.0), ("y", 2)), id="integral-float-exponent"),
+        pytest.param(3, 3, (("x", True), ("y", 0), ("y", 2)), id="bool-exponent"),
+        pytest.param(3, 3, (("x", "1"), ("y", 0), ("y", 2)), id="str-exponent"),
+        pytest.param(3.0, 3, _GOOD_TERMS, id="float-l"),
+        pytest.param(3, 3.0, _GOOD_TERMS, id="float-m"),
+        pytest.param(True, 3, _GOOD_TERMS, id="bool-l"),
+    ],
+)
+def test_spec_rejects_non_integer_sizes_and_exponents(l, m, a_terms):
+    with pytest.raises(ValueError, match="integer"):
+        codes.BbCodeSpec(l=l, m=m, a_terms=a_terms, b_terms=_GOOD_TERMS)
+
+
+def test_spec_accepts_numpy_integers():
+    spec = codes.BbCodeSpec(
+        np.int64(3), np.int32(3), (("x", np.int64(4)), ("y", 0), ("y", 2)), _GOOD_TERMS
+    )
+    assert spec == codes.BbCodeSpec(3, 3, _GOOD_TERMS, _GOOD_TERMS)
+    assert codes.build_bb_code(spec).k == 4
+
+
+@pytest.mark.parametrize("cid", sorted(codes.CODE_TABLE))
+def test_term_maps_are_powers_of_kronecker_shifts(cid):
+    """x = S_l (x) I_m and y = I_l (x) S_m, with S the cyclic shift whose
+    row i has its 1 in column i + 1: each term's map is the column of the
+    1 in each row of the matrix power."""
+    spec = codes.CODE_TABLE[cid]["spec"]
+    shift = lambda size: np.roll(np.eye(size, dtype=np.int64), 1, axis=1)
+    base = {
+        "x": np.kron(shift(spec.l), np.eye(spec.m, dtype=np.int64)),
+        "y": np.kron(np.eye(spec.l, dtype=np.int64), shift(spec.m)),
+    }
+    for axis, exp in spec.a_terms + spec.b_terms:
+        power = np.linalg.matrix_power(base[axis], exp)
+        assert np.array_equal(power.argmax(axis=1), spec.term_map((axis, exp)))
+        assert (power.sum(axis=1) == 1).all()
 
 
 def test_repeated_monomial_rejected():

@@ -90,59 +90,11 @@ def test_identity_small():
 def test_identity_rejects_zero_size():
     with pytest.raises(ValueError):
         gf2.identity(0)
-    with pytest.raises(ValueError):
-        gf2.cyclic_shift(0)
-
-
-def test_cyclic_shift_4_rows():
-    # row i carries its 1 at column (i+1) mod 4
-    expected = [
-        [0, 1, 0, 0],
-        [0, 0, 1, 0],
-        [0, 0, 0, 1],
-        [1, 0, 0, 0],
-    ]
-    assert gf2.cyclic_shift(4).bits.tolist() == expected
-
-
-def test_cyclic_shift_1_is_identity():
-    assert gf2.cyclic_shift(1) == gf2.identity(1)
-
-
-def test_cyclic_shift_order():
-    s = gf2.cyclic_shift(3)
-    assert gf2.matpow_mod2(s, 3) == gf2.identity(3)
-    assert gf2.matmul_mod2(gf2.identity(3), s) == s
-
-
-def test_kron_identities():
-    assert gf2.kron(gf2.identity(2), gf2.identity(3)) == gf2.identity(6)
-    m = gf2.from_rows([[1, 0], [1, 1]])
-    assert gf2.kron(gf2.from_rows([[1]]), m) == m
-
-
-def test_kron_shift_blocks():
-    # S_3 (x) I_3 laid out block-wise: row block i has I_3 in column block i+1 mod 3
-    x = gf2.kron(gf2.cyclic_shift(3), gf2.identity(3))
-    expected = np.zeros((9, 9), dtype=np.uint8)
-    for i in range(3):
-        j = (i + 1) % 3
-        expected[3 * i : 3 * i + 3, 3 * j : 3 * j + 3] = np.eye(3, dtype=np.uint8)
-    assert np.array_equal(x.bits, expected)
-
-
-def test_add_mod2_self_cancels():
-    m = gf2.from_rows([[1, 0, 1], [0, 1, 1]])
-    assert gf2.add_mod2(m, m) == gf2.zeros(2, 3)
 
 
 def test_shape_mismatch_rejected():
-    a = gf2.identity(2)
-    b = gf2.identity(3)
     with pytest.raises(ValueError):
-        gf2.add_mod2(a, b)
-    with pytest.raises(ValueError):
-        gf2.matmul_mod2(a, b)
+        gf2.matmul_mod2(gf2.identity(2), gf2.identity(3))
 
 
 def test_hstack_shape():
@@ -166,12 +118,12 @@ def test_kernel_dimension_rank_nullity():
     assert len(gf2.kernel_basis(m)) == 2
 
 
-def test_row_space_reflexive():
+def test_reduce_rows_clears_the_row_space_only():
     m = gf2.from_rows([[1, 1, 0], [0, 1, 1]])
-    for i in range(m.rows):
-        row = gf2.from_rows([m.bits[i].tolist()])
-        assert gf2.row_space_contains(m, row)
-    assert not gf2.row_space_contains(m, gf2.from_rows([[1, 0, 0]]))
+    rref, pivots = gf2.row_echelon(m)
+    assert not gf2.reduce_rows(rref, pivots, m.bits).any()
+    outside = np.array([[1, 0, 0]], dtype=np.uint8)
+    assert gf2.reduce_rows(rref, pivots, outside).any()
 
 
 def test_matrix_immutable():
@@ -205,19 +157,6 @@ def test_rank_nullity(m):
     assert gf2.rank(m) + len(gf2.kernel_basis(m)) == m.cols
 
 
-@given(matrices, matrices)
-@settings(max_examples=40)
-def test_kron_mixed_product(a, c):
-    # (A (x) B)(C (x) D) = AC (x) BD, with B, D chosen to conform
-    b = gf2.identity(2)
-    d = gf2.identity(2)
-    if a.cols != c.rows:
-        c = gf2.transpose(a)
-    left = gf2.matmul_mod2(gf2.kron(a, b), gf2.kron(c, d))
-    right = gf2.kron(gf2.matmul_mod2(a, c), gf2.matmul_mod2(b, d))
-    assert left == right
-
-
 @given(matrices)
 @settings(max_examples=40)
 def test_elimination_deterministic(m):
@@ -248,6 +187,35 @@ def test_row_echelon_and_kernel_match_the_byte_loop(m):
     want = _reference_kernel_basis(m)
     assert len(got) == len(want)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def _reference_reduce(rref: np.ndarray, pivots: list[int], v: np.ndarray) -> np.ndarray:
+    """One pivot at a time: add the pivot's row wherever v has that bit set."""
+    residue = v.copy()
+    for r_idx, pc in enumerate(pivots):
+        if residue[pc]:
+            residue ^= rref[r_idx]
+    return residue
+
+
+@given(st.one_of(matrices, wide_matrices()), st.data())
+@settings(max_examples=100, deadline=None)
+def test_reduce_rows_is_zero_exactly_on_the_row_space(m, data):
+    """Random vectors and sums of m's rows, against the rank test and the
+    one-pivot-at-a-time loop."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    count = data.draw(st.integers(1, 6))
+    random_rows = rng.integers(0, 2, size=(count, m.cols), dtype=np.uint8)
+    mixes = rng.integers(0, 2, size=(count, m.rows))
+    sums = ((mixes @ m.bits.astype(np.int64)) & 1).astype(np.uint8)
+    rows = np.vstack([random_rows, sums])
+    rref, pivots = gf2.row_echelon(m)
+    residues = gf2.reduce_rows(rref, pivots, rows)
+    for v, residue in zip(rows, residues):
+        inside = gf2.rank(gf2.vstack(m, gf2.BinaryMatrix(v[None, :]))) == gf2.rank(m)
+        assert residue.any() != inside
+        assert np.array_equal(residue, _reference_reduce(rref, pivots, v))
+    assert not residues[count:].any()
 
 
 @pytest.mark.parametrize("shape", [(0, 5), (4, 0), (3, 64), (2, 129)])

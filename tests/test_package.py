@@ -1,7 +1,8 @@
-"""The package declares only what exists: console scripts and the
-modules its docstring lists. Set-up imports no more of numpy than it
-needs."""
+"""The package declares only what exists: console scripts, the modules
+its docstring lists and every module's ``__all__``. Scripts use only its
+public names. Set-up imports no more of numpy than it needs."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -15,7 +16,8 @@ import bbqec
 
 tomllib = pytest.importorskip("tomllib")
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def _documented_modules():
@@ -36,6 +38,64 @@ def test_every_documented_module_imports():
     assert "noise" in modules
     for name in modules:
         importlib.import_module(f"bbqec.{name}")
+
+
+def test_every_exported_name_exists():
+    for info in pkgutil.iter_modules(bbqec.__path__):
+        module = importlib.import_module(f"bbqec.{info.name}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, f"bbqec.{info.name}.__all__ names missing {missing}"
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_uses(tree: ast.AST) -> list[str]:
+    """Private names a script imports from ``bbqec`` or reads off a name
+    bound to a ``bbqec`` module."""
+    bound: set[str] = set()
+    found: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "bbqec":
+                    found += [p for p in alias.name.split(".") if _is_private(p)]
+                    bound.add(alias.asname or "bbqec")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "bbqec":
+            found += [p for p in node.module.split(".") if _is_private(p)]
+            for alias in node.names:
+                if _is_private(alias.name):
+                    found.append(alias.name)
+                bound.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and _is_private(node.attr)
+            and isinstance(node.value, (ast.Name, ast.Attribute))
+            and ast.unparse(node.value).split(".")[0] in bound
+        ):
+            found.append(ast.unparse(node))
+    return found
+
+
+@pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
+def test_scripts_use_only_public_names(script):
+    assert _private_uses(ast.parse(script.read_text())) == []
+
+
+def test_private_use_check_sees_imports_and_attributes():
+    source = (
+        "import bbqec.circuit as c\n"
+        "from bbqec import noise\n"
+        "from bbqec.circuit import _SEARCH_CAP, arrangements\n"
+        "c._term_maps(code)\n"
+        "noise._Program\n"
+        "noise.__name__\n"
+        "other._private\n"
+    )
+    found = sorted(_private_uses(ast.parse(source)))
+    assert found == ["_SEARCH_CAP", "c._term_maps", "noise._Program"]
 
 
 # Builds every benchmark code with its logicals and both circuits, and runs
