@@ -16,9 +16,9 @@ def oracle_18_matrices() -> tuple[np.ndarray, np.ndarray]:
     """Hand-rolled 9x18 check matrices for the l=m=3 code, by index chasing.
 
     Built with plain loops, independently of the package's monomial maps
-    (``BbCodeSpec.term_map``): cell (i, j) maps to row 3*i+j; the first polynomial hits
-    (i+1, j), (i, j), (i, j+2) and the second hits (i, j+1), (i, j), (i+2, j),
-    all indices mod 3.
+    (``BbCodeSpec.term_map``): cell (i, j) maps to row 3*i+j; the first
+    polynomial hits (i+1, j), (i, j), (i, j+2) and the second hits
+    (i, j+1), (i, j), (i+2, j), all indices mod 3.
     """
     a = np.zeros((9, 9), dtype=np.uint8)
     b = np.zeros((9, 9), dtype=np.uint8)

@@ -218,6 +218,19 @@ def test_reduce_rows_is_zero_exactly_on_the_row_space(m, data):
     assert not residues[count:].any()
 
 
+@pytest.mark.parametrize("rank", [255, 256, 257])
+def test_reduce_rows_keeps_parity_when_uint8_sums_wrap(rank):
+    # [I | 1]: the last column sums one bit per pivot
+    m = gf2.BinaryMatrix(
+        np.hstack([np.eye(rank, dtype=np.uint8), np.ones((rank, 1), dtype=np.uint8)])
+    )
+    rref, pivots = gf2.row_echelon(m)
+    v = np.ones((1, rank + 1), dtype=np.uint8)
+    residue = gf2.reduce_rows(rref, pivots, v)
+    assert np.array_equal(residue[0], _reference_reduce(rref, pivots, v[0]))
+    assert residue[0, -1] == (rank + 1) % 2
+
+
 @pytest.mark.parametrize("shape", [(0, 5), (4, 0), (3, 64), (2, 129)])
 def test_row_echelon_of_empty_and_zero_matrices(shape):
     m = gf2.zeros(*shape)
