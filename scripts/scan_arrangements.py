@@ -36,10 +36,13 @@ commutation. The inventory arrangement stays available through
 `count_hadamards_as_paper`, and the sweep reports each candidate's
 compiled count for reference.
 
-Takes a few minutes; prints the ranked survivors and the adopted pin.
+Takes a few minutes; logs progress, the ranked survivors and the adopted
+pin at level INFO to standard output.
 Run from the repository root: PYTHONPATH=src python3 scripts/scan_arrangements.py
 """
 
+import logging
+import sys
 import time
 
 import numpy as np
@@ -52,6 +55,8 @@ from bbqec.circuit import (
     schedule_cz_layers,
 )
 from bbqec.codes import build_named_code
+
+log = logging.getLogger(__name__)
 
 FEASIBILITY_CODE = build_named_code("18-4-4")
 # Every arrangement scanned commutes on the full code, so it also commutes
@@ -114,6 +119,7 @@ def hadamards_per_cycle(rounds):
 
 
 def main():
+    logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stdout)
     commutes = arrangement_commutes(FEASIBILITY_CODE)
     t0 = time.time()
     seen = 0
@@ -127,15 +133,11 @@ def main():
         if seen % 250 == 0:
             ranked.sort(key=lambda x: -x[0])
             del ranked[KEEP:]
-            print(
-                f"... {seen} commuting scored, "
-                f"{time.time()-t0:.0f}s",
-                flush=True,
-            )
+            log.info("... %d commuting scored, %.0fs", seen, time.time() - t0)
     ranked.sort(key=lambda x: -x[0])
     del ranked[KEEP:]
-    print(f"\n{seen} commuting candidates ({time.time()-t0:.0f}s); "
-          f"top {KEEP} censused:")
+    log.info("\n%d commuting candidates (%.0fs); top %d censused:",
+             seen, time.time() - t0, KEEP)
     winner = None
     for w, rounds, rep in ranked:
         g = collision_groups(rounds)
@@ -144,9 +146,8 @@ def main():
         if g == 0 and winner is None:
             winner = rounds
             mark = "  <= pin"
-        print(f"  {w:+.2f}se collisions={g:<3d} H/cycle={h}  {rounds}{mark}",
-              flush=True)
-    print(f"\npin: {winner}  ({time.time()-t0:.0f}s)")
+        log.info("  %+.2fse collisions=%-3d H/cycle=%s  %s%s", w, g, h, rounds, mark)
+    log.info("\npin: %s  (%.0fs)", winner, time.time() - t0)
 
 
 if __name__ == "__main__":

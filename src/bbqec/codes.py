@@ -48,6 +48,11 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_sequence(value) -> bool:
+    """Whether a term list or a term is a sequence of items: not a string."""
+    return isinstance(value, Sequence) and not isinstance(value, (str, bytes))
+
+
 @dataclass(frozen=True)
 class BbCodeSpec:
     """Two three-term polynomials in x and y over GF(2).
@@ -71,10 +76,15 @@ class BbCodeSpec:
                 f"l and m must be positive integers, got {self.l!r} and {self.m!r}"
             )
         for label, terms in (("a", self.a_terms), ("b", self.b_terms)):
-            if len(terms) != 3:
-                raise ValueError(f"polynomial {label} needs exactly 3 terms")
+            if not _is_sequence(terms) or len(terms) != 3:
+                raise ValueError(f"polynomial {label} needs exactly 3 terms, got {terms!r}")
             reduced = []
-            for axis, exp in terms:
+            for term in terms:
+                if not _is_sequence(term) or len(term) != 2:
+                    raise ValueError(
+                        f"term {term!r} of polynomial {label} is not an (axis, exponent) pair"
+                    )
+                axis, exp = term
                 if axis not in ("x", "y"):
                     raise ValueError(f"unknown axis {axis!r}")
                 if not _is_int(exp):

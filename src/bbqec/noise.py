@@ -5,49 +5,35 @@ ideal circuit. That is enough because every reported quantity (detection
 events, final-readout comparisons, logical flips) is a fixed linear
 functional of the injected Paulis that vanishes in the noiseless run.
 
-Faults live in arrays: ``_Program`` compiles the circuit into one gate
-table (a row per gate) and an idle mask (layer x qubit), and from them
-holds one row per fault slot and the walk's per-layer ops.
-``_variants`` expands the slots by their channel's patterns into the
-variant table (slot, layer, two X and two Z qubits, flipped output,
-probability; a missing leg or flip points at an appended zero row).
-``_fault_table`` turns any set of variants into the outputs each flips,
-without simulating any of them. One walk over the layers, last to first,
-carries for each qubit the outputs that an X or a Z injected there would
-flip (the reverse pass of Stim's error analyser, Gidney 2021, Quantum 5,
-497), and at each layer one gather XORs the four qubit rows of that
-layer's variants into their flip rows: O(layers x qubits x outputs / 64)
-word operations plus four lookups per variant. ``build_dem`` and
-``expected_detection_series`` reduce the full table, reading its set
-bits straight from the packed words (``_set_bits``), the sampler replays
-it (the outputs are linear in the injected Paulis, so a shot is the XOR
-of the rows of the variants that its draws pick), and ``sample_shot``
-builds it for the variants of its one shot alone.
+Faults live in arrays. ``_Program`` compiles the circuit into one gate
+table and an idle mask, and holds a row per fault slot and the walk's
+per-layer ops; ``_variants`` expands the slots by their channel's
+patterns into the variant table. ``_output_map`` states, by scatter,
+what each raw output (a check measurement or a data readout) flips:
+every check's detections, the final comparisons and the logicals.
+``_fault_table`` gives any set of variants their outputs in that form
+without simulating any of them. One walk over the layers, last to
+first, carries for each qubit the outputs that an X or a Z injected
+there would flip (the reverse pass of Stim's error analyser, Gidney
+2021, Quantum 5, 497), and one gather per layer XORs them into the rows
+of that layer's variants. ``build_dem`` and ``expected_detection_series``
+reduce the full table on the memory-basis columns (``_signature_map``).
+The sampler replays it, each shot the XOR of the rows of the variants
+that its draws pick, and unpacks a batch straight into the ``ShotBatch``
+arrays; ``sample_shot`` builds it for its one shot's variants alone.
+``FaultVariant`` and ``DemColumn`` are named tuples made from whole
+columns of these arrays.
 
-The public records, ``FaultVariant`` and ``DemColumn``, are named tuples
-made from whole columns of these arrays: ``enumerate_fault_variants``
-builds each field once over the variant table, and ``build_dem`` merges
-equal signatures with one stable sort of their packed words, then
-reads the set bits of only the signatures it keeps.
-``DetectorErrorModel`` validates its columns as whole arrays, and walks
-them one by one only to name the first fault of an invalid model.
-
-Noise channels and their fault slots:
+Noise channels and their fault slots (``_channel`` states each once,
+and the variant table and the sampler's draws both expand it):
 
 - ``H`` gates and idle slots draw one of X, Y, Z, each at a third of the
-  slot rate. Where idle slots live is set by ``NoiseModel.idle_policy``:
-  every qubit without a gate in each CZ layer gets one, and by default
-  data qubits also idle through the ancilla basis-rotation layers that
-  frame each cycle; the "dense" policy extends idles to every untouched
-  qubit in every single-qubit layer.
+  slot rate; ``NoiseModel.idle_policy`` sets where idle slots live.
 - ``CZ`` gates draw one of the fifteen nontrivial two-qubit Paulis, each
   at ``p_cz / 15``.
 - ``DD`` slots flip X and Z independently: X alone, Z alone or both.
 - Check measurement and final data readout flip the recorded outcome
   without touching the state.
-
-``_channel`` states each channel once: its faults with their rates. The
-variant table and the sampler's draws both expand it.
 
 Randomness is counter-based: every shot has a 64-bit key derived from
 the master seed, and each draw mixes that key with a fixed stream
@@ -58,12 +44,14 @@ number of draws scales with the faults that fire. For the slot kind at
 index i of ``_SLOT_KINDS``, with P the sum of its fault probabilities
 and its m slots in counter order, each shot starts before the first
 slot and runs rounds r = 0, 1, ...: the draw of stream (i, 2r + 1) gives
-u in (0, 1], the shot skips the #{g in 1..m : (1 - P)^g >= u} slots
-that stay quiet and fires the next one, and once past the last slot it
-stops. A fired slot takes the draw of stream (i, 2r + 2) to pick its
-fault, each in proportion to its probability. The survival table
-(1 - P)^g is a sequential product (``np.cumprod``), not a logarithm, so
-the draws are the same bits on every platform.
+u in (0, 1], the shot skips the #{g in 1..m : S_g >= u} slots that stay
+quiet and fires the next one, and once past the last slot it stops. A
+fired slot takes the draw of stream (i, 2r + 2) to pick its fault, each
+in proportion to its probability. The survival table S_g = (1 - P)^g is
+a sequential product (``np.cumprod``). The draws of a block of rounds
+are made at once for all live shots (``_Channel.fires``): a logarithm
+guesses each gap and the table settles it, so the draws are the same
+bits on every platform.
 """
 
 from __future__ import annotations
@@ -106,9 +94,17 @@ def _mix64(v: np.ndarray | np.uint64) -> np.ndarray:
     return v ^ (v >> np.uint64(31))
 
 
+def _as_int(name: str, value) -> int:
+    """``value`` as a Python int: a Python or numpy integer, not a bool."""
+    if not _is_index_type(type(value)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def derive_shot_seed(master_seed: int, shot_index: int) -> int:
     """The per-shot seed used by run_monte_carlo for one shot index."""
-    return int(_derive_keys(master_seed, shot_index, 1)[0])
+    master_seed = _as_int("master_seed", master_seed)
+    return int(_derive_keys(master_seed, _as_int("shot_index", shot_index), 1)[0])
 
 
 def _derive_keys(master_seed: int, start: int, count: int) -> np.ndarray:
@@ -116,11 +112,11 @@ def _derive_keys(master_seed: int, start: int, count: int) -> np.ndarray:
     return _mix64(np.uint64(master_seed % 2**64) + idx * _GOLDEN)
 
 
-def _uniform(keys: np.ndarray, stream: int, draw: int) -> np.ndarray:
-    """Float64 in (0, 1], one per key: draw ``draw`` of stream ``stream``."""
-    # Python ints, so the constant wraps mod 2**64 without a numpy
-    # scalar overflow
-    mix = np.uint64(((stream << 32) | draw) * _STREAM % 2**64)
+def _uniform(keys: np.ndarray, stream: int, draws: np.ndarray) -> np.ndarray:
+    """Float64 in (0, 1]: draw ``draws`` of stream ``stream`` for each key;
+    the keys and the array of draw numbers broadcast together."""
+    # uint64 arrays wrap mod 2**64 without a numpy scalar overflow
+    mix = (np.asarray(draws, dtype=np.uint64) | np.uint64(stream << 32)) * np.uint64(_STREAM)
     return ((_mix64(keys ^ mix) >> np.uint64(11)) + np.uint64(1)) * _U53
 
 
@@ -170,9 +166,7 @@ class NoiseModel:
         if not self.suppression >= 0.0:
             raise ValueError(f"suppression={self.suppression} must be >= 0")
         if self.idle_policy not in IDLE_POLICIES:
-            raise ValueError(
-                f"idle_policy={self.idle_policy!r} not one of {IDLE_POLICIES}"
-            )
+            raise ValueError(f"idle_policy={self.idle_policy!r} not one of {IDLE_POLICIES}")
 
     def effective(self, base: float) -> float:
         return min(1.0, max(0.0, self.suppression * base))
@@ -193,15 +187,8 @@ class NoiseModel:
         significant figures, and the rounded values are the model.
         """
         return cls(
-            p_h=8.0e-4,
-            p_i=3.5e-3,
-            p_cz=9.8e-3,
-            p_m=4.03e-2,
-            p_f=3.29e-2,
-            p_dd_x=1.09e-2,
-            p_dd_z=1.59e-2,
-            suppression=suppression,
-            idle_policy=idle_policy,
+            p_h=8.0e-4, p_i=3.5e-3, p_cz=9.8e-3, p_m=4.03e-2, p_f=3.29e-2, p_dd_x=1.09e-2,
+            p_dd_z=1.59e-2, suppression=suppression, idle_policy=idle_policy,
         )
 
 
@@ -235,16 +222,12 @@ class _Program:
     Fault slots are int32 arrays in counter (and layer) order: kind (an
     index into ``_SLOT_KINDS``), layer, legs (2 x slots; a one-qubit slot
     pads with ``qubit_count``) and flip (the raw output a measurement or
-    readout slot flips, else ``raw_bits``).
-
-    All of it comes from one gate table, built in one pass over the
-    layers: a row per gate (layer, slot kind, two legs), where ``I``
-    makes no row. Gate slots are its rows. Idle slots are the set cells
-    of a (layer x qubit) mask, candidates minus the qubits that an ``H``
-    or ``CZ`` leg makes busy, read row-major, so they run layer by layer
-    and by qubit within a layer. One stable sort puts each layer's gate
-    slots before its idle slots, and the walk's per-layer ops are slices
-    of the table.
+    readout slot flips, else ``raw_bits``). Gate slots are the rows of
+    one gate table, built in one pass over the layers (``I`` makes no
+    row); idle slots are the set cells of a (layer x qubit) mask read
+    row-major, candidates minus the qubits an ``H`` or ``CZ`` leg makes
+    busy. One stable sort puts each layer's gate slots before its idle
+    slots, and the walk's per-layer ops are slices of the table.
     """
 
     def __init__(
@@ -259,9 +242,7 @@ class _Program:
             raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
         check_basis(circuit, basis)
         if idle_policy not in IDLE_POLICIES:
-            raise ValueError(
-                f"idle_policy={idle_policy!r} not one of {IDLE_POLICIES}"
-            )
+            raise ValueError(f"idle_policy={idle_policy!r} not one of {IDLE_POLICIES}")
         layout = qubit_layout(code)
         if circuit.qubit_count != layout.qubit_count:
             raise ValueError(
@@ -282,9 +263,7 @@ class _Program:
         x_cols = np.arange(len(code.retained_x))
         z_cols = np.arange(len(code.retained_x), self.check_count)
         self.aligned_cols = z_cols if basis == "Z" else x_cols
-        self.support = (
-            code.retained_h_z() if basis == "Z" else code.retained_h_x()
-        ).bits.astype(np.uint8)
+        self.support = (code.retained_h_z() if basis == "Z" else code.retained_h_x()).bits
         self._logicals = logicals
 
         layers, nq, n = circuit.layers, circuit.qubit_count, self.n
@@ -376,8 +355,9 @@ class _Program:
     def detector_count(self) -> int:
         return (self.t + 1) * len(self.aligned_cols)
 
-    # Raw outputs are the deviations the sampler records: dm[c, j] is bit
-    # c * checks + j, rd[q] is bit t * checks + q.
+    # Raw outputs are the recorded outcomes that faults flip: check
+    # measurement (c, j) is bit c * checks + j, data readout q is bit
+    # t * checks + q. ``_output_map`` turns them into detector form.
 
     @property
     def raw_bits(self) -> int:
@@ -389,11 +369,6 @@ class _Program:
     def rd_bit(self, q):
         return self.t * self.check_count + q
 
-    def split_raw(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows of raw-output bits -> (dm (B, t, checks), rd (B, n))."""
-        tc = self.t * self.check_count
-        return bits[:, :tc].reshape(-1, self.t, self.check_count), bits[:, tc:]
-
 
 class _Pattern(NamedTuple):
     """One fault of a slot kind. Legs index the slot's qubits; ``flip``
@@ -403,6 +378,10 @@ class _Pattern(NamedTuple):
     x_legs: tuple[int, ...] = ()
     z_legs: tuple[int, ...] = ()
     flip: bool = False
+
+
+# the most (live shot x round) entries that one block of skip draws holds
+_DRAW_BLOCK = 2**12
 
 
 class _Channel(NamedTuple):
@@ -421,30 +400,69 @@ class _Channel(NamedTuple):
     def fires(self, keys: np.ndarray, m: int):
         """The faults that fire among ``m`` slots of this kind, for every
         shot key, one round at a time (the contract in the module
-        docstring).
+        docstring): (shot, slot, pattern) index arrays per round, whose
+        shots are distinct, as a round fires at most one slot per shot.
 
-        Yields (shot, slot, pattern) index arrays per round. A round fires
-        at most one slot per shot, so its shot indices are distinct.
+        A block of rounds, at most ``_DRAW_BLOCK`` (round, live shot)
+        entries, is drawn at once. Each gap is guessed as
+        floor(log u / log(1 - P)) and settled against the survival table
+        (``_count_below``), so it is the table's #{g : S_g >= u} whatever
+        the logarithm returns. The fired entries draw their picks at once.
         """
         cum = np.cumsum([pat.probability for pat in self.patterns])
-        # (1 - P)^g for g = m..1, ascending, so the gap #{g : S_g >= u}
-        # is m minus searchsorted(survive, u)
-        survive = np.cumprod(np.full(m, max(0.0, 1.0 - cum[-1])))[::-1]
-        cdf = cum / cum[-1]  # the last entry is exactly 1
+        q = max(0.0, 1.0 - cum[-1])
+        # S_g for g = m..1, ascending, so the gap #{g : S_g >= u} is m
+        # minus the count of entries below u
+        survive = np.concatenate([[-np.inf], np.cumprod(np.full(m, q))[::-1], [np.inf]])
+        log_q = np.log(q) if q > 0.0 else -np.inf  # at P = 1 every gap is 0
+        # a pick is the count of cdf entries below u (the last is exactly
+        # 1); lut[i] is that count at u = i / 1024, a guess from below
+        cdf = np.concatenate([[-np.inf], cum / cum[-1], [np.inf]])
+        lut = np.searchsorted(cdf[1:-1], np.arange(1025) / 1024)
+        span = min(m + 1, int(np.ceil(m * cum[-1])) + 1)  # about a shot's rounds: m P + 1
         shot = np.arange(len(keys))
         pos = np.full(len(keys), -1, dtype=np.intp)
-        draw = 1
+        first = 0  # the block's first round
         while len(shot):
-            u = _uniform(keys, self.stream, draw)
-            pos = pos + (m + 1 - np.searchsorted(survive, u))
-            live = pos < m
-            shot, pos, keys = shot[live], pos[live], keys[live]
-            if len(cdf) == 1:
-                pick = np.zeros(len(shot), dtype=np.intp)
+            rounds = np.arange(first, first + min(span, max(1, _DRAW_BLOCK // len(shot))))
+            u = _uniform(keys, self.stream, 2 * rounds[:, None] + 1)  # (round, shot)
+            if q == 1.0:  # 1 - P rounds to 1: every shot skips all m slots
+                below = np.zeros(u.shape, dtype=np.intp)
             else:
-                pick = np.searchsorted(cdf, _uniform(keys, self.stream, draw + 1))
-            yield shot, pos, pick
-            draw += 2
+                below = m - np.minimum(np.log(u) / log_q, m).astype(np.intp)
+            step = np.subtract(m + 1, _count_below(survive, u, below), out=below)
+            at = np.cumsum(step, axis=0, out=step)
+            at += pos
+            live = at < m
+            rnd, col = np.nonzero(live)  # shots ascending within each round
+            if len(cdf) == 3:
+                pick = np.zeros(len(col), dtype=np.intp)
+            else:
+                u = _uniform(keys[col], self.stream, 2 * rounds[rnd] + 2)
+                pick = _count_below(cdf, u, lut[(u * 1024).astype(np.intp)])
+            fired, hit = shot[col], at[live]
+            ends = np.cumsum(live.sum(axis=1)).tolist()
+            for lo, hi in zip([0] + ends, ends):
+                yield fired[lo:hi], hit[lo:hi], pick[lo:hi]
+                if lo == hi:  # no shot left
+                    return
+            alive = live[-1]
+            shot, keys, pos = shot[alive], keys[alive], at[-1, alive]
+            first = rounds[-1] + 1
+
+
+def _count_below(table: np.ndarray, u: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(table[1:-1], u)`` from a guess: ``table`` ascends
+    from -inf to inf, and each guessed count (updated in place) that
+    misses steps until table[count] < u <= table[count + 1]."""
+    c, uf = count.reshape(-1), u.reshape(-1)
+    off = np.flatnonzero((table[c] >= uf) | (table[1:][c] < uf))
+    while len(off):
+        step = (table[1:][c[off]] < uf[off]).astype(np.intp)
+        step -= table[c[off]] >= uf[off]
+        c[off] += step
+        off = off[step != 0]
+    return count
 
 
 def _uniform_patterns(p: float, shapes) -> list[_Pattern]:
@@ -477,10 +495,9 @@ def _channel(kind: str, noise: NoiseModel) -> _Channel:
             _Pattern(px * pz, (0,), (0,)),
         ]
         pats = [pat for pat in pats if pat.probability > 0]
-    elif kind == "measure":
-        pats = _uniform_patterns(noise.effective(noise.p_m), [((), (), True)])
-    elif kind == "readout":
-        pats = _uniform_patterns(noise.effective(noise.p_f), [((), (), True)])
+    elif kind in ("measure", "readout"):
+        p = noise.effective(noise.p_m if kind == "measure" else noise.p_f)
+        pats = _uniform_patterns(p, [((), (), True)])
     else:  # pragma: no cover - slot kinds are closed
         raise AssertionError(kind)
     return _Channel(_SLOT_KINDS.index(kind), pats)
@@ -598,9 +615,7 @@ def _forced_variants(prog: _Program, fault: FaultVariant) -> _Variants:
     legs[0, :nx], legs[2, nx : len(qubits)] = fault.x_qubits, fault.z_qubits
     flip = np.full(m, prog.raw_bits, dtype=np.int32)
     flip[len(qubits) :] = flips
-    return _Variants(
-        np.full(m, fault.slot), np.full(m, fault.layer), legs, flip, np.zeros(m)
-    )
+    return _Variants(np.full(m, fault.slot), np.full(m, fault.layer), legs, flip, np.zeros(m))
 
 
 # ---------------------------------------------------------------------------
@@ -626,38 +641,73 @@ def _set_bits(rows: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     return r[i], byte[i] * 8 + j
 
 
-def _raw_map(prog: _Program) -> np.ndarray:
-    """Row r: raw output r alone, packed. Tables built on it hold raw outputs.
-    Both output maps end with a zero row, for variants that flip none."""
-    return gf2.pack_rows(np.eye(prog.raw_bits + 1, prog.raw_bits, dtype=np.uint8))
+def _output_map(prog: _Program) -> np.ndarray:
+    """Row r: what raw output r alone flips, as 0/1 bytes, in three blocks:
+    every check's detections (t x checks, cycle-major), the memory-basis
+    checks' final comparisons and the memory-basis logicals. The last row
+    is zero, for variants that flip no output. The detectors are the
+    paper's: z_1 = m_1, z_2 = m_2, z_j = m_j xor m_(j-2), and, against the
+    readout-derived stabilizer values y_F, z_F = y_F xor m_t xor m_(t-1)
+    (no m_(t-1) at t = 1). All are linear over GF(2), so a fault's outputs
+    are the XOR of the rows of the raw outputs that it flips.
+    """
+    t, checks, aligned = prog.t, prog.check_count, prog.aligned_cols
+    tc, final = t * checks, len(aligned)
+    logical = prog.logical_mat
+    out = np.zeros((prog.raw_bits + 1, tc + final + len(logical)), dtype=np.uint8)
+    dm = np.arange(tc)
+    out[dm, dm] = 1
+    out[dm[2 * checks :] - 2 * checks, dm[2 * checks :]] = 1
+    for cycle in range(max(0, t - 2), t):
+        out[prog.dm_bit(cycle, aligned), tc + np.arange(final)] = 1
+    readout = prog.rd_bit(np.arange(prog.n))
+    out[readout, tc : tc + final] = prog.support.T
+    out[readout, tc + final :] = logical.T
+    return out
+
+
+def _split_outputs(prog: _Program, bits: np.ndarray):
+    """Rows of ``_output_map`` bits -> views of their detections
+    (B, t, checks), final comparisons (B, aligned) and logical flips
+    (B, K)."""
+    tc = prog.t * prog.check_count
+    end = tc + len(prog.aligned_cols)
+    return bits[:, :tc].reshape(-1, prog.t, prog.check_count), bits[:, tc:end], bits[:, end:]
 
 
 def _signature_map(prog: _Program) -> np.ndarray:
-    """Row r: what ``_assemble`` makes of raw output r alone, packed as the
-    memory-basis detectors (the DEM's order) followed by the logicals.
+    """``_output_map`` with the memory-basis detectors alone, packed: the
+    aligned columns of every cycle, then the final block (the DEM's
+    detector order), then the logicals."""
+    out = _output_map(prog)
+    tc = prog.t * prog.check_count
+    body = (np.arange(0, tc, prog.check_count)[:, None] + prog.aligned_cols).ravel()
+    return gf2.pack_rows(out[:, np.concatenate([body, np.arange(tc, out.shape[1])])])
 
-    ``_assemble`` is linear over GF(2), so a fault's signature is the XOR
-    of the rows of the raw outputs it flips.
+
+def _fault_table(prog: _Program, var: _Variants, out_map: np.ndarray) -> np.ndarray:
+    """Row v packs the outputs (in the basis of ``out_map``) that variant
+    v of ``var`` flips on its own.
+
+    One walk over the layers, last to first, carries sx and sz: row q of
+    sx (sz) holds the outputs flipped by an X (a Z) on qubit q injected
+    right after the current layer's gate, as the XOR of the ``out_map``
+    rows of the raw outputs it flips; row ``qubit_count`` stays zero. A
+    variant's row is its flip row XOR, at its layer, the rows of its two
+    X and two Z qubits. ``var`` runs in layer order, so that is one
+    gather per layer; the walk stops at the lowest layer with a variant.
     """
-    eye = np.eye(prog.raw_bits + 1, prog.raw_bits, dtype=np.uint8)
-    det, zf, logical = _assemble(prog, *prog.split_raw(eye))
-    body = det[:, :, prog.aligned_cols].reshape(len(eye), -1)
-    return gf2.pack_rows(np.concatenate([body, zf, logical], axis=1))
-
-
-def _walk_back(prog: _Program, out_map: np.ndarray):
-    """Walk the layers from last to first, carrying the fault effects.
-
-    Yields (layer, sx, sz) for every layer: row q of sx (sz) holds the
-    outputs flipped by an X (a Z) on qubit q injected right after that
-    layer's gate, as the XOR of the ``out_map`` rows of the raw outputs
-    it flips. Row ``qubit_count`` stays zero. The two arrays are updated
-    in place after each yield.
-    """
+    rows = out_map[var.flip]
+    bounds = np.searchsorted(var.layer, np.arange(len(prog.layer_ops) + 1))
     sx = np.zeros((prog.circuit.qubit_count + 1, out_map.shape[1]), out_map.dtype)
     sz = np.zeros_like(sx)
     for li in range(len(prog.layer_ops) - 1, -1, -1):
-        yield li, sx, sz
+        lo, hi = bounds[li], bounds[li + 1]
+        if lo < hi:
+            x0, x1, z0, z1 = var.qubits[:, lo:hi]
+            rows[lo:hi] ^= sx[x0] ^ sx[x1] ^ sz[z0] ^ sz[z1]
+        if lo == 0:
+            break
         op = prog.layer_ops[li]
         kind = op[0]
         if kind == SINGLE_QUBIT:
@@ -677,23 +727,6 @@ def _walk_back(prog: _Program, out_map: np.ndarray):
             qs = op[1]
             sx[qs] ^= out_map[prog.rd_bit(qs)]
         # DD_IDLE applies no gate
-
-
-def _fault_table(prog: _Program, var: _Variants, out_map: np.ndarray) -> np.ndarray:
-    """Row v packs the outputs (in the basis of ``out_map``) that variant
-    v of ``var`` flips on its own: its flip row XOR, at its layer of the
-    backward walk, the rows of its two X and two Z qubits. ``var`` runs
-    in layer order, so that is one gather per layer; the walk stops at
-    the lowest layer that holds a variant."""
-    rows = out_map[var.flip]
-    bounds = np.searchsorted(var.layer, np.arange(len(prog.layer_ops) + 1))
-    for li, sx, sz in _walk_back(prog, out_map):
-        lo, hi = bounds[li], bounds[li + 1]
-        if lo < hi:
-            x0, x1, z0, z1 = var.qubits[:, lo:hi]
-            rows[lo:hi] ^= sx[x0] ^ sx[x1] ^ sz[z0] ^ sz[z1]
-        if lo == 0:
-            break
     return rows
 
 
@@ -715,38 +748,21 @@ def _fired(prog: _Program, slot: np.ndarray, noise: NoiseModel, keys: np.ndarray
 
 
 def _sampler(prog: _Program, noise: NoiseModel):
-    """A function from shot keys (one uint64 each) to raw outputs: dm
-    (B, t, checks) and rd (B, n), each shot the XOR of the table rows of
-    the variants that its draws fire."""
-    var = _variants(prog, noise)
-    rows, slot = _fault_table(prog, var, _raw_map(prog)), var.slot
+    """A function from shot keys (one uint64 each) to the shots' outputs,
+    rows of 0/1 bytes in the columns of ``_output_map``: each shot is the
+    XOR of the table rows of the variants that its draws fire."""
+    var, out_map = _variants(prog, noise), _output_map(prog)
+    # the packed map replaces the bytes before the walk, which sets the peak
+    width, out_map = out_map.shape[1], gf2.pack_rows(out_map)
+    rows, slot = _fault_table(prog, var, out_map), var.slot
 
-    def sample(keys: np.ndarray):
+    def sample(keys: np.ndarray) -> np.ndarray:
         acc = np.zeros((len(keys), rows.shape[1]), dtype=rows.dtype)
         for shot, v in _fired(prog, slot, noise, keys):
             acc[shot] ^= rows[v]
-        return prog.split_raw(gf2.unpack_rows(acc, prog.raw_bits))
+        return gf2.unpack_rows(acc, width)
 
     return sample
-
-
-def _assemble(prog: _Program, dm: np.ndarray, rd: np.ndarray):
-    """Convert raw deviations into detector, final, and logical bits.
-
-    In-circuit detectors: z1 = m1, z2 = m2, z_j = m_j xor m_{j-2}. The
-    final detector compares the readout-derived stabilizer values with
-    the last two check readouts: z_F = y_F xor m_t xor m_{t-1}.
-    """
-    det = dm.copy()
-    det[:, 2:] ^= dm[:, :-2]
-    yf = ((rd.astype(np.uint32) @ prog.support.T.astype(np.uint32)) & 1).astype(np.uint8)
-    zf = yf ^ dm[:, -1, prog.aligned_cols]
-    if prog.t >= 2:
-        zf ^= dm[:, -2, prog.aligned_cols]
-    logical = ((rd.astype(np.uint32) @ prog.logical_mat.T.astype(np.uint32)) & 1).astype(
-        np.uint8
-    )
-    return det, zf, logical
 
 
 # ---------------------------------------------------------------------------
@@ -806,12 +822,6 @@ class ShotBatch:
         body = self.detections[:, :, cols].reshape(self.shots, -1)
         return np.concatenate([body, self.final_syndrome], axis=1)
 
-    def _kind_columns(self, kind: str) -> list[int]:
-        cols = [i for i, lab in enumerate(self.check_labels) if lab[0] == kind]
-        if not cols:
-            raise ValueError(f"no {kind}-type checks in this batch")
-        return cols
-
     def cycle_series(self, kind: str) -> np.ndarray:
         """Mean detection fraction per detection point for one check type.
 
@@ -821,7 +831,9 @@ class ShotBatch:
         value is randomized by the first measurement; cycles-1 points
         remain.
         """
-        cols = self._kind_columns(kind)
+        cols = [i for i, lab in enumerate(self.check_labels) if lab[0] == kind]
+        if not cols:
+            raise ValueError(f"no {kind}-type checks in this batch")
         aligned = kind == self.basis
         start = 0 if aligned else 1
         series = [self.detections[:, c, cols].mean() for c in range(start, self.cycles)]
@@ -842,13 +854,14 @@ def sample_shot(
 ) -> ShotRecord:
     """Sample one shot, or replay exactly one fault with no other noise.
 
-    Either way the shot is a set of variants, and its raw outputs are the
+    Either way the shot is a set of variants, and its outputs are the
     XOR of their fault-effect table rows, built for them alone. The
     draws of a sampled shot take ``rng_seed`` as its key, so
     derive_shot_seed(s, i) gives shot i of run_monte_carlo with master
     seed s. A forced fault is split into unit variants at its layer, and
     ``rng_seed`` is unused.
     """
+    rng_seed = _as_int("rng_seed", rng_seed)
     prog = _Program(code, circuit, basis, logicals, noise.idle_policy)
     if forced_fault is not None:
         var = _forced_variants(prog, forced_fault)
@@ -859,9 +872,9 @@ def sample_shot(
         for _, v in _fired(prog, var.slot, noise, keys):
             hit[v] = True
         var = _Variants(*(col[..., hit] for col in var))
-    row = np.bitwise_xor.reduce(_fault_table(prog, var, _raw_map(prog)), axis=0)
-    dm, rd = prog.split_raw(gf2.unpack_rows(row[None], prog.raw_bits))
-    det, zf, logical = _assemble(prog, dm, rd)
+    out_map = _output_map(prog)
+    row = np.bitwise_xor.reduce(_fault_table(prog, var, gf2.pack_rows(out_map)), axis=0)
+    det, zf, logical = _split_outputs(prog, gf2.unpack_rows(row[None], out_map.shape[1]))
     return ShotRecord(basis, det[0], zf[0], logical[0])
 
 
@@ -882,29 +895,26 @@ def run_monte_carlo(
     Shot i uses the key derive_shot_seed(master_seed, i), and its draws
     depend only on that key, so the batch partition cannot change any
     outcome. Draws follow the geometric skip of the module docstring:
-    per slot kind, one pair per fault that fires plus one draw past the
-    last slot, not one per (shot, slot).
+    per slot kind, about one pair per fault that fires, not one per
+    (shot, slot).
     """
+    shots, batch_size = _as_int("shots", shots), _as_int("batch_size", batch_size)
+    master_seed = _as_int("master_seed", master_seed)
     if shots < 1 or batch_size < 1:
         raise ValueError("shots and batch_size must be >= 1")
     prog = _Program(code, circuit, basis, logicals, noise.idle_policy)
     sample = _sampler(prog, noise)
-    det_parts, zf_parts, log_parts = [], [], []
+    # each batch unpacks straight into its rows of the three arrays
+    arrays = tuple(np.empty((shots, *shape), dtype=np.uint8) for shape in (
+        (prog.t, prog.check_count), (len(prog.aligned_cols),), (len(prog.logical_mat),)
+    ))
     for start in range(0, shots, batch_size):
         count = min(batch_size, shots - start)
-        keys = _derive_keys(master_seed, start, count)
-        det, zf, logical = _assemble(prog, *sample(keys))
-        det_parts.append(det)
-        zf_parts.append(zf)
-        log_parts.append(logical)
+        bits = sample(_derive_keys(master_seed, start, count))
+        for array, part in zip(arrays, _split_outputs(prog, bits)):
+            array[start : start + count] = part
     return ShotBatch(
-        basis=basis,
-        cycles=prog.t,
-        check_labels=prog.check_labels,
-        aligned_columns=tuple(int(c) for c in prog.aligned_cols),
-        detections=np.concatenate(det_parts),
-        final_syndrome=np.concatenate(zf_parts),
-        logical_flips=np.concatenate(log_parts),
+        basis, prog.t, prog.check_labels, tuple(int(c) for c in prog.aligned_cols), *arrays
     )
 
 
@@ -1024,9 +1034,7 @@ class DetectorErrorModel:
         out = []
         for sig, js in sorted(by_sig.items()):
             logicals = {self.columns[j].logicals for j in js}
-            if sig == () and any(l != () for l in logicals):
-                out.append(tuple(js))
-            elif len(logicals) > 1:
+            if len(logicals) > 1 or (sig == () and logicals != {()}):
                 out.append(tuple(js))
         return out
 
@@ -1077,9 +1085,7 @@ def build_dem(
     bits = np.where(c < D, c, c - D).tolist()
     return DetectorErrorModel(D, K, tuple(
         DemColumn(p, tuple(bits[lo:mid]), tuple(bits[mid:hi]))
-        for p, lo, mid, hi in zip(
-            total[by_first].tolist(), cuts[::2], cuts[1::2], cuts[2::2]
-        )
+        for p, lo, mid, hi in zip(total[by_first].tolist(), cuts[::2], cuts[1::2], cuts[2::2])
     ))
 
 
@@ -1128,12 +1134,10 @@ def expected_detection_series(
 
 def dem_to_text(dem: DetectorErrorModel) -> str:
     lines = [f"detectors {dem.detector_count} logicals {dem.logical_count}"]
-    for col in dem.columns:
-        tokens = [repr(col.probability)]
-        tokens += [str(i) for i in col.detectors]
-        tokens.append("|")
-        tokens += [str(i) for i in col.logicals]
-        lines.append(" ".join(tokens))
+    lines += [
+        " ".join([repr(col.probability), *map(str, col.detectors), "|", *map(str, col.logicals)])
+        for col in dem.columns
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -1151,11 +1155,7 @@ def parse_dem(text: str) -> DetectorErrorModel:
         if "|" not in parts:
             raise ValueError(f"missing '|' separator in {ln!r}")
         sep = parts.index("|")
-        columns.append(
-            DemColumn(
-                float(parts[0]),
-                tuple(int(tk) for tk in parts[1:sep]),
-                tuple(int(tk) for tk in parts[sep + 1 :]),
-            )
-        )
+        columns.append(DemColumn(
+            float(parts[0]), tuple(map(int, parts[1:sep])), tuple(map(int, parts[sep + 1 :]))
+        ))
     return DetectorErrorModel(detector_count, logical_count, tuple(columns))

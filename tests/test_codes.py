@@ -492,6 +492,33 @@ def test_spec_rejects_non_integer_sizes_and_exponents(l, m, a_terms):
         codes.BbCodeSpec(l=l, m=m, a_terms=a_terms, b_terms=_GOOD_TERMS)
 
 
+@pytest.mark.parametrize(
+    "a_terms,message",
+    [
+        pytest.param(None, "polynomial a needs exactly 3 terms, got None", id="none"),
+        pytest.param(5, "polynomial a needs exactly 3 terms, got 5", id="int"),
+        pytest.param("xyz", "polynomial a needs exactly 3 terms, got 'xyz'", id="str"),
+        pytest.param(_GOOD_TERMS[:2], "polynomial a needs exactly 3 terms", id="two-terms"),
+        pytest.param((("y",), ("y", 0), ("y", 2)), r"term \('y',\) of polynomial a", id="one-item"),
+        pytest.param((("x", 1, 2), ("y", 0), ("y", 2)), r"term \('x', 1, 2\) of", id="three-items"),
+        pytest.param(("x1", ("y", 0), ("y", 2)), "term 'x1' of polynomial a", id="str-term"),
+        pytest.param((None, ("y", 0), ("y", 2)), "term None of polynomial a", id="none-term"),
+        pytest.param((3, ("y", 0), ("y", 2)), "term 3 of polynomial a", id="int-term"),
+    ],
+)
+def test_spec_rejects_a_malformed_term_list(a_terms, message):
+    with pytest.raises(ValueError, match=message):
+        codes.BbCodeSpec(3, 3, a_terms, _GOOD_TERMS)
+    # the same check guards the second polynomial
+    with pytest.raises(ValueError, match=message.replace("polynomial a", "polynomial b")):
+        codes.BbCodeSpec(3, 3, _GOOD_TERMS, a_terms)
+
+
+def test_spec_accepts_term_lists_as_lists():
+    spec = codes.BbCodeSpec(3, 3, [["x", 1], ["y", 0], ["y", 2]], list(_GOOD_TERMS))
+    assert spec == codes.BbCodeSpec(3, 3, _GOOD_TERMS, _GOOD_TERMS)
+
+
 def test_spec_accepts_numpy_integers():
     spec = codes.BbCodeSpec(
         np.int64(3), np.int32(3), (("x", np.int64(4)), ("y", 0), ("y", 2)), _GOOD_TERMS

@@ -165,6 +165,29 @@ def _forward_raw_outputs(code, circ, variants):
     return raw
 
 
+def _identity_map(prog):
+    """Row r: raw output r alone, packed, then a zero row; a table built
+    on it holds raw outputs."""
+    return gf2.pack_rows(np.eye(prog.raw_bits + 1, prog.raw_bits, dtype=np.uint8))
+
+
+def _detector_form(prog, raw):
+    """Rows of raw outputs -> rows of the sampler's outputs, by products:
+    every check's detections z_c = m_c xor m_{c-2} (cycle-major), the
+    final comparisons z_F = y_F xor m_t xor m_{t-1} of the memory-basis
+    checks, and the memory-basis logicals read from the data readout."""
+    t, checks = prog.t, prog.check_count
+    dm = raw[:, : t * checks].reshape(-1, t, checks).astype(np.int64)
+    rd = raw[:, t * checks :].astype(np.int64)
+    det = dm.copy()
+    det[:, 2:] ^= dm[:, :-2]
+    final = (rd @ prog.support.T.astype(np.int64)) % 2 ^ dm[:, -1, prog.aligned_cols]
+    if t >= 2:
+        final ^= dm[:, -2, prog.aligned_cols]
+    logical = (rd @ prog.logical_mat.T.astype(np.int64)) % 2
+    return np.concatenate([det.reshape(len(raw), -1), final, logical], axis=1).astype(np.uint8)
+
+
 @pytest.mark.parametrize("basis", ["Z", "X"])
 def test_table_rows_match_forward_frame_propagation(basis):
     code = build_named_code("18-4-4-pruned")
@@ -172,13 +195,40 @@ def test_table_rows_match_forward_frame_propagation(basis):
     model = NoiseModel.device_rates(idle_policy="dense")
     prog = noise._Program(code, circ, basis, idle_policy=model.idle_policy)
     var = noise._variants(prog, model)
-    rows = noise._fault_table(prog, var, noise._raw_map(prog))
+    rows = noise._fault_table(prog, var, _identity_map(prog))
     variants = noise.enumerate_fault_variants(circ, model, code=code)
     assert len(rows) == len(variants)
     assert var.slot.tolist() == [v.slot for v in variants]
     assert var.probability.tolist() == [v.probability for v in variants]
     expected = _forward_raw_outputs(code, circ, variants)
     assert np.array_equal(gf2.unpack_rows(rows, prog.raw_bits), expected)
+    # the sampler's table: the same raw outputs, in detector form
+    out_map = noise._output_map(prog)
+    rows = noise._fault_table(prog, var, gf2.pack_rows(out_map))
+    assert np.array_equal(
+        gf2.unpack_rows(rows, out_map.shape[1]), _detector_form(prog, expected)
+    )
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 7])
+@pytest.mark.parametrize("basis", ["Z", "X"])
+@pytest.mark.parametrize("cid", ["18-4-4-pruned", "18-6-3", "36-4-6"])
+def test_output_map_is_the_detector_formula(cid, basis, t):
+    code = build_named_code(cid)
+    circ = build_syndrome_circuit(code, t, basis=basis)
+    prog = noise._Program(code, circ, basis, logical_operator_set_for(code))
+    eye = np.eye(prog.raw_bits + 1, prog.raw_bits, dtype=np.uint8)
+    expected = _detector_form(prog, eye)
+    out_map = noise._output_map(prog)
+    assert out_map.dtype == np.uint8 and np.array_equal(out_map, expected)
+    # the DEM's map: the memory-basis detectors of each cycle, the final
+    # block and the logicals
+    tc, A = t * prog.check_count, len(prog.aligned_cols)
+    det = expected[:, :tc].reshape(len(eye), t, prog.check_count)[:, :, prog.aligned_cols]
+    signature = np.concatenate([det.reshape(len(eye), -1), expected[:, tc:]], axis=1)
+    width = prog.detector_count + len(prog.logical_mat)
+    assert signature.shape[1] == width == (t + 1) * A + len(prog.logical_mat)
+    assert np.array_equal(gf2.unpack_rows(noise._signature_map(prog), width), signature)
 
 
 @pytest.mark.parametrize(
@@ -498,15 +548,157 @@ def test_first_middle_and_last_slots_fire_at_the_channel_rate(model):
         assert np.all(np.abs(freq - rate) <= 4 * sigma), (kind, freq, rate)
 
 
+_MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+
+
+def _reference_uniform(keys, stream, draw):
+    """Draw ``draw`` of stream ``stream`` for each key: splitmix64 of the
+    key xor the stream's multiple of 0xD1B54A32D192ED03, top 53 bits,
+    plus one, times 2^-53."""
+    v = keys ^ np.uint64(((stream << 32) | draw) * 0xD1B54A32D192ED03 % 2**64)
+    for shift, mul in zip((30, 27), _MIX):
+        v = (v ^ (v >> np.uint64(shift))) * np.uint64(mul)
+    v = v ^ (v >> np.uint64(31))
+    return ((v >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+
+
+def _reference_fires(channel, keys, m):
+    """The sampling contract one round at a time: a searchsorted per
+    round over the survival table (1 - P)^g, g = m..1, and over the
+    patterns' cumulative probabilities."""
+    cum = np.cumsum([pat.probability for pat in channel.patterns])
+    survive = np.cumprod(np.full(m, max(0.0, 1.0 - cum[-1])))[::-1]
+    cdf = cum / cum[-1]
+    shot = np.arange(len(keys))
+    pos = np.full(len(keys), -1, dtype=np.intp)
+    draw = 1
+    while len(shot):
+        pos = pos + (m + 1 - np.searchsorted(survive, _reference_uniform(keys, channel.stream, draw)))
+        live = pos < m
+        shot, pos, keys = shot[live], pos[live], keys[live]
+        pick = np.searchsorted(cdf, _reference_uniform(keys, channel.stream, draw + 1))
+        yield shot, pos, pick
+        draw += 2
+
+
+RATES = {
+    "device": NOISE,
+    "heavy": NoiseModel.device_rates(suppression=20.0),
+    # P = 1, or a hair below it where the fifteen CZ shares sum past 1
+    "one": NoiseModel(*[1.0] * 7),
+    # 1 - P rounds to 1
+    "tiny": NoiseModel(*[1e-17] * 7),
+}
+
+
+@pytest.mark.parametrize(
+    "rate,m,shots",
+    [
+        (rate, m, shots)
+        for rate in sorted(RATES) for m in (1, 2, 41, 6048) for shots in (1, 7, 4096)
+        # the reference runs thousands of rounds here; one shot covers the
+        # table, and the other rates the wide blocks
+        if not (rate in ("heavy", "one") and m == 6048 and shots > 1)
+    ],
+)
+def test_block_draws_match_the_per_round_reference(rate, m, shots):
+    keys = noise._derive_keys(11, 0, shots)
+    for kind in noise._SLOT_KINDS:
+        channel = noise._channel(kind, RATES[rate])
+        if rate == "tiny":
+            assert 1.0 - sum(pat.probability for pat in channel.patterns) == 1.0
+        rounds = 0
+        for got, want in zip(channel.fires(keys, m), _reference_fires(channel, keys, m), strict=True):
+            rounds += 1
+            for g, w in zip(got, want):
+                assert g.dtype.kind == "i" and np.array_equal(g, w), (kind, rounds)
+        assert rounds >= 1
+
+
+@pytest.mark.parametrize("basis", ["Z", "X"])
+def test_wide_code_sampling_matches_the_reference(basis):
+    """144-12-12, which the golden grid leaves out: the per-round draws
+    replayed on a raw-output table, then put in detector form."""
+    code = build_named_code("144-12-12", trust_table_distance=True)
+    logicals = logical_operator_set_for(code)
+    circ = build_syndrome_circuit(code, 2, basis=basis)
+    shots, seed = 300, 77
+    batch = noise.run_monte_carlo(
+        circ, NOISE, shots, basis, code=code, logicals=logicals, master_seed=seed,
+        batch_size=128,
+    )
+    prog = noise._Program(code, circ, basis, logicals)
+    var = noise._variants(prog, NOISE)
+    rows = noise._fault_table(prog, var, _identity_map(prog))
+    first = np.searchsorted(var.slot, np.arange(len(prog.slot_kind)))
+    keys = np.array([noise.derive_shot_seed(seed, i) for i in range(shots)], dtype=np.uint64)
+    acc = np.zeros((shots, rows.shape[1]), dtype=rows.dtype)
+    for i, kind in enumerate(noise._SLOT_KINDS):
+        base = first[prog.slot_kind == i]
+        for shot, pos, pick in _reference_fires(noise._channel(kind, NOISE), keys, len(base)):
+            acc[shot] ^= rows[base[pos] + pick]
+    expected = _detector_form(prog, gf2.unpack_rows(acc, prog.raw_bits))
+    got = np.concatenate(
+        [batch.detections.reshape(shots, -1), batch.final_syndrome, batch.logical_flips], axis=1
+    )
+    assert got.shape == expected.shape and expected.any()
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize(
+    "value", [1.9, 2.0, True, "3", None, np.float64(3.0)],
+    ids=["float", "integral-float", "bool", "str", "none", "numpy-float"],
+)
+def test_sampler_entry_points_take_only_integers(value):
+    code = build_named_code("18-4-4-pruned")
+    circ = build_syndrome_circuit(code, 1)
+    calls = [
+        ("shots", lambda v: noise.run_monte_carlo(circ, NOISE, v, code=code)),
+        ("batch_size", lambda v: noise.run_monte_carlo(circ, NOISE, 4, code=code, batch_size=v)),
+        ("master_seed", lambda v: noise.run_monte_carlo(circ, NOISE, 4, code=code, master_seed=v)),
+        ("master_seed", lambda v: noise.derive_shot_seed(v, 3)),
+        ("shot_index", lambda v: noise.derive_shot_seed(1, v)),
+        ("rng_seed", lambda v: noise.sample_shot(circ, NOISE, v, code=code)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            call(value)
+
+
+def test_sampler_entry_points_take_numpy_integers():
+    code = build_named_code("18-4-4-pruned")
+    circ = build_syndrome_circuit(code, 2)
+    batch = noise.run_monte_carlo(circ, NOISE, 12, code=code, master_seed=5, batch_size=5)
+    same = noise.run_monte_carlo(
+        circ, NOISE, np.int64(12), code=code, master_seed=np.uint64(5), batch_size=np.int32(5)
+    )
+    for field in ("detections", "final_syndrome", "logical_flips"):
+        assert np.array_equal(getattr(same, field), getattr(batch, field))
+    seed = noise.derive_shot_seed(np.int64(5), np.uint8(3))
+    assert seed == noise.derive_shot_seed(5, 3)
+    shot = noise.sample_shot(circ, NOISE, np.uint64(seed), code=code)
+    assert np.array_equal(shot.detections, batch.record(3).detections)
+
+
 def test_rate_one_flips_every_slot():
     code = build_named_code("18-6-3")
     circ = build_syndrome_circuit(code, 3)
     prog = noise._Program(code, circ)
-    keys = noise._derive_keys(3, 0, 64)
-    dm, rd = noise._sampler(prog, NoiseModel(p_m=1.0))(keys)
-    assert dm.all() and not rd.any()
-    dm, rd = noise._sampler(prog, NoiseModel(p_m=1.0, p_f=1.0))(keys)
-    assert dm.all() and rd.all()
+    shots = 64
+    keys = noise._derive_keys(3, 0, shots)
+    tc = prog.t * prog.check_count
+    for model, flipped in ((NoiseModel(p_m=1.0), tc), (NoiseModel(p_m=1.0, p_f=1.0), prog.raw_bits)):
+        # the variants are the measured slots, and every shot fires each once
+        var = noise._variants(prog, model)
+        assert sorted(var.flip.tolist()) == list(range(flipped))
+        fired = np.zeros((shots, len(var.slot)), dtype=int)
+        for shot, v in noise._fired(prog, var.slot, model, keys):
+            fired[shot, v] += 1
+        assert (fired == 1).all()
+        # so every shot flips the first ``flipped`` raw outputs and no other
+        raw = np.zeros((shots, prog.raw_bits), dtype=np.uint8)
+        raw[:, :flipped] = 1
+        assert np.array_equal(noise._sampler(prog, model)(keys), _detector_form(prog, raw))
 
 
 @pytest.mark.parametrize(
