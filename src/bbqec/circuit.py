@@ -10,6 +10,10 @@ differenced downstream to recover stabilizer values.
 Qubit indexing is global: data qubits 0..n-1 (left block then right
 block), then one ancilla per retained X check, then one per retained
 Z check.
+
+The gate table (``GateTable``) is the one array form of a circuit, and
+``gate_table``, which reads it, is where a circuit is checked against a
+code and memory basis; the tableau oracle and the noise layer read it.
 """
 
 from __future__ import annotations
@@ -17,12 +21,20 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .codes import CssCode
 from .tableau import StabilizerTableau
+
+__all__ = [
+    "SINGLE_QUBIT", "CZ", "MEASURE_CHECKS", "READOUT_DATA", "DD_IDLE", "LAYER_KINDS", "GATE_NAMES",
+    "ScheduleError", "CircuitBuildError", "CircuitParseError", "GateLayer", "Circuit",
+    "QubitLayout", "qubit_layout", "CzSchedule", "arrangements", "arrangement_commutes",
+    "schedule_cz_layers", "build_syndrome_circuit", "GateTable", "gate_table", "VerifyReport",
+    "verify_circuit", "serialize_circuit", "parse_circuit",
+]
 
 SINGLE_QUBIT = "SINGLE_QUBIT"
 CZ = "CZ"
@@ -41,6 +53,9 @@ _GATE_RULES = {
     "RD": (1, READOUT_DATA),
     "DD": (1, DD_IDLE),
 }
+# a gate table names each gate by its index here
+GATE_NAMES = tuple(_GATE_RULES)
+_NAME_INDEX = {name: i for i, name in enumerate(GATE_NAMES)}
 
 # Per-cycle single-qubit gate count of the compiled 18-qubit circuit with
 # the four redundant checks dropped; `count_hadamards_as_paper` pins it.
@@ -219,9 +234,6 @@ class CzSchedule:
 
     layers: tuple[tuple[tuple[str, int, int], ...], ...]
     term_rounds: tuple[tuple[str, tuple[int, ...]], ...] | None = None
-
-    def total_edges(self) -> int:
-        return sum(len(L) for L in self.layers)
 
 
 # Round assignment matching the published per-cycle operation
@@ -570,65 +582,84 @@ def build_syndrome_circuit(
     return circuit
 
 
-def check_basis(circuit: Circuit, basis: str) -> None:
-    """Raise ValueError if the circuit records a memory basis other than ``basis``."""
-    if circuit.basis is not None and circuit.basis != basis:
-        raise ValueError(
-            f"circuit was built for the {circuit.basis} basis, not {basis}"
-        )
+class GateTable(NamedTuple):
+    """A circuit as arrays, read and checked by ``gate_table``.
 
-
-def check_measurements(
-    layout: QubitLayout,
-    layer_kinds: Sequence[str],
-    gate_layer: np.ndarray,
-    gate_qubit: np.ndarray,
-) -> None:
-    """Raise ValueError unless every ``M`` is on a check qubit of the
-    layout, every ``RD`` on a data qubit, each measurement layer measures
-    every check qubit and each readout layer reads every data qubit.
-
-    The circuit comes as a gate table: ``layer_kinds`` holds the kind of
-    each layer, and ``gate_layer`` and ``gate_qubit`` the layer and qubit
-    of each gate (only the gates of measurement and readout layers are
-    read). ``measurement_table`` gives this table for a ``Circuit``.
+    Layer i has kind ``kind[i]`` (a ``LAYER_KINDS`` string) and holds the
+    gate rows ``start[i]:start[i + 1]``. Gate g is ``GATE_NAMES[name[g]]``
+    on the qubits ``legs[:, g]``; a one-qubit gate's second leg is the
+    circuit's qubit count.
     """
-    kinds = np.asarray(layer_kinds)
-    is_m = kinds[gate_layer] == MEASURE_CHECKS
-    is_rd = kinds[gate_layer] == READOUT_DATA
-    check = np.zeros(max(layout.qubit_count, gate_qubit.max(initial=0) + 1), bool)
+
+    kind: np.ndarray  # (layers,)
+    start: np.ndarray  # (layers + 1,)
+    name: np.ndarray  # (gates,)
+    legs: np.ndarray  # (2, gates)
+
+
+def gate_table(circuit: Circuit, code: CssCode, basis: str) -> GateTable:
+    """The gate table of ``circuit``, once it is checked against ``code``
+    and the memory basis ``basis``.
+
+    Raises ValueError unless: ``basis`` is "Z" or "X" and the circuit
+    records no other basis; the circuit has the qubit count of the
+    code's layout; it declares at least one cycle and has one
+    measurement layer per cycle; every ``M`` is on a check qubit and
+    every ``RD`` on a data qubit; and each measurement layer measures
+    every check qubit and each readout layer reads every data qubit.
+    """
+    if basis not in ("Z", "X"):
+        raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
+    if circuit.basis is not None and circuit.basis != basis:
+        raise ValueError(f"circuit was built for the {circuit.basis} basis, not {basis}")
+    layout = qubit_layout(code)
+    nq = circuit.qubit_count
+    if nq != layout.qubit_count:
+        raise ValueError(f"circuit has {nq} qubits, code layout needs {layout.qubit_count}")
+    if circuit.cycles == 0:
+        raise ValueError("circuit declares no cycles")
+    layers = circuit.layers
+    kind = np.array([layer.kind for layer in layers])
+    measured = np.count_nonzero(kind == MEASURE_CHECKS)
+    if measured != circuit.cycles:
+        raise ValueError(
+            f"circuit declares {circuit.cycles} cycles but has {measured} measurement layers"
+        )
+    # rows (name, leg, leg), where nq pads a one-qubit gate; a built circuit
+    # repeats its layer objects, so each distinct one is read once
+    read: dict[int, np.ndarray] = {}
+    for layer in layers:
+        if id(layer) not in read:
+            gates = [(_NAME_INDEX[g], *qs, nq)[:3] for g, qs in layer.gates]
+            read[id(layer)] = np.array(gates, dtype=np.intp).reshape(-1, 3).T
+    rows = np.concatenate([read[id(layer)] for layer in layers], axis=1)
+    name, legs = rows[0], rows[1:]
+    start = np.cumsum([0] + [len(layer.gates) for layer in layers])
+
+    # M and RD gates only sit in their own layer kinds (``GateLayer``)
+    gate_layer = np.repeat(np.arange(len(layers)), np.diff(start))
+    a = legs[0]
+    is_m, is_rd = name == _NAME_INDEX["M"], name == _NAME_INDEX["RD"]
+    check = np.zeros(nq, dtype=bool)
     check[list(layout.check_qubits)] = True
-    bad = (is_m & ~check[gate_qubit]) | (is_rd & (gate_qubit >= layout.data_count))
+    bad = (is_m & ~check[a]) | (is_rd & (a >= layout.data_count))
     if bad.any():
         i = np.flatnonzero(bad)[0]
         gate, home = ("M", "check") if is_m[i] else ("RD", "data")
         raise ValueError(
-            f"{gate} on qubit {gate_qubit[i]} in layer {gate_layer[i]} is not on "
-            f"a {home} qubit of the code layout"
+            f"{gate} on qubit {a[i]} in layer {gate_layer[i]} is not on a {home} qubit "
+            "of the code layout"
         )
     # no layer repeats a qubit, so a full count is a full cover
-    count = np.bincount(gate_layer[is_m | is_rd], minlength=len(kinds))
-    need = np.select(
-        [kinds == MEASURE_CHECKS, kinds == READOUT_DATA],
-        [len(layout.check_qubits), layout.data_count],
-        count,
-    )
+    count = np.bincount(gate_layer[is_m | is_rd], minlength=len(layers))
+    need = (kind == MEASURE_CHECKS) * len(layout.check_qubits)
+    need += (kind == READOUT_DATA) * layout.data_count
     short = np.flatnonzero(count != need)
     if short.size:
         li = short[0]
-        home = "check" if kinds[li] == MEASURE_CHECKS else "data"
-        raise ValueError(
-            f"layer {li} measures {count[li]} of the {need[li]} {home} qubits"
-        )
-
-
-def measurement_table(circuit: Circuit) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The input of ``check_measurements`` for ``circuit``: the kind of
-    each layer, and the layer and qubit of each ``M`` and ``RD`` gate."""
-    reads = [(i, qs[0]) for i, L in enumerate(circuit.layers)
-             if L.kind in (MEASURE_CHECKS, READOUT_DATA) for _, qs in L.gates]
-    gate_layer, gate_qubit = np.array(reads, dtype=np.intp).reshape(-1, 2).T
-    return [L.kind for L in circuit.layers], gate_layer, gate_qubit
+        home = "check" if kind[li] == MEASURE_CHECKS else "data"
+        raise ValueError(f"layer {li} measures {count[li]} of the {need[li]} {home} qubits")
+    return GateTable(kind, start, name, legs)
 
 
 # ---------------------------------------------------------------------------
@@ -669,9 +700,9 @@ def verify_circuit(
     built-in preparation Hadamards turn them into sign patterns, so the
     same parity bookkeeping applies to the X-type checks.
 
-    Every ``M`` must be on a check qubit and every ``RD`` on a data
-    qubit, each measurement layer must measure every check qubit and
-    each readout layer read every data qubit; otherwise ValueError.
+    The circuit is read through ``gate_table``, which raises ValueError
+    for a circuit that does not fit ``code`` and ``basis``: the noise
+    layer accepts the same circuits.
 
     All preparations run in one tableau pass (they share its x/z part),
     with one tableau call per gate or measurement layer. Outcomes and
@@ -683,13 +714,9 @@ def verify_circuit(
     are listed preparation by preparation, and the list stops after the
     preparation that brings it to ``max_failures``.
     """
-    if basis not in ("Z", "X"):
-        raise ValueError("basis must be 'Z' or 'X'")
-    check_basis(circuit, basis)
+    table = gate_table(circuit, code, basis)
     if preparations < 1:
         raise ValueError("need at least one preparation")
-    layout = qubit_layout(code)
-    check_measurements(layout, *measurement_table(circuit))
     kinds_rows = [("X", r) for r in code.retained_x] + [
         ("Z", r) for r in code.retained_z
     ]
@@ -697,13 +724,9 @@ def verify_circuit(
         [code.h_x.bits[list(code.retained_x)], code.h_z.bits[list(code.retained_z)]]
     ).astype(np.int64)
     aligned = np.array([kind == basis for kind, _ in kinds_rows], dtype=bool)
-    check_qubits = layout.check_qubits
-    measure_layers = [
-        i for i, L in enumerate(circuit.layers) if L.kind == MEASURE_CHECKS
-    ]
-    readout_layers = [
-        i for i, L in enumerate(circuit.layers) if L.kind == READOUT_DATA
-    ]
+    check_qubits = qubit_layout(code).check_qubits
+    measure_layers = np.flatnonzero(table.kind == MEASURE_CHECKS).tolist()
+    readout_layers = np.flatnonzero(table.kind == READOUT_DATA).tolist()
     t = len(measure_layers)
     rng = random.Random(seed)
     prep = np.array(
@@ -717,23 +740,20 @@ def verify_circuit(
         coin=lambda: [rng.getrandbits(1) for _ in range(preparations)],
         states=states,
     )
-    cycle_out, readout = _run_layers(circuit, tab)
+    cycle_out, readout = _run_layers(table, tab)
 
     # fail[p, check, slot]: slot 0 is contract (b), slot c in 1..t-1 is
     # contract (a) between cycles c and c + 1, slot t is contract (c)
     fail = np.zeros((preparations, len(check_qubits), t + 1), dtype=bool)
-    if t:
-        m = np.array([[out[q] for q in check_qubits] for out in cycle_out])
-        value = (m ^ np.concatenate([np.zeros_like(m[:1]), m[:-1]])).transpose(2, 1, 0)
-        expect = (prep.astype(np.int64) @ supports.T) % 2
-        fail[:, :, 0] = aligned & (value[:, :, 0] != expect)
-        fail[:, :, 1:t] = value[:, :, 1:] != value[:, :, :-1]
+    m = np.array([[out[q] for q in check_qubits] for out in cycle_out])
+    value = (m ^ np.concatenate([np.zeros_like(m[:1]), m[:-1]])).transpose(2, 1, 0)
+    expect = (prep.astype(np.int64) @ supports.T) % 2
+    fail[:, :, 0] = aligned & (value[:, :, 0] != expect)
+    fail[:, :, 1:t] = value[:, :, 1:] != value[:, :, :-1]
     if readout:
         rd = np.array([readout[d] for d in range(code.n)]).T.astype(np.int64)
         r_par = (rd @ supports.T) % 2
-        # with no check measurement there is no final value to match
-        final = value[:, :, -1] if t else None
-        fail[:, :, t] = aligned & ((r_par != final) if t else True)
+        fail[:, :, t] = aligned & (r_par != value[:, :, -1])
 
     failures: list[str] = []
     by_prep = np.argwhere(fail)
@@ -743,8 +763,7 @@ def verify_circuit(
             if slot == t:
                 failures.append(
                     f"prep {p}: {kind}{row} readout parity {r_par[p, ci]} != final "
-                    f"value {final if final is None else final[p, ci]} "
-                    f"(layer {readout_layers[0]})"
+                    f"value {value[p, ci, -1]} (layer {readout_layers[0]})"
                 )
             elif slot == 0:
                 failures.append(
@@ -767,22 +786,24 @@ def verify_circuit(
 
 
 def _run_layers(
-    circuit: Circuit, tab: StabilizerTableau
+    table: GateTable, tab: StabilizerTableau
 ) -> tuple[list[dict[int, np.ndarray]], dict[int, np.ndarray]]:
-    """Run the circuit noiselessly on the tableau, one call per gate or
-    measurement layer. Returns each measurement layer's outcomes and the
-    readout outcomes, keyed by qubit."""
+    """Run the circuit of the gate table noiselessly on the tableau, one
+    call per gate or measurement layer. Returns each measurement layer's
+    outcomes and the readout outcomes, keyed by qubit."""
     cycle_out: list[dict[int, np.ndarray]] = []
     readout: dict[int, np.ndarray] = {}
-    for L in circuit.layers:
-        if L.kind == SINGLE_QUBIT:
-            tab.h([q for name, (q,) in L.gates if name == "H"])
-        elif L.kind == CZ:
-            tab.cz([a for _, (a, _) in L.gates], [b for _, (_, b) in L.gates])
-        elif L.kind in (MEASURE_CHECKS, READOUT_DATA):
-            qubits = [q for _, (q,) in L.gates]
-            out = dict(zip(qubits, tab.measure_many(qubits)))
-            if L.kind == MEASURE_CHECKS:
+    is_h = table.name == _NAME_INDEX["H"]
+    start = table.start.tolist()
+    for kind, lo, hi in zip(table.kind.tolist(), start, start[1:]):
+        a, b = table.legs[:, lo:hi]
+        if kind == SINGLE_QUBIT:
+            tab.h(a[is_h[lo:hi]])
+        elif kind == CZ:
+            tab.cz(a, b)
+        elif kind in (MEASURE_CHECKS, READOUT_DATA):
+            out = dict(zip(a.tolist(), tab.measure_many(a)))
+            if kind == MEASURE_CHECKS:
                 cycle_out.append(out)
             else:
                 readout.update(out)

@@ -5,12 +5,14 @@ ideal circuit. That is enough because every reported quantity (detection
 events, final-readout comparisons, logical flips) is a fixed linear
 functional of the injected Paulis that vanishes in the noiseless run.
 
-Faults live in arrays. ``_Program`` compiles the circuit into one gate
-table and an idle mask, and holds a row per fault slot and the walk's
-per-layer ops; ``_variants`` expands the slots by their channel's
-patterns into the variant table. ``_output_map`` states, by scatter,
-what each raw output (a check measurement or a data readout) flips:
-every check's detections, the final comparisons and the logicals.
+Faults live in arrays. ``_Program`` reads the circuit through
+``circuit.gate_table``, the one array form of a circuit, checked there
+against the code and basis; it adds an idle mask, a row per fault slot
+and the raw output that each measurement or readout gate records.
+``_variants`` expands the slots by their channel's patterns into the
+variant table. ``_output_map`` states, by scatter, what each raw output
+(a check measurement or a data readout) flips: every check's
+detections, the final comparisons and the logicals.
 ``_fault_table`` gives any set of variants their outputs in that form
 without simulating any of them. One walk over the layers, last to
 first, carries for each qubit the outputs that an X or a Z injected
@@ -60,7 +62,6 @@ import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, repeat
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -68,16 +69,22 @@ import numpy as np
 from . import gf2
 from .circuit import (
     CZ,
-    DD_IDLE,
+    GATE_NAMES,
     MEASURE_CHECKS,
     READOUT_DATA,
     SINGLE_QUBIT,
     Circuit,
-    check_basis,
-    check_measurements,
+    gate_table,
     qubit_layout,
 )
 from .codes import CssCode, LogicalOperatorSet, logical_operator_set_for
+
+__all__ = [
+    "DEFAULT_MASTER_SEED", "derive_shot_seed", "IDLE_POLICIES", "NoiseModel", "FaultVariant",
+    "enumerate_fault_variants", "ShotRecord", "ShotBatch", "sample_shot", "run_monte_carlo",
+    "DemColumn", "DetectorErrorModel", "build_dem", "expected_detection_series", "dem_to_text",
+    "parse_dem",
+]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _STREAM = 0xD1B54A32D192ED03
@@ -212,22 +219,24 @@ class FaultVariant(NamedTuple):
 _XZ_OF_PAULI = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)}  # I X Y Z
 _SLOT_KINDS = ("h", "idle", "cz", "dd", "measure", "readout")
 _H, _IDLE, _CZ, _DD, _MEASURE, _READOUT = range(len(_SLOT_KINDS))
-# gate name -> the slot kind it makes; "I" makes none
-_GATE_SLOT = {"H": _H, "I": -1, "CZ": _CZ, "DD": _DD, "M": _MEASURE, "RD": _READOUT}
+# the slot kind each gate of ``GATE_NAMES`` makes; "I" makes none
+_GATE_SLOT = np.array([{"H": _H, "I": -1, "CZ": _CZ, "DD": _DD, "M": _MEASURE, "RD": _READOUT}[g]
+                       for g in GATE_NAMES])
 
 
 class _Program:
-    """Preprocessed circuit: layer ops, fault slots, detector layout.
+    """Preprocessed circuit: gate table, fault slots, detector layout.
 
-    Fault slots are int32 arrays in counter (and layer) order: kind (an
-    index into ``_SLOT_KINDS``), layer, legs (2 x slots; a one-qubit slot
-    pads with ``qubit_count``) and flip (the raw output a measurement or
-    readout slot flips, else ``raw_bits``). Gate slots are the rows of
-    one gate table, built in one pass over the layers (``I`` makes no
-    row); idle slots are the set cells of a (layer x qubit) mask read
-    row-major, candidates minus the qubits an ``H`` or ``CZ`` leg makes
-    busy. One stable sort puts each layer's gate slots before its idle
-    slots, and the walk's per-layer ops are slices of the table.
+    ``table`` is the circuit's ``GateTable``; ``gate_flip[g]`` is the raw
+    output that gate g records, else ``raw_bits``. Fault slots are int32
+    arrays in counter (and layer) order: kind (an index into
+    ``_SLOT_KINDS``), layer, legs (2 x slots; a one-qubit slot pads with
+    ``qubit_count``) and flip (the raw output a measurement or readout
+    slot flips, else ``raw_bits``). Gate slots are the gate table's rows
+    (``I`` makes none); idle slots are the set cells of a (layer x qubit)
+    mask read row-major, candidates minus the qubits an ``H`` or ``CZ``
+    leg makes busy. One stable sort puts each layer's gate slots before
+    its idle slots.
     """
 
     def __init__(
@@ -238,19 +247,9 @@ class _Program:
         logicals: LogicalOperatorSet | None = None,
         idle_policy: str = "frames",
     ):
-        if basis not in ("Z", "X"):
-            raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
-        check_basis(circuit, basis)
         if idle_policy not in IDLE_POLICIES:
             raise ValueError(f"idle_policy={idle_policy!r} not one of {IDLE_POLICIES}")
-        layout = qubit_layout(code)
-        if circuit.qubit_count != layout.qubit_count:
-            raise ValueError(
-                f"circuit has {circuit.qubit_count} qubits, code layout needs "
-                f"{layout.qubit_count}"
-            )
-        if circuit.cycles == 0:
-            raise ValueError("circuit declares no cycles")
+        self.table = table = gate_table(circuit, code, basis)
         self.code = code
         self.circuit = circuit
         self.basis = basis
@@ -266,36 +265,23 @@ class _Program:
         self.support = (code.retained_h_z() if basis == "Z" else code.retained_h_x()).bits
         self._logicals = logicals
 
-        layers, nq, n = circuit.layers, circuit.qubit_count, self.n
-        kinds = np.array([layer.kind for layer in layers])
+        kinds, nq, n = table.kind, circuit.qubit_count, self.n
+        layer = np.repeat(np.arange(len(kinds)), np.diff(table.start))
+        kind = _GATE_SLOT[table.name]
+        a, b = table.legs
         measured = kinds == MEASURE_CHECKS
-        if measured.sum() != self.t:
-            raise ValueError(
-                f"circuit declares {self.t} cycles but has {measured.sum()} "
-                "measurement layers"
-            )
-        # the gate table: one row per gate, in layer order; an "I" row is
-        # dropped, and a one-qubit gate's second leg is nq
-        names, legs = zip(*chain.from_iterable(layer.gates for layer in layers))
-        layer = np.repeat(np.arange(len(layers)), [len(layer.gates) for layer in layers])
-        kind = np.fromiter(map(_GATE_SLOT.__getitem__, names), np.intp, len(names))
-        a = np.fromiter(map(itemgetter(0), legs), np.intp, len(legs))
-        b = np.fromiter(map(itemgetter(-1), legs), np.intp, len(legs))
-        b[np.fromiter(map(len, legs), np.intp, len(legs)) == 1] = nq
-        keep = kind >= 0
-        layer, kind, a, b = layer[keep], kind[keep], a[keep], b[keep]
-        m, r = kind == _MEASURE, kind == _READOUT
-        check_measurements(layout, kinds, layer[m | r], a[m | r])
+        cycle = np.cumsum(measured) - measured  # measurement layers before each
+        layout = qubit_layout(code)
         col_of = np.zeros(nq, dtype=np.intp)
         col_of[list(layout.check_qubits)] = np.arange(len(layout.check_qubits))
-        cycle = np.cumsum(measured) - measured  # measurement layers before each
-        flip = np.full(len(kind), self.raw_bits)
+        m, r = kind == _MEASURE, kind == _READOUT
+        self.gate_flip = flip = np.full(len(kind), self.raw_bits, dtype=np.int32)
         flip[m] = self.dm_bit(cycle[layer[m]], col_of[a[m]])
         flip[r] = self.rd_bit(a[r])
 
         # idle slots: candidates that no H or CZ leg makes busy; column nq
         # takes the padded legs
-        idle = np.zeros((len(layers), nq + 1), dtype=bool)
+        idle = np.zeros((len(kinds), nq + 1), dtype=bool)
         idle[kinds == CZ, :nq] = True
         single = kinds == SINGLE_QUBIT
         h = kind == _H
@@ -304,7 +290,7 @@ class _Program:
         elif idle_policy == "frames":
             # ancilla basis rotation is a global step: un-gated data
             # qubits wait; interior data-only layers pack for free
-            framed = np.zeros(len(layers), dtype=bool)
+            framed = np.zeros(len(kinds), dtype=bool)
             framed[layer[h & (a >= n)]] = True
             idle[single & framed, :n] = True
         gated = h | (kind == _CZ)
@@ -314,30 +300,17 @@ class _Program:
 
         # slot rows (layer, kind, legs, flip): within each layer, the gate
         # slots and then the idle slots
+        keep = kind >= 0
         idles = len(idle_q)
         rows = np.concatenate([
-            np.stack([layer, kind, a, b, flip]),
+            np.stack([col[keep] for col in (layer, kind, a, b, flip)]),
             np.stack([idle_layer, np.full(idles, _IDLE), idle_q, np.full(idles, nq),
                       np.full(idles, self.raw_bits)]),
         ], axis=1)
-        is_idle = np.arange(rows.shape[1]) >= len(kind)
+        is_idle = np.arange(rows.shape[1]) >= np.count_nonzero(keep)
         rows = rows[:, np.argsort(2 * rows[0] + is_idle, kind="stable")].astype(np.int32)
         self.slot_layer, self.slot_kind, self.slot_flip = rows[0], rows[1], rows[4]
         self.slot_legs = rows[2:4]
-
-        # the walk's ops, sliced per layer from the gate table
-        bounds = np.searchsorted(layer, np.arange(len(layers) + 1)).tolist()
-        cols, cycle = col_of[a], cycle.tolist()
-        self.layer_ops: list[tuple] = []
-        for li, (lk, lo, hi) in enumerate(zip(kinds.tolist(), bounds, bounds[1:])):
-            if lk == CZ:
-                self.layer_ops.append((CZ, a[lo:hi], b[lo:hi]))
-            elif lk == MEASURE_CHECKS:
-                self.layer_ops.append((MEASURE_CHECKS, a[lo:hi], cols[lo:hi], cycle[li]))
-            elif lk == DD_IDLE:
-                self.layer_ops.append((DD_IDLE,))
-            else:  # SINGLE_QUBIT (H only) and READOUT_DATA
-                self.layer_ops.append((lk, a[lo:hi]))
 
     @cached_property
     def logical_mat(self) -> np.ndarray:
@@ -594,7 +567,7 @@ def _forced_variants(prog: _Program, fault: FaultVariant) -> _Variants:
     """A fault given by hand, as unit variants at its layer: one per X
     qubit, Z qubit and flipped output. The outputs are linear in the
     injected Paulis, so their rows XOR to the fault's."""
-    layers, nq = len(prog.layer_ops), prog.circuit.qubit_count
+    layers, nq = len(prog.table.kind), prog.circuit.qubit_count
     if not 0 <= fault.layer < layers:
         raise ValueError(f"fault layer {fault.layer} outside the circuit's {layers} layers")
     qubits = fault.x_qubits + fault.z_qubits
@@ -697,35 +670,38 @@ def _fault_table(prog: _Program, var: _Variants, out_map: np.ndarray) -> np.ndar
     X and two Z qubits. ``var`` runs in layer order, so that is one
     gather per layer; the walk stops at the lowest layer with a variant.
     """
+    table, nq = prog.table, prog.circuit.qubit_count
     rows = out_map[var.flip]
-    bounds = np.searchsorted(var.layer, np.arange(len(prog.layer_ops) + 1))
-    sx = np.zeros((prog.circuit.qubit_count + 1, out_map.shape[1]), out_map.dtype)
+    kinds, start = table.kind.tolist(), table.start.tolist()
+    a_leg, b_leg = table.legs
+    # the qubit an H swaps X and Z on; any other gate swaps the zero row
+    h_leg = np.where(table.name == GATE_NAMES.index("H"), a_leg, nq)
+    bounds = np.searchsorted(var.layer, np.arange(len(kinds) + 1))
+    sx = np.zeros((nq + 1, out_map.shape[1]), out_map.dtype)
     sz = np.zeros_like(sx)
-    for li in range(len(prog.layer_ops) - 1, -1, -1):
+    for li in range(len(kinds) - 1, -1, -1):
         lo, hi = bounds[li], bounds[li + 1]
         if lo < hi:
             x0, x1, z0, z1 = var.qubits[:, lo:hi]
             rows[lo:hi] ^= sx[x0] ^ sx[x1] ^ sz[z0] ^ sz[z1]
         if lo == 0:
             break
-        op = prog.layer_ops[li]
-        kind = op[0]
+        gates = slice(start[li], start[li + 1])
+        kind = kinds[li]
         if kind == SINGLE_QUBIT:
-            qs = op[1]
+            qs = h_leg[gates]
             sx[qs], sz[qs] = sz[qs], sx[qs]
         elif kind == CZ:
             # X_a before the gate is X_a Z_b after it; Z passes through
-            a, b = op[1], op[2]
+            a, b = a_leg[gates], b_leg[gates]
             sx[a] ^= sz[b]
             sx[b] ^= sz[a]
-        elif kind == MEASURE_CHECKS:
-            # the outcome reads X on the ancilla, which persists; Z is erased
-            anc, cols, cyc = op[1], op[2], op[3]
-            sx[anc] ^= out_map[prog.dm_bit(cyc, cols)]
-            sz[anc] = 0
-        elif kind == READOUT_DATA:
-            qs = op[1]
-            sx[qs] ^= out_map[prog.rd_bit(qs)]
+        elif kind in (MEASURE_CHECKS, READOUT_DATA):
+            # the outcome reads X on the qubit, which persists; Z before a
+            # Z measurement is lost
+            a = a_leg[gates]
+            sx[a] ^= out_map[prog.gate_flip[gates]]
+            sz[a] = 0
         # DD_IDLE applies no gate
     return rows
 
@@ -1107,9 +1083,11 @@ def expected_detection_series(
     The q_s are summed per (slot, detector) over the fault-effect
     table's rows (the same walk as build_dem), touching only the pairs
     that flip. Matches ShotBatch.cycle_series(basis) in the many-shot
-    limit.
+    limit. ``logicals`` is unused: the series reads no logical.
     """
-    prog = _Program(code, circuit, basis, logicals, noise.idle_policy)
+    prog = _Program(code, circuit, basis, idle_policy=noise.idle_policy)
+    # no logical rows: the signature map holds the detectors alone
+    prog.logical_mat = np.zeros((0, prog.n), dtype=np.uint8)
     t, A, D = prog.t, len(prog.aligned_cols), prog.detector_count
     var = _variants(prog, noise)
     rows = _fault_table(prog, var, _signature_map(prog))

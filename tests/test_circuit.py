@@ -265,8 +265,9 @@ def test_verify_passes_on_generated_circuits(cid, basis, t):
 
 
 def _per_gate_run(circ, tab):
-    """Reference for ``circuit._run_layers``: the same run with one
-    tableau call per gate and per measurement."""
+    """Reference for ``circuit._run_layers``: the same run read from the
+    circuit's layers, with one tableau call per gate and per
+    measurement."""
     cycle_out, readout = [], {}
     for L in circ.layers:
         if L.kind == circuit.SINGLE_QUBIT:
@@ -335,10 +336,21 @@ def _drop_one_h(circ):
     return replace(circ, layers=tuple(layers))
 
 
+def _one_h_to_i(circ):
+    layers = list(circ.layers)
+    i = next(i for i, L in enumerate(layers) if L.count("H") > 1)
+    gates = list(layers[i].gates)
+    gates[0] = ("I", gates[0][1])
+    layers[i] = circuit.GateLayer(circuit.SINGLE_QUBIT, tuple(gates))
+    return replace(circ, layers=tuple(layers))
+
+
 @pytest.mark.parametrize("cid", ["18-4-4-pruned", "18-6-3", "36-4-6"])
 @pytest.mark.parametrize("basis", ["Z", "X"])
 @pytest.mark.parametrize(
-    "mutate", [lambda c: c, _swap_cz_layers, _drop_one_h], ids=["built", "swapped-cz", "no-h"]
+    "mutate",
+    [lambda c: c, _swap_cz_layers, _drop_one_h, _one_h_to_i],
+    ids=["built", "swapped-cz", "no-h", "h-to-i"],
 )
 def test_verify_by_layer_equals_the_per_gate_loop(cid, basis, mutate, monkeypatch):
     code = build_named_code(cid)
@@ -346,14 +358,15 @@ def test_verify_by_layer_equals_the_per_gate_loop(cid, basis, mutate, monkeypatc
     runs = []
 
     def recorded(run):
-        def record(circ, tab):
-            runs.append(run(circ, tab))
+        def record(table, tab):
+            runs.append(run(table, tab))
             return runs[-1]
 
         return record
 
     reports = []
-    for run in (circuit._run_layers, _per_gate_run):
+    # the reference reads the circuit's layers, not the gate table
+    for run in (circuit._run_layers, lambda table, tab: _per_gate_run(circ, tab)):
         monkeypatch.setattr(circuit, "_run_layers", recorded(run))
         reports.append(
             circuit.verify_circuit(circ, code, basis=basis, max_failures=10**6)

@@ -13,6 +13,8 @@ from bbqec.circuit import (
     MEASURE_CHECKS,
     READOUT_DATA,
     SINGLE_QUBIT,
+    GATE_NAMES,
+    Circuit,
     GateLayer,
     build_syndrome_circuit,
     qubit_layout,
@@ -158,8 +160,9 @@ def _forward_raw_outputs(code, circ, variants):
                 fz[:, q] = 0
             cycle += 1
         elif layer.kind == READOUT_DATA:
-            for _, (q,) in layer.gates:
+            for _, (q,) in layer.gates:  # as a check measurement
                 raw[:, circ.cycles * checks + q] ^= fx[:, q]
+                fz[:, q] = 0
         for i, frame, q in inject.get(li, []):
             frame[i, q] ^= 1
     return raw
@@ -320,7 +323,9 @@ def test_set_bits_match_nonzero_of_the_unpacked_rows(count):
 
 def _reference_program(code, circ, idle_policy):
     """Fault slots (kind, layer, legs, flip) and walk ops built one layer
-    at a time with set differences, as a check on ``_Program``."""
+    at a time with set differences, as a check on ``_Program``. A walk op
+    is the layer kind with the H legs, the CZ legs, or the measured
+    qubits and the raw outputs they record."""
     n, nq, t = code.n, circ.qubit_count, circ.cycles
     layout = qubit_layout(code)
     checks = len(code.retained_x) + len(code.retained_z)
@@ -361,7 +366,7 @@ def _reference_program(code, circ, idle_policy):
             add("idle", li, np.setdiff1d(np.arange(nq), np.concatenate([a, b])))
         elif layer.kind == MEASURE_CHECKS:
             anc = qubits(layer)
-            ops.append((MEASURE_CHECKS, anc, col_of[anc], cycle))
+            ops.append((MEASURE_CHECKS, anc, cycle * checks + col_of[anc]))
             add("measure", li, anc, flips=cycle * checks + col_of[anc])
             cycle += 1
         elif layer.kind == DD_IDLE:
@@ -369,10 +374,28 @@ def _reference_program(code, circ, idle_policy):
             add("dd", li, qubits(layer))
         else:
             qs = qubits(layer)
-            ops.append((READOUT_DATA, qs))
+            ops.append((READOUT_DATA, qs, t * checks + qs))
             add("readout", li, qs, flips=t * checks + qs)
     kind, layer, a, b, flip = np.array(slots).T
     return kind, layer, np.stack([a, b]), flip, ops
+
+
+def _walk_ops(prog):
+    """The rows of each layer that ``noise._fault_table`` reads from the
+    gate table, as walk ops of ``_reference_program``."""
+    table, ops = prog.table, []
+    for li, kind in enumerate(table.kind.tolist()):
+        rows = slice(table.start[li], table.start[li + 1])
+        a, b = table.legs[:, rows]
+        if kind == SINGLE_QUBIT:
+            ops.append((kind, a[table.name[rows] == GATE_NAMES.index("H")]))
+        elif kind == CZ:
+            ops.append((kind, a, b))
+        elif kind in (MEASURE_CHECKS, READOUT_DATA):
+            ops.append((kind, a, prog.gate_flip[rows]))
+        else:
+            ops.append((kind,))
+    return ops
 
 
 def _assert_compiles_like_the_reference(code, circ, basis, policy):
@@ -385,8 +408,9 @@ def _assert_compiles_like_the_reference(code, circ, basis, policy):
         (prog.slot_flip, flip),
     ):
         assert got.dtype == np.int32 and np.array_equal(got, want)
-    assert len(prog.layer_ops) == len(ops)
-    for got, want in zip(prog.layer_ops, ops):
+    walk = _walk_ops(prog)
+    assert len(walk) == len(ops)
+    for got, want in zip(walk, ops):
         assert got[0] == want[0] and len(got) == len(want)
         assert all(np.array_equal(g, w) for g, w in zip(got[1:], want[1:]))
 
@@ -401,26 +425,40 @@ def test_program_matches_a_per_layer_reference(cid, basis, t, policy):
     _assert_compiles_like_the_reference(code, circ, basis, policy)
 
 
-@pytest.mark.parametrize("policy", noise.IDLE_POLICIES)
-def test_program_matches_the_reference_with_an_h_edited_to_i(policy):
-    code = build_named_code("18-4-4-pruned")
-    circ = build_syndrome_circuit(code, 2)
-    # the first H on an ancilla: the layer keeps its frame under "frames"
-    # only through its other ancilla H gates, and the qubit idles
-    li, gi = next(
-        (li, gi)
-        for li, layer in enumerate(circ.layers)
-        for gi, (g, qs) in enumerate(layer.gates)
-        if g == "H" and qs[0] >= code.n
-    )
+def _h_to_i(circ, li, gi):
+    """The circuit with gate ``gi`` of layer ``li``, an H, made an I."""
     gates = list(circ.layers[li].gates)
     gates[gi] = ("I", gates[gi][1])
     layers = list(circ.layers)
     layers[li] = GateLayer(SINGLE_QUBIT, tuple(gates))
-    edited = replace(circ, layers=tuple(layers))
+    return replace(circ, layers=tuple(layers))
+
+
+@pytest.mark.parametrize("policy", noise.IDLE_POLICIES)
+def test_program_matches_the_reference_with_an_h_edited_to_i(policy):
+    code = build_named_code("18-4-4-pruned")
+    circ = build_syndrome_circuit(code, 2)
+    ancilla_h = [
+        (li, gi)
+        for li, layer in enumerate(circ.layers)
+        for gi, (g, qs) in enumerate(layer.gates)
+        if g == "H" and qs[0] >= code.n
+    ]
+    # the first H on an ancilla: the layer keeps its frame under "frames"
+    # only through its other ancilla H gates, and the qubit idles
+    edited = _h_to_i(circ, *ancilla_h[0])
     _assert_compiles_like_the_reference(code, edited, "Z", policy)
     prog = noise._Program(code, edited, "Z", idle_policy=policy)
     assert len(prog.slot_kind) > 0
+    # the walk swaps X and Z at an H, not at an I; the last ancilla H has
+    # faults before it
+    edited = _h_to_i(circ, *ancilla_h[-1])
+    prog = noise._Program(code, edited, "Z", idle_policy=policy)
+    model = NoiseModel.device_rates(idle_policy=policy)
+    rows = noise._fault_table(prog, noise._variants(prog, model), _identity_map(prog))
+    variants = noise.enumerate_fault_variants(edited, model, code=code)
+    expected = _forward_raw_outputs(code, edited, variants)
+    assert np.array_equal(gf2.unpack_rows(rows, prog.raw_bits), expected)
 
 
 def _drop_last_measurement(circ):
@@ -439,14 +477,20 @@ def _drop_last_measurement(circ):
          "circuit declares 3 cycles but has 2 measurement layers"),
         (lambda circ, code: (replace(circ, basis=None), code, "Y"),
          "basis must be 'Z' or 'X'"),
+        (lambda circ, code: (Circuit(5, (), ()), code, "Z"),
+         "circuit has 5 qubits, code layout needs 32"),
     ],
-    ids=["qubits", "no-cycles", "measurements", "basis"],
+    ids=["qubits", "no-cycles", "measurements", "basis", "gate-less"],
 )
 def test_compile_rejects_a_mismatched_circuit(edit, message):
+    """The noise layer and the tableau oracle read the circuit through
+    the same checked gate table, so both reject it alike."""
     code = build_named_code("18-4-4-pruned")
     circ, code, basis = edit(build_syndrome_circuit(code, 3), code)
     with pytest.raises(ValueError, match=message):
         noise.build_dem(circ, NOISE, basis, code=code)
+    with pytest.raises(ValueError, match=message):
+        verify_circuit(circ, code, basis=basis)
 
 
 # ---- sampler against the exact series ----
@@ -730,6 +774,23 @@ def test_fault_enumeration_resolves_no_logicals(monkeypatch):
     assert noise.enumerate_fault_variants(circ, NOISE, code=code)
 
 
+@pytest.mark.parametrize("basis", ["Z", "X"])
+def test_series_resolves_no_logicals(basis, monkeypatch):
+    code = build_named_code("36-4-6")
+    logicals = logical_operator_set_for(code)
+    circ = build_syndrome_circuit(code, 3, basis=basis)
+
+    def refuse(code):
+        raise AssertionError("logicals resolved")
+
+    monkeypatch.setattr(noise, "logical_operator_set_for", refuse)
+    series = noise.expected_detection_series(circ, NOISE, code=code, basis=basis)
+    given = noise.expected_detection_series(
+        circ, NOISE, code=code, basis=basis, logicals=logicals
+    )
+    assert series.tobytes() == given.tobytes()
+
+
 def test_empty_noise_model_gives_empty_dem_and_zero_series():
     code = build_named_code("18-4-4-pruned")
     circ = build_syndrome_circuit(code, 2)
@@ -925,6 +986,81 @@ def test_dense_matches_a_column_loop(basis):
     assert got_d.dtype == got_l.dtype == np.uint8
     assert np.array_equal(got_d, d) and np.array_equal(got_l, l)
     assert got_p.tolist() == [col.probability for col in dem.columns]
+
+
+def test_collisions_group_columns_by_detectors():
+    # equal detectors with unequal logicals form one group, in signature order
+    dem = DetectorErrorModel(4, 1, (
+        DemColumn(0.1, (3,), (0,)), DemColumn(0.2, (0, 2), (0,)), DemColumn(0.3, (1,), ()),
+        DemColumn(0.4, (0, 2), ()), DemColumn(0.1, (3,), ()),
+    ))
+    assert dem.collisions() == [(1, 3), (0, 4)]
+    # an undetectable column collides with no fault at all if it flips a
+    # logical
+    dem = DetectorErrorModel(4, 1, (DemColumn(0.1, (1,), ()), DemColumn(0.2, (), (0,))))
+    assert dem.collisions() == [(1,)]
+    dem = DetectorErrorModel(4, 1, (DemColumn(0.1, (1,), (0,)), DemColumn(0.2, (), ())))
+    assert dem.collisions() == []
+
+
+@pytest.mark.parametrize("t", [1, 3, 7])
+@pytest.mark.parametrize("basis", ["Z", "X"])
+@pytest.mark.parametrize("cid", ["18-4-4-pruned", "18-6-3", "36-4-6"])
+def test_built_dems_have_no_collisions(cid, basis, t):
+    """Every single-fault signature has one logical effect, as the
+    pinned CZ arrangements are chosen to give."""
+    code = build_named_code(cid)
+    circ = build_syndrome_circuit(code, t, basis=basis)
+    dem = noise.build_dem(circ, NOISE, basis, code=code)
+    assert dem.columns and dem.collisions() == []
+
+
+def test_detector_matrix_is_cycle_major_then_final():
+    rng = np.random.default_rng(4)
+    t, shots, aligned = 3, 5, (2, 3, 4)
+    batch = noise.ShotBatch(
+        "Z", t, ("X0", "X1", "Z0", "Z1", "Z2"), aligned,
+        rng.integers(0, 2, (shots, t, 5), dtype=np.uint8),
+        rng.integers(0, 2, (shots, len(aligned)), dtype=np.uint8),
+        rng.integers(0, 2, (shots, 2), dtype=np.uint8),
+    )
+    got, A = batch.detector_matrix(), len(aligned)
+    assert got.shape == (shots, (t + 1) * A)
+    for c in range(t):
+        for a, col in enumerate(aligned):
+            assert np.array_equal(got[:, c * A + a], batch.detections[:, c, col])
+    for a in range(A):
+        assert np.array_equal(got[:, t * A + a], batch.final_syndrome[:, a])
+
+
+@pytest.mark.parametrize("basis", ["Z", "X"])
+def test_detector_matrix_rows_of_single_faults_are_dem_columns(basis):
+    """A forced fault's detector-matrix row and logical flips are the
+    signature of a DEM column: the two index detectors alike."""
+    code = build_named_code("18-4-4-pruned")
+    logicals = logical_operator_set_for(code)
+    circ = build_syndrome_circuit(code, 3, basis=basis)
+    dem = noise.build_dem(circ, NOISE, basis, code=code, logicals=logicals)
+    signatures = {(col.detectors, col.logicals) for col in dem.columns}
+    variants = noise.enumerate_fault_variants(circ, NOISE, code=code)
+    picked = np.random.default_rng(6).choice(len(variants), 60, replace=False)
+    records = [
+        noise.sample_shot(circ, NOISE, 0, code=code, basis=basis, logicals=logicals,
+                          forced_fault=variants[i])
+        for i in picked
+    ]
+    batch = replace(
+        noise.run_monte_carlo(circ, NOISE, 1, basis, code=code, logicals=logicals),
+        **{f: np.stack([getattr(r, f) for r in records])
+           for f in ("detections", "final_syndrome", "logical_flips")},
+    )
+    seen = 0
+    for row, flips in zip(batch.detector_matrix(), batch.logical_flips):
+        sig = (tuple(np.flatnonzero(row).tolist()), tuple(np.flatnonzero(flips).tolist()))
+        if sig != ((), ()):
+            seen += 1
+            assert sig in signatures, sig
+    assert seen > len(picked) // 2
 
 
 def test_dem_text_round_trips():

@@ -43,7 +43,9 @@ def test_every_documented_module_imports():
 def test_every_exported_name_exists():
     for info in pkgutil.iter_modules(bbqec.__path__):
         module = importlib.import_module(f"bbqec.{info.name}")
-        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        # without __all__ there would be nothing to check
+        assert hasattr(module, "__all__"), f"bbqec.{info.name} declares no __all__"
+        missing = [n for n in module.__all__ if not hasattr(module, n)]
         assert not missing, f"bbqec.{info.name}.__all__ names missing {missing}"
 
 
