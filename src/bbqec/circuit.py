@@ -78,6 +78,36 @@ class CircuitParseError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
+def _check_gates(kind: str | None, gates, seen: set[int]) -> list[tuple[str, tuple[int, ...]]]:
+    """The gates, each qubit as an int. Raises ValueError unless each
+    gate's name is known, ``kind`` is its home layer kind, it has its
+    arity and each qubit is a non-negative integer that no other gate of
+    the layer uses (``seen`` holds those of its earlier gates and gains
+    these)."""
+    checked = []
+    for name, qubits in gates:
+        rule = _GATE_RULES.get(name)
+        if rule is None:
+            raise ValueError(f"unknown gate {name!r}")
+        arity, home = rule
+        if home != kind:
+            raise ValueError(f"gate {name} cannot appear in a {kind} layer")
+        qubits = tuple(qubits)
+        if len(qubits) != arity:
+            raise ValueError(f"gate {name} takes {arity} qubit operand(s), got {len(qubits)}")
+        for q in qubits:
+            # int(q) would read 1.7, True or "2" as a qubit
+            if type(q) is not int and not isinstance(q, np.integer):
+                raise ValueError(f"qubit {q!r} is not an integer")
+            if q < 0:
+                raise ValueError("negative qubit index")
+            if q in seen:
+                raise ValueError(f"qubit {q} used twice in one layer")
+            seen.add(q)
+        checked.append((name, tuple(map(int, qubits))))
+    return checked
+
+
 @dataclass(frozen=True)
 class GateLayer:
     kind: str
@@ -90,31 +120,7 @@ class GateLayer:
             # the text form writes an empty layer as a bare TICK, which
             # reads back as CZ
             raise ValueError(f"a {self.kind} layer needs at least one gate")
-        normalized = []
-        seen: set[int] = set()
-        for name, qubits in self.gates:
-            rule = _GATE_RULES.get(name)
-            if rule is None:
-                raise ValueError(f"unknown gate {name!r}")
-            arity, home = rule
-            if home != self.kind:
-                raise ValueError(f"gate {name} cannot appear in a {self.kind} layer")
-            qubits = tuple(qubits)
-            if len(qubits) != arity:
-                raise ValueError(
-                    f"gate {name} takes {arity} qubit operand(s), got {len(qubits)}"
-                )
-            for q in qubits:
-                # int(q) would read 1.7, True or "2" as a qubit
-                if type(q) is not int and not isinstance(q, np.integer):
-                    raise ValueError(f"qubit {q!r} is not an integer")
-                if q < 0:
-                    raise ValueError("negative qubit index")
-                if q in seen:
-                    raise ValueError(f"qubit {q} used twice in one layer")
-                seen.add(q)
-            normalized.append((name, tuple(map(int, qubits))))
-        object.__setattr__(self, "gates", tuple(normalized))
+        object.__setattr__(self, "gates", tuple(_check_gates(self.kind, self.gates, set())))
 
     def qubits(self) -> frozenset[int]:
         return frozenset(q for _, qs in self.gates for q in qs)
@@ -603,10 +609,11 @@ def gate_table(circuit: Circuit, code: CssCode, basis: str) -> GateTable:
 
     Raises ValueError unless: ``basis`` is "Z" or "X" and the circuit
     records no other basis; the circuit has the qubit count of the
-    code's layout; it declares at least one cycle and has one
-    measurement layer per cycle; every ``M`` is on a check qubit and
-    every ``RD`` on a data qubit; and each measurement layer measures
-    every check qubit and each readout layer reads every data qubit.
+    code's layout; it declares at least one cycle, has one measurement
+    layer per cycle and ends in its one readout layer; every ``M`` is on
+    a check qubit and every ``RD`` on a data qubit; and each measurement
+    layer measures every check qubit and the readout reads every data
+    qubit.
     """
     if basis not in ("Z", "X"):
         raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
@@ -625,6 +632,9 @@ def gate_table(circuit: Circuit, code: CssCode, basis: str) -> GateTable:
         raise ValueError(
             f"circuit declares {circuit.cycles} cycles but has {measured} measurement layers"
         )
+    readouts = np.flatnonzero(kind == READOUT_DATA).tolist()
+    if readouts != [len(layers) - 1]:
+        raise ValueError(f"{READOUT_DATA} layers {readouts} of {len(layers)}: need one, the last")
     # rows (name, leg, leg), where nq pads a one-qubit gate; a built circuit
     # repeats its layer objects, so each distinct one is read once
     read: dict[int, np.ndarray] = {}
@@ -726,7 +736,6 @@ def verify_circuit(
     aligned = np.array([kind == basis for kind, _ in kinds_rows], dtype=bool)
     check_qubits = qubit_layout(code).check_qubits
     measure_layers = np.flatnonzero(table.kind == MEASURE_CHECKS).tolist()
-    readout_layers = np.flatnonzero(table.kind == READOUT_DATA).tolist()
     t = len(measure_layers)
     rng = random.Random(seed)
     prep = np.array(
@@ -750,10 +759,9 @@ def verify_circuit(
     expect = (prep.astype(np.int64) @ supports.T) % 2
     fail[:, :, 0] = aligned & (value[:, :, 0] != expect)
     fail[:, :, 1:t] = value[:, :, 1:] != value[:, :, :-1]
-    if readout:
-        rd = np.array([readout[d] for d in range(code.n)]).T.astype(np.int64)
-        r_par = (rd @ supports.T) % 2
-        fail[:, :, t] = aligned & (r_par != value[:, :, -1])
+    rd = np.array([readout[d] for d in range(code.n)]).T.astype(np.int64)
+    r_par = (rd @ supports.T) % 2
+    fail[:, :, t] = aligned & (r_par != value[:, :, -1])
 
     failures: list[str] = []
     by_prep = np.argwhere(fail)
@@ -763,7 +771,7 @@ def verify_circuit(
             if slot == t:
                 failures.append(
                     f"prep {p}: {kind}{row} readout parity {r_par[p, ci]} != final "
-                    f"value {value[p, ci, -1]} (layer {readout_layers[0]})"
+                    f"value {value[p, ci, -1]} (layer {len(table.kind) - 1})"
                 )
             elif slot == 0:
                 failures.append(
@@ -852,9 +860,8 @@ def parse_circuit(text: str) -> Circuit:
 
     def close(at_line: int) -> None:
         nonlocal buf, buf_kind, buf_qubits, pending
-        kind = buf_kind if buf_kind is not None else CZ
         try:
-            layers.append(GateLayer(kind, tuple(buf)))
+            layers.append(GateLayer(buf_kind or CZ, tuple(buf)))
         except ValueError as exc:
             raise CircuitParseError(at_line, str(exc)) from None
         if pending:
@@ -895,28 +902,16 @@ def parse_circuit(text: str) -> Circuit:
                 raise CircuitParseError(line_no, "repeated cycle boundary")
             pending = True
             continue
-        rule = _GATE_RULES.get(op)
-        if rule is None:
-            raise CircuitParseError(line_no, f"unknown operation {op!r}")
-        arity, home = rule
-        if len(tokens) - 1 != arity:
-            raise CircuitParseError(line_no, f"{op} takes {arity} qubit operand(s)")
         try:
             qs = tuple(int(tok) for tok in tokens[1:])
         except ValueError:
             raise CircuitParseError(line_no, f"bad qubit index in {line!r}") from None
-        if any(q < 0 for q in qs):
-            raise CircuitParseError(line_no, "negative qubit index")
-        if buf_kind is None:
-            buf_kind = home
-        elif home != buf_kind:
-            raise CircuitParseError(
-                line_no, f"{op} cannot share a layer with {buf_kind} operations"
-            )
-        if any(q in buf_qubits for q in qs):
-            raise CircuitParseError(line_no, "qubit used twice in one layer")
-        buf_qubits.update(qs)
-        buf.append((op, qs))
+        if buf_kind is None:  # a layer takes the kind of its first gate
+            buf_kind = _GATE_RULES.get(op, (0, None))[1]
+        try:
+            buf += _check_gates(buf_kind, [(op, qs)], buf_qubits)
+        except ValueError as exc:
+            raise CircuitParseError(line_no, str(exc)) from None
 
     if pending and not buf:
         raise CircuitParseError(line_no, "cycle boundary with no following layer")

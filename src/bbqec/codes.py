@@ -472,22 +472,18 @@ class LogicalOperatorSet:
     def k(self) -> int:
         return len(self.x_supports)
 
-    def _vector(self, support: tuple[int, ...]) -> BinaryMatrix:
-        v = np.zeros((1, self.n), dtype=np.uint8)
-        v[0, list(support)] = 1
-        return BinaryMatrix(v)
-
-    def x_vector(self, i: int) -> BinaryMatrix:
-        return self._vector(self.x_supports[i])
-
-    def z_vector(self, i: int) -> BinaryMatrix:
-        return self._vector(self.z_supports[i])
+    def _matrix(self, supports: tuple[tuple[int, ...], ...]) -> BinaryMatrix:
+        """Row i marks ``supports[i]``; one scatter, so k = 0 gives 0 x n."""
+        bits = np.zeros((self.k, self.n), dtype=np.uint8)
+        rows = np.repeat(np.arange(self.k), [len(s) for s in supports])
+        bits[rows, [q for s in supports for q in s]] = 1
+        return BinaryMatrix(bits)
 
     def x_matrix(self) -> BinaryMatrix:
-        return gf2.vstack(*(self.x_vector(i) for i in range(self.k)))
+        return self._matrix(self.x_supports)
 
     def z_matrix(self) -> BinaryMatrix:
-        return gf2.vstack(*(self.z_vector(i) for i in range(self.k)))
+        return self._matrix(self.z_supports)
 
 
 def _lr(half: int, l_cols: Sequence[int] = (), r_cols: Sequence[int] = ()):

@@ -19,7 +19,10 @@ first, carries for each qubit the outputs that an X or a Z injected
 there would flip (the reverse pass of Stim's error analyser, Gidney
 2021, Quantum 5, 497), and one gather per layer XORs them into the rows
 of that layer's variants. ``build_dem`` and ``expected_detection_series``
-reduce the full table on the memory-basis columns (``_signature_map``).
+reduce the full table on the memory-basis columns (``_signature_map``),
+and both combine the priors of independent slots by one rule
+(``_odd_probability``): a DEM column or a detector flips when an odd
+number of its slots fire.
 The sampler replays it, each shot the XOR of the rows of the variants
 that its draws pick, and unpacks a batch straight into the ``ShotBatch``
 arrays; ``sample_shot`` builds it for its one shot's variants alone.
@@ -166,12 +169,14 @@ class NoiseModel:
     idle_policy: str = "frames"
 
     def __post_init__(self):
-        for name in ("p_h", "p_i", "p_cz", "p_m", "p_f", "p_dd_x", "p_dd_z"):
+        for name in ("p_h", "p_i", "p_cz", "p_m", "p_f", "p_dd_x", "p_dd_z", "suppression"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v} outside [0, 1]")
-        if not self.suppression >= 0.0:
-            raise ValueError(f"suppression={self.suppression} must be >= 0")
+            # a bool would read as a rate of 0 or 1
+            if not isinstance(v, numbers.Real) or isinstance(v, bool):
+                raise ValueError(f"{name}={v!r} is not a real number")
+            high = np.inf if name == "suppression" else 1.0
+            if not 0.0 <= v <= high:
+                raise ValueError(f"{name}={v} outside [0, {high:g}]")
         if self.idle_policy not in IDLE_POLICIES:
             raise ValueError(f"idle_policy={self.idle_policy!r} not one of {IDLE_POLICIES}")
 
@@ -1015,6 +1020,26 @@ class DetectorErrorModel:
         return out
 
 
+def _odd_probability(key, slot, prior, count: int) -> np.ndarray:
+    """For each key in range(count), the probability that an odd number
+    of the independent slots listed for it fire (0 if none is). Entries
+    (key, slot, prior) come sorted by key, in variant order within a key.
+
+    A slot's faults are exclusive draws, so slot s flips key k with q_s,
+    the sum of its priors there in variant order; slots are independent,
+    so k flips with probability (1 - prod_s (1 - 2 q_s)) / 2, the product
+    in slot order: Stim's XOR rule p (1 - q) + q (1 - p), slot by slot.
+    """
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = (key[1:] != key[:-1]) | (slot[1:] != slot[:-1])
+    q = np.bincount(np.cumsum(new) - 1, weights=prior)
+    keys = key[new]  # the key of each slot's sum
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    out = np.zeros(count)
+    out[keys[starts]] = 0.5 * (1.0 - np.multiply.reduceat(1.0 - 2.0 * q, starts))
+    return out
+
+
 def build_dem(
     circuit: Circuit,
     noise: NoiseModel,
@@ -1026,10 +1051,11 @@ def build_dem(
     """Single-fault signatures from the fault-effect table, merged.
 
     The table gives every variant of enumerate_fault_variants its
-    (detector, logical) signature without simulating it. Variants with
-    identical signatures merge by summing their priors in variant order;
-    columns keep the order in which their signature first occurs, and
-    zero-signature variants are dropped. Cost: one backward walk,
+    (detector, logical) signature without simulating it. A column's
+    prior is the probability that an odd number of the independent slots
+    with its signature fire (``_odd_probability``), so it lies in (0, 1)
+    at any rates. Columns keep the order in which their signature first
+    occurs; zero-signature variants are dropped. Cost: one backward walk,
     O(layers x qubits x outputs / 64) word operations, one lookup per
     variant and one sort of the packed signatures.
     """
@@ -1038,20 +1064,15 @@ def build_dem(
     var = _variants(prog, noise)
     rows = _fault_table(prog, var, _signature_map(prog))
     seen = rows.any(axis=1)
-    rows, prob = rows[seen], var.probability[seen]
-    if not len(rows):
-        return DetectorErrorModel(D, K, ())
-    # equal signatures sort together; lexsort is stable, so each group's
-    # first entry is its first variant
+    rows, slot, prob = rows[seen], var.slot[seen], var.probability[seen]
+    # equal signatures sort together; lexsort is stable, so each group
+    # lists its variants in variant order, the first one first
     order = np.lexsort(rows.T)
     ranked = rows[order]
     new = np.ones(len(rows), dtype=bool)
     new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
     first = order[new]
-    # bincount adds each group's priors in variant order
-    total = np.bincount(inverse, weights=prob)
+    prior = _odd_probability(np.cumsum(new) - 1, slot[order], prob[order], len(first))
     by_first = np.argsort(first)
     # one nonzero over the kept signatures, cut per column at its start,
     # its first logical bit and its end (bit D + j is logical j)
@@ -1061,7 +1082,7 @@ def build_dem(
     bits = np.where(c < D, c, c - D).tolist()
     return DetectorErrorModel(D, K, tuple(
         DemColumn(p, tuple(bits[lo:mid]), tuple(bits[mid:hi]))
-        for p, lo, mid, hi in zip(total[by_first].tolist(), cuts[::2], cuts[1::2], cuts[2::2])
+        for p, lo, mid, hi in zip(prior[by_first].tolist(), cuts[::2], cuts[1::2], cuts[2::2])
     ))
 
 
@@ -1076,36 +1097,22 @@ def expected_detection_series(
     """Exact per-point detection probabilities of the aligned check type.
 
     Length t+1: the cycle comparisons z_1..z_t averaged over the aligned
-    checks, then the final readout comparison. Faults within one slot
-    are mutually exclusive draws and distinct slots are independent, so
-    a detector covered with probability q_s by slot s fires with
-    probability (1 - prod_s (1 - 2 q_s)) / 2, with no sampling error.
-    The q_s are summed per (slot, detector) over the fault-effect
-    table's rows (the same walk as build_dem), touching only the pairs
-    that flip. Matches ShotBatch.cycle_series(basis) in the many-shot
-    limit. ``logicals`` is unused: the series reads no logical.
+    checks, then the final readout comparison. A detector fires when an
+    odd number of the independent slots flipping it fire
+    (``_odd_probability``, the rule that merges DEM columns), so there is
+    no sampling error. Matches ShotBatch.cycle_series(basis) in the
+    many-shot limit. ``logicals`` is unused: the series reads no logical.
     """
-    prog = _Program(code, circuit, basis, idle_policy=noise.idle_policy)
     # no logical rows: the signature map holds the detectors alone
-    prog.logical_mat = np.zeros((0, prog.n), dtype=np.uint8)
+    prog = _Program(code, circuit, basis, LogicalOperatorSet(code.n, (), ()), noise.idle_policy)
     t, A, D = prog.t, len(prog.aligned_cols), prog.detector_count
     var = _variants(prog, noise)
     rows = _fault_table(prog, var, _signature_map(prog))
-    if not len(rows):
-        return np.zeros(t + 1)
-    # (variant, detector) pairs that flip, in variant order
+    # (variant, detector) pairs that flip, by detector and then variant
     v, d = _set_bits(rows, D)
-    # q_s per (slot, detector): bincount adds the priors in variant order
-    keys, inverse = np.unique(var.slot[v].astype(np.intp) * D + d, return_inverse=True)
-    q = np.bincount(inverse.reshape(-1), weights=var.probability[v], minlength=len(keys))
-    # keys run slot-major, so a stable sort by detector keeps slot order
-    order = np.argsort(keys % D, kind="stable")
-    kd = keys[order] % D
-    starts = np.flatnonzero(np.diff(kd, prepend=-1))
-    # prod_s (1 - 2 q_s) per detector; multiply.reduceat runs in slot order
-    survive = np.ones(D)
-    survive[kd[starts]] = np.multiply.reduceat(1.0 - 2.0 * q[order], starts)
-    p_odd = 0.5 * (1.0 - survive)
+    order = np.argsort(d, kind="stable")
+    v = v[order]
+    p_odd = _odd_probability(d[order], var.slot[v], var.probability[v], D)
     body = p_odd[: t * A].reshape(t, A).mean(axis=1)
     return np.concatenate([body, [p_odd[t * A :].mean()]])
 

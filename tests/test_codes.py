@@ -378,6 +378,16 @@ def test_verify_logicals_weight_check(pruned_18):
     assert not report.ok
 
 
+def test_logical_matrices_hold_one_support_per_row():
+    logicals = codes.default_logicals("18-6-3")
+    for matrix, supports in ((logicals.x_matrix(), logicals.x_supports),
+                             (logicals.z_matrix(), logicals.z_supports)):
+        assert matrix.bits.shape == (6, 18)
+        assert [tuple(np.flatnonzero(row).tolist()) for row in matrix.bits] == list(supports)
+    empty = codes.LogicalOperatorSet(n=4, x_supports=(), z_supports=())
+    assert empty.x_matrix().bits.shape == empty.z_matrix().bits.shape == (0, 4)
+
+
 def test_export_parse_round_trip(pruned_18):
     logicals = codes.default_logicals("18-4-4")
     text = codes.export_code(pruned_18, logicals)

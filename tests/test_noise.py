@@ -20,7 +20,7 @@ from bbqec.circuit import (
     qubit_layout,
     verify_circuit,
 )
-from bbqec.codes import build_named_code, logical_operator_set_for
+from bbqec.codes import CssCode, build_named_code, logical_operator_set_for
 from bbqec.noise import DemColumn, DetectorErrorModel, NoiseModel
 from bbqec.tableau import StabilizerTableau
 
@@ -479,8 +479,16 @@ def _drop_last_measurement(circ):
          "basis must be 'Z' or 'X'"),
         (lambda circ, code: (Circuit(5, (), ()), code, "Z"),
          "circuit has 5 qubits, code layout needs 32"),
+        (lambda circ, code: (replace(circ, layers=circ.layers[:-1]), code, "Z"),
+         r"READOUT_DATA layers \[\] of 50: need one, the last"),
+        (lambda circ, code: (
+            replace(circ, layers=circ.layers[:-2] + circ.layers[:-3:-1]), code, "Z"),
+         r"READOUT_DATA layers \[49\] of 51: need one, the last"),
     ],
-    ids=["qubits", "no-cycles", "measurements", "basis", "gate-less"],
+    ids=[
+        "qubits", "no-cycles", "measurements", "basis", "gate-less", "no-readout",
+        "readout-not-last",
+    ],
 )
 def test_compile_rejects_a_mismatched_circuit(edit, message):
     """The noise layer and the tableau oracle read the circuit through
@@ -709,6 +717,25 @@ def test_sampler_entry_points_take_only_integers(value):
             call(value)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("p_h", "0.1"), ("p_h", None), ("suppression", None), ("p_cz", 1 + 0j), ("p_h", [0.1]),
+     ("p_m", True), ("p_f", np.True_), ("suppression", "2"), ("p_h", -0.1), ("p_cz", 1.5),
+     ("p_m", float("nan")), ("suppression", -1.0), ("suppression", float("nan"))],
+    ids=["str", "none", "none-suppression", "complex", "list", "bool", "numpy-bool",
+         "str-suppression", "negative", "above-one", "nan", "negative-suppression",
+         "nan-suppression"],
+)
+def test_noise_model_rejects_rates_that_are_not_numbers_in_range(field, value):
+    with pytest.raises(ValueError, match=f"^{field}="):
+        NoiseModel(**{field: value})
+
+
+def test_noise_model_takes_numpy_numbers():
+    model = NoiseModel(p_h=np.float32(0.25), p_m=np.int64(1), suppression=np.float64(2.0))
+    assert model.effective(model.p_h) == 0.5 and model.effective(model.p_m) == 1.0
+
+
 def test_sampler_entry_points_take_numpy_integers():
     code = build_named_code("18-4-4-pruned")
     circ = build_syndrome_circuit(code, 2)
@@ -789,6 +816,16 @@ def test_series_resolves_no_logicals(basis, monkeypatch):
         circ, NOISE, code=code, basis=basis, logicals=logicals
     )
     assert series.tobytes() == given.tobytes()
+
+
+def test_a_code_with_no_logical_qubit_reaches_the_noise_layer():
+    code = CssCode("k0", 2, gf2.zeros(0, 2), gf2.from_rows([[1, 0], [0, 1]]), (), (0, 1))
+    circ = build_syndrome_circuit(code, 2)
+    assert verify_circuit(circ, code).ok
+    dem = noise.build_dem(circ, NOISE, code=code)
+    assert dem.logical_count == 0 and dem.columns
+    batch = noise.run_monte_carlo(circ, NOISE, 16, code=code)
+    assert batch.logical_flips.shape == (16, 0)
 
 
 def test_empty_noise_model_gives_empty_dem_and_zero_series():
@@ -956,19 +993,85 @@ def test_dem_columns_match_a_dict_merge_of_the_table(basis, model):
     var = noise._variants(prog, model)
     D, K = prog.detector_count, prog.logical_mat.shape[0]
     bits = gf2.unpack_rows(noise._fault_table(prog, var, noise._signature_map(prog)), D + K)
-    # signature -> prior summed in variant order; dicts keep first occurrence
+    # signature -> {slot: prior summed in variant order}; dicts keep first
+    # occurrence, and the slots of a signature come in slot order
     merged = {}
-    for row, p in zip(bits, var.probability.tolist()):
+    for row, slot, p in zip(bits, var.slot.tolist(), var.probability.tolist()):
         sig = tuple(np.flatnonzero(row).tolist())
         if sig:
-            merged[sig] = merged.get(sig, 0.0) + p
+            slots = merged.setdefault(sig, {})
+            slots[slot] = slots.get(slot, 0.0) + p
+
+    def odd(slots):  # independent slots: the product in slot order
+        survive = 1.0
+        for q in slots.values():
+            survive *= 1.0 - 2.0 * q
+        return 0.5 * (1.0 - survive)
+
     expected = tuple(
-        DemColumn(p, tuple(i for i in sig if i < D), tuple(i - D for i in sig if i >= D))
-        for sig, p in merged.items()
+        DemColumn(odd(slots), tuple(i for i in sig if i < D), tuple(i - D for i in sig if i >= D))
+        for sig, slots in merged.items()
     )
     dem = noise.build_dem(circ, model, basis, code=code, logicals=logicals)
     assert dem.columns == expected
     assert [c.probability for c in dem.columns] == [c.probability for c in expected]
+
+
+def test_dem_priors_stay_probabilities_at_high_rates():
+    """Merged priors combine independent slots exactly, so even where a
+    sum of priors would pass 1 each column stays in (0, 1)."""
+    code = build_named_code("18-4-4-pruned")
+    circ = build_syndrome_circuit(code, 3)
+    dem = noise.build_dem(circ, NoiseModel.device_rates(suppression=20), code=code)
+    assert dem.columns
+    assert all(0.0 < col.probability < 1.0 for col in dem.columns)
+
+
+def test_dem_priors_stay_below_a_half_when_every_slot_does():
+    code = build_named_code("18-4-4-pruned")
+    circ = build_syndrome_circuit(code, 3)
+    model = NoiseModel.device_rates(suppression=10)
+    prog = noise._Program(code, circ, "Z", idle_policy=model.idle_policy)
+    var = noise._variants(prog, model)
+    assert np.bincount(var.slot, weights=var.probability).max() < 0.5
+    dem = noise.build_dem(circ, model, code=code)
+    assert max(col.probability for col in dem.columns) < 0.5
+
+
+# DEM columns that each added cycle brings
+CYCLE_COLUMNS = {"18-4-4-pruned": 77, "18-6-3": 66, "36-4-6": 198}
+
+
+@pytest.mark.parametrize("basis", ["Z", "X"])
+@pytest.mark.parametrize("cid", sorted(CYCLE_COLUMNS))
+def test_dem_is_periodic_in_the_cycles(cid, basis):
+    """Away from the first and last cycles the DEM repeats: each added
+    cycle adds the same number of columns, and the columns inside a
+    two-cycle window of detectors, shifted to the window's start, are the
+    same (priors exactly) wherever the window sits."""
+    code = build_named_code(cid)
+    logicals = logical_operator_set_for(code)
+    dems = {
+        t: noise.build_dem(build_syndrome_circuit(code, t, basis=basis), NOISE, basis,
+                           code=code, logicals=logicals)
+        for t in range(3, 8)
+    }
+    counts = [len(dems[t].columns) for t in range(3, 8)]
+    assert np.diff(counts).tolist() == [CYCLE_COLUMNS[cid]] * 4
+    A = dems[7].detector_count // 8  # aligned checks: t + 1 detector blocks
+
+    def window(dem, c):
+        lo, hi = c * A, (c + 2) * A
+        return {
+            (tuple(d - lo for d in col.detectors), col.logicals, col.probability)
+            for col in dem.columns
+            if col.detectors and lo <= col.detectors[0] and col.detectors[-1] < hi
+        }
+
+    middle = window(dems[7], 2)
+    assert middle
+    for dem, c in ((dems[7], 3), (dems[7], 4), (dems[5], 2)):
+        assert window(dem, c) == middle
 
 
 @pytest.mark.parametrize("basis", ["Z", "X"])
