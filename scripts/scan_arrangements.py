@@ -32,8 +32,10 @@ The published operation inventory (78 single-qubit gates per steady
 cycle) is not reachable from this family: every shape-passing
 assignment compiles to 84 or more because the basis-change runs
 overlap less, and the few orders that do compile to 78 fail
-commutation. The inventory arrangement stays available through
-`count_hadamards_as_paper`, and the sweep reports each candidate's
+commutation. The inventory arrangement, ((6, 2, 7), (3, 4, 5),
+(3, 4, 5), (1, 6, 2)), can still be built by passing
+`schedule_cz_layers(code, arrangement=...)` as the `schedule` of
+`build_syndrome_circuit`, and the sweep reports each candidate's
 compiled count for reference.
 
 Takes a few minutes; logs progress, the ranked survivors and the adopted

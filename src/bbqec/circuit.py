@@ -25,12 +25,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .codes import CssCode
+from . import gf2
+from .codes import CssCode, _is_int
 from .tableau import StabilizerTableau
 
 __all__ = [
     "SINGLE_QUBIT", "CZ", "MEASURE_CHECKS", "READOUT_DATA", "DD_IDLE", "LAYER_KINDS", "GATE_NAMES",
-    "ScheduleError", "CircuitBuildError", "CircuitParseError", "GateLayer", "Circuit",
+    "ScheduleError", "CircuitParseError", "GateLayer", "Circuit",
     "QubitLayout", "qubit_layout", "CzSchedule", "arrangements", "arrangement_commutes",
     "schedule_cz_layers", "build_syndrome_circuit", "GateTable", "gate_table", "VerifyReport",
     "verify_circuit", "serialize_circuit", "parse_circuit",
@@ -57,17 +58,9 @@ _GATE_RULES = {
 GATE_NAMES = tuple(_GATE_RULES)
 _NAME_INDEX = {name: i for i, name in enumerate(GATE_NAMES)}
 
-# Per-cycle single-qubit gate count of the compiled 18-qubit circuit with
-# the four redundant checks dropped; `count_hadamards_as_paper` pins it.
-_PINNED_SINGLE_QUBIT_PER_CYCLE = 78
-
 
 class ScheduleError(Exception):
     """No valid depth-7 CZ assignment was found."""
-
-
-class CircuitBuildError(Exception):
-    """Compiled circuit violates a requested structural guarantee."""
 
 
 class CircuitParseError(ValueError):
@@ -148,8 +141,8 @@ class Circuit:
         object.__setattr__(
             self, "cycle_boundaries", tuple(int(b) for b in self.cycle_boundaries)
         )
-        if self.qubit_count < 0:
-            raise ValueError("negative qubit count")
+        if not _is_int(self.qubit_count) or self.qubit_count < 0:
+            raise ValueError(f"qubit_count must be an int >= 0, got {self.qubit_count!r}")
         if self.basis not in (None, "Z", "X"):
             raise ValueError(f"basis must be 'Z', 'X' or None, got {self.basis!r}")
         # a built circuit repeats its steady-state layer objects
@@ -471,7 +464,6 @@ def build_syndrome_circuit(
     cycles: int,
     *,
     basis: str = "Z",
-    count_hadamards_as_paper: bool = False,
     schedule: CzSchedule | None = None,
 ) -> Circuit:
     """Compile `cycles` rounds of simultaneous stabilizer extraction.
@@ -483,24 +475,13 @@ def build_syndrome_circuit(
     preparation Hadamard on all data in the first cycle and flips the
     readout frame in the last; in both places the extra gate is merged
     with any bracket Hadamard already in that slot (H-H cancels).
-
-    count_hadamards_as_paper=True selects the inventory arrangement
-    instead of any per-code pin (unless an explicit schedule is passed)
-    and fails the build unless each steady-state cycle then compiles to
-    exactly 78 single-qubit gates, the published per-cycle count for
-    the pruned 18-qubit circuit. The default pins compile to a few more
-    because their data basis-change runs overlap less.
+    ``schedule`` defaults to ``schedule_cz_layers(code)``.
     """
-    if cycles < 1:
-        raise ValueError("need at least one cycle")
+    if not _is_int(cycles) or cycles < 1:
+        raise ValueError(f"cycles must be an int >= 1, got {cycles!r}")
     if basis not in ("Z", "X"):
         raise ValueError("basis must be 'Z' or 'X'")
-    if schedule is not None:
-        sched = schedule
-    elif count_hadamards_as_paper:
-        sched = schedule_cz_layers(code, arrangement=_INVENTORY_ASSIGNMENT)
-    else:
-        sched = schedule_cz_layers(code)
+    sched = schedule if schedule is not None else schedule_cz_layers(code)
     layout = qubit_layout(code)
     n = code.n
 
@@ -564,28 +545,12 @@ def build_syndrome_circuit(
         layers.append(measure)
         layers.append(idle if c < cycles else readout)
 
-    circuit = Circuit(
+    return Circuit(
         qubit_count=layout.qubit_count,
         layers=tuple(layers),
         cycle_boundaries=tuple(boundaries),
         basis=basis,
     )
-
-    if count_hadamards_as_paper:
-        # Prep/readout merging makes the first and last X-basis cycles
-        # legitimately differ; the steady-state cycles must hit the pin.
-        if basis == "Z":
-            targets = range(cycles)
-        else:
-            targets = range(1, cycles - 1)
-        for c in targets:
-            got = circuit.count_gates("H", cycle=c)
-            if got != _PINNED_SINGLE_QUBIT_PER_CYCLE:
-                raise CircuitBuildError(
-                    f"cycle {c + 1} compiles to {got} single-qubit gates; "
-                    f"the pinned inventory is {_PINNED_SINGLE_QUBIT_PER_CYCLE}"
-                )
-    return circuit
 
 
 class GateTable(NamedTuple):
@@ -730,9 +695,7 @@ def verify_circuit(
     kinds_rows = [("X", r) for r in code.retained_x] + [
         ("Z", r) for r in code.retained_z
     ]
-    supports = np.vstack(
-        [code.h_x.bits[list(code.retained_x)], code.h_z.bits[list(code.retained_z)]]
-    ).astype(np.int64)
+    supports = gf2.transpose(gf2.vstack(code.retained_h_x(), code.retained_h_z()))
     aligned = np.array([kind == basis for kind, _ in kinds_rows], dtype=bool)
     check_qubits = qubit_layout(code).check_qubits
     measure_layers = np.flatnonzero(table.kind == MEASURE_CHECKS).tolist()
@@ -756,11 +719,11 @@ def verify_circuit(
     fail = np.zeros((preparations, len(check_qubits), t + 1), dtype=bool)
     m = np.array([[out[q] for q in check_qubits] for out in cycle_out])
     value = (m ^ np.concatenate([np.zeros_like(m[:1]), m[:-1]])).transpose(2, 1, 0)
-    expect = (prep.astype(np.int64) @ supports.T) % 2
+    expect = gf2.matmul_mod2(gf2.BinaryMatrix(prep), supports).bits
     fail[:, :, 0] = aligned & (value[:, :, 0] != expect)
     fail[:, :, 1:t] = value[:, :, 1:] != value[:, :, :-1]
-    rd = np.array([readout[d] for d in range(code.n)]).T.astype(np.int64)
-    r_par = (rd @ supports.T) % 2
+    rd = np.array([readout[d] for d in range(code.n)]).T
+    r_par = gf2.matmul_mod2(gf2.BinaryMatrix(rd), supports).bits
     fail[:, :, t] = aligned & (r_par != value[:, :, -1])
 
     failures: list[str] = []

@@ -44,7 +44,7 @@ Monomial = tuple[str, int]
 
 
 def _is_int(value) -> bool:
-    """Whether a size or exponent is an integer: int or numpy integer, not bool."""
+    """Whether a size, exponent or index is an int or numpy integer, not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
@@ -467,6 +467,12 @@ class LogicalOperatorSet:
     def __post_init__(self):
         if len(self.x_supports) != len(self.z_supports):
             raise ValueError("x and z logical lists must pair up")
+        if not _is_int(self.n) or self.n < 0:
+            raise ValueError(f"n must be an int >= 0, got {self.n!r}")
+        for support in (*self.x_supports, *self.z_supports):
+            ints = all(_is_int(q) and 0 <= q < self.n for q in support)
+            if not ints or len(set(support)) < len(support):
+                raise ValueError(f"support {support} must be distinct ints in [0, {self.n})")
 
     @property
     def k(self) -> int:
@@ -641,8 +647,7 @@ def compute_logicals(code: CssCode) -> LogicalOperatorSet:
     reduced, pivots = gf2.row_echelon(gf2.hstack(pairing, gf2.identity(k)))
     if pivots[k - 1] != k - 1:
         raise ValueError("pairing matrix is singular")
-    mix = reduced[:, k:].T
-    z_bits = (mix @ z_mat.bits) % 2
+    z_bits = gf2.matmul_mod2(BinaryMatrix(reduced[:, k:].T), z_mat).bits
     to_support = lambda row: tuple(int(c) for c in np.flatnonzero(row))
     return LogicalOperatorSet(
         n=code.n,

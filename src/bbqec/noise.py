@@ -26,8 +26,10 @@ number of its slots fire.
 The sampler replays it, each shot the XOR of the rows of the variants
 that its draws pick, and unpacks a batch straight into the ``ShotBatch``
 arrays; ``sample_shot`` builds it for its one shot's variants alone.
-``FaultVariant`` and ``DemColumn`` are named tuples made from whole
-columns of these arrays.
+``FaultVariant`` records are made from whole columns of these arrays.
+A ``DetectorErrorModel`` is two arrays, float64 priors and the table's
+packed rows as signatures; its constructor checks the array rules, and
+``parse_dem``, the one reader of DEM text, each line's tokens and indices.
 
 Noise channels and their fault slots (``_channel`` states each once,
 and the variant table and the sampler's draws both expand it):
@@ -62,9 +64,9 @@ bits on every platform.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -80,7 +82,7 @@ from .circuit import (
     gate_table,
     qubit_layout,
 )
-from .codes import CssCode, LogicalOperatorSet, logical_operator_set_for
+from .codes import CssCode, LogicalOperatorSet, _is_int, logical_operator_set_for
 
 __all__ = [
     "DEFAULT_MASTER_SEED", "derive_shot_seed", "IDLE_POLICIES", "NoiseModel", "FaultVariant",
@@ -106,7 +108,7 @@ def _mix64(v: np.ndarray | np.uint64) -> np.ndarray:
 
 def _as_int(name: str, value) -> int:
     """``value`` as a Python int: a Python or numpy integer, not a bool."""
-    if not _is_index_type(type(value)):
+    if not _is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -175,8 +177,8 @@ class NoiseModel:
             if not isinstance(v, numbers.Real) or isinstance(v, bool):
                 raise ValueError(f"{name}={v!r} is not a real number")
             high = np.inf if name == "suppression" else 1.0
-            if not 0.0 <= v <= high:
-                raise ValueError(f"{name}={v} outside [0, {high:g}]")
+            if not 0.0 <= v <= high or v == np.inf:  # nan fails every comparison
+                raise ValueError(f"{name}={v} is not a finite number in [0, {high:g}]")
         if self.idle_policy not in IDLE_POLICIES:
             raise ValueError(f"idle_policy={self.idle_policy!r} not one of {IDLE_POLICIES}")
 
@@ -904,120 +906,102 @@ def run_monte_carlo(
 
 
 class DemColumn(NamedTuple):
-    """One merged fault mechanism: prior, detector and logical supports.
-    ``DetectorErrorModel`` validates its columns."""
+    """One merged fault mechanism, as ``DetectorErrorModel.columns`` reads it."""
 
     probability: float
     detectors: tuple[int, ...]
     logicals: tuple[int, ...]
 
 
-def _is_index_type(kind: type) -> bool:
-    """Whether values of this type are indices: ints, not bools."""
-    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+class _ColumnError(ValueError):
+    """A rule that ``column`` breaks; ``parse_dem`` names its line."""
+
+    def __init__(self, column: int, rule: str):
+        super().__init__(f"column {column}: {rule}")
+        self.column, self.rule = column, rule
 
 
-def _check_indices(what: str, indices: tuple[int, ...], count: int) -> None:
-    if indices and not (
-        all(_is_index_type(type(i)) for i in indices)
-        and 0 <= indices[0] and indices[-1] < count
-        and sorted(set(indices)) == list(indices)
-    ):
-        raise ValueError(
-            f"{what} indices {indices} must be ints, strictly increasing and lie "
-            f"in [0, {count})"
-        )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectorErrorModel:
-    """Merged single-fault signatures for one memory basis.
+    """Merged single-fault signatures for one memory basis, as two arrays.
 
-    Detector indices are cycle-major over the memory-basis checks, with
-    the final readout-comparison block last: index c * A + a for cycle
-    c, check a of A, then t * A + a for the final block.
+    Column j has the prior ``probabilities[j]`` and the signature
+    ``signatures[j]``, a ``gf2.pack_rows`` row in which bit d is detector
+    d and bit D + i is logical i (D detectors, K logicals). Detector
+    indices are cycle-major over the memory-basis checks, with the final
+    readout-comparison block last: index c * A + a for cycle c, check a
+    of A, then t * A + a for the final block.
+
+    The constructor checks the arrays, keeps read-only copies and names
+    the first column that breaks a rule: counts are ints >= 0, priors a
+    float64 vector in (0, 1), signatures ``gf2.WORD`` rows of ceil((D + K)
+    / 64) words, one per prior, distinct, none with a bit past D + K.
     """
 
     detector_count: int
     logical_count: int
-    columns: tuple[DemColumn, ...]
+    probabilities: np.ndarray
+    signatures: np.ndarray
 
     def __post_init__(self):
-        if self.detector_count < 0 or self.logical_count < 0:
-            raise ValueError("detector and logical counts must be >= 0")
-        if not self._columns_pass():
-            self._raise_first_fault()
+        D, K = (_as_int(name, getattr(self, name)) for name in ("detector_count", "logical_count"))
+        if D < 0 or K < 0:
+            raise ValueError(f"detector and logical counts must be >= 0, got {D}, {K}")
+        p, s = np.array(self.probabilities), np.array(self.signatures)
+        shape = (len(p), -(-(D + K) // 64)) if p.ndim == 1 else None
+        if p.dtype != np.float64 or s.dtype != gf2.WORD or s.shape != shape:
+            raise ValueError(f"need float64 priors and {gf2.WORD} signatures {shape}, got "
+                             f"{p.dtype} {p.shape} and {s.dtype} {s.shape}")
+        for name, array in (("probabilities", p), ("signatures", s)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        first: dict[tuple[int, ...], int] = {}  # signature -> its first column
+        repeat = [first.setdefault(tuple(row), j) != j for j, row in enumerate(s.tolist())]
+        # the last word's bits from D + K on (a shift by 64 gives 0)
+        past = (s[:, -1:] >> np.uint64((D + K - 1) % 64 + 1)).any(axis=1)
+        bad = np.stack([~((0.0 < p) & (p < 1.0)), past, repeat])
+        if bad.any():
+            j = int(bad.any(axis=0).argmax())
+            rules = (f"probability {p[j]} outside (0,1)", f"a bit at or past D + K = {D + K}",
+                     f"duplicate column signature {self.columns[j][1:]}")
+            raise _ColumnError(j, rules[bad[:, j].argmax()])
 
-    def _columns_pass(self) -> bool:
-        """Whether every column passes the checks of ``_raise_first_fault``,
-        tested over whole columns at once."""
-        if not self.columns:
-            return True
-        p, dets, logs = zip(*self.columns)
-        # one test per type, as for the indices below
-        if not all(issubclass(kind, numbers.Real) for kind in set(map(type, p))):
-            return False
-        prob = np.array(p, dtype=float)
-        if not ((0.0 < prob) & (prob < 1.0)).all():
-            return False
-        for supports, count in ((dets, self.detector_count), (logs, self.logical_count)):
-            ends = np.cumsum([len(s) for s in supports])
-            flat = list(chain.from_iterable(supports))
-            # one test per type: an array would read True as 1 and 1.5 as a number
-            if not all(map(_is_index_type, set(map(type, flat)))):
-                return False
-            flat = np.array(flat)
-            if len(flat) and not (0 <= flat.min() and flat.max() < count):
-                return False
-            # strictly increasing, except where the next column starts
-            rises = np.diff(flat) > 0
-            rises[ends[(0 < ends) & (ends < len(flat))] - 1] = True
-            if not rises.all():
-                return False
-        return len(set(zip(dets, logs))) == len(self.columns)
+    def _supports(self) -> tuple[list[int], list[tuple[float, int, int, int]]]:
+        """(indices, spans) from one nonzero over the signatures: spans[j] is
+        (prior, lo, mid, hi), column j's detectors indices[lo:mid], logicals indices[mid:hi]."""
+        D = self.detector_count
+        r, c = _set_bits(self.signatures, D + self.logical_count)
+        # key 2j holds column j's detector bits, 2j + 1 its logical bits
+        cuts = np.searchsorted(2 * r + (c >= D), range(2 * len(self.probabilities) + 1)).tolist()
+        spans = zip(self.probabilities.tolist(), cuts[::2], cuts[1::2], cuts[2::2])
+        return np.where(c < D, c, c - D).tolist(), list(spans)
 
-    def _raise_first_fault(self) -> None:
-        """Check the columns one at a time, and raise for the first fault."""
-        seen = set()
-        for col in self.columns:
-            if not isinstance(col.probability, numbers.Real):
-                raise ValueError(f"column probability {col.probability!r} is not a real number")
-            if not 0.0 < col.probability < 1.0:
-                raise ValueError(f"column probability {col.probability} outside (0,1)")
-            _check_indices("detector", col.detectors, self.detector_count)
-            _check_indices("logical", col.logicals, self.logical_count)
-            key = (col.detectors, col.logicals)
-            if key in seen:
-                raise ValueError(f"duplicate column signature {key}")
-            seen.add(key)
+    @cached_property
+    def columns(self) -> tuple[DemColumn, ...]:
+        """The columns as ``DemColumn``s."""
+        indices, spans = self._supports()
+        return tuple(DemColumn(p, tuple(indices[lo:mid]), tuple(indices[mid:hi]))
+                     for p, lo, mid, hi in spans)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DetectorErrorModel):
+            return NotImplemented
+        return all(map(np.array_equal, astuple(self), astuple(other)))
 
     def dense(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(detector matrix M x N, logical matrix K x N, priors N)."""
-        n = len(self.columns)
-        d = np.zeros((self.detector_count, n), dtype=np.uint8)
-        l = np.zeros((self.logical_count, n), dtype=np.uint8)
-        if not n:
-            return d, l, np.zeros(0)
-        p, dets, logs = zip(*self.columns)
-        for mat, supports in ((d, dets), (l, logs)):
-            # one scatter: every column's indices, each beside its column
-            rows = np.fromiter(chain.from_iterable(supports), dtype=np.intp)
-            mat[rows, np.repeat(np.arange(n), [len(s) for s in supports])] = 1
-        return d, l, np.array(p, dtype=float)
+        """(detector matrix D x N, logical matrix K x N, priors N): one unpack."""
+        D = self.detector_count
+        bits = gf2.unpack_rows(self.signatures, D + self.logical_count).T
+        return bits[:D].copy(), bits[D:].copy(), self.probabilities.copy()
 
     def collisions(self) -> list[tuple[int, ...]]:
-        """Groups of columns sharing a detector signature with unequal
-        logical effects, plus any undetectable column with a logical
-        effect (which collides with the trivial no-fault event)."""
+        """Groups of columns with equal detectors (so unequal logicals), in
+        detector order, and an undetectable column that flips a logical."""
         by_sig: dict[tuple[int, ...], list[int]] = {}
         for j, col in enumerate(self.columns):
             by_sig.setdefault(col.detectors, []).append(j)
-        out = []
-        for sig, js in sorted(by_sig.items()):
-            logicals = {self.columns[j].logicals for j in js}
-            if len(logicals) > 1 or (sig == () and logicals != {()}):
-                out.append(tuple(js))
-        return out
+        return [tuple(js) for sig, js in sorted(by_sig.items())
+                if len(js) > 1 or not sig and self.columns[js[0]].logicals]
 
 
 def _odd_probability(key, slot, prior, count: int) -> np.ndarray:
@@ -1050,14 +1034,14 @@ def build_dem(
 ) -> DetectorErrorModel:
     """Single-fault signatures from the fault-effect table, merged.
 
-    The table gives every variant of enumerate_fault_variants its
-    (detector, logical) signature without simulating it. A column's
-    prior is the probability that an odd number of the independent slots
-    with its signature fire (``_odd_probability``), so it lies in (0, 1)
-    at any rates. Columns keep the order in which their signature first
-    occurs; zero-signature variants are dropped. Cost: one backward walk,
-    O(layers x qubits x outputs / 64) word operations, one lookup per
-    variant and one sort of the packed signatures.
+    The table's rows are the variants' packed (detector, logical)
+    signatures, found without simulating any. The DEM keeps each distinct
+    nonzero row as a signature, in the order it first occurs, with the
+    prior that an odd number of the independent slots with it fire
+    (``_odd_probability``), in (0, 1) at any rates; its constructor checks
+    both arrays. Cost: one backward walk, O(layers x qubits x outputs /
+    64) word operations, one lookup per variant and one sort of the
+    packed signatures.
     """
     prog = _Program(code, circuit, basis, logicals, noise.idle_policy)
     D, K = prog.detector_count, prog.logical_mat.shape[0]
@@ -1074,16 +1058,7 @@ def build_dem(
     first = order[new]
     prior = _odd_probability(np.cumsum(new) - 1, slot[order], prob[order], len(first))
     by_first = np.argsort(first)
-    # one nonzero over the kept signatures, cut per column at its start,
-    # its first logical bit and its end (bit D + j is logical j)
-    r, c = _set_bits(rows[first[by_first]], D + K)
-    edges = np.arange(len(first) + 1)[:, None] * (D + K) + [0, D]
-    cuts = np.searchsorted(r * (D + K) + c, edges.ravel()[:-1]).tolist()
-    bits = np.where(c < D, c, c - D).tolist()
-    return DetectorErrorModel(D, K, tuple(
-        DemColumn(p, tuple(bits[lo:mid]), tuple(bits[mid:hi]))
-        for p, lo, mid, hi in zip(prior[by_first].tolist(), cuts[::2], cuts[1::2], cuts[2::2])
-    ))
+    return DetectorErrorModel(D, K, prior[by_first], rows[first[by_first]])
 
 
 def expected_detection_series(
@@ -1118,29 +1093,53 @@ def expected_detection_series(
 
 
 def dem_to_text(dem: DetectorErrorModel) -> str:
+    indices, spans = dem._supports()
+    words = list(map(str, indices))
     lines = [f"detectors {dem.detector_count} logicals {dem.logical_count}"]
-    lines += [
-        " ".join([repr(col.probability), *map(str, col.detectors), "|", *map(str, col.logicals)])
-        for col in dem.columns
-    ]
+    lines += [" ".join([repr(p), *words[lo:mid], "|", *words[mid:hi]]) for p, lo, mid, hi in spans]
     return "\n".join(lines) + "\n"
 
 
+def _bits(what: str, tokens: list[str], count: int, offset: int = 0) -> int:
+    """The index tokens as an int with bit ``offset + i`` set for index i,
+    or ValueError unless they are ints, strictly increasing, in [0, count)."""
+    try:
+        values = list(map(int, tokens))
+    except ValueError:
+        values = [count]  # fails the test below
+    if values and not (0 <= values[0] and values[-1] < count and sorted(set(values)) == values):
+        raise ValueError(f"{what} indices {tokens}: need strictly increasing ints in [0, {count})")
+    return sum(map((1 << offset).__lshift__, values))  # (1 << offset) << i for each i
+
+
 def parse_dem(text: str) -> DetectorErrorModel:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    """The DEM of ``dem_to_text``'s text. The loop checks the tokens (decimal
+    counts; per line a float prior, a ``|`` and strictly increasing int
+    indices, detectors in [0, D), logicals in [0, K)), the constructor the
+    rest, first on the lines above the first bad one: errors name the first."""
+    lines = [(no, parts) for no, parts in enumerate(map(str.split, text.splitlines()), 1) if parts]
     if not lines:
         raise ValueError("empty detector error model")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "detectors" or head[2] != "logicals":
-        raise ValueError(f"bad header {lines[0]!r}")
-    detector_count, logical_count = int(head[1]), int(head[3])
-    columns = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if "|" not in parts:
-            raise ValueError(f"missing '|' separator in {ln!r}")
-        sep = parts.index("|")
-        columns.append(DemColumn(
-            float(parts[0]), tuple(map(int, parts[1:sep])), tuple(map(int, parts[sep + 1 :]))
-        ))
-    return DetectorErrorModel(detector_count, logical_count, tuple(columns))
+    (no, head), *body = lines
+    decimal = len(head) == 4 and (head[1] + head[3]).isdecimal()
+    if not decimal or head[::2] != ["detectors", "logicals"]:
+        raise ValueError(f"line {no}: bad header {' '.join(head)!r}; counts must be decimal")
+    D, K = int(head[1]), int(head[3])
+    words, priors, rows, fault = -(-(D + K) // 64), [], [], None
+    for no, parts in body:
+        try:
+            sep = parts.index("|")  # or ValueError: '|' is not in list
+            row = _bits("detector", parts[1:sep], D) | _bits("logical", parts[sep + 1 :], K, D)
+            priors.append(float(parts[0]))
+        except ValueError as exc:
+            fault = ValueError(f"line {no}: {exc}")
+            break
+        rows.append(row.to_bytes(8 * words, "little"))  # as ``gf2.pack_rows`` packs it
+    signatures = np.frombuffer(b"".join(rows), dtype=gf2.WORD).reshape(len(rows), words)
+    try:
+        dem = DetectorErrorModel(D, K, np.array(priors, dtype=float), signatures)
+    except _ColumnError as exc:
+        raise ValueError(f"line {body[exc.column][0]}: {exc.rule}") from None
+    if fault is not None:
+        raise fault
+    return dem

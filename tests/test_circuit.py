@@ -159,9 +159,14 @@ def test_schedule_rejects_plain_matrices_with_both_types():
 # ---- compiled circuit structure ----
 
 
+def _inventory_schedule(code):
+    """The arrangement of the published operation inventory."""
+    return circuit.schedule_cz_layers(code, arrangement=circuit._INVENTORY_ASSIGNMENT)
+
+
 def test_pruned_18_cycle_gate_counts():
     code = build_named_code("18-4-4-pruned")
-    circ = circuit.build_syndrome_circuit(code, 3, count_hadamards_as_paper=True)
+    circ = circuit.build_syndrome_circuit(code, 3, schedule=_inventory_schedule(code))
     for c in range(3):
         assert circ.count_gates("CZ", cycle=c) == 84
         assert circ.count_gates("H", cycle=c) == 78
@@ -210,17 +215,9 @@ def test_18_6_3_cycle_gate_counts():
     assert circ.count_gates("H", cycle=0) == expected == 72
 
 
-def test_hadamard_pin_rejects_other_codes():
-    code = build_named_code("18-6-3")
-    with pytest.raises(circuit.CircuitBuildError):
-        circuit.build_syndrome_circuit(code, 2, count_hadamards_as_paper=True)
-
-
 def test_x_basis_reuses_steady_cycle_and_merges_prep():
     code = build_named_code("18-4-4-pruned")
-    circ = circuit.build_syndrome_circuit(
-        code, 4, basis="X", count_hadamards_as_paper=True
-    )
+    circ = circuit.build_syndrome_circuit(code, 4, basis="X", schedule=_inventory_schedule(code))
     assert circ.count_gates("H", cycle=1) == 78
     assert circ.count_gates("H", cycle=2) == 78
     # prep and readout cycles merge extra Hadamards, never duplicate them
@@ -548,3 +545,18 @@ def test_circuit_rejects_out_of_range_qubits():
     ok = circuit.GateLayer(circuit.SINGLE_QUBIT, (("H", (4,)),))
     with pytest.raises(ValueError, match="touches qubit 5"):
         circuit.Circuit(5, (ok, ok, layer, ok), ())
+
+
+@pytest.mark.parametrize("cycles", [2.5, "3", True, np.float64(2.0), 0, -1])
+def test_build_rejects_a_cycle_count_that_is_not_a_positive_int(cycles):
+    code = build_named_code("18-6-3")
+    with pytest.raises(ValueError, match="cycles must be an int >= 1"):
+        circuit.build_syndrome_circuit(code, cycles)
+    assert circuit.build_syndrome_circuit(code, np.int64(2)).cycles == 2
+
+
+@pytest.mark.parametrize("qubit_count", [2.5, "3", True, None, -1])
+def test_circuit_rejects_a_qubit_count_that_is_not_an_int(qubit_count):
+    with pytest.raises(ValueError, match="qubit_count must be an int >= 0"):
+        circuit.Circuit(qubit_count, (), ())
+    assert circuit.Circuit(np.int64(2), (), ()).qubit_count == 2

@@ -388,6 +388,25 @@ def test_logical_matrices_hold_one_support_per_row():
     assert empty.x_matrix().bits.shape == empty.z_matrix().bits.shape == (0, 4)
 
 
+@pytest.mark.parametrize(
+    "n,x_supports,message",
+    [
+        (3, ((5,),), "support"), (3, ((-1,),), "support"), (3, ((0, 2, 0),), "support"),
+        (3, ((True,),), "support"), (3, ((1.0,),), "support"), (3, (("1",),), "support"),
+        (2.5, ((0,),), "n must be"), (True, ((0,),), "n must be"), (-1, ((0,),), "n must be"),
+        (3, ((0,), (1,)), "pair up"),
+    ],
+    ids=["past-n", "negative", "repeat", "bool", "float", "str", "float-n", "bool-n",
+         "negative-n", "unpaired"],
+)
+def test_logical_operator_set_rejects_malformed_sizes_and_supports(n, x_supports, message):
+    with pytest.raises(ValueError, match=message):
+        codes.LogicalOperatorSet(n, x_supports, ((0,),))
+    # unsorted supports and numpy ints are fine, as parse_code reads them
+    ok = codes.LogicalOperatorSet(np.int64(3), ((2, np.int64(0)),), ((0,),))
+    assert ok.x_matrix().bits.tolist() == [[1, 0, 1]]
+
+
 def test_export_parse_round_trip(pruned_18):
     logicals = codes.default_logicals("18-4-4")
     text = codes.export_code(pruned_18, logicals)

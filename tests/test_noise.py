@@ -721,10 +721,11 @@ def test_sampler_entry_points_take_only_integers(value):
     "field,value",
     [("p_h", "0.1"), ("p_h", None), ("suppression", None), ("p_cz", 1 + 0j), ("p_h", [0.1]),
      ("p_m", True), ("p_f", np.True_), ("suppression", "2"), ("p_h", -0.1), ("p_cz", 1.5),
-     ("p_m", float("nan")), ("suppression", -1.0), ("suppression", float("nan"))],
+     ("p_m", float("nan")), ("suppression", -1.0), ("suppression", float("nan")),
+     ("suppression", float("inf"))],
     ids=["str", "none", "none-suppression", "complex", "list", "bool", "numpy-bool",
          "str-suppression", "negative", "above-one", "nan", "negative-suppression",
-         "nan-suppression"],
+         "nan-suppression", "inf-suppression"],
 )
 def test_noise_model_rejects_rates_that_are_not_numbers_in_range(field, value):
     with pytest.raises(ValueError, match=f"^{field}="):
@@ -867,20 +868,37 @@ def test_a_miswired_measurement_is_rejected(kind, qubit, message):
 # ---- detector error model validation ----
 
 
+def _dem_text(*columns, detectors=4, logicals=1):
+    """DEM text with a header and one line per column (line 2 on)."""
+    return "\n".join([f"detectors {detectors} logicals {logicals}", *columns]) + "\n"
+
+
+def _arrays(*signatures, detectors=4, logicals=1):
+    """Priors 0.1, 0.2, ... and packed signatures of (detectors, logicals)
+    index tuples."""
+    bits = np.zeros((len(signatures), detectors + logicals), dtype=np.uint8)
+    for row, (dets, logs) in zip(bits, signatures):
+        row[list(dets)] = 1
+        row[[detectors + i for i in logs]] = 1
+    return 0.1 * np.arange(1, len(signatures) + 1), gf2.pack_rows(bits)
+
+
 @pytest.mark.parametrize(
     "detectors",
     [(99, 0), (3, 1), (-1,), (1, 1)],
     ids=["out-of-range-first", "decreasing", "negative", "duplicate"],
 )
 def test_dem_rejects_bad_detector_indices(detectors):
-    with pytest.raises(ValueError, match="detector indices"):
-        DetectorErrorModel(4, 1, (DemColumn(0.1, detectors, (0,)),))
+    line = " ".join(["0.1", *map(str, detectors), "|", "0"])
+    with pytest.raises(ValueError, match=r"^line 3: detector indices"):
+        noise.parse_dem(_dem_text("0.2 1 |", line))
 
 
 @pytest.mark.parametrize("logicals", [(1,), (0, 0), (-1,)])
 def test_dem_rejects_bad_logical_indices(logicals):
-    with pytest.raises(ValueError, match="logical indices"):
-        DetectorErrorModel(4, 1, (DemColumn(0.1, (0,), logicals),))
+    line = " ".join(["0.1", "0", "|", *map(str, logicals)])
+    with pytest.raises(ValueError, match=r"^line 2: logical indices"):
+        noise.parse_dem(_dem_text(line))
 
 
 def test_parse_dem_rejects_an_index_past_the_first():
@@ -896,84 +914,142 @@ def test_parse_dem_rejects_an_index_past_int64():
 @pytest.mark.parametrize("index", [1.5, 1.0, True, "1", None])
 @pytest.mark.parametrize("where", ["detectors", "logicals"])
 def test_dem_rejects_indices_that_are_not_ints(index, where):
-    column = DemColumn(0.1, (0,), (0,))._replace(**{where: (index,)})
-    # the array pass sends the column to the loop, which names it
-    with pytest.raises(ValueError, match=f"{where[:-1]} indices .* must be ints"):
-        DetectorErrorModel(4, 2, (column,))
-    # a bad prior in the same column still comes first, and an earlier
-    # column's fault before both
-    with pytest.raises(ValueError, match="probability"):
-        DetectorErrorModel(4, 2, (column._replace(probability=2.0),))
-    with pytest.raises(ValueError, match="detector indices \\(3, 1\\)"):
-        DetectorErrorModel(4, 2, (DemColumn(0.1, (3, 1), ()), column))
+    # the token of a value that is not an int: 1.5, 1.0, True, '1', None
+    dets, logs = (repr(index), "0") if where == "detectors" else ("0", repr(index))
+    with pytest.raises(ValueError, match=f"^line 2: {where[:-1]} indices .*: need strictly"):
+        noise.parse_dem(_dem_text(f"0.1 {dets} | {logs}", detectors=4, logicals=2))
 
 
 @pytest.mark.parametrize("prior", [0.0, 1.0, -0.1, float("nan")])
 def test_dem_rejects_a_prior_outside_the_open_interval(prior):
-    with pytest.raises(ValueError, match=r"outside \(0,1\)"):
-        DetectorErrorModel(4, 1, (DemColumn(0.1, (0,), ()), DemColumn(prior, (1,), (0,))))
+    with pytest.raises(ValueError, match=r"^line 3: probability .* outside \(0,1\)"):
+        noise.parse_dem(_dem_text("0.1 0 |", f"{prior!r} 1 | 0"))
+    p, s = _arrays(((0,), ()), ((1,), (0,)))
+    p[1] = prior
+    with pytest.raises(ValueError, match=r"^column 1: probability .* outside \(0,1\)"):
+        DetectorErrorModel(4, 1, p, s)
 
 
 def test_dem_rejects_a_repeated_signature():
-    cols = (DemColumn(0.1, (0, 2), (0,)), DemColumn(0.2, (1,), ()), DemColumn(0.3, (0, 2), (0,)))
-    with pytest.raises(ValueError, match=r"duplicate column signature \(\(0, 2\), \(0,\)\)"):
-        DetectorErrorModel(4, 1, cols)
+    lines = ("0.1 0 2 | 0", "0.2 1 |", "", "0.3 0 2 | 0")
+    message = r"^line 5: duplicate column signature \(\(0, 2\), \(0,\)\)"
+    with pytest.raises(ValueError, match=message):
+        noise.parse_dem(_dem_text(*lines))
     # the same detectors with other logicals is another column
-    DetectorErrorModel(4, 1, cols[:2] + (DemColumn(0.3, (0, 2), ()),))
+    noise.parse_dem(_dem_text(*lines[:3], "0.3 0 2 |"))
+    p, s = _arrays(((0, 2), (0,)), ((1,), ()), ((0, 2), (0,)))
+    with pytest.raises(ValueError, match=r"^column 2: duplicate column signature"):
+        DetectorErrorModel(4, 1, p, s)
 
 
 @pytest.mark.parametrize("counts", [(-1, 1), (4, -1)])
 def test_dem_rejects_negative_counts(counts):
     with pytest.raises(ValueError, match="counts must be >= 0"):
-        DetectorErrorModel(*counts, ())
+        DetectorErrorModel(*counts, np.zeros(0), np.zeros((0, 1), dtype=gf2.WORD))
+    with pytest.raises(ValueError, match="^line 2: bad header .*counts must be"):
+        noise.parse_dem("\ndetectors {} logicals {}\n".format(*counts))
 
 
 @pytest.mark.parametrize(
-    "columns,message",
+    "lines,message",
     [
-        # two bad columns: the first one raises
-        ((DemColumn(0.1, (3, 1), ()), DemColumn(2.0, (0,), ())), "detector indices"),
-        ((DemColumn(0.1, (0,), (0, 0)), DemColumn(0.2, (9,), ())), "logical indices"),
-        # one column failing two checks: the prior comes first, then the
-        # detectors, then the logicals
-        ((DemColumn(0.1, (0,), ()), DemColumn(1.5, (9,), (5,))), "probability"),
-        ((DemColumn(0.1, (0,), ()), DemColumn(0.2, (9,), (5,))), "detector indices"),
-        ((DemColumn(0.1, (0,), (0,)), DemColumn(0.2, (0,), (5,))), "logical indices"),
+        # two bad lines: the first one is named
+        (("0.1 3 1 |", "2.0 0 |"), "line 2: detector indices"),
+        (("0.1 0 | 0 0", "0.2 9 |"), "line 2: logical indices"),
+        # a line that breaks an array rule above a line whose tokens are
+        # bad, and the other way round
+        (("1.5 0 |", "0.2 9 | 5"), r"line 2: probability 1.5 outside \(0,1\)"),
+        (("0.1 0 |", "0.2 9 | 5"), "line 3: detector indices"),
+        (("0.1 0 | 0", "0.2 1 | 5", "0.3 0 | 0"), "line 3: logical indices"),
+        (("0.1 0 | 0", "0.3 0 | 0", "0.2 1 | 5"), r"line 3: duplicate column signature"),
+        # one line breaking two array rules: the prior comes first
+        (("0.1 0 |", "1.5 0 |"), r"line 3: probability"),
     ],
     ids=["first-of-two-detectors", "first-of-two-logicals", "prior-first",
-         "detectors-before-logicals", "logicals-before-duplicate"],
+         "detectors-before-logicals", "logicals-before-duplicate",
+         "duplicate-before-logicals", "prior-before-duplicate"],
 )
-def test_dem_reports_the_first_fault(columns, message):
-    with pytest.raises(ValueError, match=message):
-        DetectorErrorModel(4, 1, columns)
+def test_dem_reports_the_first_fault(lines, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        noise.parse_dem(_dem_text(*lines))
 
 
 @pytest.mark.parametrize(
-    "column",
-    [DemColumn("0.5", (0,), ()), DemColumn(None, (0,), ()), DemColumn(0.5, ("3",), ()),
-     DemColumn((0.1, 0.2), (0,), ()), DemColumn([0.1], (0,), ()),
-     DemColumn(1 + 0j, (0,), ()), DemColumn(0.5 + 0j, (0,), ())],
+    "line",
+    ["'0.5' 0 |", "None 0 |", "0.5 '3' |", "(0.1,0.2) 0 |", "[0.1] 0 |", "1+0j 0 |",
+     "0.5+0j 0 |"],
     ids=["string-prior", "none-prior", "string-index", "tuple-prior", "list-prior",
          "complex-prior", "complex-prior-in-range"],
 )
-def test_dem_does_not_accept_columns_of_non_numbers(column):
-    with pytest.raises(ValueError):
-        DetectorErrorModel(4, 1, (DemColumn(0.1, (1,), ()), column))
-    # priors of one shape throughout would make a 2-d array
-    with pytest.raises(ValueError):
-        DetectorErrorModel(4, 1, (column._replace(detectors=(1,)), column))
+def test_dem_does_not_accept_columns_of_non_numbers(line):
+    with pytest.raises(ValueError, match="^line 3: "):
+        noise.parse_dem(_dem_text("0.1 1 |", line))
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        (dict(detector_count=True), "detector_count must be an integer"),
+        (dict(logical_count=1.0), "logical_count must be an integer"),
+        (dict(probabilities=np.array([1, 2], dtype=np.int64)), "float64 priors"),
+        (dict(probabilities=np.array([[0.1], [0.2]])), "float64 priors"),
+        (dict(probabilities=np.array([0.1, 0.2], dtype=np.float32)), "float64 priors"),
+        (dict(probabilities=np.array([0.1 + 0j, 0.2])), "float64 priors"),
+        (dict(signatures=np.zeros((2, 1), dtype=np.int64)), "uint64 signatures"),
+        (dict(signatures=np.zeros((2, 2), dtype=gf2.WORD)), r"signatures \(2, 1\)"),
+        (dict(signatures=np.zeros((3, 1), dtype=gf2.WORD)), r"signatures \(2, 1\)"),
+        (dict(signatures=np.array([[1], [1 << 5]], dtype=gf2.WORD)),
+         r"^column 1: a bit at or past D \+ K = 5"),
+        (dict(signatures=np.array([[1], [1 << 63]], dtype=gf2.WORD)), "^column 1: a bit"),
+    ],
+    ids=["bool-count", "float-count", "int-priors", "2d-priors", "float32-priors",
+         "complex-priors", "int-signatures", "too-wide", "too-many", "bit-past-the-logicals",
+         "top-bit"],
+)
+def test_dem_rejects_arrays_of_the_wrong_form(change, message):
+    p, s = _arrays(((0,), ()), ((1,), (0,)))
+    fields = dict(detector_count=4, logical_count=1, probabilities=p, signatures=s) | change
+    with pytest.raises(ValueError, match=message):
+        DetectorErrorModel(**fields)
+
+
+def test_dem_keeps_read_only_copies_and_compares_its_arrays():
+    p, s = _arrays(((2, 3), ()), ((), (0,)), ((0, 1), (0,)))
+    dem = DetectorErrorModel(4, 1, p, s)
+    p[0], s[0] = 0.5, 0
+    assert dem.probabilities[0] == 0.1 and dem.signatures[0, 0] == 0b1100
+    for array in (dem.probabilities, dem.signatures):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert dem.columns == (
+        DemColumn(0.1, (2, 3), ()), DemColumn(0.2, (), (0,)), DemColumn(p[2], (0, 1), (0,))
+    )
+    same = DetectorErrorModel(4, 1, *_arrays(((2, 3), ()), ((), (0,)), ((0, 1), (0,))))
+    assert same == dem and not same != dem
+    assert dem != DetectorErrorModel(5, 1, *_arrays(((2, 3), ()), ((), (0,)), ((0, 1), (0,)),
+                                                      detectors=5))
+    assert dem != replace(dem, probabilities=dem.probabilities * 0.5)
+    assert dem != DetectorErrorModel(4, 1, *_arrays(((2, 3), ()), ((), (0,)), ((0,), (0,))))
+    assert dem != "dem"
+    with pytest.raises(TypeError):
+        hash(dem)
 
 
 def test_dem_accepts_valid_columns_without_the_column_loop(monkeypatch):
-    def refuse(self):
-        raise AssertionError("valid columns went through the column loop")
+    """Building, writing and checking a DEM make no ``DemColumn``: only
+    the ``columns`` view does, and it reads the arrays."""
 
-    monkeypatch.setattr(DetectorErrorModel, "_raise_first_fault", refuse)
-    # supports fall only where a new column starts
-    cols = (DemColumn(0.1, (2, 3), ()), DemColumn(0.2, (), (0,)), DemColumn(0.3, (0, 1), (0,)))
-    assert DetectorErrorModel(4, 1, cols).columns == cols
+    def refuse(*args):
+        raise AssertionError("a DemColumn was made")
+
     code = build_named_code("18-6-3")
-    assert noise.build_dem(build_syndrome_circuit(code, 2), NOISE, code=code).columns
+    circ = build_syndrome_circuit(code, 2)
+    expected = noise.build_dem(circ, NOISE, code=code).columns
+    monkeypatch.setattr(noise, "DemColumn", refuse)
+    dem = noise.build_dem(circ, NOISE, code=code)
+    assert noise.parse_dem(noise.dem_to_text(dem)) == dem
+    monkeypatch.undo()
+    assert dem.columns == expected
 
 
 SPARSE = replace(NOISE, p_h=0.0, p_dd_z=0.0)
@@ -1093,17 +1169,13 @@ def test_dense_matches_a_column_loop(basis):
 
 def test_collisions_group_columns_by_detectors():
     # equal detectors with unequal logicals form one group, in signature order
-    dem = DetectorErrorModel(4, 1, (
-        DemColumn(0.1, (3,), (0,)), DemColumn(0.2, (0, 2), (0,)), DemColumn(0.3, (1,), ()),
-        DemColumn(0.4, (0, 2), ()), DemColumn(0.1, (3,), ()),
-    ))
+    dem = noise.parse_dem(_dem_text("0.1 3 | 0", "0.2 0 2 | 0", "0.3 1 |", "0.4 0 2 |", "0.1 3 |"))
     assert dem.collisions() == [(1, 3), (0, 4)]
     # an undetectable column collides with no fault at all if it flips a
     # logical
-    dem = DetectorErrorModel(4, 1, (DemColumn(0.1, (1,), ()), DemColumn(0.2, (), (0,))))
-    assert dem.collisions() == [(1,)]
-    dem = DetectorErrorModel(4, 1, (DemColumn(0.1, (1,), (0,)), DemColumn(0.2, (), ())))
-    assert dem.collisions() == []
+    assert noise.parse_dem(_dem_text("0.1 1 |", "0.2 | 0")).collisions() == [(1,)]
+    assert noise.parse_dem(_dem_text("0.1 1 | 0", "0.2 |")).collisions() == []
+    assert noise.parse_dem(_dem_text("0.1 1 |", "0.2 | 0", "0.3 |")).collisions() == [(1, 2)]
 
 
 @pytest.mark.parametrize("t", [1, 3, 7])
@@ -1116,6 +1188,10 @@ def test_built_dems_have_no_collisions(cid, basis, t):
     circ = build_syndrome_circuit(code, t, basis=basis)
     dem = noise.build_dem(circ, NOISE, basis, code=code)
     assert dem.columns and dem.collisions() == []
+    # the signatures are the packed dense matrices, and the text holds them
+    d, l, _ = dem.dense()
+    assert np.array_equal(dem.signatures, gf2.pack_rows(np.vstack([d, l]).T))
+    assert noise.parse_dem(noise.dem_to_text(dem)) == dem
 
 
 def test_detector_matrix_is_cycle_major_then_final():

@@ -1,11 +1,13 @@
 """The package declares only what exists: console scripts, the modules
-its docstring lists and every module's ``__all__``. Scripts use only its
-public names. Set-up imports no more of numpy than it needs."""
+its docstring lists and every module's ``__all__``. It imports only its
+declared dependencies, and scripts use only its public names. Set-up
+imports no more of numpy than it needs."""
 
 import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -125,3 +127,30 @@ def test_set_up_does_not_import_numpy_ma():
         check=True,
         timeout=120,
     )
+
+
+def _imported_packages(tree: ast.AST) -> set[str]:
+    """Top-level packages of the absolute imports in a module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_package_imports_only_declared_dependencies():
+    with PYPROJECT.open("rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    # a requirement's name ends at its first version or marker character
+    allowed = {re.split(r"[^A-Za-z0-9_.-]", req, maxsplit=1)[0].lower() for req in declared}
+    allowed |= set(sys.stdlib_module_names) | {"bbqec"}
+    for path in sorted((ROOT / "src" / "bbqec").glob("*.py")):
+        undeclared = _imported_packages(ast.parse(path.read_text())) - allowed
+        assert not undeclared, f"{path.name} imports undeclared {sorted(undeclared)}"
+
+
+def test_import_guard_sees_every_absolute_import():
+    source = "import scipy.sparse\nfrom numpy import linalg\nfrom . import gf2\nimport os, json\n"
+    assert _imported_packages(ast.parse(source)) == {"scipy", "numpy", "os", "json"}

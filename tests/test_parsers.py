@@ -148,7 +148,10 @@ def test_parse_code_inverts_export_code(case):
 
 
 @st.composite
-def _dems(draw):
+def _dem_texts(draw):
+    """DEM text as ``dem_to_text`` writes it: counts, then per column its
+    prior's repr and its sorted detector and logical indices, no two
+    columns alike."""
     detectors = draw(st.integers(0, 12))
     logicals = draw(st.integers(0, 3))
     signatures = draw(
@@ -162,15 +165,18 @@ def _dems(draw):
         )
     )
     probabilities = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
-    columns = tuple(
-        noise.DemColumn(draw(probabilities), dets, logs) for dets, logs in signatures
-    )
-    return noise.DetectorErrorModel(detectors, logicals, columns)
+    lines = [f"detectors {detectors} logicals {logicals}"] + [
+        " ".join([repr(draw(probabilities)), *map(str, dets), "|", *map(str, logs)])
+        for dets, logs in signatures
+    ]
+    return "\n".join(lines) + "\n"
 
 
-@given(_dems())
+@given(_dem_texts())
 @settings(max_examples=100, deadline=None)
-def test_parse_dem_inverts_dem_to_text(dem):
+def test_parse_dem_inverts_dem_to_text(text):
+    dem = noise.parse_dem(text)
+    assert noise.dem_to_text(dem) == text
     assert noise.parse_dem(noise.dem_to_text(dem)) == dem
 
 
