@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import gf2
-from .codes import CssCode, _is_int
+from .codes import CssCode, _as_int, _is_int
 from .tableau import StabilizerTableau
 
 __all__ = [
@@ -138,21 +138,24 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
-        object.__setattr__(
-            self, "cycle_boundaries", tuple(int(b) for b in self.cycle_boundaries)
-        )
+        b = tuple(self.cycle_boundaries)
+        if not all(map(_is_int, b)):  # int(b) would read 0.7, "0" or False as 0
+            raise ValueError(f"cycle_boundaries must be ints, got {b!r}")
+        b = tuple(map(int, b))
+        object.__setattr__(self, "cycle_boundaries", b)
         if not _is_int(self.qubit_count) or self.qubit_count < 0:
             raise ValueError(f"qubit_count must be an int >= 0, got {self.qubit_count!r}")
         if self.basis not in (None, "Z", "X"):
             raise ValueError(f"basis must be 'Z', 'X' or None, got {self.basis!r}")
         # a built circuit repeats its steady-state layer objects
         for layer in {id(L): L for L in self.layers}.values():
+            if not isinstance(layer, GateLayer):
+                raise ValueError(f"layers must be GateLayers, got {layer!r}")
             high = max(layer.qubits(), default=-1)
             if high >= self.qubit_count:
                 raise ValueError(
                     f"layer touches qubit {high} but circuit has {self.qubit_count}"
                 )
-        b = self.cycle_boundaries
         if b:
             if b[0] != 0:
                 raise ValueError("first cycle must start at layer 0")
@@ -690,6 +693,8 @@ def verify_circuit(
     preparation that brings it to ``max_failures``.
     """
     table = gate_table(circuit, code, basis)
+    preparations, seed = _as_int("preparations", preparations), _as_int("seed", seed)
+    max_failures = _as_int("max_failures", max_failures)
     if preparations < 1:
         raise ValueError("need at least one preparation")
     kinds_rows = [("X", r) for r in code.retained_x] + [

@@ -48,6 +48,13 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _as_int(name: str, value) -> int:
+    """``value`` as a Python int: a Python or numpy integer, not a bool."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _is_sequence(value) -> bool:
     """Whether a term list or a term is a sequence of items: not a string."""
     return isinstance(value, Sequence) and not isinstance(value, (str, bytes))

@@ -5,14 +5,16 @@ ideal circuit. That is enough because every reported quantity (detection
 events, final-readout comparisons, logical flips) is a fixed linear
 functional of the injected Paulis that vanishes in the noiseless run.
 
-Faults live in arrays. ``_Program`` reads the circuit through
+Faults live in arrays. ``_Program``, the compiled noise program of one
+(code, circuit, noise model, basis), reads the circuit through
 ``circuit.gate_table``, the one array form of a circuit, checked there
-against the code and basis; it adds an idle mask, a row per fault slot
-and the raw output that each measurement or readout gate records.
-``_variants`` expands the slots by their channel's patterns into the
-variant table. ``_output_map`` states, by scatter, what each raw output
-(a check measurement or a data readout) flips: every check's
-detections, the final comparisons and the logicals.
+against the code and basis; it adds an idle mask, a row per fault slot,
+the raw output that each measurement or readout gate records, the
+model's channels and the variant table (``_variants``, the slots
+expanded by their channel's patterns). Each public entry point builds
+one. ``_output_map`` states, by scatter, what each raw output (a check
+measurement or a data readout) flips: every check's detections, the
+final comparisons and the logicals.
 ``_fault_table`` gives any set of variants their outputs in that form
 without simulating any of them. One walk over the layers, last to
 first, carries for each qubit the outputs that an X or a Z injected
@@ -25,11 +27,11 @@ and both combine the priors of independent slots by one rule
 number of its slots fire.
 The sampler replays it, each shot the XOR of the rows of the variants
 that its draws pick, and unpacks a batch straight into the ``ShotBatch``
-arrays; ``sample_shot`` builds it for its one shot's variants alone.
-``FaultVariant`` records are made from whole columns of these arrays.
+arrays. ``FaultVariant`` records are made from whole columns of the
+variant table.
 A ``DetectorErrorModel`` is two arrays, float64 priors and the table's
 packed rows as signatures; its constructor checks the array rules, and
-``parse_dem``, the one reader of DEM text, each line's tokens and indices.
+``parse_dem``, the one reader of DEM text, the tokens and indices.
 
 Noise channels and their fault slots (``_channel`` states each once,
 and the variant table and the sampler's draws both expand it):
@@ -66,7 +68,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import astuple, dataclass, replace
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -82,11 +84,11 @@ from .circuit import (
     gate_table,
     qubit_layout,
 )
-from .codes import CssCode, LogicalOperatorSet, _is_int, logical_operator_set_for
+from .codes import CssCode, LogicalOperatorSet, _as_int, logical_operator_set_for
 
 __all__ = [
     "DEFAULT_MASTER_SEED", "derive_shot_seed", "IDLE_POLICIES", "NoiseModel", "FaultVariant",
-    "enumerate_fault_variants", "ShotRecord", "ShotBatch", "sample_shot", "run_monte_carlo",
+    "enumerate_fault_variants", "ShotBatch", "run_monte_carlo",
     "DemColumn", "DetectorErrorModel", "build_dem", "expected_detection_series", "dem_to_text",
     "parse_dem",
 ]
@@ -104,13 +106,6 @@ def _mix64(v: np.ndarray | np.uint64) -> np.ndarray:
     v = (v ^ (v >> np.uint64(30))) * _MIX1
     v = (v ^ (v >> np.uint64(27))) * _MIX2
     return v ^ (v >> np.uint64(31))
-
-
-def _as_int(name: str, value) -> int:
-    """``value`` as a Python int: a Python or numpy integer, not a bool."""
-    if not _is_int(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def derive_shot_seed(master_seed: int, shot_index: int) -> int:
@@ -232,7 +227,7 @@ _GATE_SLOT = np.array([{"H": _H, "I": -1, "CZ": _CZ, "DD": _DD, "M": _MEASURE, "
 
 
 class _Program:
-    """Preprocessed circuit: gate table, fault slots, detector layout.
+    """Compiled noise program: gate table, fault slots, variants, detector layout.
 
     ``table`` is the circuit's ``GateTable``; ``gate_flip[g]`` is the raw
     output that gate g records, else ``raw_bits``. Fault slots are int32
@@ -243,19 +238,18 @@ class _Program:
     (``I`` makes none); idle slots are the set cells of a (layer x qubit)
     mask read row-major, candidates minus the qubits an ``H`` or ``CZ``
     leg makes busy. One stable sort puts each layer's gate slots before
-    its idle slots.
+    its idle slots. ``channels[i]`` is the noise model's ``_Channel`` of
+    slot kind i, and ``variants`` the variant table, built once here.
     """
 
     def __init__(
         self,
         code: CssCode,
         circuit: Circuit,
-        basis: str = "Z",
+        basis: str,
+        noise: NoiseModel,
         logicals: LogicalOperatorSet | None = None,
-        idle_policy: str = "frames",
     ):
-        if idle_policy not in IDLE_POLICIES:
-            raise ValueError(f"idle_policy={idle_policy!r} not one of {IDLE_POLICIES}")
         self.table = table = gate_table(circuit, code, basis)
         self.code = code
         self.circuit = circuit
@@ -292,9 +286,9 @@ class _Program:
         idle[kinds == CZ, :nq] = True
         single = kinds == SINGLE_QUBIT
         h = kind == _H
-        if idle_policy == "dense":
+        if noise.idle_policy == "dense":
             idle[single, :nq] = True
-        elif idle_policy == "frames":
+        elif noise.idle_policy == "frames":
             # ancilla basis rotation is a global step: un-gated data
             # qubits wait; interior data-only layers pack for free
             framed = np.zeros(len(kinds), dtype=bool)
@@ -318,6 +312,8 @@ class _Program:
         rows = rows[:, np.argsort(2 * rows[0] + is_idle, kind="stable")].astype(np.int32)
         self.slot_layer, self.slot_kind, self.slot_flip = rows[0], rows[1], rows[4]
         self.slot_legs = rows[2:4]
+        self.channels = [_channel(kind, noise) for kind in _SLOT_KINDS]
+        self.variants = _variants(self)
 
     @cached_property
     def logical_mat(self) -> np.ndarray:
@@ -496,10 +492,10 @@ class _Variants(NamedTuple):
     probability: np.ndarray
 
 
-def _variants(prog: _Program, noise: NoiseModel) -> _Variants:
+def _variants(prog: _Program) -> _Variants:
     """Every nonzero-probability single-fault variant: the slots expanded
     by their channel's patterns, in slot order and then pattern order."""
-    channels = [_channel(kind, noise).patterns for kind in _SLOT_KINDS]
+    channels = [channel.patterns for channel in prog.channels]
     npat = np.array([len(pats) for pats in channels])
     width = npat.max()
     # at kind * width + pattern: the prior, whether the pattern flips the
@@ -546,8 +542,8 @@ def enumerate_fault_variants(
     qubit tuple or a flipped output), and the records are zipped from
     the columns.
     """
-    prog = _Program(code, circuit, circuit.basis or "Z", idle_policy=noise.idle_policy)
-    var = _variants(prog, noise)
+    prog = _Program(code, circuit, circuit.basis or "Z", noise)
+    var = prog.variants
     checks, tc, raw = prog.check_count, prog.t * prog.check_count, prog.raw_bits
     nq = circuit.qubit_count
 
@@ -568,34 +564,6 @@ def enumerate_fault_variants(
     # tuple.__new__ fills each record from its zipped row in C, without
     # the Python frame of FaultVariant.__new__; a row has every field
     return tuple(map(tuple.__new__, repeat(FaultVariant), zip(*columns)))
-
-
-def _forced_variants(prog: _Program, fault: FaultVariant) -> _Variants:
-    """A fault given by hand, as unit variants at its layer: one per X
-    qubit, Z qubit and flipped output. The outputs are linear in the
-    injected Paulis, so their rows XOR to the fault's."""
-    layers, nq = len(prog.table.kind), prog.circuit.qubit_count
-    if not 0 <= fault.layer < layers:
-        raise ValueError(f"fault layer {fault.layer} outside the circuit's {layers} layers")
-    qubits = fault.x_qubits + fault.z_qubits
-    if not all(0 <= q < nq for q in qubits):
-        raise ValueError(f"fault qubits {qubits} outside the circuit")
-    flips = []
-    if fault.measurement_flip is not None:
-        cyc, col = fault.measurement_flip
-        if not (0 <= cyc < prog.t and 0 <= col < prog.check_count):
-            raise ValueError(f"measurement flip {fault.measurement_flip} outside the circuit")
-        flips.append(prog.dm_bit(cyc, col))
-    if fault.readout_flip is not None:
-        if not 0 <= fault.readout_flip < prog.n:
-            raise ValueError(f"readout flip {fault.readout_flip} outside the data qubits")
-        flips.append(prog.rd_bit(fault.readout_flip))
-    nx, m = len(fault.x_qubits), len(qubits) + len(flips)
-    legs = np.full((4, m), nq, dtype=np.int32)
-    legs[0, :nx], legs[2, nx : len(qubits)] = fault.x_qubits, fault.z_qubits
-    flip = np.full(m, prog.raw_bits, dtype=np.int32)
-    flip[len(qubits) :] = flips
-    return _Variants(np.full(m, fault.slot), np.full(m, fault.layer), legs, flip, np.zeros(m))
 
 
 # ---------------------------------------------------------------------------
@@ -717,31 +685,30 @@ def _fault_table(prog: _Program, var: _Variants, out_map: np.ndarray) -> np.ndar
 # sampler
 
 
-def _fired(prog: _Program, slot: np.ndarray, noise: NoiseModel, keys: np.ndarray):
+def _fired(prog: _Program, keys: np.ndarray):
     """Yields (shot, variant) index arrays of the variants that the draws
     of each slot kind (``_Channel.fires``) fire for the shot keys, one
-    pair per round; ``slot`` is the variant table's slot column."""
-    first = np.searchsorted(slot, np.arange(len(prog.slot_kind)))  # per slot
-    for i, kind in enumerate(_SLOT_KINDS):
-        channel = _channel(kind, noise)
-        base = first[prog.slot_kind == i]  # the kind's slots, counter order
+    pair per round."""
+    first = np.searchsorted(prog.variants.slot, np.arange(len(prog.slot_kind)))  # per slot
+    for channel in prog.channels:
+        base = first[prog.slot_kind == channel.stream]  # the kind's slots, counter order
         if channel.patterns and len(base):
             for shot, pos, pick in channel.fires(keys, len(base)):
                 yield shot, base[pos] + pick
 
 
-def _sampler(prog: _Program, noise: NoiseModel):
+def _sampler(prog: _Program):
     """A function from shot keys (one uint64 each) to the shots' outputs,
     rows of 0/1 bytes in the columns of ``_output_map``: each shot is the
     XOR of the table rows of the variants that its draws fire."""
-    var, out_map = _variants(prog, noise), _output_map(prog)
+    out_map = _output_map(prog)
     # the packed map replaces the bytes before the walk, which sets the peak
     width, out_map = out_map.shape[1], gf2.pack_rows(out_map)
-    rows, slot = _fault_table(prog, var, out_map), var.slot
+    rows = _fault_table(prog, prog.variants, out_map)
 
     def sample(keys: np.ndarray) -> np.ndarray:
         acc = np.zeros((len(keys), rows.shape[1]), dtype=rows.dtype)
-        for shot, v in _fired(prog, slot, noise, keys):
+        for shot, v in _fired(prog, keys):
             acc[shot] ^= rows[v]
         return gf2.unpack_rows(acc, width)
 
@@ -749,31 +716,21 @@ def _sampler(prog: _Program, noise: NoiseModel):
 
 
 # ---------------------------------------------------------------------------
-# shot records
+# shot batches
 
 
 @dataclass(frozen=True, eq=False)
-class ShotRecord:
-    """Detector outcomes of one sampled (or forced-fault) shot.
+class ShotBatch:
+    """Detector outcomes of sampled shots plus the check-column layout.
 
     All bits are deviations from the noiseless run, which equals the
     actual detector values because every detector is zero there.
-    ``detections[c, j]`` is the converted in-circuit detector of cycle
+    ``detections[s, c, j]`` is the converted in-circuit detector of cycle
     c+1 for check column j; ``final_syndrome`` holds the final
     readout-comparison detectors of the memory-basis checks;
     ``logical_flips`` the measured flips of the memory-basis logical
     operators, readout errors included.
     """
-
-    basis: str
-    detections: np.ndarray
-    final_syndrome: np.ndarray
-    logical_flips: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class ShotBatch:
-    """Stacked shot records plus the check-column layout."""
 
     basis: str
     cycles: int
@@ -786,14 +743,6 @@ class ShotBatch:
     @property
     def shots(self) -> int:
         return self.detections.shape[0]
-
-    def record(self, i: int) -> ShotRecord:
-        return ShotRecord(
-            self.basis,
-            self.detections[i].copy(),
-            self.final_syndrome[i].copy(),
-            self.logical_flips[i].copy(),
-        )
 
     def detector_matrix(self) -> np.ndarray:
         """Decoder-facing bits, shape (shots, (cycles+1) * aligned).
@@ -825,42 +774,6 @@ class ShotBatch:
         return np.array(series)
 
 
-def sample_shot(
-    circuit: Circuit,
-    noise: NoiseModel,
-    rng_seed: int,
-    *,
-    code: CssCode,
-    basis: str = "Z",
-    logicals: LogicalOperatorSet | None = None,
-    forced_fault: FaultVariant | None = None,
-) -> ShotRecord:
-    """Sample one shot, or replay exactly one fault with no other noise.
-
-    Either way the shot is a set of variants, and its outputs are the
-    XOR of their fault-effect table rows, built for them alone. The
-    draws of a sampled shot take ``rng_seed`` as its key, so
-    derive_shot_seed(s, i) gives shot i of run_monte_carlo with master
-    seed s. A forced fault is split into unit variants at its layer, and
-    ``rng_seed`` is unused.
-    """
-    rng_seed = _as_int("rng_seed", rng_seed)
-    prog = _Program(code, circuit, basis, logicals, noise.idle_policy)
-    if forced_fault is not None:
-        var = _forced_variants(prog, forced_fault)
-    else:
-        var = _variants(prog, noise)
-        keys = np.array([rng_seed % 2**64], dtype=np.uint64)
-        hit = np.zeros(len(var.slot), dtype=bool)
-        for _, v in _fired(prog, var.slot, noise, keys):
-            hit[v] = True
-        var = _Variants(*(col[..., hit] for col in var))
-    out_map = _output_map(prog)
-    row = np.bitwise_xor.reduce(_fault_table(prog, var, gf2.pack_rows(out_map)), axis=0)
-    det, zf, logical = _split_outputs(prog, gf2.unpack_rows(row[None], out_map.shape[1]))
-    return ShotRecord(basis, det[0], zf[0], logical[0])
-
-
 def run_monte_carlo(
     circuit: Circuit,
     noise: NoiseModel,
@@ -873,7 +786,8 @@ def run_monte_carlo(
     batch_size: int = 4096,
 ) -> ShotBatch:
     """Sample many shots deterministically, by replaying the fault-effect
-    table (built once per call).
+    table of the call's compiled program, which holds the noise model and
+    the variant table.
 
     Shot i uses the key derive_shot_seed(master_seed, i), and its draws
     depend only on that key, so the batch partition cannot change any
@@ -885,8 +799,8 @@ def run_monte_carlo(
     master_seed = _as_int("master_seed", master_seed)
     if shots < 1 or batch_size < 1:
         raise ValueError("shots and batch_size must be >= 1")
-    prog = _Program(code, circuit, basis, logicals, noise.idle_policy)
-    sample = _sampler(prog, noise)
+    prog = _Program(code, circuit, basis, noise, logicals)
+    sample = _sampler(prog)
     # each batch unpacks straight into its rows of the three arrays
     arrays = tuple(np.empty((shots, *shape), dtype=np.uint8) for shape in (
         (prog.t, prog.check_count), (len(prog.aligned_cols),), (len(prog.logical_mat),)
@@ -1043,9 +957,9 @@ def build_dem(
     64) word operations, one lookup per variant and one sort of the
     packed signatures.
     """
-    prog = _Program(code, circuit, basis, logicals, noise.idle_policy)
+    prog = _Program(code, circuit, basis, noise, logicals)
     D, K = prog.detector_count, prog.logical_mat.shape[0]
-    var = _variants(prog, noise)
+    var = prog.variants
     rows = _fault_table(prog, var, _signature_map(prog))
     seen = rows.any(axis=1)
     rows, slot, prob = rows[seen], var.slot[seen], var.probability[seen]
@@ -1079,9 +993,9 @@ def expected_detection_series(
     many-shot limit. ``logicals`` is unused: the series reads no logical.
     """
     # no logical rows: the signature map holds the detectors alone
-    prog = _Program(code, circuit, basis, LogicalOperatorSet(code.n, (), ()), noise.idle_policy)
+    prog = _Program(code, circuit, basis, noise, LogicalOperatorSet(code.n, (), ()))
     t, A, D = prog.t, len(prog.aligned_cols), prog.detector_count
-    var = _variants(prog, noise)
+    var = prog.variants
     rows = _fault_table(prog, var, _signature_map(prog))
     # (variant, detector) pairs that flip, by detector and then variant
     v, d = _set_bits(rows, D)
@@ -1100,23 +1014,11 @@ def dem_to_text(dem: DetectorErrorModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _bits(what: str, tokens: list[str], count: int, offset: int = 0) -> int:
-    """The index tokens as an int with bit ``offset + i`` set for index i,
-    or ValueError unless they are ints, strictly increasing, in [0, count)."""
-    try:
-        values = list(map(int, tokens))
-    except ValueError:
-        values = [count]  # fails the test below
-    if values and not (0 <= values[0] and values[-1] < count and sorted(set(values)) == values):
-        raise ValueError(f"{what} indices {tokens}: need strictly increasing ints in [0, {count})")
-    return sum(map((1 << offset).__lshift__, values))  # (1 << offset) << i for each i
-
-
 def parse_dem(text: str) -> DetectorErrorModel:
-    """The DEM of ``dem_to_text``'s text. The loop checks the tokens (decimal
-    counts; per line a float prior, a ``|`` and strictly increasing int
-    indices, detectors in [0, D), logicals in [0, K)), the constructor the
-    rest, first on the lines above the first bad one: errors name the first."""
+    """The DEM of ``dem_to_text``'s text. The line loop checks each line's
+    float prior and ``|``, one array pass every index token (decimal, strictly
+    increasing, detectors in [0, D), logicals in [0, K)), the constructor the
+    rest, on the lines above the first bad one: errors name the first."""
     lines = [(no, parts) for no, parts in enumerate(map(str.split, text.splitlines()), 1) if parts]
     if not lines:
         raise ValueError("empty detector error model")
@@ -1125,19 +1027,33 @@ def parse_dem(text: str) -> DetectorErrorModel:
     if not decimal or head[::2] != ["detectors", "logicals"]:
         raise ValueError(f"line {no}: bad header {' '.join(head)!r}; counts must be decimal")
     D, K = int(head[1]), int(head[3])
-    words, priors, rows, fault = -(-(D + K) // 64), [], [], None
+    priors, groups, fault = [], [], None  # groups 2j and 2j + 1: line j's detectors, logicals
     for no, parts in body:
         try:
             sep = parts.index("|")  # or ValueError: '|' is not in list
-            row = _bits("detector", parts[1:sep], D) | _bits("logical", parts[sep + 1 :], K, D)
             priors.append(float(parts[0]))
         except ValueError as exc:
             fault = ValueError(f"line {no}: {exc}")
             break
-        rows.append(row.to_bytes(8 * words, "little"))  # as ``gf2.pack_rows`` packs it
-    signatures = np.frombuffer(b"".join(rows), dtype=gf2.WORD).reshape(len(rows), words)
+        groups += parts[1:sep], parts[sep + 1 :]
+    group = np.repeat(np.arange(len(groups)), list(map(len, groups)))
+    # a token that is not decimal reads -1; a float is exact below 2**53
+    # and keeps any larger token out of range
+    value = np.array([t if t.isdecimal() else "-1" for t in chain.from_iterable(groups)], float)
+    bad = (value < 0) | (value >= np.where(group % 2, K, D))
+    bad[1:] |= (group[1:] == group[:-1]) & (value[1:] <= value[:-1])
+    rows = len(priors)
+    if bad.any():  # on a line above any token fault, which ends the loop
+        g = int(group[bad.argmax()])
+        rows, what, count = g // 2, ("detector", "logical")[g % 2], (D, K)[g % 2]
+        fault = ValueError(f"line {body[rows][0]}: {what} indices {groups[g]}: "
+                           f"need strictly increasing ints in [0, {count})")
+    keep = group < 2 * rows
+    bit = (value[keep] + D * (group[keep] % 2)).astype(gf2.WORD)
+    signatures = np.zeros((rows, -(-(D + K) // 64)), dtype=gf2.WORD)
+    np.bitwise_or.at(signatures, (group[keep] // 2, bit // 64), np.uint64(1) << bit % 64)
     try:
-        dem = DetectorErrorModel(D, K, np.array(priors, dtype=float), signatures)
+        dem = DetectorErrorModel(D, K, np.array(priors[:rows], dtype=float), signatures)
     except _ColumnError as exc:
         raise ValueError(f"line {body[exc.column][0]}: {exc.rule}") from None
     if fault is not None:

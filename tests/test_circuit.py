@@ -393,6 +393,18 @@ def test_verify_needs_a_preparation():
     circ = circuit.build_syndrome_circuit(code, 1)
     with pytest.raises(ValueError):
         circuit.verify_circuit(circ, code, preparations=0)
+    # only integers: a float or string seed would seed ``random.Random``
+    for name, value in (("seed", 1.5), ("seed", "1"), ("seed", True), ("preparations", 2.5),
+                        ("preparations", "2"), ("max_failures", 2.0), ("max_failures", None)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            circuit.verify_circuit(circ, code, **{name: value})
+    # numpy integers are taken; the failures of a broken circuit follow the seed
+    broken = _swap_cz_layers(circuit.build_syndrome_circuit(code, 2))
+    same = circuit.verify_circuit(
+        broken, code, seed=np.int64(3), preparations=np.int32(4), max_failures=np.uint8(2)
+    )
+    assert not same.ok
+    assert same == circuit.verify_circuit(broken, code, seed=3, preparations=4, max_failures=2)
 
 
 def test_verify_rejects_a_circuit_of_the_other_basis():
@@ -560,3 +572,23 @@ def test_circuit_rejects_a_qubit_count_that_is_not_an_int(qubit_count):
     with pytest.raises(ValueError, match="qubit_count must be an int >= 0"):
         circuit.Circuit(qubit_count, (), ())
     assert circuit.Circuit(np.int64(2), (), ()).qubit_count == 2
+
+
+SEVEN_CZ = (circuit.GateLayer(circuit.CZ, ()),) * 7
+
+
+@pytest.mark.parametrize(
+    "layers,boundaries,message",
+    [(SEVEN_CZ, (0.7,), "cycle_boundaries must be ints"),
+     (SEVEN_CZ, ("0",), "cycle_boundaries must be ints"),
+     (SEVEN_CZ, (False,), "cycle_boundaries must be ints"),
+     (("x",), (), "layers must be GateLayers")],
+    ids=["float-boundary", "str-boundary", "bool-boundary", "str-layer"],
+)
+def test_circuit_rejects_boundaries_that_are_not_ints_and_layers_that_are_not_layers(
+    layers, boundaries, message
+):
+    with pytest.raises(ValueError, match=message):
+        circuit.Circuit(2, layers, boundaries)
+    (b,) = circuit.Circuit(2, SEVEN_CZ, (np.int64(0),)).cycle_boundaries
+    assert b == 0 and type(b) is int

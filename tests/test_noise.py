@@ -88,6 +88,16 @@ def _memory_outputs(code, logicals, basis, cycles, readout, fault):
     return det, final.astype(np.uint8), ((logical.astype(int) @ rd) % 2).astype(np.uint8)
 
 
+def _table_outputs(code, circ, basis, logicals, picked):
+    """The picked variants' rows of the fault-effect table that the
+    sampler and the DEM read, split into detections (t x checks), final
+    comparisons and logical flips."""
+    prog = noise._Program(code, circ, basis, NOISE, logicals)
+    out_map = noise._output_map(prog)
+    rows = noise._fault_table(prog, prog.variants, gf2.pack_rows(out_map))
+    return noise._split_outputs(prog, gf2.unpack_rows(rows[picked], out_map.shape[1]))
+
+
 @pytest.mark.parametrize("cid", ["18-4-4-pruned", "18-6-3"])
 @pytest.mark.parametrize("basis", ["Z", "X"])
 def test_forced_faults_match_tableau_replay(cid, basis):
@@ -99,9 +109,10 @@ def test_forced_faults_match_tableau_replay(cid, basis):
     # a few variants of every slot kind, so no kind goes unchecked
     picked = []
     for kind in ("h", "idle", "cz", "dd", "measure", "readout"):
-        of_kind = [v for v in variants if v.kind == kind]
+        of_kind = [i for i, v in enumerate(variants) if v.kind == kind]
         assert of_kind, kind
         picked += [of_kind[i] for i in rng.choice(len(of_kind), 3, replace=False)]
+    det, final, flips = _table_outputs(code, circ, basis, logicals, picked)
     coin_seed = 11
     clean = _memory_outputs(code, logicals, basis, *_tableau_run(circ, None, coin_seed), None)
     assert not any(a.any() for a in clean[:2]), "noiseless detectors fire"
@@ -111,16 +122,13 @@ def test_forced_faults_match_tableau_replay(cid, basis):
         check_qubits.index(q)
         for q in (layout.z_check_qubits if basis == "Z" else layout.x_check_qubits)
     ]
-    for v in picked:
+    for i, v in enumerate(variants[j] for j in picked):
         faulty = _memory_outputs(
             code, logicals, basis, *_tableau_run(circ, v, coin_seed), v
         )
-        rec = noise.sample_shot(
-            circ, NOISE, 0, code=code, basis=basis, logicals=logicals, forced_fault=v
-        )
-        assert np.array_equal(faulty[0] ^ clean[0], rec.detections[:, aligned_cols]), v
-        assert np.array_equal(faulty[1] ^ clean[1], rec.final_syndrome), v
-        assert np.array_equal(faulty[2] ^ clean[2], rec.logical_flips), v
+        assert np.array_equal(faulty[0] ^ clean[0], det[i][:, aligned_cols]), v
+        assert np.array_equal(faulty[1] ^ clean[1], final[i]), v
+        assert np.array_equal(faulty[2] ^ clean[2], flips[i]), v
 
 
 def _forward_raw_outputs(code, circ, variants):
@@ -196,8 +204,8 @@ def test_table_rows_match_forward_frame_propagation(basis):
     code = build_named_code("18-4-4-pruned")
     circ = build_syndrome_circuit(code, 2, basis=basis)
     model = NoiseModel.device_rates(idle_policy="dense")
-    prog = noise._Program(code, circ, basis, idle_policy=model.idle_policy)
-    var = noise._variants(prog, model)
+    prog = noise._Program(code, circ, basis, model)
+    var = prog.variants
     rows = noise._fault_table(prog, var, _identity_map(prog))
     variants = noise.enumerate_fault_variants(circ, model, code=code)
     assert len(rows) == len(variants)
@@ -219,7 +227,7 @@ def test_table_rows_match_forward_frame_propagation(basis):
 def test_output_map_is_the_detector_formula(cid, basis, t):
     code = build_named_code(cid)
     circ = build_syndrome_circuit(code, t, basis=basis)
-    prog = noise._Program(code, circ, basis, logical_operator_set_for(code))
+    prog = noise._Program(code, circ, basis, NOISE, logical_operator_set_for(code))
     eye = np.eye(prog.raw_bits + 1, prog.raw_bits, dtype=np.uint8)
     expected = _detector_form(prog, eye)
     out_map = noise._output_map(prog)
@@ -232,25 +240,6 @@ def test_output_map_is_the_detector_formula(cid, basis, t):
     width = prog.detector_count + len(prog.logical_mat)
     assert signature.shape[1] == width == (t + 1) * A + len(prog.logical_mat)
     assert np.array_equal(gf2.unpack_rows(noise._signature_map(prog), width), signature)
-
-
-@pytest.mark.parametrize(
-    "fields",
-    [
-        dict(layer=10**6, x_qubits=(0,)),
-        dict(layer=0, x_qubits=(999,)),
-        dict(layer=0, measurement_flip=(5, 0)),
-        dict(layer=0, measurement_flip=(0, 14)),
-        dict(layer=0, readout_flip=18),
-    ],
-    ids=["layer", "qubit", "cycle", "check", "readout"],
-)
-def test_forced_fault_outside_the_circuit_is_rejected(fields):
-    code = build_named_code("18-4-4-pruned")
-    circ = build_syndrome_circuit(code, 1)
-    bad = noise.FaultVariant(slot=0, kind="idle", probability=0.1, **fields)
-    with pytest.raises(ValueError, match="outside"):
-        noise.sample_shot(circ, NOISE, 0, code=code, forced_fault=bad)
 
 
 def test_fault_records_are_immutable_named_tuples():
@@ -272,8 +261,8 @@ def test_fault_records_are_immutable_named_tuples():
 def test_enumerated_variants_match_a_per_variant_reference():
     code = build_named_code("18-6-3")
     circ = build_syndrome_circuit(code, 1)
-    prog = noise._Program(code, circ, idle_policy=NOISE.idle_policy)
-    var = noise._variants(prog, NOISE)
+    prog = noise._Program(code, circ, "Z", NOISE)
+    var = prog.variants
     nq, checks, tc = circ.qubit_count, prog.check_count, prog.t * prog.check_count
     expected = []
     for v in range(len(var.slot)):
@@ -399,7 +388,7 @@ def _walk_ops(prog):
 
 
 def _assert_compiles_like_the_reference(code, circ, basis, policy):
-    prog = noise._Program(code, circ, basis, idle_policy=policy)
+    prog = noise._Program(code, circ, basis, NoiseModel.device_rates(idle_policy=policy))
     kind, layer, legs, flip, ops = _reference_program(code, circ, policy)
     for got, want in (
         (prog.slot_kind, kind),
@@ -448,14 +437,14 @@ def test_program_matches_the_reference_with_an_h_edited_to_i(policy):
     # only through its other ancilla H gates, and the qubit idles
     edited = _h_to_i(circ, *ancilla_h[0])
     _assert_compiles_like_the_reference(code, edited, "Z", policy)
-    prog = noise._Program(code, edited, "Z", idle_policy=policy)
+    model = NoiseModel.device_rates(idle_policy=policy)
+    prog = noise._Program(code, edited, "Z", model)
     assert len(prog.slot_kind) > 0
     # the walk swaps X and Z at an H, not at an I; the last ancilla H has
     # faults before it
     edited = _h_to_i(circ, *ancilla_h[-1])
-    prog = noise._Program(code, edited, "Z", idle_policy=policy)
-    model = NoiseModel.device_rates(idle_policy=policy)
-    rows = noise._fault_table(prog, noise._variants(prog, model), _identity_map(prog))
+    prog = noise._Program(code, edited, "Z", model)
+    rows = noise._fault_table(prog, prog.variants, _identity_map(prog))
     variants = noise.enumerate_fault_variants(edited, model, code=code)
     expected = _forward_raw_outputs(code, edited, variants)
     assert np.array_equal(gf2.unpack_rows(rows, prog.raw_bits), expected)
@@ -527,14 +516,14 @@ def test_sampled_series_within_four_sigma_of_exact(cid, basis):
 
 
 def test_sampling_follows_the_rng_contract():
-    """Shot i depends only on (master seed, i): not on the batch size, and
-    sample_shot with derive_shot_seed(seed, i) reproduces it."""
+    """Shot i depends only on (master seed, i): not on the batch size nor
+    on how many shots follow it, and its key is derive_shot_seed(seed, i)."""
     code = build_named_code("18-6-3")
     circ = build_syndrome_circuit(code, 3, basis="X")
     model = NoiseModel.device_rates(suppression=3.0)
 
-    def run(**kw):
-        return noise.run_monte_carlo(circ, model, 50, "X", code=code, master_seed=9, **kw)
+    def run(shots=50, **kw):
+        return noise.run_monte_carlo(circ, model, shots, "X", code=code, master_seed=9, **kw)
 
     batch = run()
     assert batch.detections.sum() == 726
@@ -543,13 +532,11 @@ def test_sampling_follows_the_rng_contract():
         other = run(batch_size=size)
         for f in fields:
             assert np.array_equal(getattr(other, f), getattr(batch, f)), (size, f)
+    prefix = run(18)
+    for f in fields:
+        assert np.array_equal(getattr(prefix, f), getattr(batch, f)[:18]), f
     for i in (0, 17, 49):
-        shot = noise.sample_shot(
-            circ, model, noise.derive_shot_seed(9, i), code=code, basis="X"
-        )
-        expected = batch.record(i)
-        for f in fields:
-            assert np.array_equal(getattr(shot, f), getattr(expected, f)), (i, f)
+        assert noise.derive_shot_seed(9, i) == int(noise._derive_keys(9, i, 1)[0])
 
 
 HEAVY = NoiseModel.device_rates(suppression=20.0)
@@ -679,8 +666,8 @@ def test_wide_code_sampling_matches_the_reference(basis):
         circ, NOISE, shots, basis, code=code, logicals=logicals, master_seed=seed,
         batch_size=128,
     )
-    prog = noise._Program(code, circ, basis, logicals)
-    var = noise._variants(prog, NOISE)
+    prog = noise._Program(code, circ, basis, NOISE, logicals)
+    var = prog.variants
     rows = noise._fault_table(prog, var, _identity_map(prog))
     first = np.searchsorted(var.slot, np.arange(len(prog.slot_kind)))
     keys = np.array([noise.derive_shot_seed(seed, i) for i in range(shots)], dtype=np.uint64)
@@ -710,7 +697,6 @@ def test_sampler_entry_points_take_only_integers(value):
         ("master_seed", lambda v: noise.run_monte_carlo(circ, NOISE, 4, code=code, master_seed=v)),
         ("master_seed", lambda v: noise.derive_shot_seed(v, 3)),
         ("shot_index", lambda v: noise.derive_shot_seed(1, v)),
-        ("rng_seed", lambda v: noise.sample_shot(circ, NOISE, v, code=code)),
     ]
     for name, call in calls:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
@@ -746,31 +732,28 @@ def test_sampler_entry_points_take_numpy_integers():
     )
     for field in ("detections", "final_syndrome", "logical_flips"):
         assert np.array_equal(getattr(same, field), getattr(batch, field))
-    seed = noise.derive_shot_seed(np.int64(5), np.uint8(3))
-    assert seed == noise.derive_shot_seed(5, 3)
-    shot = noise.sample_shot(circ, NOISE, np.uint64(seed), code=code)
-    assert np.array_equal(shot.detections, batch.record(3).detections)
+    assert noise.derive_shot_seed(np.int64(5), np.uint8(3)) == noise.derive_shot_seed(5, 3)
 
 
 def test_rate_one_flips_every_slot():
     code = build_named_code("18-6-3")
     circ = build_syndrome_circuit(code, 3)
-    prog = noise._Program(code, circ)
     shots = 64
     keys = noise._derive_keys(3, 0, shots)
-    tc = prog.t * prog.check_count
-    for model, flipped in ((NoiseModel(p_m=1.0), tc), (NoiseModel(p_m=1.0, p_f=1.0), prog.raw_bits)):
+    for model in (NoiseModel(p_m=1.0), NoiseModel(p_m=1.0, p_f=1.0)):
+        prog = noise._Program(code, circ, "Z", model)
+        flipped = prog.raw_bits if model.p_f else prog.t * prog.check_count
         # the variants are the measured slots, and every shot fires each once
-        var = noise._variants(prog, model)
+        var = prog.variants
         assert sorted(var.flip.tolist()) == list(range(flipped))
         fired = np.zeros((shots, len(var.slot)), dtype=int)
-        for shot, v in noise._fired(prog, var.slot, model, keys):
+        for shot, v in noise._fired(prog, keys):
             fired[shot, v] += 1
         assert (fired == 1).all()
         # so every shot flips the first ``flipped`` raw outputs and no other
         raw = np.zeros((shots, prog.raw_bits), dtype=np.uint8)
         raw[:, :flipped] = 1
-        assert np.array_equal(noise._sampler(prog, model)(keys), _detector_form(prog, raw))
+        assert np.array_equal(noise._sampler(prog)(keys), _detector_form(prog, raw))
 
 
 @pytest.mark.parametrize(
@@ -779,9 +762,8 @@ def test_rate_one_flips_every_slot():
         lambda c, code: noise.run_monte_carlo(c, NOISE, 8, "X", code=code),
         lambda c, code: noise.build_dem(c, NOISE, "X", code=code),
         lambda c, code: noise.expected_detection_series(c, NOISE, code=code, basis="X"),
-        lambda c, code: noise.sample_shot(c, NOISE, 0, code=code, basis="X"),
     ],
-    ids=["run_monte_carlo", "build_dem", "expected_detection_series", "sample_shot"],
+    ids=["run_monte_carlo", "build_dem", "expected_detection_series"],
 )
 def test_a_circuit_of_the_other_basis_is_rejected(call):
     code = build_named_code("18-4-4-pruned")
@@ -977,13 +959,15 @@ def test_dem_reports_the_first_fault(lines, message):
 @pytest.mark.parametrize(
     "line",
     ["'0.5' 0 |", "None 0 |", "0.5 '3' |", "(0.1,0.2) 0 |", "[0.1] 0 |", "1+0j 0 |",
-     "0.5+0j 0 |"],
+     "0.5+0j 0 |", "0.5 +1 2 |", "0.5 -0 |", "0.5 1_0 |"],
     ids=["string-prior", "none-prior", "string-index", "tuple-prior", "list-prior",
-         "complex-prior", "complex-prior-in-range"],
+         "complex-prior", "complex-prior-in-range", "signed-index", "negative-zero-index",
+         "underscored-index"],
 )
 def test_dem_does_not_accept_columns_of_non_numbers(line):
+    # int() reads "+1", "-0" and "1_0"; an index must be a decimal token
     with pytest.raises(ValueError, match="^line 3: "):
-        noise.parse_dem(_dem_text("0.1 1 |", line))
+        noise.parse_dem(_dem_text("0.1 1 |", line, detectors=16))
 
 
 @pytest.mark.parametrize(
@@ -1065,8 +1049,8 @@ def test_dem_columns_match_a_dict_merge_of_the_table(basis, model):
     code = build_named_code("18-4-4-pruned")
     logicals = logical_operator_set_for(code)
     circ = build_syndrome_circuit(code, 2, basis=basis)
-    prog = noise._Program(code, circ, basis, logicals, model.idle_policy)
-    var = noise._variants(prog, model)
+    prog = noise._Program(code, circ, basis, model, logicals)
+    var = prog.variants
     D, K = prog.detector_count, prog.logical_mat.shape[0]
     bits = gf2.unpack_rows(noise._fault_table(prog, var, noise._signature_map(prog)), D + K)
     # signature -> {slot: prior summed in variant order}; dicts keep first
@@ -1107,8 +1091,7 @@ def test_dem_priors_stay_below_a_half_when_every_slot_does():
     code = build_named_code("18-4-4-pruned")
     circ = build_syndrome_circuit(code, 3)
     model = NoiseModel.device_rates(suppression=10)
-    prog = noise._Program(code, circ, "Z", idle_policy=model.idle_policy)
-    var = noise._variants(prog, model)
+    var = noise._Program(code, circ, "Z", model).variants
     assert np.bincount(var.slot, weights=var.probability).max() < 0.5
     dem = noise.build_dem(circ, model, code=code)
     assert max(col.probability for col in dem.columns) < 0.5
@@ -1214,8 +1197,9 @@ def test_detector_matrix_is_cycle_major_then_final():
 
 @pytest.mark.parametrize("basis", ["Z", "X"])
 def test_detector_matrix_rows_of_single_faults_are_dem_columns(basis):
-    """A forced fault's detector-matrix row and logical flips are the
-    signature of a DEM column: the two index detectors alike."""
+    """A single fault's detector-matrix row (its row of the sampler's
+    table) and logical flips are the signature of a DEM column: the two
+    index detectors alike."""
     code = build_named_code("18-4-4-pruned")
     logicals = logical_operator_set_for(code)
     circ = build_syndrome_circuit(code, 3, basis=basis)
@@ -1223,15 +1207,10 @@ def test_detector_matrix_rows_of_single_faults_are_dem_columns(basis):
     signatures = {(col.detectors, col.logicals) for col in dem.columns}
     variants = noise.enumerate_fault_variants(circ, NOISE, code=code)
     picked = np.random.default_rng(6).choice(len(variants), 60, replace=False)
-    records = [
-        noise.sample_shot(circ, NOISE, 0, code=code, basis=basis, logicals=logicals,
-                          forced_fault=variants[i])
-        for i in picked
-    ]
+    det, final, flips = _table_outputs(code, circ, basis, logicals, picked)
     batch = replace(
         noise.run_monte_carlo(circ, NOISE, 1, basis, code=code, logicals=logicals),
-        **{f: np.stack([getattr(r, f) for r in records])
-           for f in ("detections", "final_syndrome", "logical_flips")},
+        detections=det, final_syndrome=final, logical_flips=flips,
     )
     seen = 0
     for row, flips in zip(batch.detector_matrix(), batch.logical_flips):
