@@ -10,11 +10,11 @@ Faults live in arrays. ``_Program``, the compiled noise program of one
 ``circuit.gate_table``, the one array form of a circuit, checked there
 against the code and basis; it adds an idle mask, a row per fault slot,
 the raw output that each measurement or readout gate records, the
-model's channels and the variant table (``_variants``, the slots
-expanded by their channel's patterns). Each public entry point builds
-one. ``_output_map`` states, by scatter, what each raw output (a check
-measurement or a data readout) flips: every check's detections, the
-final comparisons and the logicals.
+model's channels and, on first use, the variant table (``_variants``,
+the slots expanded by their channel's patterns). Each public entry
+point builds one. ``_output_map`` states, by scatter, what each raw
+output (a check measurement or a data readout) flips: every check's
+detections, the final comparisons and the logicals.
 ``_fault_table`` gives any set of variants their outputs in that form
 without simulating any of them. One walk over the layers, last to
 first, carries for each qubit the outputs that an X or a Z injected
@@ -27,8 +27,12 @@ and both combine the priors of independent slots by one rule
 number of its slots fire.
 The sampler replays it, each shot the XOR of the rows of the variants
 that its draws pick, and unpacks a batch straight into the ``ShotBatch``
-arrays. ``FaultVariant`` records are made from whole columns of the
-variant table.
+arrays; it keeps the packed rows and each slot's first variant, not the
+variant table. The walk and the sampler gather rows with the method
+``ndarray.take(..., axis=0)`` (``np.take``'s wrapper costs as much as a
+small gather) and scatter them as ``_cells``, one fixed-width
+``np.void`` cell per row. ``FaultVariant`` records are made from whole
+columns of the variant table.
 A ``DetectorErrorModel`` is two arrays, float64 priors and the table's
 packed rows as signatures; its constructor checks the array rules, and
 ``parse_dem``, the one reader of DEM text, the tokens and indices.
@@ -57,10 +61,11 @@ u in (0, 1], the shot skips the #{g in 1..m : S_g >= u} slots that stay
 quiet and fires the next one, and once past the last slot it stops. A
 fired slot takes the draw of stream (i, 2r + 2) to pick its fault, each
 in proportion to its probability. The survival table S_g = (1 - P)^g is
-a sequential product (``np.cumprod``). The draws of a block of rounds
-are made at once for all live shots (``_Channel.fires``): a logarithm
-guesses each gap and the table settles it, so the draws are the same
-bits on every platform.
+a sequential product (``np.cumprod``). The draws of a block of rounds,
+at most ``_DRAW_BLOCK`` = 2**13 (round, live shot) entries, are made at
+once for all live shots (``_Channel.fires``): a logarithm guesses each
+gap and the table settles it, so the draws are the same bits on every
+platform, and at any block size.
 """
 
 from __future__ import annotations
@@ -109,9 +114,12 @@ def _mix64(v: np.ndarray | np.uint64) -> np.ndarray:
 
 
 def derive_shot_seed(master_seed: int, shot_index: int) -> int:
-    """The per-shot seed used by run_monte_carlo for one shot index."""
+    """run_monte_carlo's per-shot seed of a shot index in [0, 2**63)."""
     master_seed = _as_int("master_seed", master_seed)
-    return int(_derive_keys(master_seed, _as_int("shot_index", shot_index), 1)[0])
+    shot_index = _as_int("shot_index", shot_index)
+    if not 0 <= shot_index < 2**63:
+        raise ValueError(f"shot_index={shot_index} is not in [0, 2**63)")
+    return int(_derive_keys(master_seed, shot_index, 1)[0])
 
 
 def _derive_keys(master_seed: int, start: int, count: int) -> np.ndarray:
@@ -239,7 +247,7 @@ class _Program:
     mask read row-major, candidates minus the qubits an ``H`` or ``CZ``
     leg makes busy. One stable sort puts each layer's gate slots before
     its idle slots. ``channels[i]`` is the noise model's ``_Channel`` of
-    slot kind i, and ``variants`` the variant table, built once here.
+    slot kind i, and ``variants`` the variant table, built on first use.
     """
 
     def __init__(
@@ -313,7 +321,11 @@ class _Program:
         self.slot_layer, self.slot_kind, self.slot_flip = rows[0], rows[1], rows[4]
         self.slot_legs = rows[2:4]
         self.channels = [_channel(kind, noise) for kind in _SLOT_KINDS]
-        self.variants = _variants(self)
+
+    @cached_property
+    def variants(self) -> "_Variants":
+        """The variant table, ``_variants(self)``; the sampler's is its own."""
+        return _variants(self)
 
     @cached_property
     def logical_mat(self) -> np.ndarray:
@@ -356,8 +368,9 @@ class _Pattern(NamedTuple):
     flip: bool = False
 
 
-# the most (live shot x round) entries that one block of skip draws holds
-_DRAW_BLOCK = 2**12
+# the most (live shot x round) entries that one block of skip draws holds;
+# a block keeps about four arrays of this size live at once
+_DRAW_BLOCK = 2**13
 
 
 class _Channel(NamedTuple):
@@ -379,8 +392,10 @@ class _Channel(NamedTuple):
         docstring): (shot, slot, pattern) index arrays per round, whose
         shots are distinct, as a round fires at most one slot per shot.
 
-        A block of rounds, at most ``_DRAW_BLOCK`` (round, live shot)
-        entries, is drawn at once. Each gap is guessed as
+        A block of rounds, at most ``_DRAW_BLOCK`` = 2**13 (round, live
+        shot) entries and m P + 1 rounds, is drawn at once; the draws are
+        counter-based, so the block sets the numpy calls per round (about
+        90 a block), never a bit. Each gap is guessed as
         floor(log u / log(1 - P)) and settled against the survival table
         (``_count_below``), so it is the table's #{g : S_g >= u} whatever
         the logarithm returns. The fired entries draw their picks at once.
@@ -518,7 +533,7 @@ def _variants(prog: _Program) -> _Variants:
     return _Variants(
         slot,
         prog.slot_layer[slot],
-        padded[legs[:, kp] * len(count) + slot],
+        padded[legs.take(kp, axis=1) * len(count) + slot],
         np.where(flips[kp], prog.slot_flip[slot], prog.raw_bits).astype(np.int32),
         prob[kp],
     )
@@ -633,6 +648,12 @@ def _signature_map(prog: _Program) -> np.ndarray:
     return gf2.pack_rows(out[:, np.concatenate([body, np.arange(tc, out.shape[1])])])
 
 
+def _cells(rows: np.ndarray) -> np.ndarray:
+    """C-contiguous 2-D ``rows`` as a 1-D view, one fixed-width ``np.void``
+    cell per row, so a fancy assignment copies whole rows, not words."""
+    return rows.view(np.dtype((np.void, rows.strides[0]))).reshape(-1)
+
+
 def _fault_table(prog: _Program, var: _Variants, out_map: np.ndarray) -> np.ndarray:
     """Row v packs the outputs (in the basis of ``out_map``) that variant
     v of ``var`` flips on its own.
@@ -644,9 +665,10 @@ def _fault_table(prog: _Program, var: _Variants, out_map: np.ndarray) -> np.ndar
     variant's row is its flip row XOR, at its layer, the rows of its two
     X and two Z qubits. ``var`` runs in layer order, so that is one
     gather per layer; the walk stops at the lowest layer with a variant.
+    Rows are gathered with ``take`` and written back as ``_cells``.
     """
     table, nq = prog.table, prog.circuit.qubit_count
-    rows = out_map[var.flip]
+    rows = out_map.take(var.flip, axis=0)
     kinds, start = table.kind.tolist(), table.start.tolist()
     a_leg, b_leg = table.legs
     # the qubit an H swaps X and Z on; any other gate swaps the zero row
@@ -654,28 +676,30 @@ def _fault_table(prog: _Program, var: _Variants, out_map: np.ndarray) -> np.ndar
     bounds = np.searchsorted(var.layer, np.arange(len(kinds) + 1))
     sx = np.zeros((nq + 1, out_map.shape[1]), out_map.dtype)
     sz = np.zeros_like(sx)
+    cx, cz = _cells(sx), _cells(sz)
     for li in range(len(kinds) - 1, -1, -1):
         lo, hi = bounds[li], bounds[li + 1]
         if lo < hi:
             x0, x1, z0, z1 = var.qubits[:, lo:hi]
-            rows[lo:hi] ^= sx[x0] ^ sx[x1] ^ sz[z0] ^ sz[z1]
+            rows[lo:hi] ^= (sx.take(x0, axis=0) ^ sx.take(x1, axis=0)
+                            ^ sz.take(z0, axis=0) ^ sz.take(z1, axis=0))
         if lo == 0:
             break
         gates = slice(start[li], start[li + 1])
         kind = kinds[li]
         if kind == SINGLE_QUBIT:
             qs = h_leg[gates]
-            sx[qs], sz[qs] = sz[qs], sx[qs]
+            cx[qs], cz[qs] = cz[qs], cx[qs]
         elif kind == CZ:
             # X_a before the gate is X_a Z_b after it; Z passes through
             a, b = a_leg[gates], b_leg[gates]
-            sx[a] ^= sz[b]
-            sx[b] ^= sz[a]
+            cx[a] = _cells(sx.take(a, axis=0) ^ sz.take(b, axis=0))
+            cx[b] = _cells(sx.take(b, axis=0) ^ sz.take(a, axis=0))
         elif kind in (MEASURE_CHECKS, READOUT_DATA):
             # the outcome reads X on the qubit, which persists; Z before a
             # Z measurement is lost
             a = a_leg[gates]
-            sx[a] ^= out_map[prog.gate_flip[gates]]
+            cx[a] = _cells(sx.take(a, axis=0) ^ out_map.take(prog.gate_flip[gates], axis=0))
             sz[a] = 0
         # DD_IDLE applies no gate
     return rows
@@ -685,11 +709,10 @@ def _fault_table(prog: _Program, var: _Variants, out_map: np.ndarray) -> np.ndar
 # sampler
 
 
-def _fired(prog: _Program, keys: np.ndarray):
+def _fired(prog: _Program, first: np.ndarray, keys: np.ndarray):
     """Yields (shot, variant) index arrays of the variants that the draws
     of each slot kind (``_Channel.fires``) fire for the shot keys, one
-    pair per round."""
-    first = np.searchsorted(prog.variants.slot, np.arange(len(prog.slot_kind)))  # per slot
+    pair per round; ``first[s]`` is slot s's first variant."""
     for channel in prog.channels:
         base = first[prog.slot_kind == channel.stream]  # the kind's slots, counter order
         if channel.patterns and len(base):
@@ -700,16 +723,22 @@ def _fired(prog: _Program, keys: np.ndarray):
 def _sampler(prog: _Program):
     """A function from shot keys (one uint64 each) to the shots' outputs,
     rows of 0/1 bytes in the columns of ``_output_map``: each shot is the
-    XOR of the table rows of the variants that its draws fire."""
+    XOR of the table rows of the variants that its draws fire, gathered
+    with ``take`` and scattered as ``_cells``. It keeps only the rows,
+    each slot's first variant and the program, whose ``variants`` it
+    leaves unbuilt."""
     out_map = _output_map(prog)
     # the packed map replaces the bytes before the walk, which sets the peak
     width, out_map = out_map.shape[1], gf2.pack_rows(out_map)
-    rows = _fault_table(prog, prog.variants, out_map)
+    var = _variants(prog)
+    rows = _fault_table(prog, var, out_map)
+    first = np.searchsorted(var.slot, np.arange(len(prog.slot_kind)))
 
     def sample(keys: np.ndarray) -> np.ndarray:
         acc = np.zeros((len(keys), rows.shape[1]), dtype=rows.dtype)
-        for shot, v in _fired(prog, keys):
-            acc[shot] ^= rows[v]
+        cells = _cells(acc)
+        for shot, v in _fired(prog, first, keys):
+            cells[shot] = _cells(acc.take(shot, axis=0) ^ rows.take(v, axis=0))
         return gf2.unpack_rows(acc, width)
 
     return sample

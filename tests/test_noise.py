@@ -703,6 +703,17 @@ def test_sampler_entry_points_take_only_integers(value):
             call(value)
 
 
+@pytest.mark.parametrize("index", [-1, -2, 2**63, 2**64 - 1, np.int64(-1)])
+def test_shot_seed_needs_an_index_in_range(index):
+    with pytest.raises(ValueError, match=rf"shot_index={int(index)} is not in \[0, 2\*\*63\)"):
+        noise.derive_shot_seed(7, index)
+
+
+def test_shot_seeds_in_range_keep_their_keys():
+    assert noise.derive_shot_seed(7, 0) == 7191089600892374487
+    assert noise.derive_shot_seed(7, 2**63 - 1) == 17269066681482095964
+
+
 @pytest.mark.parametrize(
     "field,value",
     [("p_h", "0.1"), ("p_h", None), ("suppression", None), ("p_cz", 1 + 0j), ("p_h", [0.1]),
@@ -747,13 +758,58 @@ def test_rate_one_flips_every_slot():
         var = prog.variants
         assert sorted(var.flip.tolist()) == list(range(flipped))
         fired = np.zeros((shots, len(var.slot)), dtype=int)
-        for shot, v in noise._fired(prog, keys):
+        first = np.searchsorted(var.slot, np.arange(len(prog.slot_kind)))
+        for shot, v in noise._fired(prog, first, keys):
             fired[shot, v] += 1
         assert (fired == 1).all()
         # so every shot flips the first ``flipped`` raw outputs and no other
         raw = np.zeros((shots, prog.raw_bits), dtype=np.uint8)
         raw[:, :flipped] = 1
         assert np.array_equal(noise._sampler(prog)(keys), _detector_form(prog, raw))
+
+
+def test_the_draw_block_sets_no_output(monkeypatch):
+    """``_DRAW_BLOCK`` bounds how many skip draws are made at once, not
+    which: every block size gives the same bits."""
+    code = build_named_code("18-6-3")
+    for basis in ("Z", "X"):
+        circ = build_syndrome_circuit(code, 3, basis=basis)
+        batches = []
+        for block in (2**4, 2**12, 2**16):
+            monkeypatch.setattr(noise, "_DRAW_BLOCK", block)
+            for size in (9, 40):
+                batches.append(noise.run_monte_carlo(
+                    circ, NOISE, 40, basis, code=code, master_seed=13, batch_size=size
+                ))
+        assert batches[0].detections.any()
+        for batch in batches[1:]:
+            for f in ("detections", "final_syndrome", "logical_flips"):
+                assert np.array_equal(getattr(batch, f), getattr(batches[0], f)), (basis, f)
+
+
+def test_the_sampler_keeps_no_variant_table():
+    code = build_named_code("18-6-3")
+    circ = build_syndrome_circuit(code, 2)
+    prog = noise._Program(code, circ, "Z", NOISE)
+    sample = noise._sampler(prog)
+    held = dict(zip(sample.__code__.co_freevars, (c.cell_contents for c in sample.__closure__)))
+    # everything the closure reaches through containers and programs
+    todo, seen = list(held.values()), set()
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, noise._Variants)
+        if isinstance(obj, noise._Program):
+            todo += vars(obj).values()
+        elif isinstance(obj, (list, tuple)):
+            todo += obj
+        elif isinstance(obj, dict):
+            todo += obj.values()
+    assert any(obj is prog for obj in held.values())
+    first = np.searchsorted(prog.variants.slot, np.arange(len(prog.slot_kind)))
+    assert np.array_equal(held["first"], first)
 
 
 @pytest.mark.parametrize(
