@@ -539,14 +539,14 @@ _DEFAULT_LOGICALS = {
         ),
     ),
 }
+_DEFAULT_LOGICALS["18-4-4-pruned"] = _DEFAULT_LOGICALS["18-4-4"]  # the same data qubits
 
 
 def default_logicals(code_id: str) -> LogicalOperatorSet:
     """The selected logical operator sets for the two experiment codes."""
-    key = "18-4-4" if code_id == "18-4-4-pruned" else code_id
-    if key not in _DEFAULT_LOGICALS:
+    if code_id not in _DEFAULT_LOGICALS:
         raise KeyError(f"no default logicals for code id {code_id!r}")
-    return _DEFAULT_LOGICALS[key]
+    return _DEFAULT_LOGICALS[code_id]
 
 
 @dataclass
@@ -665,9 +665,8 @@ def compute_logicals(code: CssCode) -> LogicalOperatorSet:
 
 def logical_operator_set_for(code: CssCode) -> LogicalOperatorSet:
     """Default logicals for the experiment codes, computed ones otherwise."""
-    key = "18-4-4" if code.name == "18-4-4-pruned" else code.name
-    if key in _DEFAULT_LOGICALS:
-        return _DEFAULT_LOGICALS[key]
+    if code.name in _DEFAULT_LOGICALS:
+        return _DEFAULT_LOGICALS[code.name]
     return compute_logicals(code)
 
 

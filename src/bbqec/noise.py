@@ -9,30 +9,32 @@ Faults live in arrays. ``_Program``, the compiled noise program of one
 (code, circuit, noise model, basis), reads the circuit through
 ``circuit.gate_table``, the one array form of a circuit, checked there
 against the code and basis; it adds an idle mask, a row per fault slot,
-the raw output that each measurement or readout gate records, the
-model's channels and, on first use, the variant table (``_variants``,
-the slots expanded by their channel's patterns). Each public entry
-point builds one. ``_output_map`` states, by scatter, what each raw
-output (a check measurement or a data readout) flips: every check's
-detections, the final comparisons and the logicals.
+the raw output that each measurement or readout gate records and the
+model's channels. Each public entry point builds one, and
+``_variants(prog)`` expands its slots by their channel's patterns.
+``_output_map`` states, by scatter, what each raw output (a check
+measurement or a data readout) flips, in one bit order: the DEM's
+detectors, the logicals, then the other checks' detections.
 ``_fault_table`` gives any set of variants their outputs in that form
 without simulating any of them. One walk over the layers, last to
 first, carries for each qubit the outputs that an X or a Z injected
 there would flip (the reverse pass of Stim's error analyser, Gidney
 2021, Quantum 5, 497), and one gather per layer XORs them into the rows
-of that layer's variants. ``build_dem`` and ``expected_detection_series``
-reduce the full table on the memory-basis columns (``_signature_map``),
-and both combine the priors of independent slots by one rule
-(``_odd_probability``): a DEM column or a detector flips when an odd
-number of its slots fire.
-The sampler replays it, each shot the XOR of the rows of the variants
-that its draws pick, and unpacks a batch straight into the ``ShotBatch``
-arrays; it keeps the packed rows and each slot's first variant, not the
-variant table. The walk and the sampler gather rows with the method
-``ndarray.take(..., axis=0)`` (``np.take``'s wrapper costs as much as a
-small gather) and scatter them as ``_cells``, one fixed-width
-``np.void`` cell per row. ``FaultVariant`` records are made from whole
-columns of the variant table.
+of that layer's variants. ``_fault_rows``, the one producer of table
+rows, walks the map's leading bits that its caller reads: ``build_dem``
+the detectors and logicals, ``expected_detection_series`` the detectors
+and the sampler all. The DEM and the series combine the priors of
+independent slots by one rule (``_odd_probability``): a DEM column or a
+detector flips when an odd number of its slots fire. The sampler
+replays the table, each shot the XOR of the rows of the variants that
+its draws pick, and keeps the packed rows and each slot's first
+variant; ``run_monte_carlo`` cuts its bits into the ``ShotBatch``
+arrays by slices, as the memory-basis checks are one run of columns.
+The walk and the sampler gather rows with ``ndarray.take(..., axis=0)``
+(``np.take``'s wrapper costs as much as a small gather) and scatter
+them as ``_cells``, one fixed-width ``np.void`` cell per row.
+``FaultVariant`` records are made from whole columns of the variant
+table.
 A ``DetectorErrorModel`` is two arrays, float64 priors and the table's
 packed rows as signatures; its constructor checks the array rules, and
 ``parse_dem``, the one reader of DEM text, the tokens and indices.
@@ -70,6 +72,7 @@ platform, and at any block size.
 
 from __future__ import annotations
 
+import gc
 import numbers
 from dataclasses import astuple, dataclass, replace
 from functools import cached_property
@@ -235,7 +238,7 @@ _GATE_SLOT = np.array([{"H": _H, "I": -1, "CZ": _CZ, "DD": _DD, "M": _MEASURE, "
 
 
 class _Program:
-    """Compiled noise program: gate table, fault slots, variants, detector layout.
+    """Compiled noise program: gate table, fault slots, channels, detector layout.
 
     ``table`` is the circuit's ``GateTable``; ``gate_flip[g]`` is the raw
     output that gate g records, else ``raw_bits``. Fault slots are int32
@@ -247,30 +250,22 @@ class _Program:
     mask read row-major, candidates minus the qubits an ``H`` or ``CZ``
     leg makes busy. One stable sort puts each layer's gate slots before
     its idle slots. ``channels[i]`` is the noise model's ``_Channel`` of
-    slot kind i, and ``variants`` the variant table, built on first use.
+    slot kind i. Check columns hold the X checks, then the Z checks, so
+    the memory-basis checks are the columns ``aligned`` = [lo, hi).
     """
 
-    def __init__(
-        self,
-        code: CssCode,
-        circuit: Circuit,
-        basis: str,
-        noise: NoiseModel,
-        logicals: LogicalOperatorSet | None = None,
-    ):
+    def __init__(self, code: CssCode, circuit: Circuit, basis: str, noise: NoiseModel,
+                 logicals: LogicalOperatorSet | None = None):
         self.table = table = gate_table(circuit, code, basis)
-        self.code = code
-        self.circuit = circuit
-        self.basis = basis
-        self.n = code.n
-        self.t = circuit.cycles
+        self.code, self.circuit, self.basis = code, circuit, basis
+        self.n, self.t = code.n, circuit.cycles
 
         checks = [("X", r) for r in code.retained_x] + [("Z", r) for r in code.retained_z]
         self.check_labels = tuple(f"{k}{r}" for k, r in checks)
         self.check_count = len(checks)
-        x_cols = np.arange(len(code.retained_x))
-        z_cols = np.arange(len(code.retained_x), self.check_count)
-        self.aligned_cols = z_cols if basis == "Z" else x_cols
+        nx = len(code.retained_x)
+        self.aligned = (nx, self.check_count) if basis == "Z" else (0, nx)
+        self.aligned_cols = np.arange(*self.aligned)
         self.support = (code.retained_h_z() if basis == "Z" else code.retained_h_x()).bits
         self._logicals = logicals
 
@@ -323,25 +318,32 @@ class _Program:
         self.channels = [_channel(kind, noise) for kind in _SLOT_KINDS]
 
     @cached_property
-    def variants(self) -> "_Variants":
-        """The variant table, ``_variants(self)``; the sampler's is its own."""
-        return _variants(self)
-
-    @cached_property
     def logical_mat(self) -> np.ndarray:
-        """Memory-basis logical operators, one row each. Resolved on first
-        use: enumerating faults needs none, and ``compute_logicals`` can
-        be costly when the code ships no default set."""
+        """Memory-basis logical operators, one row each, resolved on first
+        use (enumerating faults needs none; ``compute_logicals`` can be
+        costly). ValueError unless they act on the code's n qubits and each
+        has even overlap with every retained check of the other type."""
         logicals = self._logicals
         if logicals is None:
             logicals = logical_operator_set_for(self.code)
-        return (
-            logicals.z_matrix() if self.basis == "Z" else logicals.x_matrix()
-        ).bits.astype(np.uint8)
+        if logicals.n != self.n:
+            raise ValueError(f"logicals act on {logicals.n} qubits, the code on {self.n}")
+        Z = self.basis == "Z"
+        mat = (logicals.z_matrix() if Z else logicals.x_matrix()).bits.astype(np.uint8)
+        other = (self.code.retained_h_x() if Z else self.code.retained_h_z()).bits
+        odd = np.argwhere(mat.astype(np.int64) @ other.T % 2)
+        if len(odd):
+            (i, j), labels = odd[0], [lab for lab in self.check_labels if lab[0] != self.basis]
+            raise ValueError(f"{self.basis} logical {i} has odd overlap with check {labels[j]}")
+        return mat
 
     @property
     def detector_count(self) -> int:
         return (self.t + 1) * len(self.aligned_cols)
+
+    @property
+    def output_bits(self) -> int:  # the width of ``_output_map``
+        return self.t * self.check_count + len(self.aligned_cols) + len(self.logical_mat)
 
     # Raw outputs are the recorded outcomes that faults flip: check
     # measurement (c, j) is bit c * checks + j, data readout q is bit
@@ -555,10 +557,10 @@ def enumerate_fault_variants(
     Each field is built as one column over the whole variant table, with
     one object per distinct value (an int, a kind string, a prior, a
     qubit tuple or a flipped output), and the records are zipped from
-    the columns.
+    the columns; cyclic GC is paused for both, as its passes find no cycle.
     """
     prog = _Program(code, circuit, circuit.basis or "Z", noise)
-    var = prog.variants
+    var = _variants(prog)
     checks, tc, raw = prog.check_count, prog.t * prog.check_count, prog.raw_bits
     nq = circuit.qubit_count
 
@@ -566,19 +568,25 @@ def enumerate_fault_variants(
         return tuple(q for q in divmod(k, nq + 1) if q < nq)
 
     pair = var.qubits.astype(np.int64)
-    columns = (
-        _shared(var.slot, int),
-        _shared(var.layer, int),
-        _shared(prog.slot_kind[var.slot], _SLOT_KINDS.__getitem__),
-        _shared(var.probability, float),
-        _shared(pair[0] * (nq + 1) + pair[1], legs),
-        _shared(pair[2] * (nq + 1) + pair[3], legs),
-        _shared(var.flip, lambda f: divmod(f, checks) if f < tc else None),
-        _shared(var.flip, lambda f: f - tc if tc <= f < raw else None),
-    )
-    # tuple.__new__ fills each record from its zipped row in C, without
-    # the Python frame of FaultVariant.__new__; a row has every field
-    return tuple(map(tuple.__new__, repeat(FaultVariant), zip(*columns)))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        columns = (
+            _shared(var.slot, int),
+            _shared(var.layer, int),
+            _shared(prog.slot_kind[var.slot], _SLOT_KINDS.__getitem__),
+            _shared(var.probability, float),
+            _shared(pair[0] * (nq + 1) + pair[1], legs),
+            _shared(pair[2] * (nq + 1) + pair[3], legs),
+            _shared(var.flip, lambda f: divmod(f, checks) if f < tc else None),
+            _shared(var.flip, lambda f: f - tc if tc <= f < raw else None),
+        )
+        # tuple.__new__ fills each record from its zipped row in C, without
+        # the Python frame of FaultVariant.__new__; a row has every field
+        return tuple(map(tuple.__new__, repeat(FaultVariant), zip(*columns)))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -605,47 +613,39 @@ def _set_bits(rows: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _output_map(prog: _Program) -> np.ndarray:
-    """Row r: what raw output r alone flips, as 0/1 bytes, in three blocks:
-    every check's detections (t x checks, cycle-major), the memory-basis
-    checks' final comparisons and the memory-basis logicals. The last row
-    is zero, for variants that flip no output. The detectors are the
-    paper's: z_1 = m_1, z_2 = m_2, z_j = m_j xor m_(j-2), and, against the
-    readout-derived stabilizer values y_F, z_F = y_F xor m_t xor m_(t-1)
-    (no m_(t-1) at t = 1). All are linear over GF(2), so a fault's outputs
+    """Row r: what raw output r alone flips, packed by ``gf2.pack_rows``,
+    in the detector order of the DEM and ``ShotBatch.detector_matrix``.
+    With A memory-basis and O other checks, D = (t + 1) A and K logicals:
+
+    - bits [0, D), the DEM's detectors: the memory-basis checks'
+      detections cycle-major (c A + a: cycle c + 1, check a), then their
+      final comparisons (t A + a);
+    - bits [D, D + K): the memory-basis logicals;
+    - the rest: the other checks' detections, cycle-major (c O + o).
+
+    The last row is zero, for variants that flip no output. The detectors
+    are the paper's, z_1 = m_1, z_2 = m_2, z_j = m_j xor m_(j-2) and, with
+    the readout-derived stabilizer values y_F, z_F = y_F xor m_t xor
+    m_(t-1) (no m_(t-1) at t = 1); linear over GF(2), so a fault's outputs
     are the XOR of the rows of the raw outputs that it flips.
     """
-    t, checks, aligned = prog.t, prog.check_count, prog.aligned_cols
-    tc, final = t * checks, len(aligned)
-    logical = prog.logical_mat
-    out = np.zeros((prog.raw_bits + 1, tc + final + len(logical)), dtype=np.uint8)
-    dm = np.arange(tc)
-    out[dm, dm] = 1
-    out[dm[2 * checks :] - 2 * checks, dm[2 * checks :]] = 1
+    t, checks, (lo, hi) = prog.t, prog.check_count, prog.aligned
+    A, D, logical = hi - lo, prog.detector_count, prog.logical_mat
+    K, col = len(logical), np.arange(checks)
+    # det[c, j]: the bit of check column j's detection in cycle c + 1
+    c = np.arange(t)[:, None]
+    other = D + K + c * (checks - A) + np.where(col < lo, col, col - A)
+    det = np.where((lo <= col) & (col < hi), c * A + col - lo, other)
+    out = np.zeros((prog.raw_bits + 1, prog.output_bits), dtype=np.uint8)
+    dm = prog.dm_bit(c, col)
+    out[dm, det] = 1
+    out[dm[:-2], det[2:]] = 1
     for cycle in range(max(0, t - 2), t):
-        out[prog.dm_bit(cycle, aligned), tc + np.arange(final)] = 1
+        out[prog.dm_bit(cycle, prog.aligned_cols), t * A + np.arange(A)] = 1
     readout = prog.rd_bit(np.arange(prog.n))
-    out[readout, tc : tc + final] = prog.support.T
-    out[readout, tc + final :] = logical.T
-    return out
-
-
-def _split_outputs(prog: _Program, bits: np.ndarray):
-    """Rows of ``_output_map`` bits -> views of their detections
-    (B, t, checks), final comparisons (B, aligned) and logical flips
-    (B, K)."""
-    tc = prog.t * prog.check_count
-    end = tc + len(prog.aligned_cols)
-    return bits[:, :tc].reshape(-1, prog.t, prog.check_count), bits[:, tc:end], bits[:, end:]
-
-
-def _signature_map(prog: _Program) -> np.ndarray:
-    """``_output_map`` with the memory-basis detectors alone, packed: the
-    aligned columns of every cycle, then the final block (the DEM's
-    detector order), then the logicals."""
-    out = _output_map(prog)
-    tc = prog.t * prog.check_count
-    body = (np.arange(0, tc, prog.check_count)[:, None] + prog.aligned_cols).ravel()
-    return gf2.pack_rows(out[:, np.concatenate([body, np.arange(tc, out.shape[1])])])
+    out[readout, t * A : D] = prog.support.T
+    out[readout, D : D + K] = logical.T
+    return gf2.pack_rows(out)
 
 
 def _cells(rows: np.ndarray) -> np.ndarray:
@@ -705,6 +705,17 @@ def _fault_table(prog: _Program, var: _Variants, out_map: np.ndarray) -> np.ndar
     return rows
 
 
+def _fault_rows(prog: _Program, bits: int) -> tuple[_Variants, np.ndarray]:
+    """(``_variants(prog)``, their ``_fault_table`` rows on the first
+    ``bits`` bits of ``_output_map``): the walk reads ceil(bits / 64)
+    words of the map, with the bits at or past ``bits`` cleared."""
+    out_map = _output_map(prog)[:, : -(-bits // 64)].copy()
+    if bits % 64:
+        out_map[:, -1] &= np.uint64((1 << bits % 64) - 1)
+    var = _variants(prog)
+    return var, _fault_table(prog, var, out_map)
+
+
 # ---------------------------------------------------------------------------
 # sampler
 
@@ -722,16 +733,12 @@ def _fired(prog: _Program, first: np.ndarray, keys: np.ndarray):
 
 def _sampler(prog: _Program):
     """A function from shot keys (one uint64 each) to the shots' outputs,
-    rows of 0/1 bytes in the columns of ``_output_map``: each shot is the
-    XOR of the table rows of the variants that its draws fire, gathered
-    with ``take`` and scattered as ``_cells``. It keeps only the rows,
-    each slot's first variant and the program, whose ``variants`` it
-    leaves unbuilt."""
-    out_map = _output_map(prog)
-    # the packed map replaces the bytes before the walk, which sets the peak
-    width, out_map = out_map.shape[1], gf2.pack_rows(out_map)
-    var = _variants(prog)
-    rows = _fault_table(prog, var, out_map)
+    rows of 0/1 bytes in the bit order of ``_output_map``: each shot is
+    the XOR of the table rows of the variants that its draws fire,
+    gathered with ``take`` and scattered as ``_cells``. It keeps only the
+    rows, each slot's first variant and the program."""
+    width = prog.output_bits
+    var, rows = _fault_rows(prog, width)
     first = np.searchsorted(var.slot, np.arange(len(prog.slot_kind)))
 
     def sample(keys: np.ndarray) -> np.ndarray:
@@ -774,11 +781,8 @@ class ShotBatch:
         return self.detections.shape[0]
 
     def detector_matrix(self) -> np.ndarray:
-        """Decoder-facing bits, shape (shots, (cycles+1) * aligned).
-
-        Cycle-major: detectors of cycle 1 first, the final comparison
-        block last, matching the detector indexing of build_dem.
-        """
+        """Decoder-facing bits, shape (shots, (cycles+1) * aligned), in the
+        DEM's detector order, which ``noise._output_map`` states."""
         cols = list(self.aligned_columns)
         body = self.detections[:, :, cols].reshape(self.shots, -1)
         return np.concatenate([body, self.final_syndrome], axis=1)
@@ -815,8 +819,7 @@ def run_monte_carlo(
     batch_size: int = 4096,
 ) -> ShotBatch:
     """Sample many shots deterministically, by replaying the fault-effect
-    table of the call's compiled program, which holds the noise model and
-    the variant table.
+    table of the call's compiled program.
 
     Shot i uses the key derive_shot_seed(master_seed, i), and its draws
     depend only on that key, so the batch partition cannot change any
@@ -830,18 +833,19 @@ def run_monte_carlo(
         raise ValueError("shots and batch_size must be >= 1")
     prog = _Program(code, circuit, basis, noise, logicals)
     sample = _sampler(prog)
-    # each batch unpacks straight into its rows of the three arrays
-    arrays = tuple(np.empty((shots, *shape), dtype=np.uint8) for shape in (
-        (prog.t, prog.check_count), (len(prog.aligned_cols),), (len(prog.logical_mat),)
-    ))
+    t, checks, (lo, hi) = prog.t, prog.check_count, prog.aligned
+    A, D, K = hi - lo, prog.detector_count, len(prog.logical_mat)
+    other = slice(0, lo) if lo else slice(hi, checks)  # the other checks' run
+    det = np.empty((shots, t, checks), dtype=np.uint8)
+    final, flips = np.empty((shots, A), dtype=np.uint8), np.empty((shots, K), dtype=np.uint8)
+    # basic slices of each batch's bits (``_output_map`` order) into its rows
     for start in range(0, shots, batch_size):
         count = min(batch_size, shots - start)
-        bits = sample(_derive_keys(master_seed, start, count))
-        for array, part in zip(arrays, _split_outputs(prog, bits)):
-            array[start : start + count] = part
-    return ShotBatch(
-        basis, prog.t, prog.check_labels, tuple(int(c) for c in prog.aligned_cols), *arrays
-    )
+        bits, rows = sample(_derive_keys(master_seed, start, count)), slice(start, start + count)
+        det[rows, :, lo:hi] = bits[:, : t * A].reshape(count, t, A)
+        final[rows], flips[rows] = bits[:, t * A : D], bits[:, D : D + K]
+        det[rows, :, other] = bits[:, D + K :].reshape(count, t, checks - A)
+    return ShotBatch(basis, t, prog.check_labels, tuple(range(lo, hi)), det, final, flips)
 
 
 # ---------------------------------------------------------------------------
@@ -870,10 +874,8 @@ class DetectorErrorModel:
 
     Column j has the prior ``probabilities[j]`` and the signature
     ``signatures[j]``, a ``gf2.pack_rows`` row in which bit d is detector
-    d and bit D + i is logical i (D detectors, K logicals). Detector
-    indices are cycle-major over the memory-basis checks, with the final
-    readout-comparison block last: index c * A + a for cycle c, check a
-    of A, then t * A + a for the final block.
+    d and bit D + i is logical i (D detectors, K logicals), in the bit
+    order that ``_output_map`` states.
 
     The constructor checks the arrays, keeps read-only copies and names
     the first column that breaks a rule: counts are ints >= 0, priors a
@@ -988,8 +990,7 @@ def build_dem(
     """
     prog = _Program(code, circuit, basis, noise, logicals)
     D, K = prog.detector_count, prog.logical_mat.shape[0]
-    var = prog.variants
-    rows = _fault_table(prog, var, _signature_map(prog))
+    var, rows = _fault_rows(prog, D + K)
     seen = rows.any(axis=1)
     rows, slot, prob = rows[seen], var.slot[seen], var.probability[seen]
     # equal signatures sort together; lexsort is stable, so each group
@@ -1021,11 +1022,10 @@ def expected_detection_series(
     no sampling error. Matches ShotBatch.cycle_series(basis) in the
     many-shot limit. ``logicals`` is unused: the series reads no logical.
     """
-    # no logical rows: the signature map holds the detectors alone
+    # no logical rows: the table holds the detectors alone
     prog = _Program(code, circuit, basis, noise, LogicalOperatorSet(code.n, (), ()))
     t, A, D = prog.t, len(prog.aligned_cols), prog.detector_count
-    var = prog.variants
-    rows = _fault_table(prog, var, _signature_map(prog))
+    var, rows = _fault_rows(prog, D)
     # (variant, detector) pairs that flip, by detector and then variant
     v, d = _set_bits(rows, D)
     order = np.argsort(d, kind="stable")

@@ -1,5 +1,6 @@
 """Noise engine: fault-effect table, sampler and detector error models."""
 
+import gc
 import random
 from dataclasses import replace
 
@@ -20,7 +21,13 @@ from bbqec.circuit import (
     qubit_layout,
     verify_circuit,
 )
-from bbqec.codes import CssCode, build_named_code, logical_operator_set_for
+from bbqec.codes import (
+    CssCode,
+    LogicalOperatorSet,
+    build_named_code,
+    default_logicals,
+    logical_operator_set_for,
+)
 from bbqec.noise import DemColumn, DetectorErrorModel, NoiseModel
 from bbqec.tableau import StabilizerTableau
 
@@ -90,12 +97,18 @@ def _memory_outputs(code, logicals, basis, cycles, readout, fault):
 
 def _table_outputs(code, circ, basis, logicals, picked):
     """The picked variants' rows of the fault-effect table that the
-    sampler and the DEM read, split into detections (t x checks), final
-    comparisons and logical flips."""
+    sampler reads, split by the bit order of ``noise._output_map`` into
+    detections (t x checks), final comparisons and logical flips."""
     prog = noise._Program(code, circ, basis, NOISE, logicals)
-    out_map = noise._output_map(prog)
-    rows = noise._fault_table(prog, prog.variants, gf2.pack_rows(out_map))
-    return noise._split_outputs(prog, gf2.unpack_rows(rows[picked], out_map.shape[1]))
+    t, A, D = prog.t, len(prog.aligned_cols), prog.detector_count
+    _, rows = noise._fault_rows(prog, prog.output_bits)
+    bits = gf2.unpack_rows(rows[picked], prog.output_bits)
+    end = D + len(prog.logical_mat)
+    aligned = np.isin(np.arange(prog.check_count), prog.aligned_cols)
+    det = np.zeros((len(picked), t, prog.check_count), dtype=np.uint8)
+    det[:, :, aligned] = bits[:, : t * A].reshape(len(picked), t, A)
+    det[:, :, ~aligned] = bits[:, end:].reshape(len(picked), t, -1)
+    return det, bits[:, t * A : D], bits[:, D:end]
 
 
 @pytest.mark.parametrize("cid", ["18-4-4-pruned", "18-6-3"])
@@ -182,9 +195,9 @@ def _identity_map(prog):
     return gf2.pack_rows(np.eye(prog.raw_bits + 1, prog.raw_bits, dtype=np.uint8))
 
 
-def _detector_form(prog, raw):
-    """Rows of raw outputs -> rows of the sampler's outputs, by products:
-    every check's detections z_c = m_c xor m_{c-2} (cycle-major), the
+def _detector_parts(prog, raw):
+    """Rows of raw outputs -> the ``ShotBatch`` arrays, by products: every
+    check's detections z_c = m_c xor m_{c-2} (rows x t x checks), the
     final comparisons z_F = y_F xor m_t xor m_{t-1} of the memory-basis
     checks, and the memory-basis logicals read from the data readout."""
     t, checks = prog.t, prog.check_count
@@ -196,7 +209,17 @@ def _detector_form(prog, raw):
     if t >= 2:
         final ^= dm[:, -2, prog.aligned_cols]
     logical = (rd @ prog.logical_mat.T.astype(np.int64)) % 2
-    return np.concatenate([det.reshape(len(raw), -1), final, logical], axis=1).astype(np.uint8)
+    return det.astype(np.uint8), final.astype(np.uint8), logical.astype(np.uint8)
+
+
+def _detector_form(prog, raw):
+    """``_detector_parts`` as rows in the bit order of ``noise._output_map``:
+    the memory-basis checks' detections (cycle-major), the final
+    comparisons, the logicals, then the other checks' detections."""
+    det, final, logical = _detector_parts(prog, raw)
+    aligned = np.isin(np.arange(prog.check_count), prog.aligned_cols)
+    body, rest = (det[:, :, cols].reshape(len(raw), -1) for cols in (aligned, ~aligned))
+    return np.concatenate([body, final, logical, rest], axis=1)
 
 
 @pytest.mark.parametrize("basis", ["Z", "X"])
@@ -205,7 +228,7 @@ def test_table_rows_match_forward_frame_propagation(basis):
     circ = build_syndrome_circuit(code, 2, basis=basis)
     model = NoiseModel.device_rates(idle_policy="dense")
     prog = noise._Program(code, circ, basis, model)
-    var = prog.variants
+    var = noise._variants(prog)
     rows = noise._fault_table(prog, var, _identity_map(prog))
     variants = noise.enumerate_fault_variants(circ, model, code=code)
     assert len(rows) == len(variants)
@@ -214,10 +237,9 @@ def test_table_rows_match_forward_frame_propagation(basis):
     expected = _forward_raw_outputs(code, circ, variants)
     assert np.array_equal(gf2.unpack_rows(rows, prog.raw_bits), expected)
     # the sampler's table: the same raw outputs, in detector form
-    out_map = noise._output_map(prog)
-    rows = noise._fault_table(prog, var, gf2.pack_rows(out_map))
+    _, rows = noise._fault_rows(prog, prog.output_bits)
     assert np.array_equal(
-        gf2.unpack_rows(rows, out_map.shape[1]), _detector_form(prog, expected)
+        gf2.unpack_rows(rows, prog.output_bits), _detector_form(prog, expected)
     )
 
 
@@ -231,15 +253,64 @@ def test_output_map_is_the_detector_formula(cid, basis, t):
     eye = np.eye(prog.raw_bits + 1, prog.raw_bits, dtype=np.uint8)
     expected = _detector_form(prog, eye)
     out_map = noise._output_map(prog)
-    assert out_map.dtype == np.uint8 and np.array_equal(out_map, expected)
-    # the DEM's map: the memory-basis detectors of each cycle, the final
-    # block and the logicals
-    tc, A = t * prog.check_count, len(prog.aligned_cols)
-    det = expected[:, :tc].reshape(len(eye), t, prog.check_count)[:, :, prog.aligned_cols]
-    signature = np.concatenate([det.reshape(len(eye), -1), expected[:, tc:]], axis=1)
-    width = prog.detector_count + len(prog.logical_mat)
-    assert signature.shape[1] == width == (t + 1) * A + len(prog.logical_mat)
-    assert np.array_equal(gf2.unpack_rows(noise._signature_map(prog), width), signature)
+    width = prog.output_bits
+    assert out_map.dtype == gf2.WORD and out_map.shape == (len(eye), -(-width // 64))
+    assert expected.shape[1] == width
+    assert np.array_equal(gf2.unpack_rows(out_map, 64 * out_map.shape[1])[:, :width], expected)
+    assert not gf2.unpack_rows(out_map, 64 * out_map.shape[1])[:, width:].any()
+
+
+@pytest.mark.parametrize("t", [1, 3])
+@pytest.mark.parametrize("basis", ["Z", "X"])
+@pytest.mark.parametrize("cid", ["18-4-4-pruned", "18-6-3"])
+def test_one_table_one_detector_order(cid, basis, t):
+    """The DEM's walk is the leading D + K bits of the sampler's, and the
+    sampler's leading D bits are ``ShotBatch.detector_matrix``."""
+    code = build_named_code(cid)
+    circ = build_syndrome_circuit(code, t, basis=basis)
+    prog = noise._Program(code, circ, basis, NOISE)
+    A, D, K = len(prog.aligned_cols), prog.detector_count, len(prog.logical_mat)
+    assert D == (t + 1) * A and K > 0
+    _, table = noise._fault_rows(prog, prog.output_bits)
+    _, dem = noise._fault_rows(prog, D + K)
+    assert dem.shape == (len(table), -(-(D + K) // 64))
+    assert np.array_equal(gf2.unpack_rows(dem, D + K), gf2.unpack_rows(table, D + K))
+    assert not gf2.unpack_rows(dem, 64 * dem.shape[1])[:, D + K :].any()
+    # the DEM's bits are its signature order: the memory-basis detections
+    # of each cycle, the final block and the logicals
+    eye = np.eye(prog.raw_bits + 1, prog.raw_bits, dtype=np.uint8)
+    det, final, logical = _detector_parts(prog, eye)
+    signature = np.concatenate(
+        [det[:, :, prog.aligned_cols].reshape(len(eye), -1), final, logical], axis=1
+    )
+    assert np.array_equal(gf2.unpack_rows(noise._output_map(prog), D + K), signature)
+    shots, seed = 200, 21
+    batch = noise.run_monte_carlo(circ, NOISE, shots, basis, code=code, master_seed=seed,
+                                  batch_size=64)
+    bits = noise._sampler(prog)(noise._derive_keys(seed, 0, shots))
+    assert batch.detector_matrix().any()
+    assert np.array_equal(bits[:, :D], batch.detector_matrix())
+
+
+@pytest.mark.parametrize("basis", ["Z", "X"])
+def test_a_code_with_checks_of_one_type_samples(basis):
+    """With no X checks the Z basis has no other checks, and the X basis
+    no memory-basis checks: each batch split takes an empty run."""
+    h_z = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8)
+    code = CssCode("rep3", 3, gf2.BinaryMatrix(np.zeros((0, 3), dtype=np.uint8)),
+                   gf2.BinaryMatrix(h_z), (), (0, 1))
+    logicals = LogicalOperatorSet(3, ((0, 1, 2),), ((0,),))
+    circ = build_syndrome_circuit(code, 3, basis=basis)
+    shots = 50
+    batch = noise.run_monte_carlo(circ, NOISE, shots, basis, code=code, logicals=logicals,
+                                  master_seed=4, batch_size=16)
+    assert batch.detections.shape == (shots, 3, 2) and batch.detections.any()
+    prog = noise._Program(code, circ, basis, NOISE, logicals)
+    other = batch.detections[:, :, [c for c in range(2) if c not in batch.aligned_columns]]
+    got = np.concatenate(
+        [batch.detector_matrix(), batch.logical_flips, other.reshape(shots, -1)], axis=1
+    )
+    assert np.array_equal(got, noise._sampler(prog)(noise._derive_keys(4, 0, shots)))
 
 
 def test_fault_records_are_immutable_named_tuples():
@@ -262,7 +333,7 @@ def test_enumerated_variants_match_a_per_variant_reference():
     code = build_named_code("18-6-3")
     circ = build_syndrome_circuit(code, 1)
     prog = noise._Program(code, circ, "Z", NOISE)
-    var = prog.variants
+    var = noise._variants(prog)
     nq, checks, tc = circ.qubit_count, prog.check_count, prog.t * prog.check_count
     expected = []
     for v in range(len(var.slot)):
@@ -444,7 +515,7 @@ def test_program_matches_the_reference_with_an_h_edited_to_i(policy):
     # faults before it
     edited = _h_to_i(circ, *ancilla_h[-1])
     prog = noise._Program(code, edited, "Z", model)
-    rows = noise._fault_table(prog, prog.variants, _identity_map(prog))
+    rows = noise._fault_table(prog, noise._variants(prog), _identity_map(prog))
     variants = noise.enumerate_fault_variants(edited, model, code=code)
     expected = _forward_raw_outputs(code, edited, variants)
     assert np.array_equal(gf2.unpack_rows(rows, prog.raw_bits), expected)
@@ -667,7 +738,7 @@ def test_wide_code_sampling_matches_the_reference(basis):
         batch_size=128,
     )
     prog = noise._Program(code, circ, basis, NOISE, logicals)
-    var = prog.variants
+    var = noise._variants(prog)
     rows = noise._fault_table(prog, var, _identity_map(prog))
     first = np.searchsorted(var.slot, np.arange(len(prog.slot_kind)))
     keys = np.array([noise.derive_shot_seed(seed, i) for i in range(shots)], dtype=np.uint64)
@@ -676,12 +747,11 @@ def test_wide_code_sampling_matches_the_reference(basis):
         base = first[prog.slot_kind == i]
         for shot, pos, pick in _reference_fires(noise._channel(kind, NOISE), keys, len(base)):
             acc[shot] ^= rows[base[pos] + pick]
-    expected = _detector_form(prog, gf2.unpack_rows(acc, prog.raw_bits))
-    got = np.concatenate(
-        [batch.detections.reshape(shots, -1), batch.final_syndrome, batch.logical_flips], axis=1
-    )
-    assert got.shape == expected.shape and expected.any()
-    assert np.array_equal(got, expected)
+    expected = _detector_parts(prog, gf2.unpack_rows(acc, prog.raw_bits))
+    got = batch.detections, batch.final_syndrome, batch.logical_flips
+    assert expected[0].any() and expected[2].any()
+    for array, want in zip(got, expected):
+        assert array.shape == want.shape and np.array_equal(array, want)
 
 
 @pytest.mark.parametrize(
@@ -755,7 +825,7 @@ def test_rate_one_flips_every_slot():
         prog = noise._Program(code, circ, "Z", model)
         flipped = prog.raw_bits if model.p_f else prog.t * prog.check_count
         # the variants are the measured slots, and every shot fires each once
-        var = prog.variants
+        var = noise._variants(prog)
         assert sorted(var.flip.tolist()) == list(range(flipped))
         fired = np.zeros((shots, len(var.slot)), dtype=int)
         first = np.searchsorted(var.slot, np.arange(len(prog.slot_kind)))
@@ -808,7 +878,7 @@ def test_the_sampler_keeps_no_variant_table():
         elif isinstance(obj, dict):
             todo += obj.values()
     assert any(obj is prog for obj in held.values())
-    first = np.searchsorted(prog.variants.slot, np.arange(len(prog.slot_kind)))
+    first = np.searchsorted(noise._variants(prog).slot, np.arange(len(prog.slot_kind)))
     assert np.array_equal(held["first"], first)
 
 
@@ -828,6 +898,44 @@ def test_a_circuit_of_the_other_basis_is_rejected(call):
         call(circ, code)
     # a circuit that records no basis is taken at its word
     call(replace(circ, basis=None), code)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c, code, logicals: noise.run_monte_carlo(c, NOISE, 8, code=code, logicals=logicals),
+        lambda c, code, logicals: noise.build_dem(c, NOISE, code=code, logicals=logicals),
+    ],
+    ids=["run_monte_carlo", "build_dem"],
+)
+@pytest.mark.parametrize(
+    "logicals,message",
+    [
+        (LogicalOperatorSet(9, ((0,),), ((0,),)), "logicals act on 9 qubits, the code on 18"),
+        # 18-6-3's set is not 18-4-4's: a Z logical meets an X check oddly
+        (default_logicals("18-6-3"), r"Z logical \d+ has odd overlap with check X\d+"),
+        (LogicalOperatorSet(18, ((0,),), ((0,),)), "Z logical 0 has odd overlap with check X"),
+    ],
+    ids=["short", "another-code", "single-qubit"],
+)
+def test_logicals_that_do_not_fit_the_code_are_rejected(call, logicals, message):
+    code = build_named_code("18-4-4-pruned")
+    circ = build_syndrome_circuit(code, 2)
+    with pytest.raises(ValueError, match=message):
+        call(circ, code, logicals)
+
+
+def test_fault_enumeration_leaves_the_gc_state_as_it_was():
+    code = build_named_code("18-4-4-pruned")
+    circ = build_syndrome_circuit(code, 1)
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert noise.enumerate_fault_variants(circ, NOISE, code=code)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_fault_enumeration_resolves_no_logicals(monkeypatch):
@@ -1106,9 +1214,9 @@ def test_dem_columns_match_a_dict_merge_of_the_table(basis, model):
     logicals = logical_operator_set_for(code)
     circ = build_syndrome_circuit(code, 2, basis=basis)
     prog = noise._Program(code, circ, basis, model, logicals)
-    var = prog.variants
     D, K = prog.detector_count, prog.logical_mat.shape[0]
-    bits = gf2.unpack_rows(noise._fault_table(prog, var, noise._signature_map(prog)), D + K)
+    var, rows = noise._fault_rows(prog, D + K)
+    bits = gf2.unpack_rows(rows, D + K)
     # signature -> {slot: prior summed in variant order}; dicts keep first
     # occurrence, and the slots of a signature come in slot order
     merged = {}
@@ -1147,7 +1255,7 @@ def test_dem_priors_stay_below_a_half_when_every_slot_does():
     code = build_named_code("18-4-4-pruned")
     circ = build_syndrome_circuit(code, 3)
     model = NoiseModel.device_rates(suppression=10)
-    var = noise._Program(code, circ, "Z", model).variants
+    var = noise._variants(noise._Program(code, circ, "Z", model))
     assert np.bincount(var.slot, weights=var.probability).max() < 0.5
     dem = noise.build_dem(circ, model, code=code)
     assert max(col.probability for col in dem.columns) < 0.5

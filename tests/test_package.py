@@ -10,6 +10,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -100,6 +101,59 @@ def test_private_use_check_sees_imports_and_attributes():
     )
     found = sorted(_private_uses(ast.parse(source)))
     assert found == ["_SEARCH_CAP", "c._term_maps", "noise._Program"]
+
+
+def _names_used(tree: ast.AST) -> Counter:
+    """How often each name is read as a bare name or an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def _unused_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Top-level private functions and classes, and private methods, of
+    the modules in ``sources`` (name -> text) that no code in them uses
+    outside their own definition."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    used = sum(map(_names_used, trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        defs = [(node, "") for node in tree.body] + [
+            (item, f"{node.name}.")
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for node, owner in defs:
+            kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            if isinstance(node, kinds) and _is_private(node.name):
+                if used[node.name] == _names_used(node)[node.name]:
+                    found.append(f"{module}.{owner}{node.name}")
+    return found
+
+
+def test_every_private_definition_is_used_in_the_package():
+    """A private helper that only tests reach is a leftover."""
+    sources = {p.stem: p.read_text() for p in sorted((ROOT / "src" / "bbqec").glob("*.py"))}
+    assert _unused_private_definitions(sources) == []
+
+
+def test_unused_private_check_sees_functions_classes_and_methods():
+    source = (
+        "def _used(): return 1\n"
+        "def _unused(): return _used()\n"
+        "def _recursive(n): return _recursive(n - 1)\n"
+        "class _Left: pass\n"
+        "class Shape:\n"
+        "    def _helper(self): return self._called()\n"
+        "    def _called(self): return 0\n"
+        "    def __len__(self): return 0\n"
+        "def public(): return _other.x\n"
+    )
+    other = "from .m import _used\n_other = 1\n"
+    found = _unused_private_definitions({"m": source, "o": other})
+    assert found == ["m._unused", "m._recursive", "m._Left", "m.Shape._helper"]
 
 
 # Builds every benchmark code with its logicals and both circuits, and runs
