@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import gf2
-from .codes import CssCode, _as_int, _is_int
+from .codes import CssCode, _as_int, _is_int, _is_sequence
 from .tableau import StabilizerTableau
 
 __all__ = [
@@ -258,10 +258,10 @@ _INVENTORY_ASSIGNMENT = ((6, 2, 7), (3, 4, 5), (3, 4, 5), (1, 6, 2))
 # the published boundary behavior. No single assignment achieves the
 # signature property for the six-logical pruning as well (exhaustive
 # sweep), so that code keeps the inventory arrangement.
-_PINNED_ASSIGNMENTS = {
-    "18-4-4": ((5, 2, 1), (3, 6, 4), (4, 3, 6), (1, 5, 7)),
-    "18-4-4-pruned": ((5, 2, 1), (3, 6, 4), (4, 3, 6), (1, 5, 7)),
-}
+_PINNED_ASSIGNMENTS = {"18-4-4": ((5, 2, 1), (3, 6, 4), (4, 3, 6), (1, 5, 7))}
+_PINNED_ASSIGNMENTS["18-4-4-pruned"] = _PINNED_ASSIGNMENTS["18-4-4"]  # the same term maps
+# the term groups of an arrangement, in its order and that of term_rounds
+_TERM_GROUPS = ("A", "B", "BT", "AT")
 _SEARCH_CAP = 2_000_000
 
 
@@ -349,8 +349,12 @@ def schedule_cz_layers(
     in a fixed order, so the result is deterministic; ScheduleError is
     raised rather than ever emitting an eighth layer. An explicit
     `arrangement` (four round tuples, term order significant) bypasses
-    the pins and must itself extract commuting values.
+    the pins and must itself extract commuting values; ValueError, naming
+    the first bad group, unless it is four groups of three int rounds in
+    1..7.
     """
+    if arrangement is not None:
+        arrangement = _arrangement_rounds(arrangement)
     if not code.retained_x or not code.retained_z:
         return _sequential_schedule(code)
     commutes = arrangement_commutes(code)
@@ -379,6 +383,18 @@ def schedule_cz_layers(
     )
 
 
+def _arrangement_rounds(arrangement) -> tuple[tuple[int, ...], ...]:
+    """``arrangement`` as four tuples of Python ints, checked as
+    ``schedule_cz_layers`` states."""
+    if not _is_sequence(arrangement) or len(arrangement) != 4:
+        raise ValueError(f"an arrangement is four round groups {_TERM_GROUPS}, got {arrangement!r}")
+    for name, group in zip(_TERM_GROUPS, arrangement):
+        if not (_is_sequence(group) and len(group) == 3
+                and all(_is_int(r) and 1 <= r <= 7 for r in group)):
+            raise ValueError(f"arrangement group {name} needs three int rounds in 1..7, got {group!r}")
+    return tuple(tuple(map(int, group)) for group in arrangement)
+
+
 def _schedule_from_rounds(code, ra, rb, rbt, rat):
     half = code.half
     a_maps, b_maps = _term_maps(code)
@@ -399,15 +415,8 @@ def _schedule_from_rounds(code, ra, rb, rbt, rat):
             layers[r - 1].append(("Z", z, half + int(inv_a[k][z])))
     out = tuple(tuple(sorted(L, key=lambda e: e[2])) for L in layers)
     _reject_layer_collisions(out)
-    return CzSchedule(
-        layers=out,
-        term_rounds=(
-            ("A", tuple(ra)),
-            ("B", tuple(rb)),
-            ("BT", tuple(rbt)),
-            ("AT", tuple(rat)),
-        ),
-    )
+    rounds = tuple(map(tuple, (ra, rb, rbt, rat)))
+    return CzSchedule(layers=out, term_rounds=tuple(zip(_TERM_GROUPS, rounds)))
 
 
 def _sequential_schedule(code: CssCode) -> CzSchedule:

@@ -861,7 +861,8 @@ class DemColumn(NamedTuple):
 
 
 class _ColumnError(ValueError):
-    """A rule that ``column`` breaks; ``parse_dem`` names its line."""
+    """A rule that ``column`` breaks; ``parse_dem`` names its line and
+    ``build_dem`` its first variant."""
 
     def __init__(self, column: int, rule: str):
         super().__init__(f"column {column}: {rule}")
@@ -983,8 +984,10 @@ def build_dem(
     signatures, found without simulating any. The DEM keeps each distinct
     nonzero row as a signature, in the order it first occurs, with the
     prior that an odd number of the independent slots with it fire
-    (``_odd_probability``), in (0, 1) at any rates; its constructor checks
-    both arrays. Cost: one backward walk, O(layers x qubits x outputs /
+    (``_odd_probability``), in (0, 1) unless each of those slots flips it
+    surely. The constructor checks both arrays; the ValueError for a
+    column it rejects adds the slot kind, layer and prior of the column's
+    first variant. Cost: one backward walk, O(layers x qubits x outputs /
     64) word operations, one lookup per variant and one sort of the
     packed signatures.
     """
@@ -1002,7 +1005,14 @@ def build_dem(
     first = order[new]
     prior = _odd_probability(np.cumsum(new) - 1, slot[order], prob[order], len(first))
     by_first = np.argsort(first)
-    return DetectorErrorModel(D, K, prior[by_first], rows[first[by_first]])
+    first = first[by_first]
+    try:
+        return DetectorErrorModel(D, K, prior[by_first], rows[first])
+    except _ColumnError as exc:
+        v = first[exc.column]
+        s = slot[v]
+        raise ValueError(f"{exc}; its first fault is a {_SLOT_KINDS[prog.slot_kind[s]]} slot at "
+                         f"layer {prog.slot_layer[s]} with prior {prob[v]}") from None
 
 
 def expected_detection_series(

@@ -1,21 +1,24 @@
-"""Stabilizer-tableau simulator used as a verification oracle.
+"""Stabilizer-tableau simulator, the independent oracle of circuit semantics.
 
 Standard destabilizer/stabilizer tableau with sign tracking: rows 0..n-1
 hold destabilizers, rows n..2n-1 stabilizers. Pauli rows are stored as
 (x bits, z bits, sign bits) and products are accumulated with the usual
 group-phase bookkeeping (Aaronson & Gottesman, PRA 70, 052328, 2004).
-It checks compiled circuits (``circuit.verify_circuit``) and the
-fault-effect table of the noise module (the forced-fault oracle in
-``tests/test_noise.py``).
+Its two jobs are to run compiled circuits noiselessly
+(``circuit.verify_circuit``) and to replay forced faults against the
+noise module's fault-effect table (``tests/test_noise.py``), so it keeps
+only what they call: ``h``, ``cz``, the faults ``pauli_x`` and
+``pauli_z``, and Z measurement. It imports nothing from the package.
 
-The tableau is updated a layer at a time. ``h`` and ``cz`` take a whole
-layer of gates on distinct qubits: each gate then reads and writes only
-its own columns, so the gates commute and one numpy step over all their
-columns is exact. ``measure_many`` takes a layer of Z measurements. One
-that is deterministic when the layer starts keeps its outcome whatever
-the layer's other (commuting) Z measurements do, and it leaves the
-tableau as it is; so all of those outcomes come from one grouped sign
-product, and only the rest are measured one by one, in order.
+The tableau is updated a layer at a time, and each public call checks
+its qubits once. ``h`` and ``cz`` take a whole layer of gates on
+distinct qubits: each gate then reads and writes only its own columns,
+so the gates commute and one numpy step over all their columns is exact. ``measure_many`` takes a
+layer of Z measurements. One that is deterministic when the layer starts
+keeps its outcome whatever the layer's other (commuting) Z measurements
+do, and it leaves the tableau as it is; so all of those outcomes come
+from one grouped sign product, and only the rest are measured one by
+one, in order.
 
 One tableau runs B computational basis states at once. Clifford gates,
 Pauli gates and the choice of measurement pivot act on the x/z part
@@ -33,12 +36,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import gf2
-
 __all__ = ["StabilizerTableau"]
 
-# Returns the B outcome bits of one random measurement (a scalar serves
-# every state).
+# Returns the B outcome bits of one random measurement; a scalar serves all.
 CoinSource = Callable[[], "int | Sequence[int] | np.ndarray"]
 
 
@@ -68,11 +68,20 @@ def _xor_prefix(a: np.ndarray) -> np.ndarray:
     return np.vstack([head, np.bitwise_xor.accumulate(a, axis=0)])
 
 
-def _layer(*legs) -> list[np.ndarray]:
-    """The legs of one gate, or of a layer of gates, as index arrays (one
-    per operand). Legs of unequal length, or a qubit used twice, raise
-    ValueError."""
-    legs = [np.asarray(q, dtype=np.intp).reshape(-1) for q in legs]
+def _qubits(n: int, qubits) -> np.ndarray:
+    """One qubit, or a sequence of them, as an index array. ValueError
+    unless each is an int (not a bool) in [0, n)."""
+    qs = np.asarray(qubits).reshape(-1)
+    flat = qs.tolist()  # min and max of a list cost less than numpy's on a layer
+    if flat and (qs.dtype.kind not in "iu" or min(flat) < 0 or max(flat) >= n):
+        raise ValueError(f"qubits must be ints in [0, {n}), got {qubits!r}")
+    return qs.astype(np.intp, copy=False)
+
+
+def _layer(n: int, *legs) -> list[np.ndarray]:
+    """The legs of one gate, or of a layer of gates, as ``_qubits`` arrays
+    (one per operand); ValueError for legs of unequal length or a repeat."""
+    legs = [_qubits(n, q) for q in legs]
     qubits = np.concatenate(legs).tolist()
     if len({len(leg) for leg in legs}) != 1 or len(set(qubits)) != len(qubits):
         raise ValueError(f"a layer acts on each qubit once, in whole gates: {legs}")
@@ -93,8 +102,9 @@ class StabilizerTableau:
         coin: CoinSource | None = None,
         states: np.ndarray | Sequence[Sequence[int]] | None = None,
     ):
-        if n < 1:
-            raise ValueError("need at least one qubit")
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"need an int count of qubits >= 1, got {n!r}")
+        self.n = n = int(n)
         if states is None:
             states = np.zeros((1, n), dtype=np.uint8)
         states = np.asarray(states)
@@ -102,48 +112,25 @@ class StabilizerTableau:
             raise ValueError(f"states must have shape (B, {n}) with B >= 1")
         if ((states != 0) & (states != 1)).any():
             raise ValueError("states must hold 0 and 1 only")
-        self.n = n
-        self.x = np.zeros((2 * n, n), dtype=np.uint8)
-        self.z = np.zeros((2 * n, n), dtype=np.uint8)
+        self.x = np.eye(2 * n, n, dtype=np.uint8)  # destabilizer X_i
+        self.z = np.eye(2 * n, n, -n, dtype=np.uint8)  # stabilizer (-1)^s Z_i
         self.r = np.zeros((2 * n, states.shape[0]), dtype=np.uint8)
-        for i in range(n):
-            self.x[i, i] = 1          # destabilizer X_i
-            self.z[n + i, i] = 1      # stabilizer (-1)^s Z_i
         self.r[n:] = states.T
         self._coin = coin if coin is not None else (lambda: 0)
-
-    def copy(self) -> "StabilizerTableau":
-        dup = StabilizerTableau.__new__(StabilizerTableau)
-        dup.n = self.n
-        dup.x = self.x.copy()
-        dup.z = self.z.copy()
-        dup.r = self.r.copy()
-        dup._coin = self._coin
-        return dup
 
     # ---- gates ----
 
     def h(self, qubits: int | Sequence[int]) -> None:
         """Hadamard on one qubit, or on a layer of distinct qubits."""
-        (qs,) = _layer(qubits)
+        (qs,) = _layer(self.n, qubits)
         x, z = self.x[:, qs], self.z[:, qs]  # copies
         self.r ^= np.bitwise_xor.reduce(x & z, axis=1)[:, None]
         self.x[:, qs], self.z[:, qs] = z, x
 
-    def s(self, q: int) -> None:
-        self.r ^= (self.x[:, q] & self.z[:, q])[:, None]
-        self.z[:, q] ^= self.x[:, q]
-
-    def cnot(self, c: int, t: int) -> None:
-        flip = self.x[:, c] & self.z[:, t] & (self.x[:, t] ^ self.z[:, c] ^ 1)
-        self.r ^= flip[:, None]
-        self.x[:, t] ^= self.x[:, c]
-        self.z[:, c] ^= self.z[:, t]
-
     def cz(self, a: int | Sequence[int], b: int | Sequence[int]) -> None:
         """CZ on one pair, or on a layer of pairs (a[i], b[i]) whose qubits
         are all distinct."""
-        a, b = _layer(a, b)
+        a, b = _layer(self.n, a, b)
         # composition H(b) CNOT(a,b) H(b) reduced to a direct update
         xa, xb = self.x[:, a], self.x[:, b]
         flip = xa & xb & (self.z[:, a] ^ self.z[:, b])
@@ -152,25 +139,14 @@ class StabilizerTableau:
         self.z[:, b] ^= xa
 
     def pauli_x(self, q: int) -> None:
+        """X on qubit q in every state."""
+        (q,) = _qubits(self.n, q).tolist()
         self.r ^= self.z[:, q][:, None]
 
     def pauli_z(self, q: int) -> None:
+        """Z on qubit q in every state."""
+        (q,) = _qubits(self.n, q).tolist()
         self.r ^= self.x[:, q][:, None]
-
-    def pauli_y(self, q: int) -> None:
-        self.r ^= (self.x[:, q] ^ self.z[:, q])[:, None]
-
-    def apply_gate(self, gate: str, qubits: Sequence[int]) -> None:
-        table = {
-            "H": self.h,
-            "S": self.s,
-            "X": self.pauli_x,
-            "Z": self.pauli_z,
-            "Y": self.pauli_y,
-            "CNOT": self.cnot,
-            "CZ": self.cz,
-        }
-        table[gate](*qubits)
 
     # ---- phase bookkeeping ----
 
@@ -190,9 +166,31 @@ class StabilizerTableau:
 
     def measure(self, q: int) -> np.ndarray:
         """Z-basis measurement of qubit q in every state; collapses them."""
-        n = self.n
-        stab_hits = np.nonzero(self.x[n:, q])[0]
-        if stab_hits.size:
+        (out,) = self.measure_many([q])
+        return out
+
+    def measure_many(self, qubits: Sequence[int]) -> np.ndarray:
+        """Z-basis measurements of the qubits in order, as if made one at
+        a time: outcomes (len(qubits), B), the coins drawn in order, one
+        per random measurement, and the tableau collapsed by each.
+
+        A measurement that is deterministic when the call starts stays
+        so, with the same outcome, and changes nothing; those come from
+        one grouped sign product. The rest are measured in order.
+        """
+        n, qs = self.n, _qubits(self.n, qubits)
+        out = np.empty((len(qs), self.r.shape[1]), dtype=np.uint8)
+        fixed = ~self.x[n:, qs].any(axis=0)
+        # (measurement, destabilizer) pairs, grouped by measurement
+        group, rows = np.nonzero(self.x[:n, qs[fixed]].T)
+        bounds = np.searchsorted(group, np.arange(int(fixed.sum()) + 1))
+        out[fixed] = self._product_signs(n + rows, bounds)
+        for i, q in zip(np.flatnonzero(~fixed).tolist(), qs[~fixed].tolist()):
+            stab_hits = np.nonzero(self.x[n:, q])[0]
+            if not stab_hits.size:  # fixed by an earlier outcome of this call
+                rows = n + np.flatnonzero(self.x[:n, q])
+                out[i] = self._product_signs(rows, np.array([0, len(rows)]))[0]
+                continue
             p = n + int(stab_hits[0])
             # row p-n is about to be overwritten by row p; multiplying it
             # first would form an anti-Hermitian product, so skip it
@@ -203,75 +201,10 @@ class StabilizerTableau:
             self.r[rows] ^= self.r[p] ^ flip[:, None]
             self.x[rows] ^= self.x[p]
             self.z[rows] ^= self.z[p]
-            self.x[p - n] = self.x[p]
-            self.z[p - n] = self.z[p]
-            self.r[p - n] = self.r[p]
-            self.x[p] = 0
-            self.z[p] = 0
+            for a in (self.x, self.z, self.r):
+                a[p - n] = a[p]
+            self.x[p] = self.z[p] = 0
             self.z[p, q] = 1
             coin = np.asarray(self._coin(), dtype=np.uint8) & 1
-            self.r[p] = np.broadcast_to(coin, self.r.shape[1:])
-            return self.r[p].copy()
-        # deterministic: the matching stabilizer product
-        rows = n + np.flatnonzero(self.x[:n, q])
-        return self._product_signs(rows, np.array([0, len(rows)]))[0]
-
-    def measure_many(self, qubits: Sequence[int]) -> np.ndarray:
-        """Z-basis measurements of the qubits in order, as ``measure``
-        would make them one by one: outcomes (len(qubits), B), the same
-        coins drawn in the same order, and the same final tableau.
-
-        A measurement that is deterministic when the call starts stays
-        so, with the same outcome, and changes nothing; those come from
-        one grouped sign product. The rest are measured in order.
-        """
-        n = self.n
-        qs = np.asarray(qubits, dtype=np.intp).reshape(-1)
-        out = np.empty((len(qs), self.r.shape[1]), dtype=np.uint8)
-        fixed = ~self.x[n:, qs].any(axis=0)
-        # (measurement, destabilizer) pairs, grouped by measurement
-        group, rows = np.nonzero(self.x[:n, qs[fixed]].T)
-        bounds = np.searchsorted(group, np.arange(int(fixed.sum()) + 1))
-        out[fixed] = self._product_signs(n + rows, bounds)
-        for i in np.flatnonzero(~fixed).tolist():
-            out[i] = self.measure(int(qs[i]))
+            out[i] = self.r[p] = np.broadcast_to(coin, self.r.shape[1:])
         return out
-
-    def measure_deterministic(self, q: int) -> np.ndarray | None:
-        """Outcomes of measuring Z_q if determined, else None. No collapse."""
-        if self.x[self.n :, q].any():
-            return None
-        return self.measure(q)
-
-    def z_parity(self, support: Sequence[int]) -> np.ndarray:
-        """Sampled joint parity of Z over the support qubits.
-
-        Measures a copy qubit-by-qubit; the XOR of individual outcomes is a
-        valid sample of the product observable (all factors commute).
-        """
-        return np.bitwise_xor.reduce(self.copy().measure_many(support), axis=0)
-
-    def z_parity_deterministic(self, support: Sequence[int]) -> np.ndarray | None:
-        """Joint Z parity when the product observable is fixed, else None.
-
-        The Z product over the support is determined exactly when it lies in
-        the stabilizer group (up to sign); membership is solved over GF(2)
-        with the row combination tracked, and the sign accumulated by
-        multiplying the selected stabilizer rows together.
-        """
-        n = self.n
-        # reduce [target | 0] against the RREF of [stabilizer x | z | I]:
-        # the stabilizer rows are independent, so every pivot lies in the
-        # x|z part, and the identity part of the residue records which
-        # stabilizers the reduction added
-        target = np.zeros((1, 3 * n), dtype=np.uint8)
-        for q in support:
-            target[0, n + q] ^= 1
-        rref, pivots = gf2.row_echelon(
-            gf2.BinaryMatrix(np.hstack([self.x[n:], self.z[n:], np.eye(n, dtype=np.uint8)]))
-        )
-        residue = gf2.reduce_rows(rref, pivots, target)[0]
-        if residue[: 2 * n].any():
-            return None
-        rows = n + np.flatnonzero(residue[2 * n :])
-        return self._product_signs(rows, np.array([0, len(rows)]))[0]

@@ -105,6 +105,35 @@ def test_explicit_arrangement_must_commute():
     )
 
 
+PINNED = ((5, 2, 1), (3, 6, 4), (4, 3, 6), (1, 5, 7))
+
+
+@pytest.mark.parametrize(
+    "bad, group",
+    [
+        (((1, 2, 4), (3, 5, 0), (5, 3, 7), (6, 4, 1)), "group B"),  # round 0, read as round 7
+        (((1, 2, 4), (3, 5, 6), (5, 3, 8), (6, 4, 1)), "group BT"),
+        (((1, 2), (3, 5, 6), (5, 3, 7), (6, 4, 1)), "group A"),
+        (((1, 2, 4), (3, 5, 6), (5, 3, 7.0), (6, 4, 1)), "group BT"),
+        (((1, 2, 4), (3, 5, 6), (5, 3, 7)), "four round groups"),
+        (((5, 2, 1), (3, 6, 4), (4, 3, 6), (True, 5, 7)), "group AT"),
+    ],
+    ids=["round-0", "round-8", "two-rounds", "float-round", "three-groups", "bool-round"],
+)
+def test_a_malformed_arrangement_is_rejected_naming_its_group(bad, group):
+    code = build_named_code("18-4-4")
+    with pytest.raises(ValueError, match=group):
+        circuit.schedule_cz_layers(code, arrangement=bad)
+
+
+def test_an_arrangement_of_numpy_ints_is_the_pinned_one():
+    code = build_named_code("18-4-4")
+    rounds = tuple(tuple(np.array(g, dtype=np.int64)) for g in PINNED)
+    sched = circuit.schedule_cz_layers(code, arrangement=rounds)
+    assert sched == circuit.schedule_cz_layers(code)
+    assert all(type(r) is int for _, g in sched.term_rounds for r in g)
+
+
 def test_arrangement_commutes_agrees_with_the_scheduler():
     code = build_named_code("18-4-4-pruned")
     commutes = circuit.arrangement_commutes(code)

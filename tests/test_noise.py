@@ -1251,6 +1251,17 @@ def test_dem_priors_stay_probabilities_at_high_rates():
     assert all(0.0 < col.probability < 1.0 for col in dem.columns)
 
 
+def test_a_sure_fault_is_named_when_the_dem_rejects_its_prior():
+    """At suppression 25 the measurement rate clamps to 1, so one column's
+    prior is exactly 1; the error names the fault behind it."""
+    code = build_named_code("18-4-4-pruned")
+    circ = build_syndrome_circuit(code, 3)
+    with pytest.raises(ValueError, match=r"column 88: .* a measure slot at layer 15 with prior 1\.0"):
+        noise.build_dem(circ, NoiseModel.device_rates(suppression=25), code=code)
+    dem = noise.build_dem(circ, NoiseModel.device_rates(suppression=24), code=code)
+    assert len(dem.probabilities) == 242
+
+
 def test_dem_priors_stay_below_a_half_when_every_slot_does():
     code = build_named_code("18-4-4-pruned")
     circ = build_syndrome_circuit(code, 3)

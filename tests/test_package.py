@@ -208,3 +208,41 @@ def test_package_imports_only_declared_dependencies():
 def test_import_guard_sees_every_absolute_import():
     source = "import scipy.sparse\nfrom numpy import linalg\nfrom . import gf2\nimport os, json\n"
     assert _imported_packages(ast.parse(source)) == {"scipy", "numpy", "os", "json"}
+
+
+def _package_imports(tree: ast.AST) -> list[str]:
+    """The import statements of a module that import from ``bbqec``:
+    every relative import, and the absolute ones of ``bbqec``."""
+    def ours(name):
+        return name.split(".")[0] == "bbqec"
+
+    return [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or ours(node.module))
+        or isinstance(node, ast.Import) and any(ours(alias.name) for alias in node.names)
+    ]
+
+
+def test_the_tableau_oracle_imports_nothing_from_the_package():
+    """The tableau checks the package's circuits and fault-effect table,
+    so it shares no code with what it checks."""
+    tree = ast.parse((ROOT / "src" / "bbqec" / "tableau.py").read_text())
+    assert _package_imports(tree) == []
+
+
+def test_package_import_check_sees_relative_and_absolute_imports():
+    source = (
+        "from . import gf2\n"
+        "from .codes import CssCode\n"
+        "import bbqec.noise as bn\n"
+        "from bbqec import circuit\n"
+        "import numpy as np, os\n"
+        "from typing import Sequence\n"
+        "def f():\n"
+        "    from .. import other\n"
+    )
+    assert _package_imports(ast.parse(source)) == [
+        "from . import gf2", "from .codes import CssCode", "import bbqec.noise as bn",
+        "from bbqec import circuit", "from .. import other",
+    ]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,9 +14,7 @@ from bbqec.tableau import StabilizerTableau
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-S = np.array([[1, 0], [0, 1j]], dtype=complex)
 
 
 class Statevector:
@@ -42,18 +42,10 @@ class Statevector:
     def apply(self, gate: str, qubits):
         if gate == "H":
             self._apply_1q(H, qubits[0])
-        elif gate == "S":
-            self._apply_1q(S, qubits[0])
         elif gate == "X":
             self._apply_1q(X, qubits[0])
-        elif gate == "Y":
-            self._apply_1q(Y, qubits[0])
         elif gate == "Z":
             self._apply_1q(Z, qubits[0])
-        elif gate == "CNOT":
-            u = np.eye(4, dtype=complex)
-            u[2:, 2:] = X
-            self._apply_2q(u, *qubits)
         elif gate == "CZ":
             self._apply_2q(np.diag([1, 1, 1, -1]).astype(complex), *qubits)
         else:
@@ -76,13 +68,6 @@ class Statevector:
         psi = np.moveaxis(psi, q, 0)
         return float(np.sum(np.abs(psi[0]) ** 2))
 
-    def z_product_expectation(self, support) -> float:
-        index = np.arange(2**self.n)
-        parity = np.zeros(2**self.n, dtype=int)
-        for q in support:
-            parity ^= (index >> (self.n - 1 - q)) & 1
-        return float(np.sum(np.abs(self.psi) ** 2 * (1 - 2 * parity)))
-
     def collapse(self, q: int, outcome: int):
         psi = self.psi.reshape([2] * self.n)
         psi = np.moveaxis(psi, q, 0).copy()
@@ -92,8 +77,15 @@ class Statevector:
         self.psi = np.moveaxis(psi, 0, q).reshape(-1)
 
 
-GATES_1Q = ["H", "S", "X", "Y", "Z"]
-GATES_2Q = ["CNOT", "CZ"]
+GATES_1Q = ["H", "X", "Z"]
+GATES_2Q = ["CZ"]
+# H(1) CZ(0, 1) H(1) is CNOT(0, 1): the gates of a Bell pair
+BELL = [("H", (0,)), ("H", (1,)), ("CZ", (0, 1)), ("H", (1,))]
+
+
+def apply(tab: StabilizerTableau, gate: str, qubits) -> None:
+    """One gate of a random circuit on the tableau."""
+    {"H": tab.h, "X": tab.pauli_x, "Z": tab.pauli_z, "CZ": tab.cz}[gate](*qubits)
 
 
 @st.composite
@@ -117,9 +109,31 @@ def run_both(n, ops):
     tab = StabilizerTableau(n)
     vec = Statevector(n)
     for gate, qubits in ops:
-        tab.apply_gate(gate, qubits)
+        apply(tab, gate, qubits)
         vec.apply(gate, qubits)
     return tab, vec
+
+
+def measure_on_two_replays(n, ops, q, *, states=None, before=(), coins=lambda k: 0):
+    """Measure q after ``ops`` and Z measurements of ``before`` on two
+    fresh tableaux whose k-th coin is coins(k), except that the second
+    one draws the complement for q. So q's outcome is deterministic
+    exactly when the two outcomes agree. Returns the first tableau and
+    both outcomes."""
+    runs = []
+    for flip in (0, 1):
+        draws, last = itertools.count(), [0]  # last: what q's coin is XORed with
+        tab = StabilizerTableau(
+            n, coin=lambda d=draws, f=last: np.asarray(coins(next(d))) ^ f[0], states=states
+        )
+        for gate, qubits in ops:
+            apply(tab, gate, qubits)
+        for p in before:
+            tab.measure(p)
+        last[0] = flip
+        runs.append((tab, tab.measure(q)))
+    (tab, first), (_, second) = runs
+    return tab, first, second
 
 
 def assert_stabilizers_fix_state(tab: StabilizerTableau, vec: Statevector, state: int = 0):
@@ -140,21 +154,18 @@ def test_stabilizer_rows_fix_the_statevector(circ):
 @settings(max_examples=40, deadline=None)
 def test_measurement_agrees_with_statevector(circ):
     n, ops = circ
-    tab, vec = run_both(n, ops)
+    _, vec = run_both(n, ops)
     for q in range(n):
         p0 = vec.prob_zero(q)
-        det = tab.measure_deterministic(q)
+        # coins read 0, and 1 on the second replay's measurement of q
+        tab, got, other = measure_on_two_replays(n, ops, q, before=range(q))
         if p0 > 1 - 1e-9 or p0 < 1e-9:
             expected = 0 if p0 > 0.5 else 1
-            assert det == expected
-            got = tab.measure(q)
-            assert got == expected
+            assert got == other == expected
             vec.collapse(q, expected)
         else:
             assert abs(p0 - 0.5) < 1e-9
-            assert det is None
-            got = tab.measure(q)  # coin source returns 0
-            assert got == 0
+            assert (got, other) == (0, 1)
             vec.collapse(q, got)
         assert_stabilizers_fix_state(tab, vec)
 
@@ -165,8 +176,8 @@ def test_every_state_of_a_batch_follows_its_statevector(circ, seed):
     n, ops = circ
     rng = np.random.default_rng(seed)
     states = rng.integers(0, 2, size=(3, n))
-    coins = iter(rng.integers(0, 2, size=(n, 3)))
-    tab = StabilizerTableau(n, coin=lambda: next(coins), states=states)
+    coins = rng.integers(0, 2, size=(n, 3))
+    tab = StabilizerTableau(n, states=states)
     vecs = []
     for bits in states:
         vec = Statevector(n)
@@ -174,23 +185,19 @@ def test_every_state_of_a_batch_follows_its_statevector(circ, seed):
             vec.apply("X", (q,))
         vecs.append(vec)
     for gate, qubits in ops:
-        tab.apply_gate(gate, qubits)
+        apply(tab, gate, qubits)
         for vec in vecs:
             vec.apply(gate, qubits)
     for b, vec in enumerate(vecs):
         assert_stabilizers_fix_state(tab, vec, b)
-    support = np.flatnonzero(rng.integers(0, 2, size=n))
-    parity = tab.z_parity_deterministic(support)
-    for b, vec in enumerate(vecs):
-        expectation = vec.z_product_expectation(support)
-        if parity is None:
-            assert abs(expectation) < 1e-9
-        else:
-            assert abs(expectation - (-1.0) ** parity[b]) < 1e-9
     for q in range(n):
-        random_outcome = tab.measure_deterministic(q) is None
-        got = tab.measure(q)
+        tab, got, other = measure_on_two_replays(
+            n, ops, q, states=states, before=range(q), coins=coins.__getitem__
+        )
         assert got.shape == (3,)
+        # random for every state or for none
+        assert (got == other).all() or (got != other).all()
+        random_outcome = (got != other).all()
         for b, vec in enumerate(vecs):
             p0 = vec.prob_zero(q)
             if random_outcome:
@@ -230,8 +237,8 @@ def test_layer_calls_equal_gate_by_gate_calls(circ, seed):
             vec.apply("X", (q,))
         vecs.append(vec)
     for gate, qubits in ops:
-        by_layer.apply_gate(gate, qubits)
-        by_gate.apply_gate(gate, qubits)
+        apply(by_layer, gate, qubits)
+        apply(by_gate, gate, qubits)
         for vec in vecs:
             vec.apply(gate, qubits)
     for gate, gates in layers:
@@ -240,7 +247,7 @@ def test_layer_calls_equal_gate_by_gate_calls(circ, seed):
         else:
             by_layer.cz([a for a, _ in gates], [b for _, b in gates])
         for qubits in gates:
-            by_gate.apply_gate(gate, qubits)
+            apply(by_gate, gate, qubits)
             for vec in vecs:
                 vec.apply(gate, qubits)
     assert np.array_equal(by_layer.x, by_gate.x)
@@ -255,14 +262,14 @@ def test_layer_calls_equal_gate_by_gate_calls(circ, seed):
     st.lists(st.lists(st.integers(0, 4), max_size=4), max_size=4),
     st.integers(0, 2**32 - 1),
 )
-@example(circ=(2, [("H", (0,)), ("CNOT", (0, 1))]), groups=[[0], [1]], seed=0)  # XX, ZZ
+@example(circ=(2, BELL), groups=[[0], [1]], seed=0)  # XX, ZZ
 @settings(max_examples=60, deadline=None)
 def test_grouped_sign_products_equal_one_product_per_group(circ, groups, seed):
     n, ops = circ
     states = np.random.default_rng(seed).integers(0, 2, size=(3, n))
     tab = StabilizerTableau(n, states=states)
     for gate, qubits in ops:
-        tab.apply_gate(gate, qubits)
+        apply(tab, gate, qubits)
     # stabilizer rows commute, so every group's product is Hermitian
     groups = [np.array(sorted({n + q % n for q in g}), dtype=np.intp) for g in groups]
     rows = np.concatenate([np.zeros(0, dtype=np.intp), *groups])
@@ -285,7 +292,7 @@ def _counting_coins(states: int, log: list):
 def _prepared(n, ops, states, log):
     tab = StabilizerTableau(n, coin=_counting_coins(len(states), log), states=states)
     for gate, qubits in ops:
-        tab.apply_gate(gate, qubits)
+        apply(tab, gate, qubits)
     return tab
 
 
@@ -313,10 +320,10 @@ def test_measure_many_equals_measure_in_order(circ, order, seed):
 
 
 def test_measure_many_on_a_bell_pair_reads_the_partner_after_the_collapse():
-    ops = [("H", (0,)), ("CNOT", (0, 1))]
     states = np.zeros((5, 2), dtype=np.uint8)
-    assert _prepared(2, ops, states, []).measure_deterministic(1) is None
-    got, log = _assert_measure_many_is_measure_in_order(2, ops, states, [0, 1])
+    _, first, second = measure_on_two_replays(2, BELL, 1, states=states)
+    assert (first != second).all()  # q1 alone is random
+    got, log = _assert_measure_many_is_measure_in_order(2, BELL, states, [0, 1])
     # q1 is random when the layer starts, fixed by q0's outcome after it
     assert len(log) == 1
     assert np.array_equal(got[0], got[1]) and got[0].any()
@@ -346,26 +353,10 @@ def test_states_must_be_basis_states_of_n_qubits():
             StabilizerTableau(3, states=bad)
 
 
-@given(random_circuits())
-@settings(max_examples=40, deadline=None)
-def test_cz_direct_rule_matches_composition(circ):
-    n, ops = circ
-    tab, _ = run_both(n, ops)
-    ref = tab.copy()
-    a, b = 0, 1
-    tab.cz(a, b)
-    ref.h(b)
-    ref.cnot(a, b)
-    ref.h(b)
-    assert np.array_equal(tab.x, ref.x)
-    assert np.array_equal(tab.z, ref.z)
-    assert np.array_equal(tab.r, ref.r)
-
-
 def test_repeat_measurement_is_stable():
     tab = StabilizerTableau(3, coin=lambda: 1)
-    tab.h(0)
-    tab.cnot(0, 1)
+    for gate, qubits in BELL:
+        apply(tab, gate, qubits)
     first = tab.measure(0)
     assert first == 1
     assert tab.measure(0) == first
@@ -378,27 +369,6 @@ def test_injected_coins_replay():
     for q in range(3):
         tab.h(q)
     assert [tab.measure(q) for q in range(3)] == [1, 0, 1]
-
-
-def test_z_parity_ghz():
-    tab = StabilizerTableau(3, coin=lambda: 1)
-    tab.h(0)
-    tab.cnot(0, 1)
-    tab.cnot(1, 2)
-    # single-qubit Z values are random, the joint parity is fixed at 0
-    assert tab.z_parity_deterministic((0,)) is None
-    assert tab.z_parity_deterministic((0, 1)) == 0
-    assert tab.z_parity_deterministic((0, 1, 2)) is None
-    assert tab.z_parity((0, 1)) == 0
-
-
-def test_z_parity_with_sign():
-    tab = StabilizerTableau(2)
-    tab.pauli_x(0)  # |10>
-    assert tab.z_parity_deterministic((0,)) == 1
-    assert tab.z_parity_deterministic((0, 1)) == 1
-    assert tab.z_parity_deterministic((1,)) == 0
-    assert tab.z_parity_deterministic(()) == 0  # the identity
 
 
 def test_cz_phase_convention():
@@ -417,3 +387,46 @@ def test_cz_phase_convention():
 def test_rejects_empty_register():
     with pytest.raises(ValueError):
         StabilizerTableau(0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: t.h(-1),
+        lambda t: t.h(5),
+        lambda t: t.h([0, 2]),
+        lambda t: t.h(1.0),
+        lambda t: t.h(True),
+        lambda t: t.cz(0, 7),
+        lambda t: t.cz([0], [-1]),
+        lambda t: t.pauli_x(5),
+        lambda t: t.pauli_z(-2),
+        lambda t: t.measure(3),
+        lambda t: t.measure(-1),
+        lambda t: t.measure_many([0, 4]),
+        lambda t: t.measure_many([0.0]),
+    ],
+    ids=["h(-1)", "h(5)", "h([0,2])", "h(1.0)", "h(True)", "cz(0,7)", "cz(-1)", "pauli_x(5)",
+         "pauli_z(-2)", "measure(3)", "measure(-1)", "measure_many([0,4])", "measure_many(0.0)"],
+)
+def test_qubits_outside_the_register_are_rejected(call):
+    tab = StabilizerTableau(2, coin=lambda: 1)
+    tab.h(0)
+    before = tab.x.copy(), tab.z.copy(), tab.r.copy()
+    with pytest.raises(ValueError):
+        call(tab)
+    assert all(map(np.array_equal, (tab.x, tab.z, tab.r), before))
+
+
+@pytest.mark.parametrize("n", [2.5, True, -1, "3", None])
+def test_qubit_count_must_be_an_int_of_at_least_one(n):
+    with pytest.raises(ValueError):
+        StabilizerTableau(n)
+
+
+def test_numpy_ints_are_qubits():
+    tab = StabilizerTableau(np.int64(2))
+    tab.h(np.int32(1))
+    tab.cz(np.uint8(0), np.int64(1))
+    assert tab.n == 2 and type(tab.n) is int
+    assert tab.measure_many(np.array([0, 1], dtype=np.uint16)).shape == (2, 1)
