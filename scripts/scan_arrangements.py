@@ -77,8 +77,8 @@ KEEP = 40
 
 
 def shape_ok(ra, rb, rbt, rat):
-    # depends on the round sets only, so filtering the scheduler's walk
-    # keeps its order
+    # depends on the round sets only, so filtering keeps the order of
+    # arrangements()
     left_covered = max(rbt) == 7 and max(rb) < max(rat)
     right_covered = max(rat) == 7 and max(ra) < max(rbt)
     return left_covered or right_covered

@@ -240,9 +240,13 @@ class CzSchedule:
 
 # Round assignment matching the published per-cycle operation
 # inventory: X checks touch the left data block in rounds {2,6,7} and
-# the right block in {3,4,5}, Z checks mirror it. It extracts commuting
-# stabilizer values for every code in the registry and compiles to 78
-# single-qubit gates per steady cycle on the pruned 18-qubit circuit.
+# the right block in {3,4,5}, Z checks mirror it. It compiles to 78
+# single-qubit gates per steady cycle on the pruned 18-qubit circuit,
+# and it commutes on every two-block code and every retained subset of
+# its checks: its X-before-Z crossings are B_g A_1 (A round 2 before
+# every BT round) and A_1 B_g (every B round before AT round 6) for
+# g = 0..2, and x and y shifts commute, so they cancel in pairs on
+# every row.
 _INVENTORY_ASSIGNMENT = ((6, 2, 7), (3, 4, 5), (3, 4, 5), (1, 6, 2))
 # Production assignments for the 18-qubit codes, swept deterministically
 # by scripts/scan_arrangements.py for two properties the inventory
@@ -262,7 +266,9 @@ _PINNED_ASSIGNMENTS = {"18-4-4": ((5, 2, 1), (3, 6, 4), (4, 3, 6), (1, 5, 7))}
 _PINNED_ASSIGNMENTS["18-4-4-pruned"] = _PINNED_ASSIGNMENTS["18-4-4"]  # the same term maps
 # the term groups of an arrangement, in its order and that of term_rounds
 _TERM_GROUPS = ("A", "B", "BT", "AT")
-_SEARCH_CAP = 2_000_000
+# group pairs that share no round: A and B share the X ancilla, BT and AT
+# the Z ancilla, A and BT the left data block, B and AT the right one
+_DISJOINT_GROUPS = ((0, 1), (2, 3), (0, 2), (1, 3))
 
 
 def arrangements():
@@ -273,8 +279,8 @@ def arrangements():
     Z-side groups share the one Z ancilla, and within a round each data
     block belongs to at most one side. Round sets come in
     ``itertools.combinations`` order, and the term orders within each in
-    ``itertools.permutations`` order, A outermost; ``schedule_cz_layers``
-    walks them in this order.
+    ``itertools.permutations`` order, A outermost;
+    ``scripts/scan_arrangements.py`` sweeps them.
     """
     rounds = tuple(range(1, 8))
     for ra in itertools.combinations(rounds, 3):
@@ -283,9 +289,7 @@ def arrangements():
             for rbt in itertools.combinations(outside_a, 3):
                 avail = tuple(r for r in rounds if r not in rb and r not in rbt)
                 for rat in itertools.combinations(avail, 3):
-                    yield from itertools.product(
-                        *map(itertools.permutations, (ra, rb, rbt, rat))
-                    )
+                    yield from itertools.product(*map(itertools.permutations, (ra, rb, rbt, rat)))
 
 
 def _term_maps(code: CssCode):
@@ -296,22 +300,10 @@ def _term_maps(code: CssCode):
     return a_maps, b_maps
 
 
-def arrangement_commutes(code: CssCode) -> Callable[..., bool]:
-    """The predicate ``commutes(ra, rb, rbt, rat)``: whether the CZ
-    arrangement with these term rounds extracts commuting stabilizer
-    values for ``code``.
-
-    For every retained X/Z check pair, the number of shared data qubits
-    whose X-side CZ lands in an earlier round than the Z-side CZ must be
-    even, otherwise the Z outcome inherits the X ancilla's undetermined
-    pre-cycle state. ``schedule_cz_layers`` accepts exactly the
-    arrangements this predicate accepts. Raises ScheduleError for a code
-    without the two-block cyclic construction.
-    """
+def _commutes(code: CssCode) -> Callable[..., bool]:
+    """``arrangement_commutes`` for round groups that ``_arrangement_rounds`` checked."""
     if code.spec is None:
-        raise ScheduleError(
-            "depth-7 scheduling needs the two-block cyclic construction"
-        )
+        raise ScheduleError("depth-7 scheduling needs the two-block cyclic construction")
     half = code.half
     a_maps, b_maps = _term_maps(code)
     # comp_ab[a][g][x] = the Z row reached from X row x through the left
@@ -336,51 +328,56 @@ def arrangement_commutes(code: CssCode) -> Callable[..., bool]:
     return commutes
 
 
-def schedule_cz_layers(
-    code: CssCode, *, arrangement: tuple | None = None
-) -> CzSchedule:
+def arrangement_commutes(code: CssCode) -> Callable[..., bool]:
+    """The predicate ``commutes(ra, rb, rbt, rat)``: whether the CZ
+    arrangement with these term rounds extracts commuting stabilizer
+    values for ``code``.
+
+    For every retained X/Z check pair, the number of shared data qubits
+    whose X-side CZ lands in an earlier round than the Z-side CZ must be
+    even, otherwise the Z outcome inherits the X ancilla's undetermined
+    pre-cycle state. ``schedule_cz_layers`` accepts exactly the
+    arrangements this predicate accepts. The predicate raises ValueError
+    for round groups that ``schedule_cz_layers`` rejects. Raises
+    ScheduleError for a code without the two-block cyclic construction.
+    """
+    commutes = _commutes(code)
+    return lambda *groups: commutes(*_arrangement_rounds(groups))
+
+
+def schedule_cz_layers(code: CssCode, *, arrangement: tuple | None = None) -> CzSchedule:
     """Assign every retained check-data CZ to one of seven layers.
 
     For codes with checks of only one type any collision-free coloring
     works and a lowest-free-layer pass is used. With both types present
     the layers must also extract commuting stabilizer values
-    (``arrangement_commutes``). Per-code pinned assignments are tried
-    first, then the inventory arrangement, then a walk over assignments
-    in a fixed order, so the result is deterministic; ScheduleError is
-    raised rather than ever emitting an eighth layer. An explicit
-    `arrangement` (four round tuples, term order significant) bypasses
-    the pins and must itself extract commuting values; ValueError, naming
-    the first bad group, unless it is four groups of three int rounds in
-    1..7.
+    (``arrangement_commutes``): the code's pinned assignment is used if
+    it commutes, else the inventory arrangement, which commutes on every
+    two-block code. An explicit `arrangement` (four round tuples, term
+    order significant) bypasses the pins and must itself extract
+    commuting values, or ScheduleError is raised. ValueError, naming the
+    bad group or groups, unless it is four groups of three distinct int
+    rounds in 1..7 with no round shared by A and B, BT and AT, A and BT,
+    or B and AT (the placements ``arrangements`` yields).
     """
     if arrangement is not None:
         arrangement = _arrangement_rounds(arrangement)
     if not code.retained_x or not code.retained_z:
         return _sequential_schedule(code)
-    commutes = arrangement_commutes(code)
+    commutes = _commutes(code)
+    pinned = _PINNED_ASSIGNMENTS.get(code.name or "")
     if arrangement is not None:
         if not commutes(*arrangement):
             raise ScheduleError(
-                "requested arrangement does not extract commuting "
-                f"stabilizer values for {code.name or 'code'}"
+                f"requested arrangement does not extract commuting stabilizer values for {code.name or 'code'}"
             )
-        return _schedule_from_rounds(code, *arrangement)
-    pinned = _PINNED_ASSIGNMENTS.get(code.name or "")
-    for cand in (pinned, _INVENTORY_ASSIGNMENT):
-        if cand is not None and commutes(*cand):
-            return _schedule_from_rounds(code, *cand)
-    for tried, cand in enumerate(arrangements(), 1):
-        if tried > _SEARCH_CAP:
-            raise ScheduleError(
-                "no commuting depth-7 CZ schedule within "
-                f"{_SEARCH_CAP} candidate assignments for "
-                f"{code.name or 'code'}"
-            )
-        if commutes(*cand):
-            return _schedule_from_rounds(code, *cand)
-    raise ScheduleError(
-        f"no commuting depth-7 CZ schedule exists for {code.name or 'code'}"
-    )
+    elif pinned is not None and commutes(*pinned):
+        arrangement = pinned
+    elif commutes(*_INVENTORY_ASSIGNMENT):
+        arrangement = _INVENTORY_ASSIGNMENT
+    else:
+        raise AssertionError("inventory arrangement does not commute; construction bug")
+    return _schedule_from_rounds(code, *arrangement)
 
 
 def _arrangement_rounds(arrangement) -> tuple[tuple[int, ...], ...]:
@@ -388,11 +385,21 @@ def _arrangement_rounds(arrangement) -> tuple[tuple[int, ...], ...]:
     ``schedule_cz_layers`` states."""
     if not _is_sequence(arrangement) or len(arrangement) != 4:
         raise ValueError(f"an arrangement is four round groups {_TERM_GROUPS}, got {arrangement!r}")
+    groups = []
     for name, group in zip(_TERM_GROUPS, arrangement):
         if not (_is_sequence(group) and len(group) == 3
                 and all(_is_int(r) and 1 <= r <= 7 for r in group)):
             raise ValueError(f"arrangement group {name} needs three int rounds in 1..7, got {group!r}")
-    return tuple(tuple(map(int, group)) for group in arrangement)
+        if len(set(group)) < 3:
+            raise ValueError(f"arrangement group {name} repeats a round: {group!r}")
+        groups.append(tuple(map(int, group)))
+    for i, j in _DISJOINT_GROUPS:
+        shared = set(groups[i]).intersection(groups[j])
+        if shared:
+            raise ValueError(
+                f"arrangement groups {_TERM_GROUPS[i]} and {_TERM_GROUPS[j]} share rounds {sorted(shared)}"
+            )
+    return tuple(groups)
 
 
 def _schedule_from_rounds(code, ra, rb, rbt, rat):
@@ -414,7 +421,6 @@ def _schedule_from_rounds(code, ra, rb, rbt, rat):
         for z in code.retained_z:
             layers[r - 1].append(("Z", z, half + int(inv_a[k][z])))
     out = tuple(tuple(sorted(L, key=lambda e: e[2])) for L in layers)
-    _reject_layer_collisions(out)
     rounds = tuple(map(tuple, (ra, rb, rbt, rat)))
     return CzSchedule(layers=out, term_rounds=tuple(zip(_TERM_GROUPS, rounds)))
 
@@ -438,22 +444,9 @@ def _sequential_schedule(code: CssCode) -> CzSchedule:
                 busy[r].update((key, d))
                 break
         else:
-            raise ScheduleError(
-                f"check {typ}{row} cannot fit its edges into seven layers"
-            )
+            raise ScheduleError(f"check {typ}{row} cannot fit its edges into seven layers")
     out = tuple(tuple(sorted(L, key=lambda e: e[2])) for L in layers)
-    _reject_layer_collisions(out)
     return CzSchedule(layers=out, term_rounds=None)
-
-
-def _reject_layer_collisions(layers) -> None:
-    for r, L in enumerate(layers, start=1):
-        used: set = set()
-        for typ, row, d in L:
-            for token in ((typ, row), d):
-                if token in used:
-                    raise ScheduleError(f"layer {r} reuses {token}")
-                used.add(token)
 
 
 # ---------------------------------------------------------------------------
@@ -835,12 +828,10 @@ def parse_circuit(text: str) -> Circuit:
     pending = False
     line_no = 0
 
-    def close(at_line: int) -> None:
+    def close() -> None:
+        # every gate was checked as it was read; an empty layer reads as CZ
         nonlocal buf, buf_kind, buf_qubits, pending
-        try:
-            layers.append(GateLayer(buf_kind or CZ, tuple(buf)))
-        except ValueError as exc:
-            raise CircuitParseError(at_line, str(exc)) from None
+        layers.append(GateLayer(buf_kind or CZ, tuple(buf)))
         if pending:
             boundaries.append(len(layers) - 1)
         buf, buf_kind, buf_qubits, pending = [], None, set(), False
@@ -868,7 +859,7 @@ def parse_circuit(text: str) -> Circuit:
         if op == "TICK":
             if len(tokens) != 1:
                 raise CircuitParseError(line_no, "TICK takes no arguments")
-            close(line_no)
+            close()
             continue
         if op == "CYCLE":
             if len(tokens) != 1:
@@ -893,7 +884,7 @@ def parse_circuit(text: str) -> Circuit:
     if pending and not buf:
         raise CircuitParseError(line_no, "cycle boundary with no following layer")
     if buf:
-        close(line_no)
+        close()
     if qubit_count is None:
         qubit_count = max((q for L in layers for q in L.qubits()), default=-1) + 1
     return Circuit(

@@ -13,7 +13,7 @@ that pruned codes keep the full matrices for reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -136,6 +136,10 @@ class CssCode:
     say which rows are actually measured. k and d refer to the retained
     code; d is None until computed (d_trusted marks a value taken from a
     published table rather than verified here).
+
+    Raises ValueError unless n is an int >= 0, h_x and h_z are
+    BinaryMatrix objects with n columns, and each retained list holds
+    distinct int row indices of its matrix.
     """
 
     name: str
@@ -148,8 +152,23 @@ class CssCode:
     d: int | None = None
     d_trusted: bool = False
     spec: BbCodeSpec | None = None
-    a_matrix: BinaryMatrix | None = field(default=None, repr=False)
-    b_matrix: BinaryMatrix | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        # cheap by design: dataclasses.replace runs it again in every set-up
+        if not _is_int(self.n) or self.n < 0:
+            raise ValueError(f"n must be an int >= 0, got {self.n!r}")
+        for label, h, retained in (("x", self.h_x, self.retained_x), ("z", self.h_z, self.retained_z)):
+            if not isinstance(h, BinaryMatrix):
+                raise ValueError(f"h_{label} must be a BinaryMatrix, got {type(h).__name__}")
+            if h.cols != self.n:
+                raise ValueError(f"h_{label} has {h.cols} columns, n = {self.n}")
+            if not (_is_sequence(retained)
+                    and all(_is_int(i) and 0 <= i < h.rows for i in retained)
+                    and len(set(retained)) == len(retained)):
+                raise ValueError(
+                    f"retained_{label} must be distinct ints in [0, {h.rows}), got {retained!r}"
+                )
+            object.__setattr__(self, f"retained_{label}", tuple(map(int, retained)))
 
     @property
     def half(self) -> int:
@@ -192,8 +211,7 @@ def build_bb_code(spec: BbCodeSpec, name: str = "") -> CssCode:
     a = _polynomial(spec, spec.a_terms)
     b = _polynomial(spec, spec.b_terms)
     for label, mat in (("a", a), ("b", b)):
-        weights = mat.bits.sum(axis=1)
-        if not (weights == 3).all():
+        if not (mat.bits.sum(axis=1) == 3).all():
             raise ValueError(
                 f"polynomial {label} has a repeated monomial (row weight != 3)"
             )
@@ -202,19 +220,9 @@ def build_bb_code(spec: BbCodeSpec, name: str = "") -> CssCode:
     css = gf2.matmul_mod2(h_x, gf2.transpose(h_z))
     if css.bits.any():
         raise AssertionError("CSS condition violated; construction bug")
-    n = 2 * spec.l * spec.m
-    rows = h_x.rows
-    code = CssCode(
-        name=name or f"bb-l{spec.l}-m{spec.m}",
-        n=n,
-        h_x=h_x,
-        h_z=h_z,
-        retained_x=tuple(range(rows)),
-        retained_z=tuple(range(rows)),
-        spec=spec,
-        a_matrix=a,
-        b_matrix=b,
-    )
+    every = tuple(range(h_x.rows))
+    code = CssCode(name=name or f"bb-l{spec.l}-m{spec.m}", n=2 * spec.l * spec.m, h_x=h_x, h_z=h_z,
+                   retained_x=every, retained_z=every, spec=spec)
     return replace(code, k=compute_k(code))
 
 
@@ -223,16 +231,13 @@ def compute_k(code: CssCode) -> int:
 
     For a full (unpruned) polynomial code the rank-based count is
     cross-checked against twice the dimension of ker(A) intersected with
-    ker(B); a mismatch is a construction bug, not user error.
+    ker(B), A and B being the two halves of h_x = [A | B]; a mismatch is
+    a construction bug, not user error.
     """
-    k = (
-        code.n
-        - gf2.rank(code.retained_h_x())
-        - gf2.rank(code.retained_h_z())
-    )
-    if code.all_checks_retained() and code.a_matrix is not None:
-        stacked = gf2.vstack(code.a_matrix, code.b_matrix)
-        joint_kernel_dim = code.half - gf2.rank(stacked)
+    k = code.n - gf2.rank(code.retained_h_x()) - gf2.rank(code.retained_h_z())
+    if code.all_checks_retained() and code.spec is not None:
+        a, b = np.hsplit(code.h_x.bits, 2)
+        joint_kernel_dim = code.half - gf2.rank(BinaryMatrix(np.vstack([a, b])))
         if k != 2 * joint_kernel_dim:
             raise AssertionError(
                 f"k mismatch: rank route {k}, kernel route {2 * joint_kernel_dim}"
@@ -291,26 +296,27 @@ def _min_weight_outside_row_space(
     raise AssertionError("kernel contains no vector outside the row space")
 
 
-def compute_distance(code: CssCode, max_kernel_dim: int = 24) -> DistanceResult:
+# the largest kernel dimension the distance search walks: 2^24 vectors, about 16.7M
+_MAX_KERNEL_DIM = 24
+
+
+def compute_distance(code: CssCode) -> DistanceResult:
     """Exhaustive minimum-distance search over both error types.
 
     Walks ker(h_x) for weights of Z-type logicals and ker(h_z) for X-type
     logicals, each time excluding the opposite row space, and returns the
-    smaller minimum. Kernels larger than max_kernel_dim (default 24, about
-    16.7M vectors) yield an honest "not computed" result instead of a bound;
-    both kernels are sized before either is searched.
+    smaller minimum. Kernels larger than ``_MAX_KERNEL_DIM`` yield an
+    honest "not computed" result instead of a bound; both kernels are
+    sized before either is searched.
     """
     sides = [
         (gf2.kernel_basis(code.retained_h_x()), code.retained_h_z()),
         (gf2.kernel_basis(code.retained_h_z()), code.retained_h_x()),
     ]
     for basis, _ in sides:
-        if len(basis) > max_kernel_dim:
-            return DistanceResult(
-                value=None,
-                computed=False,
-                reason=f"kernel dimension {len(basis)} exceeds limit {max_kernel_dim}",
-            )
+        if len(basis) > _MAX_KERNEL_DIM:
+            reason = f"kernel dimension {len(basis)} exceeds limit {_MAX_KERNEL_DIM}"
+            return DistanceResult(value=None, computed=False, reason=reason)
     minima = []
     for basis, space_of in sides:
         kernel_mat = np.vstack([v.bits[0] for v in basis]) if basis else np.zeros(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bbqec import circuit, gf2
-from bbqec.codes import CssCode, build_named_code
+from bbqec.codes import BbCodeSpec, CssCode, build_bb_code, build_named_code
 from bbqec.tableau import StabilizerTableau
 
 
@@ -106,9 +106,7 @@ def test_explicit_arrangement_must_commute():
 
 
 PINNED = ((5, 2, 1), (3, 6, 4), (4, 3, 6), (1, 5, 7))
-
-
-@pytest.mark.parametrize(
+MALFORMED = pytest.mark.parametrize(
     "bad, group",
     [
         (((1, 2, 4), (3, 5, 0), (5, 3, 7), (6, 4, 1)), "group B"),  # round 0, read as round 7
@@ -120,10 +118,79 @@ PINNED = ((5, 2, 1), (3, 6, 4), (4, 3, 6), (1, 5, 7))
     ],
     ids=["round-0", "round-8", "two-rounds", "float-round", "three-groups", "bool-round"],
 )
+
+
+@MALFORMED
 def test_a_malformed_arrangement_is_rejected_naming_its_group(bad, group):
     code = build_named_code("18-4-4")
     with pytest.raises(ValueError, match=group):
         circuit.schedule_cz_layers(code, arrangement=bad)
+
+
+@MALFORMED
+def test_the_commutation_predicate_rejects_a_malformed_arrangement(bad, group):
+    commutes = circuit.arrangement_commutes(build_named_code("18-4-4"))
+    with pytest.raises(ValueError, match=group):
+        commutes(*bad)
+
+
+@pytest.mark.parametrize(
+    "bad, groups",
+    [
+        # commutes on 18-4-4, so only the input rule stops it
+        (((7, 4, 3), (4, 3, 7), (6, 2, 1), (3, 5, 1)), r"groups A and B share rounds \[3, 4, 7\]"),
+        (((6, 2, 7), (3, 4, 5), (3, 4, 1), (1, 6, 2)), r"groups BT and AT share rounds \[1\]"),
+        (((6, 2, 7), (3, 4, 5), (3, 4, 7), (1, 6, 2)), r"groups A and BT share rounds \[7\]"),
+        (((6, 2, 7), (3, 4, 1), (3, 4, 5), (1, 6, 2)), r"groups B and AT share rounds \[1\]"),
+        (((6, 2, 6), (3, 4, 5), (3, 4, 5), (1, 7, 2)), "group A repeats a round"),
+    ],
+    ids=["A-B", "BT-AT", "A-BT", "B-AT", "repeated-round"],
+)
+def test_a_colliding_arrangement_is_rejected_naming_its_groups(bad, groups):
+    code = build_named_code("18-4-4")
+    with pytest.raises(ValueError, match=groups):
+        circuit.schedule_cz_layers(code, arrangement=bad)
+    with pytest.raises(ValueError, match=groups):
+        circuit.arrangement_commutes(code)(*bad)
+
+
+def test_arrangements_are_the_placements_the_input_rules_accept():
+    wanted = {PINNED, circuit._INVENTORY_ASSIGNMENT}
+    found = set()
+    for count, rounds in enumerate(circuit.arrangements(), 1):
+        if rounds in wanted:
+            found.add(rounds)
+        if count % 97 == 0:  # 13,093 of them
+            assert circuit._arrangement_rounds(rounds) == rounds
+    assert count == 1_270_080
+    assert found == wanted
+
+
+def test_the_inventory_arrangement_commutes_on_every_two_block_code():
+    # its X-before-Z crossings cancel in pairs, so no spec and no retained
+    # subset of its checks needs another arrangement
+    rng = np.random.default_rng(20)
+    built = 0
+    while built < 40:
+        l, m = (int(v) for v in rng.integers(1, 6, size=2))
+        terms = [("xy"[rng.integers(2)], int(rng.integers(0, 6))) for _ in range(6)]
+        try:
+            code = build_bb_code(BbCodeSpec(l, m, terms[:3], terms[3:]))
+        except ValueError:  # a repeated monomial
+            continue
+        built += 1
+        keep = lambda: tuple(np.flatnonzero(rng.random(code.half) < 0.7).tolist()) or (0,)
+        code = replace(code, retained_x=keep(), retained_z=keep())
+        sched = circuit.schedule_cz_layers(code)
+        assert sched.term_rounds == tuple(zip(circuit._TERM_GROUPS, circuit._INVENTORY_ASSIGNMENT))
+        circ = circuit.build_syndrome_circuit(code, 2)
+        assert circuit.verify_circuit(circ, code, preparations=4).ok
+
+
+def test_a_non_commuting_inventory_is_a_construction_bug(monkeypatch):
+    monkeypatch.setattr(circuit, "_INVENTORY_ASSIGNMENT", ((1, 2, 3), (4, 5, 6), (4, 5, 6), (1, 2, 3)))
+    with pytest.raises(AssertionError, match="construction bug"):
+        circuit.schedule_cz_layers(build_named_code("18-6-3"))
 
 
 def test_an_arrangement_of_numpy_ints_is_the_pinned_one():
@@ -522,6 +589,9 @@ def test_parse_single_gate_line():
         ("CZ 1 one\nTICK", 1),
         ("H 0\n# basis Y\nTICK", 2),
         ("# basis Z X\nH 0\nTICK", 1),
+        ("# qubits x\nH 0\nTICK", 1),
+        ("H 0\n# qubits -1\nTICK", 2),
+        ("CYCLE 3\nH 0\nTICK", 1),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
@@ -569,6 +639,27 @@ def test_only_a_cz_layer_may_be_empty(kind):
         circuit.Circuit(2, (circuit.GateLayer(kind, ()),), ())
     empty_cz = circuit.Circuit(2, (circuit.GateLayer(circuit.CZ, ()),), ())
     assert circuit.parse_circuit(circuit.serialize_circuit(empty_cz)) == empty_cz
+
+
+def test_gate_layer_rejects_a_negative_qubit():
+    with pytest.raises(ValueError, match="negative qubit index"):
+        circuit.GateLayer(circuit.CZ, (("CZ", (0, -1)),))
+
+
+def test_build_rejects_an_unknown_basis():
+    with pytest.raises(ValueError, match="basis must be 'Z' or 'X'"):
+        circuit.build_syndrome_circuit(build_named_code("18-6-3"), 1, basis="Y")
+
+
+@pytest.mark.parametrize(
+    "boundaries, message",
+    [((0, 0), "strictly increase"), ((0, 14), "past the last layer")],
+    ids=["repeated", "past-the-end"],
+)
+def test_circuit_rejects_boundaries_out_of_order_or_past_the_end(boundaries, message):
+    layers = (circuit.GateLayer(circuit.CZ, ()),) * 14
+    with pytest.raises(ValueError, match=message):
+        circuit.Circuit(2, layers, boundaries)
 
 
 def test_circuit_rejects_wrong_cz_layer_count_per_cycle():

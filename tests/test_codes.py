@@ -183,6 +183,58 @@ def test_named_codes_match_expected_k():
         assert code.k == k
 
 
+def _six_qubit_code(**change) -> codes.CssCode:
+    fields = dict(
+        name="six",
+        n=6,
+        h_x=gf2.from_rows([[1, 1, 1, 1, 0, 0]]),
+        h_z=gf2.from_rows([[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0]]),
+        retained_x=(0,),
+        retained_z=(0, 1),
+    )
+    return codes.CssCode(**{**fields, **change})
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(retained_x=(3,)), r"retained_x must be distinct ints in \[0, 1\)"),
+        (dict(n=5), "h_x has 6 columns, n = 5"),
+        (dict(retained_z=(1, 1)), "retained_z must be distinct"),
+        (dict(retained_z=(-1,)), "retained_z must be distinct"),
+        (dict(retained_x=(0.0,)), "retained_x must be distinct ints"),
+        (dict(retained_x=(True,)), "retained_x must be distinct ints"),
+        (dict(retained_x=None), "retained_x must be distinct ints"),
+        (dict(n=-1), "n must be an int >= 0"),
+        (dict(n=6.0), "n must be an int >= 0"),
+        (dict(h_z=np.ones((1, 6), dtype=np.uint8)), "h_z must be a BinaryMatrix"),
+    ],
+    ids=["index-out-of-range", "n-below-columns", "repeated-index", "negative-index",
+         "float-index", "bool-index", "no-index-list", "negative-n", "float-n", "plain-array"],
+)
+def test_css_code_rejects_malformed_input(change, message):
+    with pytest.raises(ValueError, match=message):
+        _six_qubit_code(**change)
+
+
+def test_css_code_stores_retained_indices_as_a_tuple_of_ints():
+    code = _six_qubit_code(retained_z=[np.int64(1), 0], n=np.int64(6))
+    assert code.retained_z == (1, 0) and all(type(i) is int for i in code.retained_z)
+    assert codes.compute_k(code) == 3
+    # replace checks again
+    with pytest.raises(ValueError, match="retained_x"):
+        replace(code, retained_x=(1,))
+
+
+def test_k_cross_check_reads_the_two_halves_of_h_x(code_18):
+    # with the spec set, the kernel route reads A and B as h_x = [A | B];
+    # dropped Z checks leave the rank route at 18 - 7 - 0 = 11
+    no_z = replace(code_18, h_z=gf2.zeros(9, 18))
+    with pytest.raises(AssertionError, match="k mismatch: rank route 11, kernel route 4"):
+        codes.compute_k(no_z)
+    assert codes.compute_k(replace(no_z, spec=None)) == 11
+
+
 def test_distance_refuses_large_kernels():
     code = codes.build_named_code("54-4-8")
     result = codes.compute_distance(code)
@@ -475,6 +527,15 @@ def _replace_first_hx_row(row):
         pytest.param(
             _edit_code_file(lambda lines: lines[:-1] + ["RETAINED_Z 0 one"]),
             "expected integers", id="retained-not-int",
+        ),
+        pytest.param(
+            _edit_code_file(
+                lambda lines: [
+                    "RETAINED_X 0 0 1 3 4 5 6 7" if ln.startswith("RETAINED_X") else ln
+                    for ln in lines
+                ]
+            ),
+            "retained_x must be distinct", id="retained-repeated",
         ),
         pytest.param(
             _edit_code_file(lambda lines: lines + ["LOGICAL_X 0 18", "LOGICAL_Z 0 1"]),

@@ -93,14 +93,14 @@ def test_private_use_check_sees_imports_and_attributes():
     source = (
         "import bbqec.circuit as c\n"
         "from bbqec import noise\n"
-        "from bbqec.circuit import _SEARCH_CAP, arrangements\n"
+        "from bbqec.circuit import _TERM_GROUPS, arrangements\n"
         "c._term_maps(code)\n"
         "noise._Program\n"
         "noise.__name__\n"
         "other._private\n"
     )
     found = sorted(_private_uses(ast.parse(source)))
-    assert found == ["_SEARCH_CAP", "c._term_maps", "noise._Program"]
+    assert found == ["_TERM_GROUPS", "c._term_maps", "noise._Program"]
 
 
 def _names_used(tree: ast.AST) -> Counter:
