@@ -31,10 +31,10 @@ from .tableau import StabilizerTableau
 
 __all__ = [
     "SINGLE_QUBIT", "CZ", "MEASURE_CHECKS", "READOUT_DATA", "DD_IDLE", "LAYER_KINDS", "GATE_NAMES",
-    "ScheduleError", "CircuitParseError", "GateLayer", "Circuit",
+    "ScheduleError", "GateLayer", "Circuit",
     "QubitLayout", "qubit_layout", "CzSchedule", "arrangements", "arrangement_commutes",
     "schedule_cz_layers", "build_syndrome_circuit", "GateTable", "gate_table", "VerifyReport",
-    "verify_circuit", "serialize_circuit", "parse_circuit",
+    "verify_circuit",
 ]
 
 SINGLE_QUBIT = "SINGLE_QUBIT"
@@ -63,21 +63,13 @@ class ScheduleError(Exception):
     """No valid depth-7 CZ assignment was found."""
 
 
-class CircuitParseError(ValueError):
-    """Text form could not be parsed; carries the offending line number."""
-
-    def __init__(self, line: int, message: str):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
-
-
-def _check_gates(kind: str | None, gates, seen: set[int]) -> list[tuple[str, tuple[int, ...]]]:
+def _check_gates(kind: str, gates) -> list[tuple[str, tuple[int, ...]]]:
     """The gates, each qubit as an int. Raises ValueError unless each
     gate's name is known, ``kind`` is its home layer kind, it has its
     arity and each qubit is a non-negative integer that no other gate of
-    the layer uses (``seen`` holds those of its earlier gates and gains
-    these)."""
+    the layer uses."""
     checked = []
+    seen: set[int] = set()
     for name, qubits in gates:
         rule = _GATE_RULES.get(name)
         if rule is None:
@@ -110,10 +102,11 @@ class GateLayer:
         if self.kind not in LAYER_KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
         if not self.gates and self.kind != CZ:
-            # the text form writes an empty layer as a bare TICK, which
-            # reads back as CZ
+            # a cycle keeps seven CZ layers where its schedule leaves a round
+            # empty (a code with checks of one type); no other layer is
+            # built empty
             raise ValueError(f"a {self.kind} layer needs at least one gate")
-        object.__setattr__(self, "gates", tuple(_check_gates(self.kind, self.gates, set())))
+        object.__setattr__(self, "gates", tuple(_check_gates(self.kind, self.gates)))
 
     def qubits(self) -> frozenset[int]:
         return frozenset(q for _, qs in self.gates for q in qs)
@@ -358,11 +351,17 @@ def schedule_cz_layers(code: CssCode, *, arrangement: tuple | None = None) -> Cz
     commuting values, or ScheduleError is raised. ValueError, naming the
     bad group or groups, unless it is four groups of three distinct int
     rounds in 1..7 with no round shared by A and B, BT and AT, A and BT,
-    or B and AT (the placements ``arrangements`` yields).
+    or B and AT (the placements ``arrangements`` yields); ValueError too
+    for an arrangement given to a code with checks of one type.
     """
     if arrangement is not None:
         arrangement = _arrangement_rounds(arrangement)
     if not code.retained_x or not code.retained_z:
+        if arrangement is not None:
+            raise ValueError(
+                f"an arrangement places X and Z checks; {code.name or 'the code'} "
+                "has checks of one type"
+            )
         return _sequential_schedule(code)
     commutes = _commutes(code)
     pinned = _PINNED_ASSIGNMENTS.get(code.name or "")
@@ -464,6 +463,38 @@ def _x_runs(x_rounds, z_rounds):
     return runs
 
 
+def _check_schedule(code: CssCode, sched: CzSchedule) -> None:
+    """Raises ValueError unless ``sched`` has seven CZ layers whose edges
+    are the supports of the code's retained check rows, each edge once
+    (a schedule made for another code, or from a ``spec`` that does not
+    describe ``h_x`` and ``h_z``, fails here), naming the first check
+    that differs."""
+    if len(sched.layers) != 7:
+        raise ValueError(f"a CZ schedule has 7 layers, got {len(sched.layers)}")
+    side = {"X": 0, "Z": 1}
+    edges = [e for L in sched.layers for e in L]
+    typ, row, data = zip(*edges) if edges else ((), (), ())
+    want = np.zeros((2, max(code.h_x.rows, code.h_z.rows), code.n), dtype=np.uint8)
+    try:
+        # (side, check row, data qubit) per edge: an unknown side (None) or a
+        # row or qubit that is not an int makes an object, float or str
+        # array, which ravel_multi_index refuses, as it refuses an index
+        # out of range
+        at = np.array([list(map(side.get, typ)), row, data]) if edges else np.zeros((3, 0), np.intp)
+        flat = np.ravel_multi_index(at, want.shape)
+    except (TypeError, ValueError):
+        raise ValueError("schedule edges must be ('X' or 'Z', check row, data qubit) of the code") from None
+    for s, h, retained in ((0, code.h_x, code.retained_x), (1, code.h_z, code.retained_z)):
+        want[s, list(retained)] = h.bits[list(retained)]
+    differ = (np.bincount(flat, minlength=want.size).reshape(want.shape) != want).any(axis=2)
+    if differ.any():
+        s, row = np.argwhere(differ)[0]
+        raise ValueError(
+            f"the schedule's CZs of check {'XZ'[s]}{row} are not that check's support "
+            f"in {code.name or 'the code'}, each data qubit once"
+        )
+
+
 def build_syndrome_circuit(
     code: CssCode,
     cycles: int,
@@ -487,6 +518,7 @@ def build_syndrome_circuit(
     if basis not in ("Z", "X"):
         raise ValueError("basis must be 'Z' or 'X'")
     sched = schedule if schedule is not None else schedule_cz_layers(code)
+    _check_schedule(code, sched)
     layout = qubit_layout(code)
     n = code.n
 
@@ -692,13 +724,16 @@ def verify_circuit(
     per data qubit, preparation after preparation; then, for each random
     measurement in circuit order, one coin bit per preparation. Failures
     are listed preparation by preparation, and the list stops after the
-    preparation that brings it to ``max_failures``.
+    preparation that brings it to ``max_failures`` (at least 1); ``ok``
+    reads every failure, listed or not.
     """
     table = gate_table(circuit, code, basis)
     preparations, seed = _as_int("preparations", preparations), _as_int("seed", seed)
     max_failures = _as_int("max_failures", max_failures)
     if preparations < 1:
         raise ValueError("need at least one preparation")
+    if max_failures < 1:
+        raise ValueError(f"max_failures must be >= 1, got {max_failures}")
     kinds_rows = [("X", r) for r in code.retained_x] + [
         ("Z", r) for r in code.retained_z
     ]
@@ -756,7 +791,7 @@ def verify_circuit(
         if len(failures) >= max_failures:
             break
     return VerifyReport(
-        ok=not failures,
+        ok=not fail.any(),
         failures=tuple(failures),
         preparations=preparations,
         basis=basis,
@@ -787,109 +822,3 @@ def _run_layers(
                 readout.update(out)
         # DD_IDLE acts as identity in the noiseless model.
     return cycle_out, readout
-
-
-# ---------------------------------------------------------------------------
-# Text form
-
-
-def serialize_circuit(circuit: Circuit) -> str:
-    """Line-oriented text form; `parse_circuit` inverts it exactly.
-
-    One gate per line, TICK terminating every layer, CYCLE immediately
-    before each cycle's first layer, and a `# qubits N` header so that
-    trailing unused qubits survive the round trip. A `# basis Z` (or X)
-    header follows when the circuit records its memory basis. Layers
-    with no gates serialize as a bare TICK and read back as CZ layers;
-    ``GateLayer`` lets no other kind be empty.
-    """
-    lines = [f"# qubits {circuit.qubit_count}"]
-    if circuit.basis is not None:
-        lines.append(f"# basis {circuit.basis}")
-    marks = set(circuit.cycle_boundaries)
-    for i, layer in enumerate(circuit.layers):
-        if i in marks:
-            lines.append("CYCLE")
-        for name, qs in layer.gates:
-            lines.append(" ".join((name, *map(str, qs))))
-        lines.append("TICK")
-    return "\n".join(lines) + "\n"
-
-
-def parse_circuit(text: str) -> Circuit:
-    """Parse the text form; errors carry the offending line number."""
-    qubit_count: int | None = None
-    basis: str | None = None
-    layers: list[GateLayer] = []
-    boundaries: list[int] = []
-    buf: list[tuple[str, tuple[int, ...]]] = []
-    buf_kind: str | None = None
-    buf_qubits: set[int] = set()
-    pending = False
-    line_no = 0
-
-    def close() -> None:
-        # every gate was checked as it was read; an empty layer reads as CZ
-        nonlocal buf, buf_kind, buf_qubits, pending
-        layers.append(GateLayer(buf_kind or CZ, tuple(buf)))
-        if pending:
-            boundaries.append(len(layers) - 1)
-        buf, buf_kind, buf_qubits, pending = [], None, set(), False
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        if raw.startswith("# qubits "):
-            try:
-                qubit_count = int(raw.split()[2])
-            except (IndexError, ValueError):
-                raise CircuitParseError(line_no, "bad qubit-count header") from None
-            if qubit_count < 0:
-                raise CircuitParseError(line_no, "bad qubit-count header")
-            continue
-        if raw.startswith("# basis "):
-            tokens = raw.split()
-            if len(tokens) != 3 or tokens[2] not in ("Z", "X"):
-                raise CircuitParseError(line_no, "bad basis header")
-            basis = tokens[2]
-            continue
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        op = tokens[0]
-        if op == "TICK":
-            if len(tokens) != 1:
-                raise CircuitParseError(line_no, "TICK takes no arguments")
-            close()
-            continue
-        if op == "CYCLE":
-            if len(tokens) != 1:
-                raise CircuitParseError(line_no, "CYCLE takes no arguments")
-            if buf:
-                raise CircuitParseError(line_no, "cycle boundary inside a layer")
-            if pending:
-                raise CircuitParseError(line_no, "repeated cycle boundary")
-            pending = True
-            continue
-        try:
-            qs = tuple(int(tok) for tok in tokens[1:])
-        except ValueError:
-            raise CircuitParseError(line_no, f"bad qubit index in {line!r}") from None
-        if buf_kind is None:  # a layer takes the kind of its first gate
-            buf_kind = _GATE_RULES.get(op, (0, None))[1]
-        try:
-            buf += _check_gates(buf_kind, [(op, qs)], buf_qubits)
-        except ValueError as exc:
-            raise CircuitParseError(line_no, str(exc)) from None
-
-    if pending and not buf:
-        raise CircuitParseError(line_no, "cycle boundary with no following layer")
-    if buf:
-        close()
-    if qubit_count is None:
-        qubit_count = max((q for L in layers for q in L.qubits()), default=-1) + 1
-    return Circuit(
-        qubit_count=qubit_count,
-        layers=tuple(layers),
-        cycle_boundaries=tuple(boundaries),
-        basis=basis,
-    )

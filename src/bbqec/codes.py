@@ -36,8 +36,6 @@ __all__ = [
     "derive_18_6_3",
     "default_logicals",
     "verify_logicals",
-    "export_code",
-    "parse_code",
 ]
 
 Monomial = tuple[str, int]
@@ -231,16 +229,18 @@ def compute_k(code: CssCode) -> int:
 
     For a full (unpruned) polynomial code the rank-based count is
     cross-checked against twice the dimension of ker(A) intersected with
-    ker(B), A and B being the two halves of h_x = [A | B]; a mismatch is
-    a construction bug, not user error.
+    ker(B), A and B being the two halves of h_x = [A | B]. A mismatch
+    means that h_x and h_z are not the two check matrices of one
+    two-block code (say, one was replaced), and raises ValueError.
     """
     k = code.n - gf2.rank(code.retained_h_x()) - gf2.rank(code.retained_h_z())
     if code.all_checks_retained() and code.spec is not None:
         a, b = np.hsplit(code.h_x.bits, 2)
         joint_kernel_dim = code.half - gf2.rank(BinaryMatrix(np.vstack([a, b])))
         if k != 2 * joint_kernel_dim:
-            raise AssertionError(
-                f"k mismatch: rank route {k}, kernel route {2 * joint_kernel_dim}"
+            raise ValueError(
+                f"k mismatch: rank route {k}, kernel route {2 * joint_kernel_dim}; "
+                "h_x and h_z are not the check matrices of one two-block code"
             )
     return k
 
@@ -674,133 +674,3 @@ def logical_operator_set_for(code: CssCode) -> LogicalOperatorSet:
     if code.name in _DEFAULT_LOGICALS:
         return _DEFAULT_LOGICALS[code.name]
     return compute_logicals(code)
-
-
-def _bits_line(row: np.ndarray) -> str:
-    return "".join("1" if b else "0" for b in row)
-
-
-def export_code(code: CssCode, logicals: LogicalOperatorSet | None = None) -> str:
-    """Plain-text code file.
-
-    Layout: header line "n k d" (k and d printed as "?" when unknown), a
-    NAME line when the code has a name, an HX section and an HZ section
-    with one 0/1 string per full check row, RETAINED_X / RETAINED_Z index
-    lines, then optional LOGICAL_X i c1 c2... and LOGICAL_Z lines.
-    Newline-terminated; round-trips losslessly through parse_code, so a
-    name that the NAME line cannot carry (one that is blank, has leading
-    or trailing whitespace, or holds a line break) raises ValueError.
-    """
-    if code.name and (code.name != code.name.strip() or len(code.name.splitlines()) != 1):
-        raise ValueError(f"code name {code.name!r} cannot be written on one NAME line")
-    lines = []
-    d_text = "?" if code.d is None else str(code.d)
-    lines.append(f"{code.n} {code.k if code.k is not None else '?'} {d_text}")
-    if code.name:
-        lines.append(f"NAME {code.name}")
-    lines.append("HX")
-    for row in code.h_x.bits:
-        lines.append(_bits_line(row))
-    lines.append("HZ")
-    for row in code.h_z.bits:
-        lines.append(_bits_line(row))
-    lines.append("RETAINED_X " + " ".join(map(str, code.retained_x)))
-    lines.append("RETAINED_Z " + " ".join(map(str, code.retained_z)))
-    if logicals is not None:
-        for i, s in enumerate(logicals.x_supports):
-            lines.append(f"LOGICAL_X {i} " + " ".join(map(str, s)))
-        for i, s in enumerate(logicals.z_supports):
-            lines.append(f"LOGICAL_Z {i} " + " ".join(map(str, s)))
-    return "\n".join(lines) + "\n"
-
-
-def _ints(tokens: Sequence[str], what: str, bound: int) -> tuple[int, ...]:
-    """Integer tokens, each in [0, bound)."""
-    try:
-        values = tuple(int(t) for t in tokens)
-    except ValueError:
-        raise ValueError(f"{what}: expected integers, got {' '.join(tokens)!r}") from None
-    if any(not 0 <= v < bound for v in values):
-        raise ValueError(f"{what} {values} outside [0, {bound})")
-    return values
-
-
-def parse_code(text: str) -> tuple[CssCode, LogicalOperatorSet | None]:
-    """Inverse of export_code. Raises ValueError on malformed input."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty code file")
-    head = lines[0].split()
-    if (
-        len(head) != 3
-        or head[0] == "?"
-        or not all(t.isdigit() or t == "?" for t in head)
-    ):
-        raise ValueError(f"bad header {lines[0]!r}")
-    n = int(head[0])
-    k = None if head[1] == "?" else int(head[1])
-    d = None if head[2] == "?" else int(head[2])
-    lines.append("")  # end marker: every section test below fails on it
-    name = ""
-    idx = 1
-    if lines[idx].startswith("NAME "):
-        name = lines[idx][5:].strip()
-        idx += 1
-    if lines[idx] != "HX":
-        raise ValueError("expected HX section")
-    idx += 1
-
-    def matrix(stop: str) -> np.ndarray:
-        nonlocal idx
-        rows = []
-        while lines[idx] and not lines[idx].startswith(stop):
-            if set(lines[idx]) - {"0", "1"}:
-                raise ValueError(
-                    f"expected {stop} or a row of 0 and 1, got {lines[idx]!r}"
-                )
-            if len(lines[idx]) != n:
-                raise ValueError(
-                    f"check row {lines[idx]!r} has {len(lines[idx])} columns, n = {n}"
-                )
-            rows.append([int(c) for c in lines[idx]])
-            idx += 1
-        if not lines[idx]:
-            raise ValueError(f"expected {stop} line")
-        return np.array(rows, dtype=np.uint8).reshape(-1, n)
-
-    hx = matrix("HZ")
-    idx += 1
-    hz = matrix("RETAINED_X")
-    retained_x = _ints(lines[idx].split()[1:], "RETAINED_X", len(hx))
-    idx += 1
-    if not lines[idx].startswith("RETAINED_Z"):
-        raise ValueError("expected RETAINED_Z line")
-    retained_z = _ints(lines[idx].split()[1:], "RETAINED_Z", len(hz))
-    idx += 1
-    x_logs: list[tuple[int, ...]] = []
-    z_logs: list[tuple[int, ...]] = []
-    while lines[idx]:
-        parts = lines[idx].split()
-        if parts[0] == "LOGICAL_X":
-            x_logs.append(_ints(parts[2:], "LOGICAL_X support", n))
-        elif parts[0] == "LOGICAL_Z":
-            z_logs.append(_ints(parts[2:], "LOGICAL_Z support", n))
-        else:
-            raise ValueError(f"unexpected line {lines[idx]!r}")
-        idx += 1
-    code = CssCode(
-        name=name,
-        n=n,
-        h_x=BinaryMatrix(hx),
-        h_z=BinaryMatrix(hz),
-        retained_x=retained_x,
-        retained_z=retained_z,
-        k=k,
-        d=d,
-    )
-    logicals = None
-    if x_logs or z_logs:
-        logicals = LogicalOperatorSet(
-            n=n, x_supports=tuple(x_logs), z_supports=tuple(z_logs)
-        )
-    return code, logicals

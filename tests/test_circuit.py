@@ -1,4 +1,4 @@
-"""Circuit generation: scheduling, compilation, verification, text form."""
+"""Circuit generation: scheduling, compilation, verification."""
 
 from dataclasses import replace
 
@@ -238,6 +238,16 @@ def test_single_weight6_check_schedules_sequentially():
     assert circuit.verify_circuit(circ, one, preparations=8).ok
 
 
+def test_an_arrangement_for_checks_of_one_type_is_rejected():
+    rep3 = CssCode("rep3", 3, gf2.zeros(0, 3), gf2.from_rows([[1, 1, 0], [0, 1, 1]]), (), (0, 1))
+    with pytest.raises(ValueError, match="rep3 has checks of one type"):
+        circuit.schedule_cz_layers(rep3, arrangement=PINNED)
+    # the arrangement's own checks come first
+    with pytest.raises(ValueError, match="group A repeats a round"):
+        circuit.schedule_cz_layers(rep3, arrangement=((1, 1, 2),) + PINNED[1:])
+    assert circuit.schedule_cz_layers(rep3).term_rounds is None
+
+
 def test_schedule_rejects_plain_matrices_with_both_types():
     h = gf2.from_rows([[1, 1, 1, 1, 1, 1]])
     code = CssCode(
@@ -333,9 +343,56 @@ def test_no_qubit_repeats_in_any_layer():
 
 def test_build_is_idempotent():
     code = build_named_code("18-6-3")
-    a = circuit.serialize_circuit(circuit.build_syndrome_circuit(code, 3, basis="X"))
-    b = circuit.serialize_circuit(circuit.build_syndrome_circuit(code, 3, basis="X"))
+    a = circuit.build_syndrome_circuit(code, 3, basis="X")
+    b = circuit.build_syndrome_circuit(code, 3, basis="X")
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "cid, made_for, check",
+    [("18-6-3", "18-4-4-pruned", "X5"), ("18-4-4-pruned", "18-6-3", "X5"),
+     ("36-4-6", "18-4-4-pruned", "X0")],
+)
+def test_build_rejects_a_schedule_made_for_another_code(cid, made_for, check):
+    sched = circuit.schedule_cz_layers(build_named_code(made_for))
+    with pytest.raises(ValueError, match=f"CZs of check {check} are not"):
+        circuit.build_syndrome_circuit(build_named_code(cid), 1, schedule=sched)
+
+
+def test_build_rejects_a_spec_that_does_not_describe_the_checks():
+    # the scheduler places CZs by the spec's term maps, not by h_x and h_z
+    other = build_bb_code(BbCodeSpec.from_exponents(3, 3, (1, 1, 2), (2, 0, 1)))
+    code = replace(build_named_code("18-4-4"), h_x=other.h_x, h_z=other.h_z)
+    circuit.schedule_cz_layers(code)
+    with pytest.raises(ValueError, match="CZs of check X0 are not"):
+        circuit.build_syndrome_circuit(code, 1)
+
+
+def _edit_first_layer(sched, edit):
+    return circuit.CzSchedule((tuple(edit(list(sched.layers[0]))),) + sched.layers[1:])
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda s: circuit.CzSchedule(s.layers[:6]), "has 7 layers, got 6"),
+        (lambda s: _edit_first_layer(s, lambda L: [("Y", 0, 0)] + L), "'X' or 'Z'"),
+        (lambda s: _edit_first_layer(s, lambda L: [("X", -1, 0)] + L), "'X' or 'Z'"),
+        (lambda s: _edit_first_layer(s, lambda L: [("Z", 9, 0)] + L), "'X' or 'Z'"),
+        (lambda s: _edit_first_layer(s, lambda L: [("X", 0, 18)] + L), "'X' or 'Z'"),
+        (lambda s: _edit_first_layer(s, lambda L: [("X", 0, 1.0)] + L), "'X' or 'Z'"),
+        (lambda s: _edit_first_layer(s, lambda L: [("X", "0", 1)] + L), "'X' or 'Z'"),
+        (lambda s: _edit_first_layer(s, lambda L: L + L[:1]), "CZs of check X1 are not"),
+    ],
+    ids=["six-layers", "side", "negative-row", "row-past-end", "qubit-past-n", "float-qubit",
+         "str-row", "repeated-edge"],
+)
+def test_build_rejects_a_malformed_schedule(edit, message):
+    code = build_named_code("18-4-4-pruned")
+    sched = circuit.schedule_cz_layers(code)
+    assert sched.layers[0][0][:2] == ("X", 1)  # the repeated edge
+    with pytest.raises(ValueError, match=message):
+        circuit.build_syndrome_circuit(code, 1, schedule=edit(sched))
 
 
 @pytest.mark.parametrize("basis", ["Z", "X"])
@@ -484,6 +541,19 @@ def test_verify_truncates_after_whole_preparations():
     )
 
 
+def test_verify_fails_on_every_failure_whatever_it_lists():
+    code = build_named_code("18-4-4-pruned")
+    broken = _one_h_to_i(circuit.build_syndrome_circuit(code, 2))
+    assert broken.layers[0].gates[0] == ("I", (0,))  # a data qubit's H
+    listed = circuit.verify_circuit(broken, code, seed=3, preparations=25, max_failures=20)
+    assert not listed.ok and len(listed.failures) == 21
+    one = circuit.verify_circuit(broken, code, seed=3, preparations=25, max_failures=1)
+    assert not one.ok and one.failures == listed.failures[: len(one.failures)]
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="max_failures must be >= 1"):
+            circuit.verify_circuit(broken, code, seed=3, preparations=25, max_failures=bad)
+
+
 def test_verify_needs_a_preparation():
     code = build_named_code("18-4-4-pruned")
     circ = circuit.build_syndrome_circuit(code, 1)
@@ -527,83 +597,20 @@ def test_verify_reports_prepared_parity_for_all_zeros():
     assert report.ok
 
 
-# ---- text form ----
-
-
-def test_serialize_round_trip_multicycle():
-    code = build_named_code("18-4-4-pruned")
-    for basis in ("Z", "X"):
-        circ = circuit.build_syndrome_circuit(code, 6, basis=basis)
-        assert circuit.parse_circuit(circuit.serialize_circuit(circ)) == circ
-
-
-def test_serialize_round_trip_with_empty_cz_layer():
-    one = CssCode(
-        name="one-z-check",
-        n=6,
-        h_x=gf2.zeros(0, 6),
-        h_z=gf2.from_rows([[1, 1, 1, 1, 1, 1]]),
-        retained_x=(),
-        retained_z=(0,),
-    )
-    circ = circuit.build_syndrome_circuit(one, 2)
-    assert circuit.parse_circuit(circuit.serialize_circuit(circ)) == circ
+# ---- recorded basis ----
 
 
 @pytest.mark.parametrize("basis", ["Z", "X"])
-def test_circuit_records_its_basis_in_the_text_form(basis):
+def test_circuit_records_its_basis(basis):
     code = build_named_code("18-4-4-pruned")
     circ = circuit.build_syndrome_circuit(code, 2, basis=basis)
     assert circ.basis == basis
-    text = circuit.serialize_circuit(circ)
-    assert text.splitlines()[:2] == [f"# qubits {circ.qubit_count}", f"# basis {basis}"]
-    assert circuit.parse_circuit(text).basis == basis
-    bare = circuit.Circuit(circ.qubit_count, circ.layers, circ.cycle_boundaries)
-    assert "# basis" not in circuit.serialize_circuit(bare)
-    assert circuit.parse_circuit(circuit.serialize_circuit(bare)) == bare
+    assert circuit.Circuit(circ.qubit_count, circ.layers, circ.cycle_boundaries).basis is None
 
 
 def test_circuit_rejects_an_unknown_basis():
     with pytest.raises(ValueError, match="basis"):
         circuit.Circuit(0, (), (), basis="Y")
-
-
-def test_parse_single_gate_line():
-    circ = circuit.parse_circuit("CZ 3 7")
-    assert circ.qubit_count == 8
-    assert circ.basis is None
-    assert circ.cycle_boundaries == ()
-    assert circ.layers == (circuit.GateLayer(circuit.CZ, (("CZ", (3, 7)),)),)
-
-
-@pytest.mark.parametrize(
-    "text,line",
-    [
-        ("CZ 3\nTICK", 1),
-        ("H 0\nCZ 0 1\nTICK", 2),
-        ("H 0\nH 0\nTICK", 2),
-        ("WOBBLE 1\nTICK", 1),
-        ("H 0\nCYCLE\nTICK", 2),
-        ("CYCLE", 1),
-        ("H 0\nTICK extra", 2),
-        ("CZ 1 one\nTICK", 1),
-        ("H 0\n# basis Y\nTICK", 2),
-        ("# basis Z X\nH 0\nTICK", 1),
-        ("# qubits x\nH 0\nTICK", 1),
-        ("H 0\n# qubits -1\nTICK", 2),
-        ("CYCLE 3\nH 0\nTICK", 1),
-    ],
-)
-def test_parse_errors_carry_line_numbers(text, line):
-    with pytest.raises(circuit.CircuitParseError) as err:
-        circuit.parse_circuit(text)
-    assert err.value.line == line
-    assert f"line {line}:" in str(err.value)
-
-
-def test_comments_and_blank_lines_are_ignored():
-    circ = circuit.parse_circuit("# note\n\nH 2  # trailing\nTICK\n")
-    assert circ.layers[0].gates == (("H", (2,)),)
 
 
 # ---- layer and circuit invariants ----
@@ -618,6 +625,12 @@ def test_gate_layer_rejects_wrong_kind_and_reuse():
         circuit.GateLayer(circuit.CZ, (("CZ", (1, 1)),))
     with pytest.raises(ValueError):
         circuit.GateLayer("MYSTERY", ())
+    with pytest.raises(ValueError, match="unknown gate 'WOBBLE'"):
+        circuit.GateLayer(circuit.SINGLE_QUBIT, (("WOBBLE", (1,)),))
+    with pytest.raises(ValueError, match="gate CZ takes 2 qubit operand"):
+        circuit.GateLayer(circuit.CZ, (("CZ", (3,)),))
+    with pytest.raises(ValueError, match="gate CZ cannot appear in a SINGLE_QUBIT layer"):
+        circuit.GateLayer(circuit.SINGLE_QUBIT, (("H", (0,)), ("CZ", (1, 2))))
     # int() would read each of these as a qubit
     for bad in (1.7, 1.0, True, "2", None):
         with pytest.raises(ValueError, match="not an integer"):
@@ -634,11 +647,10 @@ def test_gate_layer_rejects_wrong_kind_and_reuse():
     [circuit.SINGLE_QUBIT, circuit.MEASURE_CHECKS, circuit.DD_IDLE, circuit.READOUT_DATA],
 )
 def test_only_a_cz_layer_may_be_empty(kind):
-    # an empty layer serializes as a bare TICK, which parses as CZ
     with pytest.raises(ValueError, match="at least one gate"):
         circuit.Circuit(2, (circuit.GateLayer(kind, ()),), ())
     empty_cz = circuit.Circuit(2, (circuit.GateLayer(circuit.CZ, ()),), ())
-    assert circuit.parse_circuit(circuit.serialize_circuit(empty_cz)) == empty_cz
+    assert empty_cz.layers[0].gates == ()
 
 
 def test_gate_layer_rejects_a_negative_qubit():
