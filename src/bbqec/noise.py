@@ -33,8 +33,9 @@ arrays by slices, as the memory-basis checks are one run of columns.
 The walk and the sampler gather rows with ``ndarray.take(..., axis=0)``
 (``np.take``'s wrapper costs as much as a small gather) and scatter
 them as ``_cells``, one fixed-width ``np.void`` cell per row.
-``FaultVariant`` records are made from whole columns of the variant
-table.
+``FaultVariant`` fields are whole columns of the variant table, one object
+per distinct value (``_shared``); ``_set_bits`` scans packed bytes flat, and
+one ``np.lexsort`` groups equal packed rows (``_group_rows``) for the DEM.
 A ``DetectorErrorModel`` is two arrays, float64 priors and the table's
 packed rows as signatures; its constructor checks the array rules, and
 ``parse_dem``, the one reader of DEM text, the tokens and indices.
@@ -543,9 +544,16 @@ def _variants(prog: _Program) -> _Variants:
 
 def _shared(values: np.ndarray, make) -> list:
     """``make(v)`` for each entry v of ``values``, computed once per
-    distinct entry and shared by the entries that hold it."""
-    keys, inverse = np.unique(values, return_inverse=True)
-    return list(map([make(k) for k in keys.tolist()].__getitem__, inverse.tolist()))
+    distinct entry and shared by the entries that hold it: the made
+    objects sit in a numpy object array, and one ``take`` of it lists them."""
+    if values.dtype.kind == "f":
+        keys, inverse = np.unique(values, return_inverse=True)
+    else:  # small ints >= 0: mark the ones present and rank them, with no sort
+        present = np.zeros(values.max(initial=0) + 1, dtype=bool)
+        present[values] = True
+        keys, inverse = np.flatnonzero(present), (np.cumsum(present) - 1)[values]
+    objs = np.fromiter(map(make, keys.tolist()), dtype=object, count=len(keys))
+    return objs.take(inverse).tolist()
 
 
 def enumerate_fault_variants(
@@ -592,24 +600,19 @@ def enumerate_fault_variants(
 # ---------------------------------------------------------------------------
 # fault-effect table (rows packed by ``gf2.pack_rows``)
 
-# row v: the bits set in byte value v, as 0/1 flags in ascending order
-_BYTE_BITS = np.unpackbits(
-    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
-).astype(bool)
-
-
 def _set_bits(rows: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     """(row, bit) of every set bit below ``count`` in packed rows, in
     row-major order: ``np.nonzero(gf2.unpack_rows(rows, count))`` without
-    expanding each bit to a byte. One nonzero finds the nonzero bytes,
-    and ``_BYTE_BITS`` gives the bits of each."""
-    raw = np.ascontiguousarray(rows, dtype=gf2.WORD).view(np.uint8)[:, : -(-count // 8)]
-    r, byte = np.nonzero(raw)
-    value = raw[r, byte]
-    if count % 8:  # drop the bits at or past count in the last byte
-        value[byte == raw.shape[1] - 1] &= (1 << count % 8) - 1
-    i, j = np.nonzero(_BYTE_BITS[value])
-    return r[i], byte[i] * 8 + j
+    expanding each bit to a byte. One flat nonzero over a bool mask (numpy
+    scans bools fastest) finds the nonzero bytes, one over ``np.unpackbits``
+    of those bytes finds their set bits, and the bits at or past ``count``
+    are dropped."""
+    raw = np.ascontiguousarray(rows, dtype=gf2.WORD).view(np.uint8)
+    byte = np.flatnonzero(raw != 0)
+    i = np.flatnonzero(np.unpackbits(raw.reshape(-1)[byte], bitorder="little").view(bool))
+    r, bit = np.divmod(byte[i >> 3] * 8 + (i & 7), raw.shape[1] * 8)
+    keep = bit < count
+    return r[keep], bit[keep]
 
 
 def _output_map(prog: _Program) -> np.ndarray:
@@ -669,6 +672,8 @@ def _fault_table(prog: _Program, var: _Variants, out_map: np.ndarray) -> np.ndar
     """
     table, nq = prog.table, prog.circuit.qubit_count
     rows = out_map.take(var.flip, axis=0)
+    if not out_map.shape[1]:  # rows of no words hold no output to walk
+        return rows
     kinds, start = table.kind.tolist(), table.start.tolist()
     a_leg, b_leg = table.legs
     # the qubit an H swaps X and Z on; any other gate swaps the zero row
@@ -881,7 +886,8 @@ class DetectorErrorModel:
     The constructor checks the arrays, keeps read-only copies and names
     the first column that breaks a rule: counts are ints >= 0, priors a
     float64 vector in (0, 1), signatures ``gf2.WORD`` rows of ceil((D + K)
-    / 64) words, one per prior, distinct, none with a bit past D + K.
+    / 64) words, one per prior, distinct (one ``_group_rows`` sort finds
+    a repeat), none with a bit past D + K.
     """
 
     detector_count: int
@@ -901,8 +907,9 @@ class DetectorErrorModel:
         for name, array in (("probabilities", p), ("signatures", s)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
-        first: dict[tuple[int, ...], int] = {}  # signature -> its first column
-        repeat = [first.setdefault(tuple(row), j) != j for j, row in enumerate(s.tolist())]
+        order, new = _group_rows(s)
+        repeat = np.zeros(len(s), dtype=bool)
+        repeat[order] = ~new  # a column whose signature an earlier column has
         # the last word's bits from D + K on (a shift by 64 gives 0)
         past = (s[:, -1:] >> np.uint64((D + K - 1) % 64 + 1)).any(axis=1)
         bad = np.stack([~((0.0 < p) & (p < 1.0)), past, repeat])
@@ -950,6 +957,16 @@ class DetectorErrorModel:
                 if len(js) > 1 or not sig and self.columns[js[0]].logicals]
 
 
+def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, new): a stable ``np.lexsort`` order of packed rows, equal rows
+    together in row order, and whether each differs from the one before it."""
+    order = np.lexsort(rows.T) if rows.shape[1] else np.arange(len(rows))  # no words: all equal
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return order, new
+
+
 def _odd_probability(key, slot, prior, count: int) -> np.ndarray:
     """For each key in range(count), the probability that an odd number
     of the independent slots listed for it fire (0 if none is). Entries
@@ -987,21 +1004,17 @@ def build_dem(
     (``_odd_probability``), in (0, 1) unless each of those slots flips it
     surely. The constructor checks both arrays; the ValueError for a
     column it rejects adds the slot kind, layer and prior of the column's
-    first variant. Cost: one backward walk, O(layers x qubits x outputs /
-    64) word operations, one lookup per variant and one sort of the
-    packed signatures.
+    first variant. A code with no checks of the basis' type has D = 0, and
+    its columns flip logicals alone (none when K = 0). Cost: one backward
+    walk, O(layers x qubits x outputs / 64) word operations, one lookup
+    per variant and one sort of the packed signatures.
     """
     prog = _Program(code, circuit, basis, noise, logicals)
     D, K = prog.detector_count, prog.logical_mat.shape[0]
     var, rows = _fault_rows(prog, D + K)
     seen = rows.any(axis=1)
     rows, slot, prob = rows[seen], var.slot[seen], var.probability[seen]
-    # equal signatures sort together; lexsort is stable, so each group
-    # lists its variants in variant order, the first one first
-    order = np.lexsort(rows.T)
-    ranked = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    order, new = _group_rows(rows)
     first = order[new]
     prior = _odd_probability(np.cumsum(new) - 1, slot[order], prob[order], len(first))
     by_first = np.argsort(first)
@@ -1031,14 +1044,18 @@ def expected_detection_series(
     (``_odd_probability``, the rule that merges DEM columns), so there is
     no sampling error. Matches ShotBatch.cycle_series(basis) in the
     many-shot limit. ``logicals`` is unused: the series reads no logical.
+    ValueError if the code has no checks of the basis' type.
     """
     # no logical rows: the table holds the detectors alone
     prog = _Program(code, circuit, basis, noise, LogicalOperatorSet(code.n, (), ()))
     t, A, D = prog.t, len(prog.aligned_cols), prog.detector_count
+    if not A:
+        raise ValueError(f"no {basis}-type checks in code {code.name}")
     var, rows = _fault_rows(prog, D)
-    # (variant, detector) pairs that flip, by detector and then variant
+    # (variant, detector) pairs that flip, by detector and then variant; a
+    # stable sort on the smallest dtype that holds D is numpy's radix sort
     v, d = _set_bits(rows, D)
-    order = np.argsort(d, kind="stable")
+    order = np.argsort(d.astype(np.min_scalar_type(D)), kind="stable")
     v = v[order]
     p_odd = _odd_probability(d[order], var.slot[v], var.probability[v], D)
     body = p_odd[: t * A].reshape(t, A).mean(axis=1)

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbqec import gf2, noise
 from bbqec.circuit import (
@@ -354,23 +356,39 @@ def test_enumerated_variants_match_a_per_variant_reference():
     assert repr(variants) == repr(tuple(expected))
 
 
+@pytest.mark.parametrize("basis", ["Z", "X"])
+def test_enumerated_fields_share_one_object_per_value(basis):
+    code = build_named_code("36-4-6")
+    circ = build_syndrome_circuit(code, 7, basis=basis)
+    variants = noise.enumerate_fault_variants(circ, NOISE, code=code)
+    assert len(variants) == 29664
+    for field, column in zip(noise.FaultVariant._fields, zip(*variants)):
+        # exact types: a numpy float64 is a float subclass
+        assert {type(v) for v in column} <= {int, float, str, tuple, type(None)}, field
+        assert {type(q) for v in column if type(v) is tuple for q in v} <= {int}, field
+        assert len({id(v) for v in column}) == len(set(column)), field
+
+
 # ---- packed rows ----
 
 
-@pytest.mark.parametrize("count", [1, 7, 8, 63, 64, 65, 130])
+@pytest.mark.parametrize("count", [0, 1, 7, 8, 63, 64, 65, 127, 128, 130, 191])
 def test_set_bits_match_nonzero_of_the_unpacked_rows(count):
+    """Rows of ceil(count / 64) words, and rows of 3 words, whose bits at
+    or past ``count`` are dropped."""
     rng = np.random.default_rng(count)
-    words = -(-count // 64)
-    cases = [
-        rng.integers(0, 2**64, (50, words), dtype=np.uint64),
-        # sparse rows, so whole bytes are zero
-        rng.integers(0, 2**64, (50, words), dtype=np.uint64)
-        & rng.integers(0, 2**64, (50, words), dtype=np.uint64)
-        & rng.integers(0, 2**64, (50, words), dtype=np.uint64),
-        np.zeros((0, words), dtype=np.uint64),
-        np.zeros((5, words), dtype=np.uint64),
-        np.full((5, words), 2**64 - 1, dtype=np.uint64),
-    ]
+    cases = []
+    for words in sorted({-(-count // 64), 3}):
+        cases += [
+            rng.integers(0, 2**64, (50, words), dtype=np.uint64),
+            # sparse rows, so whole bytes are zero
+            rng.integers(0, 2**64, (50, words), dtype=np.uint64)
+            & rng.integers(0, 2**64, (50, words), dtype=np.uint64)
+            & rng.integers(0, 2**64, (50, words), dtype=np.uint64),
+            np.zeros((0, words), dtype=np.uint64),
+            np.zeros((5, words), dtype=np.uint64),
+            np.full((5, words), 2**64 - 1, dtype=np.uint64),
+        ]
     for rows in cases:
         got = noise._set_bits(rows, count)
         want = np.nonzero(gf2.unpack_rows(rows, count))
@@ -975,6 +993,38 @@ def test_a_code_with_no_logical_qubit_reaches_the_noise_layer():
     assert batch.logical_flips.shape == (16, 0)
 
 
+CHECKS_OF_ONE_TYPE = {
+    "rep3": CssCode("rep3", 3, gf2.zeros(0, 3), gf2.from_rows([[1, 1, 0], [0, 1, 1]]), (), (0, 1)),
+    "k0": CssCode("k0", 2, gf2.zeros(0, 2), gf2.from_rows([[1, 0], [0, 1]]), (), (0, 1)),
+}
+
+
+@pytest.mark.parametrize("cid", sorted(CHECKS_OF_ONE_TYPE))
+def test_a_basis_with_no_detectors_gets_a_dem_of_its_logicals(cid):
+    """In the X basis a code with Z checks alone has D = 0: the DEM's one
+    column flips the X logical (rep3, K = 1), and there is none at K = 0
+    (k0); the sampler runs too."""
+    code = CHECKS_OF_ONE_TYPE[cid]
+    circ = build_syndrome_circuit(code, 2, basis="X")
+    dem = noise.build_dem(circ, NOISE, "X", code=code)
+    K = code.n - len(code.retained_z)
+    assert (dem.detector_count, dem.logical_count) == (0, K)
+    assert [col[1:] for col in dem.columns] == [((), (0,))] * K
+    assert noise.parse_dem(noise.dem_to_text(dem)) == dem
+    batch = noise.run_monte_carlo(circ, NOISE, 16, "X", code=code)
+    assert batch.detector_matrix().shape == (16, 0) and batch.logical_flips.shape == (16, K)
+
+
+@pytest.mark.parametrize("cid", sorted(CHECKS_OF_ONE_TYPE))
+def test_the_series_names_the_missing_check_type(cid):
+    code = CHECKS_OF_ONE_TYPE[cid]
+    circ = build_syndrome_circuit(code, 2, basis="X")
+    with pytest.raises(ValueError, match=f"^no X-type checks in code {cid}$"):
+        noise.expected_detection_series(circ, NOISE, code=code, basis="X")
+    with pytest.raises(ValueError, match="^no X-type checks"):
+        noise.run_monte_carlo(circ, NOISE, 16, "X", code=code).cycle_series("X")
+
+
 def test_empty_noise_model_gives_empty_dem_and_zero_series():
     code = build_named_code("18-4-4-pruned")
     circ = build_syndrome_circuit(code, 2)
@@ -1086,6 +1136,64 @@ def test_dem_rejects_a_repeated_signature():
     p, s = _arrays(((0, 2), (0,)), ((1,), ()), ((0, 2), (0,)))
     with pytest.raises(ValueError, match=r"^column 2: duplicate column signature"):
         DetectorErrorModel(4, 1, p, s)
+
+
+def _first_bad_column(D, K, p, s):
+    """The constructor's message for the first column that breaks a rule,
+    or None, from a loop over the columns: a dict of the signatures seen
+    finds a repeat, and each column's rules are checked in order."""
+    first = {}
+    for j, (prior, row) in enumerate(zip(p.tolist(), s.tolist())):
+        repeat = first.setdefault(tuple(row), j) != j
+        past = bool(row) and row[-1] >> (D + K - 1) % 64 + 1 != 0
+        bits = [i for i in range(D + K) if row[i // 64] >> i % 64 & 1]
+        signature = (tuple(i for i in bits if i < D), tuple(i - D for i in bits if i >= D))
+        rules = [(not 0.0 < prior < 1.0, f"probability {p[j]} outside (0,1)"),
+                 (past, f"a bit at or past D + K = {D + K}"),
+                 (repeat, f"duplicate column signature {signature}")]
+        for broken, rule in rules:
+            if broken:
+                return f"column {j}: {rule}"
+    return None
+
+
+@st.composite
+def _dem_arrays(draw):
+    """(D, K, priors, signatures): signatures picked from a small pool, so
+    that repeats occur, most with no bit past D + K. In half the draws the
+    picks are distinct, and in half every prior lies in (0, 1)."""
+    n, total = draw(st.integers(0, 40)), draw(st.integers(0, 130))
+    D = draw(st.integers(0, total))
+    words = -(-total // 64)
+    # a few bit positions, so that signatures often differ in one word only
+    bit = st.integers(0, total - 1) | st.integers(0, 64 * words - 1)
+    alphabet = draw(st.lists(bit, min_size=1, max_size=4)) if total else []
+    sets = draw(st.lists(st.sets(st.sampled_from(alphabet)) if total else st.just(()), min_size=1,
+                         max_size=8))
+    packed = {sum(1 << i for i in bits) for bits in sets}
+    pool = sorted(tuple(v >> 64 * w & (2**64 - 1) for w in range(words)) for v in packed)
+    if draw(st.booleans()):  # distinct picks, as many as the pool holds
+        rows = draw(st.permutations(pool))[:n]
+    else:
+        rows = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    prior = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    if draw(st.booleans()):
+        prior |= st.sampled_from([0.0, 1.0, -0.1, 1.5, float("nan")])
+    p = np.array(draw(st.lists(prior, min_size=len(rows), max_size=len(rows))), dtype=float)
+    s = np.array(rows, dtype=gf2.WORD).reshape(len(rows), words)
+    return D, total - D, p, s
+
+
+@given(_dem_arrays())
+@settings(max_examples=200, deadline=None)
+def test_dem_names_the_first_bad_column_as_a_column_loop_does(arrays):
+    expected = _first_bad_column(*arrays)
+    if expected is None:
+        DetectorErrorModel(*arrays)
+    else:
+        with pytest.raises(ValueError) as info:
+            DetectorErrorModel(*arrays)
+        assert str(info.value) == expected
 
 
 @pytest.mark.parametrize("counts", [(-1, 1), (4, -1)])
