@@ -68,7 +68,10 @@ a sequential product (``np.cumprod``). The draws of a block of rounds,
 at most ``_DRAW_BLOCK`` = 2**13 (round, live shot) entries, are made at
 once for all live shots (``_Channel.fires``): a logarithm guesses each
 gap and the table settles it, so the draws are the same bits on every
-platform, and at any block size.
+platform, and at any block size. Numpy runs a per-column inner loop for
+``cumsum`` along axis 0, a 2-D ``nonzero`` and ``.any`` over a short last
+axis, so running sums down rounds are row adds, (round, shot) pairs come
+from one flat nonzero, and reductions over packed words go word by word.
 """
 
 from __future__ import annotations
@@ -395,13 +398,13 @@ class _Channel(NamedTuple):
         docstring): (shot, slot, pattern) index arrays per round, whose
         shots are distinct, as a round fires at most one slot per shot.
 
-        A block of rounds, at most ``_DRAW_BLOCK`` = 2**13 (round, live
-        shot) entries and m P + 1 rounds, is drawn at once; the draws are
-        counter-based, so the block sets the numpy calls per round (about
-        90 a block), never a bit. Each gap is guessed as
-        floor(log u / log(1 - P)) and settled against the survival table
-        (``_count_below``), so it is the table's #{g : S_g >= u} whatever
-        the logarithm returns. The fired entries draw their picks at once.
+        A block of at most m P + 1 rounds is drawn at once. Each gap is
+        guessed as floor(log u / log(1 - P)) and settled against the
+        survival table (``_count_below``), so it is the table's
+        #{g : S_g >= u} whatever the logarithm returns. The slots hit are
+        the gaps' running sums, one row add per round (not a ``cumsum`` down
+        axis 0), and one flat nonzero (not a 2-D one) lists the live (round,
+        shot) pairs, which draw their picks at once.
         """
         cum = np.cumsum([pat.probability for pat in self.patterns])
         q = max(0.0, 1.0 - cum[-1])
@@ -424,24 +427,27 @@ class _Channel(NamedTuple):
                 below = np.zeros(u.shape, dtype=np.intp)
             else:
                 below = m - np.minimum(np.log(u) / log_q, m).astype(np.intp)
-            step = np.subtract(m + 1, _count_below(survive, u, below), out=below)
-            at = np.cumsum(step, axis=0, out=step)
-            at += pos
+            at = np.subtract(m + 1, _count_below(survive, u, below), out=below)
+            at[0] += pos
+            for r in range(1, len(rounds)):  # the running sum down the rounds
+                at[r] += at[r - 1]
             live = at < m
-            rnd, col = np.nonzero(live)  # shots ascending within each round
+            counts = np.count_nonzero(live, axis=1)
+            flat = np.flatnonzero(live)  # live (round, shot) pairs, round-major
+            col = flat - np.repeat(np.arange(0, live.size, len(shot)), counts)
             if len(cdf) == 3:
                 pick = np.zeros(len(col), dtype=np.intp)
             else:
-                u = _uniform(keys[col], self.stream, 2 * rounds[rnd] + 2)
+                u = _uniform(keys.take(col), self.stream, np.repeat(2 * rounds + 2, counts))
                 pick = _count_below(cdf, u, lut[(u * 1024).astype(np.intp)])
-            fired, hit = shot[col], at[live]
-            ends = np.cumsum(live.sum(axis=1)).tolist()
+            fired, hit = shot.take(col), at.take(flat)
+            ends = np.cumsum(counts).tolist()
             for lo, hi in zip([0] + ends, ends):
                 yield fired[lo:hi], hit[lo:hi], pick[lo:hi]
                 if lo == hi:  # no shot left
                     return
-            alive = live[-1]
-            shot, keys, pos = shot[alive], keys[alive], at[-1, alive]
+            alive = np.flatnonzero(live[-1])
+            shot, keys, pos = shot.take(alive), keys.take(alive), at[-1].take(alive)
             first = rounds[-1] + 1
 
 
@@ -787,10 +793,12 @@ class ShotBatch:
 
     def detector_matrix(self) -> np.ndarray:
         """Decoder-facing bits, shape (shots, (cycles+1) * aligned), in the
-        DEM's detector order, which ``noise._output_map`` states."""
-        cols = list(self.aligned_columns)
-        body = self.detections[:, :, cols].reshape(self.shots, -1)
-        return np.concatenate([body, self.final_syndrome], axis=1)
+        DEM's detector order, which ``noise._output_map`` states; the
+        aligned checks are one run of columns, read as one slice."""
+        t, lo, A = self.cycles, min(self.aligned_columns, default=0), len(self.aligned_columns)
+        out = np.empty((self.shots, t + 1, A), np.result_type(self.detections, self.final_syndrome))
+        out[:, :t], out[:, t] = self.detections[:, :, lo : lo + A], self.final_syndrome
+        return out.reshape(self.shots, -1)
 
     def cycle_series(self, kind: str) -> np.ndarray:
         """Mean detection fraction per detection point for one check type.
@@ -911,7 +919,7 @@ class DetectorErrorModel:
         repeat = np.zeros(len(s), dtype=bool)
         repeat[order] = ~new  # a column whose signature an earlier column has
         # the last word's bits from D + K on (a shift by 64 gives 0)
-        past = (s[:, -1:] >> np.uint64((D + K - 1) % 64 + 1)).any(axis=1)
+        past = _rows_differ(s[:, -1:] >> np.uint64((D + K - 1) % 64 + 1), 0)
         bad = np.stack([~((0.0 < p) & (p < 1.0)), past, repeat])
         if bad.any():
             j = int(bad.any(axis=0).argmax())
@@ -963,8 +971,17 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.lexsort(rows.T) if rows.shape[1] else np.arange(len(rows))  # no words: all equal
     ranked = rows[order]
     new = np.ones(len(rows), dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    new[1:] = _rows_differ(ranked[1:], ranked[:-1])
     return order, new
+
+
+def _rows_differ(a: np.ndarray, b) -> np.ndarray:
+    """``(a != b).any(axis=1)`` for packed rows ``a`` and rows or a word ``b``,
+    word by word (the module docstring says why); rows of no words are equal."""
+    out = np.zeros(len(a), dtype=bool)
+    for x, y in zip(a.T, np.broadcast_to(b, a.shape).T):
+        out |= x != y
+    return out
 
 
 def _odd_probability(key, slot, prior, count: int) -> np.ndarray:
@@ -1012,7 +1029,7 @@ def build_dem(
     prog = _Program(code, circuit, basis, noise, logicals)
     D, K = prog.detector_count, prog.logical_mat.shape[0]
     var, rows = _fault_rows(prog, D + K)
-    seen = rows.any(axis=1)
+    seen = _rows_differ(rows, 0)  # the nonzero rows
     rows, slot, prob = rows[seen], var.slot[seen], var.probability[seen]
     order, new = _group_rows(rows)
     first = order[new]

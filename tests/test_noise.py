@@ -720,16 +720,24 @@ RATES = {
 
 
 @pytest.mark.parametrize(
-    "rate,m,shots",
+    "block,rate,m,shots",
     [
-        (rate, m, shots)
+        pytest.param(None, rate, m, shots, id=f"{rate}-{m}-{shots}")
         for rate in sorted(RATES) for m in (1, 2, 41, 6048) for shots in (1, 7, 4096)
         # the reference runs thousands of rounds here; one shot covers the
         # table, and the other rates the wide blocks
         if not (rate in ("heavy", "one") and m == 6048 and shots > 1)
-    ],
+    ] + [
+        # a block of 1 holds one round, so the running sum adds no row; a
+        # block of 2**4 holds two rounds of 7 shots, and at the "tiny" rate
+        # every shot stops in the first of them
+        pytest.param(block, rate, m, shots, id=f"{rate}-{m}-{shots}-block{block}")
+        for block in (1, 2**4) for rate in sorted(RATES) for m in (1, 41) for shots in (1, 7)
+    ] + [pytest.param(2**4, "device", 6048, 7, id="device-6048-7-block16")],
 )
-def test_block_draws_match_the_per_round_reference(rate, m, shots):
+def test_block_draws_match_the_per_round_reference(monkeypatch, block, rate, m, shots):
+    if block is not None:
+        monkeypatch.setattr(noise, "_DRAW_BLOCK", block)
     keys = noise._derive_keys(11, 0, shots)
     for kind in noise._SLOT_KINDS:
         channel = noise._channel(kind, RATES[rate])
@@ -739,8 +747,10 @@ def test_block_draws_match_the_per_round_reference(rate, m, shots):
         for got, want in zip(channel.fires(keys, m), _reference_fires(channel, keys, m), strict=True):
             rounds += 1
             for g, w in zip(got, want):
-                assert g.dtype.kind == "i" and np.array_equal(g, w), (kind, rounds)
-        assert rounds >= 1
+                assert g.dtype == w.dtype and g.dtype.kind == "i", (kind, rounds)
+                assert np.array_equal(g, w), (kind, rounds)
+        # at the "tiny" rate every shot stops in its first round, which fires none
+        assert rounds == 1 if rate == "tiny" else rounds >= 1
 
 
 @pytest.mark.parametrize("basis", ["Z", "X"])
@@ -1194,6 +1204,40 @@ def test_dem_names_the_first_bad_column_as_a_column_loop_does(arrays):
         with pytest.raises(ValueError) as info:
             DetectorErrorModel(*arrays)
         assert str(info.value) == expected
+
+
+@st.composite
+def _packed_rows(draw):
+    """0-60 packed rows of 0-4 words, picked from a small pool: the zero
+    row, and up to three rows each with a twin that differs from it in the
+    last word only, so repeats, zero rows and last-word differences occur."""
+    words = draw(st.integers(0, 4))
+    word = st.sampled_from([0, 1, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+    pool = [(0,) * words]
+    for row in draw(st.lists(st.tuples(*[word] * words), max_size=3)) if words else ():
+        pool += [row, (*row[:-1], row[-1] ^ 1)]
+    n = draw(st.integers(0, 60))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return np.array(rows, dtype=gf2.WORD).reshape(n, words)
+
+
+@given(_packed_rows())
+@settings(max_examples=200, deadline=None)
+def test_word_by_word_row_helpers_match_the_any_forms(rows):
+    """``_rows_differ`` and ``_group_rows`` against ``.any(axis=1)``, the
+    forms they replace; rows of no words are all equal, and none is set."""
+    assert np.array_equal(noise._rows_differ(rows, 0), rows.any(axis=1))
+    flipped = rows[::-1]
+    assert np.array_equal(noise._rows_differ(rows, flipped), (rows != flipped).any(axis=1))
+    order, new = noise._group_rows(rows)
+    # sorted on the words, the last word first, and in row order among equals
+    assert order.tolist() == sorted(range(len(rows)), key=lambda i: (rows[i].tolist()[::-1], i))
+    ranked = rows[order]
+    expected = np.ones(len(rows), dtype=bool)
+    expected[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    assert np.array_equal(new, expected)
+    if not rows.shape[1]:
+        assert new.sum() == min(1, len(rows))
 
 
 @pytest.mark.parametrize("counts", [(-1, 1), (4, -1)])
