@@ -28,8 +28,8 @@ independent slots by one rule (``_odd_probability``): a DEM column or a
 detector flips when an odd number of its slots fire. The sampler
 replays the table, each shot the XOR of the rows of the variants that
 its draws pick, and keeps the packed rows and each slot's first
-variant; ``run_monte_carlo`` cuts its bits into the ``ShotBatch``
-arrays by slices, as the memory-basis checks are one run of columns.
+variant; a ``ShotBatch`` keeps the shots as those packed rows, and its
+arrays unpack them, so ``_output_map`` alone states the bit order.
 The walk and the sampler gather rows with ``ndarray.take(..., axis=0)``
 (``np.take``'s wrapper costs as much as a small gather) and scatter
 them as ``_cells``, one fixed-width ``np.void`` cell per row.
@@ -78,7 +78,7 @@ from __future__ import annotations
 
 import gc
 import numbers
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from typing import NamedTuple
@@ -194,9 +194,6 @@ class NoiseModel:
 
     def effective(self, base: float) -> float:
         return min(1.0, max(0.0, self.suppression * base))
-
-    def scaled(self, suppression: float) -> "NoiseModel":
-        return replace(self, suppression=suppression)
 
     @classmethod
     def device_rates(
@@ -623,7 +620,7 @@ def _set_bits(rows: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _output_map(prog: _Program) -> np.ndarray:
     """Row r: what raw output r alone flips, packed by ``gf2.pack_rows``,
-    in the detector order of the DEM and ``ShotBatch.detector_matrix``.
+    in the bit order of the DEM's signatures and of ``ShotBatch.rows``.
     With A memory-basis and O other checks, D = (t + 1) A and K logicals:
 
     - bits [0, D), the DEM's detectors: the memory-basis checks'
@@ -744,12 +741,11 @@ def _fired(prog: _Program, first: np.ndarray, keys: np.ndarray):
 
 def _sampler(prog: _Program):
     """A function from shot keys (one uint64 each) to the shots' outputs,
-    rows of 0/1 bytes in the bit order of ``_output_map``: each shot is
-    the XOR of the table rows of the variants that its draws fire,
-    gathered with ``take`` and scattered as ``_cells``. It keeps only the
-    rows, each slot's first variant and the program."""
-    width = prog.output_bits
-    var, rows = _fault_rows(prog, width)
+    packed rows in the bit order of ``_output_map``: each shot is the XOR
+    of the table rows of the variants that its draws fire, gathered with
+    ``take`` and scattered as ``_cells``. It keeps only the rows, each
+    slot's first variant and the program."""
+    var, rows = _fault_rows(prog, prog.output_bits)
     first = np.searchsorted(var.slot, np.arange(len(prog.slot_kind)))
 
     def sample(keys: np.ndarray) -> np.ndarray:
@@ -757,7 +753,7 @@ def _sampler(prog: _Program):
         cells = _cells(acc)
         for shot, v in _fired(prog, first, keys):
             cells[shot] = _cells(acc.take(shot, axis=0) ^ rows.take(v, axis=0))
-        return gf2.unpack_rows(acc, width)
+        return acc
 
     return sample
 
@@ -768,37 +764,81 @@ def _sampler(prog: _Program):
 
 @dataclass(frozen=True, eq=False)
 class ShotBatch:
-    """Detector outcomes of sampled shots plus the check-column layout.
+    """Sampled shots as packed rows, plus the check-column layout.
 
-    All bits are deviations from the noiseless run, which equals the
-    actual detector values because every detector is zero there.
-    ``detections[s, c, j]`` is the converted in-circuit detector of cycle
-    c+1 for check column j; ``final_syndrome`` holds the final
-    readout-comparison detectors of the memory-basis checks;
-    ``logical_flips`` the measured flips of the memory-basis logical
-    operators, readout errors included.
+    Row s of ``rows`` is shot s, packed by ``gf2.pack_rows`` in the bit
+    order that ``_output_map`` states, so its leading D + K bits are laid
+    out as a DEM signature. Bits are deviations from the noiseless run, in
+    which every detector is zero; the arrays below unpack them on each
+    read. The constructor keeps a read-only copy of ``rows`` and names the
+    first rule that a field breaks.
     """
 
     basis: str
     cycles: int
-    check_labels: tuple[str, ...]
-    aligned_columns: tuple[int, ...]
-    detections: np.ndarray  # (shots, cycles, checks)
-    final_syndrome: np.ndarray  # (shots, aligned)
-    logical_flips: np.ndarray  # (shots, k)
+    check_labels: tuple[str, ...]  # the X checks, then the Z checks
+    logical_count: int
+    rows: np.ndarray
+
+    def __post_init__(self):
+        if self.basis not in ("Z", "X"):
+            raise ValueError(f"basis={self.basis!r} is not Z or X")
+        kinds = [lab[:1] if isinstance(lab, str) else "?" for lab in self.check_labels]
+        if kinds != sorted(kinds) or not {"X", "Z"}.issuperset(kinds):
+            raise ValueError(f"check_labels={self.check_labels!r} are not X checks, then Z checks")
+        for name, low in (("cycles", 1), ("logical_count", 0)):
+            if _as_int(name, getattr(self, name)) < low:
+                raise ValueError(f"{name}={getattr(self, name)} is not >= {low}")
+        rows, width = np.array(self.rows), self._layout()[2]
+        if rows.dtype != gf2.WORD or rows.ndim != 2 or rows.shape[1] != -(-width // 64):
+            raise ValueError(f"need 2-D {gf2.WORD} rows of ceil({width} / 64) words, got "
+                             f"{rows.dtype} {rows.shape}")
+        if _rows_differ(rows[:, -1:] >> np.uint64((width - 1) % 64 + 1), 0).any():
+            raise ValueError(f"a row has a bit at or past the width {width}")
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def aligned_columns(self) -> tuple[int, ...]:
+        """The memory-basis check columns: the basis' run of ``check_labels``."""
+        return tuple(i for i, lab in enumerate(self.check_labels) if lab[0] == self.basis)
+
+    def _layout(self) -> tuple[int, int, int]:
+        """(A, D, W): memory-basis checks, detectors, cycles x checks + A + K bits."""
+        A = len(self.aligned_columns)
+        t, K = self.cycles, self.logical_count
+        return A, (t + 1) * A, t * len(self.check_labels) + A + K
 
     @property
     def shots(self) -> int:
-        return self.detections.shape[0]
+        return len(self.rows)
 
     def detector_matrix(self) -> np.ndarray:
-        """Decoder-facing bits, shape (shots, (cycles+1) * aligned), in the
-        DEM's detector order, which ``noise._output_map`` states; the
-        aligned checks are one run of columns, read as one slice."""
-        t, lo, A = self.cycles, min(self.aligned_columns, default=0), len(self.aligned_columns)
-        out = np.empty((self.shots, t + 1, A), np.result_type(self.detections, self.final_syndrome))
-        out[:, :t], out[:, t] = self.detections[:, :, lo : lo + A], self.final_syndrome
-        return out.reshape(self.shots, -1)
+        """(shots, D): each row's leading bits, the DEM's detectors."""
+        return gf2.unpack_rows(self.rows, self._layout()[1])
+
+    @property
+    def final_syndrome(self) -> np.ndarray:
+        """(shots, A): the memory-basis checks' final readout comparisons."""
+        A, D, _ = self._layout()
+        return gf2.unpack_rows(self.rows, D + self.logical_count)[:, D - A : D]
+
+    @property
+    def logical_flips(self) -> np.ndarray:
+        """(shots, K): the memory-basis logicals' flips, readout errors included."""
+        D = self._layout()[1]
+        return gf2.unpack_rows(self.rows, D + self.logical_count)[:, D:]
+
+    @property
+    def detections(self) -> np.ndarray:
+        """(shots, cycles, checks): check column j's detection in cycle c + 1;
+        the one place outside ``_output_map`` that puts the memory-basis
+        run and the other checks' run in column order."""
+        (A, D, width), shape = self._layout(), (self.shots, self.cycles)
+        bits = gf2.unpack_rows(self.rows, width)
+        runs = [bits[:, : self.cycles * A].reshape(*shape, A),
+                bits[:, D + self.logical_count :].reshape(*shape, len(self.check_labels) - A)]
+        return np.concatenate(runs if self.basis == "X" else runs[::-1], axis=2)
 
     def cycle_series(self, kind: str) -> np.ndarray:
         """Mean detection fraction per detection point for one check type.
@@ -807,17 +847,17 @@ class ShotBatch:
         last one is the final readout comparison). For the opposite type
         the first in-circuit point is omitted, because its reference
         value is randomized by the first measurement; cycles-1 points
-        remain.
+        remain. Each bit of the type's run is summed over the shots once,
+        as an exact int.
         """
-        cols = [i for i, lab in enumerate(self.check_labels) if lab[0] == kind]
-        if not cols:
+        count = sum(lab[0] == kind for lab in self.check_labels)
+        if not count:
             raise ValueError(f"no {kind}-type checks in this batch")
+        _, D, width = self._layout()
         aligned = kind == self.basis
-        start = 0 if aligned else 1
-        series = [self.detections[:, c, cols].mean() for c in range(start, self.cycles)]
-        if aligned:
-            series.append(self.final_syndrome.mean())
-        return np.array(series)
+        lo, hi = (0, D) if aligned else (D + self.logical_count, width)
+        fired = gf2.unpack_rows(self.rows, hi)[:, lo:].sum(axis=0, dtype=np.int64)
+        return fired.reshape(-1, count)[0 if aligned else 1 :].sum(axis=1) / (self.shots * count)
 
 
 def run_monte_carlo(
@@ -846,19 +886,11 @@ def run_monte_carlo(
         raise ValueError("shots and batch_size must be >= 1")
     prog = _Program(code, circuit, basis, noise, logicals)
     sample = _sampler(prog)
-    t, checks, (lo, hi) = prog.t, prog.check_count, prog.aligned
-    A, D, K = hi - lo, prog.detector_count, len(prog.logical_mat)
-    other = slice(0, lo) if lo else slice(hi, checks)  # the other checks' run
-    det = np.empty((shots, t, checks), dtype=np.uint8)
-    final, flips = np.empty((shots, A), dtype=np.uint8), np.empty((shots, K), dtype=np.uint8)
-    # basic slices of each batch's bits (``_output_map`` order) into its rows
+    rows = np.empty((shots, -(-prog.output_bits // 64)), dtype=gf2.WORD)
     for start in range(0, shots, batch_size):
         count = min(batch_size, shots - start)
-        bits, rows = sample(_derive_keys(master_seed, start, count)), slice(start, start + count)
-        det[rows, :, lo:hi] = bits[:, : t * A].reshape(count, t, A)
-        final[rows], flips[rows] = bits[:, t * A : D], bits[:, D : D + K]
-        det[rows, :, other] = bits[:, D + K :].reshape(count, t, checks - A)
-    return ShotBatch(basis, t, prog.check_labels, tuple(range(lo, hi)), det, final, flips)
+        rows[start : start + count] = sample(_derive_keys(master_seed, start, count))
+    return ShotBatch(basis, prog.t, prog.check_labels, len(prog.logical_mat), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1065,7 +1097,7 @@ def expected_detection_series(
     """
     # no logical rows: the table holds the detectors alone
     prog = _Program(code, circuit, basis, noise, LogicalOperatorSet(code.n, (), ()))
-    t, A, D = prog.t, len(prog.aligned_cols), prog.detector_count
+    A, D = len(prog.aligned_cols), prog.detector_count
     if not A:
         raise ValueError(f"no {basis}-type checks in code {code.name}")
     var, rows = _fault_rows(prog, D)
@@ -1075,8 +1107,7 @@ def expected_detection_series(
     order = np.argsort(d.astype(np.min_scalar_type(D)), kind="stable")
     v = v[order]
     p_odd = _odd_probability(d[order], var.slot[v], var.probability[v], D)
-    body = p_odd[: t * A].reshape(t, A).mean(axis=1)
-    return np.concatenate([body, [p_odd[t * A :].mean()]])
+    return p_odd.reshape(prog.t + 1, A).mean(axis=1)
 
 
 def dem_to_text(dem: DetectorErrorModel) -> str:

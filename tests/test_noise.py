@@ -99,18 +99,12 @@ def _memory_outputs(code, logicals, basis, cycles, readout, fault):
 
 def _table_outputs(code, circ, basis, logicals, picked):
     """The picked variants' rows of the fault-effect table that the
-    sampler reads, split by the bit order of ``noise._output_map`` into
+    sampler reads, as the arrays of a ``ShotBatch`` that holds them:
     detections (t x checks), final comparisons and logical flips."""
     prog = noise._Program(code, circ, basis, NOISE, logicals)
-    t, A, D = prog.t, len(prog.aligned_cols), prog.detector_count
     _, rows = noise._fault_rows(prog, prog.output_bits)
-    bits = gf2.unpack_rows(rows[picked], prog.output_bits)
-    end = D + len(prog.logical_mat)
-    aligned = np.isin(np.arange(prog.check_count), prog.aligned_cols)
-    det = np.zeros((len(picked), t, prog.check_count), dtype=np.uint8)
-    det[:, :, aligned] = bits[:, : t * A].reshape(len(picked), t, A)
-    det[:, :, ~aligned] = bits[:, end:].reshape(len(picked), t, -1)
-    return det, bits[:, t * A : D], bits[:, D:end]
+    batch = noise.ShotBatch(basis, prog.t, prog.check_labels, len(prog.logical_mat), rows[picked])
+    return batch.detections, batch.final_syndrome, batch.logical_flips
 
 
 @pytest.mark.parametrize("cid", ["18-4-4-pruned", "18-6-3"])
@@ -287,11 +281,13 @@ def test_one_table_one_detector_order(cid, basis, t):
     )
     assert np.array_equal(gf2.unpack_rows(noise._output_map(prog), D + K), signature)
     shots, seed = 200, 21
-    batch = noise.run_monte_carlo(circ, NOISE, shots, basis, code=code, master_seed=seed,
-                                  batch_size=64)
-    bits = noise._sampler(prog)(noise._derive_keys(seed, 0, shots))
+    rows = noise._sampler(prog)(noise._derive_keys(seed, 0, shots))
+    for size in (64, 200):  # the batch holds one sampler call's rows, at any batch size
+        batch = noise.run_monte_carlo(circ, NOISE, shots, basis, code=code, master_seed=seed,
+                                      batch_size=size)
+        assert batch.rows.dtype == rows.dtype and np.array_equal(batch.rows, rows)
     assert batch.detector_matrix().any()
-    assert np.array_equal(bits[:, :D], batch.detector_matrix())
+    assert np.array_equal(gf2.unpack_rows(rows, D), batch.detector_matrix())
 
 
 @pytest.mark.parametrize("basis", ["Z", "X"])
@@ -303,16 +299,19 @@ def test_a_code_with_checks_of_one_type_samples(basis):
                    gf2.BinaryMatrix(h_z), (), (0, 1))
     logicals = LogicalOperatorSet(3, ((0, 1, 2),), ((0,),))
     circ = build_syndrome_circuit(code, 3, basis=basis)
-    shots = 50
-    batch = noise.run_monte_carlo(circ, NOISE, shots, basis, code=code, logicals=logicals,
-                                  master_seed=4, batch_size=16)
-    assert batch.detections.shape == (shots, 3, 2) and batch.detections.any()
+    shots = 200
     prog = noise._Program(code, circ, basis, NOISE, logicals)
+    rows = noise._sampler(prog)(noise._derive_keys(4, 0, shots))
+    for size in (64, 200):
+        batch = noise.run_monte_carlo(circ, NOISE, shots, basis, code=code, logicals=logicals,
+                                      master_seed=4, batch_size=size)
+        assert np.array_equal(batch.rows, rows)
+    assert batch.detections.shape == (shots, 3, 2) and batch.detections.any()
     other = batch.detections[:, :, [c for c in range(2) if c not in batch.aligned_columns]]
     got = np.concatenate(
         [batch.detector_matrix(), batch.logical_flips, other.reshape(shots, -1)], axis=1
     )
-    assert np.array_equal(got, noise._sampler(prog)(noise._derive_keys(4, 0, shots)))
+    assert np.array_equal(got, gf2.unpack_rows(rows, prog.output_bits))
 
 
 def test_fault_records_are_immutable_named_tuples():
@@ -863,7 +862,8 @@ def test_rate_one_flips_every_slot():
         # so every shot flips the first ``flipped`` raw outputs and no other
         raw = np.zeros((shots, prog.raw_bits), dtype=np.uint8)
         raw[:, :flipped] = 1
-        assert np.array_equal(noise._sampler(prog)(keys), _detector_form(prog, raw))
+        rows = noise._sampler(prog)(keys)
+        assert np.array_equal(gf2.unpack_rows(rows, prog.output_bits), _detector_form(prog, raw))
 
 
 def test_the_draw_block_sets_no_output(monkeypatch):
@@ -1505,47 +1505,114 @@ def test_built_dems_have_no_collisions(cid, basis, t):
 
 
 def test_detector_matrix_is_cycle_major_then_final():
+    """Random packed rows read in the bit order of ``noise._output_map``:
+    the memory-basis detections cycle-major, their final comparisons, the
+    logicals, then the other checks' detections cycle-major."""
     rng = np.random.default_rng(4)
-    t, shots, aligned = 3, 5, (2, 3, 4)
-    batch = noise.ShotBatch(
-        "Z", t, ("X0", "X1", "Z0", "Z1", "Z2"), aligned,
-        rng.integers(0, 2, (shots, t, 5), dtype=np.uint8),
-        rng.integers(0, 2, (shots, len(aligned)), dtype=np.uint8),
-        rng.integers(0, 2, (shots, 2), dtype=np.uint8),
-    )
-    got, A = batch.detector_matrix(), len(aligned)
-    assert got.shape == (shots, (t + 1) * A)
-    for c in range(t):
-        for a, col in enumerate(aligned):
-            assert np.array_equal(got[:, c * A + a], batch.detections[:, c, col])
-    for a in range(A):
-        assert np.array_equal(got[:, t * A + a], batch.final_syndrome[:, a])
+    t, shots, K, labels = 3, 5, 2, ("X0", "X1", "Z0", "Z1", "Z2")
+    for basis, aligned in (("Z", (2, 3, 4)), ("X", (0, 1))):
+        other = [c for c in range(len(labels)) if c not in aligned]
+        A, O = len(aligned), len(other)
+        D = (t + 1) * A
+        bits = rng.integers(0, 2, (shots, t * len(labels) + A + K), dtype=np.uint8)
+        rows = gf2.pack_rows(bits)
+        batch = noise.ShotBatch(basis, t, labels, K, rows)
+        rows[:] = 0  # the batch keeps its own read-only copy
+        assert not batch.rows.flags.writeable and batch.detector_matrix().any()
+        assert batch.aligned_columns == aligned and batch.shots == shots
+        got = batch.detector_matrix()
+        assert np.array_equal(got, bits[:, :D])
+        for c in range(t):
+            for a, col in enumerate(aligned):
+                assert np.array_equal(got[:, c * A + a], batch.detections[:, c, col])
+            for o, col in enumerate(other):
+                assert np.array_equal(batch.detections[:, c, col], bits[:, D + K + c * O + o])
+        for a in range(A):
+            assert np.array_equal(got[:, t * A + a], batch.final_syndrome[:, a])
+        assert np.array_equal(batch.logical_flips, bits[:, D : D + K])
 
 
 @pytest.mark.parametrize("basis", ["Z", "X"])
 def test_detector_matrix_rows_of_single_faults_are_dem_columns(basis):
-    """A single fault's detector-matrix row (its row of the sampler's
-    table) and logical flips are the signature of a DEM column: the two
-    index detectors alike."""
+    """A shot of a single fault (its row of the sampler's table) is in the
+    DEM's form: its leading D + K bits, masked, are a signature word for
+    word."""
     code = build_named_code("18-4-4-pruned")
     logicals = logical_operator_set_for(code)
     circ = build_syndrome_circuit(code, 3, basis=basis)
     dem = noise.build_dem(circ, NOISE, basis, code=code, logicals=logicals)
-    signatures = {(col.detectors, col.logicals) for col in dem.columns}
-    variants = noise.enumerate_fault_variants(circ, NOISE, code=code)
-    picked = np.random.default_rng(6).choice(len(variants), 60, replace=False)
-    det, final, flips = _table_outputs(code, circ, basis, logicals, picked)
-    batch = replace(
-        noise.run_monte_carlo(circ, NOISE, 1, basis, code=code, logicals=logicals),
-        detections=det, final_syndrome=final, logical_flips=flips,
-    )
-    seen = 0
-    for row, flips in zip(batch.detector_matrix(), batch.logical_flips):
-        sig = (tuple(np.flatnonzero(row).tolist()), tuple(np.flatnonzero(flips).tolist()))
-        if sig != ((), ()):
-            seen += 1
-            assert sig in signatures, sig
-    assert seen > len(picked) // 2
+    prog = noise._Program(code, circ, basis, NOISE, logicals)
+    _, table = noise._fault_rows(prog, prog.output_bits)
+    picked = np.random.default_rng(6).choice(len(table), 60, replace=False)
+    batch = noise.ShotBatch(basis, prog.t, prog.check_labels, len(prog.logical_mat), table[picked])
+    bits = dem.detector_count + dem.logical_count
+    lead = batch.rows[:, : dem.signatures.shape[1]].copy()
+    assert bits % 64 and lead.shape[1] == 1  # so the mask clears bits of the other checks
+    lead[:, -1] &= np.uint64((1 << bits % 64) - 1)
+    fired = lead[(lead != 0).any(axis=1)]
+    assert len(fired) > len(picked) // 2
+    assert (fired[:, None, :] == dem.signatures[None]).all(axis=2).any(axis=1).all()
+
+
+def _per_cycle_series(batch, kind):
+    """``ShotBatch.cycle_series`` as it was first written: per cycle, one
+    gather of the kind's check columns and one ``mean``."""
+    cols = [i for i, lab in enumerate(batch.check_labels) if lab[0] == kind]
+    aligned = kind == batch.basis
+    series = [batch.detections[:, c, cols].mean() for c in range(0 if aligned else 1, batch.cycles)]
+    if aligned:
+        series.append(batch.final_syndrome.mean())
+    return np.array(series)
+
+
+@pytest.mark.parametrize("kind", ["Z", "X"])
+@pytest.mark.parametrize("basis", ["Z", "X"])
+@pytest.mark.parametrize("cid", ["18-4-4-pruned", "18-6-3", "rep3"])
+def test_cycle_series_is_the_per_cycle_mean(cid, basis, kind):
+    code = CHECKS_OF_ONE_TYPE[cid] if cid in CHECKS_OF_ONE_TYPE else build_named_code(cid)
+    circ = build_syndrome_circuit(code, 4, basis=basis)
+    batch = noise.run_monte_carlo(circ, NOISE, 300, basis, code=code, master_seed=8)
+    if not any(lab[0] == kind for lab in batch.check_labels):  # rep3 has Z checks alone
+        with pytest.raises(ValueError, match=f"^no {kind}-type checks in this batch$"):
+            batch.cycle_series(kind)
+        return
+    got, want = batch.cycle_series(kind), _per_cycle_series(batch, kind)
+    assert got.shape == want.shape == (5 if kind == basis else 3,) and got.dtype == want.dtype
+    assert (got == want).all() and got.all(), (got, want)
+
+
+def _shot_batch(**fields):
+    """A valid batch's fields with ``fields`` replaced: t = 2, checks X0 Z0
+    Z1, Z basis, K = 1, so the width is 2 x 3 + 2 + 1 = 9 bits."""
+    valid = dict(basis="Z", cycles=2, check_labels=("X0", "Z0", "Z1"), logical_count=1,
+                 rows=np.full((4, 1), 2**9 - 1, dtype=gf2.WORD))
+    return noise.ShotBatch(**{**valid, **fields})
+
+
+@pytest.mark.parametrize(
+    "field,value,match",
+    [("basis", "Y", r"^basis='Y' is not Z or X$"), ("basis", None, "^basis=None"),
+     ("check_labels", ("Z0", "X0", "Z1"), "are not X checks, then Z checks$"),
+     ("check_labels", ("X0", "", "Z1"), "are not X checks"),
+     ("check_labels", ("X0", 7, "Z1"), "are not X checks"),
+     ("cycles", 0, "^cycles=0 is not >= 1$"), ("cycles", 2.0, "^cycles must be an integer"),
+     ("cycles", True, "^cycles must be an integer"),
+     ("logical_count", -1, "^logical_count=-1 is not >= 0$"),
+     ("logical_count", "1", "^logical_count must be an integer"),
+     ("rows", np.zeros((4, 1), dtype=np.int64), r"^need 2-D uint64 rows .* got int64 \(4, 1\)$"),
+     ("rows", np.zeros(4, dtype=gf2.WORD), r"got uint64 \(4,\)$"),
+     ("rows", np.zeros((4, 2), dtype=gf2.WORD), r"of ceil\(9 / 64\) words, got uint64 \(4, 2\)"),
+     ("rows", [[0]], "got int64"),
+     ("rows", np.full((4, 1), 2**9, dtype=gf2.WORD), "^a row has a bit at or past the width 9$"),
+     ("rows", np.full((4, 1), 2**63, dtype=gf2.WORD), "bit at or past the width 9$")],
+    ids=["basis", "basis-none", "labels-order", "labels-empty", "labels-int", "cycles-0",
+         "cycles-float", "cycles-bool", "logicals-negative", "logicals-str", "rows-dtype",
+         "rows-1d", "rows-words", "rows-list", "rows-bit-at-width", "rows-last-bit"],
+)
+def test_shot_batch_names_the_rule_a_field_breaks(field, value, match):
+    assert _shot_batch().logical_flips.all()  # the valid fields pass
+    with pytest.raises(ValueError, match=match):
+        _shot_batch(**{field: value})
 
 
 def test_dem_text_round_trips():
