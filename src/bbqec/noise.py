@@ -19,17 +19,19 @@ detectors, the logicals, then the other checks' detections.
 without simulating any of them. One walk over the layers, last to
 first, carries for each qubit the outputs that an X or a Z injected
 there would flip (the reverse pass of Stim's error analyser, Gidney
-2021, Quantum 5, 497), and one gather per layer XORs them into the rows
-of that layer's variants. ``_fault_rows``, the one producer of table
-rows, walks the map's leading bits that its caller reads: ``build_dem``
-the detectors and logicals, ``expected_detection_series`` the detectors
-and the sampler all. The DEM and the series combine the priors of
-independent slots by one rule (``_odd_probability``): a DEM column or a
-detector flips when an odd number of its slots fire. The sampler
-replays the table, each shot the XOR of the rows of the variants that
-its draws pick, and keeps the packed rows and each slot's first
-variant; a ``ShotBatch`` keeps the shots as those packed rows, and its
-arrays unpack them, so ``_output_map`` alone states the bit order.
+2021, Quantum 5, 497). Each variant's row is the XOR of two rows of the
+walk's buffer, a leg's X, Y or Z row or the map row of the output it
+flips, and one pair of gathers per layer writes that layer's variants.
+``_fault_rows``, the one producer of table rows, walks the map's leading
+bits that its caller reads: ``build_dem`` the detectors and logicals,
+``expected_detection_series`` the detectors and the sampler all. The
+DEM and the series combine the priors of independent slots by one rule
+(``_odd_probability``): a DEM column or a detector flips when an odd
+number of its slots fire. The sampler replays the table, each shot the
+XOR of the rows of the variants that its draws pick, and keeps the
+packed rows and each slot's first variant; a ``ShotBatch`` keeps the
+shots as those packed rows, and its arrays unpack them, so
+``_output_map`` alone states the bit order.
 The walk and the sampler gather rows with ``ndarray.take(..., axis=0)``
 (``np.take``'s wrapper costs as much as a small gather) and scatter
 them as ``_cells``, one fixed-width ``np.void`` cell per row.
@@ -502,14 +504,18 @@ def _channel(kind: str, noise: NoiseModel) -> _Channel:
 
 class _Variants(NamedTuple):
     """Single-fault variants as parallel arrays, in layer order. Variant
-    v injects X on ``qubits[0:2, v]`` and Z on ``qubits[2:4, v]`` at the
-    end of ``layer[v]`` and flips raw output ``flip[v]``; an unused leg is
-    ``qubit_count`` and no flip is ``raw_bits``."""
+    v's table row is the XOR of the two rows ``buffer_rows[:, v]`` (int32)
+    of ``_fault_table``'s walk buffer at the end of ``layer[v]``. With R =
+    ``qubit_count + 1``, row b R + q of the buffer is qubit q's X, Z or Y
+    row (b = 0, 1, 2; q = R - 1 is zero) and row 3 R + r raw output r's
+    map row. An index names a leg's Pauli row, the pattern's legs first,
+    in leg order, and I or an unused index the zero row R - 1; a
+    measurement or readout fault names the map row of the output it
+    flips, as no pattern has both a flip and a Pauli leg."""
 
     slot: np.ndarray
     layer: np.ndarray
-    qubits: np.ndarray  # (4, variants): X, X, Z, Z
-    flip: np.ndarray
+    buffer_rows: np.ndarray  # (2, variants) int32
     probability: np.ndarray
 
 
@@ -519,30 +525,32 @@ def _variants(prog: _Program) -> _Variants:
     channels = [channel.patterns for channel in prog.channels]
     npat = np.array([len(pats) for pats in channels])
     width = npat.max()
-    # at kind * width + pattern: the prior, whether the pattern flips the
-    # slot's output, and its legs x0 x1 z0 z1 (leg 2 is the zero row)
+    # at kind * width + pattern: the prior and the cells (below) of its two
+    # buffer rows; 3 l + b is leg l's X, Z or Y row (b = 0, 1, 2), 6 the
+    # zero row and 7 the map row of the slot's output
     prob = np.zeros(len(channels) * width)
-    flips = np.zeros(len(prob), dtype=bool)
-    legs = np.full((4, len(prob)), 2)
+    cell = np.full((2, len(prob)), 6, dtype=np.int32)
     for k, pats in enumerate(channels):
         for j, pat in enumerate(pats):
-            i = k * width + j
-            prob[i], flips[i] = pat.probability, pat.flip
-            legs[: len(pat.x_legs), i] = pat.x_legs
-            legs[2 : 2 + len(pat.z_legs), i] = pat.z_legs
-    count = npat[prog.slot_kind]
+            on = [(leg, leg in pat.x_legs, leg in pat.z_legs) for leg in (0, 1)]
+            picks = [3 * leg + x + 2 * z - 1 for leg, x, z in on if x or z] + [7] * pat.flip
+            prob[k * width + j] = pat.probability
+            cell[: len(picks), k * width + j] = picks
+    count = npat.take(prog.slot_kind)
     slot = np.repeat(np.arange(len(count), dtype=np.int32), count)
-    pattern = np.arange(len(slot)) - np.repeat(np.cumsum(count) - count, count)
-    kp = prog.slot_kind[slot] * width + pattern
-    zero = np.full(len(count), prog.circuit.qubit_count, dtype=np.int32)
-    padded = np.vstack([prog.slot_legs, zero]).ravel()  # leg l of slot s at l * S + s
-    return _Variants(
-        slot,
-        prog.slot_layer[slot],
-        padded[legs.take(kp, axis=1) * len(count) + slot],
-        np.where(flips[kp], prog.slot_flip[slot], prog.raw_bits).astype(np.int32),
-        prob[kp],
-    )
+    # variant v of slot s is pattern v - first[s] of the slot's kind
+    first = np.cumsum(count) - count
+    kp = np.repeat((prog.slot_kind * width - first).astype(np.int32), count)
+    kp += np.arange(len(kp), dtype=np.int32)
+    R = prog.circuit.qubit_count + 1
+    cell_row = np.empty((8, len(count)), dtype=np.int32)  # cell c of slot s at c S + s
+    blocks = R * np.arange(3, dtype=np.int32)[:, None]
+    cell_row[:6] = (prog.slot_legs[:, None] + blocks).reshape(6, -1)
+    cell_row[6], cell_row[7] = R - 1, 3 * R + prog.slot_flip
+    rows = np.empty((2, len(slot)), dtype=np.int32)
+    for out, pick in zip(rows, cell * len(count)):
+        cell_row.take(pick.take(kp) + slot, out=out)
+    return _Variants(slot, prog.slot_layer.take(slot), rows, prob.take(kp))
 
 
 def _shared(values: np.ndarray, make) -> list:
@@ -574,11 +582,18 @@ def enumerate_fault_variants(
     var = _variants(prog)
     checks, tc, raw = prog.check_count, prog.t * prog.check_count, prog.raw_bits
     nq = circuit.qubit_count
+    R, (i0, i1) = nq + 1, var.buffer_rows
+    m = 3 * R  # the buffer row of raw output 0; a flip is in i0
+    # the qubit that each buffer row's X (Z) part acts on, else nq
+    qs, pad = np.arange(R, dtype=np.int32), np.full(R, nq, dtype=np.int32)
+    maps = np.full(raw + 1, nq, dtype=np.int32)
+    x_of, z_of = np.concatenate([qs, pad, qs, maps]), np.concatenate([pad, qs, qs, maps])
+    made: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def legs(k):  # the qubits of a pair key, unused legs (nq) dropped
-        return tuple(q for q in divmod(k, nq + 1) if q < nq)
+    def legs(k):  # a pair key's qubits, unused legs (nq) dropped, one tuple per value
+        qubits = tuple(q for q in divmod(k, R) if q < nq)
+        return made.setdefault(qubits, qubits)
 
-    pair = var.qubits.astype(np.int64)
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -587,10 +602,10 @@ def enumerate_fault_variants(
             _shared(var.layer, int),
             _shared(prog.slot_kind[var.slot], _SLOT_KINDS.__getitem__),
             _shared(var.probability, float),
-            _shared(pair[0] * (nq + 1) + pair[1], legs),
-            _shared(pair[2] * (nq + 1) + pair[3], legs),
-            _shared(var.flip, lambda f: divmod(f, checks) if f < tc else None),
-            _shared(var.flip, lambda f: f - tc if tc <= f < raw else None),
+            _shared(x_of.take(i0) * R + x_of.take(i1), legs),
+            _shared(z_of.take(i0) * R + z_of.take(i1), legs),
+            _shared(i0, lambda r: divmod(r - m, checks) if m <= r < m + tc else None),
+            _shared(i0, lambda r: r - m - tc if m + tc <= r < m + raw else None),
         )
         # tuple.__new__ fills each record from its zipped row in C, without
         # the Python frame of FaultVariant.__new__; a row has every field
@@ -664,17 +679,19 @@ def _fault_table(prog: _Program, var: _Variants, out_map: np.ndarray) -> np.ndar
     """Row v packs the outputs (in the basis of ``out_map``) that variant
     v of ``var`` flips on its own.
 
-    One walk over the layers, last to first, carries sx and sz: row q of
-    sx (sz) holds the outputs flipped by an X (a Z) on qubit q injected
-    right after the current layer's gate, as the XOR of the ``out_map``
-    rows of the raw outputs it flips; row ``qubit_count`` stays zero. A
-    variant's row is its flip row XOR, at its layer, the rows of its two
-    X and two Z qubits. ``var`` runs in layer order, so that is one
-    gather per layer; the walk stops at the lowest layer with a variant.
-    Rows are gathered with ``take`` and written back as ``_cells``.
+    One walk over the layers, last to first, carries a buffer: rows sx,
+    sz and sy, ``qubit_count + 1`` each, then the ``out_map`` rows. Row q
+    of sx (sz) holds the outputs flipped by an X (a Z) on qubit q
+    injected right after the current layer's gate, as the XOR of the
+    ``out_map`` rows of the raw outputs it flips; row ``qubit_count``
+    stays zero. At a layer with variants sy is refreshed to sx ^ sz, and
+    each variant's row is the XOR of its two buffer rows
+    (``_Variants.buffer_rows``). ``var`` runs in layer order, so that is
+    two gathers per layer; the walk stops at the lowest layer with a
+    variant. Rows are gathered with ``take`` and written back as ``_cells``.
     """
     table, nq = prog.table, prog.circuit.qubit_count
-    rows = out_map.take(var.flip, axis=0)
+    rows = np.empty((len(var.slot), out_map.shape[1]), out_map.dtype)
     if not out_map.shape[1]:  # rows of no words hold no output to walk
         return rows
     kinds, start = table.kind.tolist(), table.start.tolist()
@@ -682,15 +699,16 @@ def _fault_table(prog: _Program, var: _Variants, out_map: np.ndarray) -> np.ndar
     # the qubit an H swaps X and Z on; any other gate swaps the zero row
     h_leg = np.where(table.name == GATE_NAMES.index("H"), a_leg, nq)
     bounds = np.searchsorted(var.layer, np.arange(len(kinds) + 1))
-    sx = np.zeros((nq + 1, out_map.shape[1]), out_map.dtype)
-    sz = np.zeros_like(sx)
+    buf = np.zeros((3 * (nq + 1) + len(out_map), out_map.shape[1]), out_map.dtype)
+    buf[3 * (nq + 1) :] = out_map
+    sx, sz, sy = np.split(buf[: 3 * (nq + 1)], 3)
     cx, cz = _cells(sx), _cells(sz)
     for li in range(len(kinds) - 1, -1, -1):
         lo, hi = bounds[li], bounds[li + 1]
         if lo < hi:
-            x0, x1, z0, z1 = var.qubits[:, lo:hi]
-            rows[lo:hi] ^= (sx.take(x0, axis=0) ^ sx.take(x1, axis=0)
-                            ^ sz.take(z0, axis=0) ^ sz.take(z1, axis=0))
+            np.bitwise_xor(sx, sz, out=sy)
+            i0, i1 = var.buffer_rows[:, lo:hi]
+            np.bitwise_xor(buf.take(i0, axis=0), buf.take(i1, axis=0), out=rows[lo:hi])
         if lo == 0:
             break
         gates = slice(start[li], start[li + 1])

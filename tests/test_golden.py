@@ -6,7 +6,9 @@ detection series and the three ``ShotBatch`` arrays of a 256-shot Monte
 Carlo run at a fixed master seed. The grid is {18-4-4-pruned, 18-6-3,
 36-4-6} x {Z, X} x t in {1, 2, 7} x the three idle policies at device
 rates, plus, per code and basis, a model with some rates set to zero so
-that zero-probability variants are skipped.
+that zero-probability variants are skipped, plus 144-12-12 at t = 7
+under the "frames" policy in both bases, whose packed rows (18 words
+for the sampler, 10 for the DEM) are the only ones wider than 5 words.
 
 A second table pins the code layer, on every named code: the check
 matrices ``h_x`` and ``h_z``, the supports of ``compute_logicals`` and,
@@ -52,6 +54,10 @@ def _cases():
                     model = NoiseModel.device_rates(idle_policy=policy)
                     cases[f"{cid}-{basis}-t{t}-{policy}"] = (cid, basis, t, model)
             cases[f"{cid}-{basis}-t7-sparse"] = (cid, basis, 7, SPARSE_RATES)
+    # the widest code: its sampler rows hold 18 words at t = 7 and its DEM
+    # rows 10, where the grid's hold at most 5 and 3 (36-4-6)
+    for basis in ("Z", "X"):
+        cases[f"144-12-12-{basis}-t7-frames"] = ("144-12-12", basis, 7, NoiseModel.device_rates())
     return cases
 
 
@@ -100,6 +106,8 @@ def _outputs(case_id):
 
 
 GOLDEN = {
+    '144-12-12-X-t7-frames': {'variants': '669afdff0ed5484d', 'dem': '5fe6f847d5be5541', 'series': '059c89aed1be4823', 'shots': 'a1f145c1f6a41d46'},
+    '144-12-12-Z-t7-frames': {'variants': '2fc9f6e6ba1e757b', 'dem': 'de99742b6080dcfc', 'series': '0b804d144905eb6b', 'shots': 'e238e685867f56c4'},
     '18-4-4-pruned-X-t1-cz_layers': {'variants': '9a3ee87f8283ebdc', 'dem': 'fbc70fc5214e5a64', 'series': 'da213fc968eb0e25', 'shots': 'b1d3dc5b0e916db2'},
     '18-4-4-pruned-X-t1-dense': {'variants': '923f7a8c9aa86ad3', 'dem': '1aa162cc5b3de4f3', 'series': '6ecce50ce910e5da', 'shots': '7b89ff79780076af'},
     '18-4-4-pruned-X-t1-frames': {'variants': '58d61b236d9769a7', 'dem': '7866e61bc2ce5f54', 'series': 'b50d82fcb2dd4247', 'shots': '4100859fd88dc2ac'},

@@ -3,6 +3,7 @@
 import gc
 import random
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -239,6 +240,96 @@ def test_table_rows_match_forward_frame_propagation(basis):
     )
 
 
+def _four_gather_variants(prog):
+    """Each variant's (slot, qubits, flip), in slot and then pattern order,
+    read from the slot legs and each pattern's leg tuples: X on qubits[0:2]
+    and Z on qubits[2:4] (``qubit_count`` pads them), and the raw output
+    that it flips (``raw_bits`` for none)."""
+    npat = np.array([len(channel.patterns) for channel in prog.channels])
+    count = npat[prog.slot_kind]
+    first = np.cumsum(count) - count
+    qubits = np.full((4, count.sum()), prog.circuit.qubit_count)
+    flip = np.full(count.sum(), prog.raw_bits)
+    for k, channel in enumerate(prog.channels):
+        slots = np.flatnonzero(prog.slot_kind == k)
+        for j, pat in enumerate(channel.patterns):
+            v = first[slots] + j
+            for row, leg in chain(enumerate(pat.x_legs), enumerate(pat.z_legs, 2)):
+                qubits[row, v] = prog.slot_legs[leg, slots]
+            if pat.flip:
+                flip[v] = prog.slot_flip[slots]
+    return np.repeat(np.arange(len(count)), count), qubits, flip
+
+
+def _four_gather_table(prog, layer, qubits, flip, out_map):
+    """The fault-effect table by the four-gather walk: a variant's row is
+    its flip's ``out_map`` row XOR, at its layer, the sx rows of its two X
+    qubits and the sz rows of its two Z qubits."""
+    table, nq = prog.table, prog.circuit.qubit_count
+    rows = out_map[flip]
+    sx = np.zeros((nq + 1, out_map.shape[1]), dtype=out_map.dtype)
+    sz = np.zeros_like(sx)
+    bounds = np.searchsorted(layer, np.arange(len(table.kind) + 1))
+    for li in range(len(table.kind) - 1, -1, -1):
+        x0, x1, z0, z1 = qubits[:, bounds[li] : bounds[li + 1]]
+        rows[bounds[li] : bounds[li + 1]] ^= sx[x0] ^ sx[x1] ^ sz[z0] ^ sz[z1]
+        gates = slice(table.start[li], table.start[li + 1])
+        a, b = table.legs[:, gates]
+        if table.kind[li] == SINGLE_QUBIT:
+            h = a[table.name[gates] == GATE_NAMES.index("H")]
+            sx[h], sz[h] = sz[h], sx[h]
+        elif table.kind[li] == CZ:
+            sx[a], sx[b] = sx[a] ^ sz[b], sx[b] ^ sz[a]
+        elif table.kind[li] in (MEASURE_CHECKS, READOUT_DATA):
+            sx[a] ^= out_map[prog.gate_flip[gates]]
+            sz[a] = 0
+    return rows
+
+
+def _assert_table_is_the_four_gather_walk(prog, out_map):
+    var = noise._variants(prog)
+    slot, qubits, flip = _four_gather_variants(prog)
+    assert var.buffer_rows.dtype == np.int32 and var.buffer_rows.shape == (2, len(slot))
+    assert np.array_equal(var.slot, slot) and np.array_equal(var.layer, prog.slot_layer[slot])
+    got = noise._fault_table(prog, var, out_map)
+    want = _four_gather_table(prog, var.layer, qubits, flip, out_map)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+# (code, cycles, noise model): every idle policy on the golden grid's
+# codes, 144-12-12 (6-word rows at t = 2) and rate-one flips alone
+WALK_CASES = {
+    f"{cid}-t{t}-{policy}": (cid, t, NoiseModel.device_rates(idle_policy=policy))
+    for cid in ("18-4-4-pruned", "18-6-3", "36-4-6") for t in (1, 2, 7)
+    for policy in noise.IDLE_POLICIES
+} | {
+    "144-12-12-t2-frames": ("144-12-12", 2, NOISE),
+    "18-6-3-t3-p_m": ("18-6-3", 3, NoiseModel(p_m=1.0)),
+    "18-6-3-t3-p_m-p_f": ("18-6-3", 3, NoiseModel(p_m=1.0, p_f=1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WALK_CASES))
+def test_fault_table_is_the_four_gather_walk(case):
+    """Word for word, on the sampler's map, in both bases."""
+    cid, t, model = WALK_CASES[case]
+    code = build_named_code(cid, trust_table_distance=True)
+    for basis in ("Z", "X"):
+        prog = noise._Program(code, build_syndrome_circuit(code, t, basis=basis), basis, model)
+        _assert_table_is_the_four_gather_walk(prog, noise._output_map(prog))
+
+
+def test_fault_table_of_no_words_is_the_four_gather_walk():
+    """A basis with no detectors and no logicals walks a map of no words."""
+    code = CHECKS_OF_ONE_TYPE["k0"]
+    prog = noise._Program(code, build_syndrome_circuit(code, 2, basis="X"), "X", NOISE)
+    assert prog.detector_count == len(prog.logical_mat) == 0
+    _, rows = noise._fault_rows(prog, 0)
+    assert rows.shape == (len(noise._variants(prog).slot), 0)
+    _assert_table_is_the_four_gather_walk(prog, noise._output_map(prog)[:, :0])
+
+
 @pytest.mark.parametrize("t", [1, 2, 3, 7])
 @pytest.mark.parametrize("basis", ["Z", "X"])
 @pytest.mark.parametrize("cid", ["18-4-4-pruned", "18-6-3", "36-4-6"])
@@ -331,24 +422,27 @@ def test_fault_records_are_immutable_named_tuples():
 
 
 def test_enumerated_variants_match_a_per_variant_reference():
+    """Each record read from its slot and pattern: the slot's legs picked
+    by the pattern's leg tuples, and its output if the pattern flips it."""
     code = build_named_code("18-6-3")
-    circ = build_syndrome_circuit(code, 1)
+    circ = build_syndrome_circuit(code, 2)
     prog = noise._Program(code, circ, "Z", NOISE)
-    var = noise._variants(prog)
-    nq, checks, tc = circ.qubit_count, prog.check_count, prog.t * prog.check_count
+    checks, tc = prog.check_count, prog.t * prog.check_count
     expected = []
-    for v in range(len(var.slot)):
-        f = int(var.flip[v])
-        expected.append(noise.FaultVariant(
-            slot=int(var.slot[v]),
-            layer=int(var.layer[v]),
-            kind=noise._SLOT_KINDS[prog.slot_kind[var.slot[v]]],
-            probability=float(var.probability[v]),
-            x_qubits=tuple(int(q) for q in var.qubits[:2, v] if q < nq),
-            z_qubits=tuple(int(q) for q in var.qubits[2:, v] if q < nq),
-            measurement_flip=divmod(f, checks) if f < tc else None,
-            readout_flip=f - tc if tc <= f < prog.raw_bits else None,
-        ))
+    for s, kind in enumerate(prog.slot_kind.tolist()):
+        legs, f = prog.slot_legs[:, s].tolist(), int(prog.slot_flip[s])
+        for pat in prog.channels[kind].patterns:
+            expected.append(noise.FaultVariant(
+                slot=s,
+                layer=int(prog.slot_layer[s]),
+                kind=noise._SLOT_KINDS[kind],
+                probability=pat.probability,
+                x_qubits=tuple(legs[leg] for leg in pat.x_legs),
+                z_qubits=tuple(legs[leg] for leg in pat.z_legs),
+                measurement_flip=divmod(f, checks) if pat.flip and f < tc else None,
+                readout_flip=f - tc if pat.flip and f >= tc else None,
+            ))
+    assert {v.kind for v in expected} == set(noise._SLOT_KINDS)
     variants = noise.enumerate_fault_variants(circ, NOISE, code=code)
     assert variants == tuple(expected)
     # the same Python types, not numpy scalars, so the reprs agree too
@@ -853,7 +947,10 @@ def test_rate_one_flips_every_slot():
         flipped = prog.raw_bits if model.p_f else prog.t * prog.check_count
         # the variants are the measured slots, and every shot fires each once
         var = noise._variants(prog)
-        assert sorted(var.flip.tolist()) == list(range(flipped))
+        # each variant XORs its output's map row (buffer row 3 R on) and the zero row
+        R = circ.qubit_count + 1
+        assert (var.buffer_rows[1] == R - 1).all()
+        assert sorted((var.buffer_rows[0] - 3 * R).tolist()) == list(range(flipped))
         fired = np.zeros((shots, len(var.slot)), dtype=int)
         first = np.searchsorted(var.slot, np.arange(len(prog.slot_kind)))
         for shot, v in noise._fired(prog, first, keys):
