@@ -1,26 +1,29 @@
 """Timed-layer circuits for repeated CZ-based stabilizer extraction.
 
-A circuit is an ordered tuple of gate layers. Each syndrome cycle is a
-contiguous slice holding exactly seven CZ layers, the single-qubit layers
-compiled around them, one check-measurement layer, and either a
-dynamical-decoupling layer (between cycles) or the final data readout.
-Check qubits are never reset, so consecutive measurement outcomes must be
-differenced downstream to recover stabilizer values.
+A circuit is an ordered tuple of gate layers, which alone fix its
+cycles: cycle c ends with the c-th check-measurement layer and the layer
+after it, dynamical decoupling between cycles or the final data readout.
+A built cycle has seven CZ layers and the single-qubit layers compiled
+around them before that. Check qubits are never reset, so consecutive
+measurement outcomes must be differenced to recover stabilizer values.
 
 Qubit indexing is global: data qubits 0..n-1 (left block then right
 block), then one ancilla per retained X check, then one per retained
 Z check.
 
-The gate table (``GateTable``) is the one array form of a circuit, and
-``gate_table``, which reads it, is where a circuit is checked against a
-code and memory basis; the tableau oracle and the noise layer read it.
+A circuit reads its layers once: each layer's gates are read into gate
+table rows where ``GateLayer`` checks them, and ``Circuit.table`` (a
+``GateTable``, the one array form of a circuit) joins them on first read.
+``gate_table`` checks a circuit against a code and memory basis and
+returns that table, which the tableau oracle and the noise layer read.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -45,17 +48,16 @@ DD_IDLE = "DD_IDLE"
 
 LAYER_KINDS = (SINGLE_QUBIT, CZ, MEASURE_CHECKS, READOUT_DATA, DD_IDLE)
 
-# gate name -> (operand count, the only layer kind that may hold it)
-_GATE_RULES = {
-    "H": (1, SINGLE_QUBIT),
-    "I": (1, SINGLE_QUBIT),
-    "CZ": (2, CZ),
-    "M": (1, MEASURE_CHECKS),
-    "RD": (1, READOUT_DATA),
-    "DD": (1, DD_IDLE),
+# layer kind -> (operand count of its gates, the only gates it may hold)
+_LAYER_RULES = {
+    SINGLE_QUBIT: (1, ("H", "I")),
+    CZ: (2, ("CZ",)),
+    MEASURE_CHECKS: (1, ("M",)),
+    READOUT_DATA: (1, ("RD",)),
+    DD_IDLE: (1, ("DD",)),
 }
 # a gate table names each gate by its index here
-GATE_NAMES = tuple(_GATE_RULES)
+GATE_NAMES = tuple(g for _, names in _LAYER_RULES.values() for g in names)
 _NAME_INDEX = {name: i for i, name in enumerate(GATE_NAMES)}
 
 
@@ -63,61 +65,69 @@ class ScheduleError(Exception):
     """No valid depth-7 CZ assignment was found."""
 
 
-def _check_gates(kind: str, gates) -> list[tuple[str, tuple[int, ...]]]:
-    """The gates, each qubit as an int. Raises ValueError unless each
-    gate's name is known, ``kind`` is its home layer kind, it has its
-    arity and each qubit is a non-negative integer that no other gate of
-    the layer uses."""
-    checked = []
-    seen: set[int] = set()
-    for name, qubits in gates:
-        rule = _GATE_RULES.get(name)
-        if rule is None:
+def _check_gates(kind: str, gates) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
+    """The gates, each qubit an int, and their gate table rows as columns:
+    name index, first leg, second leg (-1 for a one-qubit gate). Raises
+    ValueError unless each gate's name is known and one that a ``kind``
+    layer may hold, it has that kind's operand count and each qubit is a
+    non-negative integer no other gate uses; each rule in turn, layer-wide."""
+    arity, allowed = _LAYER_RULES[kind]
+    gates = [(name, tuple(qubits)) for name, qubits in gates]
+    names, operands = zip(*gates) if gates else ((), ())
+    if not set(names).issubset(allowed):
+        name = next(name for name in names if name not in allowed)
+        if name not in _NAME_INDEX:
             raise ValueError(f"unknown gate {name!r}")
-        arity, home = rule
-        if home != kind:
-            raise ValueError(f"gate {name} cannot appear in a {kind} layer")
-        qubits = tuple(qubits)
-        if len(qubits) != arity:
-            raise ValueError(f"gate {name} takes {arity} qubit operand(s), got {len(qubits)}")
-        for q in qubits:
-            # int(q) would read 1.7, True or "2" as a qubit
+        raise ValueError(f"gate {name} cannot appear in a {kind} layer")
+    if not {arity}.issuperset(map(len, operands)):
+        name, qubits = next(gate for gate in gates if len(gate[1]) != arity)
+        raise ValueError(f"gate {name} takes {arity} qubit operand(s), got {len(qubits)}")
+    flat = list(itertools.chain.from_iterable(operands))
+    if not {int}.issuperset(map(type, flat)):
+        # int(q) would read 1.7, True or "2" as a qubit
+        for q in flat:
             if type(q) is not int and not isinstance(q, np.integer):
                 raise ValueError(f"qubit {q!r} is not an integer")
-            if q < 0:
-                raise ValueError("negative qubit index")
-            if q in seen:
-                raise ValueError(f"qubit {q} used twice in one layer")
-            seen.add(q)
-        checked.append((name, tuple(map(int, qubits))))
-    return checked
+        flat = list(map(int, flat))
+        gates = list(zip(names, zip(*[iter(flat)] * arity)))
+    if min(flat, default=0) < 0:
+        raise ValueError("negative qubit index")
+    if len(set(flat)) < len(flat):
+        seen: set[int] = set()
+        q = next(q for q in flat if q in seen or seen.add(q))
+        raise ValueError(f"qubit {q} used twice in one layer")
+    legs = (flat[0::2], flat[1::2]) if arity == 2 else (flat, [-1] * len(flat))
+    return tuple(gates), (tuple(map(_NAME_INDEX.__getitem__, names)), *map(tuple, legs))
 
 
 @dataclass(frozen=True)
 class GateLayer:
+    """Gates of one kind on distinct qubits, checked by ``_check_gates``,
+    which also reads their gate table ``rows`` (not part of ``==``,
+    ``hash`` or ``repr``)."""
+
     kind: str
     gates: tuple[tuple[str, tuple[int, ...]], ...]
+    rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        if not self.gates and self.kind != CZ:
+        gates, rows = _check_gates(self.kind, self.gates)
+        if not gates and self.kind != CZ:
             # a cycle keeps seven CZ layers where its schedule leaves a round
-            # empty (a code with checks of one type); no other layer is
-            # built empty
+            # empty (a code with checks of one type); no other layer is empty
             raise ValueError(f"a {self.kind} layer needs at least one gate")
-        object.__setattr__(self, "gates", tuple(_check_gates(self.kind, self.gates)))
-
-    def qubits(self) -> frozenset[int]:
-        return frozenset(q for _, qs in self.gates for q in qs)
-
-    def count(self, name: str) -> int:
-        return sum(1 for g, _ in self.gates if g == name)
+        object.__setattr__(self, "gates", gates)
+        object.__setattr__(self, "rows", rows)
 
 
 @dataclass(frozen=True)
 class Circuit:
-    """Gate layers with their cycle boundaries.
+    """Gate layers, each layer object's qubits checked to be below
+    ``qubit_count``. Cycle c ends with the c-th measurement layer and the
+    next layer, so ``cycles`` and ``cycle_boundaries`` (each cycle's first
+    layer) are read from the layers; the last cycle runs to the end.
 
     ``basis`` is the memory basis ("Z" or "X") the circuit was built
     for, or None when unknown (a hand-built circuit). Consumers that
@@ -126,16 +136,10 @@ class Circuit:
 
     qubit_count: int
     layers: tuple[GateLayer, ...]
-    cycle_boundaries: tuple[int, ...]
     basis: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
-        b = tuple(self.cycle_boundaries)
-        if not all(map(_is_int, b)):  # int(b) would read 0.7, "0" or False as 0
-            raise ValueError(f"cycle_boundaries must be ints, got {b!r}")
-        b = tuple(map(int, b))
-        object.__setattr__(self, "cycle_boundaries", b)
         if not _is_int(self.qubit_count) or self.qubit_count < 0:
             raise ValueError(f"qubit_count must be an int >= 0, got {self.qubit_count!r}")
         if self.basis not in (None, "Z", "X"):
@@ -144,45 +148,55 @@ class Circuit:
         for layer in {id(L): L for L in self.layers}.values():
             if not isinstance(layer, GateLayer):
                 raise ValueError(f"layers must be GateLayers, got {layer!r}")
-            high = max(layer.qubits(), default=-1)
+            high = max(layer.rows[1] + layer.rows[2], default=-1)
             if high >= self.qubit_count:
-                raise ValueError(
-                    f"layer touches qubit {high} but circuit has {self.qubit_count}"
-                )
-        if b:
-            if b[0] != 0:
-                raise ValueError("first cycle must start at layer 0")
-            for lo, hi in zip(b, b[1:]):
-                if lo >= hi:
-                    raise ValueError("cycle boundaries must strictly increase")
-            if b[-1] >= len(self.layers):
-                raise ValueError("cycle boundary past the last layer")
-            for c in range(len(b)):
-                lo, hi = self.cycle_layer_range(c)
-                n_cz = sum(1 for L in self.layers[lo:hi] if L.kind == CZ)
-                if n_cz != 7:
-                    raise ValueError(f"cycle {c} has {n_cz} CZ layers, expected 7")
+                raise ValueError(f"layer touches qubit {high} but circuit has {self.qubit_count}")
+
+    @cached_property
+    def table(self) -> GateTable:
+        """The circuit as a read-only ``GateTable``, joined from its layers' rows."""
+        layers = self.layers
+        kind = np.array([layer.kind for layer in layers], dtype=str)
+        start = np.cumsum([0] + [len(layer.gates) for layer in layers])
+        # a built circuit repeats its layer objects; each one's rows become one array
+        read = {id(layer): layer.rows for layer in layers}
+        read = {key: np.array(rows, dtype=np.intp) for key, rows in read.items()}
+        rows = np.concatenate([np.zeros((3, 0), np.intp)] + [read[id(L)] for L in layers], axis=1)
+        name, legs = rows[0], rows[1:]
+        legs[1, legs[1] < 0] = self.qubit_count
+        table = GateTable(kind, start, name, legs)
+        for array in table:
+            array.flags.writeable = False
+        return table
+
+    @cached_property
+    def cycle_boundaries(self) -> tuple[int, ...]:
+        ends = [i + 2 for i, layer in enumerate(self.layers) if layer.kind == MEASURE_CHECKS]
+        return tuple([0] + ends[:-1]) if ends else ()
 
     @property
     def cycles(self) -> int:
         return len(self.cycle_boundaries)
 
     def cycle_layer_range(self, cycle: int) -> tuple[int, int]:
+        """Layers ``lo:hi`` of ``cycle``, an int (not a bool) in [0, cycles), else ValueError."""
         b = self.cycle_boundaries
-        lo = b[cycle]
-        hi = b[cycle + 1] if cycle + 1 < len(b) else len(self.layers)
-        return lo, hi
+        if not _is_int(cycle) or not 0 <= cycle < len(b):
+            raise ValueError(f"cycle must be an int in [0, {len(b)}), got {cycle!r}")
+        return b[cycle], (b[cycle + 1] if cycle + 1 < len(b) else len(self.layers))
 
     def cycle_layers(self, cycle: int) -> tuple[GateLayer, ...]:
         lo, hi = self.cycle_layer_range(cycle)
         return self.layers[lo:hi]
 
     def count_gates(self, name: str, cycle: int | None = None) -> int:
-        if cycle is None:
-            span = self.layers
-        else:
-            span = self.cycle_layers(cycle)
-        return sum(L.count(name) for L in span)
+        """The number of ``name`` gates in the circuit, or in cycle
+        ``cycle``. Raises ValueError for a name not in ``GATE_NAMES``."""
+        if name not in _NAME_INDEX:
+            raise ValueError(f"unknown gate {name!r}")
+        lo, hi = (0, len(self.layers)) if cycle is None else self.cycle_layer_range(cycle)
+        start = self.table.start
+        return int(np.count_nonzero(self.table.name[start[lo] : start[hi]] == _NAME_INDEX[name]))
 
 
 @dataclass(frozen=True)
@@ -522,11 +536,8 @@ def build_syndrome_circuit(
     layout = qubit_layout(code)
     n = code.n
 
-    check_of: dict[tuple[str, int], int] = {}
-    for q, row in zip(layout.x_check_qubits, code.retained_x):
-        check_of[("X", row)] = q
-    for q, row in zip(layout.z_check_qubits, code.retained_z):
-        check_of[("Z", row)] = q
+    checks = [("X", row) for row in code.retained_x] + [("Z", row) for row in code.retained_z]
+    check_of = dict(zip(checks, layout.check_qubits))
 
     cz_layers = [
         GateLayer(CZ, tuple(("CZ", (d, check_of[(typ, row)])) for typ, row, d in L))
@@ -557,14 +568,12 @@ def build_syndrome_circuit(
     readout = GateLayer(READOUT_DATA, tuple(("RD", (d,)) for d in range(n)))
 
     layers: list[GateLayer] = []
-    boundaries: list[int] = []
     for c in range(1, cycles + 1):
         slots = [set(s) for s in base_slots]
         if basis == "X" and c == 1:
             slots[0] ^= all_data
         if basis == "X" and c == cycles:
             slots[7] ^= all_data
-        boundaries.append(len(layers))
 
         def emit_single(slot_idx: int) -> None:
             qs = tuple(sorted(slots[slot_idx]))
@@ -582,16 +591,11 @@ def build_syndrome_circuit(
         layers.append(measure)
         layers.append(idle if c < cycles else readout)
 
-    return Circuit(
-        qubit_count=layout.qubit_count,
-        layers=tuple(layers),
-        cycle_boundaries=tuple(boundaries),
-        basis=basis,
-    )
+    return Circuit(qubit_count=layout.qubit_count, layers=tuple(layers), basis=basis)
 
 
 class GateTable(NamedTuple):
-    """A circuit as arrays, read and checked by ``gate_table``.
+    """A circuit as read-only arrays: ``Circuit.table``.
 
     Layer i has kind ``kind[i]`` (a ``LAYER_KINDS`` string) and holds the
     gate rows ``start[i]:start[i + 1]``. Gate g is ``GATE_NAMES[name[g]]``
@@ -606,16 +610,16 @@ class GateTable(NamedTuple):
 
 
 def gate_table(circuit: Circuit, code: CssCode, basis: str) -> GateTable:
-    """The gate table of ``circuit``, once it is checked against ``code``
+    """``circuit.table``, once the circuit is checked against ``code``
     and the memory basis ``basis``.
 
     Raises ValueError unless: ``basis`` is "Z" or "X" and the circuit
     records no other basis; the circuit has the qubit count of the
-    code's layout; it declares at least one cycle, has one measurement
-    layer per cycle and ends in its one readout layer; every ``M`` is on
-    a check qubit and every ``RD`` on a data qubit; and each measurement
-    layer measures every check qubit and the readout reads every data
-    qubit.
+    code's layout; it has at least one measurement layer and ends in its
+    one readout layer, right after its last measurement layer (so its
+    last cycle ends with the readout); every ``M`` is on a check qubit
+    and every ``RD`` on a data qubit; and each measurement layer
+    measures every check qubit and the readout reads every data qubit.
     """
     if basis not in ("Z", "X"):
         raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
@@ -625,31 +629,20 @@ def gate_table(circuit: Circuit, code: CssCode, basis: str) -> GateTable:
     nq = circuit.qubit_count
     if nq != layout.qubit_count:
         raise ValueError(f"circuit has {nq} qubits, code layout needs {layout.qubit_count}")
-    if circuit.cycles == 0:
-        raise ValueError("circuit declares no cycles")
-    layers = circuit.layers
-    kind = np.array([layer.kind for layer in layers])
-    measured = np.count_nonzero(kind == MEASURE_CHECKS)
-    if measured != circuit.cycles:
-        raise ValueError(
-            f"circuit declares {circuit.cycles} cycles but has {measured} measurement layers"
-        )
+    table = circuit.table
+    kind, start, name, legs = table
+    measured = np.flatnonzero(kind == MEASURE_CHECKS)
+    if not measured.size:
+        raise ValueError("circuit has no measurement layer")
     readouts = np.flatnonzero(kind == READOUT_DATA).tolist()
-    if readouts != [len(layers) - 1]:
-        raise ValueError(f"{READOUT_DATA} layers {readouts} of {len(layers)}: need one, the last")
-    # rows (name, leg, leg), where nq pads a one-qubit gate; a built circuit
-    # repeats its layer objects, so each distinct one is read once
-    read: dict[int, np.ndarray] = {}
-    for layer in layers:
-        if id(layer) not in read:
-            gates = [(_NAME_INDEX[g], *qs, nq)[:3] for g, qs in layer.gates]
-            read[id(layer)] = np.array(gates, dtype=np.intp).reshape(-1, 3).T
-    rows = np.concatenate([read[id(layer)] for layer in layers], axis=1)
-    name, legs = rows[0], rows[1:]
-    start = np.cumsum([0] + [len(layer.gates) for layer in layers])
+    if readouts != [len(kind) - 1] or measured[-1] != len(kind) - 2:
+        raise ValueError(
+            f"{READOUT_DATA} layers {readouts} of {len(kind)}: need one, the last, right "
+            f"after the last {MEASURE_CHECKS} layer ({measured[-1]})"
+        )
 
     # M and RD gates only sit in their own layer kinds (``GateLayer``)
-    gate_layer = np.repeat(np.arange(len(layers)), np.diff(start))
+    gate_layer = np.repeat(np.arange(len(kind)), np.diff(start))
     a = legs[0]
     is_m, is_rd = name == _NAME_INDEX["M"], name == _NAME_INDEX["RD"]
     check = np.zeros(nq, dtype=bool)
@@ -663,7 +656,7 @@ def gate_table(circuit: Circuit, code: CssCode, basis: str) -> GateTable:
             "of the code layout"
         )
     # no layer repeats a qubit, so a full count is a full cover
-    count = np.bincount(gate_layer[is_m | is_rd], minlength=len(layers))
+    count = np.bincount(gate_layer[is_m | is_rd], minlength=len(kind))
     need = (kind == MEASURE_CHECKS) * len(layout.check_qubits)
     need += (kind == READOUT_DATA) * layout.data_count
     short = np.flatnonzero(count != need)
@@ -671,7 +664,7 @@ def gate_table(circuit: Circuit, code: CssCode, basis: str) -> GateTable:
         li = short[0]
         home = "check" if kind[li] == MEASURE_CHECKS else "data"
         raise ValueError(f"layer {li} measures {count[li]} of the {need[li]} {home} qubits")
-    return GateTable(kind, start, name, legs)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -734,9 +727,7 @@ def verify_circuit(
         raise ValueError("need at least one preparation")
     if max_failures < 1:
         raise ValueError(f"max_failures must be >= 1, got {max_failures}")
-    kinds_rows = [("X", r) for r in code.retained_x] + [
-        ("Z", r) for r in code.retained_z
-    ]
+    kinds_rows = [("X", r) for r in code.retained_x] + [("Z", r) for r in code.retained_z]
     supports = gf2.transpose(gf2.vstack(code.retained_h_x(), code.retained_h_z()))
     aligned = np.array([kind == basis for kind, _ in kinds_rows], dtype=bool)
     check_qubits = qubit_layout(code).check_qubits

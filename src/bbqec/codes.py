@@ -670,7 +670,13 @@ def compute_logicals(code: CssCode) -> LogicalOperatorSet:
 
 
 def logical_operator_set_for(code: CssCode) -> LogicalOperatorSet:
-    """Default logicals for the experiment codes, computed ones otherwise."""
-    if code.name in _DEFAULT_LOGICALS:
-        return _DEFAULT_LOGICALS[code.name]
-    return compute_logicals(code)
+    """The transcribed logicals named by ``code.name`` if they have
+    ``compute_k(code)`` pairs (a code may keep the name but not the
+    checks), computed ones otherwise."""
+    transcribed = _DEFAULT_LOGICALS.get(code.name)
+    if transcribed is None:
+        return compute_logicals(code)
+    k = compute_k(code)
+    if len(transcribed.x_supports) == k:
+        return transcribed
+    return compute_logicals(replace(code, k=k))

@@ -1,12 +1,13 @@
 """Circuit generation: scheduling, compilation, verification."""
 
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from bbqec import circuit, gf2
-from bbqec.codes import BbCodeSpec, CssCode, build_bb_code, build_named_code
+from bbqec.codes import CODE_TABLE, BbCodeSpec, CssCode, build_bb_code, build_named_code
 from bbqec.tableau import StabilizerTableau
 
 
@@ -479,7 +480,7 @@ def _swap_cz_layers(circ):
 
 def _drop_one_h(circ):
     layers = list(circ.layers)
-    i = next(i for i, L in enumerate(layers) if L.count("H") > 1)
+    i = next(i for i, L in enumerate(layers) if sum(g == "H" for g, _ in L.gates) > 1)
     gates = list(layers[i].gates)
     gates.remove(next(g for g in gates if g[0] == "H"))
     layers[i] = circuit.GateLayer(circuit.SINGLE_QUBIT, tuple(gates))
@@ -488,7 +489,7 @@ def _drop_one_h(circ):
 
 def _one_h_to_i(circ):
     layers = list(circ.layers)
-    i = next(i for i, L in enumerate(layers) if L.count("H") > 1)
+    i = next(i for i, L in enumerate(layers) if sum(g == "H" for g, _ in L.gates) > 1)
     gates = list(layers[i].gates)
     gates[0] = ("I", gates[0][1])
     layers[i] = circuit.GateLayer(circuit.SINGLE_QUBIT, tuple(gates))
@@ -605,12 +606,12 @@ def test_circuit_records_its_basis(basis):
     code = build_named_code("18-4-4-pruned")
     circ = circuit.build_syndrome_circuit(code, 2, basis=basis)
     assert circ.basis == basis
-    assert circuit.Circuit(circ.qubit_count, circ.layers, circ.cycle_boundaries).basis is None
+    assert circuit.Circuit(circ.qubit_count, circ.layers).basis is None
 
 
 def test_circuit_rejects_an_unknown_basis():
     with pytest.raises(ValueError, match="basis"):
-        circuit.Circuit(0, (), (), basis="Y")
+        circuit.Circuit(0, (), basis="Y")
 
 
 # ---- layer and circuit invariants ----
@@ -648,8 +649,8 @@ def test_gate_layer_rejects_wrong_kind_and_reuse():
 )
 def test_only_a_cz_layer_may_be_empty(kind):
     with pytest.raises(ValueError, match="at least one gate"):
-        circuit.Circuit(2, (circuit.GateLayer(kind, ()),), ())
-    empty_cz = circuit.Circuit(2, (circuit.GateLayer(circuit.CZ, ()),), ())
+        circuit.Circuit(2, (circuit.GateLayer(kind, ()),))
+    empty_cz = circuit.Circuit(2, (circuit.GateLayer(circuit.CZ, ()),))
     assert empty_cz.layers[0].gates == ()
 
 
@@ -663,32 +664,16 @@ def test_build_rejects_an_unknown_basis():
         circuit.build_syndrome_circuit(build_named_code("18-6-3"), 1, basis="Y")
 
 
-@pytest.mark.parametrize(
-    "boundaries, message",
-    [((0, 0), "strictly increase"), ((0, 14), "past the last layer")],
-    ids=["repeated", "past-the-end"],
-)
-def test_circuit_rejects_boundaries_out_of_order_or_past_the_end(boundaries, message):
-    layers = (circuit.GateLayer(circuit.CZ, ()),) * 14
-    with pytest.raises(ValueError, match=message):
-        circuit.Circuit(2, layers, boundaries)
-
-
-def test_circuit_rejects_wrong_cz_layer_count_per_cycle():
-    good = circuit.GateLayer(circuit.CZ, (("CZ", (0, 1)),))
-    with pytest.raises(ValueError):
-        circuit.Circuit(2, (good,) * 6, (0,))
-    circuit.Circuit(2, (good,) * 7, (0,))  # exactly seven is fine
-
-
 def test_circuit_rejects_out_of_range_qubits():
     layer = circuit.GateLayer(circuit.SINGLE_QUBIT, (("H", (5,)),))
     with pytest.raises(ValueError):
-        circuit.Circuit(5, (layer,), ())
+        circuit.Circuit(5, (layer,))
     # the range check runs once per distinct layer object, on every one
     ok = circuit.GateLayer(circuit.SINGLE_QUBIT, (("H", (4,)),))
     with pytest.raises(ValueError, match="touches qubit 5"):
-        circuit.Circuit(5, (ok, ok, layer, ok), ())
+        circuit.Circuit(5, (ok, ok, layer, ok))
+    with pytest.raises(ValueError, match="touches qubit 5"):
+        circuit.Circuit(5, (circuit.GateLayer(circuit.CZ, (("CZ", (0, 5)),)),))
 
 
 @pytest.mark.parametrize("cycles", [2.5, "3", True, np.float64(2.0), 0, -1])
@@ -702,25 +687,128 @@ def test_build_rejects_a_cycle_count_that_is_not_a_positive_int(cycles):
 @pytest.mark.parametrize("qubit_count", [2.5, "3", True, None, -1])
 def test_circuit_rejects_a_qubit_count_that_is_not_an_int(qubit_count):
     with pytest.raises(ValueError, match="qubit_count must be an int >= 0"):
-        circuit.Circuit(qubit_count, (), ())
-    assert circuit.Circuit(np.int64(2), (), ()).qubit_count == 2
+        circuit.Circuit(qubit_count, ())
+    assert circuit.Circuit(np.int64(2), ()).qubit_count == 2
 
 
-SEVEN_CZ = (circuit.GateLayer(circuit.CZ, ()),) * 7
+def test_circuit_rejects_layers_that_are_not_gate_layers():
+    with pytest.raises(ValueError, match="layers must be GateLayers"):
+        circuit.Circuit(2, ("x",))
+
+
+# ---- cycles and the gate table ----
+
+NAMED_CODES = [*CODE_TABLE, "18-4-4-pruned", "18-6-3"]
+
+
+def _read_table(circ):
+    """Reference for ``Circuit.table``: each distinct layer's gates read
+    into (name, leg, leg) rows, one array per layer, then joined."""
+    nq = circ.qubit_count
+    layers = circ.layers
+    kind = np.array([layer.kind for layer in layers])
+    read = {}
+    for layer in layers:
+        if id(layer) not in read:
+            gates = [(circuit.GATE_NAMES.index(g), *qs, nq)[:3] for g, qs in layer.gates]
+            read[id(layer)] = np.array(gates, dtype=np.intp).reshape(-1, 3).T
+    rows = np.concatenate([read[id(layer)] for layer in layers], axis=1)
+    start = np.cumsum([0] + [len(layer.gates) for layer in layers])
+    return circuit.GateTable(kind, start, rows[0], rows[1:])
+
+
+def _assert_tables_equal(got, want):
+    for field, a, b in zip(circuit.GateTable._fields, got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
+def _hand_built():
+    layers = (
+        circuit.GateLayer(circuit.SINGLE_QUBIT, (("H", (0,)), ("I", (np.int64(2),)))),
+        circuit.GateLayer(circuit.CZ, ()),
+        circuit.GateLayer(circuit.CZ, (("CZ", (3, 1)),)),
+        circuit.GateLayer(circuit.MEASURE_CHECKS, (("M", (3,)),)),
+        circuit.GateLayer(circuit.READOUT_DATA, (("RD", (1,)), ("RD", (0,)))),
+    )
+    return circuit.Circuit(4, layers)
+
+
+@pytest.mark.parametrize("t", [1, 2, 7])
+@pytest.mark.parametrize("basis", ["Z", "X"])
+@pytest.mark.parametrize("cid", NAMED_CODES)
+def test_the_circuit_table_is_the_layers_read_gate_by_gate(cid, basis, t):
+    circ = circuit.build_syndrome_circuit(build_named_code(cid), t, basis=basis)
+    _assert_tables_equal(circ.table, _read_table(circ))
+    # each derived cycle: seven CZ layers, its measurement layer, then DD
+    # (the readout in the last cycle)
+    assert circ.cycles == t and circ.cycle_boundaries[0] == 0
+    spans = [circ.cycle_layer_range(c) for c in range(t)]
+    assert [lo for lo, _ in spans[1:]] == [hi for _, hi in spans[:-1]]
+    assert spans[-1][1] == len(circ.layers)
+    for c in range(t):
+        kinds = [layer.kind for layer in circ.cycle_layers(c)]
+        assert kinds.count(circuit.CZ) == 7 and kinds.count(circuit.MEASURE_CHECKS) == 1
+        assert kinds[-2] == circuit.MEASURE_CHECKS
+        assert kinds[-1] == (circuit.READOUT_DATA if c == t - 1 else circuit.DD_IDLE)
 
 
 @pytest.mark.parametrize(
-    "layers,boundaries,message",
-    [(SEVEN_CZ, (0.7,), "cycle_boundaries must be ints"),
-     (SEVEN_CZ, ("0",), "cycle_boundaries must be ints"),
-     (SEVEN_CZ, (False,), "cycle_boundaries must be ints"),
-     (("x",), (), "layers must be GateLayers")],
-    ids=["float-boundary", "str-boundary", "bool-boundary", "str-layer"],
+    "circ",
+    [_hand_built(),
+     _one_h_to_i(circuit.build_syndrome_circuit(build_named_code("18-4-4-pruned"), 2))],
+    ids=["hand-built", "h-to-i"],
 )
-def test_circuit_rejects_boundaries_that_are_not_ints_and_layers_that_are_not_layers(
-    layers, boundaries, message
-):
-    with pytest.raises(ValueError, match=message):
-        circuit.Circuit(2, layers, boundaries)
-    (b,) = circuit.Circuit(2, SEVEN_CZ, (np.int64(0),)).cycle_boundaries
-    assert b == 0 and type(b) is int
+def test_the_table_of_a_circuit_with_i_gates_and_an_empty_cz_layer(circ):
+    _assert_tables_equal(circ.table, _read_table(circ))
+    assert circ.count_gates("I") == 1
+
+
+def test_hand_built_cycles_end_after_each_measurement_layer():
+    circ = _hand_built()
+    assert [f.name for f in fields(circ)] == ["qubit_count", "layers", "basis"]
+    assert circ.cycle_boundaries == (0,) and circ.cycle_layer_range(0) == (0, 5)
+    twice = circuit.Circuit(4, circ.layers[:4] + circ.layers)
+    assert twice.cycles == 2 and twice.cycle_boundaries == (0, 5)
+    assert twice.count_gates("M", cycle=1) == 1 and twice.count_gates("CZ", cycle=0) == 1
+    assert circuit.Circuit(4, circ.layers[:3]).cycle_boundaries == ()
+
+
+def test_gate_layer_rows_take_no_part_in_equality_hash_or_repr():
+    layer = circuit.GateLayer(circuit.CZ, (("CZ", (0, 1)), ("CZ", (3, 2))))
+    assert layer.rows == ((2, 2), (0, 3), (1, 2))
+    other = circuit.GateLayer(circuit.CZ, (("CZ", (np.int64(0), 1)), ("CZ", (3, 2))))
+    object.__setattr__(other, "rows", ((), (), ()))
+    assert layer == other and hash(layer) == hash(other) and repr(layer) == repr(other)
+    assert "rows" not in repr(layer)
+    assert circuit.GateLayer(circuit.SINGLE_QUBIT, (("I", (4,)),)).rows == ((1,), (4,), (-1,))
+
+
+@pytest.mark.parametrize("basis", ["Z", "X"])
+def test_gate_table_returns_the_circuits_own_read_only_table(basis):
+    code = build_named_code("18-4-4-pruned")
+    circ = circuit.build_syndrome_circuit(code, 2, basis=basis)
+    assert circuit.gate_table(circ, code, basis) is circ.table
+    assert not any(array.flags.writeable for array in circ.table)
+    # a circuit made from the same layers reads its own table
+    assert circuit.Circuit(circ.qubit_count, circ.layers).table is not circ.table
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda c: c.count_gates("H", cycle=-1), "got -1"),
+        (lambda c: c.count_gates("H", cycle=3), "got 3"),
+        (lambda c: c.count_gates("H", cycle=True), "got True"),
+        (lambda c: c.count_gates("H", cycle=2.0), "got 2.0"),
+        (lambda c: c.count_gates("XX"), "unknown gate 'XX'"),
+        (lambda c: c.cycle_layer_range(-1), "got -1"),
+        (lambda c: c.cycle_layers("1"), "got '1'"),
+    ],
+    ids=["negative", "past-the-end", "bool", "float", "unknown-gate", "range-negative",
+         "str-layers"],
+)
+def test_cycle_accessors_reject_bad_input(call, message):
+    circ = circuit.build_syndrome_circuit(build_named_code("18-4-4-pruned"), 3)
+    with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
+        call(circ)
+    assert circ.count_gates("H", cycle=np.int64(2)) == circ.count_gates("H", cycle=2) > 0

@@ -30,6 +30,7 @@ from bbqec.codes import (
     build_named_code,
     default_logicals,
     logical_operator_set_for,
+    verify_logicals,
 )
 from bbqec.noise import DemColumn, DetectorErrorModel, NoiseModel
 from bbqec.tableau import StabilizerTableau
@@ -642,13 +643,16 @@ def _drop_last_measurement(circ):
     [
         (lambda circ, code: (circ, build_named_code("36-4-6"), "Z"),
          "circuit has 32 qubits, code layout needs 72"),
-        (lambda circ, code: (replace(circ, cycle_boundaries=()), code, "Z"),
-         "circuit declares no cycles"),
+        (lambda circ, code: (
+            replace(circ, layers=tuple(L for L in circ.layers if L.kind != MEASURE_CHECKS)),
+            code, "Z"),
+         "circuit has no measurement layer"),
         (lambda circ, code: (_drop_last_measurement(circ), code, "Z"),
-         "circuit declares 3 cycles but has 2 measurement layers"),
+         r"READOUT_DATA layers \[49\] of 50: need one, the last, right after the last "
+         r"MEASURE_CHECKS layer \(32\)"),
         (lambda circ, code: (replace(circ, basis=None), code, "Y"),
          "basis must be 'Z' or 'X'"),
-        (lambda circ, code: (Circuit(5, (), ()), code, "Z"),
+        (lambda circ, code: (Circuit(5, ()), code, "Z"),
          "circuit has 5 qubits, code layout needs 32"),
         (lambda circ, code: (replace(circ, layers=circ.layers[:-1]), code, "Z"),
          r"READOUT_DATA layers \[\] of 50: need one, the last"),
@@ -670,6 +674,19 @@ def test_compile_rejects_a_mismatched_circuit(edit, message):
         noise.build_dem(circ, NOISE, basis, code=code)
     with pytest.raises(ValueError, match=message):
         verify_circuit(circ, code, basis=basis)
+
+
+def test_a_code_that_keeps_a_transcribed_name_but_not_its_checks_gets_computed_logicals():
+    # 18-4-4-pruned's name on 18-6-3's checks: the four transcribed
+    # logicals commute with them, but the code has six
+    pruned, six = build_named_code("18-4-4-pruned"), build_named_code("18-6-3")
+    code = replace(pruned, retained_x=six.retained_x, retained_z=six.retained_z, k=None)
+    logicals = logical_operator_set_for(code)
+    assert len(logicals.x_supports) == 6
+    assert verify_logicals(code, logicals).ok
+    dem = noise.build_dem(build_syndrome_circuit(code, 2), NOISE, "Z", code=code)
+    assert dem.logical_count == 6
+    assert logical_operator_set_for(pruned) is default_logicals("18-4-4-pruned")
 
 
 # ---- sampler against the exact series ----
