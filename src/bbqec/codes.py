@@ -9,11 +9,16 @@ Data qubits are labeled L0..L{lm-1} (columns 0..lm-1) and R0..R{lm-1}
 (columns lm..2lm-1); checks are labeled X{j} / Z{j} by row index, all
 zero-indexed. Redundant-check removal is tracked by retained-index lists so
 that pruned codes keep the full matrices for reference.
+
+A ``CssCode`` stores only its checks, its spec and a published distance
+``table_d``; n, k and d are read from the retained checks, so a
+``dataclasses.replace`` of the retained lists reads its own k and d.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,9 +37,9 @@ __all__ = [
     "build_named_code",
     "compute_k",
     "compute_distance",
+    "compute_logicals",
+    "logical_operator_set_for",
     "remove_redundant_checks",
-    "derive_18_6_3",
-    "default_logicals",
     "verify_logicals",
 ]
 
@@ -128,38 +133,36 @@ class BbCodeSpec:
 
 @dataclass(frozen=True)
 class CssCode:
-    """A CSS code with full check matrices and retained-check index lists.
+    """A CSS code: its full check matrices and which rows are measured.
 
     h_x and h_z always hold every construction row; retained_x / retained_z
-    say which rows are actually measured. k and d refer to the retained
-    code; d is None until computed (d_trusted marks a value taken from a
-    published table rather than verified here).
+    say which rows are actually measured. Only these, the spec they were
+    built from and ``table_d`` are stored. The rest is read from the
+    retained checks: n is h_x's column count and k is ``compute_k``, on
+    first read. d is ``compute_distance``'s result where its search runs
+    (d_trusted False). Where it cannot (a kernel dimension above 24) and
+    every check is retained, d is ``table_d``, the published distance,
+    and d_trusted says whether one was given; otherwise d is None. So a
+    pruned copy of a trusted code never reports the full code's distance.
 
-    Raises ValueError unless n is an int >= 0, h_x and h_z are
-    BinaryMatrix objects with n columns, and each retained list holds
-    distinct int row indices of its matrix.
+    Raises ValueError unless h_x and h_z are BinaryMatrix objects with the
+    same column count, each retained list holds distinct int row indices
+    of its matrix, and table_d is None or an int >= 1.
     """
 
     name: str
-    n: int
     h_x: BinaryMatrix
     h_z: BinaryMatrix
     retained_x: tuple[int, ...]
     retained_z: tuple[int, ...]
-    k: int | None = None
-    d: int | None = None
-    d_trusted: bool = False
     spec: BbCodeSpec | None = None
+    table_d: int | None = None
 
     def __post_init__(self):
         # cheap by design: dataclasses.replace runs it again in every set-up
-        if not _is_int(self.n) or self.n < 0:
-            raise ValueError(f"n must be an int >= 0, got {self.n!r}")
         for label, h, retained in (("x", self.h_x, self.retained_x), ("z", self.h_z, self.retained_z)):
             if not isinstance(h, BinaryMatrix):
                 raise ValueError(f"h_{label} must be a BinaryMatrix, got {type(h).__name__}")
-            if h.cols != self.n:
-                raise ValueError(f"h_{label} has {h.cols} columns, n = {self.n}")
             if not (_is_sequence(retained)
                     and all(_is_int(i) and 0 <= i < h.rows for i in retained)
                     and len(set(retained)) == len(retained)):
@@ -167,6 +170,36 @@ class CssCode:
                     f"retained_{label} must be distinct ints in [0, {h.rows}), got {retained!r}"
                 )
             object.__setattr__(self, f"retained_{label}", tuple(map(int, retained)))
+        if self.h_z.cols != self.h_x.cols:
+            raise ValueError(f"h_z has {self.h_z.cols} columns, h_x has {self.h_x.cols}")
+        if self.table_d is not None and not (_is_int(self.table_d) and self.table_d >= 1):
+            raise ValueError(f"table_d must be None or an int >= 1, got {self.table_d!r}")
+
+    @property
+    def n(self) -> int:
+        return self.h_x.cols
+
+    @cached_property
+    def k(self) -> int:
+        return compute_k(self)
+
+    @cached_property
+    def _distance(self) -> tuple[int | None, bool]:
+        """(d, d_trusted), from one distance search."""
+        found = compute_distance(self)
+        if found.computed:
+            return found.value, False
+        if self.table_d is not None and self.all_checks_retained():
+            return int(self.table_d), True
+        return None, False
+
+    @property
+    def d(self) -> int | None:
+        return self._distance[0]
+
+    @property
+    def d_trusted(self) -> bool:
+        return self._distance[1]
 
     @property
     def half(self) -> int:
@@ -219,9 +252,8 @@ def build_bb_code(spec: BbCodeSpec, name: str = "") -> CssCode:
     if css.bits.any():
         raise AssertionError("CSS condition violated; construction bug")
     every = tuple(range(h_x.rows))
-    code = CssCode(name=name or f"bb-l{spec.l}-m{spec.m}", n=2 * spec.l * spec.m, h_x=h_x, h_z=h_z,
+    return CssCode(name=name or f"bb-l{spec.l}-m{spec.m}", h_x=h_x, h_z=h_z,
                    retained_x=every, retained_z=every, spec=spec)
-    return replace(code, k=compute_k(code))
 
 
 def compute_k(code: CssCode) -> int:
@@ -332,67 +364,42 @@ def remove_redundant_checks(
     x_removals: Sequence[int],
     z_removals: Sequence[int],
 ) -> CssCode:
-    """Drop checks whose removal leaves both ranks unchanged.
+    """Drop checks whose removal keeps k.
 
-    Rank preservation is exactly the condition under which the row spaces,
-    and therefore k and d, are untouched; a removal that drops either rank
-    is rejected with a diagnostic naming the offending set.
+    Dropping a row never raises a rank, so k = n - rank(h_x) - rank(h_z)
+    keeps its value exactly when both ranks do, which is exactly when the
+    row spaces, and therefore d, are untouched. Raises ValueError unless
+    each removal list is a sequence of distinct ints (not bools) that are
+    currently retained, and for a removal that changes k.
     """
-    new_rx = tuple(i for i in code.retained_x if i not in set(x_removals))
-    new_rz = tuple(i for i in code.retained_z if i not in set(z_removals))
-    for removals, retained in ((x_removals, code.retained_x), (z_removals, code.retained_z)):
-        for i in removals:
-            if i not in retained:
-                raise ValueError(f"check index {i} is not currently retained")
-    pruned = replace(code, retained_x=new_rx, retained_z=new_rz)
-    old_rank_x = gf2.rank(code.retained_h_x())
-    old_rank_z = gf2.rank(code.retained_h_z())
-    new_rank_x = gf2.rank(pruned.retained_h_x())
-    new_rank_z = gf2.rank(pruned.retained_h_z())
-    if new_rank_x != old_rank_x or new_rank_z != old_rank_z:
-        raise ValueError(
-            f"removal X{sorted(x_removals)} / Z{sorted(z_removals)} changes rank "
-            f"({old_rank_x},{old_rank_z}) -> ({new_rank_x},{new_rank_z}); "
-            "not a redundant set"
-        )
-    k = compute_k(pruned)
-    if code.k is not None and k != code.k:
-        raise AssertionError("rank-preserving removal changed k; logic bug")
-    return replace(pruned, k=k)
-
-
-def derive_18_6_3(code: CssCode) -> CssCode:
-    """Trade distance for rate: drop one more check of each type.
-
-    Input must be the pruned [[18,4,4]] code (7+7 retained checks). Dropping
-    X5 and Z5 lowers both ranks by one, which raises k from 4 to 6 and
-    lowers d from 4 to 3; both are recomputed and verified here.
-    """
-    if code.n != 18 or len(code.retained_x) != 7 or len(code.retained_z) != 7:
-        raise ValueError("expected the pruned 18-qubit code with 7+7 checks")
-    if 5 not in code.retained_x or 5 not in code.retained_z:
-        raise ValueError("check 5 already removed; cannot derive the rate-6 code")
-    new_code = replace(
+    for label, removals, retained in (("x", x_removals, code.retained_x),
+                                      ("z", z_removals, code.retained_z)):
+        if not (_is_sequence(removals)
+                and all(_is_int(i) and i in retained for i in removals)
+                and len(set(removals)) == len(removals)):
+            raise ValueError(
+                f"{label}_removals must be distinct retained check indices, got {removals!r}"
+            )
+    pruned = replace(
         code,
-        name="18-6-3",
-        retained_x=tuple(i for i in code.retained_x if i != 5),
-        retained_z=tuple(i for i in code.retained_z if i != 5),
-        d=None,
-        d_trusted=False,
+        retained_x=tuple(i for i in code.retained_x if i not in x_removals),
+        retained_z=tuple(i for i in code.retained_z if i not in z_removals),
     )
-    k = compute_k(new_code)
-    dist = compute_distance(new_code)
-    return replace(new_code, k=k, d=dist.value)
+    if pruned.k != code.k:
+        raise ValueError(
+            f"removal X{sorted(x_removals)} / Z{sorted(z_removals)} changes k "
+            f"{code.k} -> {pruned.k}; not a redundant set"
+        )
+    return pruned
 
 
-# Published code family: name -> (l, m, a_terms, b_terms, expected (n, k, d)).
-# Distances of the three largest entries are table values, out of reach of
-# exhaustive search here.
+# Published code family: name -> (spec, expected (n, k, d)). The distances
+# of the three largest entries are out of reach of the exhaustive search
+# here; trust_table_distance attaches them as table_d.
 CODE_TABLE: dict[str, dict] = {
     "18-4-4": {
         "spec": BbCodeSpec.from_exponents(3, 3, (1, 0, 2), (1, 0, 2)),
         "expected": (18, 4, 4),
-        "d_computable": True,
     },
     # The published size pair for this row reads "6,3", but with m=3 the
     # polynomial term y^3 collapses to identity and the built code has
@@ -406,7 +413,6 @@ CODE_TABLE: dict[str, dict] = {
             b_terms=(("x", 2), ("y", 2), ("y", 3)),
         ),
         "expected": (36, 4, 6),
-        "d_computable": True,
     },
     "54-4-8": {
         "spec": BbCodeSpec(
@@ -416,7 +422,6 @@ CODE_TABLE: dict[str, dict] = {
             b_terms=(("y", 1), ("x", 6), ("x", 5)),
         ),
         "expected": (54, 4, 8),
-        "d_computable": False,
     },
     "90-8-10": {
         "spec": BbCodeSpec(
@@ -426,7 +431,6 @@ CODE_TABLE: dict[str, dict] = {
             b_terms=(("y", 3), ("x", 1), ("x", 2)),
         ),
         "expected": (90, 8, 10),
-        "d_computable": False,
     },
     "144-12-12": {
         "spec": BbCodeSpec(
@@ -436,7 +440,6 @@ CODE_TABLE: dict[str, dict] = {
             b_terms=(("y", 3), ("x", 1), ("x", 2)),
         ),
         "expected": (144, 12, 12),
-        "d_computable": False,
     },
 }
 
@@ -447,25 +450,27 @@ def build_named_code(code_id: str, trust_table_distance: bool = False) -> CssCod
     """Build a code from the published family table.
 
     Accepts the table names plus two derived ids: "18-4-4-pruned" (the
-    experiment's 14-check layout, removing X2, X8, Z3, Z4) and "18-6-3".
-    With trust_table_distance the table's d is attached (d_trusted=True)
-    when it cannot be verified by exhaustive search.
+    experiment's 14-check layout, removing X2, X8, Z3, Z4) and "18-6-3"
+    (which also drops X5 and Z5, raising k to 6 and lowering d to 3).
+    With trust_table_distance the table's d is attached as ``table_d``,
+    which d reads where the distance search cannot run.
     """
-    if code_id in ("18-4-4-pruned", "18-6-3"):
-        base = build_named_code("18-4-4", trust_table_distance)
-        pruned = remove_redundant_checks(base, *PRUNED_18_4_4_REMOVALS)
-        if code_id == "18-6-3":
-            return derive_18_6_3(pruned)
-        return replace(pruned, name="18-4-4-pruned")
-    if code_id not in CODE_TABLE:
+    table_id = "18-4-4" if code_id in ("18-4-4-pruned", "18-6-3") else code_id
+    if table_id not in CODE_TABLE:
         raise KeyError(f"unknown code id {code_id!r}")
-    entry = CODE_TABLE[code_id]
+    entry = CODE_TABLE[table_id]
     code = build_bb_code(entry["spec"], name=code_id)
     n, k, d = entry["expected"]
+    if trust_table_distance:
+        # before the first k read: a replace after it would run compute_k again
+        code = replace(code, table_d=d)
     if code.n != n or code.k != k:
-        raise AssertionError(f"{code_id}: built [[{code.n},{code.k},?]], expected [[{n},{k},{d}]]")
-    if trust_table_distance and not entry["d_computable"]:
-        code = replace(code, d=d, d_trusted=True)
+        raise AssertionError(f"{table_id}: built [[{code.n},{code.k},?]], expected [[{n},{k},{d}]]")
+    if code_id != table_id:
+        code = remove_redundant_checks(code, *PRUNED_18_4_4_REMOVALS)
+    if code_id == "18-6-3":
+        code = replace(code, retained_x=tuple(i for i in code.retained_x if i != 5),
+                       retained_z=tuple(i for i in code.retained_z if i != 5))
     return code
 
 
@@ -548,13 +553,6 @@ _DEFAULT_LOGICALS = {
 _DEFAULT_LOGICALS["18-4-4-pruned"] = _DEFAULT_LOGICALS["18-4-4"]  # the same data qubits
 
 
-def default_logicals(code_id: str) -> LogicalOperatorSet:
-    """The selected logical operator sets for the two experiment codes."""
-    if code_id not in _DEFAULT_LOGICALS:
-        raise KeyError(f"no default logicals for code id {code_id!r}")
-    return _DEFAULT_LOGICALS[code_id]
-
-
 @dataclass
 class LogicalsReport:
     ok: bool
@@ -579,7 +577,7 @@ def verify_logicals(code: CssCode, logicals: LogicalOperatorSet) -> LogicalsRepo
 
     if logicals.n != code.n:
         return LogicalsReport(False, [f"length mismatch: {logicals.n} != {code.n}"])
-    if code.k is not None and k != code.k:
+    if k != code.k:
         failures.append(f"set has {k} pairs, code has k={code.k}")
 
     x_mat = logicals.x_matrix()
@@ -647,7 +645,7 @@ def compute_logicals(code: CssCode) -> LogicalOperatorSet:
     commute.
     No attempt is made to minimize weights.
     """
-    k = code.k if code.k is not None else compute_k(code)
+    k = code.k
     if k == 0:
         return LogicalOperatorSet(n=code.n, x_supports=(), z_supports=())
     h_x, h_z = code.retained_h_x(), code.retained_h_z()
@@ -671,12 +669,9 @@ def compute_logicals(code: CssCode) -> LogicalOperatorSet:
 
 def logical_operator_set_for(code: CssCode) -> LogicalOperatorSet:
     """The transcribed logicals named by ``code.name`` if they have
-    ``compute_k(code)`` pairs (a code may keep the name but not the
-    checks), computed ones otherwise."""
+    ``code.k`` pairs (a code may keep the name but not the checks),
+    computed ones otherwise."""
     transcribed = _DEFAULT_LOGICALS.get(code.name)
-    if transcribed is None:
-        return compute_logicals(code)
-    k = compute_k(code)
-    if len(transcribed.x_supports) == k:
+    if transcribed is not None and transcribed.k == code.k:
         return transcribed
-    return compute_logicals(replace(code, k=k))
+    return compute_logicals(code)

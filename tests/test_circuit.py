@@ -227,7 +227,6 @@ def test_arrangement_commutes_agrees_with_the_scheduler():
 def test_single_weight6_check_schedules_sequentially():
     one = CssCode(
         name="one-z-check",
-        n=6,
         h_x=gf2.zeros(0, 6),
         h_z=gf2.from_rows([[1, 1, 1, 1, 1, 1]]),
         retained_x=(),
@@ -240,7 +239,7 @@ def test_single_weight6_check_schedules_sequentially():
 
 
 def test_an_arrangement_for_checks_of_one_type_is_rejected():
-    rep3 = CssCode("rep3", 3, gf2.zeros(0, 3), gf2.from_rows([[1, 1, 0], [0, 1, 1]]), (), (0, 1))
+    rep3 = CssCode("rep3", gf2.zeros(0, 3), gf2.from_rows([[1, 1, 0], [0, 1, 1]]), (), (0, 1))
     with pytest.raises(ValueError, match="rep3 has checks of one type"):
         circuit.schedule_cz_layers(rep3, arrangement=PINNED)
     # the arrangement's own checks come first
@@ -253,7 +252,6 @@ def test_schedule_rejects_plain_matrices_with_both_types():
     h = gf2.from_rows([[1, 1, 1, 1, 1, 1]])
     code = CssCode(
         name="no-structure",
-        n=6,
         h_x=h,
         h_z=h,
         retained_x=(0,),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -97,8 +98,8 @@ def pruned_18(code_18):
 
 
 @pytest.fixture(scope="module")
-def code_18_6_3(pruned_18):
-    return codes.derive_18_6_3(pruned_18)
+def code_18_6_3():
+    return codes.build_named_code("18-6-3")
 
 
 def test_check_matrices_match_hand_oracle(code_18):
@@ -167,6 +168,26 @@ def test_removing_missing_check_rejected(pruned_18):
         codes.remove_redundant_checks(pruned_18, (2,), ())
 
 
+@pytest.mark.parametrize(
+    "x_removals, z_removals, message",
+    [
+        ((True,), (), r"x_removals .* got \(True,\)"),
+        ((2.0, 8.0), (3, 4), r"x_removals .* got \(2\.0, 8\.0\)"),
+        ((2, 8), (3, np.float64(4)), r"z_removals .* got \(3, np\.float64\(4\.0\)\)"),
+        ((2, 2), (), r"x_removals .* got \(2, 2\)"),
+        (2, (), "x_removals .* got 2$"),
+        ((9,), (), r"x_removals .* got \(9,\)"),
+    ],
+    ids=["bool", "floats", "numpy-float", "repeat", "bare-int", "past-the-end"],
+)
+def test_removal_lists_must_be_distinct_retained_ints(code_18, x_removals, z_removals, message):
+    with pytest.raises(ValueError, match=message):
+        codes.remove_redundant_checks(code_18, x_removals, z_removals)
+    # a numpy int, or a list, is a retained index like any other
+    pruned = codes.remove_redundant_checks(code_18, [np.int64(2), 8], (3, 4))
+    assert pruned.retained_x == (0, 1, 3, 4, 5, 6, 7)
+
+
 def test_18_6_3_parameters(code_18_6_3):
     assert code_18_6_3.k == 6
     assert code_18_6_3.d == 3
@@ -186,7 +207,6 @@ def test_named_codes_match_expected_k():
 def _six_qubit_code(**change) -> codes.CssCode:
     fields = dict(
         name="six",
-        n=6,
         h_x=gf2.from_rows([[1, 1, 1, 1, 0, 0]]),
         h_z=gf2.from_rows([[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0]]),
         retained_x=(0,),
@@ -199,18 +219,19 @@ def _six_qubit_code(**change) -> codes.CssCode:
     "change, message",
     [
         (dict(retained_x=(3,)), r"retained_x must be distinct ints in \[0, 1\)"),
-        (dict(n=5), "h_x has 6 columns, n = 5"),
+        (dict(h_z=gf2.zeros(2, 5)), "h_z has 5 columns, h_x has 6"),
         (dict(retained_z=(1, 1)), "retained_z must be distinct"),
         (dict(retained_z=(-1,)), "retained_z must be distinct"),
         (dict(retained_x=(0.0,)), "retained_x must be distinct ints"),
         (dict(retained_x=(True,)), "retained_x must be distinct ints"),
         (dict(retained_x=None), "retained_x must be distinct ints"),
-        (dict(n=-1), "n must be an int >= 0"),
-        (dict(n=6.0), "n must be an int >= 0"),
         (dict(h_z=np.ones((1, 6), dtype=np.uint8)), "h_z must be a BinaryMatrix"),
+        *((dict(table_d=d), rf"table_d must be None or an int >= 1, got {d!r}")
+          for d in (0, -1, 2.0, True)),
     ],
-    ids=["index-out-of-range", "n-below-columns", "repeated-index", "negative-index",
-         "float-index", "bool-index", "no-index-list", "negative-n", "float-n", "plain-array"],
+    ids=["index-out-of-range", "h_z-columns-differ", "repeated-index", "negative-index",
+         "float-index", "bool-index", "no-index-list", "plain-array",
+         "zero-table-d", "negative-table-d", "float-table-d", "bool-table-d"],
 )
 def test_css_code_rejects_malformed_input(change, message):
     with pytest.raises(ValueError, match=message):
@@ -218,7 +239,7 @@ def test_css_code_rejects_malformed_input(change, message):
 
 
 def test_css_code_stores_retained_indices_as_a_tuple_of_ints():
-    code = _six_qubit_code(retained_z=[np.int64(1), 0], n=np.int64(6))
+    code = _six_qubit_code(retained_z=[np.int64(1), 0])
     assert code.retained_z == (1, 0) and all(type(i) is int for i in code.retained_z)
     assert codes.compute_k(code) == 3
     # replace checks again
@@ -285,7 +306,6 @@ def _random_commuting_code(seed: int) -> codes.CssCode:
     h_z = ker_x[rng.choice(len(ker_x), size=int(rng.integers(4, 7)))]
     code = codes.CssCode(
         name=f"random-{seed}",
-        n=n,
         h_x=gf2.BinaryMatrix(h_x),
         h_z=gf2.BinaryMatrix(h_z),
         retained_x=tuple(range(len(h_x))),
@@ -377,7 +397,6 @@ def test_compute_logicals_rejects_a_singular_pairing():
     # one Z representative, so no mixing pairs them up
     code = codes.CssCode(
         name="anticommuting",
-        n=4,
         h_x=gf2.from_rows([[0, 1, 1, 1]]),
         h_z=gf2.from_rows([[1, 1, 1, 0], [0, 1, 1, 1]]),
         retained_x=(0,),
@@ -394,24 +413,86 @@ def test_trusted_distance_injection():
     assert code.d_trusted
 
 
+def test_a_code_stores_only_its_checks_and_their_source():
+    names = [f.name for f in dataclasses.fields(codes.CssCode)]
+    assert names == ["name", "h_x", "h_z", "retained_x", "retained_z", "spec", "table_d"]
+
+
+# (n, k, d) of each named code; d is None where the search cannot run
+# and no table distance is trusted
+NAMED_FACTS = {
+    "18-4-4": (18, 4, 4), "18-4-4-pruned": (18, 4, 4), "18-6-3": (18, 6, 3),
+    "36-4-6": (36, 4, 6), "54-4-8": (54, 4, 8), "90-8-10": (90, 8, 10),
+    "144-12-12": (144, 12, 12),
+}
+TABLE_ONLY = {"54-4-8", "90-8-10", "144-12-12"}
+
+
+@pytest.mark.parametrize("trust", [False, True], ids=["searched", "trusted"])
+@pytest.mark.parametrize("cid", sorted(NAMED_FACTS))
+def test_named_codes_read_n_k_d_and_trust(cid, trust):
+    code = codes.build_named_code(cid, trust_table_distance=trust)
+    n, k, d = NAMED_FACTS[cid]
+    table_only = cid in TABLE_ONLY
+    expected_d = d if trust or not table_only else None
+    assert (code.n, code.k, code.d, code.d_trusted) == (n, k, expected_d, trust and table_only)
+    assert code.d == codes.compute_distance(code).value or code.d_trusted
+
+
+def _with_checks_of(name_of: str, checks_of: str) -> codes.CssCode:
+    """The first named code, with the retained checks of the second."""
+    other = codes.build_named_code(checks_of)
+    return replace(codes.build_named_code(name_of), retained_x=other.retained_x,
+                   retained_z=other.retained_z)
+
+
+@pytest.mark.parametrize(
+    "name_of, checks_of, k, d",
+    [("18-6-3", "18-4-4-pruned", 4, 4), ("18-4-4-pruned", "18-6-3", 6, 3)],
+    ids=["six-named-four", "four-named-six"],
+)
+def test_k_and_d_follow_a_replace_of_the_retained_checks(name_of, checks_of, k, d):
+    code = _with_checks_of(name_of, checks_of)
+    assert code.k == codes.compute_k(code) == k
+    assert code.d == codes.compute_distance(code).value == d and not code.d_trusted
+    computed = codes.compute_logicals(code)
+    assert computed.k == k
+    assert codes.verify_logicals(code, computed).ok
+    # the set transcribed for these checks passes; the other code's is rejected
+    assert codes.verify_logicals(code, _transcribed(checks_of)).ok
+    report = codes.verify_logicals(code, _transcribed(name_of))
+    assert f"set has {_transcribed(name_of).k} pairs, code has k={k}" in report.failures
+
+
+def test_a_pruned_copy_of_a_trusted_code_reads_no_table_distance():
+    code = codes.build_named_code("90-8-10", trust_table_distance=True)
+    pruned = replace(code, retained_x=code.retained_x[1:])
+    assert pruned.table_d == 10
+    assert pruned.d is None and not pruned.d_trusted
+
+
+def _transcribed(code_id: str) -> codes.LogicalOperatorSet:
+    return codes.logical_operator_set_for(codes.build_named_code(code_id))
+
+
 def test_default_logicals_match_transcription():
-    set_4 = codes.default_logicals("18-4-4")
+    set_4 = _transcribed("18-4-4")
     assert list(set_4.x_supports) == LOGICALS_18_4_4_X
     assert list(set_4.z_supports) == LOGICALS_18_4_4_Z
-    set_6 = codes.default_logicals("18-6-3")
+    set_6 = _transcribed("18-6-3")
     assert list(set_6.x_supports) == LOGICALS_18_6_3_X
     assert list(set_6.z_supports) == LOGICALS_18_6_3_Z
 
 
 def test_verify_logicals_passes(pruned_18, code_18_6_3):
-    report = codes.verify_logicals(pruned_18, codes.default_logicals("18-4-4"))
+    report = codes.verify_logicals(pruned_18, _transcribed("18-4-4"))
     assert report.ok, report.failures
-    report = codes.verify_logicals(code_18_6_3, codes.default_logicals("18-6-3"))
+    report = codes.verify_logicals(code_18_6_3, _transcribed("18-6-3"))
     assert report.ok, report.failures
 
 
 def test_verify_logicals_catches_stabilizer_swap(pruned_18):
-    good = codes.default_logicals("18-4-4")
+    good = _transcribed("18-4-4")
     stab_row = tuple(int(c) for c in np.nonzero(pruned_18.h_x.bits[0])[0])
     bad = codes.LogicalOperatorSet(
         n=18,
@@ -424,7 +505,7 @@ def test_verify_logicals_catches_stabilizer_swap(pruned_18):
 
 
 def test_verify_logicals_weight_check(pruned_18):
-    good = codes.default_logicals("18-4-4")
+    good = _transcribed("18-4-4")
     light = codes.LogicalOperatorSet(
         n=18,
         x_supports=((0,),) + good.x_supports[1:],
@@ -435,7 +516,7 @@ def test_verify_logicals_weight_check(pruned_18):
 
 
 def test_logical_matrices_hold_one_support_per_row():
-    logicals = codes.default_logicals("18-6-3")
+    logicals = _transcribed("18-6-3")
     for matrix, supports in ((logicals.x_matrix(), logicals.x_supports),
                              (logicals.z_matrix(), logicals.z_supports)):
         assert matrix.bits.shape == (6, 18)

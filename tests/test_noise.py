@@ -28,7 +28,6 @@ from bbqec.codes import (
     CssCode,
     LogicalOperatorSet,
     build_named_code,
-    default_logicals,
     logical_operator_set_for,
     verify_logicals,
 )
@@ -387,7 +386,7 @@ def test_a_code_with_checks_of_one_type_samples(basis):
     """With no X checks the Z basis has no other checks, and the X basis
     no memory-basis checks: each batch split takes an empty run."""
     h_z = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8)
-    code = CssCode("rep3", 3, gf2.BinaryMatrix(np.zeros((0, 3), dtype=np.uint8)),
+    code = CssCode("rep3", gf2.BinaryMatrix(np.zeros((0, 3), dtype=np.uint8)),
                    gf2.BinaryMatrix(h_z), (), (0, 1))
     logicals = LogicalOperatorSet(3, ((0, 1, 2),), ((0,),))
     circ = build_syndrome_circuit(code, 3, basis=basis)
@@ -680,13 +679,13 @@ def test_a_code_that_keeps_a_transcribed_name_but_not_its_checks_gets_computed_l
     # 18-4-4-pruned's name on 18-6-3's checks: the four transcribed
     # logicals commute with them, but the code has six
     pruned, six = build_named_code("18-4-4-pruned"), build_named_code("18-6-3")
-    code = replace(pruned, retained_x=six.retained_x, retained_z=six.retained_z, k=None)
+    code = replace(pruned, retained_x=six.retained_x, retained_z=six.retained_z)
     logicals = logical_operator_set_for(code)
     assert len(logicals.x_supports) == 6
     assert verify_logicals(code, logicals).ok
     dem = noise.build_dem(build_syndrome_circuit(code, 2), NOISE, "Z", code=code)
     assert dem.logical_count == 6
-    assert logical_operator_set_for(pruned) is default_logicals("18-4-4-pruned")
+    assert logical_operator_set_for(pruned) is logical_operator_set_for(build_named_code("18-4-4"))
 
 
 # ---- sampler against the exact series ----
@@ -1055,7 +1054,8 @@ def test_a_circuit_of_the_other_basis_is_rejected(call):
     [
         (LogicalOperatorSet(9, ((0,),), ((0,),)), "logicals act on 9 qubits, the code on 18"),
         # 18-6-3's set is not 18-4-4's: a Z logical meets an X check oddly
-        (default_logicals("18-6-3"), r"Z logical \d+ has odd overlap with check X\d+"),
+        (logical_operator_set_for(build_named_code("18-6-3")),
+         r"Z logical \d+ has odd overlap with check X\d+"),
         (LogicalOperatorSet(18, ((0,),), ((0,),)), "Z logical 0 has odd overlap with check X"),
     ],
     ids=["short", "another-code", "single-qubit"],
@@ -1108,7 +1108,7 @@ def test_series_resolves_no_logicals(basis, monkeypatch):
 
 
 def test_a_code_with_no_logical_qubit_reaches_the_noise_layer():
-    code = CssCode("k0", 2, gf2.zeros(0, 2), gf2.from_rows([[1, 0], [0, 1]]), (), (0, 1))
+    code = CssCode("k0", gf2.zeros(0, 2), gf2.from_rows([[1, 0], [0, 1]]), (), (0, 1))
     circ = build_syndrome_circuit(code, 2)
     assert verify_circuit(circ, code).ok
     dem = noise.build_dem(circ, NOISE, code=code)
@@ -1118,8 +1118,8 @@ def test_a_code_with_no_logical_qubit_reaches_the_noise_layer():
 
 
 CHECKS_OF_ONE_TYPE = {
-    "rep3": CssCode("rep3", 3, gf2.zeros(0, 3), gf2.from_rows([[1, 1, 0], [0, 1, 1]]), (), (0, 1)),
-    "k0": CssCode("k0", 2, gf2.zeros(0, 2), gf2.from_rows([[1, 0], [0, 1]]), (), (0, 1)),
+    "rep3": CssCode("rep3", gf2.zeros(0, 3), gf2.from_rows([[1, 1, 0], [0, 1, 1]]), (), (0, 1)),
+    "k0": CssCode("k0", gf2.zeros(0, 2), gf2.from_rows([[1, 0], [0, 1]]), (), (0, 1)),
 }
 
 

@@ -1,5 +1,6 @@
 """The package declares only what exists: console scripts, the modules
-its docstring lists and every module's ``__all__``. It imports only its
+its docstring lists and every module's ``__all__``, which names every
+public function and class the module defines. It imports only its
 declared dependencies, and scripts use only its public names. Set-up
 imports no more of numpy than it needs."""
 
@@ -50,6 +51,18 @@ def test_every_exported_name_exists():
         assert hasattr(module, "__all__"), f"bbqec.{info.name} declares no __all__"
         missing = [n for n in module.__all__ if not hasattr(module, n)]
         assert not missing, f"bbqec.{info.name}.__all__ names missing {missing}"
+
+
+def test_every_public_function_and_class_is_exported():
+    for path in sorted((ROOT / "src" / "bbqec").glob("*.py")):
+        module = importlib.import_module(f"bbqec.{path.stem}")
+        defined = [
+            node.name for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+        ]
+        unexported = [name for name in defined if name not in module.__all__]
+        assert not unexported, f"bbqec.{path.stem}.__all__ leaves out {unexported}"
 
 
 def _is_private(name: str) -> bool:
