@@ -35,9 +35,10 @@ shots as those packed rows, and its arrays unpack them, so
 The walk and the sampler gather rows with ``ndarray.take(..., axis=0)``
 (``np.take``'s wrapper costs as much as a small gather) and scatter
 them as ``_cells``, one fixed-width ``np.void`` cell per row.
-``FaultVariant`` fields are whole columns of the variant table, one object
-per distinct value (``_shared``); ``_set_bits`` scans packed bytes flat, and
-one ``np.lexsort`` groups equal packed rows (``_group_rows``) for the DEM.
+``enumerate_fault_variants`` returns the variant table as a ``FaultVariants`` view;
+the first read of a record makes them all, once, each field a column with one
+object per distinct value (``_shared``). ``_set_bits`` scans packed bytes flat,
+and one ``np.lexsort`` groups equal packed rows (``_group_rows``) for the DEM.
 A ``DetectorErrorModel`` is two arrays, float64 priors and the table's
 packed rows as signatures; its constructor checks the array rules, and
 ``parse_dem``, the one reader of DEM text, the tokens and indices.
@@ -80,6 +81,7 @@ from __future__ import annotations
 
 import gc
 import numbers
+from collections.abc import Sequence
 from dataclasses import astuple, dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -102,7 +104,7 @@ from .codes import CssCode, LogicalOperatorSet, _as_int, logical_operator_set_fo
 
 __all__ = [
     "DEFAULT_MASTER_SEED", "derive_shot_seed", "IDLE_POLICIES", "NoiseModel", "FaultVariant",
-    "enumerate_fault_variants", "ShotBatch", "run_monte_carlo",
+    "FaultVariants", "enumerate_fault_variants", "ShotBatch", "run_monte_carlo",
     "DemColumn", "DetectorErrorModel", "build_dem", "expected_detection_series", "dem_to_text",
     "parse_dem",
 ]
@@ -567,52 +569,70 @@ def _shared(values: np.ndarray, make) -> list:
     return objs.take(inverse).tolist()
 
 
+class FaultVariants(Sequence):
+    """A read-only view of one ``enumerate_fault_variants`` call's variant table, in slot
+    order. ``len`` reads its slot column; the first record read makes every record, once."""
+
+    def __init__(self, prog: _Program, var: _Variants):
+        self._prog, self._var = prog, var
+
+    def __len__(self) -> int:
+        return len(self._var.slot)
+
+    def __getitem__(self, index):
+        return self._records[index]
+
+    def __iter__(self):
+        return iter(self._records)
+
+    @cached_property
+    def _records(self) -> tuple[FaultVariant, ...]:
+        """Each field is one column over the whole table, one object per distinct value
+        (an int, a kind string, a prior, a qubit tuple or a flipped output), and the records
+        are zipped from the columns; cyclic GC is paused for both, as it finds no cycle."""
+        prog, var = self._prog, self._var
+        checks, tc, raw = prog.check_count, prog.t * prog.check_count, prog.raw_bits
+        nq = prog.circuit.qubit_count
+        R, (i0, i1) = nq + 1, var.buffer_rows
+        m = 3 * R  # the buffer row of raw output 0; a flip is in i0
+        # the qubit that each buffer row's X (Z) part acts on, else nq
+        qs, pad = np.arange(R, dtype=np.int32), np.full(R, nq, dtype=np.int32)
+        maps = np.full(raw + 1, nq, dtype=np.int32)
+        x_of, z_of = np.concatenate([qs, pad, qs, maps]), np.concatenate([pad, qs, qs, maps])
+        made: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+        def legs(k):  # a pair key's qubits, unused legs (nq) dropped, one tuple per value
+            qubits = tuple(q for q in divmod(k, R) if q < nq)
+            return made.setdefault(qubits, qubits)
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            columns = (
+                _shared(var.slot, int),
+                _shared(var.layer, int),
+                _shared(prog.slot_kind[var.slot], _SLOT_KINDS.__getitem__),
+                _shared(var.probability, float),
+                _shared(x_of.take(i0) * R + x_of.take(i1), legs),
+                _shared(z_of.take(i0) * R + z_of.take(i1), legs),
+                _shared(i0, lambda r: divmod(r - m, checks) if m <= r < m + tc else None),
+                _shared(i0, lambda r: r - m - tc if m + tc <= r < m + raw else None),
+            )
+            # tuple.__new__ fills each record from its zipped row in C, without
+            # the Python frame of FaultVariant.__new__; a row has every field
+            return tuple(map(tuple.__new__, repeat(FaultVariant), zip(*columns)))
+        finally:
+            if enabled:
+                gc.enable()
+
+
 def enumerate_fault_variants(
     circuit: Circuit, noise: NoiseModel, *, code: CssCode
-) -> tuple[FaultVariant, ...]:
-    """Every nonzero-probability single-fault realization, in slot order.
-    They do not depend on the memory basis.
-
-    Each field is built as one column over the whole variant table, with
-    one object per distinct value (an int, a kind string, a prior, a
-    qubit tuple or a flipped output), and the records are zipped from
-    the columns; cyclic GC is paused for both, as its passes find no cycle.
-    """
+) -> FaultVariants:
+    """Every nonzero-probability single-fault realization, in slot order (they do not
+    depend on the memory basis), as a view that makes no record until one is read."""
     prog = _Program(code, circuit, circuit.basis or "Z", noise)
-    var = _variants(prog)
-    checks, tc, raw = prog.check_count, prog.t * prog.check_count, prog.raw_bits
-    nq = circuit.qubit_count
-    R, (i0, i1) = nq + 1, var.buffer_rows
-    m = 3 * R  # the buffer row of raw output 0; a flip is in i0
-    # the qubit that each buffer row's X (Z) part acts on, else nq
-    qs, pad = np.arange(R, dtype=np.int32), np.full(R, nq, dtype=np.int32)
-    maps = np.full(raw + 1, nq, dtype=np.int32)
-    x_of, z_of = np.concatenate([qs, pad, qs, maps]), np.concatenate([pad, qs, qs, maps])
-    made: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def legs(k):  # a pair key's qubits, unused legs (nq) dropped, one tuple per value
-        qubits = tuple(q for q in divmod(k, R) if q < nq)
-        return made.setdefault(qubits, qubits)
-
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        columns = (
-            _shared(var.slot, int),
-            _shared(var.layer, int),
-            _shared(prog.slot_kind[var.slot], _SLOT_KINDS.__getitem__),
-            _shared(var.probability, float),
-            _shared(x_of.take(i0) * R + x_of.take(i1), legs),
-            _shared(z_of.take(i0) * R + z_of.take(i1), legs),
-            _shared(i0, lambda r: divmod(r - m, checks) if m <= r < m + tc else None),
-            _shared(i0, lambda r: r - m - tc if m + tc <= r < m + raw else None),
-        )
-        # tuple.__new__ fills each record from its zipped row in C, without
-        # the Python frame of FaultVariant.__new__; a row has every field
-        return tuple(map(tuple.__new__, repeat(FaultVariant), zip(*columns)))
-    finally:
-        if enabled:
-            gc.enable()
+    return FaultVariants(prog, _variants(prog))
 
 
 # ---------------------------------------------------------------------------
@@ -1137,17 +1157,17 @@ def dem_to_text(dem: DetectorErrorModel) -> str:
 
 
 def parse_dem(text: str) -> DetectorErrorModel:
-    """The DEM of ``dem_to_text``'s text. The line loop checks each line's
-    float prior and ``|``, one array pass every index token (decimal, strictly
+    """The DEM of ``dem_to_text``'s text. The line loop checks each line's float
+    prior and ``|``, one array pass every index token (ASCII decimal, strictly
     increasing, detectors in [0, D), logicals in [0, K)), the constructor the
     rest, on the lines above the first bad one: errors name the first."""
     lines = [(no, parts) for no, parts in enumerate(map(str.split, text.splitlines()), 1) if parts]
     if not lines:
         raise ValueError("empty detector error model")
     (no, head), *body = lines
-    decimal = len(head) == 4 and (head[1] + head[3]).isdecimal()
+    decimal = len(head) == 4 and all(c.isascii() and c.isdecimal() for c in head[1::2])
     if not decimal or head[::2] != ["detectors", "logicals"]:
-        raise ValueError(f"line {no}: bad header {' '.join(head)!r}; counts must be decimal")
+        raise ValueError(f"line {no}: bad header {' '.join(head)!r}; counts must be ASCII decimal")
     D, K = int(head[1]), int(head[3])
     priors, groups, fault = [], [], None  # groups 2j and 2j + 1: line j's detectors, logicals
     for no, parts in body:
@@ -1159,9 +1179,9 @@ def parse_dem(text: str) -> DetectorErrorModel:
             break
         groups += parts[1:sep], parts[sep + 1 :]
     group = np.repeat(np.arange(len(groups)), list(map(len, groups)))
-    # a token that is not decimal reads -1; a float is exact below 2**53
-    # and keeps any larger token out of range
-    value = np.array([t if t.isdecimal() else "-1" for t in chain.from_iterable(groups)], float)
+    # a token that is not ASCII decimal reads -1 (int and float read other
+    # digits); a float is exact below 2**53 and keeps any larger token out of range
+    value = np.array([t if t.isdecimal() and t.isascii() else "-1" for t in chain(*groups)], float)
     bad = (value < 0) | (value >= np.where(group % 2, K, D))
     bad[1:] |= (group[1:] == group[:-1]) & (value[1:] <= value[:-1])
     rows = len(priors)

@@ -98,7 +98,7 @@ def _outputs(case_id):
     )
     arrays = (batch.detections, batch.final_syndrome, batch.logical_flips)
     return {
-        "variants": _digest(repr(variants).encode()),
+        "variants": _digest(repr(tuple(variants)).encode()),
         "dem": _digest(noise.dem_to_text(dem).encode()),
         "series": _digest(series.tobytes()),
         "shots": _digest(*(repr(a.shape).encode() + a.tobytes() for a in arrays)),

@@ -2,6 +2,7 @@
 
 import gc
 import random
+from collections.abc import Sequence
 from dataclasses import replace
 from itertools import chain
 
@@ -444,9 +445,9 @@ def test_enumerated_variants_match_a_per_variant_reference():
             ))
     assert {v.kind for v in expected} == set(noise._SLOT_KINDS)
     variants = noise.enumerate_fault_variants(circ, NOISE, code=code)
-    assert variants == tuple(expected)
+    assert tuple(variants) == tuple(expected)
     # the same Python types, not numpy scalars, so the reprs agree too
-    assert repr(variants) == repr(tuple(expected))
+    assert repr(tuple(variants)) == repr(tuple(expected))
 
 
 @pytest.mark.parametrize("basis", ["Z", "X"])
@@ -460,6 +461,28 @@ def test_enumerated_fields_share_one_object_per_value(basis):
         assert {type(v) for v in column} <= {int, float, str, tuple, type(None)}, field
         assert {type(q) for v in column if type(v) is tuple for q in v} <= {int}, field
         assert len({id(v) for v in column}) == len(set(column)), field
+
+
+def test_fault_variants_make_no_record_until_one_is_read(monkeypatch):
+    code = build_named_code("36-4-6")
+    circ = build_syndrome_circuit(code, 7)
+
+    def refuse(values, make):
+        raise AssertionError("records made")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(noise, "_shared", refuse)
+        view = noise.enumerate_fault_variants(circ, NOISE, code=code)
+        assert len(view) == 29664 and view
+    assert isinstance(view, Sequence) and not isinstance(view, tuple)
+    assert view[5] is view[5]
+    records = tuple(view)
+    assert view[-1] is records[-1]
+    assert view[10:20] == records[10:20]
+    with pytest.raises(IndexError):
+        view[len(view)]
+    # each full iteration yields the same objects
+    assert list(map(id, view)) == list(map(id, view)) == list(map(id, records))
 
 
 # ---- packed rows ----
@@ -1074,7 +1097,8 @@ def test_fault_enumeration_leaves_the_gc_state_as_it_was():
     try:
         for enabled in (True, False):
             (gc.enable if enabled else gc.disable)()
-            assert noise.enumerate_fault_variants(circ, NOISE, code=code)
+            # reading a record makes them all, with GC paused
+            assert noise.enumerate_fault_variants(circ, NOISE, code=code)[0]
             assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
@@ -1087,7 +1111,8 @@ def test_fault_enumeration_resolves_no_logicals(monkeypatch):
     monkeypatch.setattr(noise, "logical_operator_set_for", refuse)
     code = build_named_code("18-4-4-pruned")
     circ = build_syndrome_circuit(code, 2)
-    assert noise.enumerate_fault_variants(circ, NOISE, code=code)
+    # read a record, so that making the records is covered too
+    assert noise.enumerate_fault_variants(circ, NOISE, code=code)[0]
 
 
 @pytest.mark.parametrize("basis", ["Z", "X"])

@@ -11,14 +11,13 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tomllib
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import bbqec
-
-tomllib = pytest.importorskip("tomllib")
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"

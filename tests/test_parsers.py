@@ -2,12 +2,13 @@
 
 It rejects bad text with ``ValueError`` and nothing else, both on
 arbitrary text and on valid DEM files with a few lines dropped,
-duplicated or rewritten, and it inverts ``dem_to_text`` on generated
-DEMs.
+duplicated or rewritten, it rejects digits that are not ASCII, and it
+inverts ``dem_to_text`` on generated DEMs.
 """
 
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,6 +65,22 @@ def _parsed_or_value_error(text):
         noise.parse_dem(text)
     except ValueError:
         pass
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("detectors \uff12 logicals 1\n0.1 0 | 0\n", 1),
+        ("detectors 4 logicals \u0661\n", 1),
+        ("detectors 4 logicals 1\n0.2 1 |\n0.1 \u0661 | 0\n", 3),
+        ("detectors 4 logicals 2\n0.1 0 | \u0660\n", 2),
+    ],
+    ids=["fullwidth-count", "arabic-indic-count", "arabic-indic-detector", "arabic-indic-logical"],
+)
+def test_parse_dem_rejects_digits_that_are_not_ascii(text, line):
+    # str.isdecimal, int and float read these digits; dem_to_text writes ASCII
+    with pytest.raises(ValueError, match=f"^line {line}: "):
+        noise.parse_dem(text)
 
 
 @given(text=st.text(max_size=200))
