@@ -9,7 +9,8 @@ measurement outcomes must be differenced to recover stabilizer values.
 
 Qubit indexing is global: data qubits 0..n-1 (left block then right
 block), then one ancilla per retained X check, then one per retained
-Z check.
+Z check. So the ancilla of check column j (``code.checks[j]``) is qubit
+n + j, and a circuit for ``code`` has n + len(code.checks) qubits.
 
 A circuit reads its layers once: each layer's gates are read into gate
 table rows where ``GateLayer`` checks them, and ``Circuit.table`` (a
@@ -35,7 +36,7 @@ from .tableau import StabilizerTableau
 __all__ = [
     "SINGLE_QUBIT", "CZ", "MEASURE_CHECKS", "READOUT_DATA", "DD_IDLE", "LAYER_KINDS", "GATE_NAMES",
     "ScheduleError", "GateLayer", "Circuit",
-    "QubitLayout", "qubit_layout", "CzSchedule", "arrangements", "arrangement_commutes",
+    "CzSchedule", "arrangements", "arrangement_commutes",
     "schedule_cz_layers", "build_syndrome_circuit", "GateTable", "gate_table", "VerifyReport",
     "verify_circuit",
 ]
@@ -197,33 +198,6 @@ class Circuit:
         lo, hi = (0, len(self.layers)) if cycle is None else self.cycle_layer_range(cycle)
         start = self.table.start
         return int(np.count_nonzero(self.table.name[start[lo] : start[hi]] == _NAME_INDEX[name]))
-
-
-@dataclass(frozen=True)
-class QubitLayout:
-    """Where each retained check's ancilla lives in the global indexing."""
-
-    data_count: int
-    x_check_qubits: tuple[int, ...]  # aligned with code.retained_x
-    z_check_qubits: tuple[int, ...]  # aligned with code.retained_z
-
-    @property
-    def qubit_count(self) -> int:
-        return self.data_count + len(self.x_check_qubits) + len(self.z_check_qubits)
-
-    @property
-    def check_qubits(self) -> tuple[int, ...]:
-        return self.x_check_qubits + self.z_check_qubits
-
-
-def qubit_layout(code: CssCode) -> QubitLayout:
-    nx = len(code.retained_x)
-    nz = len(code.retained_z)
-    return QubitLayout(
-        data_count=code.n,
-        x_check_qubits=tuple(range(code.n, code.n + nx)),
-        z_check_qubits=tuple(range(code.n + nx, code.n + nx + nz)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -533,14 +507,13 @@ def build_syndrome_circuit(
         raise ValueError("basis must be 'Z' or 'X'")
     sched = schedule if schedule is not None else schedule_cz_layers(code)
     _check_schedule(code, sched)
-    layout = qubit_layout(code)
     n = code.n
-
-    checks = [("X", row) for row in code.retained_x] + [("Z", row) for row in code.retained_z]
-    check_of = dict(zip(checks, layout.check_qubits))
+    column = {check: j for j, check in enumerate(code.checks)}
+    nq = n + len(column)
+    ancillas = tuple(range(n, nq))  # check column j's ancilla is qubit n + j
 
     cz_layers = [
-        GateLayer(CZ, tuple(("CZ", (d, check_of[(typ, row)])) for typ, row, d in L))
+        GateLayer(CZ, tuple(("CZ", (d, ancillas[column[(typ, row)]])) for typ, row, d in L))
         for L in sched.layers
     ]
 
@@ -559,11 +532,10 @@ def build_syndrome_circuit(
             base_slots[opens].add(d)
             base_slots[e].add(d)
 
-    checks_sorted = tuple(sorted(layout.check_qubits))
     all_data = set(range(n))
     # each distinct layer is built once and shared by every cycle using it
     single_layers: dict[tuple[int, ...], GateLayer] = {}
-    measure = GateLayer(MEASURE_CHECKS, tuple(("M", (q,)) for q in checks_sorted))
+    measure = GateLayer(MEASURE_CHECKS, tuple(("M", (q,)) for q in ancillas))
     idle = GateLayer(DD_IDLE, tuple(("DD", (d,)) for d in range(n)))
     readout = GateLayer(READOUT_DATA, tuple(("RD", (d,)) for d in range(n)))
 
@@ -578,7 +550,7 @@ def build_syndrome_circuit(
         def emit_single(slot_idx: int) -> None:
             qs = tuple(sorted(slots[slot_idx]))
             if slot_idx in (0, 7):
-                qs += checks_sorted
+                qs += ancillas
             if qs:
                 if qs not in single_layers:
                     single_layers[qs] = GateLayer(SINGLE_QUBIT, tuple(("H", (q,)) for q in qs))
@@ -591,7 +563,7 @@ def build_syndrome_circuit(
         layers.append(measure)
         layers.append(idle if c < cycles else readout)
 
-    return Circuit(qubit_count=layout.qubit_count, layers=tuple(layers), basis=basis)
+    return Circuit(qubit_count=nq, layers=tuple(layers), basis=basis)
 
 
 class GateTable(NamedTuple):
@@ -614,21 +586,22 @@ def gate_table(circuit: Circuit, code: CssCode, basis: str) -> GateTable:
     and the memory basis ``basis``.
 
     Raises ValueError unless: ``basis`` is "Z" or "X" and the circuit
-    records no other basis; the circuit has the qubit count of the
-    code's layout; it has at least one measurement layer and ends in its
-    one readout layer, right after its last measurement layer (so its
-    last cycle ends with the readout); every ``M`` is on a check qubit
-    and every ``RD`` on a data qubit; and each measurement layer
-    measures every check qubit and the readout reads every data qubit.
+    records no other basis; the circuit has n + len(code.checks) qubits,
+    the data qubits 0..n-1 and then one ancilla per check column (the
+    module's numbering rule); it has at least one measurement layer and
+    ends in its one readout layer, right after its last measurement
+    layer (so its last cycle ends with the readout); every ``M`` is on a
+    check qubit (n or above) and every ``RD`` on a data qubit (below n);
+    and each measurement layer measures every check qubit and the
+    readout reads every data qubit.
     """
     if basis not in ("Z", "X"):
         raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
     if circuit.basis is not None and circuit.basis != basis:
         raise ValueError(f"circuit was built for the {circuit.basis} basis, not {basis}")
-    layout = qubit_layout(code)
-    nq = circuit.qubit_count
-    if nq != layout.qubit_count:
-        raise ValueError(f"circuit has {nq} qubits, code layout needs {layout.qubit_count}")
+    n, nq = code.n, circuit.qubit_count
+    if nq != n + len(code.checks):
+        raise ValueError(f"circuit has {nq} qubits, code layout needs {n + len(code.checks)}")
     table = circuit.table
     kind, start, name, legs = table
     measured = np.flatnonzero(kind == MEASURE_CHECKS)
@@ -645,9 +618,7 @@ def gate_table(circuit: Circuit, code: CssCode, basis: str) -> GateTable:
     gate_layer = np.repeat(np.arange(len(kind)), np.diff(start))
     a = legs[0]
     is_m, is_rd = name == _NAME_INDEX["M"], name == _NAME_INDEX["RD"]
-    check = np.zeros(nq, dtype=bool)
-    check[list(layout.check_qubits)] = True
-    bad = (is_m & ~check[a]) | (is_rd & (a >= layout.data_count))
+    bad = (is_m & (a < n)) | (is_rd & (a >= n))
     if bad.any():
         i = np.flatnonzero(bad)[0]
         gate, home = ("M", "check") if is_m[i] else ("RD", "data")
@@ -657,8 +628,8 @@ def gate_table(circuit: Circuit, code: CssCode, basis: str) -> GateTable:
         )
     # no layer repeats a qubit, so a full count is a full cover
     count = np.bincount(gate_layer[is_m | is_rd], minlength=len(kind))
-    need = (kind == MEASURE_CHECKS) * len(layout.check_qubits)
-    need += (kind == READOUT_DATA) * layout.data_count
+    need = (kind == MEASURE_CHECKS) * (nq - n)
+    need += (kind == READOUT_DATA) * n
     short = np.flatnonzero(count != need)
     if short.size:
         li = short[0]
@@ -707,7 +678,9 @@ def verify_circuit(
 
     The circuit is read through ``gate_table``, which raises ValueError
     for a circuit that does not fit ``code`` and ``basis``: the noise
-    layer accepts the same circuits.
+    layer accepts the same circuits. By the module's numbering rule,
+    check column j (``code.checks[j]``) is read from qubit n + j and the
+    readout from the data qubits 0..n-1.
 
     All preparations run in one tableau pass (they share its x/z part),
     with one tableau call per gate or measurement layer. Outcomes and
@@ -727,35 +700,34 @@ def verify_circuit(
         raise ValueError("need at least one preparation")
     if max_failures < 1:
         raise ValueError(f"max_failures must be >= 1, got {max_failures}")
-    kinds_rows = [("X", r) for r in code.retained_x] + [("Z", r) for r in code.retained_z]
+    checks, n = code.checks, code.n
     supports = gf2.transpose(gf2.vstack(code.retained_h_x(), code.retained_h_z()))
-    aligned = np.array([kind == basis for kind, _ in kinds_rows], dtype=bool)
-    check_qubits = qubit_layout(code).check_qubits
+    aligned = np.array([kind == basis for kind, _ in checks], dtype=bool)
     measure_layers = np.flatnonzero(table.kind == MEASURE_CHECKS).tolist()
     t = len(measure_layers)
     rng = random.Random(seed)
     prep = np.array(
-        [[rng.getrandbits(1) for _ in range(code.n)] for _ in range(preparations)],
+        [[rng.getrandbits(1) for _ in range(n)] for _ in range(preparations)],
         dtype=np.uint8,
     )
     states = np.zeros((preparations, circuit.qubit_count), dtype=np.uint8)
-    states[:, : code.n] = prep
+    states[:, :n] = prep
     tab = StabilizerTableau(
         circuit.qubit_count,
         coin=lambda: [rng.getrandbits(1) for _ in range(preparations)],
         states=states,
     )
-    cycle_out, readout = _run_layers(table, tab)
+    out = _run_layers(table, tab)
 
     # fail[p, check, slot]: slot 0 is contract (b), slot c in 1..t-1 is
     # contract (a) between cycles c and c + 1, slot t is contract (c)
-    fail = np.zeros((preparations, len(check_qubits), t + 1), dtype=bool)
-    m = np.array([[out[q] for q in check_qubits] for out in cycle_out])
+    fail = np.zeros((preparations, len(checks), t + 1), dtype=bool)
+    m = out[:-1, n:]
     value = (m ^ np.concatenate([np.zeros_like(m[:1]), m[:-1]])).transpose(2, 1, 0)
     expect = gf2.matmul_mod2(gf2.BinaryMatrix(prep), supports).bits
     fail[:, :, 0] = aligned & (value[:, :, 0] != expect)
     fail[:, :, 1:t] = value[:, :, 1:] != value[:, :, :-1]
-    rd = np.array([readout[d] for d in range(code.n)]).T
+    rd = out[-1, :n].T
     r_par = gf2.matmul_mod2(gf2.BinaryMatrix(rd), supports).bits
     fail[:, :, t] = aligned & (r_par != value[:, :, -1])
 
@@ -763,7 +735,7 @@ def verify_circuit(
     by_prep = np.argwhere(fail)
     for p in range(preparations):
         for _, ci, slot in by_prep[by_prep[:, 0] == p]:
-            kind, row = kinds_rows[ci]
+            kind, row = checks[ci]
             if slot == t:
                 failures.append(
                     f"prep {p}: {kind}{row} readout parity {r_par[p, ci]} != final "
@@ -789,27 +761,25 @@ def verify_circuit(
     )
 
 
-def _run_layers(
-    table: GateTable, tab: StabilizerTableau
-) -> tuple[list[dict[int, np.ndarray]], dict[int, np.ndarray]]:
+def _run_layers(table: GateTable, tab: StabilizerTableau) -> np.ndarray:
     """Run the circuit of the gate table noiselessly on the tableau, one
-    call per gate or measurement layer. Returns each measurement layer's
-    outcomes and the readout outcomes, keyed by qubit."""
-    cycle_out: list[dict[int, np.ndarray]] = []
-    readout: dict[int, np.ndarray] = {}
+    call per gate or measurement layer. Returns the outcomes as one uint8
+    array (measurement layers + readout, qubits, states): row i holds the
+    i-th measurement layer's outcomes, the last row the readout's, each
+    at its qubit, and 0 where the layer measures nothing."""
+    kinds = table.kind.tolist()
+    out = np.zeros((kinds.count(MEASURE_CHECKS) + 1, tab.n, tab.r.shape[1]), dtype=np.uint8)
     is_h = table.name == _NAME_INDEX["H"]
     start = table.start.tolist()
-    for kind, lo, hi in zip(table.kind.tolist(), start, start[1:]):
+    i = 0
+    for kind, lo, hi in zip(kinds, start, start[1:]):
         a, b = table.legs[:, lo:hi]
         if kind == SINGLE_QUBIT:
             tab.h(a[is_h[lo:hi]])
         elif kind == CZ:
             tab.cz(a, b)
         elif kind in (MEASURE_CHECKS, READOUT_DATA):
-            out = dict(zip(a.tolist(), tab.measure_many(a)))
-            if kind == MEASURE_CHECKS:
-                cycle_out.append(out)
-            else:
-                readout.update(out)
+            out[i, a] = tab.measure_many(a)
+            i += 1
         # DD_IDLE acts as identity in the noiseless model.
-    return cycle_out, readout
+    return out

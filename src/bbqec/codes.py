@@ -205,6 +205,12 @@ class CssCode:
     def half(self) -> int:
         return self.n // 2
 
+    @property
+    def checks(self) -> tuple[tuple[str, int], ...]:
+        """The retained checks in column order: ("X", r) for each retained
+        X row, then ("Z", r) for each retained Z row."""
+        return tuple([("X", r) for r in self.retained_x] + [("Z", r) for r in self.retained_z])
+
     def data_label(self, col: int) -> str:
         if col < self.half:
             return f"L{col}"

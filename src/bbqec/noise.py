@@ -98,7 +98,6 @@ from .circuit import (
     SINGLE_QUBIT,
     Circuit,
     gate_table,
-    qubit_layout,
 )
 from .codes import CssCode, LogicalOperatorSet, _as_int, logical_operator_set_for
 
@@ -255,8 +254,10 @@ class _Program:
     mask read row-major, candidates minus the qubits an ``H`` or ``CZ``
     leg makes busy. One stable sort puts each layer's gate slots before
     its idle slots. ``channels[i]`` is the noise model's ``_Channel`` of
-    slot kind i. Check columns hold the X checks, then the Z checks, so
-    the memory-basis checks are the columns ``aligned`` = [lo, hi).
+    slot kind i. Check columns are ``code.checks``, the X checks, then
+    the Z checks, and column j's ancilla is qubit n + j (the numbering
+    rule of ``circuit``), so the memory-basis checks are the columns
+    ``aligned`` = [lo, hi).
     """
 
     def __init__(self, code: CssCode, circuit: Circuit, basis: str, noise: NoiseModel,
@@ -265,9 +266,8 @@ class _Program:
         self.code, self.circuit, self.basis = code, circuit, basis
         self.n, self.t = code.n, circuit.cycles
 
-        checks = [("X", r) for r in code.retained_x] + [("Z", r) for r in code.retained_z]
-        self.check_labels = tuple(f"{k}{r}" for k, r in checks)
-        self.check_count = len(checks)
+        self.check_labels = tuple(f"{k}{r}" for k, r in code.checks)
+        self.check_count = len(self.check_labels)
         nx = len(code.retained_x)
         self.aligned = (nx, self.check_count) if basis == "Z" else (0, nx)
         self.aligned_cols = np.arange(*self.aligned)
@@ -280,12 +280,9 @@ class _Program:
         a, b = table.legs
         measured = kinds == MEASURE_CHECKS
         cycle = np.cumsum(measured) - measured  # measurement layers before each
-        layout = qubit_layout(code)
-        col_of = np.zeros(nq, dtype=np.intp)
-        col_of[list(layout.check_qubits)] = np.arange(len(layout.check_qubits))
         m, r = kind == _MEASURE, kind == _READOUT
         self.gate_flip = flip = np.full(len(kind), self.raw_bits, dtype=np.int32)
-        flip[m] = self.dm_bit(cycle[layer[m]], col_of[a[m]])
+        flip[m] = self.dm_bit(cycle[layer[m]], a[m] - n)
         flip[r] = self.rd_bit(a[r])
 
         # idle slots: candidates that no H or CZ leg makes busy; column nq
@@ -559,12 +556,7 @@ def _shared(values: np.ndarray, make) -> list:
     """``make(v)`` for each entry v of ``values``, computed once per
     distinct entry and shared by the entries that hold it: the made
     objects sit in a numpy object array, and one ``take`` of it lists them."""
-    if values.dtype.kind == "f":
-        keys, inverse = np.unique(values, return_inverse=True)
-    else:  # small ints >= 0: mark the ones present and rank them, with no sort
-        present = np.zeros(values.max(initial=0) + 1, dtype=bool)
-        present[values] = True
-        keys, inverse = np.flatnonzero(present), (np.cumsum(present) - 1)[values]
+    keys, inverse = np.unique(values, return_inverse=True)
     objs = np.fromiter(map(make, keys.tolist()), dtype=object, count=len(keys))
     return objs.take(inverse).tolist()
 
@@ -1157,10 +1149,10 @@ def dem_to_text(dem: DetectorErrorModel) -> str:
 
 
 def parse_dem(text: str) -> DetectorErrorModel:
-    """The DEM of ``dem_to_text``'s text. The line loop checks each line's float
-    prior and ``|``, one array pass every index token (ASCII decimal, strictly
-    increasing, detectors in [0, D), logicals in [0, K)), the constructor the
-    rest, on the lines above the first bad one: errors name the first."""
+    """The DEM of ``dem_to_text``'s text. The line loop checks each line's ``|``
+    and float prior (ASCII, no ``_``), one array pass every index token (ASCII
+    decimal, strictly increasing, detectors in [0, D), logicals in [0, K)), the
+    constructor the rest, on the lines above the first bad one: errors name the first."""
     lines = [(no, parts) for no, parts in enumerate(map(str.split, text.splitlines()), 1) if parts]
     if not lines:
         raise ValueError("empty detector error model")
@@ -1173,6 +1165,8 @@ def parse_dem(text: str) -> DetectorErrorModel:
     for no, parts in body:
         try:
             sep = parts.index("|")  # or ValueError: '|' is not in list
+            if not parts[0].isascii() or "_" in parts[0]:  # float reads other digits and _
+                raise ValueError(f"prior {parts[0]!r} must be ASCII with no '_'")
             priors.append(float(parts[0]))
         except ValueError as exc:
             fault = ValueError(f"line {no}: {exc}")

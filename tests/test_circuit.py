@@ -416,8 +416,12 @@ def test_verify_passes_on_generated_circuits(cid, basis, t):
 def _per_gate_run(circ, tab):
     """Reference for ``circuit._run_layers``: the same run read from the
     circuit's layers, with one tableau call per gate and per
-    measurement."""
-    cycle_out, readout = [], {}
+    measurement, and its outcomes in the same array form (measurement
+    layers + readout, qubits, states)."""
+    measuring = (circuit.MEASURE_CHECKS, circuit.READOUT_DATA)
+    rows = sum(L.kind in measuring for L in circ.layers)
+    out = np.zeros((rows, circ.qubit_count, tab.r.shape[1]), dtype=np.uint8)
+    i = 0
     for L in circ.layers:
         if L.kind == circuit.SINGLE_QUBIT:
             for name, (q,) in L.gates:
@@ -426,19 +430,19 @@ def _per_gate_run(circ, tab):
         elif L.kind == circuit.CZ:
             for _, (a, b) in L.gates:
                 tab.cz(a, b)
-        elif L.kind == circuit.MEASURE_CHECKS:
-            cycle_out.append({q: tab.measure(q) for _, (q,) in L.gates})
-        elif L.kind == circuit.READOUT_DATA:
+        elif L.kind in measuring:
             for _, (q,) in L.gates:
-                readout[q] = tab.measure(q)
-    return cycle_out, readout
+                out[i, q] = tab.measure(q)
+            i += 1
+    return out
 
 
 def _run_outcomes(circ, tab):
-    """Every measurement and readout outcome of one noiseless run, in
-    circuit order (the readout comes last), one row each."""
-    cycle_out, readout = _per_gate_run(circ, tab)
-    return np.array([v for out in (*cycle_out, readout) for v in out.values()])
+    """Every measurement and readout outcome of one noiseless run, one
+    row per (layer, qubit) of ``_per_gate_run``'s array (0 where the
+    layer measures nothing)."""
+    out = _per_gate_run(circ, tab)
+    return out.reshape(-1, out.shape[2])
 
 
 @pytest.mark.parametrize("cid", ["18-4-4-pruned", "18-6-3"])
@@ -521,10 +525,10 @@ def test_verify_by_layer_equals_the_per_gate_loop(cid, basis, mutate, monkeypatc
             circuit.verify_circuit(circ, code, basis=basis, max_failures=10**6)
         )
     assert reports[0] == reports[1]
-    (by_layer, by_layer_readout), (by_gate, by_gate_readout) = runs
-    for got, want in zip(by_layer + [by_layer_readout], by_gate + [by_gate_readout]):
-        assert got.keys() == want.keys()
-        assert all(np.array_equal(got[q], want[q]) for q in want)
+    by_layer, by_gate = runs
+    # every outcome of every qubit, and the same shape and dtype
+    assert by_layer.dtype == by_gate.dtype == np.uint8
+    assert np.array_equal(by_layer, by_gate)
 
 
 def test_verify_truncates_after_whole_preparations():

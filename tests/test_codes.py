@@ -196,6 +196,17 @@ def test_18_6_3_parameters(code_18_6_3):
     assert 5 not in code_18_6_3.retained_x
 
 
+def test_checks_are_the_retained_x_then_the_retained_z(code_18_6_3):
+    assert code_18_6_3.checks == (
+        ("X", 0), ("X", 1), ("X", 3), ("X", 4), ("X", 6), ("X", 7),
+        ("Z", 0), ("Z", 1), ("Z", 2), ("Z", 6), ("Z", 7), ("Z", 8),
+    )
+    # read from the retained lists, in their order, on every replace
+    changed = replace(code_18_6_3, retained_x=(7, 2), retained_z=())
+    assert changed.checks == (("X", 7), ("X", 2))
+    assert replace(changed, retained_x=(), retained_z=(4,)).checks == (("Z", 4),)
+
+
 def test_named_codes_match_expected_k():
     for code_id, entry in codes.CODE_TABLE.items():
         code = codes.build_named_code(code_id)

@@ -22,7 +22,6 @@ from bbqec.circuit import (
     Circuit,
     GateLayer,
     build_syndrome_circuit,
-    qubit_layout,
     verify_circuit,
 )
 from bbqec.codes import (
@@ -73,19 +72,17 @@ def _memory_outputs(code, logicals, basis, cycles, readout, fault):
     """Memory-basis detectors (t x aligned), final comparisons and
     logical readouts, from recorded outcomes, by the paper's detector
     definition: z_c = m_c xor m_{c-2}, z_F = y_F xor m_t xor m_{t-1}."""
-    layout = qubit_layout(code)
-    anc = list(layout.check_qubits)
+    # check column j is measured on qubit n + j
     if fault is not None and fault.measurement_flip is not None:
         cyc, col = fault.measurement_flip
-        cycles[cyc][anc[col]] ^= 1
+        cycles[cyc][code.n + col] ^= 1
     if fault is not None and fault.readout_flip is not None:
         readout[fault.readout_flip] ^= 1
+    aligned = [code.n + j for j, (kind, _) in enumerate(code.checks) if kind == basis]
     if basis == "Z":
-        aligned = list(layout.z_check_qubits)
         support = code.retained_h_z().bits
         logical = logicals.z_matrix().bits
     else:
-        aligned = list(layout.x_check_qubits)
         support = code.retained_h_x().bits
         logical = logicals.x_matrix().bits
     t = len(cycles)
@@ -127,12 +124,7 @@ def test_forced_faults_match_tableau_replay(cid, basis):
     coin_seed = 11
     clean = _memory_outputs(code, logicals, basis, *_tableau_run(circ, None, coin_seed), None)
     assert not any(a.any() for a in clean[:2]), "noiseless detectors fire"
-    layout = qubit_layout(code)
-    check_qubits = list(layout.check_qubits)
-    aligned_cols = [
-        check_qubits.index(q)
-        for q in (layout.z_check_qubits if basis == "Z" else layout.x_check_qubits)
-    ]
+    aligned_cols = [j for j, (kind, _) in enumerate(code.checks) if kind == basis]
     for i, v in enumerate(variants[j] for j in picked):
         faulty = _memory_outputs(
             code, logicals, basis, *_tableau_run(circ, v, coin_seed), v
@@ -148,8 +140,7 @@ def _forward_raw_outputs(code, circ, variants):
     the layers first to last, with each variant injected right after its
     layer. Columns: measurement (cycle, check column) at cycle * checks +
     column, then the data readouts."""
-    anc = list(qubit_layout(code).check_qubits)
-    checks, nv = len(anc), len(variants)
+    checks, nv = len(code.checks), len(variants)
     fx = np.zeros((nv, circ.qubit_count), dtype=np.uint8)
     fz = np.zeros_like(fx)
     raw = np.zeros((nv, circ.cycles * checks + code.n), dtype=np.uint8)
@@ -175,7 +166,7 @@ def _forward_raw_outputs(code, circ, variants):
                 fz[:, b] ^= fx[:, a]
         elif layer.kind == MEASURE_CHECKS:
             for _, (q,) in layer.gates:  # X flips the outcome and stays
-                raw[:, cycle * checks + anc.index(q)] ^= fx[:, q]
+                raw[:, cycle * checks + q - code.n] ^= fx[:, q]  # column j on qubit n + j
                 fz[:, q] = 0
             cycle += 1
         elif layer.kind == READOUT_DATA:
@@ -521,11 +512,8 @@ def _reference_program(code, circ, idle_policy):
     is the layer kind with the H legs, the CZ legs, or the measured
     qubits and the raw outputs they record."""
     n, nq, t = code.n, circ.qubit_count, circ.cycles
-    layout = qubit_layout(code)
-    checks = len(code.retained_x) + len(code.retained_z)
+    checks = len(code.checks)
     raw = t * checks + n
-    col_of = np.zeros(nq, dtype=np.intp)
-    col_of[list(layout.check_qubits)] = np.arange(len(layout.check_qubits))
     slots, ops, cycle = [], [], 0
 
     def add(kind, li, a, b=None, flips=None):
@@ -559,9 +547,9 @@ def _reference_program(code, circ, idle_policy):
             add("cz", li, a, b)
             add("idle", li, np.setdiff1d(np.arange(nq), np.concatenate([a, b])))
         elif layer.kind == MEASURE_CHECKS:
-            anc = qubits(layer)
-            ops.append((MEASURE_CHECKS, anc, cycle * checks + col_of[anc]))
-            add("measure", li, anc, flips=cycle * checks + col_of[anc])
+            anc = qubits(layer)  # check column j on qubit n + j
+            ops.append((MEASURE_CHECKS, anc, cycle * checks + anc - n))
+            add("measure", li, anc, flips=cycle * checks + anc - n)
             cycle += 1
         elif layer.kind == DD_IDLE:
             ops.append((DD_IDLE,))
@@ -696,6 +684,38 @@ def test_compile_rejects_a_mismatched_circuit(edit, message):
         noise.build_dem(circ, NOISE, basis, code=code)
     with pytest.raises(ValueError, match=message):
         verify_circuit(circ, code, basis=basis)
+
+
+def _shuffle_measurements(circ, seed):
+    """The circuit with the gates of each measurement and readout layer in
+    a random order, drawn per layer from one ``random.Random(seed)``."""
+    rng, layers = random.Random(seed), []
+    for layer in circ.layers:
+        if layer.kind in (MEASURE_CHECKS, READOUT_DATA):
+            gates = list(layer.gates)
+            rng.shuffle(gates)
+            layer = GateLayer(layer.kind, tuple(gates))
+        layers.append(layer)
+    return replace(circ, layers=tuple(layers))
+
+
+@pytest.mark.parametrize("basis", ["Z", "X"])
+@pytest.mark.parametrize("cid", ["18-4-4-pruned", "18-6-3", "36-4-6"])
+def test_outputs_do_not_depend_on_the_order_of_a_measurement_layer(cid, basis):
+    """Outcomes are read by qubit, not by gate position: a built circuit
+    lists each measurement layer in qubit order, so it cannot tell."""
+    code = build_named_code(cid)
+    circ = build_syndrome_circuit(code, 3, basis=basis)
+    shuffled = _shuffle_measurements(circ, 29)
+    assert shuffled != circ
+    assert verify_circuit(shuffled, code, basis=basis) == verify_circuit(circ, code, basis=basis)
+    series = [noise.expected_detection_series(c, NOISE, code=code, basis=basis)
+              for c in (circ, shuffled)]
+    assert series[0].tobytes() == series[1].tobytes()
+    # a DEM keeps its columns in first-seen order, which the shuffle moves
+    dems = [noise.build_dem(c, NOISE, basis, code=code) for c in (circ, shuffled)]
+    got, want = ({c[1:]: c.probability for c in dem.columns} for dem in dems)
+    assert got == want and len(got) == len(dems[0].columns)
 
 
 def test_a_code_that_keeps_a_transcribed_name_but_not_its_checks_gets_computed_logicals():

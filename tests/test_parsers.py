@@ -2,8 +2,8 @@
 
 It rejects bad text with ``ValueError`` and nothing else, both on
 arbitrary text and on valid DEM files with a few lines dropped,
-duplicated or rewritten, it rejects digits that are not ASCII, and it
-inverts ``dem_to_text`` on generated DEMs.
+duplicated or rewritten, it rejects digits that are not ASCII and
+priors with an ``_``, and it inverts ``dem_to_text`` on generated DEMs.
 """
 
 from functools import lru_cache
@@ -74,13 +74,25 @@ def _parsed_or_value_error(text):
         ("detectors 4 logicals \u0661\n", 1),
         ("detectors 4 logicals 1\n0.2 1 |\n0.1 \u0661 | 0\n", 3),
         ("detectors 4 logicals 2\n0.1 0 | \u0660\n", 2),
+        ("detectors 4 logicals 1\n\u0660.\u0661 0 | 0\n", 2),
+        ("detectors 4 logicals 1\n\uff10.\uff11 0 | 0\n", 2),
+        ("detectors 4 logicals 1\n0.1_5 0 | 0\n", 2),
+        ("detectors 4 logicals 1\n1_0e-2 0 | 0\n", 2),
     ],
-    ids=["fullwidth-count", "arabic-indic-count", "arabic-indic-detector", "arabic-indic-logical"],
+    ids=["fullwidth-count", "arabic-indic-count", "arabic-indic-detector", "arabic-indic-logical",
+         "arabic-indic-prior", "fullwidth-prior", "underscore-prior", "underscore-exponent-prior"],
 )
 def test_parse_dem_rejects_digits_that_are_not_ascii(text, line):
-    # str.isdecimal, int and float read these digits; dem_to_text writes ASCII
+    # str.isdecimal, int and float read these digits, and float reads "_"
+    # between them; dem_to_text writes ASCII digits only
     with pytest.raises(ValueError, match=f"^line {line}: "):
         noise.parse_dem(text)
+
+
+@pytest.mark.parametrize("prior,value", [("1e-1", 0.1), ("0.25", 0.25)])
+def test_parse_dem_reads_an_ascii_prior(prior, value):
+    dem = noise.parse_dem(f"detectors 4 logicals 1\n{prior} 0 | 0\n")
+    assert dem.probabilities.tolist() == [value]
 
 
 @given(text=st.text(max_size=200))
