@@ -5,7 +5,8 @@ Modules:
     codes     code construction, parameters, logical operators
     tableau   stabilizer-tableau simulator (verification oracle)
     circuit   syndrome-extraction circuit generation and checking
-    noise     circuit-level Pauli noise, sampling, detector error models
+    noise     circuit-level Pauli noise, sampling, building detector error models
+    dem       detector error models (DEMs) as arrays, their checks and text form
 """
 
 __version__ = "0.1.0"

@@ -83,19 +83,15 @@ class BinaryMatrix:
         return f"BinaryMatrix({self.rows}x{self.cols})"
 
 
-def _wrap(arr: np.ndarray) -> BinaryMatrix:
-    return BinaryMatrix(arr)
-
-
 def identity(m: int) -> BinaryMatrix:
     """m x m identity matrix. Rejects m < 1."""
     if m < 1:
         raise ValueError(f"invalid size {m}")
-    return _wrap(np.eye(m, dtype=np.uint8))
+    return BinaryMatrix(np.eye(m, dtype=np.uint8))
 
 
 def zeros(rows: int, cols: int) -> BinaryMatrix:
-    return _wrap(np.zeros((rows, cols), dtype=np.uint8))
+    return BinaryMatrix(np.zeros((rows, cols), dtype=np.uint8))
 
 
 def from_rows(rows: Iterable[Iterable[int]]) -> BinaryMatrix:
@@ -107,27 +103,26 @@ def matmul_mod2(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
     prod = (a.bits.astype(np.int64) @ b.bits.astype(np.int64)) & 1
-    return _wrap(prod.astype(np.uint8))
+    return BinaryMatrix(prod.astype(np.uint8))
 
 
 def transpose(a: BinaryMatrix) -> BinaryMatrix:
-    return _wrap(a.bits.T)
+    return BinaryMatrix(a.bits.T)
 
 
 def hstack(*ms: BinaryMatrix) -> BinaryMatrix:
     """Concatenate columns, left to right."""
     if not ms:
         raise ValueError("hstack needs at least one matrix")
-    return _wrap(np.hstack([m.bits for m in ms]))
+    return BinaryMatrix(np.hstack([m.bits for m in ms]))
 
 
 def vstack(*ms: BinaryMatrix) -> BinaryMatrix:
     if not ms:
         raise ValueError("vstack needs at least one matrix")
-    return _wrap(np.vstack([m.bits for m in ms]))
+    return BinaryMatrix(np.vstack([m.bits for m in ms]))
 
 
-# Packed rows: bit i of a row is bit i % 64 of little-endian word i // 64.
 WORD = np.dtype("<u8")
 
 
@@ -144,6 +139,40 @@ def unpack_rows(rows: np.ndarray, count: int) -> np.ndarray:
     """The first ``count`` bits of packed rows, as rows of 0/1 bytes."""
     raw = np.ascontiguousarray(rows, dtype=WORD).view(np.uint8)
     return np.unpackbits(raw, axis=1, count=count, bitorder="little")
+
+
+def _set_bits(rows: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, bit) of every set bit below ``count`` in packed rows, in
+    row-major order: ``np.nonzero(unpack_rows(rows, count))`` without
+    expanding each bit to a byte. One flat nonzero over a bool mask (numpy
+    scans bools fastest) finds the nonzero bytes, and one over
+    ``np.unpackbits`` of those bytes their set bits."""
+    raw = np.ascontiguousarray(rows, dtype=WORD).view(np.uint8)
+    byte = np.flatnonzero(raw != 0)
+    i = np.flatnonzero(np.unpackbits(raw.reshape(-1)[byte], bitorder="little").view(bool))
+    r, bit = np.divmod(byte[i >> 3] * 8 + (i & 7), raw.shape[1] * 8)
+    keep = bit < count
+    return r[keep], bit[keep]
+
+
+def _rows_differ(a: np.ndarray, b) -> np.ndarray:
+    """``(a != b).any(axis=1)`` for packed rows ``a`` and rows or a word ``b``,
+    word by word: numpy runs ``.any`` over a short last axis as a
+    per-column inner loop. Rows of no words are equal."""
+    out = np.zeros(len(a), dtype=bool)
+    for x, y in zip(a.T, np.broadcast_to(b, a.shape).T):
+        out |= x != y
+    return out
+
+
+def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, new): a stable ``np.lexsort`` order of packed rows, equal rows
+    together in row order, and whether each differs from the one before it."""
+    order = np.lexsort(rows.T) if rows.shape[1] else np.arange(len(rows))  # no words: all equal
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = _rows_differ(ranked[1:], ranked[:-1])
+    return order, new
 
 
 def row_echelon(m: BinaryMatrix) -> tuple[np.ndarray, list[int]]:
@@ -202,7 +231,7 @@ def kernel_basis(m: BinaryMatrix) -> list[BinaryMatrix]:
     free[pivot_cols] = False
     basis = np.eye(m.cols, dtype=np.uint8)[free]
     basis[:, pivot_cols] = rref[: len(pivot_cols), free].T
-    return [_wrap(v[None, :]) for v in basis]
+    return [BinaryMatrix(v[None, :]) for v in basis]
 
 
 def reduce_rows(rref: np.ndarray, pivots: Sequence[int], rows: np.ndarray) -> np.ndarray:

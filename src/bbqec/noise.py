@@ -25,23 +25,16 @@ flips, and one pair of gathers per layer writes that layer's variants.
 ``_fault_rows``, the one producer of table rows, walks the map's leading
 bits that its caller reads: ``build_dem`` the detectors and logicals,
 ``expected_detection_series`` the detectors and the sampler all. The
-DEM and the series combine the priors of independent slots by one rule
-(``_odd_probability``): a DEM column or a detector flips when an odd
-number of its slots fire. The sampler replays the table, each shot the
-XOR of the rows of the variants that its draws pick, and keeps the
-packed rows and each slot's first variant; a ``ShotBatch`` keeps the
-shots as those packed rows, and its arrays unpack them, so
-``_output_map`` alone states the bit order.
+sampler replays the table, each shot the XOR of the rows of the
+variants that its draws pick, and keeps the packed rows and each slot's
+first variant; a ``ShotBatch`` keeps the shots as those packed rows, and
+its arrays unpack them, so ``_output_map`` alone states the bit order.
 The walk and the sampler gather rows with ``ndarray.take(..., axis=0)``
 (``np.take``'s wrapper costs as much as a small gather) and scatter
 them as ``_cells``, one fixed-width ``np.void`` cell per row.
 ``enumerate_fault_variants`` returns the variant table as a ``FaultVariants`` view;
 the first read of a record makes them all, once, each field a column with one
-object per distinct value (``_shared``). ``_set_bits`` scans packed bytes flat,
-and one ``np.lexsort`` groups equal packed rows (``_group_rows``) for the DEM.
-A ``DetectorErrorModel`` is two arrays, float64 priors and the table's
-packed rows as signatures; its constructor checks the array rules, and
-``parse_dem``, the one reader of DEM text, the tokens and indices.
+object per distinct value (``_shared``).
 
 Noise channels and their fault slots (``_channel`` states each once,
 and the variant table and the sampler's draws both expand it):
@@ -72,9 +65,8 @@ at most ``_DRAW_BLOCK`` = 2**13 (round, live shot) entries, are made at
 once for all live shots (``_Channel.fires``): a logarithm guesses each
 gap and the table settles it, so the draws are the same bits on every
 platform, and at any block size. Numpy runs a per-column inner loop for
-``cumsum`` along axis 0, a 2-D ``nonzero`` and ``.any`` over a short last
-axis, so running sums down rounds are row adds, (round, shot) pairs come
-from one flat nonzero, and reductions over packed words go word by word.
+``cumsum`` along axis 0 and a 2-D ``nonzero``, so running sums down rounds
+are row adds and (round, shot) pairs come from one flat nonzero.
 """
 
 from __future__ import annotations
@@ -82,9 +74,9 @@ from __future__ import annotations
 import gc
 import numbers
 from collections.abc import Sequence
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -100,12 +92,13 @@ from .circuit import (
     gate_table,
 )
 from .codes import CssCode, LogicalOperatorSet, _as_int, logical_operator_set_for
+# perfbench calls dem_to_text and parse_dem as noise.dem_to_text and noise.parse_dem
+from .dem import DetectorErrorModel, _ColumnError, dem_to_text, parse_dem  # noqa: F401
 
 __all__ = [
     "DEFAULT_MASTER_SEED", "derive_shot_seed", "IDLE_POLICIES", "NoiseModel", "FaultVariant",
-    "FaultVariants", "enumerate_fault_variants", "ShotBatch", "run_monte_carlo",
-    "DemColumn", "DetectorErrorModel", "build_dem", "expected_detection_series", "dem_to_text",
-    "parse_dem",
+    "FaultVariants", "enumerate_fault_variants", "ShotBatch", "run_monte_carlo", "build_dem",
+    "expected_detection_series",
 ]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -630,20 +623,6 @@ def enumerate_fault_variants(
 # ---------------------------------------------------------------------------
 # fault-effect table (rows packed by ``gf2.pack_rows``)
 
-def _set_bits(rows: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(row, bit) of every set bit below ``count`` in packed rows, in
-    row-major order: ``np.nonzero(gf2.unpack_rows(rows, count))`` without
-    expanding each bit to a byte. One flat nonzero over a bool mask (numpy
-    scans bools fastest) finds the nonzero bytes, one over ``np.unpackbits``
-    of those bytes finds their set bits, and the bits at or past ``count``
-    are dropped."""
-    raw = np.ascontiguousarray(rows, dtype=gf2.WORD).view(np.uint8)
-    byte = np.flatnonzero(raw != 0)
-    i = np.flatnonzero(np.unpackbits(raw.reshape(-1)[byte], bitorder="little").view(bool))
-    r, bit = np.divmod(byte[i >> 3] * 8 + (i & 7), raw.shape[1] * 8)
-    keep = bit < count
-    return r[keep], bit[keep]
-
 
 def _output_map(prog: _Program) -> np.ndarray:
     """Row r: what raw output r alone flips, packed by ``gf2.pack_rows``,
@@ -823,7 +802,7 @@ class ShotBatch:
         if rows.dtype != gf2.WORD or rows.ndim != 2 or rows.shape[1] != -(-width // 64):
             raise ValueError(f"need 2-D {gf2.WORD} rows of ceil({width} / 64) words, got "
                              f"{rows.dtype} {rows.shape}")
-        if _rows_differ(rows[:, -1:] >> np.uint64((width - 1) % 64 + 1), 0).any():
+        if gf2._rows_differ(rows[:, -1:] >> np.uint64((width - 1) % 64 + 1), 0).any():
             raise ValueError(f"a row has a bit at or past the width {width}")
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
@@ -924,126 +903,7 @@ def run_monte_carlo(
 
 
 # ---------------------------------------------------------------------------
-# detector error model
-
-
-class DemColumn(NamedTuple):
-    """One merged fault mechanism, as ``DetectorErrorModel.columns`` reads it."""
-
-    probability: float
-    detectors: tuple[int, ...]
-    logicals: tuple[int, ...]
-
-
-class _ColumnError(ValueError):
-    """A rule that ``column`` breaks; ``parse_dem`` names its line and
-    ``build_dem`` its first variant."""
-
-    def __init__(self, column: int, rule: str):
-        super().__init__(f"column {column}: {rule}")
-        self.column, self.rule = column, rule
-
-
-@dataclass(frozen=True, eq=False)
-class DetectorErrorModel:
-    """Merged single-fault signatures for one memory basis, as two arrays.
-
-    Column j has the prior ``probabilities[j]`` and the signature
-    ``signatures[j]``, a ``gf2.pack_rows`` row in which bit d is detector
-    d and bit D + i is logical i (D detectors, K logicals), in the bit
-    order that ``_output_map`` states.
-
-    The constructor checks the arrays, keeps read-only copies and names
-    the first column that breaks a rule: counts are ints >= 0, priors a
-    float64 vector in (0, 1), signatures ``gf2.WORD`` rows of ceil((D + K)
-    / 64) words, one per prior, distinct (one ``_group_rows`` sort finds
-    a repeat), none with a bit past D + K.
-    """
-
-    detector_count: int
-    logical_count: int
-    probabilities: np.ndarray
-    signatures: np.ndarray
-
-    def __post_init__(self):
-        D, K = (_as_int(name, getattr(self, name)) for name in ("detector_count", "logical_count"))
-        if D < 0 or K < 0:
-            raise ValueError(f"detector and logical counts must be >= 0, got {D}, {K}")
-        p, s = np.array(self.probabilities), np.array(self.signatures)
-        shape = (len(p), -(-(D + K) // 64)) if p.ndim == 1 else None
-        if p.dtype != np.float64 or s.dtype != gf2.WORD or s.shape != shape:
-            raise ValueError(f"need float64 priors and {gf2.WORD} signatures {shape}, got "
-                             f"{p.dtype} {p.shape} and {s.dtype} {s.shape}")
-        for name, array in (("probabilities", p), ("signatures", s)):
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
-        order, new = _group_rows(s)
-        repeat = np.zeros(len(s), dtype=bool)
-        repeat[order] = ~new  # a column whose signature an earlier column has
-        # the last word's bits from D + K on (a shift by 64 gives 0)
-        past = _rows_differ(s[:, -1:] >> np.uint64((D + K - 1) % 64 + 1), 0)
-        bad = np.stack([~((0.0 < p) & (p < 1.0)), past, repeat])
-        if bad.any():
-            j = int(bad.any(axis=0).argmax())
-            rules = (f"probability {p[j]} outside (0,1)", f"a bit at or past D + K = {D + K}",
-                     f"duplicate column signature {self.columns[j][1:]}")
-            raise _ColumnError(j, rules[bad[:, j].argmax()])
-
-    def _supports(self) -> tuple[list[int], list[tuple[float, int, int, int]]]:
-        """(indices, spans) from one nonzero over the signatures: spans[j] is
-        (prior, lo, mid, hi), column j's detectors indices[lo:mid], logicals indices[mid:hi]."""
-        D = self.detector_count
-        r, c = _set_bits(self.signatures, D + self.logical_count)
-        # key 2j holds column j's detector bits, 2j + 1 its logical bits
-        cuts = np.searchsorted(2 * r + (c >= D), range(2 * len(self.probabilities) + 1)).tolist()
-        spans = zip(self.probabilities.tolist(), cuts[::2], cuts[1::2], cuts[2::2])
-        return np.where(c < D, c, c - D).tolist(), list(spans)
-
-    @cached_property
-    def columns(self) -> tuple[DemColumn, ...]:
-        """The columns as ``DemColumn``s."""
-        indices, spans = self._supports()
-        return tuple(DemColumn(p, tuple(indices[lo:mid]), tuple(indices[mid:hi]))
-                     for p, lo, mid, hi in spans)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DetectorErrorModel):
-            return NotImplemented
-        return all(map(np.array_equal, astuple(self), astuple(other)))
-
-    def dense(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(detector matrix D x N, logical matrix K x N, priors N): one unpack."""
-        D = self.detector_count
-        bits = gf2.unpack_rows(self.signatures, D + self.logical_count).T
-        return bits[:D].copy(), bits[D:].copy(), self.probabilities.copy()
-
-    def collisions(self) -> list[tuple[int, ...]]:
-        """Groups of columns with equal detectors (so unequal logicals), in
-        detector order, and an undetectable column that flips a logical."""
-        by_sig: dict[tuple[int, ...], list[int]] = {}
-        for j, col in enumerate(self.columns):
-            by_sig.setdefault(col.detectors, []).append(j)
-        return [tuple(js) for sig, js in sorted(by_sig.items())
-                if len(js) > 1 or not sig and self.columns[js[0]].logicals]
-
-
-def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(order, new): a stable ``np.lexsort`` order of packed rows, equal rows
-    together in row order, and whether each differs from the one before it."""
-    order = np.lexsort(rows.T) if rows.shape[1] else np.arange(len(rows))  # no words: all equal
-    ranked = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = _rows_differ(ranked[1:], ranked[:-1])
-    return order, new
-
-
-def _rows_differ(a: np.ndarray, b) -> np.ndarray:
-    """``(a != b).any(axis=1)`` for packed rows ``a`` and rows or a word ``b``,
-    word by word (the module docstring says why); rows of no words are equal."""
-    out = np.zeros(len(a), dtype=bool)
-    for x, y in zip(a.T, np.broadcast_to(b, a.shape).T):
-        out |= x != y
-    return out
+# detector error model and exact series
 
 
 def _odd_probability(key, slot, prior, count: int) -> np.ndarray:
@@ -1076,24 +936,22 @@ def build_dem(
 ) -> DetectorErrorModel:
     """Single-fault signatures from the fault-effect table, merged.
 
-    The table's rows are the variants' packed (detector, logical)
-    signatures, found without simulating any. The DEM keeps each distinct
-    nonzero row as a signature, in the order it first occurs, with the
-    prior that an odd number of the independent slots with it fire
-    (``_odd_probability``), in (0, 1) unless each of those slots flips it
-    surely. The constructor checks both arrays; the ValueError for a
-    column it rejects adds the slot kind, layer and prior of the column's
-    first variant. A code with no checks of the basis' type has D = 0, and
-    its columns flip logicals alone (none when K = 0). Cost: one backward
+    The DEM keeps each distinct nonzero table row as a signature, in the
+    order it first occurs, with the prior that an odd number of the
+    independent slots with it fire (``_odd_probability``), in (0, 1)
+    unless each of those slots flips it surely; a ValueError for a column
+    that the DEM rejects adds the slot kind, layer and prior of its first
+    variant. A code with no checks of the basis' type has D = 0, and its
+    columns flip logicals alone (none when K = 0). Cost: one backward
     walk, O(layers x qubits x outputs / 64) word operations, one lookup
     per variant and one sort of the packed signatures.
     """
     prog = _Program(code, circuit, basis, noise, logicals)
     D, K = prog.detector_count, prog.logical_mat.shape[0]
     var, rows = _fault_rows(prog, D + K)
-    seen = _rows_differ(rows, 0)  # the nonzero rows
+    seen = gf2._rows_differ(rows, 0)  # the nonzero rows
     rows, slot, prob = rows[seen], var.slot[seen], var.probability[seen]
-    order, new = _group_rows(rows)
+    order, new = gf2._group_rows(rows)
     first = order[new]
     prior = _odd_probability(np.cumsum(new) - 1, slot[order], prob[order], len(first))
     by_first = np.argsort(first)
@@ -1133,65 +991,8 @@ def expected_detection_series(
     var, rows = _fault_rows(prog, D)
     # (variant, detector) pairs that flip, by detector and then variant; a
     # stable sort on the smallest dtype that holds D is numpy's radix sort
-    v, d = _set_bits(rows, D)
+    v, d = gf2._set_bits(rows, D)
     order = np.argsort(d.astype(np.min_scalar_type(D)), kind="stable")
     v = v[order]
     p_odd = _odd_probability(d[order], var.slot[v], var.probability[v], D)
     return p_odd.reshape(prog.t + 1, A).mean(axis=1)
-
-
-def dem_to_text(dem: DetectorErrorModel) -> str:
-    indices, spans = dem._supports()
-    words = list(map(str, indices))
-    lines = [f"detectors {dem.detector_count} logicals {dem.logical_count}"]
-    lines += [" ".join([repr(p), *words[lo:mid], "|", *words[mid:hi]]) for p, lo, mid, hi in spans]
-    return "\n".join(lines) + "\n"
-
-
-def parse_dem(text: str) -> DetectorErrorModel:
-    """The DEM of ``dem_to_text``'s text. The line loop checks each line's ``|``
-    and float prior (ASCII, no ``_``), one array pass every index token (ASCII
-    decimal, strictly increasing, detectors in [0, D), logicals in [0, K)), the
-    constructor the rest, on the lines above the first bad one: errors name the first."""
-    lines = [(no, parts) for no, parts in enumerate(map(str.split, text.splitlines()), 1) if parts]
-    if not lines:
-        raise ValueError("empty detector error model")
-    (no, head), *body = lines
-    decimal = len(head) == 4 and all(c.isascii() and c.isdecimal() for c in head[1::2])
-    if not decimal or head[::2] != ["detectors", "logicals"]:
-        raise ValueError(f"line {no}: bad header {' '.join(head)!r}; counts must be ASCII decimal")
-    D, K = int(head[1]), int(head[3])
-    priors, groups, fault = [], [], None  # groups 2j and 2j + 1: line j's detectors, logicals
-    for no, parts in body:
-        try:
-            sep = parts.index("|")  # or ValueError: '|' is not in list
-            if not parts[0].isascii() or "_" in parts[0]:  # float reads other digits and _
-                raise ValueError(f"prior {parts[0]!r} must be ASCII with no '_'")
-            priors.append(float(parts[0]))
-        except ValueError as exc:
-            fault = ValueError(f"line {no}: {exc}")
-            break
-        groups += parts[1:sep], parts[sep + 1 :]
-    group = np.repeat(np.arange(len(groups)), list(map(len, groups)))
-    # a token that is not ASCII decimal reads -1 (int and float read other
-    # digits); a float is exact below 2**53 and keeps any larger token out of range
-    value = np.array([t if t.isdecimal() and t.isascii() else "-1" for t in chain(*groups)], float)
-    bad = (value < 0) | (value >= np.where(group % 2, K, D))
-    bad[1:] |= (group[1:] == group[:-1]) & (value[1:] <= value[:-1])
-    rows = len(priors)
-    if bad.any():  # on a line above any token fault, which ends the loop
-        g = int(group[bad.argmax()])
-        rows, what, count = g // 2, ("detector", "logical")[g % 2], (D, K)[g % 2]
-        fault = ValueError(f"line {body[rows][0]}: {what} indices {groups[g]}: "
-                           f"need strictly increasing ints in [0, {count})")
-    keep = group < 2 * rows
-    bit = (value[keep] + D * (group[keep] % 2)).astype(gf2.WORD)
-    signatures = np.zeros((rows, -(-(D + K) // 64)), dtype=gf2.WORD)
-    np.bitwise_or.at(signatures, (group[keep] // 2, bit // 64), np.uint64(1) << bit % 64)
-    try:
-        dem = DetectorErrorModel(D, K, np.array(priors[:rows], dtype=float), signatures)
-    except _ColumnError as exc:
-        raise ValueError(f"line {body[exc.column][0]}: {exc.rule}") from None
-    if fault is not None:
-        raise fault
-    return dem

@@ -247,3 +247,37 @@ def test_pack_rows_round_trips_with_bit_i_in_word_i_over_64(cols):
     i = np.arange(cols)
     assert np.array_equal((words[:, i // 64] >> (i % 64).astype(np.uint64)) & 1, bits)
     assert np.array_equal(gf2.unpack_rows(words, cols), bits)
+
+
+@st.composite
+def _packed_rows(draw):
+    """0-60 packed rows of 0-4 words, picked from a small pool: the zero
+    row, and up to three rows each with a twin that differs from it in the
+    last word only, so repeats, zero rows and last-word differences occur."""
+    words = draw(st.integers(0, 4))
+    word = st.sampled_from([0, 1, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+    pool = [(0,) * words]
+    for row in draw(st.lists(st.tuples(*[word] * words), max_size=3)) if words else ():
+        pool += [row, (*row[:-1], row[-1] ^ 1)]
+    n = draw(st.integers(0, 60))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return np.array(rows, dtype=gf2.WORD).reshape(n, words)
+
+
+@given(_packed_rows())
+@settings(max_examples=200, deadline=None)
+def test_word_by_word_row_helpers_match_the_any_forms(rows):
+    """``_rows_differ`` and ``_group_rows`` against ``.any(axis=1)``, the
+    forms they replace; rows of no words are all equal, and none is set."""
+    assert np.array_equal(gf2._rows_differ(rows, 0), rows.any(axis=1))
+    flipped = rows[::-1]
+    assert np.array_equal(gf2._rows_differ(rows, flipped), (rows != flipped).any(axis=1))
+    order, new = gf2._group_rows(rows)
+    # sorted on the words, the last word first, and in row order among equals
+    assert order.tolist() == sorted(range(len(rows)), key=lambda i: (rows[i].tolist()[::-1], i))
+    ranked = rows[order]
+    expected = np.ones(len(rows), dtype=bool)
+    expected[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    assert np.array_equal(new, expected)
+    if not rows.shape[1]:
+        assert new.sum() == min(1, len(rows))

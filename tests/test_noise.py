@@ -1,5 +1,6 @@
 """Noise engine: fault-effect table, sampler and detector error models."""
 
+import copy
 import gc
 import random
 from collections.abc import Sequence
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bbqec.dem
 from bbqec import gf2, noise
 from bbqec.circuit import (
     CZ,
@@ -31,7 +33,8 @@ from bbqec.codes import (
     logical_operator_set_for,
     verify_logicals,
 )
-from bbqec.noise import DemColumn, DetectorErrorModel, NoiseModel
+from bbqec.dem import DemColumn, DetectorErrorModel
+from bbqec.noise import NoiseModel
 from bbqec.tableau import StabilizerTableau
 
 NOISE = NoiseModel.device_rates()
@@ -497,7 +500,7 @@ def test_set_bits_match_nonzero_of_the_unpacked_rows(count):
             np.full((5, words), 2**64 - 1, dtype=np.uint64),
         ]
     for rows in cases:
-        got = noise._set_bits(rows, count)
+        got = gf2._set_bits(rows, count)
         want = np.nonzero(gf2.unpack_rows(rows, count))
         # the same pairs in the same order, so reductions over them match
         assert [g.tolist() for g in got] == [w.tolist() for w in want]
@@ -1365,40 +1368,6 @@ def test_dem_names_the_first_bad_column_as_a_column_loop_does(arrays):
         assert str(info.value) == expected
 
 
-@st.composite
-def _packed_rows(draw):
-    """0-60 packed rows of 0-4 words, picked from a small pool: the zero
-    row, and up to three rows each with a twin that differs from it in the
-    last word only, so repeats, zero rows and last-word differences occur."""
-    words = draw(st.integers(0, 4))
-    word = st.sampled_from([0, 1, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1)
-    pool = [(0,) * words]
-    for row in draw(st.lists(st.tuples(*[word] * words), max_size=3)) if words else ():
-        pool += [row, (*row[:-1], row[-1] ^ 1)]
-    n = draw(st.integers(0, 60))
-    rows = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
-    return np.array(rows, dtype=gf2.WORD).reshape(n, words)
-
-
-@given(_packed_rows())
-@settings(max_examples=200, deadline=None)
-def test_word_by_word_row_helpers_match_the_any_forms(rows):
-    """``_rows_differ`` and ``_group_rows`` against ``.any(axis=1)``, the
-    forms they replace; rows of no words are all equal, and none is set."""
-    assert np.array_equal(noise._rows_differ(rows, 0), rows.any(axis=1))
-    flipped = rows[::-1]
-    assert np.array_equal(noise._rows_differ(rows, flipped), (rows != flipped).any(axis=1))
-    order, new = noise._group_rows(rows)
-    # sorted on the words, the last word first, and in row order among equals
-    assert order.tolist() == sorted(range(len(rows)), key=lambda i: (rows[i].tolist()[::-1], i))
-    ranked = rows[order]
-    expected = np.ones(len(rows), dtype=bool)
-    expected[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    assert np.array_equal(new, expected)
-    if not rows.shape[1]:
-        assert new.sum() == min(1, len(rows))
-
-
 @pytest.mark.parametrize("counts", [(-1, 1), (4, -1)])
 def test_dem_rejects_negative_counts(counts):
     with pytest.raises(ValueError, match="counts must be >= 0"):
@@ -1494,6 +1463,19 @@ def test_dem_keeps_read_only_copies_and_compares_its_arrays():
         hash(dem)
 
 
+def test_dem_equality_copies_no_array(monkeypatch):
+    """``==`` compares the four fields in place: ``dataclasses.astuple``
+    would deep-copy both arrays of both sides."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("copy.deepcopy was called")
+
+    p, s = _arrays(((2, 3), ()), ((), (0,)))
+    dem, same = DetectorErrorModel(4, 1, p, s), DetectorErrorModel(4, 1, p, s)
+    monkeypatch.setattr(copy, "deepcopy", refuse)
+    assert dem == same and dem != replace(dem, logical_count=2, signatures=s)
+
+
 def test_dem_accepts_valid_columns_without_the_column_loop(monkeypatch):
     """Building, writing and checking a DEM make no ``DemColumn``: only
     the ``columns`` view does, and it reads the arrays."""
@@ -1504,7 +1486,7 @@ def test_dem_accepts_valid_columns_without_the_column_loop(monkeypatch):
     code = build_named_code("18-6-3")
     circ = build_syndrome_circuit(code, 2)
     expected = noise.build_dem(circ, NOISE, code=code).columns
-    monkeypatch.setattr(noise, "DemColumn", refuse)
+    monkeypatch.setattr(bbqec.dem, "DemColumn", refuse)
     dem = noise.build_dem(circ, NOISE, code=code)
     assert noise.parse_dem(noise.dem_to_text(dem)) == dem
     monkeypatch.undo()
@@ -1630,10 +1612,10 @@ def test_dense_matches_a_column_loop(basis):
     for j, col in enumerate(dem.columns):
         d[list(col.detectors), j] = 1
         l[list(col.logicals), j] = 1
-    got_d, got_l, got_p = dem.dense()
-    assert got_d.dtype == got_l.dtype == np.uint8
-    assert np.array_equal(got_d, d) and np.array_equal(got_l, l)
-    assert got_p.tolist() == [col.probability for col in dem.columns]
+    bits = gf2.unpack_rows(dem.signatures, dem.detector_count + dem.logical_count)
+    assert bits.dtype == np.uint8
+    assert np.array_equal(bits.T, np.vstack([d, l]))
+    assert dem.probabilities.tolist() == [col.probability for col in dem.columns]
 
 
 def test_collisions_group_columns_by_detectors():
@@ -1657,9 +1639,9 @@ def test_built_dems_have_no_collisions(cid, basis, t):
     circ = build_syndrome_circuit(code, t, basis=basis)
     dem = noise.build_dem(circ, NOISE, basis, code=code)
     assert dem.columns and dem.collisions() == []
-    # the signatures are the packed dense matrices, and the text holds them
-    d, l, _ = dem.dense()
-    assert np.array_equal(dem.signatures, gf2.pack_rows(np.vstack([d, l]).T))
+    # no signature has a bit at or past D + K, and the text holds them
+    bits = gf2.unpack_rows(dem.signatures, dem.detector_count + dem.logical_count)
+    assert np.array_equal(dem.signatures, gf2.pack_rows(bits))
     assert noise.parse_dem(noise.dem_to_text(dem)) == dem
 
 
@@ -1778,7 +1760,7 @@ def test_dem_text_round_trips():
     text = "detectors 4 logicals 1\n0.1 0 3 | 0\n0.2 1 2 |\n"
     dem = noise.parse_dem(text)
     assert noise.dem_to_text(dem) == text
-    d, l, p = dem.dense()
-    assert d.tolist() == [[1, 0], [0, 1], [0, 1], [1, 0]]
-    assert l.tolist() == [[1, 0]]
-    assert p.tolist() == [0.1, 0.2]
+    assert gf2.unpack_rows(dem.signatures, 4 + 1).tolist() == [[1, 0, 0, 1, 1], [0, 1, 1, 0, 0]]
+    assert dem.probabilities.tolist() == [0.1, 0.2]
+    # the benchmark calls them through noise
+    assert noise.dem_to_text is bbqec.dem.dem_to_text and noise.parse_dem is bbqec.dem.parse_dem

@@ -243,6 +243,16 @@ def test_the_tableau_oracle_imports_nothing_from_the_package():
     assert _package_imports(tree) == []
 
 
+def test_the_dem_imports_only_gf2_and_codes_and_gf2_nothing():
+    """A decoder reads a DEM without the noise stack, and the packed-row
+    scans it shares with ``noise`` live in ``gf2``, at the bottom."""
+    src = ROOT / "src" / "bbqec"
+    assert _package_imports(ast.parse((src / "dem.py").read_text())) == [
+        "from . import gf2", "from .codes import _as_int",
+    ]
+    assert _package_imports(ast.parse((src / "gf2.py").read_text())) == []
+
+
 def test_package_import_check_sees_relative_and_absolute_imports():
     source = (
         "from . import gf2\n"

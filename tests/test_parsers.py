@@ -2,8 +2,8 @@
 
 It rejects bad text with ``ValueError`` and nothing else, both on
 arbitrary text and on valid DEM files with a few lines dropped,
-duplicated or rewritten, it rejects digits that are not ASCII and
-priors with an ``_``, and it inverts ``dem_to_text`` on generated DEMs.
+duplicated or rewritten, it rejects text that is not ASCII and priors
+with an ``_``, and it inverts ``dem_to_text`` on generated DEMs.
 """
 
 from functools import lru_cache
@@ -78,13 +78,19 @@ def _parsed_or_value_error(text):
         ("detectors 4 logicals 1\n\uff10.\uff11 0 | 0\n", 2),
         ("detectors 4 logicals 1\n0.1_5 0 | 0\n", 2),
         ("detectors 4 logicals 1\n1_0e-2 0 | 0\n", 2),
+        ("detectors 4 logicals 1\n0.1\u20030 | 0", 2),
+        ("detectors\xa04 logicals 1", 1),
+        ("detectors 4 logicals 1\u20280.1 0 | 0", 1),
+        ("detectors 4 logicals 1\x850.1 0 | 0", 1),
     ],
     ids=["fullwidth-count", "arabic-indic-count", "arabic-indic-detector", "arabic-indic-logical",
-         "arabic-indic-prior", "fullwidth-prior", "underscore-prior", "underscore-exponent-prior"],
+         "arabic-indic-prior", "fullwidth-prior", "underscore-prior", "underscore-exponent-prior",
+         "em-space", "no-break-space", "line-separator", "next-line"],
 )
 def test_parse_dem_rejects_digits_that_are_not_ascii(text, line):
     # str.isdecimal, int and float read these digits, and float reads "_"
-    # between them; dem_to_text writes ASCII digits only
+    # between them; str.split reads these spaces, and str.splitlines ends a
+    # line at U+2028 and U+0085; dem_to_text writes ASCII only
     with pytest.raises(ValueError, match=f"^line {line}: "):
         noise.parse_dem(text)
 
