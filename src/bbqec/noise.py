@@ -10,8 +10,10 @@ Faults live in arrays. ``_Program``, the compiled noise program of one
 ``circuit.gate_table``, the one array form of a circuit, checked there
 against the code and basis; it adds an idle mask, a row per fault slot,
 the raw output that each measurement or readout gate records and the
-model's channels. Each public entry point builds one, and
-``_variants(prog)`` expands its slots by their channel's patterns.
+model's channels; ``_variants(prog)`` expands its slots by their
+channel's patterns. ``_compiled`` keeps the fault list's, the DEM's and
+the series' last program in a slot, for calls on the same circuit and
+code objects (held, so no id is reused) with an equal basis and model.
 ``_output_map`` states, by scatter, what each raw output (a check
 measurement or a data readout) flips, in one bit order: the DEM's
 detectors, the logicals, then the other checks' detections.
@@ -22,13 +24,13 @@ there would flip (the reverse pass of Stim's error analyser, Gidney
 2021, Quantum 5, 497). Each variant's row is the XOR of two rows of the
 walk's buffer, a leg's X, Y or Z row or the map row of the output it
 flips, and one pair of gathers per layer writes that layer's variants.
-``_fault_rows``, the one producer of table rows, walks the map's leading
-bits that its caller reads: ``build_dem`` the detectors and logicals,
-``expected_detection_series`` the detectors and the sampler all. The
-sampler replays the table, each shot the XOR of the rows of the
-variants that its draws pick, and keeps the packed rows and each slot's
-first variant; a ``ShotBatch`` keeps the shots as those packed rows, and
-its arrays unpack them, so ``_output_map`` alone states the bit order.
+``_fault_rows`` walks the map's leading bits that a reader reads, and the
+program keeps its variant table, and in the slot its last walk, for the
+next. The sampler compiles its own program, so the slot holds no
+full-width table, and replays the table, each shot the XOR of the rows
+of the variants that its draws pick; a ``ShotBatch`` keeps the shots as
+those packed rows, and its arrays unpack them, so ``_output_map`` alone
+states the bit order.
 The walk and the sampler gather rows with ``ndarray.take(..., axis=0)``
 (``np.take``'s wrapper costs as much as a small gather) and scatter
 them as ``_cells``, one fixed-width ``np.void`` cell per row.
@@ -250,14 +252,15 @@ class _Program:
     slot kind i. Check columns are ``code.checks``, the X checks, then
     the Z checks, and column j's ancilla is qubit n + j (the numbering
     rule of ``circuit``), so the memory-basis checks are the columns
-    ``aligned`` = [lo, hi).
+    ``aligned`` = [lo, hi). ``variants`` (made on first read) and ``walk``
+    (``_fault_rows``) are read-only, as readers share them.
     """
 
-    def __init__(self, code: CssCode, circuit: Circuit, basis: str, noise: NoiseModel,
-                 logicals: LogicalOperatorSet | None = None):
+    def __init__(self, code: CssCode, circuit: Circuit, basis: str, noise: NoiseModel):
         self.table = table = gate_table(circuit, code, basis)
-        self.code, self.circuit, self.basis = code, circuit, basis
+        self.code, self.circuit, self.basis, self.noise = code, circuit, basis, noise
         self.n, self.t = code.n, circuit.cycles
+        self.walk: tuple | None = None
 
         self.check_labels = tuple(f"{k}{r}" for k, r in code.checks)
         self.check_count = len(self.check_labels)
@@ -265,7 +268,6 @@ class _Program:
         self.aligned = (nx, self.check_count) if basis == "Z" else (0, nx)
         self.aligned_cols = np.arange(*self.aligned)
         self.support = (code.retained_h_z() if basis == "Z" else code.retained_h_x()).bits
-        self._logicals = logicals
 
         kinds, nq, n = table.kind, circuit.qubit_count, self.n
         layer = np.repeat(np.arange(len(kinds)), np.diff(table.start))
@@ -308,17 +310,23 @@ class _Program:
         ], axis=1)
         is_idle = np.arange(rows.shape[1]) >= np.count_nonzero(keep)
         rows = rows[:, np.argsort(2 * rows[0] + is_idle, kind="stable")].astype(np.int32)
+        for array in (rows, flip, self.aligned_cols):  # before any view of them is taken
+            array.setflags(write=False)
         self.slot_layer, self.slot_kind, self.slot_flip = rows[0], rows[1], rows[4]
         self.slot_legs = rows[2:4]
         self.channels = [_channel(kind, noise) for kind in _SLOT_KINDS]
 
     @cached_property
-    def logical_mat(self) -> np.ndarray:
-        """Memory-basis logical operators, one row each, resolved on first
-        use (enumerating faults needs none; ``compute_logicals`` can be
-        costly). ValueError unless they act on the code's n qubits and each
+    def variants(self) -> _Variants:
+        var = _variants(self)
+        for column in var:
+            column.setflags(write=False)
+        return var
+
+    def logical_mat(self, logicals: LogicalOperatorSet | None) -> np.ndarray:
+        """Memory-basis logical operators of ``logicals`` (None: the code's), one
+        row each. ValueError unless they act on the code's n qubits and each
         has even overlap with every retained check of the other type."""
-        logicals = self._logicals
         if logicals is None:
             logicals = logical_operator_set_for(self.code)
         if logicals.n != self.n:
@@ -336,9 +344,8 @@ class _Program:
     def detector_count(self) -> int:
         return (self.t + 1) * len(self.aligned_cols)
 
-    @property
-    def output_bits(self) -> int:  # the width of ``_output_map``
-        return self.t * self.check_count + len(self.aligned_cols) + len(self.logical_mat)
+    def output_bits(self, logicals: int) -> int:  # the width of ``_output_map``
+        return self.t * self.check_count + len(self.aligned_cols) + logicals
 
     # Raw outputs are the recorded outcomes that faults flip: check
     # measurement (c, j) is bit c * checks + j, data readout q is bit
@@ -353,6 +360,21 @@ class _Program:
 
     def rd_bit(self, q):
         return self.t * self.check_count + q
+
+
+_slot: _Program | None = None  # the last program that ``_compiled`` made
+
+
+def _compiled(code: CssCode, circuit: Circuit, basis: str, noise: NoiseModel) -> _Program:
+    """The slot's program if it fits (module docstring), else a new one that takes the slot."""
+    global _slot
+    prog = _slot  # read once, as another thread may fill the slot meanwhile
+    hit = prog is not None and prog.circuit is circuit and prog.code is code
+    if not (hit and prog.basis == basis and prog.noise == noise):
+        if prog is not None:  # a view may keep the old program, but not its walk
+            prog.walk = None
+        prog = _slot = _Program(code, circuit, basis, noise)
+    return prog
 
 
 class _Pattern(NamedTuple):
@@ -555,11 +577,11 @@ def _shared(values: np.ndarray, make) -> list:
 
 
 class FaultVariants(Sequence):
-    """A read-only view of one ``enumerate_fault_variants`` call's variant table, in slot
-    order. ``len`` reads its slot column; the first record read makes every record, once."""
+    """A read-only view of a program's variant table, in slot order. ``len`` reads its slot
+    column; the first record read makes every record, once."""
 
-    def __init__(self, prog: _Program, var: _Variants):
-        self._prog, self._var = prog, var
+    def __init__(self, prog: _Program):
+        self._prog, self._var = prog, prog.variants
 
     def __len__(self) -> int:
         return len(self._var.slot)
@@ -616,15 +638,14 @@ def enumerate_fault_variants(
 ) -> FaultVariants:
     """Every nonzero-probability single-fault realization, in slot order (they do not
     depend on the memory basis), as a view that makes no record until one is read."""
-    prog = _Program(code, circuit, circuit.basis or "Z", noise)
-    return FaultVariants(prog, _variants(prog))
+    return FaultVariants(_compiled(code, circuit, circuit.basis or "Z", noise))
 
 
 # ---------------------------------------------------------------------------
 # fault-effect table (rows packed by ``gf2.pack_rows``)
 
 
-def _output_map(prog: _Program) -> np.ndarray:
+def _output_map(prog: _Program, logical: np.ndarray) -> np.ndarray:
     """Row r: what raw output r alone flips, packed by ``gf2.pack_rows``,
     in the bit order of the DEM's signatures and of ``ShotBatch.rows``.
     With A memory-basis and O other checks, D = (t + 1) A and K logicals:
@@ -642,13 +663,12 @@ def _output_map(prog: _Program) -> np.ndarray:
     are the XOR of the rows of the raw outputs that it flips.
     """
     t, checks, (lo, hi) = prog.t, prog.check_count, prog.aligned
-    A, D, logical = hi - lo, prog.detector_count, prog.logical_mat
-    K, col = len(logical), np.arange(checks)
+    A, D, K, col = hi - lo, prog.detector_count, len(logical), np.arange(checks)
     # det[c, j]: the bit of check column j's detection in cycle c + 1
     c = np.arange(t)[:, None]
     other = D + K + c * (checks - A) + np.where(col < lo, col, col - A)
     det = np.where((lo <= col) & (col < hi), c * A + col - lo, other)
-    out = np.zeros((prog.raw_bits + 1, prog.output_bits), dtype=np.uint8)
+    out = np.zeros((prog.raw_bits + 1, prog.output_bits(K)), dtype=np.uint8)
     dm = prog.dm_bit(c, col)
     out[dm, det] = 1
     out[dm[:-2], det[2:]] = 1
@@ -722,15 +742,30 @@ def _fault_table(prog: _Program, var: _Variants, out_map: np.ndarray) -> np.ndar
     return rows
 
 
-def _fault_rows(prog: _Program, bits: int) -> tuple[_Variants, np.ndarray]:
-    """(``_variants(prog)``, their ``_fault_table`` rows on the first
-    ``bits`` bits of ``_output_map``): the walk reads ceil(bits / 64)
-    words of the map, with the bits at or past ``bits`` cleared."""
-    out_map = _output_map(prog)[:, : -(-bits // 64)].copy()
+def _first_bits(rows: np.ndarray, bits: int) -> np.ndarray:
+    """A copy of packed rows' first ``bits`` bits, in ceil(bits / 64) words."""
+    rows = rows[:, : -(-bits // 64)].copy()
     if bits % 64:
-        out_map[:, -1] &= np.uint64((1 << bits % 64) - 1)
-    var = _variants(prog)
-    return var, _fault_table(prog, var, out_map)
+        rows[:, -1] &= np.uint64((1 << bits % 64) - 1)
+    return rows
+
+
+def _fault_rows(prog: _Program, logicals, bits: int | None = None):
+    """(``prog.logical_mat(logicals)``, the ``_fault_table`` rows of ``prog.variants`` on
+    the first ``bits`` bits, D + K if None, of their ``_output_map``). ``prog.walk``, the
+    last walk (bits, logicals, their matrix, rows), serves when it covers ``bits`` and had
+    these logicals or ``bits`` <= D, as detectors read no logical; else a new walk replaces it."""
+    walked, kept, logical, rows = prog.walk or (-1, None, None, None)
+    if logical is None or kept is not logicals:
+        logical = prog.logical_mat(logicals)
+    D = prog.detector_count
+    bits = D + len(logical) if bits is None else bits
+    if walked < bits or (bits > D and kept is not logicals):
+        prog.walk = rows = None  # the old rows go before the new are made
+        rows = _fault_table(prog, prog.variants, _first_bits(_output_map(prog, logical), bits))
+        rows.setflags(write=False)
+        prog.walk, walked = (bits, logicals, logical, rows), bits
+    return logical, rows if walked == bits else _first_bits(rows, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -748,13 +783,14 @@ def _fired(prog: _Program, first: np.ndarray, keys: np.ndarray):
                 yield shot, base[pos] + pick
 
 
-def _sampler(prog: _Program):
+def _sampler(prog: _Program, logical: np.ndarray):
     """A function from shot keys (one uint64 each) to the shots' outputs,
     packed rows in the bit order of ``_output_map``: each shot is the XOR
     of the table rows of the variants that its draws fire, gathered with
     ``take`` and scattered as ``_cells``. It keeps only the rows, each
     slot's first variant and the program."""
-    var, rows = _fault_rows(prog, prog.output_bits)
+    var = _variants(prog)
+    rows = _fault_table(prog, var, _output_map(prog, logical))
     first = np.searchsorted(var.slot, np.arange(len(prog.slot_kind)))
 
     def sample(keys: np.ndarray) -> np.ndarray:
@@ -881,7 +917,7 @@ def run_monte_carlo(
     batch_size: int = 4096,
 ) -> ShotBatch:
     """Sample many shots deterministically, by replaying the fault-effect
-    table of the call's compiled program.
+    table of a program of the call's own (not ``_compiled``'s).
 
     Shot i uses the key derive_shot_seed(master_seed, i), and its draws
     depend only on that key, so the batch partition cannot change any
@@ -893,13 +929,14 @@ def run_monte_carlo(
     master_seed = _as_int("master_seed", master_seed)
     if shots < 1 or batch_size < 1:
         raise ValueError("shots and batch_size must be >= 1")
-    prog = _Program(code, circuit, basis, noise, logicals)
-    sample = _sampler(prog)
-    rows = np.empty((shots, -(-prog.output_bits // 64)), dtype=gf2.WORD)
+    prog = _Program(code, circuit, basis, noise)
+    logical = prog.logical_mat(logicals)
+    sample = _sampler(prog, logical)
+    rows = np.empty((shots, -(-prog.output_bits(len(logical)) // 64)), dtype=gf2.WORD)
     for start in range(0, shots, batch_size):
         count = min(batch_size, shots - start)
         rows[start : start + count] = sample(_derive_keys(master_seed, start, count))
-    return ShotBatch(basis, prog.t, prog.check_labels, len(prog.logical_mat), rows)
+    return ShotBatch(basis, prog.t, prog.check_labels, len(logical), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -942,13 +979,13 @@ def build_dem(
     unless each of those slots flips it surely; a ValueError for a column
     that the DEM rejects adds the slot kind, layer and prior of its first
     variant. A code with no checks of the basis' type has D = 0, and its
-    columns flip logicals alone (none when K = 0). Cost: one backward
-    walk, O(layers x qubits x outputs / 64) word operations, one lookup
-    per variant and one sort of the packed signatures.
+    columns flip logicals alone (none when K = 0). Cost: at most one
+    backward walk (``_fault_rows``), O(layers x qubits x outputs / 64) word
+    operations, one lookup per variant and one sort of the signatures.
     """
-    prog = _Program(code, circuit, basis, noise, logicals)
-    D, K = prog.detector_count, prog.logical_mat.shape[0]
-    var, rows = _fault_rows(prog, D + K)
+    prog = _compiled(code, circuit, basis, noise)
+    logical, rows = _fault_rows(prog, logicals)
+    D, K, var = prog.detector_count, len(logical), prog.variants
     seen = gf2._rows_differ(rows, 0)  # the nonzero rows
     rows, slot, prob = rows[seen], var.slot[seen], var.probability[seen]
     order, new = gf2._group_rows(rows)
@@ -983,16 +1020,16 @@ def expected_detection_series(
     many-shot limit. ``logicals`` is unused: the series reads no logical.
     ValueError if the code has no checks of the basis' type.
     """
-    # no logical rows: the table holds the detectors alone
-    prog = _Program(code, circuit, basis, noise, LogicalOperatorSet(code.n, (), ()))
+    prog = _compiled(code, circuit, basis, noise)
     A, D = len(prog.aligned_cols), prog.detector_count
     if not A:
         raise ValueError(f"no {basis}-type checks in code {code.name}")
-    var, rows = _fault_rows(prog, D)
+    # no logical rows: the detectors do not depend on them
+    _, rows = _fault_rows(prog, LogicalOperatorSet(code.n, (), ()), D)
     # (variant, detector) pairs that flip, by detector and then variant; a
     # stable sort on the smallest dtype that holds D is numpy's radix sort
     v, d = gf2._set_bits(rows, D)
     order = np.argsort(d.astype(np.min_scalar_type(D)), kind="stable")
-    v = v[order]
+    v, var = v[order], prog.variants
     p_odd = _odd_probability(d[order], var.slot[v], var.probability[v], D)
     return p_odd.reshape(prog.t + 1, A).mean(axis=1)

@@ -251,17 +251,21 @@ def test_pack_rows_round_trips_with_bit_i_in_word_i_over_64(cols):
 
 @st.composite
 def _packed_rows(draw):
-    """0-60 packed rows of 0-4 words, picked from a small pool: the zero
+    """0-60 packed rows of 0-8 words, picked from a small pool: the zero
     row, and up to three rows each with a twin that differs from it in the
-    last word only, so repeats, zero rows and last-word differences occur."""
-    words = draw(st.integers(0, 4))
+    last word only, so repeats, zero rows and last-word differences occur;
+    then some word columns are cleared in every row, so that rows of more
+    words than rows have words that no row sets."""
+    words = draw(st.integers(0, 8))
     word = st.sampled_from([0, 1, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1)
     pool = [(0,) * words]
     for row in draw(st.lists(st.tuples(*[word] * words), max_size=3)) if words else ():
         pool += [row, (*row[:-1], row[-1] ^ 1)]
     n = draw(st.integers(0, 60))
-    rows = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
-    return np.array(rows, dtype=gf2.WORD).reshape(n, words)
+    rows = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
+                    dtype=gf2.WORD).reshape(n, words)
+    rows[:, draw(st.lists(st.integers(0, words - 1), max_size=words)) if words else []] = 0
+    return rows
 
 
 @given(_packed_rows())
@@ -272,6 +276,7 @@ def test_word_by_word_row_helpers_match_the_any_forms(rows):
     assert np.array_equal(gf2._rows_differ(rows, 0), rows.any(axis=1))
     flipped = rows[::-1]
     assert np.array_equal(gf2._rows_differ(rows, flipped), (rows != flipped).any(axis=1))
+    assert np.array_equal(gf2._rows_differ(rows, 1), (rows != 1).any(axis=1))
     order, new = gf2._group_rows(rows)
     # sorted on the words, the last word first, and in row order among equals
     assert order.tolist() == sorted(range(len(rows)), key=lambda i: (rows[i].tolist()[::-1], i))

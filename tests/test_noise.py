@@ -2,10 +2,13 @@
 
 import copy
 import gc
+import os
 import random
+import sys
+import threading
 from collections.abc import Sequence
 from dataclasses import replace
-from itertools import chain
+from itertools import chain, permutations
 
 import numpy as np
 import pytest
@@ -103,9 +106,10 @@ def _table_outputs(code, circ, basis, logicals, picked):
     """The picked variants' rows of the fault-effect table that the
     sampler reads, as the arrays of a ``ShotBatch`` that holds them:
     detections (t x checks), final comparisons and logical flips."""
-    prog = noise._Program(code, circ, basis, NOISE, logicals)
-    _, rows = noise._fault_rows(prog, prog.output_bits)
-    batch = noise.ShotBatch(basis, prog.t, prog.check_labels, len(prog.logical_mat), rows[picked])
+    prog = noise._Program(code, circ, basis, NOISE)
+    logical = prog.logical_mat(logicals)
+    rows = noise._fault_table(prog, prog.variants, noise._output_map(prog, logical))
+    batch = noise.ShotBatch(basis, prog.t, prog.check_labels, len(logical), rows[picked])
     return batch.detections, batch.final_syndrome, batch.logical_flips
 
 
@@ -200,7 +204,7 @@ def _detector_parts(prog, raw):
     final = (rd @ prog.support.T.astype(np.int64)) % 2 ^ dm[:, -1, prog.aligned_cols]
     if t >= 2:
         final ^= dm[:, -2, prog.aligned_cols]
-    logical = (rd @ prog.logical_mat.T.astype(np.int64)) % 2
+    logical = (rd @ prog.logical_mat(None).T.astype(np.int64)) % 2
     return det.astype(np.uint8), final.astype(np.uint8), logical.astype(np.uint8)
 
 
@@ -229,9 +233,10 @@ def test_table_rows_match_forward_frame_propagation(basis):
     expected = _forward_raw_outputs(code, circ, variants)
     assert np.array_equal(gf2.unpack_rows(rows, prog.raw_bits), expected)
     # the sampler's table: the same raw outputs, in detector form
-    _, rows = noise._fault_rows(prog, prog.output_bits)
+    logical = prog.logical_mat(None)
+    rows = noise._fault_table(prog, var, noise._output_map(prog, logical))
     assert np.array_equal(
-        gf2.unpack_rows(rows, prog.output_bits), _detector_form(prog, expected)
+        gf2.unpack_rows(rows, prog.output_bits(len(logical))), _detector_form(prog, expected)
     )
 
 
@@ -312,17 +317,19 @@ def test_fault_table_is_the_four_gather_walk(case):
     code = build_named_code(cid, trust_table_distance=True)
     for basis in ("Z", "X"):
         prog = noise._Program(code, build_syndrome_circuit(code, t, basis=basis), basis, model)
-        _assert_table_is_the_four_gather_walk(prog, noise._output_map(prog))
+        _assert_table_is_the_four_gather_walk(
+            prog, noise._output_map(prog, prog.logical_mat(None))
+        )
 
 
 def test_fault_table_of_no_words_is_the_four_gather_walk():
     """A basis with no detectors and no logicals walks a map of no words."""
     code = CHECKS_OF_ONE_TYPE["k0"]
     prog = noise._Program(code, build_syndrome_circuit(code, 2, basis="X"), "X", NOISE)
-    assert prog.detector_count == len(prog.logical_mat) == 0
-    _, rows = noise._fault_rows(prog, 0)
+    logical, rows = noise._fault_rows(prog, None)
+    assert prog.detector_count == len(logical) == 0
     assert rows.shape == (len(noise._variants(prog).slot), 0)
-    _assert_table_is_the_four_gather_walk(prog, noise._output_map(prog)[:, :0])
+    _assert_table_is_the_four_gather_walk(prog, noise._output_map(prog, logical)[:, :0])
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 7])
@@ -331,11 +338,12 @@ def test_fault_table_of_no_words_is_the_four_gather_walk():
 def test_output_map_is_the_detector_formula(cid, basis, t):
     code = build_named_code(cid)
     circ = build_syndrome_circuit(code, t, basis=basis)
-    prog = noise._Program(code, circ, basis, NOISE, logical_operator_set_for(code))
+    prog = noise._Program(code, circ, basis, NOISE)
     eye = np.eye(prog.raw_bits + 1, prog.raw_bits, dtype=np.uint8)
     expected = _detector_form(prog, eye)
-    out_map = noise._output_map(prog)
-    width = prog.output_bits
+    logical = prog.logical_mat(logical_operator_set_for(code))
+    out_map = noise._output_map(prog, logical)
+    width = prog.output_bits(len(logical))
     assert out_map.dtype == gf2.WORD and out_map.shape == (len(eye), -(-width // 64))
     assert expected.shape[1] == width
     assert np.array_equal(gf2.unpack_rows(out_map, 64 * out_map.shape[1])[:, :width], expected)
@@ -351,23 +359,24 @@ def test_one_table_one_detector_order(cid, basis, t):
     code = build_named_code(cid)
     circ = build_syndrome_circuit(code, t, basis=basis)
     prog = noise._Program(code, circ, basis, NOISE)
-    A, D, K = len(prog.aligned_cols), prog.detector_count, len(prog.logical_mat)
+    logical = prog.logical_mat(None)
+    A, D, K = len(prog.aligned_cols), prog.detector_count, len(logical)
     assert D == (t + 1) * A and K > 0
-    _, table = noise._fault_rows(prog, prog.output_bits)
-    _, dem = noise._fault_rows(prog, D + K)
+    table = noise._fault_table(prog, prog.variants, noise._output_map(prog, logical))
+    _, dem = noise._fault_rows(prog, None)
     assert dem.shape == (len(table), -(-(D + K) // 64))
     assert np.array_equal(gf2.unpack_rows(dem, D + K), gf2.unpack_rows(table, D + K))
     assert not gf2.unpack_rows(dem, 64 * dem.shape[1])[:, D + K :].any()
     # the DEM's bits are its signature order: the memory-basis detections
     # of each cycle, the final block and the logicals
     eye = np.eye(prog.raw_bits + 1, prog.raw_bits, dtype=np.uint8)
-    det, final, logical = _detector_parts(prog, eye)
+    det, final, flips = _detector_parts(prog, eye)
     signature = np.concatenate(
-        [det[:, :, prog.aligned_cols].reshape(len(eye), -1), final, logical], axis=1
+        [det[:, :, prog.aligned_cols].reshape(len(eye), -1), final, flips], axis=1
     )
-    assert np.array_equal(gf2.unpack_rows(noise._output_map(prog), D + K), signature)
+    assert np.array_equal(gf2.unpack_rows(noise._output_map(prog, logical), D + K), signature)
     shots, seed = 200, 21
-    rows = noise._sampler(prog)(noise._derive_keys(seed, 0, shots))
+    rows = noise._sampler(prog, logical)(noise._derive_keys(seed, 0, shots))
     for size in (64, 200):  # the batch holds one sampler call's rows, at any batch size
         batch = noise.run_monte_carlo(circ, NOISE, shots, basis, code=code, master_seed=seed,
                                       batch_size=size)
@@ -386,8 +395,9 @@ def test_a_code_with_checks_of_one_type_samples(basis):
     logicals = LogicalOperatorSet(3, ((0, 1, 2),), ((0,),))
     circ = build_syndrome_circuit(code, 3, basis=basis)
     shots = 200
-    prog = noise._Program(code, circ, basis, NOISE, logicals)
-    rows = noise._sampler(prog)(noise._derive_keys(4, 0, shots))
+    prog = noise._Program(code, circ, basis, NOISE)
+    logical = prog.logical_mat(logicals)
+    rows = noise._sampler(prog, logical)(noise._derive_keys(4, 0, shots))
     for size in (64, 200):
         batch = noise.run_monte_carlo(circ, NOISE, shots, basis, code=code, logicals=logicals,
                                       master_seed=4, batch_size=size)
@@ -397,7 +407,7 @@ def test_a_code_with_checks_of_one_type_samples(basis):
     got = np.concatenate(
         [batch.detector_matrix(), batch.logical_flips, other.reshape(shots, -1)], axis=1
     )
-    assert np.array_equal(got, gf2.unpack_rows(rows, prog.output_bits))
+    assert np.array_equal(got, gf2.unpack_rows(rows, prog.output_bits(len(logical))))
 
 
 def test_fault_records_are_immutable_named_tuples():
@@ -920,7 +930,7 @@ def test_wide_code_sampling_matches_the_reference(basis):
         circ, NOISE, shots, basis, code=code, logicals=logicals, master_seed=seed,
         batch_size=128,
     )
-    prog = noise._Program(code, circ, basis, NOISE, logicals)
+    prog = noise._Program(code, circ, basis, NOISE)
     var = noise._variants(prog)
     rows = noise._fault_table(prog, var, _identity_map(prog))
     first = np.searchsorted(var.slot, np.arange(len(prog.slot_kind)))
@@ -1021,8 +1031,10 @@ def test_rate_one_flips_every_slot():
         # so every shot flips the first ``flipped`` raw outputs and no other
         raw = np.zeros((shots, prog.raw_bits), dtype=np.uint8)
         raw[:, :flipped] = 1
-        rows = noise._sampler(prog)(keys)
-        assert np.array_equal(gf2.unpack_rows(rows, prog.output_bits), _detector_form(prog, raw))
+        logical = prog.logical_mat(None)
+        rows = noise._sampler(prog, logical)(keys)
+        width = prog.output_bits(len(logical))
+        assert np.array_equal(gf2.unpack_rows(rows, width), _detector_form(prog, raw))
 
 
 def test_the_draw_block_sets_no_output(monkeypatch):
@@ -1048,7 +1060,7 @@ def test_the_sampler_keeps_no_variant_table():
     code = build_named_code("18-6-3")
     circ = build_syndrome_circuit(code, 2)
     prog = noise._Program(code, circ, "Z", NOISE)
-    sample = noise._sampler(prog)
+    sample = noise._sampler(prog, prog.logical_mat(None))
     held = dict(zip(sample.__code__.co_freevars, (c.cell_contents for c in sample.__closure__)))
     # everything the closure reaches through containers and programs
     todo, seen = list(held.values()), set()
@@ -1231,6 +1243,200 @@ def test_a_miswired_measurement_is_rejected(kind, qubit, message):
         noise.build_dem(circ, NOISE, code=code)
     with pytest.raises(ValueError, match=message):
         verify_circuit(circ, code)
+
+
+# ---- one compiled program for the DEM-path readers ----
+
+
+def _dem_path_readers(logicals):
+    """The three readers that share ``noise._compiled``'s program, each to
+    bytes: the records, the DEM text and the series."""
+    return {
+        "variants": lambda c, code, basis: repr(tuple(
+            noise.enumerate_fault_variants(c, NOISE, code=code))).encode(),
+        "dem": lambda c, code, basis: noise.dem_to_text(
+            noise.build_dem(c, NOISE, basis, code=code, logicals=logicals)).encode(),
+        "series": lambda c, code, basis: noise.expected_detection_series(
+            c, NOISE, code=code, basis=basis, logicals=logicals).tobytes(),
+    }
+
+
+def _count_compiles(monkeypatch):
+    """Spies on ``_Program`` and ``_fault_table``: the lists of programs
+    made and of the programs that walked."""
+    programs, walks = [], []
+    program, fault_table = noise._Program, noise._fault_table
+
+    def counted_program(*args):
+        programs.append(program(*args))
+        return programs[-1]
+
+    def counted_walk(prog, *args):
+        walks.append(prog)
+        return fault_table(prog, *args)
+
+    monkeypatch.setattr(noise, "_Program", counted_program)
+    monkeypatch.setattr(noise, "_fault_table", counted_walk)
+    return programs, walks
+
+
+def test_the_dem_path_compiles_and_walks_once_per_basis(monkeypatch):
+    """The benchmark's sequence: the fault list, the DEM and its text, then
+    the series, on one circuit per basis."""
+    code = build_named_code("36-4-6", trust_table_distance=True)
+    logicals = logical_operator_set_for(code)
+    programs, walks = _count_compiles(monkeypatch)
+    for count, basis in enumerate(("Z", "X"), 1):
+        circ = build_syndrome_circuit(code, 3, basis=basis)
+        assert len(noise.enumerate_fault_variants(circ, NOISE, code=code))
+        dem = noise.build_dem(circ, NOISE, basis, code=code, logicals=logicals)
+        assert noise.parse_dem(noise.dem_to_text(dem)) == dem
+        noise.expected_detection_series(circ, NOISE, code=code, basis=basis, logicals=logicals)
+        assert len(programs) == len(walks) == count and walks[-1] is programs[-1]
+
+
+@pytest.mark.parametrize("basis", ["Z", "X"])
+@pytest.mark.parametrize("cid", ["18-4-4-pruned", "18-6-3"])
+def test_the_dem_path_readers_agree_in_every_order(cid, basis):
+    code = build_named_code(cid)
+    circ = build_syndrome_circuit(code, 2, basis=basis)
+    readers = _dem_path_readers(logical_operator_set_for(code))
+    fresh = {name: read(replace(circ), code, basis) for name, read in readers.items()}
+    for order in permutations(readers):
+        shared = replace(circ)
+        for name in order:
+            assert readers[name](shared, code, basis) == fresh[name], (order, name)
+
+
+def test_the_dem_follows_a_change_of_logicals():
+    """L' adds one logical to another, a basis of the same space: the
+    same columns, priors and detectors, other logical bits."""
+    code = build_named_code("18-4-4-pruned")
+    circ = build_syndrome_circuit(code, 2)
+    given = logical_operator_set_for(code)
+
+    def added(supports):
+        return (tuple(sorted(set(supports[0]) ^ set(supports[1]))), *supports[1:])
+
+    other = LogicalOperatorSet(code.n, added(given.x_supports), added(given.z_supports))
+    dems = [noise.build_dem(circ, NOISE, code=code, logicals=L) for L in (given, other, given)]
+    for dem, L in zip(dems, (given, other, given)):
+        assert dem == noise.build_dem(replace(circ), NOISE, code=code, logicals=L)
+    first, second = dems[0].columns, dems[1].columns
+    assert [c.detectors for c in first] == [c.detectors for c in second]
+    assert dems[0].probabilities.tobytes() == dems[1].probabilities.tobytes()
+    assert [c.logicals for c in first] != [c.logicals for c in second]
+
+
+def test_a_kept_walk_keeps_the_logicals_it_resolved(monkeypatch):
+    """With no logicals given, a second DEM of the same program reads the
+    first one's resolved logicals, as it reads its walk."""
+    code = build_named_code("36-4-6", trust_table_distance=True)
+    circ = build_syndrome_circuit(code, 2)
+    resolved = []
+
+    def counted(code):
+        resolved.append(code)
+        return logical_operator_set_for(code)
+
+    monkeypatch.setattr(noise, "logical_operator_set_for", counted)
+    dems = [noise.build_dem(circ, NOISE, code=code) for _ in range(2)]
+    assert resolved == [code] and dems[0] == dems[1] and dems[0].logical_count == 4
+
+
+def test_the_dem_follows_a_change_of_noise_model():
+    code = build_named_code("18-4-4-pruned")
+    circ = build_syndrome_circuit(code, 2)
+    model = replace(NOISE, p_cz=2 * NOISE.p_cz)
+    assert model is not NOISE
+    dem = noise.build_dem(circ, NOISE, code=code)
+    doubled = noise.build_dem(circ, model, code=code)
+    assert doubled == noise.build_dem(replace(circ), model, code=code) and doubled != dem
+    # an equal model is served by the program of the first
+    assert noise.build_dem(circ, replace(NOISE), code=code) == dem
+
+
+def test_a_shared_program_still_checks_each_new_triple():
+    code = build_named_code("18-4-4-pruned")
+    circ = build_syndrome_circuit(code, 2)
+    noise.build_dem(circ, NOISE, code=code)
+    with pytest.raises(ValueError, match="code layout needs"):
+        noise.build_dem(circ, NOISE, code=build_named_code("18-6-3"))
+    with pytest.raises(ValueError, match="built for the Z basis"):
+        noise.expected_detection_series(circ, NOISE, code=code, basis="X")
+
+
+def test_a_fault_list_outlives_later_calls():
+    """A view holds its program: calls that replace the slot, or walk its
+    program again, leave its records as they were."""
+    code = build_named_code("18-6-3")
+    circ = build_syndrome_circuit(code, 2)
+    view = noise.enumerate_fault_variants(circ, NOISE, code=code)
+    noise.build_dem(circ, NOISE, code=code)
+    noise.expected_detection_series(circ, NOISE, code=code)
+    noise.build_dem(circ, NoiseModel(p_m=0.1), code=code)
+    noise.enumerate_fault_variants(build_syndrome_circuit(code, 3), NOISE, code=code)
+    assert tuple(view) == tuple(noise.enumerate_fault_variants(replace(circ), NOISE, code=code))
+    assert view._prog is not noise._slot and view._prog.walk is None  # out of the slot, no rows
+    for column in view._var:
+        assert not column.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        view._prog.slot_kind[0] = 0
+
+
+def test_the_sampler_leaves_the_shared_program_as_it_found_it(monkeypatch):
+    code = build_named_code("18-4-4-pruned")
+    logicals = logical_operator_set_for(code)
+    circ = build_syndrome_circuit(code, 2)
+    alone = noise.run_monte_carlo(replace(circ), NOISE, 256, code=code, logicals=logicals)
+    programs, walks = _count_compiles(monkeypatch)
+    noise.build_dem(circ, NOISE, code=code, logicals=logicals)
+    shared, walk = noise._slot, noise._slot.walk
+    batch = noise.run_monte_carlo(circ, NOISE, 256, code=code, logicals=logicals)
+    assert noise._slot is shared and shared.walk is walk and not walk[3].flags.writeable
+    noise.expected_detection_series(circ, NOISE, code=code, logicals=logicals)
+    assert walks.count(shared) == 1 and len(programs) == len(walks) == 2
+    assert np.array_equal(batch.rows, alone.rows)
+
+
+def test_threads_that_share_the_slot_get_their_own_programs_outputs():
+    """The slot is module state: calls from several threads on different
+    circuits and models each get the outputs of a fresh build."""
+    code = build_named_code("18-4-4-pruned")
+    cases = [(build_syndrome_circuit(code, t), model)
+             for t in (1, 2) for model in (NOISE, NoiseModel(p_m=0.1, p_cz=0.01))]
+
+    def outputs(circ, model):
+        dem = noise.build_dem(circ, model, code=code)
+        return noise.dem_to_text(dem), noise.expected_detection_series(circ, model, code=code)
+
+    want = [outputs(replace(circ), model) for circ, model in cases]
+    failures = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(15):
+                i = rng.randrange(len(cases))
+                text, series = outputs(*cases[i])
+                if text != want[i][0] or series.tobytes() != want[i][1].tobytes():
+                    failures.append(i)
+        except Exception as exc:  # reported below, with the thread's case
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(s,))
+                   for s in range(min(os.cpu_count() or 1, 8) + 2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
 
 
 # ---- detector error model validation ----
@@ -1506,9 +1712,9 @@ def test_dem_columns_match_a_dict_merge_of_the_table(basis, model):
     code = build_named_code("18-4-4-pruned")
     logicals = logical_operator_set_for(code)
     circ = build_syndrome_circuit(code, 2, basis=basis)
-    prog = noise._Program(code, circ, basis, model, logicals)
-    D, K = prog.detector_count, prog.logical_mat.shape[0]
-    var, rows = noise._fault_rows(prog, D + K)
+    prog = noise._Program(code, circ, basis, model)
+    logical, rows = noise._fault_rows(prog, logicals)
+    D, K, var = prog.detector_count, len(logical), prog.variants
     bits = gf2.unpack_rows(rows, D + K)
     # signature -> {slot: prior summed in variant order}; dicts keep first
     # occurrence, and the slots of a signature come in slot order
@@ -1682,10 +1888,11 @@ def test_detector_matrix_rows_of_single_faults_are_dem_columns(basis):
     logicals = logical_operator_set_for(code)
     circ = build_syndrome_circuit(code, 3, basis=basis)
     dem = noise.build_dem(circ, NOISE, basis, code=code, logicals=logicals)
-    prog = noise._Program(code, circ, basis, NOISE, logicals)
-    _, table = noise._fault_rows(prog, prog.output_bits)
+    prog = noise._Program(code, circ, basis, NOISE)
+    logical = prog.logical_mat(logicals)
+    table = noise._fault_table(prog, prog.variants, noise._output_map(prog, logical))
     picked = np.random.default_rng(6).choice(len(table), 60, replace=False)
-    batch = noise.ShotBatch(basis, prog.t, prog.check_labels, len(prog.logical_mat), table[picked])
+    batch = noise.ShotBatch(basis, prog.t, prog.check_labels, len(logical), table[picked])
     bits = dem.detector_count + dem.logical_count
     lead = batch.rows[:, : dem.signatures.shape[1]].copy()
     assert bits % 64 and lead.shape[1] == 1  # so the mask clears bits of the other checks

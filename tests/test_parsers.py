@@ -6,6 +6,7 @@ duplicated or rewritten, it rejects text that is not ASCII and priors
 with an ``_``, and it inverts ``dem_to_text`` on generated DEMs.
 """
 
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -147,3 +148,18 @@ def test_parse_dem_inverts_dem_to_text(text):
     dem = noise.parse_dem(text)
     assert noise.dem_to_text(dem) == text
     assert noise.parse_dem(noise.dem_to_text(dem)) == dem
+
+
+def test_a_large_header_costs_what_the_columns_hold():
+    """Three columns under a header of 6.4 million detectors, 100,001 words a
+    row: the row scans read the words that a column sets, not every word."""
+    text = "detectors 6400000 logicals 1\n0.1 5 |\n0.2 7 |\n0.3 | 0\n"
+    tracemalloc.start()
+    try:
+        dem = noise.parse_dem(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dem.signatures.shape == (3, 100001)
+    assert peak < 20 * 2**20
+    assert noise.dem_to_text(dem) == text
