@@ -158,20 +158,17 @@ def _set_bits(rows: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
 def _rows_differ(a: np.ndarray, b) -> np.ndarray:
     """``(a != b).any(axis=1)`` for packed rows ``a`` and rows or a word ``b``,
     word by word: numpy runs ``.any`` over a short last axis as a
-    per-column inner loop. When words outnumber rows the loop reads only
-    the words in which a row of either has a set bit, as rows are equal
-    on the rest. Rows of no words are equal."""
-    out, b = np.zeros(len(a), dtype=bool), np.broadcast_to(b, a.shape)
-    wide = len(a) < a.shape[1]
-    for w in np.flatnonzero(a.any(axis=0) | b.any(axis=0)) if wide else range(a.shape[1]):
-        out |= a[:, w] != b[:, w]
+    per-column inner loop. Rows of no words are equal."""
+    out = np.zeros(len(a), dtype=bool)
+    for x, y in zip(a.T, np.broadcast_to(b, a.shape).T):
+        out |= x != y
     return out
 
 
 def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(order, new): a stable ``np.lexsort`` order of packed rows, equal rows
     together in row order, and whether each differs from the one before it.
-    When words outnumber rows both read only the words that some row sets."""
+    When words outnumber rows it first drops the words that no row sets."""
     if len(rows) < rows.shape[1]:
         rows = rows[:, rows.any(axis=0)]
     order = np.lexsort(rows.T) if rows.shape[1] else np.arange(len(rows))  # no words: all equal

@@ -11,12 +11,9 @@ Faults live in arrays. ``_Program``, the compiled noise program of one
 against the code and basis; it adds an idle mask, a row per fault slot,
 the raw output that each measurement or readout gate records and the
 model's channels; ``_variants(prog)`` expands its slots by their
-channel's patterns. ``_compiled`` keeps the fault list's, the DEM's and
-the series' last program in a slot, for calls on the same circuit and
-code objects (held, so no id is reused) with an equal basis and model.
-``_output_map`` states, by scatter, what each raw output (a check
-measurement or a data readout) flips, in one bit order: the DEM's
-detectors, the logicals, then the other checks' detections.
+channel's patterns. ``_output_map`` states, by scatter, what each raw
+output (a check measurement or a data readout) flips, in one bit order:
+the DEM's detectors, the logicals, then the other checks' detections.
 ``_fault_table`` gives any set of variants their outputs in that form
 without simulating any of them. One walk over the layers, last to
 first, carries for each qubit the outputs that an X or a Z injected
@@ -24,13 +21,15 @@ there would flip (the reverse pass of Stim's error analyser, Gidney
 2021, Quantum 5, 497). Each variant's row is the XOR of two rows of the
 walk's buffer, a leg's X, Y or Z row or the map row of the output it
 flips, and one pair of gathers per layer writes that layer's variants.
-``_fault_rows`` walks the map's leading bits that a reader reads, and the
-program keeps its variant table, and in the slot its last walk, for the
-next. The sampler compiles its own program, so the slot holds no
-full-width table, and replays the table, each shot the XOR of the rows
-of the variants that its draws pick; a ``ShotBatch`` keeps the shots as
-those packed rows, and its arrays unpack them, so ``_output_map`` alone
-states the bit order.
+``_compiled`` keeps the fault list's, the DEM's and the series' last
+program in one slot, for calls on the same circuit and code objects
+(held, so no id is reused) with an equal basis and model; it keeps its
+variant table and ``_fault_rows``' last walk, of the detector and
+logical bits, past the call (13 MiB on 144-12-12 at t = 7). The sampler
+compiles its own, so the slot holds no full-width table, and replays
+the table, each shot the XOR of the rows of the variants that its draws
+pick; a ``ShotBatch`` keeps the shots as those rows, and its arrays
+unpack them, so ``_output_map`` alone states the bit order.
 The walk and the sampler gather rows with ``ndarray.take(..., axis=0)``
 (``np.take``'s wrapper costs as much as a small gather) and scatter
 them as ``_cells``, one fixed-width ``np.void`` cell per row.
@@ -645,10 +644,11 @@ def enumerate_fault_variants(
 # fault-effect table (rows packed by ``gf2.pack_rows``)
 
 
-def _output_map(prog: _Program, logical: np.ndarray) -> np.ndarray:
-    """Row r: what raw output r alone flips, packed by ``gf2.pack_rows``,
-    in the bit order of the DEM's signatures and of ``ShotBatch.rows``.
-    With A memory-basis and O other checks, D = (t + 1) A and K logicals:
+def _output_map(prog: _Program, logical: np.ndarray, bits: int | None = None) -> np.ndarray:
+    """Row r: what raw output r alone flips on the first ``bits`` bits (all
+    if None), packed by ``gf2.pack_rows``, in the bit order of the DEM's
+    signatures and of ``ShotBatch.rows``. With A memory-basis and O other
+    checks, D = (t + 1) A and K logicals:
 
     - bits [0, D), the DEM's detectors: the memory-basis checks'
       detections cycle-major (c A + a: cycle c + 1, check a), then their
@@ -677,7 +677,7 @@ def _output_map(prog: _Program, logical: np.ndarray) -> np.ndarray:
     readout = prog.rd_bit(np.arange(prog.n))
     out[readout, t * A : D] = prog.support.T
     out[readout, D : D + K] = logical.T
-    return gf2.pack_rows(out)
+    return gf2.pack_rows(out[:, :bits])
 
 
 def _cells(rows: np.ndarray) -> np.ndarray:
@@ -742,30 +742,17 @@ def _fault_table(prog: _Program, var: _Variants, out_map: np.ndarray) -> np.ndar
     return rows
 
 
-def _first_bits(rows: np.ndarray, bits: int) -> np.ndarray:
-    """A copy of packed rows' first ``bits`` bits, in ceil(bits / 64) words."""
-    rows = rows[:, : -(-bits // 64)].copy()
-    if bits % 64:
-        rows[:, -1] &= np.uint64((1 << bits % 64) - 1)
-    return rows
-
-
-def _fault_rows(prog: _Program, logicals, bits: int | None = None):
+def _fault_rows(prog: _Program, logicals) -> tuple[np.ndarray, np.ndarray]:
     """(``prog.logical_mat(logicals)``, the ``_fault_table`` rows of ``prog.variants`` on
-    the first ``bits`` bits, D + K if None, of their ``_output_map``). ``prog.walk``, the
-    last walk (bits, logicals, their matrix, rows), serves when it covers ``bits`` and had
-    these logicals or ``bits`` <= D, as detectors read no logical; else a new walk replaces it."""
-    walked, kept, logical, rows = prog.walk or (-1, None, None, None)
-    if logical is None or kept is not logicals:
-        logical = prog.logical_mat(logicals)
-    D = prog.detector_count
-    bits = D + len(logical) if bits is None else bits
-    if walked < bits or (bits > D and kept is not logicals):
-        prog.walk = rows = None  # the old rows go before the new are made
-        rows = _fault_table(prog, prog.variants, _first_bits(_output_map(prog, logical), bits))
+    the first D + K bits of ``_output_map``), kept as ``prog.walk`` for these logicals."""
+    logical, walk = prog.logical_mat(logicals), prog.walk
+    if walk is None or walk[0] is not logicals:
+        walk = prog.walk = None  # the old rows go before the new are made
+        out_map = _output_map(prog, logical, prog.detector_count + len(logical))
+        rows = _fault_table(prog, prog.variants, out_map)
         rows.setflags(write=False)
-        prog.walk, walked = (bits, logicals, logical, rows), bits
-    return logical, rows if walked == bits else _first_bits(rows, bits)
+        walk = prog.walk = logicals, rows
+    return logical, walk[1]
 
 
 # ---------------------------------------------------------------------------
@@ -1024,8 +1011,8 @@ def expected_detection_series(
     A, D = len(prog.aligned_cols), prog.detector_count
     if not A:
         raise ValueError(f"no {basis}-type checks in code {code.name}")
-    # no logical rows: the detectors do not depend on them
-    _, rows = _fault_rows(prog, LogicalOperatorSet(code.n, (), ()), D)
+    walk = prog.walk  # any walk's first D bits are the detectors, whatever its logicals
+    rows = walk[1] if walk else _fault_rows(prog, LogicalOperatorSet(code.n, (), ()))[1]
     # (variant, detector) pairs that flip, by detector and then variant; a
     # stable sort on the smallest dtype that holds D is numpy's radix sort
     v, d = gf2._set_bits(rows, D)
