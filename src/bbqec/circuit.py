@@ -416,10 +416,10 @@ def _sequential_schedule(code: CssCode) -> CzSchedule:
     # One-sided codes have no cross-type interleaving constraint.
     edges: list[tuple[str, int, int]] = []
     for z in code.retained_z:
-        for d in np.flatnonzero(code.h_z.bits[z]):
+        for d in np.flatnonzero(code.h_z[z]):
             edges.append(("Z", z, int(d)))
     for x in code.retained_x:
-        for d in np.flatnonzero(code.h_x.bits[x]):
+        for d in np.flatnonzero(code.h_x[x]):
             edges.append(("X", x, int(d)))
     layers: list[list[tuple[str, int, int]]] = [[] for _ in range(7)]
     busy: list[set] = [set() for _ in range(7)]
@@ -462,7 +462,7 @@ def _check_schedule(code: CssCode, sched: CzSchedule) -> None:
     side = {"X": 0, "Z": 1}
     edges = [e for L in sched.layers for e in L]
     typ, row, data = zip(*edges) if edges else ((), (), ())
-    want = np.zeros((2, max(code.h_x.rows, code.h_z.rows), code.n), dtype=np.uint8)
+    want = np.zeros((2, max(len(code.h_x), len(code.h_z)), code.n), dtype=np.uint8)
     try:
         # (side, check row, data qubit) per edge: an unknown side (None) or a
         # row or qubit that is not an int makes an object, float or str
@@ -473,7 +473,7 @@ def _check_schedule(code: CssCode, sched: CzSchedule) -> None:
     except (TypeError, ValueError):
         raise ValueError("schedule edges must be ('X' or 'Z', check row, data qubit) of the code") from None
     for s, h, retained in ((0, code.h_x, code.retained_x), (1, code.h_z, code.retained_z)):
-        want[s, list(retained)] = h.bits[list(retained)]
+        want[s, list(retained)] = h[list(retained)]
     differ = (np.bincount(flat, minlength=want.size).reshape(want.shape) != want).any(axis=2)
     if differ.any():
         s, row = np.argwhere(differ)[0]
@@ -701,7 +701,7 @@ def verify_circuit(
     if max_failures < 1:
         raise ValueError(f"max_failures must be >= 1, got {max_failures}")
     checks, n = code.checks, code.n
-    supports = gf2.transpose(gf2.vstack(code.retained_h_x(), code.retained_h_z()))
+    supports = np.vstack([code.retained_h_x(), code.retained_h_z()]).T
     aligned = np.array([kind == basis for kind, _ in checks], dtype=bool)
     measure_layers = np.flatnonzero(table.kind == MEASURE_CHECKS).tolist()
     t = len(measure_layers)
@@ -724,11 +724,11 @@ def verify_circuit(
     fail = np.zeros((preparations, len(checks), t + 1), dtype=bool)
     m = out[:-1, n:]
     value = (m ^ np.concatenate([np.zeros_like(m[:1]), m[:-1]])).transpose(2, 1, 0)
-    expect = gf2.matmul_mod2(gf2.BinaryMatrix(prep), supports).bits
+    expect = gf2.matmul_mod2(prep, supports)
     fail[:, :, 0] = aligned & (value[:, :, 0] != expect)
     fail[:, :, 1:t] = value[:, :, 1:] != value[:, :, :-1]
     rd = out[-1, :n].T
-    r_par = gf2.matmul_mod2(gf2.BinaryMatrix(rd), supports).bits
+    r_par = gf2.matmul_mod2(rd, supports)
     fail[:, :, t] = aligned & (r_par != value[:, :, -1])
 
     failures: list[str] = []

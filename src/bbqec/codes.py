@@ -24,7 +24,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import gf2
-from .gf2 import BinaryMatrix
 
 __all__ = [
     "BbCodeSpec",
@@ -61,6 +60,19 @@ def _as_int(name: str, value) -> int:
 def _is_sequence(value) -> bool:
     """Whether a term list or a term is a sequence of items: not a string."""
     return isinstance(value, Sequence) and not isinstance(value, (str, bytes))
+
+
+def _binary_matrix(name: str, value) -> np.ndarray:
+    """A read-only uint8 copy of a 2-D integer or bool array of 0s and 1s.
+    The entries are checked before the cast, so 256 is refused, not wrapped."""
+    arr = np.asarray(value)
+    if arr.ndim != 2 or arr.dtype.kind not in "biu":
+        raise ValueError(f"{name} must be a 2-D int or bool array, got {arr.ndim}-D {arr.dtype}")
+    if not ((arr == 0) | (arr == 1)).all():
+        raise ValueError(f"{name} entries must be 0 or 1")
+    arr = arr.astype(np.uint8)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -131,7 +143,7 @@ class BbCodeSpec:
         return i * self.m + j
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CssCode:
     """A CSS code: its full check matrices and which rows are measured.
 
@@ -145,14 +157,16 @@ class CssCode:
     and d_trusted says whether one was given; otherwise d is None. So a
     pruned copy of a trusted code never reports the full code's distance.
 
-    Raises ValueError unless h_x and h_z are BinaryMatrix objects with the
-    same column count, each retained list holds distinct int row indices
-    of its matrix, and table_d is None or an int >= 1.
+    h_x and h_z are stored as read-only uint8 copies, so a code is
+    compared and hashed by identity. Raises ValueError unless each is a
+    2-D integer or bool array of 0s and 1s, both have the same column
+    count, each retained list holds distinct int row indices of its
+    matrix, and table_d is None or an int >= 1.
     """
 
     name: str
-    h_x: BinaryMatrix
-    h_z: BinaryMatrix
+    h_x: np.ndarray
+    h_z: np.ndarray
     retained_x: tuple[int, ...]
     retained_z: tuple[int, ...]
     spec: BbCodeSpec | None = None
@@ -161,23 +175,23 @@ class CssCode:
     def __post_init__(self):
         # cheap by design: dataclasses.replace runs it again in every set-up
         for label, h, retained in (("x", self.h_x, self.retained_x), ("z", self.h_z, self.retained_z)):
-            if not isinstance(h, BinaryMatrix):
-                raise ValueError(f"h_{label} must be a BinaryMatrix, got {type(h).__name__}")
+            h = _binary_matrix(f"h_{label}", h)
+            object.__setattr__(self, f"h_{label}", h)
             if not (_is_sequence(retained)
-                    and all(_is_int(i) and 0 <= i < h.rows for i in retained)
+                    and all(_is_int(i) and 0 <= i < len(h) for i in retained)
                     and len(set(retained)) == len(retained)):
                 raise ValueError(
-                    f"retained_{label} must be distinct ints in [0, {h.rows}), got {retained!r}"
+                    f"retained_{label} must be distinct ints in [0, {len(h)}), got {retained!r}"
                 )
             object.__setattr__(self, f"retained_{label}", tuple(map(int, retained)))
-        if self.h_z.cols != self.h_x.cols:
-            raise ValueError(f"h_z has {self.h_z.cols} columns, h_x has {self.h_x.cols}")
+        if self.h_z.shape[1] != self.h_x.shape[1]:
+            raise ValueError(f"h_z has {self.h_z.shape[1]} columns, h_x has {self.h_x.shape[1]}")
         if self.table_d is not None and not (_is_int(self.table_d) and self.table_d >= 1):
             raise ValueError(f"table_d must be None or an int >= 1, got {self.table_d!r}")
 
     @property
     def n(self) -> int:
-        return self.h_x.cols
+        return self.h_x.shape[1]
 
     @cached_property
     def k(self) -> int:
@@ -216,19 +230,17 @@ class CssCode:
             return f"L{col}"
         return f"R{col - self.half}"
 
-    def retained_h_x(self) -> BinaryMatrix:
-        return BinaryMatrix(self.h_x.bits[list(self.retained_x)])
+    def retained_h_x(self) -> np.ndarray:
+        return self.h_x[list(self.retained_x)]
 
-    def retained_h_z(self) -> BinaryMatrix:
-        return BinaryMatrix(self.h_z.bits[list(self.retained_z)])
+    def retained_h_z(self) -> np.ndarray:
+        return self.h_z[list(self.retained_z)]
 
     def all_checks_retained(self) -> bool:
-        return len(self.retained_x) == self.h_x.rows and len(
-            self.retained_z
-        ) == self.h_z.rows
+        return len(self.retained_x) == len(self.h_x) and len(self.retained_z) == len(self.h_z)
 
 
-def _polynomial(spec: BbCodeSpec, terms: Iterable[Monomial]) -> BinaryMatrix:
+def _polynomial(spec: BbCodeSpec, terms: Iterable[Monomial]) -> np.ndarray:
     """Sum of the monomials: each adds a 1 at (row, its map of row), so a
     repeated monomial cancels."""
     size = spec.l * spec.m
@@ -236,7 +248,7 @@ def _polynomial(spec: BbCodeSpec, terms: Iterable[Monomial]) -> BinaryMatrix:
     rows = np.arange(size)
     for term in terms:
         total[rows, spec.term_map(term)] ^= 1
-    return BinaryMatrix(total)
+    return total
 
 
 def build_bb_code(spec: BbCodeSpec, name: str = "") -> CssCode:
@@ -248,16 +260,15 @@ def build_bb_code(spec: BbCodeSpec, name: str = "") -> CssCode:
     a = _polynomial(spec, spec.a_terms)
     b = _polynomial(spec, spec.b_terms)
     for label, mat in (("a", a), ("b", b)):
-        if not (mat.bits.sum(axis=1) == 3).all():
+        if not (mat.sum(axis=1) == 3).all():
             raise ValueError(
                 f"polynomial {label} has a repeated monomial (row weight != 3)"
             )
-    h_x = gf2.hstack(a, b)
-    h_z = gf2.hstack(gf2.transpose(b), gf2.transpose(a))
-    css = gf2.matmul_mod2(h_x, gf2.transpose(h_z))
-    if css.bits.any():
+    h_x = np.hstack([a, b])
+    h_z = np.hstack([b.T, a.T])
+    if gf2.matmul_mod2(h_x, h_z.T).any():
         raise AssertionError("CSS condition violated; construction bug")
-    every = tuple(range(h_x.rows))
+    every = tuple(range(len(h_x)))
     return CssCode(name=name or f"bb-l{spec.l}-m{spec.m}", h_x=h_x, h_z=h_z,
                    retained_x=every, retained_z=every, spec=spec)
 
@@ -273,8 +284,8 @@ def compute_k(code: CssCode) -> int:
     """
     k = code.n - gf2.rank(code.retained_h_x()) - gf2.rank(code.retained_h_z())
     if code.all_checks_retained() and code.spec is not None:
-        a, b = np.hsplit(code.h_x.bits, 2)
-        joint_kernel_dim = code.half - gf2.rank(BinaryMatrix(np.vstack([a, b])))
+        a, b = np.hsplit(code.h_x, 2)
+        joint_kernel_dim = code.half - gf2.rank(np.vstack([a, b]))
         if k != 2 * joint_kernel_dim:
             raise ValueError(
                 f"k mismatch: rank route {k}, kernel route {2 * joint_kernel_dim}; "
@@ -306,8 +317,9 @@ def _span(rows: np.ndarray) -> np.ndarray:
 
 def _min_weight_outside_row_space(
     kernel_mat: np.ndarray, rref: np.ndarray, pivots: list[int]
-) -> int:
-    """Minimum Hamming weight over nonzero kernel vectors not in the row space.
+) -> int | None:
+    """Minimum Hamming weight over nonzero kernel vectors not in the row
+    space, None if every kernel vector lies in it (k = 0).
 
     Records the weight of every one of the 2^dim combinations of the kernel
     rows, bit-parallel: the span of the low (at most 16) rows is tabulated
@@ -331,7 +343,7 @@ def _min_weight_outside_row_space(
         candidates = gf2.unpack_rows(vectors, n)
         if gf2.reduce_rows(rref, pivots, candidates).any():
             return int(w)
-    raise AssertionError("kernel contains no vector outside the row space")
+    return None
 
 
 # the largest kernel dimension the distance search walks: 2^24 vectors, about 16.7M
@@ -345,7 +357,8 @@ def compute_distance(code: CssCode) -> DistanceResult:
     logicals, each time excluding the opposite row space, and returns the
     smaller minimum. Kernels larger than ``_MAX_KERNEL_DIM`` yield an
     honest "not computed" result instead of a bound; both kernels are
-    sized before either is searched.
+    sized before either is searched. A code with k = 0 has no logical
+    operator, so no distance, and is "not computed" too.
     """
     sides = [
         (gf2.kernel_basis(code.retained_h_x()), code.retained_h_z()),
@@ -357,11 +370,10 @@ def compute_distance(code: CssCode) -> DistanceResult:
             return DistanceResult(value=None, computed=False, reason=reason)
     minima = []
     for basis, space_of in sides:
-        kernel_mat = np.vstack([v.bits[0] for v in basis]) if basis else np.zeros(
-            (0, code.n), dtype=np.uint8
-        )
         rref, pivots = gf2.row_echelon(space_of)
-        minima.append(_min_weight_outside_row_space(kernel_mat, rref, pivots))
+        minima.append(_min_weight_outside_row_space(basis, rref, pivots))
+    if None in minima:
+        return DistanceResult(value=None, computed=False, reason="k = 0: no logical operator")
     return DistanceResult(value=min(minima), computed=True)
 
 
@@ -502,17 +514,17 @@ class LogicalOperatorSet:
     def k(self) -> int:
         return len(self.x_supports)
 
-    def _matrix(self, supports: tuple[tuple[int, ...], ...]) -> BinaryMatrix:
+    def _matrix(self, supports: tuple[tuple[int, ...], ...]) -> np.ndarray:
         """Row i marks ``supports[i]``; one scatter, so k = 0 gives 0 x n."""
         bits = np.zeros((self.k, self.n), dtype=np.uint8)
         rows = np.repeat(np.arange(self.k), [len(s) for s in supports])
         bits[rows, [q for s in supports for q in s]] = 1
-        return BinaryMatrix(bits)
+        return bits
 
-    def x_matrix(self) -> BinaryMatrix:
+    def x_matrix(self) -> np.ndarray:
         return self._matrix(self.x_supports)
 
-    def z_matrix(self) -> BinaryMatrix:
+    def z_matrix(self) -> np.ndarray:
         return self._matrix(self.z_supports)
 
 
@@ -589,26 +601,23 @@ def verify_logicals(code: CssCode, logicals: LogicalOperatorSet) -> LogicalsRepo
     x_mat = logicals.x_matrix()
     z_mat = logicals.z_matrix()
 
-    comm_x = gf2.matmul_mod2(h_z, gf2.transpose(x_mat))
-    for j, i in zip(*np.nonzero(comm_x.bits)):
+    comm_x = gf2.matmul_mod2(h_z, x_mat.T)
+    for j, i in zip(*np.nonzero(comm_x)):
         failures.append(f"X logical {i + 1} anticommutes with retained Z check row {j}")
-    comm_z = gf2.matmul_mod2(h_x, gf2.transpose(z_mat))
-    for j, i in zip(*np.nonzero(comm_z.bits)):
+    comm_z = gf2.matmul_mod2(h_x, z_mat.T)
+    for j, i in zip(*np.nonzero(comm_z)):
         failures.append(f"Z logical {i + 1} anticommutes with retained X check row {j}")
 
-    pairing = gf2.matmul_mod2(x_mat, gf2.transpose(z_mat))
-    expected = gf2.identity(k)
-    if pairing != expected:
-        bad = np.nonzero(pairing.bits != expected.bits)
-        for i, j in zip(*bad):
-            verb = "commutes" if pairing.bits[i, j] == 0 else "anticommutes"
-            failures.append(f"pairing failure: X logical {i + 1} {verb} with Z logical {j + 1}")
+    pairing = gf2.matmul_mod2(x_mat, z_mat.T)
+    for i, j in zip(*np.nonzero(pairing != np.eye(k, dtype=np.uint8))):
+        verb = "commutes" if pairing[i, j] == 0 else "anticommutes"
+        failures.append(f"pairing failure: X logical {i + 1} {verb} with Z logical {j + 1}")
 
     rank_x = gf2.rank(h_x)
-    if gf2.rank(gf2.vstack(h_x, x_mat)) != rank_x + k:
+    if gf2.rank(np.vstack([h_x, x_mat])) != rank_x + k:
         failures.append("X logicals not independent modulo the X stabilizer row space")
     rank_z = gf2.rank(h_z)
-    if gf2.rank(gf2.vstack(h_z, z_mat)) != rank_z + k:
+    if gf2.rank(np.vstack([h_z, z_mat])) != rank_z + k:
         failures.append("Z logicals not independent modulo the Z stabilizer row space")
 
     if code.d is not None:
@@ -623,20 +632,19 @@ def verify_logicals(code: CssCode, logicals: LogicalOperatorSet) -> LogicalsRepo
 
 
 def _coset_representatives(
-    commute_with: BinaryMatrix, stabilizers: BinaryMatrix, count: int
-) -> list[BinaryMatrix]:
+    commute_with: np.ndarray, stabilizers: np.ndarray, count: int
+) -> np.ndarray:
     """The first ``count`` kernel vectors of one check matrix, in kernel
     basis order, that are independent of the other's rows and of the
-    kernel vectors before them.
+    kernel vectors before them, one row each.
 
     One elimination of the transposed stack [stabilizers; kernel basis]:
     column i of the transpose is a pivot exactly when row i of the stack
     is independent of the rows above it.
     """
     kernel = gf2.kernel_basis(commute_with)
-    stack = gf2.vstack(stabilizers, *kernel)
-    _, pivots = gf2.row_echelon(gf2.transpose(stack))
-    reps = [kernel[p - stabilizers.rows] for p in pivots if p >= stabilizers.rows]
+    _, pivots = gf2.row_echelon(np.vstack([stabilizers, kernel]).T)
+    reps = kernel[[p - len(stabilizers) for p in pivots if p >= len(stabilizers)]]
     if len(reps) < count:
         raise ValueError(f"found {len(reps)} coset representatives, wanted {count}")
     return reps[:count]
@@ -655,20 +663,18 @@ def compute_logicals(code: CssCode) -> LogicalOperatorSet:
     if k == 0:
         return LogicalOperatorSet(n=code.n, x_supports=(), z_supports=())
     h_x, h_z = code.retained_h_x(), code.retained_h_z()
-    x_reps = _coset_representatives(h_z, h_x, k)
-    z_reps = _coset_representatives(h_x, h_z, k)
-    x_mat = gf2.vstack(*x_reps)
-    z_mat = gf2.vstack(*z_reps)
-    pairing = gf2.matmul_mod2(x_mat, gf2.transpose(z_mat))
+    x_mat = _coset_representatives(h_z, h_x, k)
+    z_mat = _coset_representatives(h_x, h_z, k)
+    pairing = gf2.matmul_mod2(x_mat, z_mat.T)
     # [P | I] reduces to [I | P^-1] exactly when P is invertible
-    reduced, pivots = gf2.row_echelon(gf2.hstack(pairing, gf2.identity(k)))
+    reduced, pivots = gf2.row_echelon(np.hstack([pairing, np.eye(k, dtype=np.uint8)]))
     if pivots[k - 1] != k - 1:
         raise ValueError("pairing matrix is singular")
-    z_bits = gf2.matmul_mod2(BinaryMatrix(reduced[:, k:].T), z_mat).bits
+    z_bits = gf2.matmul_mod2(reduced[:, k:].T, z_mat)
     to_support = lambda row: tuple(int(c) for c in np.flatnonzero(row))
     return LogicalOperatorSet(
         n=code.n,
-        x_supports=tuple(to_support(r) for r in x_mat.bits),
+        x_supports=tuple(to_support(r) for r in x_mat),
         z_supports=tuple(to_support(r) for r in z_bits),
     )
 

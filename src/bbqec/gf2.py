@@ -1,33 +1,26 @@
 """Dense linear algebra over GF(2).
 
 Everything in this package that touches check matrices, kernels, or row
-spaces goes through this module. A ``BinaryMatrix`` holds one uint8 per
-bit, so construction, products and indexing are plain numpy. The one
+spaces goes through this module. A matrix is a 2-D uint8 numpy array of
+0s and 1s, and a set of vectors is one such array, a row per vector. A
+code's matrices are checked and made read-only once, where
+``codes.CssCode`` is made, so these functions check nothing. The one
 elimination, ``row_echelon``, runs on bit-packed rows (``pack_rows``:
 bit i in little-endian uint64 word i // 64), which is several times
 faster than a byte-per-bit loop over columns at every size used here.
 ``reduce_rows`` reduces vectors against its output; a vector lies in
 the row space exactly when its residue is zero.
-
-Vectors are represented as 1 x n matrices; there is no separate vector type.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "WORD",
-    "BinaryMatrix",
-    "identity",
-    "zeros",
-    "from_rows",
     "matmul_mod2",
-    "transpose",
-    "hstack",
-    "vstack",
     "pack_rows",
     "unpack_rows",
     "row_echelon",
@@ -36,91 +29,14 @@ __all__ = [
     "reduce_rows",
 ]
 
-
-class BinaryMatrix:
-    """Immutable dense matrix with entries in {0, 1}.
-
-    Wraps a read-only numpy uint8 array. All arithmetic lives in module
-    functions; the class only guards the representation invariants
-    (2-D shape, 0/1 entries, immutability).
-    """
-
-    __slots__ = ("_bits",)
-
-    def __init__(self, bits: np.ndarray | Sequence[Sequence[int]]):
-        arr = np.array(bits, dtype=np.uint8, copy=True)
-        if arr.ndim != 2:
-            raise ValueError(f"expected a 2-D array, got ndim={arr.ndim}")
-        if arr.size and arr.max() > 1:
-            raise ValueError("entries must be 0 or 1")
-        arr.setflags(write=False)
-        self._bits = arr
-
-    @property
-    def bits(self) -> np.ndarray:
-        """Read-only uint8 array of shape (rows, cols)."""
-        return self._bits
-
-    @property
-    def rows(self) -> int:
-        return self._bits.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self._bits.shape[1]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BinaryMatrix):
-            return NotImplemented
-        return self._bits.shape == other._bits.shape and bool(
-            np.array_equal(self._bits, other._bits)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._bits.shape, self._bits.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"BinaryMatrix({self.rows}x{self.cols})"
+# perfbench/run.py's --trace list still reads this name (ROADMAP item 12);
+# numpy's methods are not Python functions, so it wraps nothing there
+BinaryMatrix = np.ndarray
 
 
-def identity(m: int) -> BinaryMatrix:
-    """m x m identity matrix. Rejects m < 1."""
-    if m < 1:
-        raise ValueError(f"invalid size {m}")
-    return BinaryMatrix(np.eye(m, dtype=np.uint8))
-
-
-def zeros(rows: int, cols: int) -> BinaryMatrix:
-    return BinaryMatrix(np.zeros((rows, cols), dtype=np.uint8))
-
-
-def from_rows(rows: Iterable[Iterable[int]]) -> BinaryMatrix:
-    """Build a matrix from an iterable of 0/1 row iterables."""
-    return BinaryMatrix([list(r) for r in rows])
-
-
-def matmul_mod2(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
-    if a.cols != b.rows:
-        raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    prod = (a.bits.astype(np.int64) @ b.bits.astype(np.int64)) & 1
-    return BinaryMatrix(prod.astype(np.uint8))
-
-
-def transpose(a: BinaryMatrix) -> BinaryMatrix:
-    return BinaryMatrix(a.bits.T)
-
-
-def hstack(*ms: BinaryMatrix) -> BinaryMatrix:
-    """Concatenate columns, left to right."""
-    if not ms:
-        raise ValueError("hstack needs at least one matrix")
-    return BinaryMatrix(np.hstack([m.bits for m in ms]))
-
-
-def vstack(*ms: BinaryMatrix) -> BinaryMatrix:
-    if not ms:
-        raise ValueError("vstack needs at least one matrix")
-    return BinaryMatrix(np.vstack([m.bits for m in ms]))
+def matmul_mod2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over GF(2), as uint8. ValueError on a shape mismatch."""
+    return ((a.astype(np.int64) @ b.astype(np.int64)) & 1).astype(np.uint8)
 
 
 WORD = np.dtype("<u8")
@@ -178,7 +94,7 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, new
 
 
-def row_echelon(m: BinaryMatrix) -> tuple[np.ndarray, list[int]]:
+def row_echelon(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(2).
 
     The reduced form of a matrix and its pivot columns are unique, so
@@ -194,8 +110,8 @@ def row_echelon(m: BinaryMatrix) -> tuple[np.ndarray, list[int]]:
         rows first, in pivot order) and the list of pivot column indices
         in increasing order.
     """
-    n_rows, n_cols = m.bits.shape
-    packed = pack_rows(m.bits)
+    n_rows, n_cols = m.shape
+    packed = pack_rows(m)
     pivot_rows: dict[int, int] = {}  # lowest set bit -> row
     for row in packed:
         v = int.from_bytes(row.tobytes(), "little")
@@ -218,23 +134,24 @@ def row_echelon(m: BinaryMatrix) -> tuple[np.ndarray, list[int]]:
     return unpack_rows(words, n_cols), [low.bit_length() - 1 for low in lows]
 
 
-def rank(m: BinaryMatrix) -> int:
+def rank(m: np.ndarray) -> int:
     return len(row_echelon(m)[1])
 
 
-def kernel_basis(m: BinaryMatrix) -> list[BinaryMatrix]:
-    """Basis of {v : M v^T = 0 (mod 2)} as 1 x cols matrices.
+def kernel_basis(m: np.ndarray) -> np.ndarray:
+    """Basis of {v : M v^T = 0 (mod 2)}, one row per vector: a (dim, cols)
+    array, (0, cols) for a trivial kernel.
 
     Deterministic: one basis vector per free column, in increasing column
     order, with the free coordinate set to 1 and pivot coordinates read
     from that column of the reduced echelon form.
     """
     rref, pivot_cols = row_echelon(m)
-    free = np.ones(m.cols, dtype=bool)
+    free = np.ones(m.shape[1], dtype=bool)
     free[pivot_cols] = False
-    basis = np.eye(m.cols, dtype=np.uint8)[free]
+    basis = np.eye(m.shape[1], dtype=np.uint8)[free]
     basis[:, pivot_cols] = rref[: len(pivot_cols), free].T
-    return [BinaryMatrix(v[None, :]) for v in basis]
+    return basis
 
 
 def reduce_rows(rref: np.ndarray, pivots: Sequence[int], rows: np.ndarray) -> np.ndarray:

@@ -266,7 +266,7 @@ class _Program:
         nx = len(code.retained_x)
         self.aligned = (nx, self.check_count) if basis == "Z" else (0, nx)
         self.aligned_cols = np.arange(*self.aligned)
-        self.support = (code.retained_h_z() if basis == "Z" else code.retained_h_x()).bits
+        self.support = code.retained_h_z() if basis == "Z" else code.retained_h_x()
 
         kinds, nq, n = table.kind, circuit.qubit_count, self.n
         layer = np.repeat(np.arange(len(kinds)), np.diff(table.start))
@@ -331,8 +331,8 @@ class _Program:
         if logicals.n != self.n:
             raise ValueError(f"logicals act on {logicals.n} qubits, the code on {self.n}")
         Z = self.basis == "Z"
-        mat = (logicals.z_matrix() if Z else logicals.x_matrix()).bits.astype(np.uint8)
-        other = (self.code.retained_h_x() if Z else self.code.retained_h_z()).bits
+        mat = logicals.z_matrix() if Z else logicals.x_matrix()
+        other = self.code.retained_h_x() if Z else self.code.retained_h_z()
         odd = np.argwhere(mat.astype(np.int64) @ other.T % 2)
         if len(odd):
             (i, j), labels = odd[0], [lab for lab in self.check_labels if lab[0] != self.basis]

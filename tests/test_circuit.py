@@ -14,10 +14,10 @@ from bbqec.tableau import StabilizerTableau
 def _edge_set(code):
     edges = set()
     for r in code.retained_x:
-        for d in np.flatnonzero(code.h_x.bits[r]):
+        for d in np.flatnonzero(code.h_x[r]):
             edges.add(("X", r, int(d)))
     for r in code.retained_z:
-        for d in np.flatnonzero(code.h_z.bits[r]):
+        for d in np.flatnonzero(code.h_z[r]):
             edges.add(("Z", r, int(d)))
     return edges
 
@@ -56,9 +56,9 @@ def test_schedule_satisfies_even_crossing_rule(cid):
         for edge in layer:
             round_of[edge] = r
     for x in code.retained_x:
-        sup_x = set(np.flatnonzero(code.h_x.bits[x]))
+        sup_x = set(np.flatnonzero(code.h_x[x]))
         for z in code.retained_z:
-            sup_z = set(np.flatnonzero(code.h_z.bits[z]))
+            sup_z = set(np.flatnonzero(code.h_z[z]))
             crossings = sum(
                 1
                 for d in sup_x & sup_z
@@ -227,8 +227,8 @@ def test_arrangement_commutes_agrees_with_the_scheduler():
 def test_single_weight6_check_schedules_sequentially():
     one = CssCode(
         name="one-z-check",
-        h_x=gf2.zeros(0, 6),
-        h_z=gf2.from_rows([[1, 1, 1, 1, 1, 1]]),
+        h_x=np.zeros((0, 6), dtype=np.uint8),
+        h_z=np.array([[1, 1, 1, 1, 1, 1]]),
         retained_x=(),
         retained_z=(0,),
     )
@@ -239,7 +239,7 @@ def test_single_weight6_check_schedules_sequentially():
 
 
 def test_an_arrangement_for_checks_of_one_type_is_rejected():
-    rep3 = CssCode("rep3", gf2.zeros(0, 3), gf2.from_rows([[1, 1, 0], [0, 1, 1]]), (), (0, 1))
+    rep3 = CssCode("rep3", np.zeros((0, 3), int), np.array([[1, 1, 0], [0, 1, 1]]), (), (0, 1))
     with pytest.raises(ValueError, match="rep3 has checks of one type"):
         circuit.schedule_cz_layers(rep3, arrangement=PINNED)
     # the arrangement's own checks come first
@@ -249,7 +249,7 @@ def test_an_arrangement_for_checks_of_one_type_is_rejected():
 
 
 def test_schedule_rejects_plain_matrices_with_both_types():
-    h = gf2.from_rows([[1, 1, 1, 1, 1, 1]])
+    h = np.array([[1, 1, 1, 1, 1, 1]])
     code = CssCode(
         name="no-structure",
         h_x=h,

@@ -104,12 +104,12 @@ def code_18_6_3():
 
 def test_check_matrices_match_hand_oracle(code_18):
     h_x, h_z = oracle_18_matrices()
-    assert np.array_equal(code_18.h_x.bits, h_x)
-    assert np.array_equal(code_18.h_z.bits, h_z)
+    assert np.array_equal(code_18.h_x, h_x)
+    assert np.array_equal(code_18.h_z, h_z)
 
 
 def test_18_code_self_dual(code_18):
-    assert code_18.h_x == code_18.h_z
+    assert np.array_equal(code_18.h_x, code_18.h_z)
 
 
 def test_18_code_parameters(code_18):
@@ -126,9 +126,9 @@ def test_kernel_dimension(code_18):
 
 
 def test_row_and_column_weights(code_18):
-    assert (code_18.h_x.bits.sum(axis=1) == 6).all()
-    assert (code_18.h_x.bits.sum(axis=0) == 3).all()
-    assert (code_18.h_z.bits.sum(axis=0) == 3).all()
+    assert (code_18.h_x.sum(axis=1) == 6).all()
+    assert (code_18.h_x.sum(axis=0) == 3).all()
+    assert (code_18.h_z.sum(axis=0) == 3).all()
 
 
 def test_data_labels(code_18):
@@ -218,8 +218,8 @@ def test_named_codes_match_expected_k():
 def _six_qubit_code(**change) -> codes.CssCode:
     fields = dict(
         name="six",
-        h_x=gf2.from_rows([[1, 1, 1, 1, 0, 0]]),
-        h_z=gf2.from_rows([[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0]]),
+        h_x=np.array([[1, 1, 1, 1, 0, 0]]),
+        h_z=np.array([[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0]]),
         retained_x=(0,),
         retained_z=(0, 1),
     )
@@ -230,23 +230,48 @@ def _six_qubit_code(**change) -> codes.CssCode:
     "change, message",
     [
         (dict(retained_x=(3,)), r"retained_x must be distinct ints in \[0, 1\)"),
-        (dict(h_z=gf2.zeros(2, 5)), "h_z has 5 columns, h_x has 6"),
+        (dict(h_z=np.zeros((2, 5), dtype=np.uint8)), "h_z has 5 columns, h_x has 6"),
         (dict(retained_z=(1, 1)), "retained_z must be distinct"),
         (dict(retained_z=(-1,)), "retained_z must be distinct"),
         (dict(retained_x=(0.0,)), "retained_x must be distinct ints"),
         (dict(retained_x=(True,)), "retained_x must be distinct ints"),
         (dict(retained_x=None), "retained_x must be distinct ints"),
-        (dict(h_z=np.ones((1, 6), dtype=np.uint8)), "h_z must be a BinaryMatrix"),
         *((dict(table_d=d), rf"table_d must be None or an int >= 1, got {d!r}")
           for d in (0, -1, 2.0, True)),
+        # each entry is checked before the cast to uint8, which would cut,
+        # wrap or parse it
+        *((dict(h_z=h), "^h_z must be a 2-D int or bool array, got " + got) for h, got in (
+            ([[0.5, 1]], "2-D float64"), ([[1.7, 0]], "2-D float64"),
+            ([["1", "0"]], "2-D <U1"), ([[None]], "2-D object"),
+            (np.ones(6, dtype=np.uint8), "1-D uint8"))),
+        *((dict(h_z=h), "^h_z entries must be 0 or 1$")
+          for h in ([[0, 2]], np.array([[256, 1]]), [[-1, 0]])),
     ],
     ids=["index-out-of-range", "h_z-columns-differ", "repeated-index", "negative-index",
-         "float-index", "bool-index", "no-index-list", "plain-array",
-         "zero-table-d", "negative-table-d", "float-table-d", "bool-table-d"],
+         "float-index", "bool-index", "no-index-list",
+         "zero-table-d", "negative-table-d", "float-table-d", "bool-table-d",
+         "half-entry", "fractional-entry", "str-entries", "none-entry", "one-d",
+         "entry-2", "entry-256", "negative-entry"],
 )
 def test_css_code_rejects_malformed_input(change, message):
     with pytest.raises(ValueError, match=message):
         _six_qubit_code(**change)
+
+
+def test_a_code_is_itself_and_keeps_a_read_only_copy_of_its_checks():
+    """Compared and hashed by identity, as array fields cannot be."""
+    h_x = np.array([[1, 1, 1, 1, 0, 0]])
+    code = _six_qubit_code(h_x=h_x, h_z=np.array([[1, 1, 0, 0, 0, 0]], dtype=bool),
+                           retained_z=(0,))
+    assert code == code and hash(code) == hash(code) and {code: 1}[code] == 1
+    twin = replace(code)
+    assert twin != code and not twin == code
+    for h in (code.h_x, code.h_z, twin.h_x):
+        assert h.dtype == np.uint8 and not h.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            h[0, 0] = 0
+    h_x[0, 0] = 0
+    assert code.h_x.tolist() == [[1, 1, 1, 1, 0, 0]] and code.h_z.tolist() == [[1, 1, 0, 0, 0, 0]]
 
 
 def test_css_code_stores_retained_indices_as_a_tuple_of_ints():
@@ -261,7 +286,7 @@ def test_css_code_stores_retained_indices_as_a_tuple_of_ints():
 def test_k_cross_check_reads_the_two_halves_of_h_x(code_18):
     # with the spec set, the kernel route reads A and B as h_x = [A | B];
     # dropped Z checks leave the rank route at 18 - 7 - 0 = 11
-    no_z = replace(code_18, h_z=gf2.zeros(9, 18))
+    no_z = replace(code_18, h_z=np.zeros((9, 18), dtype=np.uint8))
     with pytest.raises(ValueError, match="k mismatch: rank route 11, kernel route 4"):
         codes.compute_k(no_z)
     assert codes.compute_k(replace(no_z, spec=None)) == 11
@@ -317,8 +342,8 @@ def _random_commuting_code(seed: int) -> codes.CssCode:
     h_z = ker_x[rng.choice(len(ker_x), size=int(rng.integers(4, 7)))]
     code = codes.CssCode(
         name=f"random-{seed}",
-        h_x=gf2.BinaryMatrix(h_x),
-        h_z=gf2.BinaryMatrix(h_z),
+        h_x=h_x,
+        h_z=h_z,
         retained_x=tuple(range(len(h_x))),
         retained_z=tuple(range(len(h_z))),
     )
@@ -340,7 +365,7 @@ def _random_commuting_code(seed: int) -> codes.CssCode:
 def test_distance_matches_brute_force(make):
     code = make()
     expected = _brute_force_distance(
-        code.retained_h_x().bits, code.retained_h_z().bits
+        code.retained_h_x(), code.retained_h_z()
     )
     assert codes.compute_distance(code).value == expected
 
@@ -354,7 +379,7 @@ def test_distance_search_packs_kernels_wider_than_one_word():
     kernel = np.zeros((dim, n), dtype=np.uint8)
     kernel[:, :dim] = np.eye(dim, dtype=np.uint8)
     kernel[:, 64:] = rng.integers(0, 2, size=(dim, n - 64), dtype=np.uint8)
-    rref, pivots = gf2.row_echelon(gf2.BinaryMatrix(kernel[:in_span]))
+    rref, pivots = gf2.row_echelon(kernel[:in_span])
     # the row space is the span of the first rows, so combination `mask`
     # lies outside it iff it uses a later row
     expected = n
@@ -379,7 +404,7 @@ def _greedy_coset_representatives(commute_with, stabilizers, count):
     """Keep each kernel vector that raises the rank of the rows kept so far."""
     reps, base = [], stabilizers
     for v in gf2.kernel_basis(commute_with):
-        grown = gf2.vstack(base, v)
+        grown = np.vstack([base, v])
         if gf2.rank(grown) > gf2.rank(base):
             reps.append(v)
             base = grown
@@ -394,7 +419,8 @@ def test_coset_representatives_match_the_greedy_rank_loop(cid):
     h_x, h_z = code.retained_h_x(), code.retained_h_z()
     for commute_with, stabilizers in ((h_z, h_x), (h_x, h_z)):
         got = codes._coset_representatives(commute_with, stabilizers, code.k)
-        assert got == _greedy_coset_representatives(commute_with, stabilizers, code.k)
+        want = _greedy_coset_representatives(commute_with, stabilizers, code.k)
+        assert np.array_equal(got, want)
         assert len(got) == code.k
 
 
@@ -408,8 +434,8 @@ def test_compute_logicals_rejects_a_singular_pairing():
     # one Z representative, so no mixing pairs them up
     code = codes.CssCode(
         name="anticommuting",
-        h_x=gf2.from_rows([[0, 1, 1, 1]]),
-        h_z=gf2.from_rows([[1, 1, 1, 0], [0, 1, 1, 1]]),
+        h_x=np.array([[0, 1, 1, 1]]),
+        h_z=np.array([[1, 1, 1, 0], [0, 1, 1, 1]]),
         retained_x=(0,),
         retained_z=(0, 1),
     )
@@ -502,9 +528,22 @@ def test_verify_logicals_passes(pruned_18, code_18_6_3):
     assert report.ok, report.failures
 
 
+def test_verify_logicals_reads_sets_of_no_pairs(pruned_18):
+    """A k = 0 code verifies its own empty set, and an empty set is one
+    failure against a code with k = 4."""
+    k0 = codes.build_bb_code(codes.BbCodeSpec(
+        2, 4, (("x", 0), ("y", 1), ("y", 2)), (("y", 0), ("x", 1), ("y", 3))))
+    assert k0.k == 0 and k0.d is None
+    assert str(codes.compute_distance(k0)) == "not computed (k = 0: no logical operator)"
+    report = codes.verify_logicals(k0, codes.compute_logicals(k0))
+    assert report.ok, report.failures
+    report = codes.verify_logicals(pruned_18, codes.LogicalOperatorSet(18, (), ()))
+    assert report.failures == ["set has 0 pairs, code has k=4"]
+
+
 def test_verify_logicals_catches_stabilizer_swap(pruned_18):
     good = _transcribed("18-4-4")
-    stab_row = tuple(int(c) for c in np.nonzero(pruned_18.h_x.bits[0])[0])
+    stab_row = tuple(int(c) for c in np.nonzero(pruned_18.h_x[0])[0])
     bad = codes.LogicalOperatorSet(
         n=18,
         x_supports=(stab_row,) + good.x_supports[1:],
@@ -530,10 +569,10 @@ def test_logical_matrices_hold_one_support_per_row():
     logicals = _transcribed("18-6-3")
     for matrix, supports in ((logicals.x_matrix(), logicals.x_supports),
                              (logicals.z_matrix(), logicals.z_supports)):
-        assert matrix.bits.shape == (6, 18)
-        assert [tuple(np.flatnonzero(row).tolist()) for row in matrix.bits] == list(supports)
+        assert matrix.shape == (6, 18)
+        assert [tuple(np.flatnonzero(row).tolist()) for row in matrix] == list(supports)
     empty = codes.LogicalOperatorSet(n=4, x_supports=(), z_supports=())
-    assert empty.x_matrix().bits.shape == empty.z_matrix().bits.shape == (0, 4)
+    assert empty.x_matrix().shape == empty.z_matrix().shape == (0, 4)
 
 
 @pytest.mark.parametrize(
@@ -552,7 +591,7 @@ def test_logical_operator_set_rejects_malformed_sizes_and_supports(n, x_supports
         codes.LogicalOperatorSet(n, x_supports, ((0,),))
     # unsorted supports and numpy ints are fine
     ok = codes.LogicalOperatorSet(np.int64(3), ((2, np.int64(0)),), ((0,),))
-    assert ok.x_matrix().bits.tolist() == [[1, 0, 1]]
+    assert ok.x_matrix().tolist() == [[1, 0, 1]]
 
 
 def test_spec_exponents_reduce_cyclically():
@@ -666,8 +705,8 @@ def small_specs(draw):
 @settings(max_examples=60, deadline=None)
 def test_random_specs_satisfy_css(spec):
     code = codes.build_bb_code(spec)
-    prod = gf2.matmul_mod2(code.h_x, gf2.transpose(code.h_z))
-    assert not prod.bits.any()
-    assert (code.h_x.bits.sum(axis=1) == 6).all()
-    assert (code.h_z.bits.sum(axis=1) == 6).all()
-    assert (code.h_x.bits.sum(axis=0) == 3).all()
+    prod = gf2.matmul_mod2(code.h_x, code.h_z.T)
+    assert not prod.any()
+    assert (code.h_x.sum(axis=1) == 6).all()
+    assert (code.h_z.sum(axis=1) == 6).all()
+    assert (code.h_x.sum(axis=0) == 3).all()

@@ -181,7 +181,7 @@ def _code_outputs(cid):
     logicals = compute_logicals(code)
     out = {
         "checks": _digest(
-            *(repr(m.bits.shape).encode() + m.bits.tobytes() for m in (code.h_x, code.h_z))
+            *(repr(m.shape).encode() + m.tobytes() for m in (code.h_x, code.h_z))
         ),
         "logicals": _digest(repr((logicals.x_supports, logicals.z_supports)).encode()),
     }

@@ -86,11 +86,11 @@ def _memory_outputs(code, logicals, basis, cycles, readout, fault):
         readout[fault.readout_flip] ^= 1
     aligned = [code.n + j for j, (kind, _) in enumerate(code.checks) if kind == basis]
     if basis == "Z":
-        support = code.retained_h_z().bits
-        logical = logicals.z_matrix().bits
+        support = code.retained_h_z()
+        logical = logicals.z_matrix()
     else:
-        support = code.retained_h_x().bits
-        logical = logicals.x_matrix().bits
+        support = code.retained_h_x()
+        logical = logicals.x_matrix()
     t = len(cycles)
     m = np.array([[cycles[c][q] for q in aligned] for c in range(t)], dtype=np.uint8)
     det = m.copy()
@@ -390,8 +390,7 @@ def test_a_code_with_checks_of_one_type_samples(basis):
     """With no X checks the Z basis has no other checks, and the X basis
     no memory-basis checks: each batch split takes an empty run."""
     h_z = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8)
-    code = CssCode("rep3", gf2.BinaryMatrix(np.zeros((0, 3), dtype=np.uint8)),
-                   gf2.BinaryMatrix(h_z), (), (0, 1))
+    code = CssCode("rep3", np.zeros((0, 3), int), h_z, (), (0, 1))
     logicals = LogicalOperatorSet(3, ((0, 1, 2),), ((0,),))
     circ = build_syndrome_circuit(code, 3, basis=basis)
     shots = 200
@@ -1168,7 +1167,7 @@ def test_series_resolves_no_logicals(basis, monkeypatch):
 
 
 def test_a_code_with_no_logical_qubit_reaches_the_noise_layer():
-    code = CssCode("k0", gf2.zeros(0, 2), gf2.from_rows([[1, 0], [0, 1]]), (), (0, 1))
+    code = CssCode("k0", np.zeros((0, 2), int), np.array([[1, 0], [0, 1]]), (), (0, 1))
     circ = build_syndrome_circuit(code, 2)
     assert verify_circuit(circ, code).ok
     dem = noise.build_dem(circ, NOISE, code=code)
@@ -1178,8 +1177,8 @@ def test_a_code_with_no_logical_qubit_reaches_the_noise_layer():
 
 
 CHECKS_OF_ONE_TYPE = {
-    "rep3": CssCode("rep3", gf2.zeros(0, 3), gf2.from_rows([[1, 1, 0], [0, 1, 1]]), (), (0, 1)),
-    "k0": CssCode("k0", gf2.zeros(0, 2), gf2.from_rows([[1, 0], [0, 1]]), (), (0, 1)),
+    "rep3": CssCode("rep3", np.zeros((0, 3), int), np.array([[1, 1, 0], [0, 1, 1]]), (), (0, 1)),
+    "k0": CssCode("k0", np.zeros((0, 2), int), np.array([[1, 0], [0, 1]]), (), (0, 1)),
 }
 
 

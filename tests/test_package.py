@@ -115,6 +115,83 @@ def test_private_use_check_sees_imports_and_attributes():
     assert found == ["_TERM_GROUPS", "c._term_maps", "noise._Program"]
 
 
+def _package_reads(tree: ast.AST) -> set[str]:
+    """Dotted names a module reads from ``bbqec``: what it imports, and
+    every attribute chain on a name bound to one of those, by an import
+    or by a plain or tuple assignment from such a chain."""
+    bound: dict[str, str] = {}
+    found: set[str] = set()
+
+    def resolve(node):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if isinstance(node, ast.Attribute) and (base := resolve(node.value)):
+            return f"{base}.{node.attr}"
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "bbqec":
+                    found.add(alias.name)
+                    bound[alias.asname or "bbqec"] = alias.name if alias.asname else "bbqec"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "bbqec":
+            for alias in node.names:
+                found.add(f"{node.module}.{alias.name}")
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+            pairs = [(target, value)]
+            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                pairs = zip(target.elts, value.elts)
+            for name, source in pairs:
+                if isinstance(name, ast.Name) and (path := resolve(source)):
+                    bound[name.id] = path
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (path := resolve(node)):
+            found.add(path)
+    return found
+
+
+def test_every_package_name_the_benchmark_reads_exists():
+    """The benchmark may not change with the package, so a name it reads
+    is deleted only after the benchmark stops reading it."""
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for name in sorted(_package_reads(ast.parse(path.read_text()))):
+            try:
+                pkgutil.resolve_name(name)
+            except (ImportError, AttributeError):
+                pytest.fail(f"{path.name} reads {name}, which does not exist")
+
+
+def test_package_read_check_sees_imports_attributes_and_assignments():
+    source = (
+        "import bbqec\n"
+        "import bbqec.gf2\n"
+        "import bbqec.noise as bn\n"
+        "from bbqec import codes\n"
+        "from bbqec.circuit import Circuit as C\n"
+        "import numpy as np\n"
+        "gf2, tab = bbqec.gf2, bbqec.tableau.StabilizerTableau\n"
+        "alias = codes.CssCode\n"
+        "gf2.BinaryMatrix\n"
+        "tab.h\n"
+        "bn.NoiseModel.device_rates()\n"
+        "alias.n\n"
+        "C.table\n"
+        "np.zeros\n"
+        "other.attr\n"
+        "x, y = 1, np.eye\n"
+    )
+    assert _package_reads(ast.parse(source)) == {
+        "bbqec", "bbqec.gf2", "bbqec.noise", "bbqec.codes", "bbqec.circuit.Circuit",
+        "bbqec.tableau", "bbqec.tableau.StabilizerTableau", "bbqec.tableau.StabilizerTableau.h",
+        "bbqec.gf2.BinaryMatrix", "bbqec.noise.NoiseModel", "bbqec.noise.NoiseModel.device_rates",
+        "bbqec.codes.CssCode", "bbqec.codes.CssCode.n", "bbqec.circuit.Circuit.table",
+    }
+
+
 def _names_used(tree: ast.AST) -> Counter:
     """How often each name is read as a bare name or an attribute."""
     return Counter(
