@@ -237,7 +237,9 @@ class CssCode:
         return self.h_z[list(self.retained_z)]
 
     def all_checks_retained(self) -> bool:
-        return len(self.retained_x) == len(self.h_x) and len(self.retained_z) == len(self.h_z)
+        return len(self.retained_x) == len(self.h_x) and len(
+            self.retained_z
+        ) == len(self.h_z)
 
 
 def _polynomial(spec: BbCodeSpec, terms: Iterable[Monomial]) -> np.ndarray:

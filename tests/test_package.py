@@ -1,8 +1,9 @@
 """The package declares only what exists: console scripts, the modules
 its docstring lists and every module's ``__all__``, which names every
 public function and class the module defines. It imports only its
-declared dependencies, and scripts use only its public names. Set-up
-imports no more of numpy than it needs."""
+declared dependencies, scripts use only its public names, and every
+package name the benchmark reads exists. Set-up imports no more of numpy
+than it needs."""
 
 import ast
 import importlib
@@ -134,7 +135,11 @@ def _package_reads(tree: ast.AST) -> set[str]:
             for alias in node.names:
                 if alias.name.split(".")[0] == "bbqec":
                     found.add(alias.name)
-                    bound[alias.asname or "bbqec"] = alias.name if alias.asname else "bbqec"
+                    # "import bbqec.gf2" binds bbqec; "as g" binds g to bbqec.gf2
+                    if alias.asname:
+                        bound[alias.asname] = alias.name
+                    else:
+                        bound["bbqec"] = "bbqec"
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "bbqec":
             for alias in node.names:
                 found.add(f"{node.module}.{alias.name}")
