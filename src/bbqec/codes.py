@@ -503,14 +503,24 @@ class LogicalOperatorSet:
     z_supports: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(self.x_supports) != len(self.z_supports):
-            raise ValueError("x and z logical lists must pair up")
         if not _is_int(self.n) or self.n < 0:
             raise ValueError(f"n must be an int >= 0, got {self.n!r}")
-        for support in (*self.x_supports, *self.z_supports):
-            ints = all(_is_int(q) and 0 <= q < self.n for q in support)
-            if not ints or len(set(support)) < len(support):
-                raise ValueError(f"support {support} must be distinct ints in [0, {self.n})")
+        object.__setattr__(self, "n", int(self.n))
+        for label in ("x", "z"):
+            supports = getattr(self, f"{label}_supports")
+            if not (_is_sequence(supports) and all(map(_is_sequence, supports))):
+                raise ValueError(
+                    f"{label}_supports must be a sequence of supports, got {supports!r}"
+                )
+            for support in supports:
+                ints = all(_is_int(q) and 0 <= q < self.n for q in support)
+                if not ints or len(set(support)) < len(support):
+                    raise ValueError(f"support {support} must be distinct ints in [0, {self.n})")
+            # hashable, and equal however the supports were given
+            supports = tuple(tuple(map(int, support)) for support in supports)
+            object.__setattr__(self, f"{label}_supports", supports)
+        if len(self.x_supports) != len(self.z_supports):
+            raise ValueError("x and z logical lists must pair up")
 
     @property
     def k(self) -> int:

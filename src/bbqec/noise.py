@@ -34,8 +34,7 @@ The walk and the sampler gather rows with ``ndarray.take(..., axis=0)``
 (``np.take``'s wrapper costs as much as a small gather) and scatter
 them as ``_cells``, one fixed-width ``np.void`` cell per row.
 ``enumerate_fault_variants`` returns the variant table as a ``FaultVariants`` view;
-the first read of a record makes them all, once, each field a column with one
-object per distinct value (``_shared``).
+the first read of a record makes them all, once, from the slots and their patterns.
 
 Noise channels and their fault slots (``_channel`` states each once,
 and the variant table and the sampler's draws both expand it):
@@ -72,12 +71,10 @@ are row adds and (round, shot) pairs come from one flat nonzero.
 
 from __future__ import annotations
 
-import gc
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -186,6 +183,8 @@ class NoiseModel:
             high = np.inf if name == "suppression" else 1.0
             if not 0.0 <= v <= high or v == np.inf:  # nan fails every comparison
                 raise ValueError(f"{name}={v} is not a finite number in [0, {high:g}]")
+            # a numpy scalar would carry its precision into every prior
+            object.__setattr__(self, name, float(v))
         if self.idle_policy not in IDLE_POLICIES:
             raise ValueError(f"idle_policy={self.idle_policy!r} not one of {IDLE_POLICIES}")
 
@@ -566,24 +565,15 @@ def _variants(prog: _Program) -> _Variants:
     return _Variants(slot, prog.slot_layer.take(slot), rows, prob.take(kp))
 
 
-def _shared(values: np.ndarray, make) -> list:
-    """``make(v)`` for each entry v of ``values``, computed once per
-    distinct entry and shared by the entries that hold it: the made
-    objects sit in a numpy object array, and one ``take`` of it lists them."""
-    keys, inverse = np.unique(values, return_inverse=True)
-    objs = np.fromiter(map(make, keys.tolist()), dtype=object, count=len(keys))
-    return objs.take(inverse).tolist()
-
-
 class FaultVariants(Sequence):
     """A read-only view of a program's variant table, in slot order. ``len`` reads its slot
     column; the first record read makes every record, once."""
 
     def __init__(self, prog: _Program):
-        self._prog, self._var = prog, prog.variants
+        self._prog = prog
 
     def __len__(self) -> int:
-        return len(self._var.slot)
+        return len(self._prog.variants.slot)
 
     def __getitem__(self, index):
         return self._records[index]
@@ -593,43 +583,23 @@ class FaultVariants(Sequence):
 
     @cached_property
     def _records(self) -> tuple[FaultVariant, ...]:
-        """Each field is one column over the whole table, one object per distinct value
-        (an int, a kind string, a prior, a qubit tuple or a flipped output), and the records
-        are zipped from the columns; cyclic GC is paused for both, as it finds no cycle."""
-        prog, var = self._prog, self._var
-        checks, tc, raw = prog.check_count, prog.t * prog.check_count, prog.raw_bits
-        nq = prog.circuit.qubit_count
-        R, (i0, i1) = nq + 1, var.buffer_rows
-        m = 3 * R  # the buffer row of raw output 0; a flip is in i0
-        # the qubit that each buffer row's X (Z) part acts on, else nq
-        qs, pad = np.arange(R, dtype=np.int32), np.full(R, nq, dtype=np.int32)
-        maps = np.full(raw + 1, nq, dtype=np.int32)
-        x_of, z_of = np.concatenate([qs, pad, qs, maps]), np.concatenate([pad, qs, qs, maps])
-        made: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-        def legs(k):  # a pair key's qubits, unused legs (nq) dropped, one tuple per value
-            qubits = tuple(q for q in divmod(k, R) if q < nq)
-            return made.setdefault(qubits, qubits)
-
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            columns = (
-                _shared(var.slot, int),
-                _shared(var.layer, int),
-                _shared(prog.slot_kind[var.slot], _SLOT_KINDS.__getitem__),
-                _shared(var.probability, float),
-                _shared(x_of.take(i0) * R + x_of.take(i1), legs),
-                _shared(z_of.take(i0) * R + z_of.take(i1), legs),
-                _shared(i0, lambda r: divmod(r - m, checks) if m <= r < m + tc else None),
-                _shared(i0, lambda r: r - m - tc if m + tc <= r < m + raw else None),
+        """The slots expanded by their channel's patterns, in slot order, then pattern order:
+        a pattern's legs pick its qubits, and a flip the slot's (cycle, check) or readout."""
+        prog = self._prog
+        checks, tc = prog.check_count, prog.t * prog.check_count
+        slots = zip(prog.slot_kind.tolist(), prog.slot_layer.tolist(),
+                    prog.slot_legs.T.tolist(), prog.slot_flip.tolist())
+        return tuple(
+            FaultVariant(
+                s, layer, _SLOT_KINDS[kind], pat.probability,
+                tuple(legs[leg] for leg in pat.x_legs),
+                tuple(legs[leg] for leg in pat.z_legs),
+                divmod(f, checks) if pat.flip and f < tc else None,
+                f - tc if pat.flip and f >= tc else None,
             )
-            # tuple.__new__ fills each record from its zipped row in C, without
-            # the Python frame of FaultVariant.__new__; a row has every field
-            return tuple(map(tuple.__new__, repeat(FaultVariant), zip(*columns)))
-        finally:
-            if enabled:
-                gc.enable()
+            for s, (kind, layer, legs, f) in enumerate(slots)
+            for pat in prog.channels[kind].patterns
+        )
 
 
 def enumerate_fault_variants(

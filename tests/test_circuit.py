@@ -1,7 +1,9 @@
 """Circuit generation: scheduling, compilation, verification."""
 
+import importlib.util
 import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +167,33 @@ def test_arrangements_are_the_placements_the_input_rules_accept():
             assert circuit._arrangement_rounds(rounds) == rounds
     assert count == 1_270_080
     assert found == wanted
+
+
+def _scan_script():
+    """scripts/scan_arrangements.py, loaded from its path as a module."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "scan_arrangements.py"
+    spec = importlib.util.spec_from_file_location("scan_arrangements", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_sweep_scores_the_pin_and_the_inventory_as_the_pin_comment_says():
+    scan = _scan_script()
+    pin, inventory = circuit._PINNED_ASSIGNMENTS["18-4-4"], circuit._INVENTORY_ASSIGNMENT
+    commutes = scan.arrangement_commutes(scan.FEASIBILITY_CODE)  # 18-4-4
+    assert commutes(*pin) and commutes(*inventory)
+    # the boundary shape: the pin has it and clears every clause (+3.29
+    # standard errors); the inventory's Z-basis final cycle sits above the
+    # plateau (-4.28)
+    assert scan.shape_ok(*pin) and not scan.shape_ok(*inventory)
+    (pin_margin, _), (inventory_margin, detail) = scan.margins(pin), scan.margins(inventory)
+    assert pin_margin > 0 > inventory_margin and "last-mid=+0.0107" in detail.split("X:")[0]
+    assert (scan.hadamards_per_cycle(pin), scan.hadamards_per_cycle(inventory)) == (86, 78)
+    # DEM collision groups summed over t = 1, 2, 3, 7 and both bases
+    for cid, counts in (("18-4-4-pruned", (0, 0)), ("18-4-4", (0, 0)), ("18-6-3", (130, 0))):
+        scan.PROBE = build_named_code(cid)
+        assert (scan.collision_groups(pin), scan.collision_groups(inventory)) == counts, cid
 
 
 def test_the_inventory_arrangement_commutes_on_every_two_block_code():

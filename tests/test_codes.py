@@ -581,10 +581,13 @@ def test_logical_matrices_hold_one_support_per_row():
         (3, ((5,),), "support"), (3, ((-1,),), "support"), (3, ((0, 2, 0),), "support"),
         (3, ((True,),), "support"), (3, ((1.0,),), "support"), (3, (("1",),), "support"),
         (2.5, ((0,),), "n must be"), (True, ((0,),), "n must be"), (-1, ((0,),), "n must be"),
-        (3, ((0,), (1,)), "pair up"),
+        (3, ((0,), (1,)), "pair up"), (3, 5, "x_supports must be"),
+        (3, (5,), "x_supports must be"), (3, ("01",), "x_supports must be"),
+        (3, "0", "x_supports must be"), (3, (np.array([0]),), "x_supports must be"),
     ],
     ids=["past-n", "negative", "repeat", "bool", "float", "str", "float-n", "bool-n",
-         "negative-n", "unpaired"],
+         "negative-n", "unpaired", "int-supports", "int-support", "str-support",
+         "str-supports", "array-support"],
 )
 def test_logical_operator_set_rejects_malformed_sizes_and_supports(n, x_supports, message):
     with pytest.raises(ValueError, match=message):
@@ -592,6 +595,26 @@ def test_logical_operator_set_rejects_malformed_sizes_and_supports(n, x_supports
     # unsorted supports and numpy ints are fine
     ok = codes.LogicalOperatorSet(np.int64(3), ((2, np.int64(0)),), ((0,),))
     assert ok.x_matrix().tolist() == [[1, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "n,x_supports,z_supports",
+    [
+        (3, [[1, 0]], [[2]]),
+        (np.int64(3), ((np.int64(1), np.int32(0)),), ((np.int8(2),),)),
+        (3, [range(1, -1, -1)], ([2],)),
+        (3, ((1, 0),), ((2,),)),
+    ],
+    ids=["lists", "numpy-ints", "range", "tuples"],
+)
+def test_logical_operator_sets_keep_tuples_of_python_ints(n, x_supports, z_supports):
+    given = codes.LogicalOperatorSet(n, x_supports, z_supports)
+    plain = codes.LogicalOperatorSet(3, ((1, 0),), ((2,),))
+    assert given == plain and hash(given) == hash(plain) and repr(given) == repr(plain)
+    assert type(given.n) is int
+    for supports in (given.x_supports, given.z_supports):
+        assert type(supports) is tuple
+        assert all(type(s) is tuple and all(type(q) is int for q in s) for s in supports)
 
 
 def test_spec_exponents_reduce_cyclically():

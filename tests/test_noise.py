@@ -7,7 +7,7 @@ import random
 import sys
 import threading
 from collections.abc import Sequence
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import chain, permutations
 
 import numpy as np
@@ -454,27 +454,73 @@ def test_enumerated_variants_match_a_per_variant_reference():
 
 
 @pytest.mark.parametrize("basis", ["Z", "X"])
-def test_enumerated_fields_share_one_object_per_value(basis):
+def test_enumerated_fields_are_python_objects(basis):
     code = build_named_code("36-4-6")
     circ = build_syndrome_circuit(code, 7, basis=basis)
-    variants = noise.enumerate_fault_variants(circ, NOISE, code=code)
-    assert len(variants) == 29664
-    for field, column in zip(noise.FaultVariant._fields, zip(*variants)):
-        # exact types: a numpy float64 is a float subclass
-        assert {type(v) for v in column} <= {int, float, str, tuple, type(None)}, field
-        assert {type(q) for v in column if type(v) is tuple for q in v} <= {int}, field
-        assert len({id(v) for v in column}) == len(set(column)), field
+    # the device rates given as numpy scalars of two precisions
+    rates = {f.name: getattr(NOISE, f.name) for f in fields(NOISE) if f.name != "idle_policy"}
+    scalars = NoiseModel(**{k: (np.float32, np.float64)[i % 2](v)
+                            for i, (k, v) in enumerate(rates.items())})
+    for model in (NOISE, scalars):
+        variants = noise.enumerate_fault_variants(circ, model, code=code)
+        assert len(variants) == 29664
+        for field, column in zip(noise.FaultVariant._fields, zip(*variants)):
+            # exact types: a numpy float64 is a float subclass
+            assert {type(v) for v in column} <= {int, float, str, tuple, type(None)}, field
+            assert {type(q) for v in column if type(v) is tuple for q in v} <= {int}, field
+
+
+_SPARSE = replace(NOISE, p_h=0.0, p_dd_z=0.0)  # the golden lock's model with zero rates
+
+
+@pytest.mark.parametrize("cid", ["18-6-3", "36-4-6"])
+@pytest.mark.parametrize("basis", ["Z", "X"])
+@pytest.mark.parametrize(
+    "model", [*(replace(NOISE, idle_policy=p) for p in noise.IDLE_POLICIES), _SPARSE],
+    ids=[*noise.IDLE_POLICIES, "sparse"],
+)
+def test_the_variant_table_decodes_to_the_records(cid, basis, model):
+    """``_Variants.buffer_rows`` read back as records: the X and Z parts of a
+    variant's two buffer rows name its qubits, and a map row (in the first)
+    names the output it flips."""
+    code = build_named_code(cid)
+    circ = build_syndrome_circuit(code, 2, basis=basis)
+    prog = noise._Program(code, circ, basis, model)
+    var, nq = prog.variants, circ.qubit_count
+    R, (i0, i1) = nq + 1, var.buffer_rows
+    m, tc, raw = 3 * R, prog.t * prog.check_count, prog.raw_bits
+    # the qubit that each buffer row's X (Z) part acts on, else nq
+    qs, pad, maps = np.arange(R), np.full(R, nq), np.full(raw + 1, nq)
+    x_of, z_of = np.concatenate([qs, pad, qs, maps]), np.concatenate([pad, qs, qs, maps])
+
+    def qubits(of):
+        pairs = zip(of.take(i0).tolist(), of.take(i1).tolist())
+        return [tuple(q for q in pair if q < nq) for pair in pairs]
+
+    decoded = tuple(
+        noise.FaultVariant(
+            s, layer, noise._SLOT_KINDS[kind], p, x, z,
+            divmod(f, prog.check_count) if 0 <= f < tc else None,
+            f - tc if tc <= f < raw else None,
+        )
+        for s, layer, kind, p, x, z, f in zip(
+            var.slot.tolist(), var.layer.tolist(), prog.slot_kind.take(var.slot).tolist(),
+            var.probability.tolist(), qubits(x_of), qubits(z_of), (i0 - m).tolist(),
+        )
+    )
+    records = tuple(noise.enumerate_fault_variants(circ, model, code=code))
+    assert decoded == records and repr(decoded) == repr(records)
 
 
 def test_fault_variants_make_no_record_until_one_is_read(monkeypatch):
     code = build_named_code("36-4-6")
     circ = build_syndrome_circuit(code, 7)
 
-    def refuse(values, make):
+    def refuse(*args, **kwargs):
         raise AssertionError("records made")
 
     with monkeypatch.context() as patch:
-        patch.setattr(noise, "_shared", refuse)
+        patch.setattr(noise, "FaultVariant", refuse)
         view = noise.enumerate_fault_variants(circ, NOISE, code=code)
         assert len(view) == 29664 and view
     assert isinstance(view, Sequence) and not isinstance(view, tuple)
@@ -996,6 +1042,18 @@ def test_noise_model_takes_numpy_numbers():
     assert model.effective(model.p_h) == 0.5 and model.effective(model.p_m) == 1.0
 
 
+def test_a_model_of_numpy_scalars_is_the_model_of_their_floats():
+    given = NoiseModel(p_h=np.float32(0.1), p_cz=np.float64(0.2), p_m=np.int64(0),
+                       suppression=np.float32(1.5))
+    floats = NoiseModel(p_h=float(np.float32(0.1)), p_cz=0.2, p_m=0.0, suppression=1.5)
+    assert given == floats and hash(given) == hash(floats)
+    # a float32 rate would make float32 priors, 0.03333333507180214 for p_h / 3
+    priors = [pat.probability for kind in noise._SLOT_KINDS
+              for pat in noise._channel(kind, given).patterns]
+    assert priors and {type(p) for p in priors} == {float}
+    assert noise._channel("h", given).patterns[0].probability == 1.5 * float(np.float32(0.1)) / 3
+
+
 def test_sampler_entry_points_take_numpy_integers():
     code = build_named_code("18-4-4-pruned")
     circ = build_syndrome_circuit(code, 2)
@@ -1131,7 +1189,7 @@ def test_fault_enumeration_leaves_the_gc_state_as_it_was():
     try:
         for enabled in (True, False):
             (gc.enable if enabled else gc.disable)()
-            # reading a record makes them all, with GC paused
+            # reading a record makes them all
             assert noise.enumerate_fault_variants(circ, NOISE, code=code)[0]
             assert gc.isenabled() is enabled
     finally:
@@ -1361,7 +1419,7 @@ def test_a_fault_list_outlives_later_calls():
     noise.enumerate_fault_variants(build_syndrome_circuit(code, 3), NOISE, code=code)
     assert tuple(view) == tuple(noise.enumerate_fault_variants(replace(circ), NOISE, code=code))
     assert view._prog is not noise._slot and view._prog.walk is None  # out of the slot, no rows
-    for column in view._var:
+    for column in view._prog.variants:
         assert not column.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         view._prog.slot_kind[0] = 0
